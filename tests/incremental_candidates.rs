@@ -9,6 +9,10 @@
 //! `candidates_generated` for a fixed TPC-H session, so an accidental
 //! loss of incrementality (or a behavior change dressed up as one)
 //! fails loudly instead of silently costing performance.
+//!
+//! Two golden digests pin the bytes themselves: the TPC-H session's
+//! JSONL trace and the 200 incremental-mode traces of the sweep, so an
+//! engine refactor is correct iff these constants do not move.
 
 use pdtune::physical::Configuration;
 use pdtune::trace::Tracer;
@@ -42,6 +46,18 @@ fn fingerprint(report: &TuningReport) -> String {
     }
     format!("{r:#?}")
 }
+
+/// FNV-1a (64-bit), hand-rolled so the digest depends on the trace
+/// bytes alone — not on `DefaultHasher`'s unspecified algorithm.
+fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        state ^= u64::from(*b);
+        state = state.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    state
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 fn run_case(case: &Case, incremental: bool) -> (TuningReport, String) {
     let p = BenchParams {
@@ -106,9 +122,13 @@ fn cases() -> Vec<Case> {
 #[test]
 fn incremental_is_byte_identical_to_reference_across_random_cases() {
     let (mut reused_total, mut generated_total) = (0u64, 0u64);
+    let mut sweep_digest = FNV_OFFSET;
     for case in cases() {
         let (ri, ti) = run_case(&case, true);
         let (rr, tr) = run_case(&case, false);
+        // Seed first, so trace boundaries are unambiguous in the fold.
+        sweep_digest = fnv1a(sweep_digest, &case.seed.to_le_bytes());
+        sweep_digest = fnv1a(sweep_digest, ti.as_bytes());
         assert_eq!(
             ti,
             tr,
@@ -137,6 +157,10 @@ fn incremental_is_byte_identical_to_reference_across_random_cases() {
         "only {reused_total} candidates reused across the sweep"
     );
     assert!(generated_total > 0);
+    assert_eq!(
+        sweep_digest, GOLDEN_SWEEP_DIGEST,
+        "the sweep's incremental-mode traces moved: {sweep_digest:#018x}"
+    );
 }
 
 fn tpch_session(incremental: bool, threads: usize) -> (TuningReport, String) {
@@ -184,7 +208,12 @@ fn tpch_traces_are_identical_across_modes_and_threads() {
 /// search itself changed. Update deliberately, never casually.
 #[test]
 fn tpch_golden_counters() {
-    let (report, _) = tpch_session(true, 1);
+    let (report, trace) = tpch_session(true, 1);
+    let trace_digest = fnv1a(FNV_OFFSET, trace.as_bytes());
+    assert_eq!(
+        trace_digest, GOLDEN_TRACE_DIGEST,
+        "the TPC-H session's JSONL trace moved: {trace_digest:#018x}"
+    );
     let golden_optimizer_calls = GOLDEN_OPTIMIZER_CALLS;
     let golden_generated = GOLDEN_CANDIDATES_GENERATED;
     assert_eq!(
@@ -212,3 +241,10 @@ fn tpch_golden_counters() {
 // unchanged relevant subset and are now logical cache hits.
 const GOLDEN_OPTIMIZER_CALLS: usize = 18;
 const GOLDEN_CANDIDATES_GENERATED: u64 = 6;
+
+// FNV-1a digests of the JSONL bytes, recorded with rustc 1.95.0 at
+// commit 2e5dac2 (before the hash-map backends were deleted); debug
+// and release builds agree. Update deliberately, never casually: a
+// moved digest means the deterministic event stream changed.
+const GOLDEN_TRACE_DIGEST: u64 = 0x351C_5167_E5CD_2D67;
+const GOLDEN_SWEEP_DIGEST: u64 = 0x46D4_BBCA_4006_BE84;
