@@ -607,7 +607,10 @@ fn reopt_affected(
                 let tables: BTreeSet<TableId> = q.tables.iter().copied().collect();
                 (cache, config.signature_for_tables128(&tables))
             });
-            match cached.as_ref().and_then(|(c, sig)| c.lookup(i, *sig)) {
+            match cached
+                .as_ref()
+                .and_then(|(c, sig)| c.committed.lookup(i, *sig))
+            {
                 Some(e) => {
                     hit = true;
                     (e.cost, e.usages)
@@ -650,7 +653,7 @@ fn reopt_affected(
         misses += u64::from(miss);
         if let Some((sig, ce)) = pending {
             if let Some(cache) = ctx.cache {
-                cache.insert(i, sig, ce);
+                cache.committed.insert(i, sig, ce);
             }
         }
         per_query.push(q);

@@ -19,7 +19,6 @@
 //! | `exp_parallel` | thread/cache scaling → `BENCH_parallel.json` |
 //! | `exp_incremental` | incremental candidate engine on/off → `BENCH_incremental.json` |
 //! | `exp_derived` | derived what-if costing on/off → `BENCH_derived.json` |
-//! | `exp_hotpath` | flat hot-path on/off + phase attribution → `BENCH_hotpath.json` |
 //! | `exp_budget` | what-if call-budget frontier → `BENCH_budget.json` |
 //! | `exp_serve_shared` | cross-session shared what-if store → `BENCH_shared.json` |
 

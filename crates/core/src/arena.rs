@@ -3,14 +3,12 @@
 //! keyed by pre-hashed integers, and reusable SoA scratch for the §3.6
 //! skyline dominance scan.
 //!
-//! Everything here is allocation *placement*, never logic: the flat
-//! engine (`TunerOptions::flat_hot_path`) stores exactly the same
-//! key/value pairs the hash-keyed reference engine stores, probed by
-//! the bits of signatures that are already high-quality hashes instead
-//! of re-hashing them through SipHash. Contents, counters, and
-//! iteration-order-independent reductions are byte-identical across
-//! both layouts, which the 200-seed sweep in `tests/flat_hot_path.rs`
-//! asserts end to end.
+//! Everything here is allocation *placement*, never logic: the stores
+//! built on [`ProbeTable`] (bound memo, cost cache, shared store) are
+//! probed by the bits of signatures that are already high-quality
+//! hashes instead of re-hashing them through SipHash, and every
+//! reduction over them is iteration-order-independent, so table layout
+//! and shard count never reach a report, trace, or checkpoint.
 //!
 //! Lifetime argument (DESIGN.md §13): every structure in this module is
 //! scratch or session-local cache. `SkylineScratch` buffers live on the
@@ -33,7 +31,7 @@ impl<T> std::ops::Deref for CachePadded<T> {
     }
 }
 
-/// Shard count for the flat memo/cost caches, derived from the actual
+/// Shard count for the memo/cost caches, derived from the actual
 /// worker count instead of a fixed constant: enough shards that workers
 /// rarely collide (4x oversubscription smooths hash skew), rounded to a
 /// power of two so selection is a mask, clamped to keep the table walk
@@ -42,9 +40,17 @@ pub fn shard_count(workers: usize) -> usize {
     (workers.max(1) * 4).next_power_of_two().clamp(8, 64)
 }
 
+/// The shard a key lives in, out of `shards` (a power of two, at most
+/// 64 — see [`shard_count`]). Uses the *high* hash bits because the
+/// in-table probe consumes the low ones: shard-mates must not cluster
+/// inside their table.
+pub fn shard_index(key: &impl ProbeKey, shards: usize) -> usize {
+    (key.probe_hash() >> 58) as usize & (shards - 1)
+}
+
 /// A key whose probe hash is derivable from its own bits — the keys the
-/// flat engine stores are built from signatures that are already
-/// uniformly distributed hashes, so no hasher runs on the hot path.
+/// stores hold are built from signatures that are already uniformly
+/// distributed hashes, so no hasher runs on the hot path.
 pub trait ProbeKey: Copy + Eq {
     fn probe_hash(&self) -> u64;
 }
@@ -121,9 +127,9 @@ impl<K: ProbeKey, V> ProbeTable<K, V> {
         }
     }
 
-    /// Insert or overwrite. The flat engine only ever overwrites with a
-    /// bitwise-identical value (both engines compute pure functions of
-    /// the key), so insertion order cannot leak into lookups.
+    /// Insert or overwrite. The engine only ever overwrites with a
+    /// bitwise-identical value (stored values are pure functions of the
+    /// key), so insertion order cannot leak into lookups.
     pub fn insert(&mut self, key: K, value: V) {
         if self.slots.len() < 2 * (self.len + 1) {
             self.grow();
@@ -162,19 +168,17 @@ impl<K: ProbeKey, V> ProbeTable<K, V> {
     }
 
     /// Every entry, in slot order. Callers that need determinism sort
-    /// by the full key afterwards (contents are set-equal to the
-    /// reference engine's, so the sorted dump is byte-identical).
+    /// by the full key afterwards.
     pub fn iter(&self) -> impl Iterator<Item = &(K, V)> {
         self.slots.iter().flatten()
     }
 }
 
-/// Reusable SoA buffers for the §3.6 skyline dominance scan: the flat
-/// engine loads the open candidates' (ΔT, ΔS) pairs into two dense
+/// Reusable SoA buffers for the §3.6 skyline dominance scan: the
+/// search loads the open candidates' (ΔT, ΔS) pairs into two dense
 /// columns and computes one dominated-flag per position, instead of
 /// building a fresh `Vec<(f64, f64)>` snapshot per iteration and
-/// re-scanning it per candidate through a closure. Same double loop,
-/// same comparisons, same flags — only the memory shape changes.
+/// re-scanning it per candidate through a closure.
 #[derive(Default)]
 pub struct SkylineScratch {
     delta_t: Vec<f64>,
@@ -185,7 +189,7 @@ pub struct SkylineScratch {
 impl SkylineScratch {
     /// Compute dominated flags for `pairs` (in input order): position
     /// `i` is dominated iff some position has `ΔT <= ΔT_i && ΔS >= ΔS_i`
-    /// with at least one strict — exactly the reference predicate.
+    /// with at least one strict.
     pub fn dominated_flags(&mut self, pairs: impl Iterator<Item = (f64, f64)>) -> &[bool] {
         self.delta_t.clear();
         self.delta_s.clear();
@@ -223,6 +227,7 @@ mod tests {
         assert_eq!(shard_count(1024), 64);
         for w in 0..100 {
             assert!(shard_count(w).is_power_of_two());
+            assert!(shard_index(&(u64::MAX, 0u32), shard_count(w)) < shard_count(w));
         }
     }
 

@@ -10,7 +10,7 @@
 //! structures a query cannot use are guaranteed hits. Callers without
 //! a relevance table key by [`Configuration::signature_for_tables128`].
 //!
-//! On a keyed miss, [`CostCache::plan_probe`] offers INUM-style plan
+//! On a keyed miss, [`EntryStore::plan_probe`] offers INUM-style plan
 //! reuse: another entry for the same query whose plan provably survives
 //! under the probing configuration (its footprint intact, no pinned
 //! structure lost, no *new* relevant structure present) can be
@@ -18,7 +18,7 @@
 //!
 //! Callers must follow a commit-on-success protocol: look entries up
 //! freely, but buffer new entries and hit/miss tallies locally and
-//! [`CostCache::insert`]/[`CostCache::record`] them only after the
+//! [`EntryStore::insert`]/[`CostCache::record`] them only after the
 //! whole evaluation succeeds. Shortcut-aborted evaluations then leave
 //! no trace, which keeps cache contents, counters, and the downstream
 //! `optimizer_calls` totals independent of thread count and scheduling.
@@ -26,7 +26,7 @@
 //! Commit-on-success keeps counters deterministic, but it also means a
 //! shortcut-aborted evaluation's plan searches are repaid in full the
 //! next time the search probes the same projection. The *invocation
-//! store* ([`CostCache::invocation_lookup`]) recovers that work without
+//! store* ([`CostCache::invocations`]) recovers that work without
 //! touching determinism: every real optimizer answer is recorded
 //! immediately, keyed exactly like the cost cache, and served on later
 //! keyed misses in derived mode. Because the stored value is a pure
@@ -36,19 +36,23 @@
 //! (which *is* scheduling-dependent under parallel scoring) can never
 //! leak into costs, counters, traces, or checkpoints. Only the
 //! process-global real-invocation count drops. The store is never
-//! checkpointed and the reference engine never reads it.
+//! checkpointed and the `--no-derived-costs` reference mode never reads
+//! it.
+//!
+//! Both stores are [`EntryStore`]s — flat open-addressed tables behind
+//! sharded locks (DESIGN.md §13) — and every serving tier answers
+//! through the one `probe_chain`: exact key, then plan probe, then
+//! re-pricing.
 //!
 //! [`Configuration::signature_for_tables128`]: pdt_physical::Configuration::signature_for_tables128
 
-use crate::arena::{shard_count, CachePadded, ProbeKey, ProbeTable};
+use crate::arena::{shard_count, shard_index, CachePadded, ProbeTable};
 use crate::derived::{sorted_subset, Projection};
 use parking_lot::RwLock;
 use pdt_opt::IndexUsage;
-use std::collections::HashMap;
+use pdt_physical::Configuration;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const SHARDS: usize = 16;
 
 /// A memoized what-if answer: the optimizer's cost for one query under
 /// one (projected) configuration, plus the plan's index usages so
@@ -79,6 +83,12 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
+    /// A corrupt cost (non-finite or negative): never served, repaired
+    /// as a miss by the evaluation that finds it.
+    pub fn is_poisoned(&self) -> bool {
+        !(self.cost.is_finite() && self.cost >= 0.0)
+    }
+
     /// A coarse-keyed entry with no derived metadata.
     pub fn plain(cost: f64, usages: Arc<[IndexUsage]>, coarse: u128) -> CacheEntry {
         CacheEntry {
@@ -92,106 +102,188 @@ impl CacheEntry {
     }
 }
 
-/// Concurrent cost memo shared by every evaluation in a tuning session.
+/// One cache-line-padded shard of an [`EntryStore`].
+type EntryShard = CachePadded<RwLock<ProbeTable<(u32, u128), CacheEntry>>>;
+
+/// A sharded store of what-if answers: per-shard open-addressed
+/// [`ProbeTable`]s keyed by `(query as u32, projection signature)` and
+/// probed by the signature's own bits (it is already a hash); the
+/// shard count follows the worker count ([`shard_count`]). Lookups take a read lock on one shard, so scoring
+/// workers proceed in parallel.
 ///
-/// Sharded `RwLock<HashMap>`: lookups take a read lock on one shard, so
-/// scoring workers proceed in parallel; inserts are rare (only on cache
-/// misses that survive to commit).
+/// [`CostCache`] holds two of these — the committed entries and the
+/// invocation store — so both are probed by the same three methods.
+#[derive(Debug)]
+pub struct EntryStore {
+    shards: Vec<EntryShard>,
+}
+
+impl EntryStore {
+    fn new(workers: usize) -> EntryStore {
+        EntryStore {
+            shards: (0..shard_count(workers))
+                .map(|_| CachePadded(RwLock::new(ProbeTable::new())))
+                .collect(),
+        }
+    }
+
+    fn shard(&self, key: (u32, u128)) -> &RwLock<ProbeTable<(u32, u128), CacheEntry>> {
+        &self.shards[shard_index(&key, self.shards.len())]
+    }
+
+    pub fn lookup(&self, query: usize, signature: u128) -> Option<CacheEntry> {
+        let key = (query as u32, signature);
+        self.shard(key).read().get(key).cloned()
+    }
+
+    pub fn insert(&self, query: usize, signature: u128, entry: CacheEntry) {
+        let key = (query as u32, signature);
+        self.shard(key).write().insert(key, entry);
+    }
+
+    /// Plan reuse (§3.3.2 local re-pricing): after a keyed miss at
+    /// projection `proj`, find another entry for `query` whose cached
+    /// plan provably stays optimal under `proj`:
+    ///
+    /// * `proj.relevant ⊆ entry.relevant` — the probe offers no
+    ///   structure the cached optimization did not already consider, so
+    ///   no new candidate plan can exist;
+    /// * `entry.footprint ⊆ proj.relevant` — every structure the plan
+    ///   touches survives, so the plan itself is still executable at
+    ///   its cached cost;
+    /// * nothing in `entry.relevant \ proj.relevant` is pinned —
+    ///   removals only deleted losing candidates, never enabled new
+    ///   ones (dropping a clustered index would swap in a heap scan).
+    ///
+    /// Poisoned entries (non-finite or negative cost) are never served.
+    /// Among multiple servable entries the one with the smallest key
+    /// signature wins, making the result independent of shard and slot
+    /// iteration order — though all servable entries carry bitwise-equal
+    /// answers.
+    pub fn plan_probe(&self, query: usize, proj: &Projection) -> Option<CacheEntry> {
+        let mut best = None;
+        for shard in &self.shards {
+            scan_servable(
+                proj,
+                shard
+                    .read()
+                    .iter()
+                    .filter(|((q, _), _)| *q as usize == query)
+                    .map(|((_, sig), e)| (*sig, e)),
+                &mut best,
+            );
+        }
+        best.map(|(_, e)| e)
+    }
+
+    /// `probe_chain` over this store.
+    pub(crate) fn probe(
+        &self,
+        query: usize,
+        signature: u128,
+        proj: Option<&Projection>,
+        config: &Configuration,
+    ) -> Option<Served> {
+        probe_chain(
+            || self.lookup(query, signature),
+            |p| self.plan_probe(query, p),
+            proj,
+            config,
+        )
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.read().len()).sum()
+    }
+}
+
+/// How a probe tier answered; see [`probe_chain`].
+#[derive(Debug)]
+pub(crate) enum Served {
+    /// The entry stored under the exact key, as stored.
+    Exact(CacheEntry),
+    /// Another entry's surviving plan, re-priced under the probing
+    /// configuration.
+    Repriced(CacheEntry),
+}
+
+impl Served {
+    pub(crate) fn into_entry(self) -> CacheEntry {
+        match self {
+            Served::Exact(e) | Served::Repriced(e) => e,
+        }
+    }
+}
+
+/// The probe sequence every serving tier (committed cache, invocation
+/// store, daemon-wide shared store) answers through: the exact key
+/// first, then — given a relevance projection — a plan probe whose
+/// winner is re-priced under `config`. `None` on any gap, including a
+/// re-pricing refusal (unreachable if the signature-level survival
+/// checks are right; a failed probe for safety).
+pub(crate) fn probe_chain(
+    exact: impl FnOnce() -> Option<CacheEntry>,
+    plan_probe: impl FnOnce(&Projection) -> Option<CacheEntry>,
+    proj: Option<&Projection>,
+    config: &Configuration,
+) -> Option<Served> {
+    if let Some(e) = exact() {
+        return Some(Served::Exact(e));
+    }
+    let e = plan_probe(proj?)?;
+    let cost = pdt_opt::reprice_plan(e.cost, &e.usages, config)?;
+    Some(Served::Repriced(CacheEntry { cost, ..e }))
+}
+
+/// The plan-reuse scan shared by every store that holds
+/// [`CacheEntry`]s: fold one table's entries for the probed query into
+/// the best serve so far. [`EntryStore`] and the daemon's shared
+/// invocation store ([`crate::shared`]) both call this per table, so
+/// the servability predicate (see [`EntryStore::plan_probe`] for the
+/// derivation) and the smallest-signature winner rule exist exactly
+/// once.
+pub(crate) fn scan_servable<'a>(
+    proj: &Projection,
+    entries: impl Iterator<Item = (u128, &'a CacheEntry)>,
+    best: &mut Option<(u128, CacheEntry)>,
+) {
+    for (sig, e) in entries {
+        let servable = !e.is_poisoned()
+            && sorted_subset(&proj.relevant, &e.relevant)
+            && sorted_subset(&e.footprint, &proj.relevant)
+            && !e
+                .relevant
+                .iter()
+                .filter(|s| proj.relevant.binary_search(s).is_err())
+                .any(|s| e.pinned.binary_search(s).is_ok());
+        if servable && best.as_ref().is_none_or(|(bs, _)| sig < *bs) {
+            *best = Some((sig, e.clone()));
+        }
+    }
+}
+
+/// Concurrent cost memo shared by every evaluation in a tuning session.
 #[derive(Debug)]
 pub struct CostCache {
-    shards: Vec<RwLock<HashMap<(usize, u128), CacheEntry>>>,
-    /// Uncommitted real optimizer answers: `(query, signature)` → the
-    /// full entry the plan search produced, recorded at invocation time
-    /// (even inside evaluations that later abort). Purely a
-    /// real-invocation saver — see the module docs.
-    invocations: Vec<RwLock<HashMap<(usize, u128), CacheEntry>>>,
-    /// Flat id-addressed backend ([`CostCache::flat`]); when present,
-    /// `shards` and `invocations` stay empty and every probe goes to
-    /// open-addressed tables keyed by the signature's own bits.
-    flat: Option<FlatCost>,
+    /// Committed entries: written only at an evaluation's commit point,
+    /// checkpointed, counted.
+    pub committed: EntryStore,
+    /// Uncommitted real optimizer answers, keyed exactly like
+    /// `committed`: the full entry the plan search produced, recorded
+    /// at invocation time (even inside evaluations that later abort) —
+    /// the value is a pure function of the key, so racing writers are
+    /// idempotent and early visibility cannot perturb any deterministic
+    /// state. Every servable donor carries the bitwise-identical
+    /// answer, so the timing-dependent contents decide only *whether* a
+    /// real call is saved, never what any deterministic state observes.
+    /// Purely a real-invocation saver — see the module docs.
+    pub invocations: EntryStore,
     hits: AtomicU64,
     misses: AtomicU64,
     avoided: AtomicU64,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     repriced: AtomicU64,
-}
-
-/// Flat backend: per-shard open-addressed [`ProbeTable`]s keyed by
-/// `(query as u32, projection signature)` and probed by the signature's
-/// own bits (it is already a hash). Shard selection uses the high probe
-/// bits so shard-mates spread inside their table, and the shard count
-/// follows the actual worker count ([`shard_count`]).
-#[derive(Debug)]
-struct FlatCost {
-    shards: Vec<CostShard>,
-    invocations: Vec<CostShard>,
-}
-
-/// One cache-line-padded shard of the flat cost store.
-type CostShard = CachePadded<RwLock<ProbeTable<(u32, u128), CacheEntry>>>;
-
-impl FlatCost {
-    fn with_shards(n: usize) -> FlatCost {
-        FlatCost {
-            shards: (0..n)
-                .map(|_| CachePadded(RwLock::new(ProbeTable::new())))
-                .collect(),
-            invocations: (0..n)
-                .map(|_| CachePadded(RwLock::new(ProbeTable::new())))
-                .collect(),
-        }
-    }
-
-    fn shard_of(
-        shards: &[CostShard],
-        key: (u32, u128),
-    ) -> &RwLock<ProbeTable<(u32, u128), CacheEntry>> {
-        let h = key.probe_hash();
-        &shards[(h >> 58) as usize & (shards.len() - 1)]
-    }
-
-    /// [`CostCache::plan_probe_in`] over flat tables: one
-    /// [`scan_servable`] pass per shard, so both backends serve the
-    /// same entry.
-    fn plan_probe_in(shards: &[CostShard], query: usize, proj: &Projection) -> Option<CacheEntry> {
-        let mut best = None;
-        for shard in shards {
-            scan_servable(
-                query,
-                proj,
-                shard
-                    .read()
-                    .iter()
-                    .map(|((q, sig), e)| (*q as usize, *sig, e)),
-                &mut best,
-            );
-        }
-        best.map(|(_, e)| e)
-    }
-}
-
-/// The plan-reuse scan shared by every store that holds
-/// [`CacheEntry`]s: fold one shard's entries into the best serve so
-/// far. The hash-map and flat backends (and the daemon's shared
-/// invocation store in [`crate::shared`]) all call this per shard, so
-/// the servability predicate and the smallest-signature winner rule
-/// exist exactly once — the winner is independent of shard and slot
-/// iteration order.
-pub(crate) fn scan_servable<'a>(
-    query: usize,
-    proj: &Projection,
-    entries: impl Iterator<Item = (usize, u128, &'a CacheEntry)>,
-    best: &mut Option<(u128, CacheEntry)>,
-) {
-    for (q, sig, e) in entries {
-        if !CostCache::servable(q, query, e, proj) {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(bs, _)| sig < *bs) {
-            *best = Some((sig, e.clone()));
-        }
-    }
 }
 
 /// One evaluation's derived-costing tallies, committed alongside the
@@ -216,11 +308,16 @@ impl Default for CostCache {
 }
 
 impl CostCache {
+    /// A cache sharded for one worker; see [`CostCache::with_workers`].
     pub fn new() -> Self {
+        Self::with_workers(1)
+    }
+
+    /// A cache sharded for `workers` concurrent scorers.
+    pub fn with_workers(workers: usize) -> Self {
         CostCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            invocations: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            flat: None,
+            committed: EntryStore::new(workers),
+            invocations: EntryStore::new(workers),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             avoided: AtomicU64::new(0),
@@ -228,167 +325,6 @@ impl CostCache {
             plan_misses: AtomicU64::new(0),
             repriced: AtomicU64::new(0),
         }
-    }
-
-    /// A cache backed by the flat id-addressed store, sharded for
-    /// `workers` concurrent scorers.
-    pub fn flat(workers: usize) -> Self {
-        CostCache {
-            shards: Vec::new(),
-            invocations: Vec::new(),
-            flat: Some(FlatCost::with_shards(shard_count(workers))),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            avoided: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            repriced: AtomicU64::new(0),
-        }
-    }
-
-    pub fn is_flat(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    /// The plan-reuse servability predicate, shared verbatim by both
-    /// backends (see [`CostCache::plan_probe`] for the derivation).
-    fn servable(entry_query: usize, query: usize, e: &CacheEntry, proj: &Projection) -> bool {
-        entry_query == query
-            && e.cost.is_finite()
-            && e.cost >= 0.0
-            && sorted_subset(&proj.relevant, &e.relevant)
-            && sorted_subset(&e.footprint, &proj.relevant)
-            && !e
-                .relevant
-                .iter()
-                .filter(|s| proj.relevant.binary_search(s).is_err())
-                .any(|s| e.pinned.binary_search(s).is_ok())
-    }
-
-    fn shard_index(query: usize, signature: u128) -> usize {
-        // The signature is already a hash; fold both halves and the
-        // query index in and take high bits so consecutive queries
-        // spread across shards.
-        let h = (signature as u64)
-            ^ ((signature >> 64) as u64).rotate_left(32)
-            ^ (query as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 59) as usize % SHARDS
-    }
-
-    fn shard(&self, query: usize, signature: u128) -> &RwLock<HashMap<(usize, u128), CacheEntry>> {
-        &self.shards[Self::shard_index(query, signature)]
-    }
-
-    pub fn lookup(&self, query: usize, signature: u128) -> Option<CacheEntry> {
-        if let Some(f) = &self.flat {
-            let key = (query as u32, signature);
-            return FlatCost::shard_of(&f.shards, key).read().get(key).cloned();
-        }
-        self.shard(query, signature)
-            .read()
-            .get(&(query, signature))
-            .cloned()
-    }
-
-    pub fn insert(&self, query: usize, signature: u128, entry: CacheEntry) {
-        if let Some(f) = &self.flat {
-            let key = (query as u32, signature);
-            FlatCost::shard_of(&f.shards, key)
-                .write()
-                .insert(key, entry);
-            return;
-        }
-        self.shard(query, signature)
-            .write()
-            .insert((query, signature), entry);
-    }
-
-    /// A previously recorded real optimizer answer for this exact key,
-    /// if any invocation (committed or aborted) already priced it.
-    pub fn invocation_lookup(&self, query: usize, signature: u128) -> Option<CacheEntry> {
-        if let Some(f) = &self.flat {
-            let key = (query as u32, signature);
-            return FlatCost::shard_of(&f.invocations, key)
-                .read()
-                .get(key)
-                .cloned();
-        }
-        self.invocations[Self::shard_index(query, signature)]
-            .read()
-            .get(&(query, signature))
-            .cloned()
-    }
-
-    /// Record a real optimizer answer the moment it is produced. Unlike
-    /// [`CostCache::insert`] this is *not* deferred to commit: the value
-    /// is a pure function of the key, so racing writers are idempotent
-    /// and early visibility cannot perturb any deterministic state.
-    pub fn invocation_insert(&self, query: usize, signature: u128, entry: CacheEntry) {
-        if let Some(f) = &self.flat {
-            let key = (query as u32, signature);
-            FlatCost::shard_of(&f.invocations, key)
-                .write()
-                .insert(key, entry);
-            return;
-        }
-        self.invocations[Self::shard_index(query, signature)]
-            .write()
-            .insert((query, signature), entry);
-    }
-
-    /// [`CostCache::plan_probe`] over the invocation store: a recorded
-    /// answer (committed or not) whose plan provably survives under
-    /// `proj` can stand in for a real invocation. Every servable donor
-    /// carries the bitwise-identical answer, so the timing-dependent
-    /// store contents decide only *whether* a real call is saved, never
-    /// what any deterministic state observes.
-    pub fn invocation_plan_probe(&self, query: usize, proj: &Projection) -> Option<CacheEntry> {
-        if let Some(f) = &self.flat {
-            return FlatCost::plan_probe_in(&f.invocations, query, proj);
-        }
-        Self::plan_probe_in(&self.invocations, query, proj)
-    }
-
-    /// Plan reuse (§3.3.2 local re-pricing): after a keyed miss at
-    /// projection `proj`, find another entry for `query` whose cached
-    /// plan provably stays optimal under `proj`:
-    ///
-    /// * `proj.relevant ⊆ entry.relevant` — the probe offers no
-    ///   structure the cached optimization did not already consider, so
-    ///   no new candidate plan can exist;
-    /// * `entry.footprint ⊆ proj.relevant` — every structure the plan
-    ///   touches survives, so the plan itself is still executable at
-    ///   its cached cost;
-    /// * nothing in `entry.relevant \ proj.relevant` is pinned —
-    ///   removals only deleted losing candidates, never enabled new
-    ///   ones (dropping a clustered index would swap in a heap scan).
-    ///
-    /// Poisoned entries (non-finite or negative cost) are never served.
-    /// Among multiple servable entries the one with the smallest key
-    /// signature wins, making the result independent of shard iteration
-    /// order — though all servable entries carry bitwise-equal answers.
-    pub fn plan_probe(&self, query: usize, proj: &Projection) -> Option<CacheEntry> {
-        if let Some(f) = &self.flat {
-            return FlatCost::plan_probe_in(&f.shards, query, proj);
-        }
-        Self::plan_probe_in(&self.shards, query, proj)
-    }
-
-    fn plan_probe_in(
-        shards: &[RwLock<HashMap<(usize, u128), CacheEntry>>],
-        query: usize,
-        proj: &Projection,
-    ) -> Option<CacheEntry> {
-        let mut best = None;
-        for shard in shards {
-            scan_servable(
-                query,
-                proj,
-                shard.read().iter().map(|((q, sig), e)| (*q, *sig, e)),
-                &mut best,
-            );
-        }
-        best.map(|(_, e)| e)
     }
 
     /// Commit the hit/miss tallies of one successful evaluation.
@@ -451,11 +387,9 @@ impl CostCache {
         self.repriced.load(Ordering::Relaxed)
     }
 
+    /// Committed entries; the invocation store is not counted.
     pub fn len(&self) -> usize {
-        if let Some(f) = &self.flat {
-            return f.shards.iter().map(|s| s.read().len()).sum();
-        }
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.committed.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -487,30 +421,19 @@ impl CostCache {
         }
     }
 
-    /// Every entry, sorted by key. The deterministic iteration order
-    /// makes checkpoint files reproducible byte-for-byte.
+    /// Every committed entry, sorted by key. The deterministic order
+    /// (independent of shard count and slot order) makes checkpoint
+    /// files reproducible byte-for-byte.
     pub fn snapshot(&self) -> Vec<((usize, u128), CacheEntry)> {
-        let mut out: Vec<((usize, u128), CacheEntry)> = if let Some(f) = &self.flat {
-            f.shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .iter()
-                        .map(|((q, sig), v)| ((*q as usize, *sig), v.clone()))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        } else {
-            self.shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .iter()
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        };
+        let mut out: Vec<((usize, u128), CacheEntry)> = Vec::new();
+        for shard in &self.committed.shards {
+            out.extend(
+                shard
+                    .read()
+                    .iter()
+                    .map(|((q, sig), v)| ((*q as usize, *sig), v.clone())),
+            );
+        }
         out.sort_by_key(|(k, _)| *k);
         out
     }
@@ -554,11 +477,11 @@ mod tests {
     #[test]
     fn round_trips_entries() {
         let cache = CostCache::new();
-        assert!(cache.lookup(0, 42).is_none());
-        cache.insert(0, 42, entry(7.5));
-        assert_eq!(cache.lookup(0, 42).unwrap().cost, 7.5);
+        assert!(cache.committed.lookup(0, 42).is_none());
+        cache.committed.insert(0, 42, entry(7.5));
+        assert_eq!(cache.committed.lookup(0, 42).unwrap().cost, 7.5);
         // Distinct query, same signature: a different key.
-        assert!(cache.lookup(1, 42).is_none());
+        assert!(cache.committed.lookup(1, 42).is_none());
         assert_eq!(cache.len(), 1);
     }
 
@@ -569,18 +492,18 @@ mod tests {
         let cache = CostCache::new();
         let lo = 0xDEAD_BEEFu128;
         let hi = lo | (1u128 << 100);
-        cache.insert(0, lo, entry(1.0));
-        cache.insert(0, hi, entry(2.0));
-        assert_eq!(cache.lookup(0, lo).unwrap().cost, 1.0);
-        assert_eq!(cache.lookup(0, hi).unwrap().cost, 2.0);
+        cache.committed.insert(0, lo, entry(1.0));
+        cache.committed.insert(0, hi, entry(2.0));
+        assert_eq!(cache.committed.lookup(0, lo).unwrap().cost, 1.0);
+        assert_eq!(cache.committed.lookup(0, hi).unwrap().cost, 2.0);
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn counters_accumulate_only_via_record() {
         let cache = CostCache::new();
-        cache.lookup(0, 1);
-        cache.lookup(0, 1);
+        cache.committed.lookup(0, 1);
+        cache.committed.lookup(0, 1);
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
         cache.record(3, 2);
         cache.record(1, 0);
@@ -609,9 +532,9 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_counters_restore() {
         let cache = CostCache::new();
-        cache.insert(3, 9, entry(3.0));
-        cache.insert(0, 7, entry(1.0));
-        cache.insert(0, 2, entry(2.0));
+        cache.committed.insert(3, 9, entry(3.0));
+        cache.committed.insert(0, 7, entry(1.0));
+        cache.committed.insert(0, 2, entry(2.0));
         let snap = cache.snapshot();
         let keys: Vec<_> = snap.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![(0, 2), (0, 7), (3, 9)]);
@@ -631,31 +554,45 @@ mod tests {
     fn plan_probe_serves_only_surviving_plans() {
         let cache = CostCache::new();
         // Entry optimized with relevant {1,2,3}, plan touches {2}.
-        cache.insert(7, 100, derived_entry(5.0, &[1, 2, 3], &[2], &[1]));
+        cache
+            .committed
+            .insert(7, 100, derived_entry(5.0, &[1, 2, 3], &[2], &[1]));
 
         // Probe relevant {1,2}: subset, footprint intact, pinned 1 kept.
-        assert_eq!(cache.plan_probe(7, &proj(&[1, 2])).unwrap().cost, 5.0);
+        assert_eq!(
+            cache.committed.plan_probe(7, &proj(&[1, 2])).unwrap().cost,
+            5.0
+        );
         // Probe relevant {2,3}: lost structure 1, which is pinned.
-        assert!(cache.plan_probe(7, &proj(&[2, 3])).is_none());
+        assert!(cache.committed.plan_probe(7, &proj(&[2, 3])).is_none());
         // Probe relevant {1,3}: the plan's footprint {2} is gone.
-        assert!(cache.plan_probe(7, &proj(&[1, 3])).is_none());
+        assert!(cache.committed.plan_probe(7, &proj(&[1, 3])).is_none());
         // Probe relevant {1,2,4}: structure 4 is new — the cached
         // optimization never considered it, so nothing is servable.
-        assert!(cache.plan_probe(7, &proj(&[1, 2, 4])).is_none());
+        assert!(cache.committed.plan_probe(7, &proj(&[1, 2, 4])).is_none());
         // Wrong query: nothing.
-        assert!(cache.plan_probe(8, &proj(&[1, 2])).is_none());
+        assert!(cache.committed.plan_probe(8, &proj(&[1, 2])).is_none());
     }
 
     #[test]
     fn plan_probe_skips_poison_and_picks_deterministically() {
         let cache = CostCache::new();
-        cache.insert(7, 200, derived_entry(f64::NAN, &[1, 2, 3], &[], &[]));
-        assert!(cache.plan_probe(7, &proj(&[1])).is_none());
+        cache
+            .committed
+            .insert(7, 200, derived_entry(f64::NAN, &[1, 2, 3], &[], &[]));
+        assert!(cache.committed.plan_probe(7, &proj(&[1])).is_none());
         // Two servable entries: the smaller key signature wins.
-        cache.insert(7, 150, derived_entry(4.0, &[1, 2], &[], &[]));
-        cache.insert(7, 90, derived_entry(4.0, &[1, 3], &[], &[]));
-        assert_eq!(cache.plan_probe(7, &proj(&[1])).unwrap().cost, 4.0);
-        let served = cache.plan_probe(7, &proj(&[1])).unwrap();
+        cache
+            .committed
+            .insert(7, 150, derived_entry(4.0, &[1, 2], &[], &[]));
+        cache
+            .committed
+            .insert(7, 90, derived_entry(4.0, &[1, 3], &[], &[]));
+        assert_eq!(
+            cache.committed.plan_probe(7, &proj(&[1])).unwrap().cost,
+            4.0
+        );
+        let served = cache.committed.plan_probe(7, &proj(&[1])).unwrap();
         assert_eq!(served.relevant.as_ref(), &[1, 3]);
     }
 
@@ -663,106 +600,43 @@ mod tests {
     fn invocation_store_is_separate_from_the_committed_cache() {
         let cache = CostCache::new();
         // Recorded at invocation time, before any commit.
-        cache.invocation_insert(3, 55, derived_entry(9.0, &[1, 2], &[2], &[]));
-        assert_eq!(cache.invocation_lookup(3, 55).unwrap().cost, 9.0);
+        cache
+            .invocations
+            .insert(3, 55, derived_entry(9.0, &[1, 2], &[2], &[]));
+        assert_eq!(cache.invocations.lookup(3, 55).unwrap().cost, 9.0);
         // Invisible to committed lookups (and vice versa).
-        assert!(cache.lookup(3, 55).is_none());
-        cache.insert(3, 77, entry(1.0));
-        assert!(cache.invocation_lookup(3, 77).is_none());
+        assert!(cache.committed.lookup(3, 55).is_none());
+        cache.committed.insert(3, 77, entry(1.0));
+        assert!(cache.invocations.lookup(3, 77).is_none());
         // Wrong query or signature: nothing.
-        assert!(cache.invocation_lookup(4, 55).is_none());
-        assert!(cache.invocation_lookup(3, 56).is_none());
+        assert!(cache.invocations.lookup(4, 55).is_none());
+        assert!(cache.invocations.lookup(3, 56).is_none());
         // Plan probing over the store follows the same survival rules
         // as the committed cache: subset relevant + intact footprint.
         assert_eq!(
-            cache.invocation_plan_probe(3, &proj(&[1, 2])).unwrap().cost,
+            cache
+                .invocations
+                .plan_probe(3, &proj(&[1, 2]))
+                .unwrap()
+                .cost,
             9.0
         );
-        assert!(cache.invocation_plan_probe(3, &proj(&[1])).is_none());
+        assert!(cache.invocations.plan_probe(3, &proj(&[1])).is_none());
         // Never part of snapshots (checkpoints must not carry it).
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.snapshot().len(), 1);
     }
 
     #[test]
-    fn flat_backend_is_a_drop_in() {
-        let cache = CostCache::flat(4);
-        assert!(cache.is_flat());
-        assert!(!CostCache::new().is_flat());
-
-        // Round trips and wide keys.
-        assert!(cache.lookup(0, 42).is_none());
-        cache.insert(0, 42, entry(7.5));
-        assert_eq!(cache.lookup(0, 42).unwrap().cost, 7.5);
-        assert!(cache.lookup(1, 42).is_none());
-        let lo = 0xDEAD_BEEFu128;
-        let hi = lo | (1u128 << 100);
-        cache.insert(2, lo, entry(1.0));
-        cache.insert(2, hi, entry(2.0));
-        assert_eq!(cache.lookup(2, lo).unwrap().cost, 1.0);
-        assert_eq!(cache.lookup(2, hi).unwrap().cost, 2.0);
-
-        // Snapshot is sorted by the portable (usize, u128) key.
-        let keys: Vec<_> = cache.snapshot().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![(0, 42), (2, lo), (2, hi)]);
-        assert_eq!(cache.len(), 3);
-
-        // Invocation store stays separate, as in the reference.
-        cache.invocation_insert(3, 55, derived_entry(9.0, &[1, 2], &[2], &[]));
-        assert_eq!(cache.invocation_lookup(3, 55).unwrap().cost, 9.0);
-        assert!(cache.lookup(3, 55).is_none());
-        assert_eq!(cache.snapshot().len(), 3);
-        assert_eq!(
-            cache.invocation_plan_probe(3, &proj(&[1, 2])).unwrap().cost,
-            9.0
-        );
-        assert!(cache.invocation_plan_probe(3, &proj(&[1])).is_none());
-    }
-
-    #[test]
-    fn flat_plan_probe_matches_reference_decisions() {
-        for cache in [CostCache::new(), CostCache::flat(2)] {
-            cache.insert(7, 100, derived_entry(5.0, &[1, 2, 3], &[2], &[1]));
-            assert_eq!(cache.plan_probe(7, &proj(&[1, 2])).unwrap().cost, 5.0);
-            assert!(cache.plan_probe(7, &proj(&[2, 3])).is_none());
-            assert!(cache.plan_probe(7, &proj(&[1, 3])).is_none());
-            assert!(cache.plan_probe(7, &proj(&[1, 2, 4])).is_none());
-            assert!(cache.plan_probe(8, &proj(&[1, 2])).is_none());
-            // Deterministic winner: smallest key signature.
-            cache.insert(7, 150, derived_entry(4.0, &[1, 2], &[], &[]));
-            cache.insert(7, 90, derived_entry(4.0, &[1, 3], &[], &[]));
-            let served = cache.plan_probe(7, &proj(&[1])).unwrap();
-            assert_eq!(served.relevant.as_ref(), &[1, 3]);
-        }
-    }
-
-    #[test]
-    fn flat_concurrent_use_is_safe() {
-        let cache = CostCache::flat(4);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = &cache;
-                s.spawn(move || {
-                    for i in 0..250usize {
-                        cache.insert(i, t as u128, entry(i as f64));
-                        assert_eq!(cache.lookup(i, t as u128).unwrap().cost, i as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 1000);
-    }
-
-    #[test]
     fn concurrent_use_is_safe() {
-        let cache = CostCache::new();
+        let cache = CostCache::with_workers(4);
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let cache = &cache;
                 s.spawn(move || {
                     for i in 0..250usize {
-                        cache.insert(i, t as u128, entry(i as f64));
-                        assert_eq!(cache.lookup(i, t as u128).unwrap().cost, i as f64);
+                        cache.committed.insert(i, t as u128, entry(i as f64));
+                        assert_eq!(cache.committed.lookup(i, t as u128).unwrap().cost, i as f64);
                     }
                 });
             }

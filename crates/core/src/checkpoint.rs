@@ -132,35 +132,24 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Rebuild the what-if cost cache (counters start at zero; the
-    /// session restores them when it goes live). Checkpoints carry only
-    /// portable `(query, signature)` keys, so the same dump restores
-    /// into either backend: `flat` selects the id-addressed store sized
-    /// for `workers` ([`CostCache::flat`]), which re-interns the keys
-    /// on insert.
-    pub fn restore_cache(&self, flat: bool, workers: usize) -> CostCache {
-        let cache = if flat {
-            CostCache::flat(workers)
-        } else {
-            CostCache::new()
-        };
+    /// Rebuild the what-if cost cache, sharded for `workers` (counters
+    /// start at zero; the session restores them when it goes live).
+    /// Checkpoints carry only portable `(query, signature)` keys, so
+    /// the dump restores identically at any shard count.
+    pub fn restore_cache(&self, workers: usize) -> CostCache {
+        let cache = CostCache::with_workers(workers);
         for ((q, sig), entry) in &self.cache {
-            cache.insert(*q, *sig, entry.clone());
+            cache.committed.insert(*q, *sig, entry.clone());
         }
         cache
     }
 
     /// Rebuild the bound memo (counters start at zero; the session
-    /// restores them when it goes live). Like [`Checkpoint::restore_cache`],
-    /// the portable signature keys restore into either backend; the
-    /// flat store assigns fresh session-local configuration ids in dump
-    /// order.
-    pub fn restore_memo(&self, flat: bool, workers: usize) -> BoundMemo {
-        let memo = if flat {
-            BoundMemo::flat(workers)
-        } else {
-            BoundMemo::new()
-        };
+    /// restores them when it goes live). The memo assigns fresh
+    /// session-local configuration ids in dump order; only the portable
+    /// signature keys are ever serialized.
+    pub fn restore_memo(&self, workers: usize) -> BoundMemo {
+        let memo = BoundMemo::new(workers);
         for ((t_sig, cfg_sig), entry) in &self.bound_memo {
             memo.insert(*t_sig, *cfg_sig, *entry);
         }
@@ -1120,19 +1109,24 @@ mod tests {
     #[test]
     fn restore_cache_rebuilds_entries() {
         let ck = sample_checkpoint();
-        for flat in [false, true] {
-            let cache = ck.restore_cache(flat, 2);
-            assert_eq!(cache.is_flat(), flat);
-            assert_eq!(cache.len(), 2);
-            assert_eq!(cache.lookup(0, 17 << 70).unwrap().cost, 9.75);
-            assert!(cache.lookup(1, 99).unwrap().cost.is_nan());
-            assert_eq!((cache.hits(), cache.misses()), (0, 0));
-            // The restored store snapshots back to the identical dump,
-            // whichever backend holds it.
-            let snap = cache.snapshot();
+        let cache = ck.restore_cache(2);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.committed.lookup(0, 17 << 70).unwrap().cost, 9.75);
+        assert!(cache.committed.lookup(1, 99).unwrap().cost.is_nan());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // The restored store snapshots back to the identical dump, and
+        // the shard count never reaches checkpoint bytes (`Debug`
+        // rendering: the sample carries a NaN cost).
+        let snap = cache.snapshot();
+        assert_eq!(
+            snap.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            ck.cache.iter().map(|(k, _)| *k).collect::<Vec<_>>()
+        );
+        for workers in [1, 8] {
             assert_eq!(
-                snap.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-                ck.cache.iter().map(|(k, _)| *k).collect::<Vec<_>>()
+                format!("{:?}", ck.restore_cache(workers).snapshot()),
+                format!("{snap:?}"),
+                "workers = {workers}"
             );
         }
     }
@@ -1140,17 +1134,22 @@ mod tests {
     #[test]
     fn restore_memo_and_interner_rebuild_entries() {
         let ck = sample_checkpoint();
-        for flat in [false, true] {
-            let memo = ck.restore_memo(flat, 2);
-            assert_eq!(memo.is_flat(), flat);
-            assert_eq!(memo.len(), 2);
-            assert_eq!(memo.lookup(0x11, 0x22 << 80).unwrap().bound, 45.5);
-            let na = memo.lookup(0x33, 0x22).unwrap();
-            assert!(!na.applies && na.bound.is_nan());
-            assert_eq!((memo.hits(), memo.misses()), (0, 0));
+        let memo = ck.restore_memo(2);
+        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.lookup(0x11, 0x22 << 80).unwrap().bound, 45.5);
+        let na = memo.lookup(0x33, 0x22).unwrap();
+        assert!(!na.applies && na.bound.is_nan());
+        assert_eq!((memo.hits(), memo.misses()), (0, 0));
+        let snap = memo.snapshot();
+        assert_eq!(
+            snap.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            ck.bound_memo.iter().map(|(k, _)| *k).collect::<Vec<_>>()
+        );
+        for workers in [1, 8] {
             assert_eq!(
-                memo.snapshot().iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-                ck.bound_memo.iter().map(|(k, _)| *k).collect::<Vec<_>>()
+                format!("{:?}", ck.restore_memo(workers).snapshot()),
+                format!("{snap:?}"),
+                "workers = {workers}"
             );
         }
         let interner = ck.restore_interner();

@@ -272,11 +272,11 @@ impl RelevanceTable {
 /// [`RelevanceTable::projection`] re-derives per-structure work for
 /// every query: it walks the configuration's `BTreeSet`, re-hashes each
 /// relevant index/view to its 128-bit signature, and re-folds the
-/// coarse per-table signature. Under the flat engine all of that is
-/// hoisted here — signatures are computed once per structure per
-/// evaluation, and the coarse signature once per distinct FROM table
-/// set ([`RelevanceTable::set_id`]) — while the per-query relevance
-/// tests, the sort, and the `Tagged128` fold stay verbatim, so
+/// coarse per-table signature. All of that is hoisted here —
+/// signatures are computed once per structure per evaluation, and the
+/// coarse signature once per distinct FROM table set
+/// ([`RelevanceTable::set_id`]) — while the per-query relevance tests,
+/// the sort, and the `Tagged128` fold stay verbatim, so
 /// [`FlatProjector::project`] returns a bitwise-identical
 /// [`Projection`] (debug builds assert it).
 pub struct FlatProjector<'a> {

@@ -22,13 +22,14 @@
 //! * cache inserts and hit/miss tallies commit only after the whole
 //!   evaluation succeeds, so aborted evaluations leave no trace.
 
-use crate::cache::{CacheEntry, CostCache, DerivedTally};
-use crate::derived::{sorted_subset, FlatProjector, RelevanceTable};
+use crate::cache::{CacheEntry, CostCache, DerivedTally, Served};
+use crate::derived::{sorted_subset, FlatProjector, Projection, RelevanceTable};
 use crate::fault::FaultSite;
 use crate::par::par_map;
 use crate::stop::StopCheck;
 use crate::workload::{UpdateShell, Workload};
 use pdt_catalog::{Database, TableId};
+use pdt_expr::BoundSelect;
 use pdt_opt::{CostModel, IndexUsage, Optimizer};
 use pdt_physical::{Configuration, Index, PhysicalSchema};
 use std::collections::BTreeSet;
@@ -102,7 +103,7 @@ pub struct EvalCtx<'c> {
     pub faults: Option<FaultSite<'c>>,
     /// Per-query relevant-structure sets. When present, cache keys are
     /// relevant-subset signatures and keyed misses may be served by
-    /// plan reuse ([`CostCache::plan_probe`]); when absent, keys fall
+    /// plan reuse ([`crate::cache::EntryStore::plan_probe`]); when absent, keys fall
     /// back to the coarse per-table projection and no derived serving
     /// happens.
     pub relevance: Option<&'c RelevanceTable>,
@@ -116,10 +117,12 @@ pub struct EvalCtx<'c> {
     /// Debug builds additionally cross-validate every derived serve in
     /// both modes.
     pub derived: bool,
-    /// Flat hot path: build one [`FlatProjector`] per evaluation
-    /// (per-structure signatures hoisted out of the per-query loop)
-    /// instead of re-deriving the projection from the configuration for
-    /// every entry. Projections are bitwise-identical either way.
+    /// Ignored. Once selected between the per-evaluation
+    /// [`FlatProjector`] and per-entry [`RelevanceTable::projection`];
+    /// the projector is now built whenever `relevance` is present
+    /// (projections are bitwise-identical either way). Retained only
+    /// because the frozen `pdt-benchmark` crate names the field; the
+    /// next benchmark PR drops it.
     pub flat: bool,
     /// Daemon-wide shared what-if store: a third probe tier after the
     /// per-session invocation store, consulted (and fed) only on the
@@ -281,6 +284,15 @@ pub fn evaluate_incremental_ctx(
 /// evaluation survives the shortcut check.
 struct EntryEval {
     q: QueryEval,
+    tally: EntryTally,
+}
+
+/// How one entry's SELECT was answered; folded into the evaluation's
+/// counters at the commit point.
+#[derive(Default)]
+struct EntryTally {
+    /// Logical optimizer calls (0 or 1) — served-from-store real-call
+    /// savings still count, so the total is scheduling-independent.
     calls: usize,
     hit: bool,
     miss: bool,
@@ -298,325 +310,284 @@ struct EntryEval {
     pending_insert: Option<(u128, CacheEntry)>,
 }
 
-/// The common core of full and incremental evaluation.
-fn evaluate_entries(
-    db: &Database,
-    opt: &Optimizer<'_>,
-    config: &Configuration,
-    workload: &Workload,
-    prev: Option<(&EvalResult, &[Index], &[TableId])>,
-    shortcut_limit: Option<f64>,
-    ctx: EvalCtx<'_>,
-) -> Option<EvalResult> {
-    let schema = PhysicalSchema::new(db, config);
-    let model = opt.opts.cost;
-    let entries = &workload.entries;
-    // Flat hot path: hoist per-structure signature work out of the
-    // per-entry loop; workers share the projector by reference.
-    let projector = ctx
-        .flat
-        .then(|| ctx.relevance.map(|rt| FlatProjector::new(rt, config)))
-        .flatten();
+/// Everything the entries of one evaluation share; workers read it by
+/// reference.
+struct EvalEnv<'a> {
+    opt: &'a Optimizer<'a>,
+    config: &'a Configuration,
+    schema: PhysicalSchema<'a>,
+    workload: &'a Workload,
+    prev: Option<(&'a EvalResult, &'a [Index], &'a [TableId])>,
+    /// Per-structure signature work hoisted out of the per-entry loop;
+    /// present iff the context carries a relevance table.
+    projector: Option<FlatProjector<'a>>,
+    ctx: EvalCtx<'a>,
+}
 
-    let compute = |i: usize| -> EntryEval {
-        let entry = &entries[i];
-        let needs_reopt = match prev {
-            Some((p, ri, rv)) => p.per_query[i].uses_any(ri, rv),
-            None => true,
-        };
-        let mut calls = 0;
-        let (mut hit, mut miss, mut repaired) = (false, false, false);
-        let (mut avoided, mut plan_hit, mut plan_miss, mut repriced) = (false, false, false, false);
-        let mut pending_insert = None;
-        let (select_cost, usages): (f64, Arc<[IndexUsage]>) = if needs_reopt {
-            match &entry.select {
-                Some(q) => {
-                    // Injected panic: simulates a what-if evaluation
-                    // failing; caught by the isolation layer upstream.
-                    if let Some(f) = ctx.faults {
-                        f.maybe_panic(i);
-                    }
-                    // With a relevance table, key by the relevant-subset
-                    // signature; otherwise by the coarse per-table one.
-                    let proj = match &projector {
-                        Some(fp) => fp.project(i),
-                        None => ctx.relevance.and_then(|rt| rt.projection(i, config)),
-                    };
-                    let cached = ctx.cache.map(|cache| {
-                        let sig = match &proj {
-                            Some(p) => p.sig,
-                            None => {
-                                let tables: BTreeSet<TableId> = q.tables.iter().copied().collect();
-                                config.signature_for_tables128(&tables)
-                            }
-                        };
-                        (cache, sig)
-                    });
-                    // Validate before trusting: a poisoned entry (non-
-                    // finite or negative cost) is discarded and the
-                    // entry recomputed as a plain miss, overwriting the
-                    // corrupt value at commit time.
-                    let looked_up = match cached.as_ref().and_then(|(c, sig)| c.lookup(i, *sig)) {
-                        Some(e) if !(e.cost.is_finite() && e.cost >= 0.0) => {
-                            repaired = true;
-                            None
-                        }
-                        other => other,
-                    };
-                    // Serve from the keyed entry, or — on a keyed miss
-                    // with relevance — from a surviving cached plan.
-                    // Classification is identical in both derived
-                    // modes; only the backing invocation differs.
-                    let mut serving: Option<CacheEntry> = None;
-                    if let Some(e) = looked_up {
-                        hit = true;
-                        // A stored coarse projection different from the
-                        // probe's marks a hit the coarse-keyed engine
-                        // would have missed: an optimizer call avoided.
-                        if proj.as_ref().is_some_and(|p| e.coarse != p.coarse) {
-                            avoided = true;
-                        }
-                        serving = Some(e);
-                    } else if !repaired {
-                        if let (Some((cache, _)), Some(p)) = (cached.as_ref(), proj.as_ref()) {
-                            match cache.plan_probe(i, p) {
-                                Some(e) => {
-                                    match pdt_opt::reprice_plan(e.cost, &e.usages, config) {
-                                        Some(cost) => {
-                                            hit = true;
-                                            avoided = true;
-                                            plan_hit = true;
-                                            repriced = !e.footprint.is_empty();
-                                            serving = Some(CacheEntry { cost, ..e });
-                                        }
-                                        // Unreachable if the signature-
-                                        // level survival checks are
-                                        // right; a failed probe for
-                                        // safety.
-                                        None => plan_miss = true,
-                                    }
-                                }
-                                None => plan_miss = true,
-                            }
-                        }
-                    }
-                    match serving {
-                        Some(e) => {
-                            let mut cost = e.cost;
-                            let mut usages = e.usages.clone();
-                            // Cross-validate derived serves: reference
-                            // mode (and every debug build) re-asks the
-                            // optimizer. The invocation is validation
-                            // overhead, not a logical call — `calls`
-                            // stays 0 so counters agree across modes.
-                            // Reference mode then *uses* the fresh
-                            // answer, so an unsound relevance
-                            // derivation would surface as byte-level
-                            // divergence between the two modes.
-                            if avoided && (!ctx.derived || cfg!(debug_assertions)) {
-                                let plan = opt.optimize(config, q);
-                                debug_assert_eq!(
-                                    plan.cost.to_bits(),
-                                    cost.to_bits(),
-                                    "derived cost diverged from the optimizer for query {i}"
-                                );
-                                debug_assert_eq!(
-                                    plan.index_usages.as_slice(),
-                                    usages.as_ref(),
-                                    "derived plan diverged from the optimizer for query {i}"
-                                );
-                                if !ctx.derived {
-                                    cost = plan.cost;
-                                    usages = plan.index_usages.into();
-                                }
-                            }
-                            // A plan-reuse serve memoizes itself at the
-                            // probe's key, turning the next identical
-                            // probe into a keyed hit.
-                            if plan_hit {
-                                let p = proj.as_ref().expect("plan_hit requires a projection");
-                                let footprint: Arc<[u128]> =
-                                    pdt_opt::plan_footprint(&usages, config).into();
-                                debug_assert!(
-                                    sorted_subset(&footprint, &p.relevant),
-                                    "plan for query {i} uses a structure outside its relevant set"
-                                );
-                                pending_insert = Some((
-                                    p.sig,
-                                    CacheEntry {
-                                        cost,
-                                        usages: usages.clone(),
-                                        coarse: p.coarse,
-                                        relevant: p.relevant.clone(),
-                                        footprint,
-                                        pinned: p.pinned.clone(),
-                                    },
-                                ));
-                            }
-                            (cost, usages)
-                        }
-                        None => {
-                            // Derived mode consults the invocation
-                            // store before paying a real plan search: a
-                            // prior invocation for this exact key —
-                            // possibly from a shortcut-aborted
-                            // evaluation whose cache inserts were never
-                            // committed — already holds the bitwise-
-                            // identical answer, and failing that, a
-                            // stored plan that provably survives under
-                            // this projection serves re-priced. Both
-                            // are invisible to every counter (this stays
-                            // a plain logical miss); debug builds re-
-                            // invoke and check, and the reference
-                            // engine always re-invokes.
-                            let stored = if ctx.derived {
-                                cached.as_ref().and_then(|(c, sig)| {
-                                    c.invocation_lookup(i, *sig)
-                                        .or_else(|| {
-                                            let p = proj.as_ref()?;
-                                            let e = c.invocation_plan_probe(i, p)?;
-                                            let cost =
-                                                pdt_opt::reprice_plan(e.cost, &e.usages, config)?;
-                                            Some(CacheEntry { cost, ..e })
-                                        })
-                                        // Third tier: the daemon-wide
-                                        // shared store, addressed by
-                                        // session-portable content
-                                        // signatures. Another tenant's
-                                        // answer is bitwise-identical
-                                        // by key purity, so this serve
-                                        // flows through the same
-                                        // cross-validated `stored`
-                                        // path below.
-                                        .or_else(|| {
-                                            ctx.shared.as_ref()?.probe(
-                                                i,
-                                                *sig,
-                                                proj.as_ref(),
-                                                config,
-                                            )
-                                        })
-                                })
-                            } else {
-                                None
-                            };
-                            let (plan_cost, usages): (f64, Arc<[IndexUsage]>) = match stored {
-                                Some(e) => {
-                                    #[cfg(debug_assertions)]
-                                    {
-                                        let fresh = opt.optimize(config, q);
-                                        debug_assert_eq!(
-                                            fresh.cost.to_bits(),
-                                            e.cost.to_bits(),
-                                            "stored invocation diverged for query {i}"
-                                        );
-                                        debug_assert_eq!(
-                                            fresh.index_usages.as_slice(),
-                                            e.usages.as_ref(),
-                                            "stored plan diverged for query {i}"
-                                        );
-                                    }
-                                    (e.cost, e.usages)
-                                }
-                                None => {
-                                    let plan = opt.optimize(config, q);
-                                    (plan.cost, plan.index_usages.into())
-                                }
-                            };
-                            calls = 1;
-                            if let Some((_, sig)) = cached {
-                                miss = true;
-                                let true_entry = match proj.as_ref() {
-                                    Some(p) => {
-                                        let footprint: Arc<[u128]> =
-                                            pdt_opt::plan_footprint(&usages, config).into();
-                                        debug_assert!(
-                                            sorted_subset(&footprint, &p.relevant),
-                                            "plan for query {i} uses a structure outside \
-                                             its relevant set"
-                                        );
-                                        CacheEntry {
-                                            cost: plan_cost,
-                                            usages: usages.clone(),
-                                            coarse: p.coarse,
-                                            relevant: p.relevant.clone(),
-                                            footprint,
-                                            pinned: p.pinned.clone(),
-                                        }
-                                    }
-                                    None => CacheEntry::plain(plan_cost, usages.clone(), sig),
-                                };
-                                if ctx.derived {
-                                    if let Some((c, _)) = cached.as_ref() {
-                                        c.invocation_insert(i, sig, true_entry.clone());
-                                    }
-                                    // Publish the real answer under its
-                                    // portable key so other tenants
-                                    // (and this daemon's next session)
-                                    // can serve it.
-                                    if let Some(s) = ctx.shared.as_ref() {
-                                        s.record(i, sig, &true_entry);
-                                    }
-                                }
-                                // Injected poisoning: write a NaN cost
-                                // so a later lookup must repair it (the
-                                // invocation store keeps the true
-                                // answer — poison is a cache fault, not
-                                // an optimizer fault).
-                                let ce = if ctx.faults.is_some_and(|f| f.poison_roll(i)) {
-                                    CacheEntry {
-                                        cost: f64::NAN,
-                                        ..true_entry
-                                    }
-                                } else {
-                                    true_entry
-                                };
-                                pending_insert = Some((sig, ce));
-                            }
-                            (plan_cost, usages)
-                        }
-                    }
-                }
-                None => (0.0, Vec::new().into()),
+/// One SELECT being priced: its entry index, the bound query, and how
+/// the cache tiers address it.
+struct Probe<'a> {
+    i: usize,
+    q: &'a BoundSelect,
+    /// The relevant-subset projection; `None` without a relevance table.
+    proj: Option<Projection>,
+    /// The keyed cache and this probe's key in it (the projection
+    /// signature, or the coarse per-table one); `None` without a cache.
+    cached: Option<(&'a CostCache, u128)>,
+}
+
+/// Evaluate entry `i`: re-optimize its SELECT if the relaxation touched
+/// its plan (always, for a full evaluation), and re-cost its shell.
+fn evaluate_entry(env: &EvalEnv<'_>, i: usize) -> EntryEval {
+    let entry = &env.workload.entries[i];
+    // Incremental only: a plan that used none of the removed structures
+    // is kept — a pointer copy of the previous usages.
+    let unaffected = env.prev.and_then(|(p, ri, rv)| {
+        let pe = &p.per_query[i];
+        (!pe.uses_any(ri, rv)).then_some(pe)
+    });
+    let mut tally = EntryTally::default();
+    let (select_cost, usages): (f64, Arc<[IndexUsage]>) = match (unaffected, &entry.select) {
+        (Some(pe), _) => (pe.select_cost, pe.usages.clone()),
+        (None, Some(q)) => price_select(env, i, q, &mut tally),
+        (None, None) => (0.0, Vec::new().into()),
+    };
+    let shell_cost = entry
+        .shell
+        .as_ref()
+        .map(|s| shell_cost(&env.opt.opts.cost, &env.schema, s))
+        .unwrap_or(0.0);
+    EntryEval {
+        q: QueryEval {
+            select_cost,
+            shell_cost,
+            usages,
+        },
+        tally,
+    }
+}
+
+/// Price one SELECT by walking the serving tiers in order: keyed cache
+/// → invocation store → shared store → real optimizer call. The first
+/// tier is the only one the logical counters see; the others convert a
+/// logical miss's real invocation into a bitwise-identical serve.
+fn price_select(
+    env: &EvalEnv<'_>,
+    i: usize,
+    q: &BoundSelect,
+    tally: &mut EntryTally,
+) -> (f64, Arc<[IndexUsage]>) {
+    let ctx = &env.ctx;
+    // Injected panic: simulates a what-if evaluation failing; caught by
+    // the isolation layer upstream.
+    if let Some(f) = ctx.faults {
+        f.maybe_panic(i);
+    }
+    // With a relevance table, key by the relevant-subset signature;
+    // otherwise by the coarse per-table one.
+    let proj = env.projector.as_ref().and_then(|fp| fp.project(i));
+    let cached = ctx.cache.map(|cache| {
+        let sig = match &proj {
+            Some(p) => p.sig,
+            None => {
+                let tables: BTreeSet<TableId> = q.tables.iter().copied().collect();
+                env.config.signature_for_tables128(&tables)
             }
-        } else {
-            // Unaffected plan: a pointer copy of the previous usages.
-            // Invariant: `needs_reopt` is computed above as
-            // `match prev { Some(..) => ..., None => true }`, so
-            // reaching this arm (needs_reopt == false) implies `prev`
-            // is `Some` by construction — the expect is unreachable,
-            // and no injected fault can flip it (faults fire only
-            // inside the needs_reopt branch).
-            let pe = &prev
-                .expect("needs_reopt is false only with prev")
-                .0
-                .per_query[i];
-            (pe.select_cost, pe.usages.clone())
         };
-        let shell_cost = entry
-            .shell
-            .as_ref()
-            .map(|s| shell_cost(&model, &schema, s))
-            .unwrap_or(0.0);
-        EntryEval {
-            q: QueryEval {
-                select_cost,
-                shell_cost,
-                usages,
-            },
-            calls,
-            hit,
-            miss,
-            repaired,
-            avoided,
-            plan_hit,
-            plan_miss,
-            repriced,
-            pending_insert,
+        (cache, sig)
+    });
+    let probe = Probe { i, q, proj, cached };
+
+    // Tier 1, the keyed cache: the exact entry, or — on a keyed miss
+    // with relevance — a surviving cached plan. Classification is
+    // identical in both derived modes; only the backing invocation
+    // differs.
+    let keyed = probe.cached.and_then(|(cache, sig)| {
+        cache
+            .committed
+            .probe(i, sig, probe.proj.as_ref(), env.config)
+    });
+    match keyed {
+        // Validate before trusting: a poisoned entry is discarded and
+        // the entry recomputed as a plain miss — no plan probe —
+        // overwriting the corrupt value at commit time.
+        Some(Served::Exact(e)) if e.is_poisoned() => {
+            tally.repaired = true;
+            price_miss(env, &probe, tally)
+        }
+        Some(Served::Exact(e)) => {
+            tally.hit = true;
+            // A stored coarse projection different from the probe's
+            // marks a hit the coarse-keyed engine would have missed: an
+            // optimizer call avoided.
+            tally.avoided = probe.proj.as_ref().is_some_and(|p| e.coarse != p.coarse);
+            serve_keyed(env, &probe, e, tally)
+        }
+        Some(Served::Repriced(e)) => {
+            tally.hit = true;
+            tally.avoided = true;
+            tally.plan_hit = true;
+            tally.repriced = !e.footprint.is_empty();
+            serve_keyed(env, &probe, e, tally)
+        }
+        None => {
+            tally.plan_miss = probe.cached.is_some() && probe.proj.is_some();
+            price_miss(env, &probe, tally)
+        }
+    }
+}
+
+/// The cache entry for `plan` under projection `p`: the projection's
+/// sets plus the plan's footprint.
+fn derived_entry(
+    env: &EvalEnv<'_>,
+    i: usize,
+    p: &Projection,
+    cost: f64,
+    usages: &Arc<[IndexUsage]>,
+) -> CacheEntry {
+    let footprint: Arc<[u128]> = pdt_opt::plan_footprint(usages, env.config).into();
+    debug_assert!(
+        sorted_subset(&footprint, &p.relevant),
+        "plan for query {i} uses a structure outside its relevant set"
+    );
+    CacheEntry {
+        cost,
+        usages: usages.clone(),
+        coarse: p.coarse,
+        relevant: p.relevant.clone(),
+        footprint,
+        pinned: p.pinned.clone(),
+    }
+}
+
+/// Answer a probe from the keyed-cache entry `e` (exact or re-priced).
+fn serve_keyed(
+    env: &EvalEnv<'_>,
+    probe: &Probe<'_>,
+    e: CacheEntry,
+    tally: &mut EntryTally,
+) -> (f64, Arc<[IndexUsage]>) {
+    let i = probe.i;
+    let (mut cost, mut usages) = (e.cost, e.usages);
+    // Cross-validate derived serves: reference mode (and every debug
+    // build) re-asks the optimizer. The invocation is validation
+    // overhead, not a logical call — `calls` stays 0 so counters agree
+    // across modes. Reference mode then *uses* the fresh answer, so an
+    // unsound relevance derivation would surface as byte-level
+    // divergence between the two modes.
+    if tally.avoided && (!env.ctx.derived || cfg!(debug_assertions)) {
+        let plan = env.opt.optimize(env.config, probe.q);
+        debug_assert_eq!(
+            plan.cost.to_bits(),
+            cost.to_bits(),
+            "derived cost diverged from the optimizer for query {i}"
+        );
+        debug_assert_eq!(
+            plan.index_usages.as_slice(),
+            usages.as_ref(),
+            "derived plan diverged from the optimizer for query {i}"
+        );
+        if !env.ctx.derived {
+            cost = plan.cost;
+            usages = plan.index_usages.into();
+        }
+    }
+    // A plan-reuse serve memoizes itself at the probe's key, turning
+    // the next identical probe into a keyed hit.
+    if tally.plan_hit {
+        let p = probe.proj.as_ref().expect("plan_hit requires a projection");
+        tally.pending_insert = Some((p.sig, derived_entry(env, i, p, cost, &usages)));
+    }
+    (cost, usages)
+}
+
+/// Answer a logical miss: the remaining tiers, then a real call.
+fn price_miss(
+    env: &EvalEnv<'_>,
+    probe: &Probe<'_>,
+    tally: &mut EntryTally,
+) -> (f64, Arc<[IndexUsage]>) {
+    let (i, ctx) = (probe.i, &env.ctx);
+    // Derived mode consults the invocation store before paying a real
+    // plan search: a prior invocation for this exact key — possibly
+    // from a shortcut-aborted evaluation whose cache inserts were never
+    // committed — already holds the bitwise-identical answer, and
+    // failing that, a stored plan that provably survives under this
+    // projection serves re-priced. Then the daemon-wide shared store,
+    // addressed by session-portable content signatures: another
+    // tenant's answer is bitwise-identical by key purity. All of these
+    // are invisible to every counter (this stays a plain logical miss);
+    // debug builds re-invoke and check, and the reference engine always
+    // re-invokes.
+    let stored = probe.cached.filter(|_| ctx.derived).and_then(|(c, sig)| {
+        let proj = probe.proj.as_ref();
+        c.invocations
+            .probe(i, sig, proj, env.config)
+            .map(Served::into_entry)
+            .or_else(|| ctx.shared.as_ref()?.probe(i, sig, proj, env.config))
+    });
+    let (plan_cost, usages): (f64, Arc<[IndexUsage]>) = match stored {
+        Some(e) => {
+            #[cfg(debug_assertions)]
+            {
+                let fresh = env.opt.optimize(env.config, probe.q);
+                debug_assert_eq!(
+                    fresh.cost.to_bits(),
+                    e.cost.to_bits(),
+                    "stored invocation diverged for query {i}"
+                );
+                debug_assert_eq!(
+                    fresh.index_usages.as_slice(),
+                    e.usages.as_ref(),
+                    "stored plan diverged for query {i}"
+                );
+            }
+            (e.cost, e.usages)
+        }
+        None => {
+            let plan = env.opt.optimize(env.config, probe.q);
+            (plan.cost, plan.index_usages.into())
         }
     };
+    tally.calls = 1;
+    if let Some((cache, sig)) = probe.cached {
+        tally.miss = true;
+        let true_entry = match probe.proj.as_ref() {
+            Some(p) => derived_entry(env, i, p, plan_cost, &usages),
+            None => CacheEntry::plain(plan_cost, usages.clone(), sig),
+        };
+        if ctx.derived {
+            cache.invocations.insert(i, sig, true_entry.clone());
+            // Publish the real answer under its portable key so other
+            // tenants (and this daemon's next session) can serve it.
+            if let Some(s) = ctx.shared.as_ref() {
+                s.record(i, sig, &true_entry);
+            }
+        }
+        // Injected poisoning: write a NaN cost so a later lookup must
+        // repair it (the invocation store keeps the true answer —
+        // poison is a cache fault, not an optimizer fault).
+        let ce = if ctx.faults.is_some_and(|f| f.poison_roll(i)) {
+            CacheEntry {
+                cost: f64::NAN,
+                ..true_entry
+            }
+        } else {
+            true_entry
+        };
+        tally.pending_insert = Some((sig, ce));
+    }
+    (plan_cost, usages)
+}
 
-    let evals: Vec<EntryEval> = if ctx.threads <= 1 {
+/// Evaluate every entry, sequentially or on the worker pool. `None` on
+/// a shortcut abort (after emitting `eval.abort`) or a cooperative stop
+/// (silent).
+fn run_entries(env: &EvalEnv<'_>, shortcut_limit: Option<f64>) -> Option<Vec<EntryEval>> {
+    let ctx = &env.ctx;
+    let entries = &env.workload.entries;
+    if ctx.threads <= 1 {
         // Sequential: abort the moment the ordered running total
         // exceeds the limit, exactly like the paper's §3.5 shortcut.
         let mut evals = Vec::with_capacity(entries.len());
@@ -628,7 +599,7 @@ fn evaluate_entries(
             if ctx.stop.is_some_and(|s| s.is_stopped()) {
                 return None;
             }
-            let e = compute(i);
+            let e = evaluate_entry(env, i);
             running += entry.weight * e.q.total();
             if shortcut_limit.is_some_and(|l| running > l) {
                 pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
@@ -636,61 +607,78 @@ fn evaluate_entries(
             }
             evals.push(e);
         }
-        evals
-    } else {
-        // Parallel: an atomic running total aborts in-flight workers.
-        // Partial sums of non-negative costs never exceed the ordered
-        // total by more than float-reordering noise, so a generous
-        // relative margin makes the abort a pure optimization: the
-        // Some/None outcome is decided by the ordered sum below.
-        let accumulated = AtomicU64::new(0f64.to_bits());
-        let aborted = AtomicBool::new(false);
-        let margin = shortcut_limit.map(|l| l * (1.0 + 1e-6));
-        let indices: Vec<usize> = (0..entries.len()).collect();
-        let results = par_map(ctx.threads, &indices, |_, &i| {
-            if aborted.load(Ordering::Relaxed) || ctx.stop.is_some_and(|s| s.is_stopped()) {
-                return None;
-            }
-            let e = compute(i);
-            if let Some(margin) = margin {
-                let add = entries[i].weight * e.q.total();
-                let mut cur = accumulated.load(Ordering::Relaxed);
-                loop {
-                    let new = (f64::from_bits(cur) + add).to_bits();
-                    match accumulated.compare_exchange_weak(
-                        cur,
-                        new,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(seen) => cur = seen,
-                    }
-                }
-                if f64::from_bits(accumulated.load(Ordering::Relaxed)) > margin {
-                    aborted.store(true, Ordering::Relaxed);
+        return Some(evals);
+    }
+    // Parallel: an atomic running total aborts in-flight workers.
+    // Partial sums of non-negative costs never exceed the ordered
+    // total by more than float-reordering noise, so a generous
+    // relative margin makes the abort a pure optimization: the
+    // Some/None outcome is decided by the ordered sum at commit.
+    let accumulated = AtomicU64::new(0f64.to_bits());
+    let aborted = AtomicBool::new(false);
+    let margin = shortcut_limit.map(|l| l * (1.0 + 1e-6));
+    let indices: Vec<usize> = (0..entries.len()).collect();
+    let results = par_map(ctx.threads, &indices, |_, &i| {
+        if aborted.load(Ordering::Relaxed) || ctx.stop.is_some_and(|s| s.is_stopped()) {
+            return None;
+        }
+        let e = evaluate_entry(env, i);
+        if let Some(margin) = margin {
+            let add = entries[i].weight * e.q.total();
+            let mut cur = accumulated.load(Ordering::Relaxed);
+            loop {
+                let new = (f64::from_bits(cur) + add).to_bits();
+                match accumulated.compare_exchange_weak(
+                    cur,
+                    new,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => break,
+                    Err(seen) => cur = seen,
                 }
             }
-            Some(e)
-        });
-        match results.into_iter().collect::<Option<Vec<_>>>() {
-            Some(evals) => evals,
-            None => {
-                // A `None` from a stopped worker stays silent, like the
-                // sequential stop path. Otherwise a worker tripped the
-                // margin, which guarantees the ordered total also
-                // exceeds the limit — so eval.abort emits in exactly
-                // the cases the sequential path does.
-                if !ctx.stop.is_some_and(|s| s.is_stopped()) {
-                    pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
-                }
-                return None;
+            if f64::from_bits(accumulated.load(Ordering::Relaxed)) > margin {
+                aborted.store(true, Ordering::Relaxed);
             }
         }
+        Some(e)
+    });
+    let evals = results.into_iter().collect::<Option<Vec<_>>>();
+    // A `None` from a stopped worker stays silent, like the sequential
+    // stop path. Otherwise a worker tripped the margin, which
+    // guarantees the ordered total also exceeds the limit — so
+    // eval.abort emits in exactly the cases the sequential path does.
+    if evals.is_none() && !ctx.stop.is_some_and(|s| s.is_stopped()) {
+        pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
+    }
+    evals
+}
+
+/// The common core of full and incremental evaluation.
+fn evaluate_entries(
+    db: &Database,
+    opt: &Optimizer<'_>,
+    config: &Configuration,
+    workload: &Workload,
+    prev: Option<(&EvalResult, &[Index], &[TableId])>,
+    shortcut_limit: Option<f64>,
+    ctx: EvalCtx<'_>,
+) -> Option<EvalResult> {
+    let env = EvalEnv {
+        opt,
+        config,
+        schema: PhysicalSchema::new(db, config),
+        workload,
+        prev,
+        projector: ctx.relevance.map(|rt| FlatProjector::new(rt, config)),
+        ctx,
     };
+    let evals = run_entries(&env, shortcut_limit)?;
 
     // Assemble in entry order: the ordered sum is the authoritative
     // total (and shortcut decision) for every thread count.
+    let entries = &workload.entries;
     let mut per_query = Vec::with_capacity(evals.len());
     let mut total = 0.0;
     let mut calls = 0;
@@ -698,22 +686,22 @@ fn evaluate_entries(
     let mut tally = DerivedTally::default();
     let mut inserts: Vec<(usize, u128, CacheEntry)> = Vec::new();
     let mut poison_repairs: Vec<usize> = Vec::new();
-    for (i, e) in evals.into_iter().enumerate() {
-        total += entries[i].weight * e.q.total();
-        calls += e.calls;
-        hits += u64::from(e.hit);
-        misses += u64::from(e.miss);
-        tally.avoided += u64::from(e.avoided);
-        tally.plan_hits += u64::from(e.plan_hit);
-        tally.plan_misses += u64::from(e.plan_miss);
-        tally.repriced += u64::from(e.repriced);
-        if e.repaired {
+    for (i, EntryEval { q, tally: t }) in evals.into_iter().enumerate() {
+        total += entries[i].weight * q.total();
+        calls += t.calls;
+        hits += u64::from(t.hit);
+        misses += u64::from(t.miss);
+        tally.avoided += u64::from(t.avoided);
+        tally.plan_hits += u64::from(t.plan_hit);
+        tally.plan_misses += u64::from(t.plan_miss);
+        tally.repriced += u64::from(t.repriced);
+        if t.repaired {
             poison_repairs.push(i);
         }
-        if let Some((sig, ce)) = e.pending_insert {
+        if let Some((sig, ce)) = t.pending_insert {
             inserts.push((i, sig, ce));
         }
-        per_query.push(e.q);
+        per_query.push(q);
     }
     if shortcut_limit.is_some_and(|l| total > l) {
         pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
@@ -723,7 +711,7 @@ fn evaluate_entries(
     // its counters untouched, keeping both independent of scheduling.
     if let Some(cache) = ctx.cache {
         for (i, sig, ce) in inserts {
-            cache.insert(i, sig, ce);
+            cache.committed.insert(i, sig, ce);
         }
         cache.record_traced(hits, misses, ctx.tracer);
         if ctx.relevance.is_some() {
@@ -1063,7 +1051,7 @@ mod tests {
         // Corrupt one committed entry in place, as the injector would.
         let ((q, sig), mut entry) = cache.snapshot().into_iter().next().unwrap();
         entry.cost = f64::NAN;
-        cache.insert(q, sig, entry);
+        cache.committed.insert(q, sig, entry);
 
         let second = evaluate_full_ctx(&db, &opt, &config, &w, ctx);
         assert_eq!(second.poison_repairs, vec![q]);

@@ -32,7 +32,7 @@ use crate::instrument::gather_optimal_configuration_traced;
 use crate::par::{par_map, resolve_threads};
 use crate::stop::{StopCheck, StopReason, StopToken};
 use crate::transform::{
-    apply_ctx, candidates, candidates_delta, removal_candidates, AppliedTransform, StepDelta,
+    apply, candidates, candidates_delta, removal_candidates, AppliedTransform, StepDelta,
     Transformation,
 };
 use crate::workload::Workload;
@@ -142,16 +142,6 @@ pub struct TunerOptions {
     /// derived serve and uses its answer; debug builds additionally
     /// assert bitwise agreement on every serve in both modes.
     pub derived_costs: bool,
-    /// Flat id-addressed hot path: intern per-index 128-bit signatures
-    /// once per session, probe the bound memo through dense-id tables
-    /// instead of hashing `(sig, sig)` tuples, build relevance
-    /// projections from a per-evaluation flat index table, reuse arena
-    /// scratch for the skyline scan, and size cache shards from the
-    /// actual worker count. A pure perf knob with the same contract as
-    /// `incremental`/`derived_costs`: reports, traces, and checkpoints
-    /// are byte-identical to the hash-keyed reference mode (`false`).
-    /// Ids are session-local — they never enter checkpoints or traces.
-    pub flat_hot_path: bool,
     /// Wii-style what-if call budget — the *approximate tier*. Caps the
     /// worst-case real optimizer invocations the relaxation loop
     /// (pre-pass included) may spend; candidates whose exact cost
@@ -199,7 +189,6 @@ impl Default for TunerOptions {
             max_faults: 16,
             incremental: true,
             derived_costs: true,
-            flat_hot_path: true,
             optimizer_call_budget: None,
             deployed: None,
         }
@@ -387,25 +376,6 @@ struct ScoredCandidate {
     transformation: Transformation,
 }
 
-/// A node's still-valid inherited scores, keyed by transformation
-/// signature. The reference engine clones the parent's candidates into
-/// an owned map up front; the flat engine borrows them and clones only
-/// the ones actually reused. Either way [`Inherited::get_cloned`] hands
-/// back identical values.
-enum Inherited<'a> {
-    Owned(std::collections::HashMap<u64, ScoredCandidate>),
-    Borrowed(std::collections::HashMap<u64, &'a ScoredCandidate>),
-}
-
-impl Inherited<'_> {
-    fn get_cloned(&self, sig: u64) -> Option<ScoredCandidate> {
-        match self {
-            Inherited::Owned(m) => m.get(&sig).cloned(),
-            Inherited::Borrowed(m) => m.get(&sig).map(|c| (*c).clone()),
-        }
-    }
-}
-
 impl ScoredCandidate {
     fn penalty(&self, over_budget: f64) -> f64 {
         if over_budget <= 0.0 {
@@ -492,7 +462,6 @@ fn score_one_memo(
     view_costs: &ViewBuildCosts,
     memo: &BoundMemo,
     incremental: bool,
-    flat: bool,
     memoize: bool,
 ) -> (Option<ScoredCandidate>, bool) {
     let cached = if memoize {
@@ -502,7 +471,7 @@ fn score_one_memo(
     };
     let computed: Option<(BoundMemoEntry, Option<ScoredCandidate>)> =
         if cached.is_none() || !incremental || cfg!(debug_assertions) {
-            let pair = match apply_ctx(t, config, db, opt, flat) {
+            let pair = match apply(t, config, db, opt) {
                 None => (BoundMemoEntry::inapplicable(), None),
                 Some(applied) => {
                     let bound = if incremental {
@@ -664,12 +633,11 @@ fn options_signature(options: &TunerOptions, db: &Database, workload: &Workload)
     // budgeted checkpoint must never resume an unbudgeted session or
     // vice versa.
     options.optimizer_call_budget.hash(&mut h);
-    // `incremental`, `derived_costs`, and `flat_hot_path` are
-    // deliberately excluded: every engine and costing/addressing mode
-    // produces byte-identical output, so checkpoints are portable
-    // across all of them. The shared store (`SessionCtl::shared_store`)
-    // is excluded for the same reason — it only converts real
-    // invocations into bitwise-identical serves.
+    // `incremental` and `derived_costs` are deliberately excluded:
+    // every engine and costing mode produces byte-identical output, so
+    // checkpoints are portable across all of them. The shared store
+    // (`SessionCtl::shared_store`) is excluded for the same reason — it
+    // only converts real invocations into bitwise-identical serves.
     match options.fault_plan {
         None => 0u8.hash(&mut h),
         Some(p) => {
@@ -916,34 +884,20 @@ pub fn tune_session(
     let trc = |live: bool| if live { ctl.tracer } else { None };
 
     let threads = resolve_threads(options.threads);
-    // Flat hot path: the same stores behind id-addressed flat tables,
-    // sharded for the actual worker count. Ids are session-local;
-    // checkpoints serialize portable signatures either way.
-    let flat = options.flat_hot_path;
-    let cache = match ctl.resume {
-        Some(ck) => options.cost_cache.then(|| ck.restore_cache(flat, threads)),
-        None => options.cost_cache.then(|| {
-            if flat {
-                CostCache::flat(threads)
-            } else {
-                CostCache::new()
-            }
-        }),
-    };
+    // Both stores are sharded for the actual worker count; their dense
+    // ids are session-local, checkpoints serialize portable signatures.
+    let cache = options.cost_cache.then(|| match ctl.resume {
+        Some(ck) => ck.restore_cache(threads),
+        None => CostCache::with_workers(threads),
+    });
     // Bound memo + interner exist in both engines (the reference engine
     // maintains and revalidates them without depending on them), so
     // checkpoints stay portable across `incremental` settings. Replay
     // against a restored memo flips original misses into hits; the
     // counters are overwritten with the authoritative values at go-live.
     let memo = match ctl.resume {
-        Some(ck) => ck.restore_memo(flat, threads),
-        None => {
-            if flat {
-                BoundMemo::flat(threads)
-            } else {
-                BoundMemo::new()
-            }
-        }
+        Some(ck) => ck.restore_memo(threads),
+        None => BoundMemo::new(threads),
     };
     let interner = match ctl.resume {
         Some(ck) => ck.restore_interner(),
@@ -963,10 +917,9 @@ pub fn tune_session(
     }
     // Session-portable content signatures for the shared store,
     // computed once: the schema namespace and one signature per
-    // workload statement. Like `incremental`/`derived_costs`/
-    // `flat_hot_path`, the shared store is excluded from
-    // `options_signature` — it is pure perf, so checkpoints stay
-    // portable across shared-store settings.
+    // workload statement. Like `incremental`/`derived_costs`, the
+    // shared store is excluded from `options_signature` — it is pure
+    // perf, so checkpoints stay portable across shared-store settings.
     let query_sigs: Vec<u128> = if ctl.shared_store.is_some() {
         workload
             .entries
@@ -992,8 +945,8 @@ pub fn tune_session(
         faults: None,
         relevance: Some(&relevance),
         derived: options.derived_costs,
-        flat,
         shared,
+        ..EvalCtx::default()
     };
 
     if let Some(t) = trc(live) {
@@ -1223,26 +1176,11 @@ pub fn tune_session(
             }
             let removals: Vec<(Transformation, u64)> = {
                 let _hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Candidates);
-                // The pre-pass only ever scores removals; the flat
-                // engine enumerates them directly instead of building
-                // (and discarding) the full merge/split/prefix list.
-                // `removal_candidates` emits the identical filtered
-                // sequence (debug builds assert it).
-                let removals = if flat {
-                    removal_candidates(&cfg, &base)
-                } else {
-                    candidates(&cfg, &base)
-                        .into_iter()
-                        .filter(|t| {
-                            matches!(
-                                t,
-                                Transformation::RemoveIndex { .. }
-                                    | Transformation::RemoveView { .. }
-                            )
-                        })
-                        .collect()
-                };
-                removals
+                // The pre-pass only ever scores removals: enumerate
+                // them directly instead of building (and discarding)
+                // the full merge/split/prefix list (debug builds assert
+                // the sequence equals the filtered full enumeration).
+                removal_candidates(&cfg, &base)
                     .into_iter()
                     .map(|t| {
                         let sig = interner.transform_sig(&t);
@@ -1270,7 +1208,6 @@ pub fn tune_session(
                     &view_costs,
                     &memo,
                     options.incremental,
-                    flat,
                     budget.is_none(),
                 )
             });
@@ -1297,7 +1234,7 @@ pub fn tune_session(
             };
             // Re-apply only the winner (the workers no longer carry
             // every applied configuration back).
-            let Some(applied) = apply_ctx(&transformation, &cfg, db, &opt, flat) else {
+            let Some(applied) = apply(&transformation, &cfg, db, &opt) else {
                 break;
             };
             // Approximate tier: a pre-pass winner's §3.3.2 bound proved
@@ -1664,31 +1601,16 @@ pub fn tune_session(
                     ),
                 };
             drop(cands_hot);
-            // The flat engine borrows the parent's scored candidates
-            // (one clone per reused candidate, at reuse time) instead
-            // of cloning the whole still-valid set up front; the values
-            // handed back are identical.
-            let inherited: Inherited<'_> = match nodes[node_idx].parent {
-                Some(p) if flat => Inherited::Borrowed(
-                    nodes[p]
-                        .scored
-                        .iter()
-                        .flatten()
-                        .filter(|c| c.still_valid(&nodes[node_idx].config))
-                        .map(|c| (c.sig, c))
-                        .collect(),
-                ),
-                Some(p) => Inherited::Owned(
-                    nodes[p]
-                        .scored
-                        .iter()
-                        .flatten()
-                        .filter(|c| c.still_valid(&nodes[node_idx].config))
-                        .map(|c| (c.sig, c.clone()))
-                        .collect(),
-                ),
-                None => Inherited::Owned(std::collections::HashMap::new()),
-            };
+            // The parent's still-valid scores, keyed by transformation
+            // signature and borrowed: one clone per reused candidate,
+            // at reuse time.
+            let inherited: std::collections::HashMap<u64, &ScoredCandidate> = nodes[node_idx]
+                .parent
+                .iter()
+                .flat_map(|&p| nodes[p].scored.iter().flatten())
+                .filter(|c| c.still_valid(&nodes[node_idx].config))
+                .map(|c| (c.sig, c))
+                .collect();
             // Fresh candidates are scored on the worker pool (through
             // the bound memo); results come back in candidate order and
             // the reuse/hit/miss tallies are folded in that order, so
@@ -1702,8 +1624,8 @@ pub fn tune_session(
             let pricing_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Pricing);
             let results: Vec<(Option<ScoredCandidate>, u8)> =
                 par_map(threads, &cands, |_, (t, sig)| {
-                    if let Some(c) = inherited.get_cloned(*sig) {
-                        (Some(c), REUSED)
+                    if let Some(&c) = inherited.get(sig) {
+                        (Some(c.clone()), REUSED)
                     } else {
                         let (sc, hit) = score_one_memo(
                             db,
@@ -1717,7 +1639,6 @@ pub fn tune_session(
                             &view_costs,
                             &memo,
                             options.incremental,
-                            flat,
                             budget.is_none(),
                         );
                         (sc, if hit { MEMO_HIT } else { MEMO_MISS })
@@ -1774,53 +1695,29 @@ pub fn tune_session(
         // ΔT and worse ΔS than another candidate).
         if has_updates && options.skyline_filter && open.len() > 1 {
             let _hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Skyline);
-            if flat {
-                // SoA scan over reused scratch: same predicate, same
-                // input order, same flags — only the memory shape (and
-                // the per-candidate re-scan) changes.
-                let flags = skyline_scratch
-                    .dominated_flags(open.iter().map(|c| (c.delta_t, c.delta_s)))
-                    .to_vec();
-                if let Some(t) = trc(live) {
-                    for (c, _) in open.iter().zip(&flags).filter(|(_, &d)| d) {
-                        t.emit(
-                            "skyline.drop",
-                            vec![
-                                ("transformation", c.transformation.to_string().into()),
-                                ("delta_t", c.delta_t.into()),
-                                ("delta_s", c.delta_s.into()),
-                            ],
-                        );
-                    }
+            // SoA scan over reused scratch: one dominated flag per
+            // open candidate, in input order.
+            let flags = skyline_scratch
+                .dominated_flags(open.iter().map(|c| (c.delta_t, c.delta_s)))
+                .to_vec();
+            if let Some(t) = trc(live) {
+                for (c, _) in open.iter().zip(&flags).filter(|(_, &d)| d) {
+                    t.emit(
+                        "skyline.drop",
+                        vec![
+                            ("transformation", c.transformation.to_string().into()),
+                            ("delta_t", c.delta_t.into()),
+                            ("delta_s", c.delta_s.into()),
+                        ],
+                    );
                 }
-                let mut i = 0;
-                open.retain(|_| {
-                    let keep = !flags[i];
-                    i += 1;
-                    keep
-                });
-            } else {
-                let snapshot: Vec<(f64, f64)> =
-                    open.iter().map(|c| (c.delta_t, c.delta_s)).collect();
-                let dominated = |c: &ScoredCandidate| {
-                    snapshot.iter().any(|(ot, os)| {
-                        *ot <= c.delta_t && *os >= c.delta_s && (*ot < c.delta_t || *os > c.delta_s)
-                    })
-                };
-                if let Some(t) = trc(live) {
-                    for c in open.iter().filter(|c| dominated(c)) {
-                        t.emit(
-                            "skyline.drop",
-                            vec![
-                                ("transformation", c.transformation.to_string().into()),
-                                ("delta_t", c.delta_t.into()),
-                                ("delta_s", c.delta_s.into()),
-                            ],
-                        );
-                    }
-                }
-                open.retain(|c| !dominated(c));
             }
+            let mut i = 0;
+            open.retain(|_| {
+                let keep = !flags[i];
+                i += 1;
+                keep
+            });
         }
         report.candidate_counts.push(open.len());
         pdt_trace::incr(trc(live), "search.open", open.len() as u64);
@@ -1856,8 +1753,7 @@ pub fn tune_session(
             ],
         );
         nodes[node_idx].tried.insert(chosen_sig);
-        let Some(applied) = apply_ctx(&transformation, &nodes[node_idx].config, db, &opt, flat)
-        else {
+        let Some(applied) = apply(&transformation, &nodes[node_idx].config, db, &opt) else {
             pdt_trace::emit(
                 trc(live),
                 "step.skip",

@@ -45,8 +45,8 @@
 //! entry survives at least one full epoch and at most two. Rotation
 //! is O(1) and never scans, which keeps eviction off the serve path.
 
-use crate::arena::{shard_count, CachePadded, ProbeTable};
-use crate::cache::{scan_servable, CacheEntry};
+use crate::arena::{shard_count, shard_index, CachePadded, ProbeTable};
+use crate::cache::{probe_chain, scan_servable, CacheEntry};
 use crate::checkpoint::{
     f64n, get, hex128, sigs128_json, sigs128_parse, unhex128, usage_json, usage_parse,
 };
@@ -108,9 +108,9 @@ pub struct SharedCtx<'c> {
 }
 
 impl<'c> SharedCtx<'c> {
-    /// The shared probe tier: exact key first, then a plan probe over
-    /// this query's entries re-priced under `config`. Returns `None`
-    /// on any gap; the caller then pays a real optimizer call.
+    /// The shared probe tier: `probe_chain` over this query's
+    /// namespace. Returns `None` on any gap; the caller then pays a
+    /// real optimizer call.
     pub(crate) fn probe(
         &self,
         query: usize,
@@ -119,16 +119,16 @@ impl<'c> SharedCtx<'c> {
         config: &Configuration,
     ) -> Option<CacheEntry> {
         let qsig = *self.query_sigs.get(query)?;
-        let served = self.store.lookup((self.schema_sig, qsig, sig)).or_else(|| {
-            let p = proj?;
-            let e = self.store.plan_probe(self.schema_sig, qsig, p)?;
-            let cost = pdt_opt::reprice_plan(e.cost, &e.usages, config)?;
-            Some(CacheEntry { cost, ..e })
-        });
+        let served = probe_chain(
+            || self.store.lookup((self.schema_sig, qsig, sig)),
+            |p| self.store.plan_probe(self.schema_sig, qsig, p),
+            proj,
+            config,
+        );
         if served.is_none() {
             self.store.misses.fetch_add(1, Ordering::Relaxed);
         }
-        served
+        served.map(|s| s.into_entry())
     }
 
     /// Record a real invocation's answer under its portable key.
@@ -166,7 +166,7 @@ pub struct SharedStats {
 }
 
 /// The daemon-wide content-addressed what-if store. Sharded like the
-/// flat cost cache (`CachePadded<RwLock<..>>` per shard so adjacent
+/// cost cache (`CachePadded<RwLock<..>>` per shard so adjacent
 /// locks do not false-share), bounded by [epoch/segment
 /// eviction](self), and serialized to a warm-store file across daemon
 /// restarts.
@@ -200,9 +200,7 @@ impl SharedInvocationStore {
     }
 
     fn shard(&self, key: SharedKey) -> &RwLock<Segments> {
-        use crate::arena::ProbeKey;
-        let h = key.probe_hash();
-        &self.shards[(h >> 58) as usize & (self.shards.len() - 1)]
+        &self.shards[shard_index(&key, self.shards.len())]
     }
 
     /// Exact-key probe across both segments.
@@ -239,12 +237,11 @@ impl SharedInvocationStore {
             let seg = shard.read();
             for table in [&seg.hot, &seg.cold] {
                 scan_servable(
-                    0,
                     proj,
                     table
                         .iter()
                         .filter(|((s, q, _), _)| *s == schema && *q == qsig)
-                        .map(|((_, _, sig), e)| (0, *sig, e)),
+                        .map(|((_, _, sig), e)| (*sig, e)),
                     &mut best,
                 );
             }

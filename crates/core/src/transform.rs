@@ -161,9 +161,9 @@ pub fn candidates(config: &Configuration, base: &Configuration) -> Vec<Transform
 /// The removal subset of [`candidates`], enumerated directly in
 /// `O(structures)` instead of generating all `O(n²)` pairwise
 /// transformations and filtering. The pruning pre-pass (§3.5) only
-/// scores removals, so the flat engine calls this once per pass where
-/// the reference engine pays the full enumeration; the emission order
-/// is element-for-element identical to the filtered full list —
+/// scores removals, so it calls this once per pass instead of paying
+/// the full enumeration; the emission order is element-for-element
+/// identical to the filtered full list —
 /// removals appear per table in `BTreeMap` order after that table's
 /// pairwise/unary candidates (which the filter drops), then views in
 /// declaration order — asserted against the filtered enumeration in
@@ -431,33 +431,14 @@ pub fn candidates_delta(
 
 /// Apply a transformation to `config`. Returns `None` when the
 /// transformation no longer applies (structures disappeared) or would
-/// be a no-op.
+/// be a no-op. The no-op guard compares the configurations
+/// structurally, which short-circuits on the first difference — `O(1)`
+/// for any transformation that changes the structure count.
 pub fn apply(
     t: &Transformation,
     config: &Configuration,
     db: &Database,
     opt: &Optimizer<'_>,
-) -> Option<AppliedTransform> {
-    apply_ctx(t, config, db, opt, false)
-}
-
-/// [`apply`] with an explicit no-op guard strategy. The reference
-/// engine detects no-op transformations by comparing 64-bit
-/// configuration signatures (two full hashing passes over the
-/// configuration); the flat engine (`flat_noop_guard = true`) compares
-/// the configurations structurally, which short-circuits on the first
-/// difference — `O(1)` for any transformation that changes the
-/// structure count. The two guards agree on every input except a
-/// 64-bit signature collision between a *changed* configuration and
-/// its parent (probability ~2⁻⁶⁴ per apply, and such a collision would
-/// already corrupt the reference engine's `tried`-set and memo keys);
-/// the 200-seed contract sweep compares the modes end to end.
-pub fn apply_ctx(
-    t: &Transformation,
-    config: &Configuration,
-    db: &Database,
-    opt: &Optimizer<'_>,
-    flat_noop_guard: bool,
 ) -> Option<AppliedTransform> {
     let model = SizeModel::default();
     let mut new = config.clone();
@@ -640,12 +621,7 @@ pub fn apply_ctx(
         }
     }
 
-    let noop = if flat_noop_guard {
-        new == *config
-    } else {
-        new.signature() == config.signature()
-    };
-    if noop {
+    if new == *config {
         return None;
     }
 

@@ -22,8 +22,8 @@ pub struct Configuration {
     views: BTreeMap<TableId, Arc<MaterializedView>>,
 }
 
-/// Structural equality, used by the flat engine's no-op guard on the
-/// apply hot path (`pdt_tuner::transform::apply_ctx`): short-circuits
+/// Structural equality, used by the no-op guard on the apply hot path
+/// (`pdt_tuner::transform::apply`): short-circuits
 /// on set/map length first, and compares views by `Arc` pointer before
 /// falling back to contents — a relaxed configuration shares its
 /// unchanged views' allocations with its parent, so the common case is

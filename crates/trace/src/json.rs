@@ -141,6 +141,7 @@ impl fmt::Display for Json {
 /// Parse one JSON document (rejects trailing content).
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -156,6 +157,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -295,13 +298,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the source.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape as
+                    // one slice of the (already valid) source. Both
+                    // delimiters are ASCII, so they never split a
+                    // UTF-8 scalar.
+                    let len = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    let run = self
+                        .src
+                        .get(self.pos..self.pos + len)
+                        .ok_or("invalid utf-8 in string")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -383,7 +393,29 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("+5").is_err());
+        assert!(parse("\"abc").is_err());
+        assert!(parse("\"abc\\").is_err());
         assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    /// String parsing is linear: a multi-megabyte document (one long
+    /// string plus many short ones, with escapes and multi-byte
+    /// scalars) parses well inside a debug-build time bound that the
+    /// per-character re-validation of the remaining input missed by
+    /// orders of magnitude.
+    #[test]
+    fn large_string_heavy_documents_parse_in_linear_time() {
+        let long = "héllo ↦ 世界 \"quoted\" back\\slash\n\u{1}".repeat(40_000);
+        let mut items = vec![Json::Str(long)];
+        items.extend((0..60_000).map(|i| Json::Str(format!("k{i}\t世"))));
+        let v = Json::Obj(vec![("items".to_string(), Json::Arr(items))]);
+        let s = v.to_string();
+        assert!(s.len() >= 2 << 20, "only {} bytes", s.len());
+        let start = std::time::Instant::now();
+        let back = parse(&s).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back, v);
+        assert!(took.as_secs_f64() < 2.0, "parse took {took:?}");
     }
 
     #[test]

@@ -95,9 +95,6 @@ OPTIONS:
   --no-derived-costs            disable derived what-if costing (relevant-
                                 structure cache keys + plan reuse); output
                                 is byte-identical either way
-  --no-flat-hot-path            disable the flat id-addressed hot path
-                                (interned sigs + dense-id memo/cache
-                                probes); output is byte-identical either way
   --optimizer-call-budget <n>   approximate tier: spend at most n real
                                 what-if invocations, serving bound-gap
                                 midpoint estimates elsewhere; exhausting
@@ -203,7 +200,6 @@ struct CliOptions {
     no_cache: bool,
     no_incremental: bool,
     no_derived_costs: bool,
-    no_flat_hot_path: bool,
     optimizer_call_budget: Option<usize>,
     trace: Option<String>,
     validate_bounds: bool,
@@ -300,7 +296,6 @@ impl CliOptions {
                 "--no-cache" => o.no_cache = true,
                 "--no-incremental" => o.no_incremental = true,
                 "--no-derived-costs" => o.no_derived_costs = true,
-                "--no-flat-hot-path" => o.no_flat_hot_path = true,
                 "--optimizer-call-budget" => {
                     o.optimizer_call_budget = Some(
                         value("--optimizer-call-budget")?
@@ -563,7 +558,6 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
         cost_cache: !o.no_cache,
         incremental: !o.no_incremental,
         derived_costs: !o.no_derived_costs,
-        flat_hot_path: !o.no_flat_hot_path,
         optimizer_call_budget: o.optimizer_call_budget,
         validate_bounds: o.validate_bounds,
         deadline_ms: o.deadline,
@@ -796,7 +790,6 @@ fn cmd_replay(o: &CliOptions) -> Result<(), TuneError> {
             cost_cache: !o.no_cache,
             incremental: !o.no_incremental,
             derived_costs: !o.no_derived_costs,
-            flat_hot_path: !o.no_flat_hot_path,
             ..TunerOptions::default()
         },
     };
@@ -1255,15 +1248,6 @@ mod tests {
         let args = vec!["--no-derived-costs".to_string()];
         let o = CliOptions::parse(&args).unwrap();
         assert!(o.no_derived_costs);
-    }
-
-    #[test]
-    fn cli_parses_flat_hot_path_flag() {
-        let o = CliOptions::parse(&[]).unwrap();
-        assert!(!o.no_flat_hot_path, "the flat hot path is the default");
-        let args = vec!["--no-flat-hot-path".to_string()];
-        let o = CliOptions::parse(&args).unwrap();
-        assert!(o.no_flat_hot_path);
     }
 
     #[test]

