@@ -10,14 +10,17 @@
 //! loss of incrementality (or a behavior change dressed up as one)
 //! fails loudly instead of silently costing performance.
 //!
-//! Two golden digests pin the bytes themselves: the TPC-H session's
-//! JSONL trace and the 200 incremental-mode traces of the sweep, so an
-//! engine refactor is correct iff these constants do not move.
+//! Three golden digests pin the bytes themselves: the TPC-H session's
+//! JSONL trace, the 200 incremental-mode traces of the sweep, and two
+//! wide view-bearing star sessions (the only ones that reach the
+//! `RemoveView`/CBV pricing path), so an engine refactor is correct iff
+//! these constants do not move.
 
 use pdtune::physical::Configuration;
 use pdtune::trace::Tracer;
 use pdtune::tuner::{tune_traced, TunerOptions, TuningReport, Workload};
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
+use pdtune::workloads::star::{star_database, star_workload, StarParams};
 use pdtune::workloads::{tpch, updates};
 
 struct Case {
@@ -236,6 +239,65 @@ fn tpch_golden_counters() {
     );
 }
 
+/// A wide star session with views: budget 5 % of the way from the base
+/// to the §2 optimal configuration, so the §3.5 pre-pass prices every
+/// removal (views included) after every removal and the loop then
+/// removes the surviving views one by one.
+fn star_session(p: &StarParams, seed: u64, update_ratio: f64) -> (TuningReport, String) {
+    let db = star_database(p);
+    let mut spec = star_workload(p, seed, 7);
+    if update_ratio > 0.0 {
+        spec = updates::with_updates(&db, &spec, update_ratio, seed);
+    }
+    let w = Workload::bind(&db, &spec.statements).unwrap();
+    let (optimal, _) = pdtune::tuner::gather_optimal_configuration(&db, &w, true);
+    let base = Configuration::base(&db);
+    assert!(
+        optimal.structure_count() - base.structure_count() >= 60 && optimal.view_count() > 0,
+        "{} seed {seed}: the optimal configuration is too narrow to pin the view pricing path \
+         ({} structures, {} views)",
+        p.name,
+        optimal.structure_count() - base.structure_count(),
+        optimal.view_count(),
+    );
+    let base_size = base.size_bytes(&db);
+    let tracer = Tracer::new();
+    let report = tune_traced(
+        &db,
+        &w,
+        &TunerOptions {
+            space_budget: Some(base_size + 0.05 * (optimal.size_bytes(&db) - base_size)),
+            max_iterations: 40,
+            ..TunerOptions::default()
+        },
+        Some(&tracer),
+    );
+    (report, tracer.to_jsonl())
+}
+
+#[test]
+fn star_views_golden_digest() {
+    let mut digest = FNV_OFFSET;
+    for (p, seed, update_ratio) in [
+        (StarParams::ds1(), STAR_SEEDS.0, 0.0),
+        (StarParams::ds2(), STAR_SEEDS.1, 0.5),
+    ] {
+        let (report, trace) = star_session(&p, seed, update_ratio);
+        assert!(
+            trace.contains("remove-view("),
+            "{} seed {seed}: no view removal was priced",
+            p.name
+        );
+        assert!(report.best.is_some());
+        digest = fnv1a(digest, &seed.to_le_bytes());
+        digest = fnv1a(digest, trace.as_bytes());
+    }
+    assert_eq!(
+        digest, GOLDEN_STAR_DIGEST,
+        "the star/views sessions' JSONL traces moved: {digest:#018x}"
+    );
+}
+
 // 20 -> 18 when the what-if cache moved to relevant-subset keys
 // (derived costing): two re-evaluations in this session probe with an
 // unchanged relevant subset and are now logical cache hits.
@@ -248,3 +310,10 @@ const GOLDEN_CANDIDATES_GENERATED: u64 = 6;
 // moved digest means the deterministic event stream changed.
 const GOLDEN_TRACE_DIGEST: u64 = 0x351C_5167_E5CD_2D67;
 const GOLDEN_SWEEP_DIGEST: u64 = 0x46D4_BBCA_4006_BE84;
+
+// Workload seeds of the two star sessions (DS1 select-only, DS2 with
+// updates) and the digest of their traces, recorded at commit 2aa1166
+// (before configurations shared structure and the CBV table was
+// carried); debug and release builds agree.
+const STAR_SEEDS: (u64, u64) = (3, 8);
+const GOLDEN_STAR_DIGEST: u64 = 0x1B53_949A_06ED_3E77;
