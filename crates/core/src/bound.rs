@@ -17,41 +17,41 @@
 //! Removed views use the `CBV` fallback: the cost of computing the view
 //! from the base configuration plus a scan per former index usage.
 
-use crate::eval::{shell_cost, EvalResult};
-use crate::transform::AppliedTransform;
-use crate::workload::Workload;
+use crate::eval::{shell_cost_over, EvalResult};
+use crate::transform::TransformDelta;
+use crate::workload::{UpdateShell, Workload};
 use parking_lot::RwLock;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::{CostModel, IndexUsage, UsageKind};
 use pdt_physical::size::SizeModel;
-use pdt_physical::{Configuration, Index, PhysicalSchema};
-use std::collections::{BTreeSet, HashMap};
+use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Cache of `CBV` values: the cost to (re)compute a view from the base
-/// configuration (§3.3.2: "each time we consider a new view V, we
-/// optimize V with respect to the base configuration").
-///
-/// The memo is keyed by `(view, signature of the structures visible on
-/// the view's base tables)` — the same projection the what-if cost
-/// cache uses — because the refined CBV depends on which indexes the
-/// rebuild can exploit. Keying by view id alone would serve values
-/// computed under an earlier, richer configuration, and a stale-low CBV
-/// breaks the §3.3.2 upper-bound guarantee once those indexes are
-/// relaxed away.
-///
-/// Shared by concurrent scoring workers through a read/write lock.
-/// Whichever worker computes a `(view, signature)` pair first inserts
-/// the same value any other would — the memo stays deterministic under
-/// races.
 /// `(cost, index usages of the rebuild plan)` — the usages name the
 /// structures the refined CBV leaned on, so a *served* evaluation can
 /// record them and stay honest when one is later removed.
 type BuildCostEntry = (f64, Arc<[IndexUsage]>);
 
+/// The `CBV` table of **one configuration**: per view, the cost to
+/// (re)compute it from the base tables with that configuration's access
+/// paths (§3.3.2: "each time we consider a new view V, we optimize V
+/// with respect to the base configuration"; the paper's refinement
+/// costs it against `C − {V}`). Entries are computed on first use and
+/// are only valid for the configuration the table is used with — a CBV
+/// served from a richer ancestor is stale-low and breaks the §3.3.2
+/// upper-bound guarantee once the indexes it leaned on are relaxed
+/// away. The search therefore gives every node its own table and
+/// *carries* entries from parent to child by the exact dependency rule
+/// of [`carried`](Self::carried) instead of keying a shared memo by a
+/// configuration signature.
+///
+/// Shared by concurrent scoring workers through a read/write lock.
+/// Whichever worker computes a view first inserts the same value any
+/// other would — the table stays deterministic under races.
 #[derive(Debug, Default)]
 pub struct ViewBuildCosts {
-    costs: RwLock<HashMap<(TableId, u128), BuildCostEntry>>,
+    costs: RwLock<BTreeMap<TableId, BuildCostEntry>>,
 }
 
 impl ViewBuildCosts {
@@ -86,68 +86,157 @@ impl ViewBuildCosts {
         config: &Configuration,
         view: TableId,
     ) -> (f64, Arc<[IndexUsage]>) {
-        let key = (
-            view,
-            config
-                .view(view)
-                .map_or(0, |v| config.signature_for_tables128(&v.def.tables)),
-        );
-        if let Some(c) = self.costs.read().get(&key) {
+        if let Some(c) = self.costs.read().get(&view) {
             return c.clone();
         }
         let entry = match config.view(view) {
-            Some(v) => {
-                let schema = PhysicalSchema::new(db, config);
-                let mut total = 0.0;
-                let mut rows_acc = 1.0f64;
-                let mut usages: Vec<IndexUsage> = Vec::new();
-                for (i, t) in v.def.tables.iter().enumerate() {
-                    let req = pdt_opt::IndexRequest {
-                        table: *t,
-                        sargable: v
-                            .def
-                            .ranges
-                            .iter()
-                            .filter(|r| r.column.table == *t)
-                            .cloned()
-                            .collect(),
-                        non_sargable: Vec::new(),
-                        order: Vec::new(),
-                        additional: v
-                            .def
-                            .output_cols
-                            .iter()
-                            .copied()
-                            .filter(|c| c.table == *t)
-                            .collect(),
-                        input_rows: schema.rows(*t),
-                    };
-                    let path = pdt_opt::access::best_access_path(model, &schema, &req);
-                    total += path.cost.total();
-                    usages.extend(path.usages);
-                    let rows = path.rows.max(1.0);
-                    if i > 0 {
-                        total += model
-                            .hash_join(rows.min(rows_acc), rows.max(rows_acc), 32.0)
-                            .total();
-                    }
-                    rows_acc = (rows_acc * rows).min(1e12);
-                }
-                if v.def.is_grouped() {
-                    total += model.hash_aggregate(rows_acc.min(1e9), v.rows).total();
-                }
-                (total, usages.into())
-            }
+            Some(v) => rebuild_cost(db, model, config, v),
             None => (0.0, Vec::new().into()),
         };
-        self.costs.write().insert(key, entry.clone());
-        entry
+        self.costs.write().entry(view).or_insert(entry).clone()
+    }
+
+    /// The table of a child configuration, one relaxation step away
+    /// from this table's: every entry the step provably cannot have
+    /// changed is carried over (same cost bits, the same `Arc` of
+    /// usages); the rest are left out and recomputed on first use.
+    ///
+    /// An entry's value is a function of the view and, per base table
+    /// of its definition, of [`best_access_path`] over that table's
+    /// indexes — a first-strict-minimum argmin over per-index
+    /// candidates whose costs do not depend on each other. Removing an
+    /// index the winning plan does not use therefore cannot move the
+    /// winner, with two exceptions where a removal *creates*
+    /// candidates: losing the clustered index turns the base scan into
+    /// a heap scan, and the rid-intersection enumeration only pairs the
+    /// four most selective seekable indexes, so removing a seekable one
+    /// (its leading key column carries one of the view's range
+    /// predicates) can promote a fifth into that window. An entry for
+    /// view `V` is carried iff
+    ///
+    /// * `V` survives the step;
+    /// * no index was added on a table of `V.def.tables` (an addition
+    ///   is a new candidate everywhere); and
+    /// * every removed index on a table of `V.def.tables` is outside
+    ///   the entry's usages, not clustered, and not seekable for `V`.
+    ///
+    /// [`best_access_path`]: pdt_opt::access::best_access_path
+    pub fn carried(
+        &self,
+        child: &Configuration,
+        removed_indexes: &[Index],
+        removed_views: &[TableId],
+        added_indexes: &[Index],
+    ) -> ViewBuildCosts {
+        let costs = self
+            .costs
+            .read()
+            .iter()
+            .filter(|(id, (_, usages))| {
+                if removed_views.contains(id) {
+                    return false;
+                }
+                let Some(v) = child.view(**id) else {
+                    return false;
+                };
+                let on_view_table = |i: &Index| v.def.tables.contains(&i.table);
+                let invalidates = |r: &Index| {
+                    on_view_table(r)
+                        && (r.clustered
+                            || v.def.ranges.iter().any(|p| p.column == r.key[0])
+                            || usages.iter().any(|u| u.index == *r))
+                };
+                !added_indexes.iter().any(on_view_table) && !removed_indexes.iter().any(invalidates)
+            })
+            .map(|(id, entry)| (*id, entry.clone()))
+            .collect();
+        ViewBuildCosts {
+            costs: RwLock::new(costs),
+        }
+    }
+
+    /// Panic unless every entry is bit-equal (cost bits and usages) to
+    /// a from-scratch computation against `config` — the differential
+    /// check behind [`carried`](Self::carried), run by the bound oracle
+    /// (`TunerOptions::validate_bounds`) on every table the search
+    /// carries. Returns the number of entries verified.
+    pub fn assert_matches_scratch(
+        &self,
+        db: &Database,
+        model: &CostModel,
+        config: &Configuration,
+    ) -> usize {
+        let costs = self.costs.read();
+        for (id, (cost, usages)) in costs.iter() {
+            let v = config
+                .view(*id)
+                .unwrap_or_else(|| panic!("CBV entry for {id}, which the configuration lacks"));
+            let (fresh_cost, fresh_usages) = rebuild_cost(db, model, config, v);
+            assert!(
+                cost.to_bits() == fresh_cost.to_bits() && **usages == *fresh_usages,
+                "carried CBV entry for {id} diverged from recomputation: {cost} vs {fresh_cost}"
+            );
+        }
+        costs.len()
     }
 }
 
-/// Upper-bound the workload cost under `applied.config`, given the
-/// evaluation under the configuration it was relaxed from. No optimizer
-/// calls are made.
+/// The refined CBV of `v` under `config`, with the rebuild plan's
+/// index usages.
+fn rebuild_cost(
+    db: &Database,
+    model: &CostModel,
+    config: &Configuration,
+    v: &MaterializedView,
+) -> BuildCostEntry {
+    let schema = PhysicalSchema::new(db, config);
+    let mut total = 0.0;
+    let mut rows_acc = 1.0f64;
+    let mut usages: Vec<IndexUsage> = Vec::new();
+    for (i, t) in v.def.tables.iter().enumerate() {
+        let req = pdt_opt::IndexRequest {
+            table: *t,
+            sargable: v
+                .def
+                .ranges
+                .iter()
+                .filter(|r| r.column.table == *t)
+                .cloned()
+                .collect(),
+            non_sargable: Vec::new(),
+            order: Vec::new(),
+            additional: v
+                .def
+                .output_cols
+                .iter()
+                .copied()
+                .filter(|c| c.table == *t)
+                .collect(),
+            input_rows: schema.rows(*t),
+        };
+        let path = pdt_opt::access::best_access_path(model, &schema, &req);
+        total += path.cost.total();
+        usages.extend(path.usages);
+        let rows = path.rows.max(1.0);
+        if i > 0 {
+            total += model
+                .hash_join(rows.min(rows_acc), rows.max(rows_acc), 32.0)
+                .total();
+        }
+        rows_acc = (rows_acc * rows).min(1e12);
+    }
+    if v.def.is_grouped() {
+        total += model.hash_aggregate(rows_acc.min(1e9), v.rows).total();
+    }
+    (total, usages.into())
+}
+
+/// Upper-bound the workload cost under the configuration `delta`
+/// relaxes `old_config` into, given the evaluation under `old_config`.
+/// No optimizer calls are made, and the relaxed configuration is never
+/// built: it is read as `old_config` minus/plus the delta (an
+/// [`AppliedTransform`](crate::transform::AppliedTransform) passes as
+/// its delta).
 #[allow(clippy::too_many_arguments)]
 pub fn cost_upper_bound(
     db: &Database,
@@ -155,11 +244,11 @@ pub fn cost_upper_bound(
     workload: &Workload,
     prev: &EvalResult,
     old_config: &Configuration,
-    applied: &AppliedTransform,
+    delta: &TransformDelta,
     view_costs: &ViewBuildCosts,
 ) -> f64 {
     bound_impl(
-        db, model, workload, prev, old_config, applied, view_costs, false,
+        db, model, workload, prev, old_config, delta, view_costs, false,
     )
 }
 
@@ -180,15 +269,15 @@ pub fn cost_upper_bound_restricted(
     workload: &Workload,
     prev: &EvalResult,
     old_config: &Configuration,
-    applied: &AppliedTransform,
+    delta: &TransformDelta,
     view_costs: &ViewBuildCosts,
 ) -> f64 {
     bound_impl(
-        db, model, workload, prev, old_config, applied, view_costs, true,
+        db, model, workload, prev, old_config, delta, view_costs, true,
     )
 }
 
-/// Synthesize a full [`EvalResult`] for `applied.config` from the
+/// Synthesize a full [`EvalResult`] for the relaxed configuration from the
 /// §3.3.2 bound machinery alone — the *estimate-serving* path of the
 /// approximate tier (`TunerOptions::optimizer_call_budget`). No
 /// optimizer calls are made.
@@ -225,23 +314,24 @@ pub fn bound_served_eval(
     workload: &Workload,
     prev: &EvalResult,
     old_config: &Configuration,
-    applied: &AppliedTransform,
+    delta: &TransformDelta,
     view_costs: &ViewBuildCosts,
 ) -> (EvalResult, f64) {
-    let new_schema = PhysicalSchema::new(db, &applied.config);
     let old_schema = PhysicalSchema::new(db, old_config);
+    let new_schema = old_schema.relaxed(&delta.removed_views, delta.added_view.as_ref());
+    let new_indexes = delta.child_indexes(old_config);
     let mut per_query = Vec::with_capacity(prev.per_query.len());
     let mut total = 0.0;
     let mut gap = 0.0;
 
     for (entry, q) in workload.entries.iter().zip(&prev.per_query) {
         let mut select = q.select_cost;
-        let affected = q.uses_any(&applied.removed_indexes, &applied.removed_views);
+        let affected = q.uses_any(&delta.removed_indexes, &delta.removed_views);
         let usages = if affected {
             let mut kept: Vec<IndexUsage> = Vec::with_capacity(q.usages.len());
             for usage in q.usages.iter() {
-                let removed_index = applied.removed_indexes.contains(&usage.index);
-                let removed_view = applied.removed_views.contains(&usage.index.table);
+                let removed_index = delta.removed_indexes.contains(&usage.index);
+                let removed_view = delta.removed_views.contains(&usage.index.table);
                 if !removed_index && !removed_view {
                     kept.push(usage.clone());
                     continue;
@@ -252,7 +342,7 @@ pub fn bound_served_eval(
                     &old_schema,
                     &new_schema,
                     old_config,
-                    applied,
+                    delta,
                     usage,
                     view_costs,
                 );
@@ -269,7 +359,7 @@ pub fn bound_served_eval(
         };
         let shell = match entry.shell.as_ref() {
             None => 0.0,
-            Some(s) => shell_cost(model, &new_schema, s),
+            Some(s) => shell_cost_over(model, &new_schema, s, new_indexes.iter().copied()),
         };
         per_query.push(crate::eval::QueryEval {
             select_cost: select,
@@ -297,20 +387,23 @@ fn bound_impl(
     workload: &Workload,
     prev: &EvalResult,
     old_config: &Configuration,
-    applied: &AppliedTransform,
+    delta: &TransformDelta,
     view_costs: &ViewBuildCosts,
     restricted: bool,
 ) -> f64 {
-    let new_schema = PhysicalSchema::new(db, &applied.config);
     let old_schema = PhysicalSchema::new(db, old_config);
+    let new_schema = old_schema.relaxed(&delta.removed_views, delta.added_view.as_ref());
+    // The relaxed configuration's index list, for the shells that need
+    // re-costing; built on first use.
+    let new_indexes = std::cell::OnceCell::new();
     let mut total = 0.0;
 
     for (entry, q) in workload.entries.iter().zip(&prev.per_query) {
         let mut select = q.select_cost;
-        if !restricted || q.uses_any(&applied.removed_indexes, &applied.removed_views) {
+        if !restricted || q.uses_any(&delta.removed_indexes, &delta.removed_views) {
             for usage in q.usages.iter() {
-                let removed_index = applied.removed_indexes.contains(&usage.index);
-                let removed_view = applied.removed_views.contains(&usage.index.table);
+                let removed_index = delta.removed_indexes.contains(&usage.index);
+                let removed_view = delta.removed_views.contains(&usage.index.table);
                 if !removed_index && !removed_view {
                     continue;
                 }
@@ -320,7 +413,7 @@ fn bound_impl(
                     &old_schema,
                     &new_schema,
                     old_config,
-                    applied,
+                    delta,
                     usage,
                     view_costs,
                 );
@@ -331,24 +424,45 @@ fn bound_impl(
         let shell = match entry.shell.as_ref() {
             None => 0.0,
             Some(s) => {
-                if restricted
-                    && !crate::eval::shell_affected(
-                        s,
-                        &applied.removed_indexes,
-                        &applied.added_indexes,
-                        old_config,
-                        &applied.config,
-                    )
-                {
+                if restricted && !shell_affected(s, &old_schema, &new_schema, delta) {
                     q.shell_cost
                 } else {
-                    shell_cost(model, &new_schema, s)
+                    let indexes = new_indexes.get_or_init(|| delta.child_indexes(old_config));
+                    shell_cost_over(model, &new_schema, s, indexes.iter().copied())
                 }
             }
         };
         total += entry.weight * (select + shell);
     }
     total
+}
+
+/// Does the step change [`shell_cost`](crate::eval::shell_cost) for
+/// this shell at all? Mirrors `shell_index_cost`'s relevance test
+/// exactly: an irrelevant index contributes a `0.0` term, and inserting
+/// or removing `0.0` terms in the non-negative left-fold sum is a
+/// bitwise no-op — so `false` here means the old shell cost can be
+/// reused bit-for-bit. Removed indexes are tested under the old
+/// configuration (where their backing views still exist), added ones
+/// under the new.
+fn shell_affected(
+    shell: &UpdateShell,
+    old_schema: &PhysicalSchema<'_>,
+    new_schema: &PhysicalSchema<'_>,
+    delta: &TransformDelta,
+) -> bool {
+    let relevant = |index: &Index, schema: &PhysicalSchema<'_>| -> bool {
+        if index.table.is_view() {
+            matches!(schema.view(index.table), Some(v) if v.def.tables.contains(&shell.table))
+        } else {
+            shell.affects(index)
+        }
+    };
+    delta
+        .removed_indexes
+        .iter()
+        .any(|i| relevant(i, old_schema))
+        || delta.added_indexes.iter().any(|i| relevant(i, new_schema))
 }
 
 /// What the winning patch plan depends on — the part of the answer a
@@ -388,14 +502,14 @@ fn replacement_cost(
     old_schema: &PhysicalSchema<'_>,
     new_schema: &PhysicalSchema<'_>,
     old_config: &Configuration,
-    applied: &AppliedTransform,
+    delta: &TransformDelta,
     usage: &IndexUsage,
     view_costs: &ViewBuildCosts,
 ) -> (f64, PatchSource) {
     let size_model = SizeModel::default();
     // Map the usage into the merged view's column space if applicable.
     let mapped_table = if usage.index.table.is_view() {
-        applied
+        delta
             .col_map
             .iter()
             .find(|(k, _)| k.table == usage.index.table)
@@ -407,11 +521,7 @@ fn replacement_cost(
 
     // The table (or its merged replacement) vanished entirely: CBV
     // fallback — rebuild the view, then scan it per usage.
-    let table_alive = if target_table.is_view() {
-        applied.config.view(target_table).is_some()
-    } else {
-        true
-    };
+    let table_alive = !target_table.is_view() || new_schema.view(target_table).is_some();
     if !table_alive {
         let (cbv, rebuild_usages) =
             view_costs.get_with_usages(db, model, old_config, usage.index.table);
@@ -428,7 +538,7 @@ fn replacement_cost(
         return (cost, PatchSource::Rebuild(rebuild_usages));
     }
 
-    let map_col = |c: &ColumnId| -> ColumnId { applied.col_map.get(c).copied().unwrap_or(*c) };
+    let map_col = |c: &ColumnId| -> ColumnId { delta.col_map.get(c).copied().unwrap_or(*c) };
     let old_size = size_model
         .index_bytes(old_schema, &usage.index)
         .max(model.size.page_size);
@@ -472,7 +582,7 @@ fn replacement_cost(
     let compensation = |cost: &mut f64| {
         if mapped_table.is_some() {
             *cost += usage.rows * model.cpu_pred;
-            if applied.regroup_compensation {
+            if delta.regroup_compensation {
                 *cost += model.hash_aggregate(usage.rows * 2.0, usage.rows).total();
             }
         }
@@ -499,13 +609,10 @@ fn replacement_cost(
     // old plan relied on the index's order. Mirrors the scan branch of
     // `best_access_path`, so the patch never undercuts a plan the
     // optimizer will actually enumerate.
+    let candidates = delta.child_indexes_on(old_config, target_table);
     let mut best_src: Option<Index> = None;
     let mut best = {
-        let scan = match applied
-            .config
-            .indexes_on(target_table)
-            .find(|i| i.clustered)
-        {
+        let scan = match candidates.iter().copied().find(|i| i.clustered) {
             Some(ci) => {
                 best_src = Some(ci.clone());
                 model.full_scan(model.index_pages(new_schema, ci), table_rows)
@@ -521,7 +628,7 @@ fn replacement_cost(
         cost
     };
 
-    for candidate in applied.config.indexes_on(target_table) {
+    for candidate in candidates {
         let new_size = size_model
             .index_bytes(new_schema, candidate)
             .max(model.size.page_size);

@@ -147,7 +147,7 @@ pub fn shell_index_cost(
 ) -> f64 {
     const VIEW_MAINTENANCE_FACTOR: f64 = 2.0;
     let (affected, factor) = if index.table.is_view() {
-        match schema.config.view(index.table) {
+        match schema.view(index.table) {
             Some(v) if v.def.tables.contains(&shell.table) => (true, VIEW_MAINTENANCE_FACTOR),
             _ => (false, 1.0),
         }
@@ -164,35 +164,20 @@ pub fn shell_index_cost(
 
 /// Total shell cost of one entry under a configuration.
 pub fn shell_cost(model: &CostModel, schema: &PhysicalSchema<'_>, shell: &UpdateShell) -> f64 {
-    schema
-        .config
-        .indexes()
-        .map(|i| shell_index_cost(model, schema, shell, i))
-        .sum()
+    shell_cost_over(model, schema, shell, schema.config.indexes())
 }
 
-/// Does swapping `removed` for `added` change [`shell_cost`] for this
-/// shell at all? Mirrors [`shell_index_cost`]'s relevance test exactly:
-/// an irrelevant index contributes a `0.0` term, and inserting or
-/// removing `0.0` terms in the non-negative left-fold sum is a bitwise
-/// no-op — so `false` here means the old `shell_cost` can be reused
-/// bit-for-bit. Removed indexes are tested under the old configuration
-/// (where their backing views still exist), added ones under the new.
-pub fn shell_affected(
+/// [`shell_cost`] over an explicit index list (in configuration order):
+/// the §3.3.2 bound costs a relaxed configuration it never builds.
+pub(crate) fn shell_cost_over<'a>(
+    model: &CostModel,
+    schema: &PhysicalSchema<'_>,
     shell: &UpdateShell,
-    removed: &[Index],
-    added: &[Index],
-    old_config: &Configuration,
-    new_config: &Configuration,
-) -> bool {
-    let relevant = |index: &Index, config: &Configuration| -> bool {
-        if index.table.is_view() {
-            matches!(config.view(index.table), Some(v) if v.def.tables.contains(&shell.table))
-        } else {
-            shell.affects(index)
-        }
-    };
-    removed.iter().any(|i| relevant(i, old_config)) || added.iter().any(|i| relevant(i, new_config))
+    indexes: impl Iterator<Item = &'a Index>,
+) -> f64 {
+    indexes
+        .map(|i| shell_index_cost(model, schema, shell, i))
+        .sum()
 }
 
 /// Evaluate the full workload from scratch.

@@ -32,13 +32,13 @@ use crate::instrument::gather_optimal_configuration_traced;
 use crate::par::{par_map, resolve_threads};
 use crate::stop::{StopCheck, StopReason, StopToken};
 use crate::transform::{
-    apply, candidates, candidates_delta, removal_candidates, AppliedTransform, StepDelta,
-    Transformation,
+    apply, candidates, candidates_delta, describe, removal_candidates, AppliedTransform, StepDelta,
+    TransformDelta, Transformation,
 };
 use crate::workload::Workload;
-use pdt_catalog::Database;
+use pdt_catalog::{Database, TableId};
 use pdt_opt::Optimizer;
-use pdt_physical::Configuration;
+use pdt_physical::{Configuration, Index};
 use pdt_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,7 +108,10 @@ pub struct TunerOptions {
     /// §3.5 shortcut skip is re-imposed on the completed evaluation),
     /// but shortcut-aborted evaluations now run to completion, so
     /// `optimizer_calls` and cache counters grow — this is the oracle's
-    /// overhead, not a behavior change.
+    /// overhead, not a behavior change. The oracle also verifies every
+    /// CBV table the search carries from a node to its child against a
+    /// from-scratch computation and panics on a mismatch (a bug in the
+    /// carry rule, see `ViewBuildCosts::carried`).
     pub validate_bounds: bool,
     /// Soft wall-clock deadline. Once it passes, the session stops at
     /// the next cooperative check point and returns the best-so-far
@@ -335,6 +338,8 @@ struct Node {
     /// so signature collisions cannot alias two configurations' memo
     /// rows).
     sig: u128,
+    /// The CBV table of `config`, carried from the parent's.
+    view_costs: ViewBuildCosts,
     /// Interned signatures of transformations already tried from this
     /// node.
     tried: HashSet<u64>,
@@ -408,40 +413,34 @@ impl ScoredCandidate {
     }
 }
 
-/// Derive a candidate score from a memoized bound entry.
-fn score_from_entry(
-    entry: &BoundMemoEntry,
-    eval: &EvalResult,
-    t: &Transformation,
-    sig: u64,
-) -> Option<ScoredCandidate> {
+/// Derive a candidate's `(ΔT, ΔS)` estimates from a memoized bound
+/// entry; `None` when the transformation does not apply or is not a
+/// relaxation in any useful sense.
+fn score_from_entry(entry: &BoundMemoEntry, eval: &EvalResult) -> Option<(f64, f64)> {
     if !entry.applies {
         return None;
     }
     let delta_t = entry.bound - eval.total_cost;
     if entry.delta_s <= 0.0 && delta_t >= 0.0 {
-        return None; // not a relaxation in any useful sense
+        return None;
     }
-    Some(ScoredCandidate {
-        delta_t,
-        delta_s: entry.delta_s,
-        sig,
-        transformation: t.clone(),
-    })
+    Some((delta_t, entry.delta_s))
 }
 
-/// Score one transformation against a node's configuration/eval,
-/// routed through the §3.3.2 bound memo. Returns the score and whether
-/// the memo already held the entry.
+/// Price one transformation against a node's configuration/eval with
+/// the §3.3.2 bound, routed through the bound memo. Returns the entry
+/// and whether the memo already held it.
 ///
 /// Both engines maintain the identical memo: on a hit the incremental
-/// engine serves the entry (skipping apply + bound entirely; in debug
+/// engine serves the entry (skipping describe + bound entirely; in debug
 /// builds it still recomputes and asserts bitwise agreement), while the
 /// reference engine recomputes from scratch, asserts the entry matches,
 /// and uses the fresh value — so a memo bug cannot change reference
 /// output, and any divergence trips an assertion. Fresh computations in
 /// incremental mode use the affected-query-restricted bound, which is
-/// bit-identical to the full one (see `cost_upper_bound_restricted`).
+/// bit-identical to the full one (see `cost_upper_bound_restricted`);
+/// the full side of that debug assertion prices view rebuilds from
+/// scratch, so it is also the oracle for the carried `view_costs`.
 ///
 /// `memoize: false` bypasses the memo entirely (no lookup, no insert):
 /// the memo key assumes one canonical evaluation per configuration,
@@ -450,7 +449,7 @@ fn score_from_entry(
 /// legitimately carry different per-query costs. Bounds are pure CPU
 /// (no optimizer calls), so the budgeted tier just recomputes.
 #[allow(clippy::too_many_arguments)]
-fn score_one_memo(
+fn memoized_bound(
     db: &Database,
     opt: &Optimizer<'_>,
     workload: &Workload,
@@ -463,17 +462,17 @@ fn score_one_memo(
     memo: &BoundMemo,
     incremental: bool,
     memoize: bool,
-) -> (Option<ScoredCandidate>, bool) {
+) -> (BoundMemoEntry, bool) {
     let cached = if memoize {
         memo.lookup_keyed(sig, cfg_key)
     } else {
         None
     };
-    let computed: Option<(BoundMemoEntry, Option<ScoredCandidate>)> =
+    let computed: Option<BoundMemoEntry> =
         if cached.is_none() || !incremental || cfg!(debug_assertions) {
-            let pair = match apply(t, config, db, opt) {
-                None => (BoundMemoEntry::inapplicable(), None),
-                Some(applied) => {
+            Some(match describe(t, config, db, opt) {
+                None => BoundMemoEntry::inapplicable(),
+                Some(delta) => {
                     let bound = if incremental {
                         let b = cost_upper_bound_restricted(
                             db,
@@ -481,7 +480,7 @@ fn score_one_memo(
                             workload,
                             eval,
                             config,
-                            &applied,
+                            &delta,
                             view_costs,
                         );
                         debug_assert_eq!(
@@ -492,8 +491,8 @@ fn score_one_memo(
                                 workload,
                                 eval,
                                 config,
-                                &applied,
-                                view_costs,
+                                &delta,
+                                &ViewBuildCosts::new(),
                             )
                             .to_bits(),
                             "restricted bound diverged from the full bound for {t}"
@@ -506,43 +505,62 @@ fn score_one_memo(
                             workload,
                             eval,
                             config,
-                            &applied,
+                            &delta,
                             view_costs,
                         )
                     };
-                    let entry = BoundMemoEntry {
+                    BoundMemoEntry {
                         applies: true,
                         bound,
-                        delta_s: applied.delta_bytes,
-                    };
-                    (entry, score_from_entry(&entry, eval, t, sig))
+                        delta_s: delta.delta_bytes,
+                    }
                 }
-            };
-            Some(pair)
+            })
         } else {
             None
         };
     match (cached, computed) {
-        (Some(entry), Some((fresh, sc))) => {
+        (Some(entry), Some(fresh)) => {
             debug_assert!(
                 fresh.bits_eq(&entry),
                 "bound memo entry diverged from recomputation for {t}"
             );
-            if incremental {
-                (score_from_entry(&entry, eval, t, sig), true)
-            } else {
-                (sc, true)
-            }
+            (if incremental { entry } else { fresh }, true)
         }
-        (Some(entry), None) => (score_from_entry(&entry, eval, t, sig), true),
-        (None, Some((fresh, sc))) => {
+        (Some(entry), None) => (entry, true),
+        (None, Some(fresh)) => {
             if memoize {
                 memo.insert_keyed(sig, cfg_key, fresh);
             }
-            (sc, false)
+            (fresh, false)
         }
         (None, None) => unreachable!("missed entries are always computed"),
     }
+}
+
+/// The CBV table of a configuration one step away from `parent`'s: the
+/// incremental engine carries every entry the step cannot have changed
+/// (verified against a from-scratch computation under the bound
+/// oracle); the reference engine starts every configuration empty.
+#[allow(clippy::too_many_arguments)]
+fn child_view_costs(
+    db: &Database,
+    opt: &Optimizer<'_>,
+    options: &TunerOptions,
+    parent: &ViewBuildCosts,
+    child: &Configuration,
+    removed_indexes: &[Index],
+    removed_views: &[TableId],
+    added_indexes: &[Index],
+) -> ViewBuildCosts {
+    if !options.incremental {
+        return ViewBuildCosts::new();
+    }
+    let carried = parent.carried(child, removed_indexes, removed_views, added_indexes);
+    if options.validate_bounds {
+        carried.assert_matches_scratch(db, &opt.opts.cost, child);
+    }
+    carried
 }
 
 /// Run a tuning session (the paper's PTT).
@@ -673,10 +691,10 @@ fn options_signature(options: &TunerOptions, db: &Database, workload: &Workload)
 /// answers replayed questions for free), while the affected count is a
 /// pure function of the search trajectory. `real calls <= charged`
 /// always holds.
-fn affected_queries(prev: &EvalResult, applied: &AppliedTransform) -> u64 {
+fn affected_queries(prev: &EvalResult, delta: &TransformDelta) -> u64 {
     prev.per_query
         .iter()
-        .filter(|q| q.uses_any(&applied.removed_indexes, &applied.removed_views))
+        .filter(|q| q.uses_any(&delta.removed_indexes, &delta.removed_views))
         .count() as u64
 }
 
@@ -1147,7 +1165,6 @@ pub fn tune_session(
 
     // Line 3: the configuration pool.
     let mut rng = StdRng::seed_from_u64(options.seed);
-    let view_costs = ViewBuildCosts::new();
 
     // Pruning pre-pass (§3.5 "multiple transformations per iteration"):
     // greedily apply every *removal* whose cost upper bound does not
@@ -1164,9 +1181,13 @@ pub fn tune_session(
     // root's true cost lies in `[total - gap, total]`, so the root is
     // ranked by that interval's midpoint below.
     let mut prepass_served_gap = 0.0f64;
-    let (root_config, root_eval) = {
+    let (root_config, root_eval, root_sig, root_view_costs) = {
         let mut cfg = optimal_config;
         let mut eval = opt_eval;
+        // Hashed once per pre-pass configuration: the bound memo key of
+        // this step and, after the last step, the root node's.
+        let mut cfg_sig = cfg.signature128();
+        let mut view_costs = ViewBuildCosts::new();
         for _ in 0..cfg.structure_count() {
             if live && stop_check.is_stopped() {
                 // Stopped before the first iteration: the root stays
@@ -1193,10 +1214,10 @@ pub fn tune_session(
             // keeps the sequential tie-break (first strict minimum
             // wins) and accumulates memo hit/miss counts in input
             // order, so the pre-pass is identical for any thread count.
-            let cfg_key = memo.cfg_key(cfg.signature128());
+            let cfg_key = memo.cfg_key(cfg_sig);
             let pricing_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Pricing);
             let scored = par_map(threads, &removals, |_, (t, sig)| {
-                score_one_memo(
+                let (entry, hit) = memoized_bound(
                     db,
                     &opt,
                     workload,
@@ -1209,32 +1230,33 @@ pub fn tune_session(
                     &memo,
                     options.incremental,
                     budget.is_none(),
-                )
+                );
+                (score_from_entry(&entry, &eval), hit)
             });
             drop(pricing_hot);
             let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
-            let mut best_removal: Option<(f64, Transformation)> = None;
-            for (sc, hit) in scored {
+            // (ΔT, position in `removals`) of the running minimum.
+            let mut best_removal: Option<(f64, usize)> = None;
+            for (at, (score, hit)) in scored.into_iter().enumerate() {
                 if hit {
                     memo_hits += 1;
                 } else {
                     memo_misses += 1;
                 }
-                if let Some(c) = sc {
-                    if c.delta_t <= 1e-9
-                        && best_removal.as_ref().is_none_or(|(d, _)| c.delta_t < *d)
-                    {
-                        best_removal = Some((c.delta_t, c.transformation));
+                if let Some((delta_t, _)) = score {
+                    if delta_t <= 1e-9 && best_removal.is_none_or(|(d, _)| delta_t < d) {
+                        best_removal = Some((delta_t, at));
                     }
                 }
             }
             memo.record_traced(memo_hits, memo_misses, trc(live));
-            let Some((delta_t, transformation)) = best_removal else {
+            let Some((delta_t, at)) = best_removal else {
                 break;
             };
-            // Re-apply only the winner (the workers no longer carry
-            // every applied configuration back).
-            let Some(applied) = apply(&transformation, &cfg, db, &opt) else {
+            let transformation = &removals[at].0;
+            // Materialize only the winner: the workers priced deltas
+            // and built no configuration.
+            let Some(applied) = apply(transformation, &cfg, db, &opt) else {
                 break;
             };
             // Approximate tier: a pre-pass winner's §3.3.2 bound proved
@@ -1375,17 +1397,27 @@ pub fn tune_session(
                 // the *current* (cfg, eval), so the bound is fresh.
                 let bound = eval.total_cost + delta_t;
                 let actual = new_eval.total_cost;
-                oracle_check(&mut report, trc(live), 0, &transformation, bound, actual);
+                oracle_check(&mut report, trc(live), 0, transformation, bound, actual);
             }
+            view_costs = child_view_costs(
+                db,
+                &opt,
+                options,
+                &view_costs,
+                &applied.config,
+                &applied.removed_indexes,
+                &applied.removed_views,
+                &applied.added_indexes,
+            );
             cfg = applied.config;
+            cfg_sig = cfg.signature128();
             eval = new_eval;
         }
-        (cfg, eval)
+        (cfg, eval, cfg_sig, view_costs)
     };
     drop(prepass_span);
     let root_size = root_config.size_bytes(db);
 
-    let root_sig = root_config.signature128();
     // A bound-served pre-pass leaves the root's costs upper-bounded
     // rather than evaluated; rank it by its interval midpoint like any
     // other estimated node. (Its `best` entry below, if it fits, is a
@@ -1399,6 +1431,7 @@ pub fn tune_session(
         parent: None,
         last_relax_penalty: 0.0,
         sig: root_sig,
+        view_costs: root_view_costs,
         tried: HashSet::new(),
         cands: None,
         delta: None,
@@ -1450,6 +1483,7 @@ pub fn tune_session(
                 parent: None,
                 last_relax_penalty: 0.0,
                 sig: dep_sig,
+                view_costs: ViewBuildCosts::new(),
                 tried: HashSet::new(),
                 cands: None,
                 delta: None,
@@ -1627,7 +1661,7 @@ pub fn tune_session(
                     if let Some(&c) = inherited.get(sig) {
                         (Some(c.clone()), REUSED)
                     } else {
-                        let (sc, hit) = score_one_memo(
+                        let (entry, hit) = memoized_bound(
                             db,
                             &opt,
                             workload,
@@ -1636,11 +1670,18 @@ pub fn tune_session(
                             node_key,
                             t,
                             *sig,
-                            &view_costs,
+                            &node.view_costs,
                             &memo,
                             options.incremental,
                             budget.is_none(),
                         );
+                        let score = score_from_entry(&entry, &node.eval);
+                        let sc = score.map(|(delta_t, delta_s)| ScoredCandidate {
+                            delta_t,
+                            delta_s,
+                            sig: *sig,
+                            transformation: t.clone(),
+                        });
                         (sc, if hit { MEMO_HIT } else { MEMO_MISS })
                     }
                 });
@@ -1791,7 +1832,7 @@ pub fn tune_session(
                 &nodes[node_idx].eval,
                 &nodes[node_idx].config,
                 &applied,
-                &view_costs,
+                &nodes[node_idx].view_costs,
             );
             let new_size = applied.config.size_bytes(db);
             if gap <= GAP_TOL * nodes[node_idx].eval.total_cost {
@@ -1838,14 +1879,7 @@ pub fn tune_session(
                     cost: upper,
                     fits: fits(new_size),
                 });
-                let AppliedTransform {
-                    config,
-                    removed_indexes,
-                    removed_views,
-                    added_indexes,
-                    added_views,
-                    ..
-                } = applied;
+                let AppliedTransform { config, delta } = applied;
                 if fits(new_size) && report.best.as_ref().is_none_or(|b| upper < b.cost) {
                     pdt_trace::emit(
                         trc(live),
@@ -1863,6 +1897,16 @@ pub fn tune_session(
                     });
                 }
                 let child_sig = config.signature128();
+                let view_costs = child_view_costs(
+                    db,
+                    &opt,
+                    options,
+                    &nodes[node_idx].view_costs,
+                    &config,
+                    &delta.removed_indexes,
+                    &delta.removed_views,
+                    &delta.added_indexes,
+                );
                 nodes.push(Node {
                     config,
                     eval: est_eval,
@@ -1870,13 +1914,14 @@ pub fn tune_session(
                     parent: Some(node_idx),
                     last_relax_penalty: 0.0,
                     sig: child_sig,
+                    view_costs,
                     tried: HashSet::new(),
                     cands: None,
-                    delta: options.incremental.then_some(StepDelta {
-                        removed_indexes,
-                        removed_views,
-                        added_indexes,
-                        added_views,
+                    delta: options.incremental.then(|| StepDelta {
+                        added_views: delta.added_views(),
+                        removed_indexes: delta.removed_indexes,
+                        removed_views: delta.removed_views,
+                        added_indexes: delta.added_indexes,
                     }),
                     scored: None,
                     exhausted: false,
@@ -2009,96 +2054,22 @@ pub fn tune_session(
             // already priced against this exact (transformation,
             // configuration) context, so the rescore is a guaranteed
             // hit and the same context is never priced twice.
-            let cached = memo.lookup(chosen_sig, nodes[node_idx].sig);
-            let hit = cached.is_some();
-            let bound = match cached {
-                Some(entry) => {
-                    debug_assert!(
-                        entry.applies,
-                        "chosen transformation applied but the memo says inapplicable"
-                    );
-                    #[cfg(debug_assertions)]
-                    {
-                        let fresh = cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        );
-                        debug_assert_eq!(
-                            fresh.to_bits(),
-                            entry.bound.to_bits(),
-                            "memoized bound diverged from recomputation at rescore"
-                        );
-                    }
-                    if options.incremental {
-                        entry.bound
-                    } else {
-                        // The reference engine never depends on the
-                        // memo: recompute and use the fresh value.
-                        cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        )
-                    }
-                }
-                None => {
-                    let b = if options.incremental {
-                        let b = cost_upper_bound_restricted(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        );
-                        debug_assert_eq!(
-                            b.to_bits(),
-                            cost_upper_bound(
-                                db,
-                                &opt.opts.cost,
-                                workload,
-                                &nodes[node_idx].eval,
-                                &nodes[node_idx].config,
-                                &applied,
-                                &view_costs,
-                            )
-                            .to_bits(),
-                            "restricted bound diverged from the full bound at rescore"
-                        );
-                        b
-                    } else {
-                        cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        )
-                    };
-                    memo.insert(
-                        chosen_sig,
-                        nodes[node_idx].sig,
-                        BoundMemoEntry {
-                            applies: true,
-                            bound: b,
-                            delta_s: applied.delta_bytes,
-                        },
-                    );
-                    b
-                }
-            };
+            let node = &nodes[node_idx];
+            let (entry, hit) = memoized_bound(
+                db,
+                &opt,
+                workload,
+                &node.eval,
+                &node.config,
+                memo.cfg_key(node.sig),
+                &transformation,
+                chosen_sig,
+                &node.view_costs,
+                &memo,
+                options.incremental,
+                true,
+            );
+            let bound = entry.bound;
             memo.record_traced(u64::from(hit), u64::from(!hit), trc(live));
             oracle_check(
                 &mut report,
@@ -2125,14 +2096,16 @@ pub fn tune_session(
         // configuration; shrink removals below fold into it so the
         // child's delta describes the *net* structural change.
         let AppliedTransform {
-            config: applied_config,
+            mut config,
+            delta: step,
+        } = applied;
+        let step_added_vw = step.added_views();
+        let TransformDelta {
             removed_indexes: mut step_removed_ix,
             removed_views: step_removed_vw,
             added_indexes: mut step_added_ix,
-            added_views: step_added_vw,
             ..
-        } = applied;
-        let mut config = applied_config;
+        } = step;
         let mut eval = eval;
         if options.shrink_unused {
             let (unused_ix, _) = unused_structures(&config, &base, &eval);
@@ -2258,6 +2231,16 @@ pub fn tune_session(
             });
         }
         let child_sig = config.signature128();
+        let view_costs = child_view_costs(
+            db,
+            &opt,
+            options,
+            &nodes[node_idx].view_costs,
+            &config,
+            &step_removed_ix,
+            &step_removed_vw,
+            &step_added_ix,
+        );
         nodes.push(Node {
             config,
             eval,
@@ -2265,6 +2248,7 @@ pub fn tune_session(
             parent: Some(node_idx),
             last_relax_penalty: 0.0,
             sig: child_sig,
+            view_costs,
             tried: HashSet::new(),
             cands: None,
             delta: options.incremental.then_some(StepDelta {

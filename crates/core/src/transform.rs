@@ -2,10 +2,10 @@
 //!
 //! Each transformation replaces one or two structures with smaller,
 //! generally less efficient ones. `candidates` enumerates every
-//! applicable transformation of a configuration; `apply` produces the
-//! relaxed configuration together with the bookkeeping the cost-bound
-//! machinery needs (what was removed/added and, for view merges, the
-//! column remapping).
+//! applicable transformation of a configuration; `describe` produces
+//! the bookkeeping the cost-bound machinery needs (what is removed and
+//! added and, for view merges, the column remapping) and `apply`
+//! additionally builds the relaxed configuration.
 
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::Optimizer;
@@ -49,11 +49,12 @@ impl fmt::Display for Transformation {
     }
 }
 
-/// The result of applying a transformation.
+/// What a transformation changes, described against the configuration
+/// it relaxes — everything the §3.3 estimates need, so a candidate is
+/// priced from `(parent configuration, delta)` without building the
+/// relaxed configuration.
 #[derive(Debug, Clone)]
-pub struct AppliedTransform {
-    pub transformation: Transformation,
-    pub config: Configuration,
+pub struct TransformDelta {
     /// Indexes present before but not after (including cascades from
     /// view removal/merging).
     pub removed_indexes: Vec<Index>,
@@ -61,8 +62,8 @@ pub struct AppliedTransform {
     pub removed_views: Vec<TableId>,
     /// Indexes added by the transformation.
     pub added_indexes: Vec<Index>,
-    /// Views added (by id; view merges only).
-    pub added_views: Vec<TableId>,
+    /// The merged view (view merges only).
+    pub added_view: Option<MaterializedView>,
     /// Old-view-column -> merged-view-column map (view merges only).
     pub col_map: HashMap<ColumnId, ColumnId>,
     /// True if replacing a merged-away grouped view requires a
@@ -70,6 +71,85 @@ pub struct AppliedTransform {
     pub regroup_compensation: bool,
     /// Space freed in bytes (charged model): Σ removed − Σ added.
     pub delta_bytes: f64,
+}
+
+/// The result of applying a transformation: the relaxed configuration
+/// plus the [`TransformDelta`] that produced it, whose fields read
+/// through (`applied.removed_indexes`).
+#[derive(Debug, Clone)]
+pub struct AppliedTransform {
+    pub config: Configuration,
+    pub delta: TransformDelta,
+}
+
+impl std::ops::Deref for AppliedTransform {
+    type Target = TransformDelta;
+
+    fn deref(&self) -> &TransformDelta {
+        &self.delta
+    }
+}
+
+impl TransformDelta {
+    /// Views added (by id).
+    pub fn added_views(&self) -> Vec<TableId> {
+        self.added_view.iter().map(|v| v.id).collect()
+    }
+
+    /// The relaxed configuration's indexes on `table`, in configuration
+    /// order.
+    pub(crate) fn child_indexes_on<'a>(
+        &'a self,
+        parent: &'a Configuration,
+        table: TableId,
+    ) -> Vec<&'a Index> {
+        self.merge_added(
+            parent.indexes_on(table),
+            self.added_indexes.iter().filter(|a| a.table == table),
+        )
+    }
+
+    /// All of the relaxed configuration's indexes, in configuration
+    /// order.
+    pub(crate) fn child_indexes<'a>(&'a self, parent: &'a Configuration) -> Vec<&'a Index> {
+        self.merge_added(parent.indexes(), self.added_indexes.iter())
+    }
+
+    fn merge_added<'a>(
+        &'a self,
+        kept: impl Iterator<Item = &'a Index>,
+        added: impl Iterator<Item = &'a Index>,
+    ) -> Vec<&'a Index> {
+        let mut out: Vec<&Index> = kept.filter(|i| !self.removed_indexes.contains(i)).collect();
+        let sorted_len = out.len();
+        out.extend(added);
+        if out.len() > sorted_len {
+            out.sort();
+        }
+        out
+    }
+
+    /// Build the relaxed configuration this delta describes.
+    pub fn materialize(self, parent: &Configuration) -> AppliedTransform {
+        let mut config = parent.clone();
+        for i in &self.removed_indexes {
+            config.remove_index(i);
+        }
+        for v in &self.removed_views {
+            config.remove_view(*v);
+        }
+        if let Some(v) = &self.added_view {
+            config.add_view(v.clone());
+        }
+        for i in &self.added_indexes {
+            let added = config.add_index(i.clone());
+            debug_assert!(added, "described addition {i} was rejected");
+        }
+        AppliedTransform {
+            config,
+            delta: self,
+        }
+    }
 }
 
 /// Enumerate every §3.1 transformation applicable to `config`.
@@ -429,100 +509,115 @@ pub fn candidates_delta(
     out
 }
 
-/// Apply a transformation to `config`. Returns `None` when the
-/// transformation no longer applies (structures disappeared) or would
-/// be a no-op. The no-op guard compares the configurations
-/// structurally, which short-circuits on the first difference — `O(1)`
-/// for any transformation that changes the structure count.
+/// Apply a transformation to `config`: [`describe`] the change, then
+/// [`materialize`](TransformDelta::materialize) the relaxed
+/// configuration. Returns `None` when the transformation no longer
+/// applies (structures disappeared) or would be a no-op.
 pub fn apply(
     t: &Transformation,
     config: &Configuration,
     db: &Database,
     opt: &Optimizer<'_>,
 ) -> Option<AppliedTransform> {
+    describe(t, config, db, opt).map(|delta| delta.materialize(config))
+}
+
+/// Describe what applying `t` to `config` changes, without building the
+/// relaxed configuration — `O(what the transformation touches)`, which
+/// is all candidate pricing needs. Returns `None` when the
+/// transformation no longer applies or would be a no-op.
+pub fn describe(
+    t: &Transformation,
+    config: &Configuration,
+    db: &Database,
+    opt: &Optimizer<'_>,
+) -> Option<TransformDelta> {
     let model = SizeModel::default();
-    let mut new = config.clone();
-    let mut removed_indexes = Vec::new();
+    let mut removed_indexes: Vec<Index> = Vec::new();
     let mut removed_views = Vec::new();
-    let mut added_indexes = Vec::new();
-    let mut added_views = Vec::new();
+    let mut added_indexes: Vec<Index> = Vec::new();
+    let mut added_view = None;
     let mut col_map = HashMap::new();
     let mut regroup_compensation = false;
 
+    // `Configuration::add_index` on the relaxed configuration built so
+    // far: refuses duplicates and a second clustered index per table.
+    let add = |index: Index, removed: &[Index], added: &mut Vec<Index>| {
+        let in_child = |i: &Index| !removed.contains(i);
+        let duplicate =
+            (config.contains_index(&index) && in_child(&index)) || added.contains(&index);
+        let second_clustered = index.clustered
+            && config
+                .indexes_on(index.table)
+                .filter(|i| in_child(i))
+                .chain(added.iter())
+                .any(|i| i.clustered && i.table == index.table && *i != index);
+        if !duplicate && !second_clustered {
+            added.push(index);
+        }
+    };
+
     match t {
         Transformation::MergeIndexes { i1, i2 } => {
-            if !new.contains_index(i1) || !new.contains_index(i2) {
+            if !config.contains_index(i1) || !config.contains_index(i2) {
                 return None;
             }
             let merged = i1.merge(i2)?;
-            new.remove_index(i1);
-            new.remove_index(i2);
-            removed_indexes.push(i1.clone());
-            removed_indexes.push(i2.clone());
-            if new.add_index(merged.clone()) {
-                added_indexes.push(merged);
-            }
+            removed_indexes.extend([i1.clone(), i2.clone()]);
+            add(merged, &removed_indexes, &mut added_indexes);
         }
         Transformation::SplitIndexes { i1, i2 } => {
-            if !new.contains_index(i1) || !new.contains_index(i2) {
+            if !config.contains_index(i1) || !config.contains_index(i2) {
                 return None;
             }
             let split = i1.split(i2)?;
-            new.remove_index(i1);
-            new.remove_index(i2);
-            removed_indexes.push(i1.clone());
-            removed_indexes.push(i2.clone());
+            removed_indexes.extend([i1.clone(), i2.clone()]);
             for idx in std::iter::once(split.common)
                 .chain(split.residual1)
                 .chain(split.residual2)
             {
-                if new.add_index(idx.clone()) {
-                    added_indexes.push(idx);
-                }
+                add(idx, &removed_indexes, &mut added_indexes);
             }
         }
         Transformation::PrefixIndex { index, len } => {
-            if !new.contains_index(index) {
+            if !config.contains_index(index) {
                 return None;
             }
             let p = index.prefix(*len)?;
-            new.remove_index(index);
             removed_indexes.push(index.clone());
-            if new.add_index(p.clone()) {
-                added_indexes.push(p);
-            }
+            add(p, &removed_indexes, &mut added_indexes);
         }
         Transformation::PromoteToClustered { index } => {
-            if !new.contains_index(index) || new.clustered_index_on(index.table).is_some() {
+            if !config.contains_index(index) || config.clustered_index_on(index.table).is_some() {
                 return None;
             }
-            let c = index.promoted_to_clustered();
-            new.remove_index(index);
             removed_indexes.push(index.clone());
-            if new.add_index(c.clone()) {
-                added_indexes.push(c);
-            }
+            add(
+                index.promoted_to_clustered(),
+                &removed_indexes,
+                &mut added_indexes,
+            );
         }
         Transformation::RemoveIndex { index } => {
-            if !new.remove_index(index) {
+            if !config.contains_index(index) {
                 return None;
             }
             removed_indexes.push(index.clone());
         }
         Transformation::MergeViews { v1, v2 } => {
-            let view1 = new.view(*v1)?.clone();
-            let view2 = new.view(*v2)?.clone();
+            let view1 = config.view(*v1)?;
+            let view2 = config.view(*v2)?;
             let merged_def = merge_views(&view1.def, &view2.def)?;
             // Re-merging into an existing definition is a no-op guard.
             if merged_def == view1.def || merged_def == view2.def {
                 return None;
             }
-            let rows = opt.estimate_view_rows(&new, &merged_def);
-            let merged_id = new.allocate_view_id();
+            let rows = opt.estimate_view_rows(config, &merged_def);
+            let merged_id = config.allocate_view_id();
             let merged = MaterializedView::create(merged_id, merged_def, rows, db);
 
             // Column maps from each source view into the merged view.
-            for src in [&view1, &view2] {
+            for src in [view1, view2] {
                 let eq = src.def.equivalences();
                 for (ord, vc) in src.columns.iter().enumerate() {
                     let from = ColumnId::new(src.id, ord as u16);
@@ -596,39 +691,36 @@ pub fn apply(
                     promoted.push(mapped);
                 }
             }
-            new.remove_view(*v1);
-            new.remove_view(*v2);
-            removed_views.push(*v1);
-            removed_views.push(*v2);
-            new.add_view(merged);
-            added_views.push(merged_id);
+            removed_views.extend([*v1, *v2]);
+            added_view = Some(merged);
             if !have_clustered {
                 promoted.push(Index::clustered(merged_id, [ColumnId::new(merged_id, 0)]));
             }
             for idx in promoted {
-                if new.add_index(idx.clone()) {
-                    added_indexes.push(idx);
-                }
+                add(idx, &removed_indexes, &mut added_indexes);
             }
         }
         Transformation::RemoveView { view } => {
-            new.view(*view)?;
-            for idx in config.indexes_on(*view) {
-                removed_indexes.push(idx.clone());
-            }
-            new.remove_view(*view);
+            config.view(*view)?;
+            removed_indexes.extend(config.indexes_on(*view).cloned());
             removed_views.push(*view);
         }
     }
 
-    if new == *config {
+    // No-op guard: the relaxed configuration equals `config` exactly
+    // when every removed index comes back (an addition is never already
+    // present, so the two lists are then equal as sets).
+    if removed_views.is_empty()
+        && added_indexes.len() == removed_indexes.len()
+        && added_indexes.iter().all(|a| removed_indexes.contains(a))
+    {
         return None;
     }
 
     // Charged space delta: removed sized under the old schema, added
     // under the new one (view row counts can differ).
     let old_schema = PhysicalSchema::new(db, config);
-    let new_schema = PhysicalSchema::new(db, &new);
+    let new_schema = old_schema.relaxed(&removed_views, added_view.as_ref());
     let removed_bytes: f64 = removed_indexes
         .iter()
         .map(|i| model.index_bytes_charged(&old_schema, i))
@@ -638,13 +730,11 @@ pub fn apply(
         .map(|i| model.index_bytes_charged(&new_schema, i))
         .sum();
 
-    Some(AppliedTransform {
-        transformation: t.clone(),
-        config: new,
+    Some(TransformDelta {
         removed_indexes,
         removed_views,
         added_indexes,
-        added_views,
+        added_view,
         col_map,
         regroup_compensation,
         delta_bytes: removed_bytes - added_bytes,
@@ -874,7 +964,7 @@ mod tests {
             removed_indexes: applied.removed_indexes.clone(),
             removed_views: applied.removed_views.clone(),
             added_indexes: applied.added_indexes.clone(),
-            added_views: applied.added_views.clone(),
+            added_views: applied.added_views(),
         }
     }
 

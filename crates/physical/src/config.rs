@@ -6,6 +6,7 @@ use crate::size::SizeModel;
 use crate::view::{MaterializedView, SpjgExpr};
 use pdt_catalog::{ColumnId, ColumnStats, Database, TableId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 
 /// A physical configuration: the set of available physical structures.
@@ -14,29 +15,51 @@ use std::sync::Arc;
 /// clustered index has been implemented": a view in a configuration is
 /// only *usable* once it has at least a clustered index; its size is
 /// the sum of the sizes of its indexes.
-#[derive(Debug, Clone, Default)]
+///
+/// Structures are shared, not owned: the relaxation search clones a
+/// configuration per step it takes and pools every one, and a clone is
+/// one allocation per collection plus a reference-count bump per
+/// structure.
+#[derive(Clone, Default)]
 pub struct Configuration {
-    indexes: BTreeSet<Index>,
-    // Arc makes configuration clones cheap during the relaxation
-    // search, which clones candidate configurations in bulk.
-    views: BTreeMap<TableId, Arc<MaterializedView>>,
+    /// Sorted by `Index`'s `Ord` (table first), without duplicates: the
+    /// iteration order of a `BTreeSet<Index>`, and one table's indexes
+    /// are a contiguous range.
+    indexes: Vec<Arc<Index>>,
+    views: BTreeMap<TableId, Arc<ViewEntry>>,
 }
 
-/// Structural equality, used by the no-op guard on the apply hot path
-/// (`pdt_tuner::transform::apply`): short-circuits
-/// on set/map length first, and compares views by `Arc` pointer before
-/// falling back to contents — a relaxed configuration shares its
-/// unchanged views' allocations with its parent, so the common case is
-/// one pointer comparison per view.
-impl PartialEq for Configuration {
-    fn eq(&self, other: &Self) -> bool {
-        self.indexes == other.indexes
-            && self.views.len() == other.views.len()
-            && self
-                .views
-                .iter()
-                .zip(&other.views)
-                .all(|((ka, va), (kb, vb))| ka == kb && (Arc::ptr_eq(va, vb) || va == vb))
+/// A registered view with the `Debug` rendering of its definition, which
+/// every content signature hashes: rendered once here instead of once
+/// per signature call.
+struct ViewEntry {
+    view: MaterializedView,
+    def_text: String,
+}
+
+/// Written by hand so the output is that of the derived impl over
+/// `{ indexes: BTreeSet<Index>, views: BTreeMap<TableId, MaterializedView> }`
+/// (the report snapshots render configurations through it).
+impl fmt::Debug for Configuration {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Indexes<'a>(&'a [Arc<Index>]);
+        impl fmt::Debug for Indexes<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        struct Views<'a>(&'a BTreeMap<TableId, Arc<ViewEntry>>);
+        impl fmt::Debug for Views<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(id, e)| (id, &e.view)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Configuration")
+            .field("indexes", &Indexes(&self.indexes))
+            .field("views", &Views(&self.views))
+            .finish()
     }
 }
 
@@ -73,32 +96,55 @@ impl Configuration {
     pub fn add_index(&mut self, index: Index) -> bool {
         if index.clustered
             && self
-                .indexes
-                .iter()
-                .any(|i| i.clustered && i.table == index.table && *i != index)
+                .indexes_on(index.table)
+                .any(|i| i.clustered && *i != index)
         {
             return false;
         }
-        self.indexes.insert(index)
+        match self.position(&index) {
+            Ok(_) => false,
+            Err(at) => {
+                self.indexes.insert(at, Arc::new(index));
+                true
+            }
+        }
     }
 
     /// Remove an index; returns true if present.
     pub fn remove_index(&mut self, index: &Index) -> bool {
-        self.indexes.remove(index)
+        match self.position(index) {
+            Ok(at) => {
+                self.indexes.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     pub fn contains_index(&self, index: &Index) -> bool {
-        self.indexes.contains(index)
+        self.position(index).is_ok()
+    }
+
+    fn position(&self, index: &Index) -> Result<usize, usize> {
+        self.indexes.binary_search_by(|i| (**i).cmp(index))
     }
 
     /// All indexes.
     pub fn indexes(&self) -> impl Iterator<Item = &Index> {
-        self.indexes.iter()
+        self.indexes.iter().map(Arc::as_ref)
     }
 
     /// Indexes over one table (or view).
     pub fn indexes_on(&self, table: TableId) -> impl Iterator<Item = &Index> {
-        self.indexes.iter().filter(move |i| i.table == table)
+        self.indexes[self.table_range(table)]
+            .iter()
+            .map(Arc::as_ref)
+    }
+
+    fn table_range(&self, table: TableId) -> std::ops::Range<usize> {
+        let start = self.indexes.partition_point(|i| i.table < table);
+        let len = self.indexes[start..].partition_point(|i| i.table == table);
+        start..start + len
     }
 
     /// The clustered index on `table`, if any.
@@ -128,7 +174,10 @@ impl Configuration {
     /// Register a materialized view. Panics on id collision (ids come
     /// from [`Configuration::allocate_view_id`]).
     pub fn add_view(&mut self, view: MaterializedView) {
-        let prev = self.views.insert(view.id, Arc::new(view));
+        let def_text = format!("{:?}", view.def);
+        let prev = self
+            .views
+            .insert(view.id, Arc::new(ViewEntry { view, def_text }));
         assert!(prev.is_none(), "view id already in use");
     }
 
@@ -138,16 +187,16 @@ impl Configuration {
         if self.views.remove(&id).is_none() {
             return false;
         }
-        self.indexes.retain(|i| i.table != id);
+        self.indexes.drain(self.table_range(id));
         true
     }
 
     pub fn view(&self, id: TableId) -> Option<&MaterializedView> {
-        self.views.get(&id).map(Arc::as_ref)
+        self.views.get(&id).map(|e| &e.view)
     }
 
     pub fn views(&self) -> impl Iterator<Item = &MaterializedView> {
-        self.views.values().map(Arc::as_ref)
+        self.views.values().map(|e| &e.view)
     }
 
     pub fn view_count(&self) -> usize {
@@ -156,14 +205,12 @@ impl Configuration {
 
     /// Find a view with a structurally identical definition.
     pub fn find_view_by_def(&self, def: &SpjgExpr) -> Option<&MaterializedView> {
-        self.views.values().map(Arc::as_ref).find(|v| v.def == *def)
+        self.views().find(|v| v.def == *def)
     }
 
     /// Views that are usable by the optimizer (have a clustered index).
     pub fn usable_views(&self) -> impl Iterator<Item = &MaterializedView> {
-        self.views
-            .values()
-            .map(Arc::as_ref)
+        self.views()
             .filter(|v| self.clustered_index_on(v.id).is_some())
     }
 
@@ -177,7 +224,7 @@ impl Configuration {
     pub fn union(&self, other: &Configuration) -> Configuration {
         let mut out = self.clone();
         let mut remap: BTreeMap<TableId, TableId> = BTreeMap::new();
-        for v in other.views.values() {
+        for v in other.views() {
             if let Some(existing) = out.find_view_by_def(&v.def) {
                 if existing.id != v.id {
                     remap.insert(v.id, existing.id);
@@ -195,7 +242,7 @@ impl Configuration {
                 }
             }
         }
-        for i in other.indexes.iter() {
+        for i in other.indexes() {
             let mut idx = i.clone();
             if let Some(new_id) = remap.get(&i.table) {
                 idx = remap_index(&idx, *new_id);
@@ -211,8 +258,7 @@ impl Configuration {
     pub fn size_bytes(&self, db: &Database) -> f64 {
         let model = SizeModel::default();
         let schema = PhysicalSchema::new(db, self);
-        self.indexes
-            .iter()
+        self.indexes()
             .map(|i| model.index_bytes_charged(&schema, i))
             .sum()
     }
@@ -233,7 +279,7 @@ impl Configuration {
         }
         for (id, v) in &self.views {
             id.hash(&mut h);
-            format!("{:?}", v.def).hash(&mut h);
+            v.def_text.hash(&mut h);
         }
         h.finish()
     }
@@ -250,7 +296,7 @@ impl Configuration {
         }
         for (id, v) in &self.views {
             h.hash(id);
-            h.hash(&format!("{:?}", v.def));
+            h.hash(&v.def_text);
         }
         h.finish()
     }
@@ -261,13 +307,12 @@ impl Configuration {
     /// match, per [`MaterializedView::try_match`]), and the indexes on
     /// those views. Two configurations with equal projected signatures
     /// yield identical plans for the query, so this is the coarse cache
-    /// key for memoized what-if optimizer calls. 128-bit variant of
-    /// [`Configuration::signature_for_tables`].
+    /// key for memoized what-if optimizer calls.
     pub fn signature_for_tables128(&self, tables: &BTreeSet<TableId>) -> u128 {
         let visible_view = |id: TableId| {
             self.views
                 .get(&id)
-                .is_some_and(|v| v.def.tables.is_subset(tables))
+                .is_some_and(|v| v.view.def.tables.is_subset(tables))
         };
         let mut h = Tagged128::new();
         for i in &self.indexes {
@@ -276,39 +321,9 @@ impl Configuration {
             }
         }
         for (id, v) in &self.views {
-            if v.def.tables.is_subset(tables) {
+            if v.view.def.tables.is_subset(tables) {
                 h.hash(id);
-                h.hash(&format!("{:?}", v.def));
-            }
-        }
-        h.finish()
-    }
-
-    /// Signature of the configuration *as seen by a query over
-    /// `tables`*: the indexes on those tables, the views whose
-    /// definitions join a subset of them (the only views that can
-    /// match, per [`MaterializedView::try_match`]), and the indexes on
-    /// those views. Two configurations with equal projected signatures
-    /// yield identical plans for the query, so this is the cache key
-    /// for memoized what-if optimizer calls.
-    pub fn signature_for_tables(&self, tables: &BTreeSet<TableId>) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let visible_view = |id: TableId| {
-            self.views
-                .get(&id)
-                .is_some_and(|v| v.def.tables.is_subset(tables))
-        };
-        let mut h = DefaultHasher::new();
-        for i in &self.indexes {
-            if tables.contains(&i.table) || (i.table.is_view() && visible_view(i.table)) {
-                i.hash(&mut h);
-            }
-        }
-        for (id, v) in &self.views {
-            if v.def.tables.is_subset(tables) {
-                id.hash(&mut h);
-                format!("{:?}", v.def).hash(&mut h);
+                h.hash(&v.def_text);
             }
         }
         h.finish()
@@ -390,17 +405,53 @@ fn remap_index(index: &Index, new_table: TableId) -> Index {
 pub struct PhysicalSchema<'a> {
     pub db: &'a Database,
     pub config: &'a Configuration,
+    /// Views of `config` this schema does not resolve, and one view
+    /// beyond `config`'s that it does; see [`PhysicalSchema::relaxed`].
+    hidden_views: &'a [TableId],
+    extra_view: Option<&'a MaterializedView>,
 }
 
 impl<'a> PhysicalSchema<'a> {
     pub fn new(db: &'a Database, config: &'a Configuration) -> PhysicalSchema<'a> {
-        PhysicalSchema { db, config }
+        PhysicalSchema {
+            db,
+            config,
+            hidden_views: &[],
+            extra_view: None,
+        }
+    }
+
+    /// The view side of the schema of a configuration one relaxation
+    /// step away from `config`, without building that configuration:
+    /// `removed` views stop resolving as tables and `added` starts to.
+    /// Sizes and costs structures of the relaxed configuration;
+    /// `config`'s *indexes* are not relaxed, so callers enumerate the
+    /// relaxed index set themselves.
+    pub fn relaxed(
+        self,
+        removed: &'a [TableId],
+        added: Option<&'a MaterializedView>,
+    ) -> PhysicalSchema<'a> {
+        PhysicalSchema {
+            hidden_views: removed,
+            extra_view: added,
+            ..self
+        }
+    }
+
+    /// The view registered under `id`, if this schema resolves it.
+    pub fn view(&self, id: TableId) -> Option<&'a MaterializedView> {
+        match self.extra_view {
+            Some(v) if v.id == id => Some(v),
+            _ if self.hidden_views.contains(&id) => None,
+            _ => self.config.view(id),
+        }
     }
 
     /// Row count of a base table or view.
     pub fn rows(&self, table: TableId) -> f64 {
         if table.is_view() {
-            self.config.view(table).map(|v| v.rows).unwrap_or(1.0)
+            self.view(table).map(|v| v.rows).unwrap_or(1.0)
         } else {
             self.db.table(table).rows
         }
@@ -409,10 +460,7 @@ impl<'a> PhysicalSchema<'a> {
     /// Full row width of a base table or view.
     pub fn row_width(&self, table: TableId) -> f64 {
         if table.is_view() {
-            self.config
-                .view(table)
-                .map(|v| v.row_width())
-                .unwrap_or(8.0)
+            self.view(table).map(|v| v.row_width()).unwrap_or(8.0)
         } else {
             self.db.table(table).row_width()
         }
@@ -421,8 +469,7 @@ impl<'a> PhysicalSchema<'a> {
     /// Average width of a column (base or view).
     pub fn column_width(&self, col: ColumnId) -> f64 {
         if col.table.is_view() {
-            self.config
-                .view(col.table)
+            self.view(col.table)
                 .and_then(|v| v.columns.get(col.ordinal as usize))
                 .map(|c| c.width)
                 .unwrap_or(8.0)
@@ -435,8 +482,7 @@ impl<'a> PhysicalSchema<'a> {
     /// unknown view columns.
     pub fn column_stats(&self, col: ColumnId) -> Option<&ColumnStats> {
         if col.table.is_view() {
-            self.config
-                .view(col.table)?
+            self.view(col.table)?
                 .columns
                 .get(col.ordinal as usize)
                 .map(|c| &c.stats)
@@ -449,7 +495,6 @@ impl<'a> PhysicalSchema<'a> {
     pub fn column_name(&self, col: ColumnId) -> String {
         if col.table.is_view() {
             match self
-                .config
                 .view(col.table)
                 .and_then(|v| v.columns.get(col.ordinal as usize))
             {
@@ -464,7 +509,7 @@ impl<'a> PhysicalSchema<'a> {
     /// All column ids of a base table or view.
     pub fn all_columns(&self, table: TableId) -> Vec<ColumnId> {
         if table.is_view() {
-            match self.config.view(table) {
+            match self.view(table) {
                 Some(v) => (0..v.columns.len() as u16)
                     .map(|i| ColumnId::new(table, i))
                     .collect(),
@@ -591,22 +636,22 @@ mod tests {
         with_s_index.add_index(Index::new(s, [ColumnId::new(s, 0)], []));
         // An index on `s` is invisible to queries over `r` alone...
         assert_eq!(
-            base.signature_for_tables(&r_only),
-            with_s_index.signature_for_tables(&r_only)
+            base.signature_for_tables128(&r_only),
+            with_s_index.signature_for_tables128(&r_only)
         );
         // ...but visible to queries joining both tables.
         let both: BTreeSet<TableId> = [r, s].into();
         assert_ne!(
-            base.signature_for_tables(&both),
-            with_s_index.signature_for_tables(&both)
+            base.signature_for_tables128(&both),
+            with_s_index.signature_for_tables128(&both)
         );
 
         // An index on `r` changes `r`'s projection.
         let mut with_r_index = base.clone();
         with_r_index.add_index(Index::new(r, [rcol(&db, "b")], []));
         assert_ne!(
-            base.signature_for_tables(&r_only),
-            with_r_index.signature_for_tables(&r_only)
+            base.signature_for_tables128(&r_only),
+            with_r_index.signature_for_tables128(&r_only)
         );
 
         // A view over `r` (and its index) is part of `r`'s projection.
@@ -620,14 +665,14 @@ mod tests {
         with_view.add_view(MaterializedView::create(vid, def, 1000.0, &db));
         with_view.add_index(Index::clustered(vid, [ColumnId::new(vid, 0)]));
         assert_ne!(
-            base.signature_for_tables(&r_only),
-            with_view.signature_for_tables(&r_only)
+            base.signature_for_tables128(&r_only),
+            with_view.signature_for_tables128(&r_only)
         );
         // But invisible to queries over `s` alone.
         let s_only: BTreeSet<TableId> = [s].into();
         assert_eq!(
-            base.signature_for_tables(&s_only),
-            with_view.signature_for_tables(&s_only)
+            base.signature_for_tables128(&s_only),
+            with_view.signature_for_tables128(&s_only)
         );
     }
 
