@@ -10,15 +10,21 @@
 //! loss of incrementality (or a behavior change dressed up as one)
 //! fails loudly instead of silently costing performance.
 //!
-//! Three golden digests pin the bytes themselves: the TPC-H session's
-//! JSONL trace, the 200 incremental-mode traces of the sweep, and two
-//! wide view-bearing star sessions (the only ones that reach the
-//! `RemoveView`/CBV pricing path), so an engine refactor is correct iff
-//! these constants do not move.
+//! Four golden digests pin the bytes themselves: the TPC-H session's
+//! JSONL trace, the 200 incremental-mode traces of the sweep, two wide
+//! view-bearing star sessions (the only ones that reach the
+//! `RemoveView`/CBV pricing path), and a list of sessions that walk the
+//! resilience and ablation branches the first three never enter (call
+//! budget, warm start, shrinking, contained faults, the ablation
+//! choices, the early exit, an expired deadline), so an engine refactor
+//! is correct iff these constants do not move.
 
 use pdtune::physical::Configuration;
 use pdtune::trace::Tracer;
-use pdtune::tuner::{tune_traced, TunerOptions, TuningReport, Workload};
+use pdtune::tuner::{
+    tune_traced, ConfigChoice, FaultKind, FaultPlan, StopReason, TransformationChoice,
+    TunerOptions, TuningReport, Workload,
+};
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::star::{star_database, star_workload, StarParams};
 use pdtune::workloads::{tpch, updates};
@@ -298,6 +304,277 @@ fn star_views_golden_digest() {
     );
 }
 
+/// One traced session over the TPC-H update mix the resume and fault
+/// suites use (24 MB budget, 40 iterations unless `opts` says otherwise).
+fn modes_session(opts: TunerOptions) -> (TuningReport, String) {
+    let db = tpch::tpch_database(0.01);
+    let spec = updates::with_updates(&db, &tpch::tpch_workload_variant(7, 6), 0.5, 7);
+    let w = Workload::bind(&db, &spec.statements).unwrap();
+    let tracer = Tracer::new();
+    let report = tune_traced(&db, &w, &opts, Some(&tracer));
+    (report, tracer.to_jsonl())
+}
+
+fn modes_options() -> TunerOptions {
+    TunerOptions {
+        space_budget: Some(24.0 * 1024.0 * 1024.0),
+        max_iterations: 40,
+        ..TunerOptions::default()
+    }
+}
+
+/// Keep the default panic hook from spraying "thread panicked" noise
+/// for the panics the fault plans below inject on purpose.
+fn quiet_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .is_some_and(|s| s.starts_with("injected fault:"));
+            if !injected {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// The branches of `tune_session` no other digest enters. Every session
+/// asserts that it really reaches the branch it is listed for, so the
+/// digest cannot go vacuous when a workload generator changes.
+#[test]
+fn session_modes_golden_digest() {
+    quiet_injected_panics();
+    let mut digest = FNV_OFFSET;
+    let mut fold = |label: &str, report: &TuningReport, trace: &str| {
+        digest = fnv1a(digest, label.as_bytes());
+        digest = fnv1a(digest, trace.as_bytes());
+        digest = fnv1a(digest, fingerprint(report).as_bytes());
+    };
+
+    // Approximate tier. The TPC-H mix serves its whole pre-pass and
+    // serves, spends and exhausts in the loop; the generated schema's
+    // wider bound gaps make pre-pass removals decision-relevant, so its
+    // budgets reach the pre-pass spend and the pre-pass exhaustion.
+    let mut budget_traces = String::new();
+    for (calls, validate_bounds) in [(0usize, false), (12, false), (12, true)] {
+        let (r, t) = modes_session(TunerOptions {
+            optimizer_call_budget: Some(calls),
+            validate_bounds,
+            ..modes_options()
+        });
+        assert!(r.budget_remaining.is_some_and(|left| left <= calls as u64));
+        fold(
+            &format!("call-budget-tpch-{calls}-{validate_bounds}"),
+            &r,
+            &t,
+        );
+        budget_traces.push_str(&t);
+    }
+    let mut bench_spent = 0;
+    for calls in [0usize, 3, 40] {
+        let (r, t) = bench_modes_session(
+            4,
+            TunerOptions {
+                optimizer_call_budget: Some(calls),
+                ..bench_modes_options()
+            },
+        );
+        bench_spent += calls as u64 - r.budget_remaining.expect("budgeted tier");
+        fold(&format!("call-budget-bench-{calls}"), &r, &t);
+        budget_traces.push_str(&t);
+    }
+    assert!(bench_spent > 0, "no budgeted session spent a real call");
+    for needle in [
+        r#""kind":"budget.skip","phase":"prepass""#,
+        r#""kind":"budget.skip","phase":"search""#,
+        r#""kind":"budget.exhausted","phase":"prepass""#,
+        r#""kind":"budget.exhausted","phase":"search""#,
+        r#""kind":"prepass.remove""#,
+        r#""kind":"budget.validate.end""#,
+    ] {
+        assert!(
+            budget_traces.contains(needle),
+            "no budgeted session emitted {needle}"
+        );
+    }
+
+    // Warm start: a useful deployed configuration (an earlier
+    // recommendation under a tighter budget) joins the pool; a stale one
+    // (the update mix prices the §2 optimal configuration worse than the
+    // base) is the safety floor only.
+    let (tight, _) = modes_session(TunerOptions {
+        space_budget: Some(16.0 * 1024.0 * 1024.0),
+        ..modes_options()
+    });
+    let useful = tight
+        .best
+        .as_ref()
+        .expect("tight session recommends")
+        .config
+        .clone();
+    assert!(tight.best.as_ref().unwrap().cost < tight.initial_cost);
+    assert!(
+        tight.optimal_cost > tight.initial_cost,
+        "optimal is not stale"
+    );
+    for (label, deployed) in [
+        ("deployed-useful", useful),
+        ("deployed-stale", tight.optimal_config.clone()),
+    ] {
+        let (r, t) = modes_session(TunerOptions {
+            deployed: Some(deployed),
+            ..modes_options()
+        });
+        assert!(t.contains(r#""kind":"warm.deployed""#));
+        fold(label, &r, &t);
+    }
+
+    // §3.5 shrinking: the two workload seeds where a step leaves
+    // indexes unused.
+    for workload_seed in [0u64, 9] {
+        let (_, plain_trace) = bench_modes_session(workload_seed, bench_modes_options());
+        let (r, t) = bench_modes_session(
+            workload_seed,
+            TunerOptions {
+                shrink_unused: true,
+                ..bench_modes_options()
+            },
+        );
+        assert!(
+            plain_trace != t,
+            "seed {workload_seed}: shrinking never fired"
+        );
+        fold(&format!("shrink-{workload_seed}"), &r, &t);
+    }
+
+    // Contained faults: both kinds, a pre-pass fault (iteration 0), a
+    // fault plan on top of shrinking, and a fault-limit stop.
+    let mut faults = Vec::new();
+    for (seed, rate, max_faults) in [(5u64, 0.6, usize::MAX), (3, 1.0, 2)] {
+        let (r, t) = modes_session(TunerOptions {
+            max_iterations: 20,
+            fault_plan: Some(FaultPlan { seed, rate }),
+            max_faults,
+            ..modes_options()
+        });
+        if max_faults == 2 {
+            assert_eq!(r.stop_reason, StopReason::FaultLimit);
+        }
+        faults.extend(r.faults.iter().cloned());
+        fold(&format!("faults-tpch-{seed}"), &r, &t);
+    }
+    let (r, t) = bench_modes_session(
+        0,
+        TunerOptions {
+            shrink_unused: true,
+            fault_plan: Some(FaultPlan { seed: 1, rate: 0.6 }),
+            max_faults: usize::MAX,
+            ..bench_modes_options()
+        },
+    );
+    faults.extend(r.faults.iter().cloned());
+    fold("faults-bench-shrink", &r, &t);
+    assert!(faults.iter().any(|f| f.kind == FaultKind::EvalPanic));
+    assert!(faults.iter().any(|f| f.kind == FaultKind::CachePoison));
+    assert!(
+        faults.iter().any(|f| f.iteration == 0),
+        "no pre-pass fault was contained"
+    );
+
+    // Ablation choices.
+    for (label, config_choice, transformation_choice) in [
+        (
+            "random",
+            ConfigChoice::PaperHeuristic,
+            TransformationChoice::Random,
+        ),
+        (
+            "min-cost-increase",
+            ConfigChoice::PaperHeuristic,
+            TransformationChoice::MinCostIncrease,
+        ),
+        (
+            "min-cost",
+            ConfigChoice::MinCost,
+            TransformationChoice::Penalty,
+        ),
+    ] {
+        let (r, t) = modes_session(TunerOptions {
+            config_choice,
+            transformation_choice,
+            seed: 42,
+            ..modes_options()
+        });
+        assert!(r.iterations > 0);
+        fold(label, &r, &t);
+    }
+
+    // An expired deadline: setup completes, the loop never runs.
+    let (r, t) = modes_session(TunerOptions {
+        deadline_ms: Some(0),
+        ..modes_options()
+    });
+    assert_eq!(r.stop_reason, StopReason::Deadline);
+    assert_eq!(r.iterations, 0);
+    fold("deadline-0", &r, &t);
+
+    // The unconstrained SELECT-only early exit, with a call budget so the
+    // untouched ledger is reported.
+    let (r, t) = tpch_early_exit();
+    assert_eq!(r.stop_reason, StopReason::Converged);
+    assert_eq!(r.budget_remaining, Some(5));
+    assert!(r.frontier.len() == 1 && r.iterations == 0);
+    fold("early-exit", &r, &t);
+
+    assert_eq!(
+        digest, GOLDEN_MODES_DIGEST,
+        "the session-mode traces or reports moved: {digest:#018x}"
+    );
+}
+
+/// One traced session over the default generated schema with a write
+/// mix (8 MB budget, 40 iterations unless `opts` says otherwise). Its
+/// pre-pass removals carry bound gaps above `GAP_TOL`, and workload
+/// seeds 0 and 9 leave indexes unused after a step, so §3.5 shrinking
+/// fires.
+fn bench_modes_session(workload_seed: u64, opts: TunerOptions) -> (TuningReport, String) {
+    let db = bench_database(&BenchParams::default());
+    let spec = bench_workload(&db, workload_seed, 8);
+    let spec = updates::with_updates(&db, &spec, 0.3, workload_seed);
+    let w = Workload::bind(&db, &spec.statements).unwrap();
+    let tracer = Tracer::new();
+    let report = tune_traced(&db, &w, &opts, Some(&tracer));
+    (report, tracer.to_jsonl())
+}
+
+fn bench_modes_options() -> TunerOptions {
+    TunerOptions {
+        space_budget: Some(8e6),
+        max_iterations: 40,
+        ..TunerOptions::default()
+    }
+}
+
+fn tpch_early_exit() -> (TuningReport, String) {
+    let db = tpch::tpch_database(0.01);
+    let spec = tpch::tpch_workload_variant(5, 6);
+    let w = Workload::bind(&db, &spec.statements).unwrap();
+    let tracer = Tracer::new();
+    let report = tune_traced(
+        &db,
+        &w,
+        &TunerOptions {
+            optimizer_call_budget: Some(5),
+            ..TunerOptions::default()
+        },
+        Some(&tracer),
+    );
+    (report, tracer.to_jsonl())
+}
+
 // 20 -> 18 when the what-if cache moved to relevant-subset keys
 // (derived costing): two re-evaluations in this session probe with an
 // unchanged relevant subset and are now logical cache hits.
@@ -317,3 +594,8 @@ const GOLDEN_SWEEP_DIGEST: u64 = 0x46D4_BBCA_4006_BE84;
 // carried); debug and release builds agree.
 const STAR_SEEDS: (u64, u64) = (3, 8);
 const GOLDEN_STAR_DIGEST: u64 = 0x1B53_949A_06ED_3E77;
+
+// Digest of the session-mode list (labels, JSONL traces and report
+// fingerprints), recorded at commit 2a3c926 (before `tune_session` was
+// decomposed into phases); debug and release builds agree.
+const GOLDEN_MODES_DIGEST: u64 = 0x667A_60C5_F020_6607;
