@@ -22,6 +22,8 @@
 //! * cache inserts and hit/miss tallies commit only after the whole
 //!   evaluation succeeds, so aborted evaluations leave no trace.
 
+#![deny(clippy::too_many_lines)]
+
 use crate::cache::{CacheEntry, CostCache, DerivedTally, Served};
 use crate::derived::{sorted_subset, FlatProjector, Projection, RelevanceTable};
 use crate::fault::FaultSite;

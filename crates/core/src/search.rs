@@ -12,6 +12,13 @@
 //! 08   if size(c_new) ≤ B ∧ cost(c_new) < cost(c_best): c_best = c_new
 //! 10 return c_best
 //! ```
+//!
+//! [`tune_session`] runs that loop as the phase methods of one private
+//! `Session`; resume-by-replay, the call-budget ledger and fault
+//! containment each live behind one small type the phases call
+//! (`ReplayGate`, `CallLedger`, `Env::evaluate_contained`).
+
+#![deny(clippy::too_many_lines)]
 
 use crate::arena::SkylineScratch;
 use crate::bound::{
@@ -355,19 +362,47 @@ struct Node {
     /// the next", §3.4).
     scored: Option<Vec<ScoredCandidate>>,
     exhausted: bool,
-    pruned: bool,
     /// Approximate tier only: midpoint of the node's [lower, upper]
     /// cost bounds when its evaluation was bound-served instead of
-    /// re-optimized. [`pick_node`] ranks by it, so freed budget flows
-    /// to the most uncertain (widest-gap) regions of the pool. `None`
-    /// for exactly evaluated nodes and always in the exact tier.
+    /// re-optimized. [`Session::pick`] ranks by it, so freed budget
+    /// flows to the most uncertain (widest-gap) regions of the pool.
+    /// `None` for exactly evaluated nodes and always in the exact tier.
     est_cost: Option<f64>,
 }
 
-/// The cost [`pick_node`] ranks a node by: the bound midpoint for an
-/// estimated node, the evaluated cost otherwise.
-fn node_cost(n: &Node) -> f64 {
-    n.est_cost.unwrap_or(n.eval.total_cost)
+impl Node {
+    /// A pool entry with nothing scored and nothing tried yet.
+    fn new(
+        config: Configuration,
+        eval: EvalResult,
+        size: f64,
+        parent: Option<usize>,
+        view_costs: ViewBuildCosts,
+        delta: Option<StepDelta>,
+        est_cost: Option<f64>,
+    ) -> Node {
+        Node {
+            sig: config.signature128(),
+            config,
+            eval,
+            size,
+            parent,
+            last_relax_penalty: 0.0,
+            view_costs,
+            tried: HashSet::new(),
+            cands: None,
+            delta,
+            scored: None,
+            exhausted: false,
+            est_cost,
+        }
+    }
+
+    /// The cost [`Session::pick`] ranks a node by: the bound midpoint
+    /// for an estimated node, the evaluated cost otherwise.
+    fn cost(&self) -> f64 {
+        self.est_cost.unwrap_or(self.eval.total_cost)
+    }
 }
 
 /// A candidate transformation with its §3.3 ΔT / ΔS estimates (the
@@ -391,6 +426,15 @@ impl ScoredCandidate {
             let denom = over_budget.min(self.delta_s.max(1.0)).max(1.0);
             self.delta_t / denom
         }
+    }
+
+    /// The candidate as trace-event fields.
+    fn fields(&self) -> Vec<(&'static str, pdt_trace::Value)> {
+        vec![
+            ("transformation", self.transformation.to_string().into()),
+            ("delta_t", self.delta_t.into()),
+            ("delta_s", self.delta_s.into()),
+        ]
     }
 
     /// Structures this transformation depends on still being present.
@@ -427,140 +471,401 @@ fn score_from_entry(entry: &BoundMemoEntry, eval: &EvalResult) -> Option<(f64, f
     Some((delta_t, entry.delta_s))
 }
 
-/// Price one transformation against a node's configuration/eval with
-/// the §3.3.2 bound, routed through the bound memo. Returns the entry
-/// and whether the memo already held it.
-///
-/// Both engines maintain the identical memo: on a hit the incremental
-/// engine serves the entry (skipping describe + bound entirely; in debug
-/// builds it still recomputes and asserts bitwise agreement), while the
-/// reference engine recomputes from scratch, asserts the entry matches,
-/// and uses the fresh value — so a memo bug cannot change reference
-/// output, and any divergence trips an assertion. Fresh computations in
-/// incremental mode use the affected-query-restricted bound, which is
-/// bit-identical to the full one (see `cost_upper_bound_restricted`);
-/// the full side of that debug assertion prices view rebuilds from
-/// scratch, so it is also the oracle for the carried `view_costs`.
-///
-/// `memoize: false` bypasses the memo entirely (no lookup, no insert):
-/// the memo key assumes one canonical evaluation per configuration,
-/// which the approximate tier breaks — a served evaluation is a
-/// trajectory-dependent upper bound, so the same configuration can
-/// legitimately carry different per-query costs. Bounds are pure CPU
-/// (no optimizer calls), so the budgeted tier just recomputes.
-#[allow(clippy::too_many_arguments)]
-fn memoized_bound(
-    db: &Database,
-    opt: &Optimizer<'_>,
-    workload: &Workload,
-    eval: &EvalResult,
-    config: &Configuration,
-    cfg_key: MemoCfg,
-    t: &Transformation,
-    sig: u64,
-    view_costs: &ViewBuildCosts,
-    memo: &BoundMemo,
-    incremental: bool,
-    memoize: bool,
-) -> (BoundMemoEntry, bool) {
-    let cached = if memoize {
-        memo.lookup_keyed(sig, cfg_key)
-    } else {
-        None
-    };
-    let computed: Option<BoundMemoEntry> =
-        if cached.is_none() || !incremental || cfg!(debug_assertions) {
-            Some(match describe(t, config, db, opt) {
-                None => BoundMemoEntry::inapplicable(),
-                Some(delta) => {
-                    let bound = if incremental {
-                        let b = cost_upper_bound_restricted(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            eval,
-                            config,
-                            &delta,
-                            view_costs,
-                        );
-                        debug_assert_eq!(
-                            b.to_bits(),
-                            cost_upper_bound(
-                                db,
-                                &opt.opts.cost,
-                                workload,
-                                eval,
-                                config,
-                                &delta,
-                                &ViewBuildCosts::new(),
-                            )
-                            .to_bits(),
-                            "restricted bound diverged from the full bound for {t}"
-                        );
-                        b
-                    } else {
-                        cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            eval,
-                            config,
-                            &delta,
-                            view_costs,
-                        )
-                    };
-                    BoundMemoEntry {
-                        applies: true,
-                        bound,
-                        delta_s: delta.delta_bytes,
-                    }
-                }
-            })
+/// What a session reads but never reassigns: its inputs, the optimizer
+/// and the stores (interior-mutable, shared with the scoring workers).
+struct Env<'a> {
+    db: &'a Database,
+    workload: &'a Workload,
+    options: &'a TunerOptions,
+    opt: Optimizer<'a>,
+    base: Configuration,
+    has_updates: bool,
+    threads: usize,
+    /// Both stores are sharded for the actual worker count; their dense
+    /// ids are session-local, checkpoints serialize portable signatures.
+    cache: Option<CostCache>,
+    /// The bound memo (like the session's interner) exists in both
+    /// engines (the reference engine maintains and revalidates it
+    /// without depending on it), so checkpoints stay portable across
+    /// `incremental` settings. Replay against a restored memo flips
+    /// original misses into hits; the counters are overwritten with the
+    /// authoritative values at go-live.
+    memo: BoundMemo,
+    /// Per-query relevant-structure sets, derived once from the
+    /// workload text (see [`crate::derived`]); every evaluation in the
+    /// session keys the cost cache through them.
+    relevance: RelevanceTable,
+    /// Session-portable content signatures for the shared store,
+    /// computed once: the store with its schema namespace, and one
+    /// signature per workload statement. Like `incremental` and
+    /// `derived_costs`, the shared store is excluded from
+    /// `options_signature` — it is pure perf, so checkpoints stay
+    /// portable across shared-store settings.
+    shared: Option<(&'a crate::shared::SharedInvocationStore, u128)>,
+    query_sigs: Vec<u128>,
+    /// Checkpoint identity: see [`options_signature`] and
+    /// [`Checkpoint::validate`].
+    opts_sig: u64,
+    base_sig: u64,
+}
+
+impl<'a> Env<'a> {
+    /// Resolve the inputs and build the stores — restored from
+    /// `ctl.resume` when the session resumes, after checking that the
+    /// checkpoint belongs to this session.
+    fn new(
+        db: &'a Database,
+        workload: &'a Workload,
+        options: &'a TunerOptions,
+        ctl: &SessionCtl<'a>,
+    ) -> Result<Env<'a>, TuneError> {
+        let base = Configuration::base(db);
+        let opts_sig = options_signature(options, db, workload);
+        let base_sig = base.signature();
+        if let Some(ck) = ctl.resume {
+            ck.validate(opts_sig, base_sig)?;
+            if ctl.tracer.is_some() && ck.trace.is_none() {
+                return Err(TuneError::Checkpoint(
+                    "checkpoint has no trace but this session traces; resume without \
+                     tracing or from a traced checkpoint"
+                        .to_string(),
+                ));
+            }
+        }
+        let threads = resolve_threads(options.threads);
+        let cache = options.cost_cache.then(|| match ctl.resume {
+            Some(ck) => ck.restore_cache(threads),
+            None => CostCache::with_workers(threads),
+        });
+        let memo = match ctl.resume {
+            Some(ck) => ck.restore_memo(threads),
+            None => BoundMemo::new(threads),
+        };
+        // A resumed session validates the checkpointed relevance table
+        // against this rebuilt one.
+        let relevance = RelevanceTable::build(db, workload);
+        if let Some(ck) = ctl.resume {
+            if ck.relevance != *relevance.rows() {
+                return Err(TuneError::Checkpoint(
+                    "checkpointed relevance table does not match the workload's".to_string(),
+                ));
+            }
+        }
+        let query_sigs: Vec<u128> = if ctl.shared_store.is_some() {
+            workload
+                .entries
+                .iter()
+                .map(|e| crate::shared::statement_signature(&e.statement))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Ok(Env {
+            db,
+            workload,
+            options,
+            opt: Optimizer::new(db),
+            base,
+            has_updates: workload.has_updates(),
+            threads,
+            cache,
+            memo,
+            relevance,
+            shared: ctl
+                .shared_store
+                .map(|store| (store, crate::shared::schema_signature(db))),
+            query_sigs,
+            opts_sig,
+            base_sig,
+        })
+    }
+
+    /// The evaluation context every evaluation of the session starts
+    /// from. It carries no stop and no fault site: setup and the final
+    /// validation never take either (the report is only valid with real
+    /// reference costs, and injection coordinates are keyed to search
+    /// sites); [`Env::evaluate_contained`] adds both.
+    fn ctx<'c>(&'c self, tracer: Option<&'c Tracer>) -> EvalCtx<'c> {
+        EvalCtx {
+            threads: self.threads,
+            cache: self.cache.as_ref(),
+            tracer,
+            relevance: Some(&self.relevance),
+            derived: self.options.derived_costs,
+            shared: self
+                .shared
+                .map(|(store, schema_sig)| crate::shared::SharedCtx {
+                    store,
+                    schema_sig,
+                    query_sigs: &self.query_sigs,
+                }),
+            ..EvalCtx::default()
+        }
+    }
+
+    fn fits(&self, size: f64) -> bool {
+        self.options.space_budget.is_none_or(|b| size <= b)
+    }
+
+    /// Line 8: `config` becomes the recommendation if it fits and is
+    /// strictly cheaper than the current one. Returns whether it did.
+    fn offer(
+        &self,
+        report: &mut TuningReport,
+        config: &Configuration,
+        cost: f64,
+        size: f64,
+    ) -> bool {
+        let takes = self.fits(size) && report.best.as_ref().is_none_or(|b| cost < b.cost);
+        if takes {
+            report.best = Some(BestConfig {
+                config: config.clone(),
+                cost,
+                size_bytes: size,
+            });
+        }
+        takes
+    }
+
+    /// Price one transformation against a node's configuration/eval
+    /// with the §3.3.2 bound, routed through the bound memo (`cfg_key`
+    /// is `memo.cfg_key(node.sig)`, resolved once per scoring batch).
+    /// Returns the entry and whether the memo already held it.
+    ///
+    /// Both engines maintain the identical memo: on a hit the
+    /// incremental engine serves the entry (skipping describe + bound
+    /// entirely; in debug builds it still recomputes and asserts
+    /// bitwise agreement), while the reference engine recomputes from
+    /// scratch, asserts the entry matches, and uses the fresh value —
+    /// so a memo bug cannot change reference output, and any divergence
+    /// trips an assertion. Fresh computations in incremental mode use
+    /// the affected-query-restricted bound, which is bit-identical to
+    /// the full one (see `cost_upper_bound_restricted`); the full side
+    /// of that debug assertion prices view rebuilds from scratch, so it
+    /// is also the oracle for the carried `view_costs`.
+    ///
+    /// `memoize: false` bypasses the memo entirely (no lookup, no
+    /// insert): the memo key assumes one canonical evaluation per
+    /// configuration, which the approximate tier breaks — a served
+    /// evaluation is a trajectory-dependent upper bound, so the same
+    /// configuration can legitimately carry different per-query costs.
+    /// Bounds are pure CPU (no optimizer calls), so the budgeted tier
+    /// just recomputes.
+    fn bound(
+        &self,
+        node: &Node,
+        cfg_key: MemoCfg,
+        t: &Transformation,
+        sig: u64,
+        memoize: bool,
+    ) -> (BoundMemoEntry, bool) {
+        let incremental = self.options.incremental;
+        let cached = if memoize {
+            self.memo.lookup_keyed(sig, cfg_key)
         } else {
             None
         };
-    match (cached, computed) {
-        (Some(entry), Some(fresh)) => {
-            debug_assert!(
-                fresh.bits_eq(&entry),
-                "bound memo entry diverged from recomputation for {t}"
-            );
-            (if incremental { entry } else { fresh }, true)
-        }
-        (Some(entry), None) => (entry, true),
-        (None, Some(fresh)) => {
-            if memoize {
-                memo.insert_keyed(sig, cfg_key, fresh);
+        match cached {
+            Some(entry) if incremental && !cfg!(debug_assertions) => (entry, true),
+            Some(entry) => {
+                let fresh = self.fresh_bound(node, t);
+                debug_assert!(
+                    fresh.bits_eq(&entry),
+                    "bound memo entry diverged from recomputation for {t}"
+                );
+                (if incremental { entry } else { fresh }, true)
             }
-            (fresh, false)
+            None => {
+                let fresh = self.fresh_bound(node, t);
+                if memoize {
+                    self.memo.insert_keyed(sig, cfg_key, fresh);
+                }
+                (fresh, false)
+            }
         }
-        (None, None) => unreachable!("missed entries are always computed"),
+    }
+
+    /// The §3.3.2 bound of `t` applied to `node`, computed from scratch.
+    fn fresh_bound(&self, node: &Node, t: &Transformation) -> BoundMemoEntry {
+        let (db, cost) = (self.db, &self.opt.opts.cost);
+        let Some(delta) = describe(t, &node.config, db, &self.opt) else {
+            return BoundMemoEntry::inapplicable();
+        };
+        let full = |view_costs: &ViewBuildCosts| {
+            cost_upper_bound(
+                db,
+                cost,
+                self.workload,
+                &node.eval,
+                &node.config,
+                &delta,
+                view_costs,
+            )
+        };
+        let bound = if self.options.incremental {
+            let b = cost_upper_bound_restricted(
+                db,
+                cost,
+                self.workload,
+                &node.eval,
+                &node.config,
+                &delta,
+                &node.view_costs,
+            );
+            debug_assert_eq!(
+                b.to_bits(),
+                full(&ViewBuildCosts::new()).to_bits(),
+                "restricted bound diverged from the full bound for {t}"
+            );
+            b
+        } else {
+            full(&node.view_costs)
+        };
+        BoundMemoEntry {
+            applies: true,
+            bound,
+            delta_s: delta.delta_bytes,
+        }
+    }
+
+    /// Put one applied step to the approximate tier: its bound-served
+    /// evaluation and the [`Quote`] the ledger settles.
+    fn quote<'q>(
+        &self,
+        node: &Node,
+        transformation: &'q Transformation,
+        applied: &AppliedTransform,
+    ) -> (EvalResult, Quote<'q>) {
+        let (est_eval, gap) = bound_served_eval(
+            self.db,
+            &self.opt.opts.cost,
+            self.workload,
+            &node.eval,
+            &node.config,
+            applied,
+            &node.view_costs,
+        );
+        let quote = Quote {
+            transformation,
+            affected: affected_queries(&node.eval, applied),
+            gap,
+            upper: est_eval.total_cost,
+            parent_cost: node.eval.total_cost,
+        };
+        (est_eval, quote)
+    }
+
+    /// The CBV table of a configuration one step away from `parent`'s:
+    /// the incremental engine carries every entry the step cannot have
+    /// changed (verified against a from-scratch computation under the
+    /// bound oracle); the reference engine starts every configuration
+    /// empty.
+    fn child_view_costs(
+        &self,
+        parent: &ViewBuildCosts,
+        child: &Configuration,
+        removed_indexes: &[Index],
+        removed_views: &[TableId],
+        added_indexes: &[Index],
+    ) -> ViewBuildCosts {
+        if !self.options.incremental {
+            return ViewBuildCosts::new();
+        }
+        let carried = parent.carried(child, removed_indexes, removed_views, added_indexes);
+        if self.options.validate_bounds {
+            carried.assert_matches_scratch(self.db, &self.opt.opts.cost, child);
+        }
+        carried
+    }
+
+    /// The one contained evaluation: an incremental re-evaluation under
+    /// the stop control and fault site of its pipeline position, with a
+    /// panic caught and recorded instead of propagated. Fault isolation
+    /// is the caller's by construction — a phase commits state only on
+    /// [`Contained::Done`], so a contained panic leaves nothing behind.
+    fn evaluate_contained(
+        &self,
+        gate: &ReplayGate<'_>,
+        report: &mut TuningReport,
+        job: EvalJob<'_>,
+    ) -> Contained {
+        let tracer = gate.tracer();
+        let ctx = EvalCtx {
+            stop: gate.stop(),
+            faults: self
+                .options
+                .fault_plan
+                .as_ref()
+                .map(|p| FaultSite::new(p, job.site, job.iteration as u64)),
+            ..self.ctx(tracer)
+        };
+        let hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Eval);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            evaluate_incremental_ctx(
+                self.db,
+                &self.opt,
+                job.config,
+                self.workload,
+                job.prev,
+                job.removed_indexes,
+                job.removed_views,
+                job.limit,
+                ctx,
+            )
+        }));
+        drop(hot);
+        match result {
+            Ok(Some(eval)) => {
+                report.optimizer_calls += eval.optimizer_calls;
+                for q in &eval.poison_repairs {
+                    gate.record_fault(
+                        report,
+                        job.iteration,
+                        FaultKind::CachePoison,
+                        format!("repaired poisoned cache cost for query {q}"),
+                    );
+                }
+                Contained::Done(eval)
+            }
+            // `None` without a stop can only be the shortcut limit.
+            Ok(None) if gate.stopped().is_some() => Contained::Stopped,
+            Ok(None) => Contained::Shortcut,
+            Err(payload) => {
+                gate.record_fault(
+                    report,
+                    job.iteration,
+                    FaultKind::EvalPanic,
+                    payload_str(payload.as_ref()),
+                );
+                Contained::Faulted
+            }
+        }
     }
 }
 
-/// The CBV table of a configuration one step away from `parent`'s: the
-/// incremental engine carries every entry the step cannot have changed
-/// (verified against a from-scratch computation under the bound
-/// oracle); the reference engine starts every configuration empty.
-#[allow(clippy::too_many_arguments)]
-fn child_view_costs(
-    db: &Database,
-    opt: &Optimizer<'_>,
-    options: &TunerOptions,
-    parent: &ViewBuildCosts,
-    child: &Configuration,
-    removed_indexes: &[Index],
-    removed_views: &[TableId],
-    added_indexes: &[Index],
-) -> ViewBuildCosts {
-    if !options.incremental {
-        return ViewBuildCosts::new();
-    }
-    let carried = parent.carried(child, removed_indexes, removed_views, added_indexes);
-    if options.validate_bounds {
-        carried.assert_matches_scratch(db, &opt.opts.cost, child);
-    }
-    carried
+/// One incremental re-evaluation for [`Env::evaluate_contained`]: the
+/// fault-site coordinates (`iteration` 0 is the pre-pass) and the
+/// arguments of `evaluate_incremental_ctx`.
+struct EvalJob<'j> {
+    site: u32,
+    iteration: usize,
+    config: &'j Configuration,
+    prev: &'j EvalResult,
+    removed_indexes: &'j [Index],
+    removed_views: &'j [TableId],
+    /// §3.5 shortcut limit; `None` runs to completion.
+    limit: Option<f64>,
+}
+
+/// How a contained evaluation ended.
+enum Contained {
+    Done(EvalResult),
+    /// §3.5: the accumulated cost passed the shortcut limit.
+    Shortcut,
+    /// A cooperative stop truncated it; nothing was committed.
+    Stopped,
+    /// It panicked; the fault is recorded (when live).
+    Faulted,
 }
 
 /// Run a tuning session (the paper's PTT).
@@ -723,85 +1028,212 @@ fn payload_str(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Record one contained fault: trace it, append it to the report, and
-/// trip the fault-limit stop once the tolerance is exhausted.
-fn record_fault(
-    report: &mut TuningReport,
-    tracer: Option<&Tracer>,
-    token: &StopToken,
-    max_faults: usize,
-    iteration: usize,
-    kind: FaultKind,
-    detail: String,
-) {
-    pdt_trace::incr(tracer, "faults", 1);
-    pdt_trace::emit(
-        tracer,
-        "fault",
-        vec![
-            ("iteration", iteration.into()),
-            ("kind", kind.label().into()),
-            ("detail", detail.clone().into()),
-        ],
-    );
-    report.faults.push(FaultEvent {
-        iteration,
-        kind,
-        detail,
-    });
-    if report.faults.len() > max_faults {
-        token.trip(StopReason::FaultLimit);
+/// The approximate tier's what-if call-budget ledger.
+///
+/// Charged by worst-case affected-query counts (see
+/// [`affected_queries`]), never by actual calls, so the ledger is a
+/// pure function of the search trajectory: replay regenerates it
+/// exactly and [`go_live_checks`] verifies it against the checkpoint.
+/// Setup (base/optimal evaluation, instrumentation) and the final
+/// validation re-pricing are budget-exempt.
+struct CallLedger {
+    /// `None` is the exact (unlimited) tier.
+    budget: Option<u64>,
+    spent: u64,
+    /// Worst-case invocations served from the bound instead.
+    skipped: u64,
+}
+
+/// One candidate evaluation put to the ledger: what running it would
+/// cost at worst, and the bound-served estimate that could replace it
+/// (the child's true cost lies in `[upper - gap, upper]`, see
+/// `bound_served_eval`).
+struct Quote<'q> {
+    transformation: &'q Transformation,
+    affected: u64,
+    gap: f64,
+    upper: f64,
+    /// The parent's evaluated cost, which `GAP_TOL` is a fraction of.
+    parent_cost: f64,
+}
+
+/// The ledger's answer to a [`Quote`].
+#[derive(Debug, PartialEq, Eq)]
+enum Settled {
+    /// Negligible gap: use the estimate, for free.
+    Served,
+    /// Decision-relevant: run the evaluation; its worst case is charged.
+    Charged,
+    /// Decision-relevant but unaffordable: nothing was charged, and the
+    /// caller trips [`StopReason::CallBudget`].
+    Exhausted,
+}
+
+impl CallLedger {
+    fn new(budget: Option<usize>) -> CallLedger {
+        CallLedger {
+            budget: budget.map(|b| b as u64),
+            spent: 0,
+            skipped: 0,
+        }
+    }
+
+    /// Whether the session runs the approximate tier at all; the exact
+    /// tier never computes an estimate to quote.
+    fn limited(&self) -> bool {
+        self.budget.is_some()
+    }
+
+    fn remaining(&self) -> Option<u64> {
+        self.budget.map(|b| b.saturating_sub(self.spent))
+    }
+
+    /// The gap-driven serve-or-spend decision for one evaluation in
+    /// `phase` (search-phase events also carry the iteration). A
+    /// negligible-gap estimate is served; anything else is charged up
+    /// front at its worst case, and an unaffordable charge ends the
+    /// phase anytime-style.
+    fn settle(
+        &mut self,
+        tracer: Option<&Tracer>,
+        phase: &'static str,
+        iteration: Option<usize>,
+        quote: &Quote<'_>,
+    ) -> Settled {
+        let Some(remaining) = self.remaining() else {
+            return Settled::Charged;
+        };
+        // Built only for the two outcomes that emit an event.
+        let lead_fields = || {
+            let mut fields: Vec<(&'static str, pdt_trace::Value)> = vec![("phase", phase.into())];
+            if let Some(i) = iteration {
+                fields.push(("iteration", i.into()));
+            }
+            fields.push(("transformation", quote.transformation.to_string().into()));
+            fields.push(("affected", quote.affected.into()));
+            fields
+        };
+        if quote.gap <= GAP_TOL * quote.parent_cost {
+            self.skipped += quote.affected;
+            pdt_trace::incr(tracer, "optimizer.calls_skipped", quote.affected);
+            let mut fields = lead_fields();
+            fields.push(("gap", quote.gap.into()));
+            fields.push(("upper", quote.upper.into()));
+            pdt_trace::emit(tracer, "budget.skip", fields);
+            Settled::Served
+        } else if quote.affected > remaining {
+            let mut fields = lead_fields();
+            fields.push(("remaining", remaining.into()));
+            pdt_trace::emit(tracer, "budget.exhausted", fields);
+            Settled::Exhausted
+        } else {
+            self.spent += quote.affected;
+            Settled::Charged
+        }
     }
 }
 
-/// Capture the resume state at a clean iteration boundary (the top of
-/// the search loop, before any of the next iteration's work).
-#[allow(clippy::too_many_arguments)]
-fn capture_checkpoint(
-    options_sig: u64,
-    base_sig: u64,
-    deployed: Option<(f64, f64)>,
-    report: &TuningReport,
-    rng: &StdRng,
-    optimizer_calls: usize,
-    budget_spent: u64,
-    budget_skipped: u64,
-    cache: Option<&CostCache>,
-    memo: &BoundMemo,
-    interner: &Interner,
-    relevance: &RelevanceTable,
-    tracer: Option<&Tracer>,
-    search_span: Option<&pdt_trace::Span<'_>>,
-    iteration_done: usize,
-) -> Checkpoint {
-    Checkpoint {
-        options_sig,
-        base_sig,
-        deployed,
-        initial_cost: report.initial_cost,
-        optimal_cost: report.optimal_cost,
-        iteration: iteration_done,
-        rng_state: rng.state(),
-        optimizer_calls,
-        budget_spent,
-        budget_skipped,
-        cache_hits: cache.map_or(0, |c| c.hits()),
-        cache_misses: cache.map_or(0, |c| c.misses()),
-        bound_memo_hits: memo.hits(),
-        bound_memo_misses: memo.misses(),
-        derived: cache.map(|c| c.derived_counters()).unwrap_or_default(),
-        best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
-        frontier_len: report.frontier.len(),
-        faults: report.faults.clone(),
-        cache: cache.map(|c| c.snapshot()).unwrap_or_default(),
-        bound_memo: memo.snapshot(),
-        interner: interner.snapshot(),
-        relevance: relevance.rows().to_vec(),
-        trace: tracer.map(|t| TraceCheckpoint {
-            state: t.export_state(),
-            open_span_seq: search_span.map_or(0, |s| s.events_at_open()),
-        }),
+/// Resume-by-replay gating. Until a resumed session catches up to its
+/// checkpoint's completed iterations it re-executes the checkpointed
+/// prefix with tracing silenced, stop control disabled, and fault and
+/// checkpoint recording suppressed — determinism makes the redo exact,
+/// and the restored cache makes it cheap. Every phase asks the gate for
+/// the tracer and stop control the current mode exposes instead of
+/// testing the mode itself.
+struct ReplayGate<'a> {
+    tracer: Option<&'a Tracer>,
+    resume: Option<&'a Checkpoint>,
+    /// `false` while replaying; [`Session::go_live`] is the only writer.
+    live: bool,
+    token: &'a StopToken,
+    stop: StopCheck<'a>,
+    max_faults: usize,
+}
+
+impl<'a> ReplayGate<'a> {
+    fn new(
+        ctl: &SessionCtl<'a>,
+        token: &'a StopToken,
+        deadline: Option<Instant>,
+        max_faults: usize,
+    ) -> ReplayGate<'a> {
+        ReplayGate {
+            tracer: ctl.tracer,
+            resume: ctl.resume,
+            live: ctl.resume.is_none(),
+            token,
+            stop: StopCheck::new(token, deadline),
+            max_faults,
+        }
     }
+
+    /// Completed iterations of the checkpoint being replayed (0 for a
+    /// fresh session).
+    fn resume_at(&self) -> usize {
+        self.resume.map_or(0, |ck| ck.iteration)
+    }
+
+    /// The tracer the current mode exposes.
+    fn tracer(&self) -> Option<&'a Tracer> {
+        if self.live {
+            self.tracer
+        } else {
+            None
+        }
+    }
+
+    /// The stop control the current mode exposes.
+    fn stop(&self) -> Option<&StopCheck<'a>> {
+        self.live.then_some(&self.stop)
+    }
+
+    /// The stop reason, if the session is live and should stop. Replay
+    /// never looks: checking would trip the token on an expired
+    /// deadline in the middle of the prefix.
+    fn stopped(&self) -> Option<StopReason> {
+        self.stop().and_then(StopCheck::stopped)
+    }
+
+    /// Record one contained fault: trace it, append it to the report,
+    /// and trip the fault-limit stop once the tolerance is exhausted. A
+    /// no-op during replay — faults recorded before the resume boundary
+    /// are restored from the checkpoint, not re-recorded.
+    fn record_fault(
+        &self,
+        report: &mut TuningReport,
+        iteration: usize,
+        kind: FaultKind,
+        detail: String,
+    ) {
+        if !self.live {
+            return;
+        }
+        pdt_trace::incr(self.tracer, "faults", 1);
+        pdt_trace::emit(
+            self.tracer,
+            "fault",
+            vec![
+                ("iteration", iteration.into()),
+                ("kind", kind.label().into()),
+                ("detail", detail.clone().into()),
+            ],
+        );
+        report.faults.push(FaultEvent {
+            iteration,
+            kind,
+            detail,
+        });
+        if report.faults.len() > self.max_faults {
+            self.token.trip(StopReason::FaultLimit);
+        }
+    }
+}
+
+/// Bitwise equality of two optional `(cost, size)` pairs: what a replay
+/// regenerates must match its checkpoint exactly, not approximately.
+fn same_bits(a: Option<(f64, f64)>, b: Option<(f64, f64)>) -> bool {
+    let bits = |p: Option<(f64, f64)>| p.map(|(cost, size)| (cost.to_bits(), size.to_bits()));
+    bits(a) == bits(b)
 }
 
 /// Verify a finished replay against its checkpoint. Everything the
@@ -810,23 +1242,16 @@ fn capture_checkpoint(
 fn go_live_checks(
     report: &TuningReport,
     rng: &StdRng,
-    budget_spent: u64,
-    budget_skipped: u64,
+    ledger: &CallLedger,
     ck: &Checkpoint,
 ) -> Result<(), TuneError> {
-    let best_matches = match (&report.best, ck.best) {
-        (Some(b), Some((cost, size))) => {
-            b.cost.to_bits() == cost.to_bits() && b.size_bytes.to_bits() == size.to_bits()
-        }
-        (None, None) => true,
-        _ => false,
-    };
+    let best = report.best.as_ref().map(|b| (b.cost, b.size_bytes));
     if rng.state() != ck.rng_state
         || report.iterations != ck.iteration
         || report.frontier.len() != ck.frontier_len
-        || budget_spent != ck.budget_spent
-        || budget_skipped != ck.budget_skipped
-        || !best_matches
+        || ledger.spent != ck.budget_spent
+        || ledger.skipped != ck.budget_skipped
+        || !same_bits(best, ck.best)
     {
         return Err(TuneError::Checkpoint(format!(
             "replay diverged from the checkpoint at iteration {}: rng {:016x} vs \
@@ -856,271 +1281,278 @@ pub fn tune_session(
     ctl: SessionCtl<'_>,
 ) -> Result<TuningReport, TuneError> {
     let start = Instant::now();
-    let opt = Optimizer::new(db);
-    let base = Configuration::base(db);
-    let mut optimizer_calls = 0;
-
-    // ---- approximate tier: what-if call budget ledger ---------------
-    // Charged by worst-case affected-query counts (see
-    // `affected_queries`), never by actual calls, so the ledger is a
-    // pure function of the search trajectory: replay regenerates it
-    // exactly and `go_live_checks` verifies it against the checkpoint.
-    // Setup (base/optimal evaluation, instrumentation) and the final
-    // validation re-pricing are budget-exempt.
-    let budget = options.optimizer_call_budget;
-    let mut budget_spent: u64 = 0;
-    let mut budget_skipped: u64 = 0;
-
-    // ---- anytime stop control ---------------------------------------
     let token = options.stop.clone().unwrap_or_default();
     let deadline = options
         .deadline_ms
         .map(|ms| start + Duration::from_millis(ms));
-    let stop_check = StopCheck::new(&token, deadline);
-
-    // ---- resume validation ------------------------------------------
-    let opts_sig = options_signature(options, db, workload);
-    let base_sig = base.signature();
-    if let Some(ck) = ctl.resume {
-        ck.validate(opts_sig, base_sig)?;
-        if ctl.tracer.is_some() && ck.trace.is_none() {
-            return Err(TuneError::Checkpoint(
-                "checkpoint has no trace but this session traces; resume without \
-                 tracing or from a traced checkpoint"
-                    .to_string(),
-            ));
-        }
-    }
-    let resume_at = ctl.resume.map_or(0, |ck| ck.iteration);
-    // Replay mode: until the session catches up to `resume_at`
-    // completed iterations, it re-executes the checkpointed prefix with
-    // tracing silenced, stop control disabled, and fault/checkpoint
-    // recording suppressed — determinism makes the redo exact, and the
-    // restored cache makes it cheap. `trc` is the tracer the current
-    // mode exposes.
-    let mut live = ctl.resume.is_none();
-    let trc = |live: bool| if live { ctl.tracer } else { None };
-
-    let threads = resolve_threads(options.threads);
-    // Both stores are sharded for the actual worker count; their dense
-    // ids are session-local, checkpoints serialize portable signatures.
-    let cache = options.cost_cache.then(|| match ctl.resume {
-        Some(ck) => ck.restore_cache(threads),
-        None => CostCache::with_workers(threads),
-    });
-    // Bound memo + interner exist in both engines (the reference engine
-    // maintains and revalidates them without depending on them), so
-    // checkpoints stay portable across `incremental` settings. Replay
-    // against a restored memo flips original misses into hits; the
-    // counters are overwritten with the authoritative values at go-live.
-    let memo = match ctl.resume {
-        Some(ck) => ck.restore_memo(threads),
-        None => BoundMemo::new(threads),
-    };
-    let interner = match ctl.resume {
-        Some(ck) => ck.restore_interner(),
-        None => Interner::new(),
-    };
-    // Per-query relevant-structure sets, derived once from the
-    // workload text (see [`crate::derived`]); every evaluation in the
-    // session keys the cost cache through them. A resumed session
-    // validates the checkpointed table against this rebuilt one.
-    let relevance = RelevanceTable::build(db, workload);
-    if let Some(ck) = ctl.resume {
-        if ck.relevance != *relevance.rows() {
-            return Err(TuneError::Checkpoint(
-                "checkpointed relevance table does not match the workload's".to_string(),
-            ));
-        }
-    }
-    // Session-portable content signatures for the shared store,
-    // computed once: the schema namespace and one signature per
-    // workload statement. Like `incremental`/`derived_costs`, the
-    // shared store is excluded from `options_signature` — it is pure
-    // perf, so checkpoints stay portable across shared-store settings.
-    let query_sigs: Vec<u128> = if ctl.shared_store.is_some() {
-        workload
-            .entries
-            .iter()
-            .map(|e| crate::shared::statement_signature(&e.statement))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let shared = ctl.shared_store.map(|store| crate::shared::SharedCtx {
-        store,
-        schema_sig: crate::shared::schema_signature(db),
-        query_sigs: &query_sigs,
-    });
-    // Setup never takes a stop or a fault site: the report is only
-    // valid with real initial/optimal costs, and injection coordinates
-    // are keyed to search sites.
-    let ctx = EvalCtx {
-        threads,
-        cache: cache.as_ref(),
-        tracer: trc(live),
-        stop: None,
-        faults: None,
-        relevance: Some(&relevance),
-        derived: options.derived_costs,
-        shared,
-        ..EvalCtx::default()
-    };
-
-    if let Some(t) = trc(live) {
-        // The thread count is deliberately NOT recorded in the event
-        // stream: the trace must be byte-identical for every
-        // `--threads` value (it lives in the report/CLI output).
-        let mut fields: Vec<(&'static str, pdt_trace::Value)> = vec![
-            ("entries", workload.entries.len().into()),
-            ("validate_bounds", options.validate_bounds.into()),
-        ];
-        if let Some(b) = options.space_budget {
-            fields.push(("budget", b.into()));
-        }
-        t.emit("session.begin", fields);
-    }
-    pdt_trace::incr(trc(live), "workload.deduped", workload.deduped as u64);
-    let setup_span = trc(live).map(|t| t.span("setup"));
-
-    // Initial (base) evaluation.
-    let base_eval = evaluate_full_ctx(db, &opt, &base, workload, ctx);
-    optimizer_calls += base_eval.optimizer_calls;
-    let initial_cost = base_eval.total_cost;
-    let initial_size = base.size_bytes(db);
-
-    // Lines 1–2: the optimal configuration via instrumentation.
-    let (optimal_config, sink) =
-        gather_optimal_configuration_traced(db, workload, options.with_views, trc(live));
-    let select_count = workload
-        .entries
-        .iter()
-        .filter(|e| e.select.is_some())
-        .count();
-    optimizer_calls += select_count;
-    pdt_trace::incr(trc(live), "optimizer.calls", select_count as u64);
-    pdt_trace::emit(
-        trc(live),
-        "instrument.done",
-        vec![
-            ("index_requests", sink.index_requests.into()),
-            ("view_requests", sink.view_requests.into()),
-            ("indexes", sink.created_indexes.into()),
-            ("views", sink.created_views.into()),
-        ],
-    );
-    let opt_eval = evaluate_full_ctx(db, &opt, &optimal_config, workload, ctx);
-    optimizer_calls += opt_eval.optimizer_calls;
-    let optimal_cost = opt_eval.total_cost;
-    let optimal_size = optimal_config.size_bytes(db);
-
-    // §3.6 lower bound: optimal SELECT components + shells under base.
-    let lower_bound_cost = {
-        let base_schema = pdt_physical::PhysicalSchema::new(db, &base);
-        workload
-            .entries
-            .iter()
-            .zip(&opt_eval.per_query)
-            .map(|(e, q)| {
-                let shell = e
-                    .shell
-                    .as_ref()
-                    .map(|s| crate::eval::shell_cost(&opt.opts.cost, &base_schema, s))
-                    .unwrap_or(0.0);
-                e.weight * (q.select_cost + shell)
-            })
-            .sum()
-    };
-
-    // Warm start: price the currently-deployed configuration once,
-    // budget-exempt, like the other setup references. It seeds the
-    // pool below and backs the final safety floor.
-    let deployed_eval = options.deployed.as_ref().map(|d| {
-        let e = evaluate_full_ctx(db, &opt, d, workload, ctx);
-        optimizer_calls += e.optimizer_calls;
-        let size = d.size_bytes(db);
-        pdt_trace::emit(
-            trc(live),
-            "warm.deployed",
-            vec![("cost", e.total_cost.into()), ("size", size.into())],
-        );
-        (e, size)
-    });
-    let deployed_baseline = deployed_eval.as_ref().map(|(e, s)| (e.total_cost, *s));
-    drop(setup_span);
-
-    // A resumed session must reproduce the checkpointed setup exactly
-    // (bitwise): anything else means the database or cost model changed
-    // in a way the signatures could not see.
-    if let Some(ck) = ctl.resume {
-        let deployed_matches = match (deployed_baseline, ck.deployed) {
-            (Some((c1, s1)), Some((c2, s2))) => {
-                c1.to_bits() == c2.to_bits() && s1.to_bits() == s2.to_bits()
-            }
-            (None, None) => true,
-            _ => false,
-        };
-        if ck.initial_cost.to_bits() != initial_cost.to_bits()
-            || ck.optimal_cost.to_bits() != optimal_cost.to_bits()
-            || !deployed_matches
-        {
-            return Err(TuneError::Checkpoint(
-                "replayed setup diverged from the checkpoint (initial/optimal/deployed \
-                 cost mismatch)"
-                    .to_string(),
-            ));
-        }
-    }
-
-    let has_updates = workload.has_updates();
-    let fits = |size: f64| options.space_budget.is_none_or(|b| size <= b);
-
-    let mut report = TuningReport {
-        initial_cost,
-        initial_size,
-        optimal_cost,
-        optimal_size,
-        optimal_config: optimal_config.clone(),
-        lower_bound_cost,
-        best: None,
-        frontier: vec![FrontierPoint {
-            iteration: 0,
-            size_bytes: optimal_size,
-            cost: optimal_cost,
-            fits: fits(optimal_size),
-        }],
-        iterations: 0,
-        stop_reason: StopReason::IterationBudget,
-        optimizer_calls,
-        cache_hits: 0,
-        cache_misses: 0,
-        candidates_generated: 0,
-        candidates_reused: 0,
-        bound_memo_hits: 0,
-        bound_memo_misses: 0,
-        optimizer_calls_avoided: 0,
-        plan_cache_hits: 0,
-        plan_cache_misses: 0,
-        plan_cache_repriced: 0,
-        optimizer_calls_skipped: 0,
-        budget_remaining: budget.map(|b| b as u64),
-        workload_deduped: workload.deduped as u64,
-        candidate_counts: Vec::new(),
-        request_counts: (sink.index_requests, sink.view_requests),
-        bound_checks: 0,
-        bound_violations: Vec::new(),
-        // Faults recorded before the resume boundary are restored, not
-        // re-recorded: replay suppresses fault accounting.
-        faults: ctl.resume.map(|ck| ck.faults.clone()).unwrap_or_default(),
-        trace: None,
-        elapsed: start.elapsed(),
-    };
-
+    let env = Env::new(db, workload, options, &ctl)?;
+    let gate = ReplayGate::new(&ctl, &token, deadline, options.max_faults);
+    let (mut session, optimal) = Session::setup(env, gate, ctl, start)?;
     // Unconstrained SELECT-only sessions are done (§2: "if the space
     // taken by this configuration is below the maximum allowed and the
     // workload contains no updates, we can return [it]").
-    if options.space_budget.is_none() && !has_updates {
-        if ctl.resume.is_some() {
+    if options.space_budget.is_none() && !session.env.has_updates {
+        session.return_optimal(optimal)?;
+    } else {
+        let root = session.prepass(optimal);
+        session.seed_pool(root);
+        session.search()?;
+        session.settle_recommendation();
+    }
+    Ok(session.finalize())
+}
+
+/// One tuning session's state; Fig. 5 is its phase methods, called in
+/// order by [`tune_session`].
+struct Session<'a> {
+    env: Env<'a>,
+    /// Transformation signatures; driver-thread only, so not part of
+    /// the environment the scoring workers share.
+    interner: Interner,
+    gate: ReplayGate<'a>,
+    ledger: CallLedger,
+    start: Instant,
+    /// Accumulates in place: the counters the phases bump
+    /// (`optimizer_calls`, `candidates_*`) live here, the store-backed
+    /// ones are copied in by [`Session::finalize`].
+    report: TuningReport,
+    /// Warm start: `options.deployed` with its evaluation and size.
+    deployed: Option<(&'a Configuration, EvalResult, f64)>,
+    /// Line 3: the configuration pool.
+    nodes: Vec<Node>,
+    last_created: usize,
+    rng: StdRng,
+    /// Open from the first iteration to the end of the loop; a resumed
+    /// session re-opens the checkpointed one at go-live.
+    search_span: Option<pdt_trace::Span<'a>>,
+    ctl: SessionCtl<'a>,
+    /// The newest clean boundary captured but not yet written.
+    pending: Option<(usize, Checkpoint)>,
+    last_saved: usize,
+    /// SoA scratch for the §3.6 skyline scan, reused across iterations
+    /// instead of reallocating a snapshot per pass.
+    skyline_scratch: SkylineScratch,
+}
+
+/// A relaxed configuration ready to join the pool.
+struct Child {
+    config: Configuration,
+    eval: EvalResult,
+    /// Net structural change from the parent.
+    step: StepDelta,
+    /// Bound midpoint of a bound-served child; see [`Node::est_cost`].
+    est_cost: Option<f64>,
+}
+
+fn step_delta(delta: TransformDelta) -> StepDelta {
+    StepDelta {
+        added_views: delta.added_views(),
+        removed_indexes: delta.removed_indexes,
+        removed_views: delta.removed_views,
+        added_indexes: delta.added_indexes,
+    }
+}
+
+impl<'a> Session<'a> {
+    /// Lines 1–2 and the session's reference costs: evaluate the base
+    /// configuration, gather and evaluate the §2 optimal configuration,
+    /// price the deployed one, and open the report. Returns the optimal
+    /// configuration as the parentless node the pre-pass relaxes into
+    /// the root. Setup is never cancelled and never budget-charged.
+    fn setup(
+        env: Env<'a>,
+        gate: ReplayGate<'a>,
+        ctl: SessionCtl<'a>,
+        start: Instant,
+    ) -> Result<(Session<'a>, Node), TuneError> {
+        let (db, workload, options) = (env.db, env.workload, env.options);
+        let tracer = gate.tracer();
+        if let Some(t) = tracer {
+            // The thread count is deliberately NOT recorded in the event
+            // stream: the trace must be byte-identical for every
+            // `--threads` value (it lives in the report/CLI output).
+            let mut fields: Vec<(&'static str, pdt_trace::Value)> = vec![
+                ("entries", workload.entries.len().into()),
+                ("validate_bounds", options.validate_bounds.into()),
+            ];
+            if let Some(b) = options.space_budget {
+                fields.push(("budget", b.into()));
+            }
+            t.emit("session.begin", fields);
+        }
+        pdt_trace::incr(tracer, "workload.deduped", workload.deduped as u64);
+        let setup_span = tracer.map(|t| t.span("setup"));
+        let ctx = env.ctx(tracer);
+
+        // Initial (base) evaluation.
+        let base_eval = evaluate_full_ctx(db, &env.opt, &env.base, workload, ctx);
+        let mut optimizer_calls = base_eval.optimizer_calls;
+        let initial_cost = base_eval.total_cost;
+
+        // Lines 1–2: the optimal configuration via instrumentation.
+        let (optimal_config, sink) =
+            gather_optimal_configuration_traced(db, workload, options.with_views, tracer);
+        let select_count = workload
+            .entries
+            .iter()
+            .filter(|e| e.select.is_some())
+            .count();
+        optimizer_calls += select_count;
+        pdt_trace::incr(tracer, "optimizer.calls", select_count as u64);
+        pdt_trace::emit(
+            tracer,
+            "instrument.done",
+            vec![
+                ("index_requests", sink.index_requests.into()),
+                ("view_requests", sink.view_requests.into()),
+                ("indexes", sink.created_indexes.into()),
+                ("views", sink.created_views.into()),
+            ],
+        );
+        let opt_eval = evaluate_full_ctx(db, &env.opt, &optimal_config, workload, ctx);
+        optimizer_calls += opt_eval.optimizer_calls;
+        let optimal_cost = opt_eval.total_cost;
+        let optimal_size = optimal_config.size_bytes(db);
+
+        // §3.6 lower bound: optimal SELECT components + shells under base.
+        let lower_bound_cost = {
+            let base_schema = pdt_physical::PhysicalSchema::new(db, &env.base);
+            workload
+                .entries
+                .iter()
+                .zip(&opt_eval.per_query)
+                .map(|(e, q)| {
+                    let shell = e
+                        .shell
+                        .as_ref()
+                        .map(|s| crate::eval::shell_cost(&env.opt.opts.cost, &base_schema, s))
+                        .unwrap_or(0.0);
+                    e.weight * (q.select_cost + shell)
+                })
+                .sum()
+        };
+
+        // Warm start: price the currently-deployed configuration once,
+        // budget-exempt, like the other setup references. It seeds the
+        // pool and backs the final safety floor.
+        let deployed = options.deployed.as_ref().map(|d| {
+            let e = evaluate_full_ctx(db, &env.opt, d, workload, ctx);
+            optimizer_calls += e.optimizer_calls;
+            let size = d.size_bytes(db);
+            pdt_trace::emit(
+                tracer,
+                "warm.deployed",
+                vec![("cost", e.total_cost.into()), ("size", size.into())],
+            );
+            (d, e, size)
+        });
+        drop(setup_span);
+
+        // A resumed session must reproduce the checkpointed setup exactly
+        // (bitwise): anything else means the database or cost model
+        // changed in a way the signatures could not see.
+        if let Some(ck) = gate.resume {
+            let baseline = deployed.as_ref().map(|(_, e, s)| (e.total_cost, *s));
+            if ck.initial_cost.to_bits() != initial_cost.to_bits()
+                || ck.optimal_cost.to_bits() != optimal_cost.to_bits()
+                || !same_bits(baseline, ck.deployed)
+            {
+                return Err(TuneError::Checkpoint(
+                    "replayed setup diverged from the checkpoint (initial/optimal/deployed \
+                     cost mismatch)"
+                        .to_string(),
+                ));
+            }
+        }
+
+        let ledger = CallLedger::new(options.optimizer_call_budget);
+        let report = TuningReport {
+            initial_cost,
+            initial_size: env.base.size_bytes(db),
+            optimal_cost,
+            optimal_size,
+            optimal_config: optimal_config.clone(),
+            lower_bound_cost,
+            best: None,
+            frontier: vec![FrontierPoint {
+                iteration: 0,
+                size_bytes: optimal_size,
+                cost: optimal_cost,
+                fits: env.fits(optimal_size),
+            }],
+            iterations: 0,
+            stop_reason: StopReason::IterationBudget,
+            optimizer_calls,
+            cache_hits: 0,
+            cache_misses: 0,
+            candidates_generated: 0,
+            candidates_reused: 0,
+            bound_memo_hits: 0,
+            bound_memo_misses: 0,
+            optimizer_calls_avoided: 0,
+            plan_cache_hits: 0,
+            plan_cache_misses: 0,
+            plan_cache_repriced: 0,
+            optimizer_calls_skipped: 0,
+            budget_remaining: ledger.remaining(),
+            workload_deduped: workload.deduped as u64,
+            candidate_counts: Vec::new(),
+            request_counts: (sink.index_requests, sink.view_requests),
+            bound_checks: 0,
+            bound_violations: Vec::new(),
+            // Faults recorded before the resume boundary are restored,
+            // not re-recorded: replay suppresses fault accounting.
+            faults: gate.resume.map(|ck| ck.faults.clone()).unwrap_or_default(),
+            trace: None,
+            elapsed: start.elapsed(),
+        };
+        let optimal = Node::new(
+            optimal_config,
+            opt_eval,
+            optimal_size,
+            None,
+            ViewBuildCosts::new(),
+            None,
+            None,
+        );
+        let session = Session {
+            last_saved: gate.resume_at(),
+            rng: StdRng::seed_from_u64(options.seed),
+            env,
+            interner: match gate.resume {
+                Some(ck) => ck.restore_interner(),
+                None => Interner::new(),
+            },
+            gate,
+            ledger,
+            start,
+            report,
+            deployed,
+            nodes: Vec::new(),
+            last_created: 0,
+            search_span: None,
+            ctl,
+            pending: None,
+            skyline_scratch: SkylineScratch::default(),
+        };
+        Ok((session, optimal))
+    }
+
+    /// Pair each enumerated transformation with its interned signature.
+    fn with_sigs(&self, enumerated: Vec<Transformation>) -> Vec<(Transformation, u64)> {
+        enumerated
+            .into_iter()
+            .map(|t| {
+                let sig = self.interner.transform_sig(&t);
+                (t, sig)
+            })
+            .collect()
+    }
+
+    /// The unconstrained SELECT-only early exit: the optimal
+    /// configuration is the recommendation and no search runs.
+    fn return_optimal(&mut self, optimal: Node) -> Result<(), TuneError> {
+        if self.gate.resume.is_some() {
             // No checkpoint is ever written before the first search
             // iteration, so none can legitimately resume a session that
             // finishes without entering the loop.
@@ -1130,108 +1562,55 @@ pub fn tune_session(
                     .to_string(),
             ));
         }
-        report.stop_reason = StopReason::Converged;
-        report.best = Some(BestConfig {
-            config: optimal_config,
-            cost: optimal_cost,
-            size_bytes: optimal_size,
+        self.report.stop_reason = StopReason::Converged;
+        self.report.best = Some(BestConfig {
+            cost: optimal.eval.total_cost,
+            size_bytes: optimal.size,
+            config: optimal.config,
         });
-        // No search loop ran: the whole budget is left over.
-        if let Some(remaining) = report.budget_remaining {
-            pdt_trace::incr(ctl.tracer, "budget.remaining", remaining);
-        }
-        if let Some(c) = &cache {
-            report.cache_hits = c.hits();
-            report.cache_misses = c.misses();
-            let d = c.derived_counters();
-            report.optimizer_calls_avoided = d.avoided;
-            report.plan_cache_hits = d.plan_hits;
-            report.plan_cache_misses = d.plan_misses;
-            report.plan_cache_repriced = d.repriced;
-        }
-        pdt_trace::emit(
-            ctl.tracer,
-            "session.end",
-            vec![
-                ("iterations", report.iterations.into()),
-                ("optimizer_calls", report.optimizer_calls.into()),
-                ("stop_reason", report.stop_reason.label().into()),
-            ],
-        );
-        report.trace = ctl.tracer.map(|t| t.summary());
-        report.elapsed = start.elapsed();
-        return Ok(report);
+        Ok(())
     }
 
-    // Line 3: the configuration pool.
-    let mut rng = StdRng::seed_from_u64(options.seed);
-
-    // Pruning pre-pass (§3.5 "multiple transformations per iteration"):
-    // greedily apply every *removal* whose cost upper bound does not
-    // increase the expected cost — unused structures always qualify,
-    // and under update workloads so do structures whose maintenance
-    // outweighs their benefit. This collapses the long prefix of
-    // trivially-good relaxations into one step.
-    let prepass_span = trc(live).map(|t| t.span("prepass"));
-    let prepass_faults = options
-        .fault_plan
-        .as_ref()
-        .map(|p| FaultSite::new(p, SITE_PREPASS, 0));
-    // Accumulated interval gap of every bound-served pre-pass step: the
-    // root's true cost lies in `[total - gap, total]`, so the root is
-    // ranked by that interval's midpoint below.
-    let mut prepass_served_gap = 0.0f64;
-    let (root_config, root_eval, root_sig, root_view_costs) = {
-        let mut cfg = optimal_config;
-        let mut eval = opt_eval;
-        // Hashed once per pre-pass configuration: the bound memo key of
-        // this step and, after the last step, the root node's.
-        let mut cfg_sig = cfg.signature128();
-        let mut view_costs = ViewBuildCosts::new();
-        for _ in 0..cfg.structure_count() {
-            if live && stop_check.is_stopped() {
+    /// Pruning pre-pass (§3.5 "multiple transformations per
+    /// iteration"): greedily apply every *removal* whose cost upper
+    /// bound does not increase the expected cost — unused structures
+    /// always qualify, and under update workloads so do structures
+    /// whose maintenance outweighs their benefit. This collapses the
+    /// long prefix of trivially-good relaxations into one step: it
+    /// relaxes the optimal configuration in place into the pool's root.
+    fn prepass(&mut self, mut root: Node) -> Node {
+        let env = &self.env;
+        let tracer = self.gate.tracer();
+        let prepass_span = tracer.map(|t| t.span("prepass"));
+        // Accumulated interval gap of every bound-served step: the
+        // root's true cost lies in `[total - gap, total]`.
+        let mut served_gap = 0.0f64;
+        for _ in 0..root.config.structure_count() {
+            if self.gate.stopped().is_some() {
                 // Stopped before the first iteration: the root stays
                 // wherever the pre-pass got to; the loop prologue turns
                 // the trip into the final stop reason.
                 break;
             }
             let removals: Vec<(Transformation, u64)> = {
-                let _hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Candidates);
+                let _hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
                 // The pre-pass only ever scores removals: enumerate
                 // them directly instead of building (and discarding)
                 // the full merge/split/prefix list (debug builds assert
                 // the sequence equals the filtered full enumeration).
-                removal_candidates(&cfg, &base)
-                    .into_iter()
-                    .map(|t| {
-                        let sig = interner.transform_sig(&t);
-                        (t, sig)
-                    })
-                    .collect()
+                self.with_sigs(removal_candidates(&root.config, &env.base))
             };
             // Score every removal on the worker pool (through the bound
             // memo), then fold the results in candidate order: the fold
             // keeps the sequential tie-break (first strict minimum
             // wins) and accumulates memo hit/miss counts in input
             // order, so the pre-pass is identical for any thread count.
-            let cfg_key = memo.cfg_key(cfg_sig);
-            let pricing_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Pricing);
-            let scored = par_map(threads, &removals, |_, (t, sig)| {
-                let (entry, hit) = memoized_bound(
-                    db,
-                    &opt,
-                    workload,
-                    &eval,
-                    &cfg,
-                    cfg_key,
-                    t,
-                    *sig,
-                    &view_costs,
-                    &memo,
-                    options.incremental,
-                    budget.is_none(),
-                );
-                (score_from_entry(&entry, &eval), hit)
+            let cfg_key = env.memo.cfg_key(root.sig);
+            let memoize = !self.ledger.limited();
+            let pricing_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Pricing);
+            let scored = par_map(env.threads, &removals, |_, (t, sig)| {
+                let (entry, hit) = env.bound(&root, cfg_key, t, *sig, memoize);
+                (score_from_entry(&entry, &root.eval), hit)
             });
             drop(pricing_hot);
             let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
@@ -1249,14 +1628,14 @@ pub fn tune_session(
                     }
                 }
             }
-            memo.record_traced(memo_hits, memo_misses, trc(live));
+            env.memo.record_traced(memo_hits, memo_misses, tracer);
             let Some((delta_t, at)) = best_removal else {
                 break;
             };
             let transformation = &removals[at].0;
             // Materialize only the winner: the workers priced deltas
             // and built no configuration.
-            let Some(applied) = apply(transformation, &cfg, db, &opt) else {
+            let Some(applied) = apply(transformation, &root.config, env.db, &env.opt) else {
                 break;
             };
             // Approximate tier: a pre-pass winner's §3.3.2 bound proved
@@ -1267,123 +1646,46 @@ pub fn tune_session(
             // small to change any downstream relaxation decision;
             // otherwise this removal is decision-relevant and spends
             // real budget like a main-loop step.
-            let served = if budget.is_some() {
-                let (est_eval, gap) = bound_served_eval(
-                    db,
-                    &opt.opts.cost,
-                    workload,
-                    &eval,
-                    &cfg,
-                    &applied,
-                    &view_costs,
-                );
-                if gap <= GAP_TOL * eval.total_cost {
-                    let affected = affected_queries(&eval, &applied);
-                    budget_skipped += affected;
-                    prepass_served_gap += gap;
-                    pdt_trace::incr(trc(live), "optimizer.calls_skipped", affected);
-                    pdt_trace::emit(
-                        trc(live),
-                        "budget.skip",
-                        vec![
-                            ("phase", "prepass".into()),
-                            ("transformation", transformation.to_string().into()),
-                            ("affected", affected.into()),
-                            ("gap", gap.into()),
-                            ("upper", est_eval.total_cost.into()),
-                        ],
-                    );
-                    Some(est_eval)
-                } else {
-                    None
+            let mut served = None;
+            if self.ledger.limited() {
+                let (est_eval, quote) = env.quote(&root, transformation, &applied);
+                match self.ledger.settle(tracer, "prepass", None, &quote) {
+                    Settled::Served => {
+                        served_gap += quote.gap;
+                        served = Some(est_eval);
+                    }
+                    Settled::Charged => {}
+                    Settled::Exhausted => {
+                        // Ends the pre-pass anytime-style (the loop
+                        // prologue turns the trip into the final stop
+                        // reason).
+                        self.gate.token.trip(StopReason::CallBudget);
+                        break;
+                    }
                 }
-            } else {
-                None
-            };
+            }
             let new_eval = if let Some(est_eval) = served {
                 est_eval
             } else {
-                if let Some(b) = budget {
-                    // Decision-relevant removal: charge the worst case
-                    // up front; an unaffordable spend ends the pre-pass
-                    // anytime-style (the loop prologue turns the trip
-                    // into the final stop reason).
-                    let affected = affected_queries(&eval, &applied);
-                    if budget_spent + affected > b as u64 {
-                        pdt_trace::emit(
-                            trc(live),
-                            "budget.exhausted",
-                            vec![
-                                ("phase", "prepass".into()),
-                                ("transformation", transformation.to_string().into()),
-                                ("affected", affected.into()),
-                                ("remaining", (b as u64 - budget_spent).into()),
-                            ],
-                        );
-                        token.trip(StopReason::CallBudget);
-                        break;
-                    }
-                    budget_spent += affected;
-                }
-                let pre_ctx = EvalCtx {
-                    stop: live.then_some(&stop_check),
-                    faults: prepass_faults,
-                    ..ctx
+                let job = EvalJob {
+                    site: SITE_PREPASS,
+                    iteration: 0,
+                    config: &applied.config,
+                    prev: &root.eval,
+                    removed_indexes: &applied.removed_indexes,
+                    removed_views: &applied.removed_views,
+                    limit: None,
                 };
-                let eval_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Eval);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    evaluate_incremental_ctx(
-                        db,
-                        &opt,
-                        &applied.config,
-                        workload,
-                        &eval,
-                        &applied.removed_indexes,
-                        &applied.removed_views,
-                        None,
-                        pre_ctx,
-                    )
-                }));
-                drop(eval_hot);
-                match result {
-                    Ok(Some(e)) => e,
-                    // No shortcut limit is set, so `None` means stopped.
-                    Ok(None) => break,
-                    Err(payload) => {
-                        // Contain the fault and keep the prefix already
-                        // built: the pre-pass is an optimization, not a
-                        // correctness step.
-                        if live {
-                            record_fault(
-                                &mut report,
-                                trc(live),
-                                &token,
-                                options.max_faults,
-                                0,
-                                FaultKind::EvalPanic,
-                                payload_str(payload.as_ref()),
-                            );
-                        }
-                        break;
-                    }
+                match env.evaluate_contained(&self.gate, &mut self.report, job) {
+                    Contained::Done(e) => e,
+                    // Stopped, or a contained fault: keep the prefix
+                    // already built — the pre-pass is an optimization,
+                    // not a correctness step.
+                    _ => break,
                 }
             };
-            optimizer_calls += new_eval.optimizer_calls;
-            if live {
-                for q in &new_eval.poison_repairs {
-                    record_fault(
-                        &mut report,
-                        trc(live),
-                        &token,
-                        options.max_faults,
-                        0,
-                        FaultKind::CachePoison,
-                        format!("repaired poisoned cache cost for query {q}"),
-                    );
-                }
-            }
             pdt_trace::emit(
-                trc(live),
+                tracer,
                 "prepass.remove",
                 vec![
                     ("transformation", transformation.to_string().into()),
@@ -1391,366 +1693,439 @@ pub fn tune_session(
                     ("cost", new_eval.total_cost.into()),
                 ],
             );
-            pdt_trace::incr(trc(live), "prepass.removed", 1);
-            if options.validate_bounds {
+            pdt_trace::incr(tracer, "prepass.removed", 1);
+            if env.options.validate_bounds {
                 // The kept (delta_t, applied) pair was scored against
-                // the *current* (cfg, eval), so the bound is fresh.
-                let bound = eval.total_cost + delta_t;
+                // the *current* root, so the bound is fresh.
+                let bound = root.eval.total_cost + delta_t;
                 let actual = new_eval.total_cost;
-                oracle_check(&mut report, trc(live), 0, transformation, bound, actual);
+                oracle_check(&mut self.report, tracer, 0, transformation, bound, actual);
             }
-            view_costs = child_view_costs(
-                db,
-                &opt,
-                options,
-                &view_costs,
+            root.view_costs = env.child_view_costs(
+                &root.view_costs,
                 &applied.config,
                 &applied.removed_indexes,
                 &applied.removed_views,
                 &applied.added_indexes,
             );
-            cfg = applied.config;
-            cfg_sig = cfg.signature128();
-            eval = new_eval;
+            root.config = applied.config;
+            // Hashed once per pre-pass configuration: the bound memo
+            // key of the next step and, after the last, the root's.
+            root.sig = root.config.signature128();
+            root.eval = new_eval;
         }
-        (cfg, eval, cfg_sig, view_costs)
-    };
-    drop(prepass_span);
-    let root_size = root_config.size_bytes(db);
-
-    // A bound-served pre-pass leaves the root's costs upper-bounded
-    // rather than evaluated; rank it by its interval midpoint like any
-    // other estimated node. (Its `best` entry below, if it fits, is a
-    // sound upper bound — the final validation re-prices it exactly.)
-    let root_est = (budget.is_some() && prepass_served_gap > 0.0)
-        .then_some(root_eval.total_cost - 0.5 * prepass_served_gap);
-    let mut nodes: Vec<Node> = vec![Node {
-        size: root_size,
-        config: root_config,
-        eval: root_eval,
-        parent: None,
-        last_relax_penalty: 0.0,
-        sig: root_sig,
-        view_costs: root_view_costs,
-        tried: HashSet::new(),
-        cands: None,
-        delta: None,
-        scored: None,
-        exhausted: false,
-        pruned: false,
-        est_cost: root_est,
-    }];
-    if fits(nodes[0].size) {
-        report.best = Some(BestConfig {
-            config: nodes[0].config.clone(),
-            cost: nodes[0].eval.total_cost,
-            size_bytes: nodes[0].size,
-        });
+        drop(prepass_span);
+        root.size = root.config.size_bytes(env.db);
+        // A bound-served pre-pass leaves the root's costs upper-bounded
+        // rather than evaluated; rank it by its interval midpoint like
+        // any other estimated node. (Its `best` entry, if it fits, is a
+        // sound upper bound — the final validation re-prices it
+        // exactly.)
+        root.est_cost = (self.ledger.limited() && served_gap > 0.0)
+            .then_some(root.eval.total_cost - 0.5 * served_gap);
+        root
     }
-    let mut last_created = 0usize;
-    // Warm start: the deployed configuration joins the pool as a second
-    // relaxable start point (parentless, like the root) and may claim
-    // `best` immediately; the safety floor at the end re-asserts it
-    // against whatever the search finds. Not a frontier point — the
-    // frontier records accepted relaxation steps only.
-    //
-    // Staleness gate: if the current workload prices the deployed
-    // configuration worse than the structure-free initial configuration,
-    // drift has invalidated its structures — relaxing from it only
-    // drains the iteration budget (and its out-of-space views defeat
-    // derived costing, so every step is a real invocation). It then
-    // serves as the safety floor only, not as a start point.
-    if let Some((deval, dsize)) = &deployed_eval {
-        let d = options.deployed.as_ref().expect("eval implies a config");
-        if fits(*dsize)
-            && report
-                .best
-                .as_ref()
-                .is_none_or(|b| deval.total_cost < b.cost)
-        {
-            report.best = Some(BestConfig {
-                config: d.clone(),
-                cost: deval.total_cost,
-                size_bytes: *dsize,
-            });
+
+    /// Line 3: pool the root — and the deployed configuration, when it
+    /// is worth relaxing from — and let each claim `best` if it fits.
+    fn seed_pool(&mut self, root: Node) {
+        let env = &self.env;
+        env.offer(
+            &mut self.report,
+            &root.config,
+            root.eval.total_cost,
+            root.size,
+        );
+        self.nodes.push(root);
+        // Warm start: the deployed configuration joins the pool as a
+        // second relaxable start point (parentless, like the root) and
+        // may claim `best` immediately; the safety floor at the end
+        // re-asserts it against whatever the search finds. Not a
+        // frontier point — the frontier records accepted relaxation
+        // steps only.
+        //
+        // Staleness gate: if the current workload prices the deployed
+        // configuration worse than the structure-free initial
+        // configuration, drift has invalidated its structures —
+        // relaxing from it only drains the iteration budget (and its
+        // out-of-space views defeat derived costing, so every step is a
+        // real invocation). It then serves as the safety floor only,
+        // not as a start point.
+        if let Some((d, deval, dsize)) = &self.deployed {
+            env.offer(&mut self.report, d, deval.total_cost, *dsize);
+            if deval.total_cost < self.report.initial_cost {
+                self.nodes.push(Node::new(
+                    (*d).clone(),
+                    deval.clone(),
+                    *dsize,
+                    None,
+                    ViewBuildCosts::new(),
+                    None,
+                    None,
+                ));
+                self.last_created = self.nodes.len() - 1;
+            }
         }
-        if deval.total_cost < initial_cost {
-            let dep_sig = d.signature128();
-            nodes.push(Node {
-                config: d.clone(),
-                eval: deval.clone(),
-                size: *dsize,
-                parent: None,
-                last_relax_penalty: 0.0,
-                sig: dep_sig,
-                view_costs: ViewBuildCosts::new(),
-                tried: HashSet::new(),
-                cands: None,
-                delta: None,
-                scored: None,
-                exhausted: false,
-                pruned: false,
+    }
+
+    /// Line 4: the main loop. Each iteration is the phase sequence
+    /// below; a phase that has nothing to hand on ends the iteration.
+    fn search(&mut self) -> Result<(), TuneError> {
+        self.search_span = self.gate.tracer().map(|t| t.span("search"));
+        for iteration in 1..=self.env.options.max_iterations {
+            if !self.prologue(iteration)? {
+                break;
+            }
+            let Some(parent) = self.pick() else {
+                self.report.stop_reason = StopReason::Converged;
+                break;
+            };
+            self.score(parent);
+            let Some((chosen, applied)) = self.select(iteration, parent) else {
+                continue;
+            };
+            let Some(applied) = self.admit(iteration, parent, &chosen, applied) else {
+                continue;
+            };
+            let Some(eval) = self.evaluate(iteration, parent, &chosen, &applied) else {
+                continue;
+            };
+            let AppliedTransform { config, delta } = applied;
+            let mut child = Child {
+                config,
+                eval,
+                step: step_delta(delta),
                 est_cost: None,
-            });
-            last_created = nodes.len() - 1;
+            };
+            if self.env.options.shrink_unused {
+                self.shrink(iteration, &mut child);
+            }
+            self.pool(iteration, parent, &chosen, child);
         }
+        // A session resumed at (or past) its iteration budget replays
+        // the whole loop without ever crossing its resume boundary: go
+        // live now so the final report carries the checkpointed
+        // counters and trace.
+        if !self.gate.live {
+            self.go_live()?;
+        }
+        self.search_span = None;
+        // The loop can also end with the token tripped mid-final-
+        // iteration (no later loop top observes it): reflect the true
+        // reason. A trip never downgrades a natural end — `token.get()`
+        // is `None` unless something actually tripped.
+        if let Some(reason) = self.gate.token.get() {
+            self.report.stop_reason = reason;
+        }
+        Ok(())
     }
-    // Search-phase scoring counters. Replay regenerates them exactly:
-    // `generated` counts memo probes regardless of hit/miss outcome
-    // (which a restored memo flips), and `reused` never touches the
-    // memo, so neither needs a checkpoint field.
-    let mut candidates_generated = 0u64;
-    let mut candidates_reused = 0u64;
 
-    // Line 4: the main loop.
-    let mut search_span = trc(live).map(|t| t.span("search"));
-    let mut pending: Option<(usize, Checkpoint)> = None;
-    let mut last_saved = resume_at;
-    // Flat hot path: SoA scratch for the §3.6 skyline scan, reused
-    // across iterations instead of reallocating a snapshot per pass.
-    let mut skyline_scratch = SkylineScratch::default();
-    for iteration in 1..=options.max_iterations {
-        // ---- resilience prologue (never part of the replayed prefix)
-        if !live && iteration > resume_at {
-            // The replay has caught up: verify fidelity, restore the
-            // state replay cannot regenerate (counters are overwritten
-            // because replay evaluations hit the restored cache instead
-            // of calling the optimizer), and go live.
-            let ck = ctl.resume.expect("replay mode implies a checkpoint");
-            go_live_checks(&report, &rng, budget_spent, budget_skipped, ck)?;
-            optimizer_calls = ck.optimizer_calls;
-            if let Some(c) = &cache {
-                c.set_counters(ck.cache_hits, ck.cache_misses);
-                c.set_derived_counters(ck.derived);
-            }
-            // Replay against the restored memo turns original misses
-            // into hits (candidate generated/reused locals replay
-            // exactly — `generated` counts probes regardless of
-            // outcome — so only the memo counters need restoring).
-            memo.set_counters(ck.bound_memo_hits, ck.bound_memo_misses);
-            if let (Some(t), Some(tc)) = (ctl.tracer, &ck.trace) {
-                t.restore_state(tc.state.clone());
-                search_span = Some(t.resume_span("search", tc.open_span_seq));
-            }
-            live = true;
+    /// The replay has caught up: verify fidelity, restore the state
+    /// replay cannot regenerate (counters are overwritten because replay
+    /// evaluations hit the restored cache instead of calling the
+    /// optimizer), and go live.
+    fn go_live(&mut self) -> Result<(), TuneError> {
+        let ck = self.gate.resume.expect("replay mode implies a checkpoint");
+        go_live_checks(&self.report, &self.rng, &self.ledger, ck)?;
+        self.report.optimizer_calls = ck.optimizer_calls;
+        if let Some(c) = &self.env.cache {
+            c.set_counters(ck.cache_hits, ck.cache_misses);
+            c.set_derived_counters(ck.derived);
         }
-        if live {
-            if let Some(reason) = stop_check.stopped() {
-                report.stop_reason = reason;
+        // Replay against the restored memo turns original misses into
+        // hits. The candidate generated/reused counters replay exactly
+        // — `generated` counts memo probes regardless of hit/miss
+        // outcome, and `reused` never touches the memo — so neither
+        // needs a checkpoint field and only the memo counters need
+        // restoring.
+        self.env
+            .memo
+            .set_counters(ck.bound_memo_hits, ck.bound_memo_misses);
+        if let (Some(t), Some(tc)) = (self.gate.tracer, &ck.trace) {
+            t.restore_state(tc.state.clone());
+            self.search_span = Some(t.resume_span("search", tc.open_span_seq));
+        }
+        self.gate.live = true;
+        Ok(())
+    }
+
+    /// Resilience prologue (never part of the replayed prefix): go live
+    /// once the replay has caught up, observe a stop, capture the clean
+    /// boundary behind this iteration; then open the iteration. Returns
+    /// `false` when the session stops here.
+    fn prologue(&mut self, iteration: usize) -> Result<bool, TuneError> {
+        if !self.gate.live && iteration > self.gate.resume_at() {
+            self.go_live()?;
+        }
+        if self.gate.live {
+            if let Some(reason) = self.gate.stop.stopped() {
+                self.report.stop_reason = reason;
                 // Save the newest clean boundary. `pending` was
                 // captured before the previous iteration ran, so it is
                 // valid even if that iteration was truncated mid-
                 // evaluation by this very stop.
-                if let (Some(sink), Some((done, ck))) = (ctl.checkpoint_sink, pending.take()) {
-                    if done > last_saved {
+                if let (Some(sink), Some((done, ck))) =
+                    (self.ctl.checkpoint_sink, self.pending.take())
+                {
+                    if done > self.last_saved {
                         sink(done, &ck.to_json_string());
                     }
                 }
-                break;
+                return Ok(false);
             }
-            if let Some(sink) = ctl.checkpoint_sink {
+            if let Some(sink) = self.ctl.checkpoint_sink {
                 // Reaching this point un-stopped proves iterations
                 // `1..=iteration-1` completed without stop interference
                 // (the token is sticky): capture them as the new resume
                 // boundary.
                 let done = iteration - 1;
                 if done >= 1 {
-                    let ck = capture_checkpoint(
-                        opts_sig,
-                        base_sig,
-                        deployed_baseline,
-                        &report,
-                        &rng,
-                        optimizer_calls,
-                        budget_spent,
-                        budget_skipped,
-                        cache.as_ref(),
-                        &memo,
-                        &interner,
-                        &relevance,
-                        ctl.tracer,
-                        search_span.as_ref(),
-                        done,
-                    );
-                    if ctl.checkpoint_every > 0
-                        && done % ctl.checkpoint_every == 0
-                        && done > last_saved
+                    let ck = self.capture_checkpoint(done);
+                    if self.ctl.checkpoint_every > 0
+                        && done.is_multiple_of(self.ctl.checkpoint_every)
+                        && done > self.last_saved
                     {
                         sink(done, &ck.to_json_string());
-                        last_saved = done;
+                        self.last_saved = done;
                     }
-                    pending = Some((done, ck));
+                    self.pending = Some((done, ck));
                 }
             }
         }
-
-        report.iterations = iteration;
-        pdt_trace::incr(trc(live), "search.iterations", 1);
+        self.report.iterations = iteration;
+        let tracer = self.gate.tracer();
+        pdt_trace::incr(tracer, "search.iterations", 1);
         pdt_trace::emit(
-            trc(live),
+            tracer,
             "iter.begin",
             vec![
                 ("iteration", iteration.into()),
-                ("nodes", nodes.len().into()),
+                ("nodes", self.nodes.len().into()),
             ],
         );
-        // ---- line 5: pick a configuration ---------------------------
-        let Some(node_idx) = pick_node(&nodes, last_created, options, has_updates, &fits) else {
-            report.stop_reason = StopReason::Converged;
-            break;
-        };
+        Ok(true)
+    }
 
-        // ---- line 6: pick and apply a transformation ----------------
-        // Score candidates once per node; child nodes inherit the
-        // still-valid scores from their parent and only score the
-        // transformations their own structures introduced ("we can
-        // also cache results from one iteration to the next, so the
-        // amortized number of transformations that we evaluate per
-        // iteration is rather small", §3.4).
-        if nodes[node_idx].scored.is_none() {
-            // Candidate enumeration: the incremental engine derives the
-            // list from the parent's by delta enumeration (identical to
-            // a from-scratch run — asserted in debug builds); the
-            // reference engine, and the root in both, enumerate from
-            // scratch.
-            let parent_cands = nodes[node_idx].parent.and_then(|p| nodes[p].cands.clone());
-            let cands_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Candidates);
-            let cands: std::sync::Arc<Vec<(Transformation, u64)>> =
-                match (options.incremental, parent_cands, &nodes[node_idx].delta) {
-                    (true, Some(pc), Some(d)) => std::sync::Arc::new(candidates_delta(
-                        &nodes[node_idx].config,
-                        &base,
-                        &pc,
-                        d,
-                        &interner,
-                    )),
-                    _ => std::sync::Arc::new(
-                        candidates(&nodes[node_idx].config, &base)
-                            .into_iter()
-                            .map(|t| {
-                                let sig = interner.transform_sig(&t);
-                                (t, sig)
-                            })
-                            .collect(),
-                    ),
-                };
-            drop(cands_hot);
-            // The parent's still-valid scores, keyed by transformation
-            // signature and borrowed: one clone per reused candidate,
-            // at reuse time.
-            let inherited: std::collections::HashMap<u64, &ScoredCandidate> = nodes[node_idx]
-                .parent
+    /// Capture the resume state at a clean iteration boundary (the top
+    /// of the search loop, before any of the next iteration's work).
+    fn capture_checkpoint(&self, iteration_done: usize) -> Checkpoint {
+        let (env, report) = (&self.env, &self.report);
+        let cache = env.cache.as_ref();
+        Checkpoint {
+            options_sig: env.opts_sig,
+            base_sig: env.base_sig,
+            deployed: self.deployed.as_ref().map(|(_, e, s)| (e.total_cost, *s)),
+            initial_cost: report.initial_cost,
+            optimal_cost: report.optimal_cost,
+            iteration: iteration_done,
+            rng_state: self.rng.state(),
+            optimizer_calls: report.optimizer_calls,
+            budget_spent: self.ledger.spent,
+            budget_skipped: self.ledger.skipped,
+            cache_hits: cache.map_or(0, |c| c.hits()),
+            cache_misses: cache.map_or(0, |c| c.misses()),
+            bound_memo_hits: env.memo.hits(),
+            bound_memo_misses: env.memo.misses(),
+            derived: cache.map(|c| c.derived_counters()).unwrap_or_default(),
+            best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
+            frontier_len: report.frontier.len(),
+            faults: report.faults.clone(),
+            cache: cache.map(|c| c.snapshot()).unwrap_or_default(),
+            bound_memo: env.memo.snapshot(),
+            interner: self.interner.snapshot(),
+            relevance: env.relevance.rows().to_vec(),
+            trace: self.gate.tracer.map(|t| TraceCheckpoint {
+                state: t.export_state(),
+                open_span_seq: self.search_span.as_ref().map_or(0, |s| s.events_at_open()),
+            }),
+        }
+    }
+
+    /// Line 5 of Fig. 5 — the §3.4 heuristic (as amended by §3.6):
+    ///
+    /// 1. keep relaxing the last configuration while it does not fit
+    ///    (or, with updates, while it improved on its parent);
+    /// 2. otherwise revisit the chain and "correct" the step with the
+    ///    largest actual penalty;
+    /// 3. otherwise the cheapest configuration with available work.
+    fn pick(&self) -> Option<usize> {
+        let nodes = &self.nodes;
+        let cheapest_open = || {
+            nodes
                 .iter()
-                .flat_map(|&p| nodes[p].scored.iter().flatten())
-                .filter(|c| c.still_valid(&nodes[node_idx].config))
-                .map(|c| (c.sig, c))
-                .collect();
-            // Fresh candidates are scored on the worker pool (through
-            // the bound memo); results come back in candidate order and
-            // the reuse/hit/miss tallies are folded in that order, so
-            // the scored list (and everything downstream) is
-            // thread-count-invariant.
-            const REUSED: u8 = 0;
-            const MEMO_HIT: u8 = 1;
-            const MEMO_MISS: u8 = 2;
-            let node = &nodes[node_idx];
-            let node_key = memo.cfg_key(node.sig);
-            let pricing_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Pricing);
-            let results: Vec<(Option<ScoredCandidate>, u8)> =
-                par_map(threads, &cands, |_, (t, sig)| {
-                    if let Some(&c) = inherited.get(sig) {
-                        (Some(c.clone()), REUSED)
-                    } else {
-                        let (entry, hit) = memoized_bound(
-                            db,
-                            &opt,
-                            workload,
-                            &node.eval,
-                            &node.config,
-                            node_key,
-                            t,
-                            *sig,
-                            &node.view_costs,
-                            &memo,
-                            options.incremental,
-                            budget.is_none(),
-                        );
-                        let score = score_from_entry(&entry, &node.eval);
-                        let sc = score.map(|(delta_t, delta_s)| ScoredCandidate {
-                            delta_t,
-                            delta_s,
-                            sig: *sig,
-                            transformation: t.clone(),
-                        });
-                        (sc, if hit { MEMO_HIT } else { MEMO_MISS })
-                    }
-                });
-            drop(pricing_hot);
-            let (mut reused, mut memo_hits, mut memo_misses) = (0u64, 0u64, 0u64);
-            let mut scored: Vec<ScoredCandidate> = Vec::new();
-            for (sc, kind) in results {
-                match kind {
-                    REUSED => reused += 1,
-                    MEMO_HIT => memo_hits += 1,
-                    _ => memo_misses += 1,
-                }
-                if let Some(c) = sc {
-                    scored.push(c);
-                }
-            }
-            candidates_reused += reused;
-            candidates_generated += memo_hits + memo_misses;
-            pdt_trace::incr(trc(live), "candidates.reused", reused);
-            pdt_trace::incr(trc(live), "candidates.generated", memo_hits + memo_misses);
-            memo.record_traced(memo_hits, memo_misses, trc(live));
-            pdt_trace::incr(trc(live), "search.scored", scored.len() as u64);
-            if let Some(t) = trc(live) {
-                for c in &scored {
-                    t.emit(
-                        "search.candidate",
-                        vec![
-                            ("transformation", c.transformation.to_string().into()),
-                            ("delta_t", c.delta_t.into()),
-                            ("delta_s", c.delta_s.into()),
-                        ],
-                    );
-                }
-            }
-            if options.incremental {
-                nodes[node_idx].cands = Some(cands);
-            }
-            nodes[node_idx].scored = Some(scored);
+                .enumerate()
+                .filter(|(_, n)| !n.exhausted)
+                .min_by(|a, b| a.1.cost().total_cmp(&b.1.cost()))
+                .map(|(i, _)| i)
+        };
+        if self.env.options.config_choice == ConfigChoice::MinCost {
+            return cheapest_open();
         }
 
-        let over_budget = options
+        // Step 1.
+        let last = &nodes[self.last_created];
+        let improved_parent = self.env.has_updates
+            && last
+                .parent
+                .map(|p| last.cost() < nodes[p].cost())
+                .unwrap_or(false);
+        if !last.exhausted && (!self.env.fits(last.size) || improved_parent) {
+            return Some(self.last_created);
+        }
+
+        // Step 2: the chain from the last configuration to the root;
+        // pick the largest-actual-penalty node with remaining work.
+        let mut chain = Vec::new();
+        let mut cursor = Some(self.last_created);
+        while let Some(i) = cursor {
+            chain.push(i);
+            cursor = nodes[i].parent;
+        }
+        if let Some(&i) = chain
+            .iter()
+            .filter(|&&i| !nodes[i].exhausted && nodes[i].last_relax_penalty > 0.0)
+            .max_by(|&&a, &&b| {
+                nodes[a]
+                    .last_relax_penalty
+                    .total_cmp(&nodes[b].last_relax_penalty)
+            })
+        {
+            return Some(i);
+        }
+
+        // Step 3.
+        cheapest_open()
+    }
+
+    /// Line 6, first half: score the node's candidates, once per node.
+    /// Child nodes inherit the still-valid scores from their parent and
+    /// only score the transformations their own structures introduced
+    /// ("we can also cache results from one iteration to the next, so
+    /// the amortized number of transformations that we evaluate per
+    /// iteration is rather small", §3.4).
+    fn score(&mut self, node_idx: usize) {
+        if self.nodes[node_idx].scored.is_some() {
+            return;
+        }
+        let env = &self.env;
+        let tracer = self.gate.tracer();
+        let node = &self.nodes[node_idx];
+        // Candidate enumeration: the incremental engine derives the
+        // list from the parent's by delta enumeration (identical to a
+        // from-scratch run — asserted in debug builds); the reference
+        // engine, and the root in both, enumerate from scratch.
+        let parent_cands = node.parent.and_then(|p| self.nodes[p].cands.clone());
+        let cands_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
+        let cands: std::sync::Arc<Vec<(Transformation, u64)>> =
+            match (env.options.incremental, parent_cands, &node.delta) {
+                (true, Some(pc), Some(d)) => std::sync::Arc::new(candidates_delta(
+                    &node.config,
+                    &env.base,
+                    &pc,
+                    d,
+                    &self.interner,
+                )),
+                _ => std::sync::Arc::new(self.with_sigs(candidates(&node.config, &env.base))),
+            };
+        drop(cands_hot);
+        // The parent's still-valid scores, keyed by transformation
+        // signature and borrowed: one clone per reused candidate, at
+        // reuse time.
+        let inherited: std::collections::HashMap<u64, &ScoredCandidate> = node
+            .parent
+            .iter()
+            .flat_map(|&p| self.nodes[p].scored.iter().flatten())
+            .filter(|c| c.still_valid(&node.config))
+            .map(|c| (c.sig, c))
+            .collect();
+        // Fresh candidates are scored on the worker pool (through the
+        // bound memo); results come back in candidate order and the
+        // reuse/hit/miss tallies are folded in that order, so the scored
+        // list (and everything downstream) is thread-count-invariant.
+        let node_key = env.memo.cfg_key(node.sig);
+        let memoize = !self.ledger.limited();
+        let pricing_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Pricing);
+        // Each result carries its memo probe outcome; `None` = reused.
+        let results: Vec<(Option<ScoredCandidate>, Option<bool>)> =
+            par_map(env.threads, &cands, |_, (t, sig)| {
+                if let Some(&c) = inherited.get(sig) {
+                    (Some(c.clone()), None)
+                } else {
+                    let (entry, hit) = env.bound(node, node_key, t, *sig, memoize);
+                    let score = score_from_entry(&entry, &node.eval);
+                    let sc = score.map(|(delta_t, delta_s)| ScoredCandidate {
+                        delta_t,
+                        delta_s,
+                        sig: *sig,
+                        transformation: t.clone(),
+                    });
+                    (sc, Some(hit))
+                }
+            });
+        drop(pricing_hot);
+        let (mut reused, mut memo_hits, mut memo_misses) = (0u64, 0u64, 0u64);
+        let mut scored: Vec<ScoredCandidate> = Vec::new();
+        for (sc, probe) in results {
+            match probe {
+                None => reused += 1,
+                Some(true) => memo_hits += 1,
+                Some(false) => memo_misses += 1,
+            }
+            scored.extend(sc);
+        }
+        self.report.candidates_reused += reused;
+        self.report.candidates_generated += memo_hits + memo_misses;
+        pdt_trace::incr(tracer, "candidates.reused", reused);
+        pdt_trace::incr(tracer, "candidates.generated", memo_hits + memo_misses);
+        env.memo.record_traced(memo_hits, memo_misses, tracer);
+        pdt_trace::incr(tracer, "search.scored", scored.len() as u64);
+        if let Some(t) = tracer {
+            for c in &scored {
+                t.emit("search.candidate", c.fields());
+            }
+        }
+        let node = &mut self.nodes[node_idx];
+        if env.options.incremental {
+            node.cands = Some(cands);
+        }
+        node.scored = Some(scored);
+    }
+
+    /// Line 6, second half: pick the node's best untried candidate
+    /// (after the §3.6 skyline filter) and apply it. `None` when the
+    /// node is exhausted or the transformation no longer applies.
+    fn select(
+        &mut self,
+        iteration: usize,
+        node_idx: usize,
+    ) -> Option<(ScoredCandidate, AppliedTransform)> {
+        let env = &self.env;
+        let tracer = self.gate.tracer();
+        let node = &self.nodes[node_idx];
+        let over_budget = env
+            .options
             .space_budget
-            .map_or(0.0, |b| (nodes[node_idx].size - b).max(0.0));
-        let mut open: Vec<&ScoredCandidate> = nodes[node_idx]
+            .map_or(0.0, |b| (node.size - b).max(0.0));
+        let mut open: Vec<&ScoredCandidate> = node
             .scored
             .as_ref()
-            .expect("scored above")
+            .expect("scored by the previous phase")
             .iter()
-            .filter(|c| !nodes[node_idx].tried.contains(&c.sig))
+            .filter(|c| !node.tried.contains(&c.sig))
             .collect();
         // §3.6 skyline: with updates, drop dominated candidates (worse
         // ΔT and worse ΔS than another candidate).
-        if has_updates && options.skyline_filter && open.len() > 1 {
-            let _hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Skyline);
+        if env.has_updates && env.options.skyline_filter && open.len() > 1 {
+            let _hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Skyline);
             // SoA scan over reused scratch: one dominated flag per
             // open candidate, in input order.
-            let flags = skyline_scratch
+            let flags = self
+                .skyline_scratch
                 .dominated_flags(open.iter().map(|c| (c.delta_t, c.delta_s)))
                 .to_vec();
-            if let Some(t) = trc(live) {
+            if let Some(t) = tracer {
                 for (c, _) in open.iter().zip(&flags).filter(|(_, &d)| d) {
-                    t.emit(
-                        "skyline.drop",
-                        vec![
-                            ("transformation", c.transformation.to_string().into()),
-                            ("delta_t", c.delta_t.into()),
-                            ("delta_s", c.delta_s.into()),
-                        ],
-                    );
+                    t.emit("skyline.drop", c.fields());
                 }
             }
             let mut i = 0;
@@ -1760,13 +2135,13 @@ pub fn tune_session(
                 keep
             });
         }
-        report.candidate_counts.push(open.len());
-        pdt_trace::incr(trc(live), "search.open", open.len() as u64);
+        self.report.candidate_counts.push(open.len());
+        pdt_trace::incr(tracer, "search.open", open.len() as u64);
         if open.is_empty() {
-            nodes[node_idx].exhausted = true;
-            continue;
+            self.nodes[node_idx].exhausted = true;
+            return None;
         }
-        let chosen = match options.transformation_choice {
+        let best = match env.options.transformation_choice {
             TransformationChoice::Penalty => open
                 .iter()
                 .min_by(|a, b| a.penalty(over_budget).total_cmp(&b.penalty(over_budget)))
@@ -1775,278 +2150,147 @@ pub fn tune_session(
                 .iter()
                 .min_by(|a, b| a.delta_t.total_cmp(&b.delta_t))
                 .expect("non-empty"),
-            TransformationChoice::Random => open[rng.gen_range(0..open.len())],
+            TransformationChoice::Random => open[self.rng.gen_range(0..open.len())],
         };
-        let delta_s = chosen.delta_s;
-        let delta_t_est = chosen.delta_t;
-        let penalty_est = chosen.penalty(over_budget);
-        let chosen_sig = chosen.sig;
-        let transformation = chosen.transformation.clone();
+        let chosen = ScoredCandidate::clone(best);
         pdt_trace::emit(
-            trc(live),
+            tracer,
             "search.choose",
             vec![
                 ("iteration", iteration.into()),
-                ("transformation", transformation.to_string().into()),
-                ("delta_t", delta_t_est.into()),
-                ("delta_s", delta_s.into()),
-                ("penalty", penalty_est.into()),
+                ("transformation", chosen.transformation.to_string().into()),
+                ("delta_t", best.delta_t.into()),
+                ("delta_s", best.delta_s.into()),
+                ("penalty", best.penalty(over_budget).into()),
             ],
         );
-        nodes[node_idx].tried.insert(chosen_sig);
-        let Some(applied) = apply(&transformation, &nodes[node_idx].config, db, &opt) else {
-            pdt_trace::emit(
-                trc(live),
-                "step.skip",
-                vec![
-                    ("transformation", transformation.to_string().into()),
-                    ("reason", "inapplicable".into()),
-                ],
-            );
-            continue;
+        let node = &mut self.nodes[node_idx];
+        node.tried.insert(chosen.sig);
+        let Some(applied) = apply(&chosen.transformation, &node.config, env.db, &env.opt) else {
+            emit_skip(tracer, &chosen.transformation, "inapplicable");
+            return None;
         };
+        Some((chosen, applied))
+    }
 
-        // ---- approximate tier: spend, serve, or stop -----------------
-        // The gap-driven reallocation policy. The child's true cost
-        // lies in `[upper - gap, upper]`, where `upper` is the §3.3.2
-        // bound total and `gap` is its select-side replacement slack
-        // (see `bound_served_eval`; the lower end is sound because a
-        // relaxation never makes an affected query's re-optimized plan
-        // cheaper than its current one, and shells are closed-form
-        // exact). A *negligible-gap* child — no point of its interval
-        // can move a relaxation decision by more than `GAP_TOL` of the
-        // parent's cost — is served the estimate for free; it steers
-        // (and may claim `best` at its sound upper bound) exactly as
-        // the evaluation it replaces would have. A child with a
-        // material gap is decision-relevant: only a real evaluation can
-        // settle it, so it spends budget, charged at its worst case.
-        // Freed budget thus flows to the highest-uncertainty
-        // candidates, and `pick_node` keeps steering by interval
-        // midpoints in between.
-        if let Some(b) = budget {
-            let affected = affected_queries(&nodes[node_idx].eval, &applied);
-            let (est_eval, gap) = bound_served_eval(
-                db,
-                &opt.opts.cost,
-                workload,
-                &nodes[node_idx].eval,
-                &nodes[node_idx].config,
-                &applied,
-                &nodes[node_idx].view_costs,
-            );
-            let new_size = applied.config.size_bytes(db);
-            if gap <= GAP_TOL * nodes[node_idx].eval.total_cost {
-                // Serve the estimate: synthesize the child's evaluation
-                // from the bound (its total is bit-identical to
-                // `cost_upper_bound`), pool it, and let it claim `best`
-                // at its upper bound — a sound claim the final
-                // validation re-prices exactly.
-                let upper = est_eval.total_cost;
-                let estimate = upper - 0.5 * gap;
-                budget_skipped += affected;
-                pdt_trace::incr(trc(live), "optimizer.calls_skipped", affected);
-                pdt_trace::emit(
-                    trc(live),
-                    "budget.skip",
-                    vec![
-                        ("phase", "search".into()),
-                        ("iteration", iteration.into()),
-                        ("transformation", transformation.to_string().into()),
-                        ("affected", affected.into()),
-                        ("gap", gap.into()),
-                        ("upper", upper.into()),
-                    ],
-                );
-                let actual_penalty =
-                    (upper - nodes[node_idx].eval.total_cost) / delta_s.abs().max(1.0);
-                nodes[node_idx].last_relax_penalty =
-                    nodes[node_idx].last_relax_penalty.max(actual_penalty);
-                pdt_trace::emit(
-                    trc(live),
-                    "search.step",
-                    vec![
-                        ("iteration", iteration.into()),
-                        ("transformation", transformation.to_string().into()),
-                        ("parent_size", nodes[node_idx].size.into()),
-                        ("size", new_size.into()),
-                        ("cost", upper.into()),
-                        ("fits", fits(new_size).into()),
-                    ],
-                );
-                report.frontier.push(FrontierPoint {
-                    iteration,
-                    size_bytes: new_size,
-                    cost: upper,
-                    fits: fits(new_size),
-                });
+    /// Approximate tier: spend, serve, or stop — the gap-driven
+    /// reallocation policy. The child's true cost lies in
+    /// `[upper - gap, upper]`, where `upper` is the §3.3.2 bound total
+    /// and `gap` is its select-side replacement slack (see
+    /// `bound_served_eval`; the lower end is sound because a relaxation
+    /// never makes an affected query's re-optimized plan cheaper than
+    /// its current one, and shells are closed-form exact). A
+    /// *negligible-gap* child — no point of its interval can move a
+    /// relaxation decision by more than `GAP_TOL` of the parent's cost
+    /// — is served the estimate for free; it steers (and may claim
+    /// `best` at its sound upper bound) exactly as the evaluation it
+    /// replaces would have. A child with a material gap is
+    /// decision-relevant: only a real evaluation can settle it, so it
+    /// spends budget, charged at its worst case. Freed budget thus
+    /// flows to the highest-uncertainty candidates, and `pick` keeps
+    /// steering by interval midpoints in between.
+    ///
+    /// Hands the step on only when it is to be really evaluated: a
+    /// served child is pooled here, and the exact tier admits
+    /// everything.
+    fn admit(
+        &mut self,
+        iteration: usize,
+        parent: usize,
+        chosen: &ScoredCandidate,
+        applied: AppliedTransform,
+    ) -> Option<AppliedTransform> {
+        if !self.ledger.limited() {
+            return Some(applied);
+        }
+        let env = &self.env;
+        let node = &self.nodes[parent];
+        let (est_eval, quote) = env.quote(node, &chosen.transformation, &applied);
+        let tracer = self.gate.tracer();
+        match self
+            .ledger
+            .settle(tracer, "search", Some(iteration), &quote)
+        {
+            Settled::Served => {
+                // Synthesize the child's evaluation from the bound (its
+                // total is bit-identical to `cost_upper_bound`), pool
+                // it, and let it claim `best` at its upper bound — a
+                // sound claim the final validation re-prices exactly.
                 let AppliedTransform { config, delta } = applied;
-                if fits(new_size) && report.best.as_ref().is_none_or(|b| upper < b.cost) {
-                    pdt_trace::emit(
-                        trc(live),
-                        "search.best",
-                        vec![
-                            ("iteration", iteration.into()),
-                            ("cost", upper.into()),
-                            ("size", new_size.into()),
-                        ],
-                    );
-                    report.best = Some(BestConfig {
-                        config: config.clone(),
-                        cost: upper,
-                        size_bytes: new_size,
-                    });
-                }
-                let child_sig = config.signature128();
-                let view_costs = child_view_costs(
-                    db,
-                    &opt,
-                    options,
-                    &nodes[node_idx].view_costs,
-                    &config,
-                    &delta.removed_indexes,
-                    &delta.removed_views,
-                    &delta.added_indexes,
-                );
-                nodes.push(Node {
+                let child = Child {
                     config,
                     eval: est_eval,
-                    size: new_size,
-                    parent: Some(node_idx),
-                    last_relax_penalty: 0.0,
-                    sig: child_sig,
-                    view_costs,
-                    tried: HashSet::new(),
-                    cands: None,
-                    delta: options.incremental.then(|| StepDelta {
-                        added_views: delta.added_views(),
-                        removed_indexes: delta.removed_indexes,
-                        removed_views: delta.removed_views,
-                        added_indexes: delta.added_indexes,
-                    }),
-                    scored: None,
-                    exhausted: false,
-                    pruned: false,
-                    est_cost: Some(estimate),
-                });
-                last_created = nodes.len() - 1;
-                continue;
+                    step: step_delta(delta),
+                    est_cost: Some(quote.upper - 0.5 * quote.gap),
+                };
+                self.pool(iteration, parent, chosen, child);
+                None
             }
-            // Decision-relevant: a real evaluation, charged up front at
-            // its worst case. An unaffordable spend ends the session
-            // anytime-style — the loop prologue (or the post-loop
-            // reflection) turns the trip into the final stop reason and
-            // saves the pending checkpoint, exactly like a deadline.
-            if budget_spent + affected > b as u64 {
-                pdt_trace::emit(
-                    trc(live),
-                    "budget.exhausted",
-                    vec![
-                        ("phase", "search".into()),
-                        ("iteration", iteration.into()),
-                        ("transformation", transformation.to_string().into()),
-                        ("affected", affected.into()),
-                        ("remaining", (b as u64 - budget_spent).into()),
-                    ],
-                );
-                token.trip(StopReason::CallBudget);
-                continue;
+            Settled::Charged => Some(applied),
+            Settled::Exhausted => {
+                // Ends the session anytime-style — the loop prologue
+                // (or the post-loop reflection) turns the trip into the
+                // final stop reason and saves the pending checkpoint,
+                // exactly like a deadline.
+                self.gate.token.trip(StopReason::CallBudget);
+                None
             }
-            budget_spent += affected;
         }
+    }
 
-        // ---- lines 7–9: evaluate, pool, update best ------------------
-        let shortcut_limit = if options.shortcut_evaluation {
-            report.best.as_ref().map(|b| b.cost)
+    /// Line 7: really evaluate the relaxed configuration (contained).
+    /// `None` when the child is not to be pooled: §3.5 shortcut, a
+    /// stop-truncated evaluation, or a contained fault.
+    fn evaluate(
+        &mut self,
+        iteration: usize,
+        parent: usize,
+        chosen: &ScoredCandidate,
+        applied: &AppliedTransform,
+    ) -> Option<EvalResult> {
+        let env = &self.env;
+        let tracer = self.gate.tracer();
+        let node = &self.nodes[parent];
+        let skip_shortcut = || emit_skip(tracer, &chosen.transformation, "shortcut");
+        let shortcut_limit = if env.options.shortcut_evaluation {
+            self.report.best.as_ref().map(|b| b.cost)
         } else {
             None
         };
-        // Under the bound oracle the evaluation must run to completion
-        // so the §3.3.2 bound can be compared against the true cost;
-        // the §3.5 skip is re-imposed on the finished result below, so
-        // search decisions are identical either way.
-        let eval_limit = if options.validate_bounds {
-            None
-        } else {
-            shortcut_limit
+        let job = EvalJob {
+            site: SITE_CANDIDATE,
+            iteration,
+            config: &applied.config,
+            prev: &node.eval,
+            removed_indexes: &applied.removed_indexes,
+            removed_views: &applied.removed_views,
+            // Under the bound oracle the evaluation must run to
+            // completion so the §3.3.2 bound can be compared against
+            // the true cost; the §3.5 skip is re-imposed on the
+            // finished result below, so search decisions are identical
+            // either way.
+            limit: if env.options.validate_bounds {
+                None
+            } else {
+                shortcut_limit
+            },
         };
-        let step_ctx = EvalCtx {
-            stop: live.then_some(&stop_check),
-            faults: options
-                .fault_plan
-                .as_ref()
-                .map(|p| FaultSite::new(p, SITE_CANDIDATE, iteration as u64)),
-            tracer: trc(live),
-            ..ctx
-        };
-        let eval_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Eval);
-        let eval = match catch_unwind(AssertUnwindSafe(|| {
-            evaluate_incremental_ctx(
-                db,
-                &opt,
-                &applied.config,
-                workload,
-                &nodes[node_idx].eval,
-                &applied.removed_indexes,
-                &applied.removed_views,
-                eval_limit,
-                step_ctx,
-            )
-        })) {
-            Ok(e) => e,
-            Err(payload) => {
-                // Fault isolation: the candidate is already in `tried`,
-                // so containing the panic just skips it; the search
-                // carries on with the rest of the pool.
-                if live {
-                    record_fault(
-                        &mut report,
-                        trc(live),
-                        &token,
-                        options.max_faults,
-                        iteration,
-                        FaultKind::EvalPanic,
-                        payload_str(payload.as_ref()),
-                    );
-                }
-                continue;
+        let eval = match env.evaluate_contained(&self.gate, &mut self.report, job) {
+            Contained::Done(eval) => eval,
+            Contained::Shortcut => {
+                // This configuration (and its descendants) cannot beat
+                // the best — do not pool it.
+                skip_shortcut();
+                return None;
             }
+            // Stopped: the loop prologue will observe the tripped token
+            // and end the session from the last clean boundary.
+            // Faulted: the candidate is already in `tried`, so
+            // containing the panic just skips it; the search carries on
+            // with the rest of the pool.
+            Contained::Stopped | Contained::Faulted => return None,
         };
-        drop(eval_hot);
-        let Some(eval) = eval else {
-            if live && stop_check.is_stopped() {
-                // Stop-truncated evaluation, not a shortcut skip: the
-                // loop prologue will observe the tripped token and end
-                // the session from the last clean boundary.
-                continue;
-            }
-            // §3.5 shortcut: this configuration (and its descendants)
-            // cannot beat the best — do not pool it.
-            pdt_trace::emit(
-                trc(live),
-                "step.skip",
-                vec![
-                    ("transformation", transformation.to_string().into()),
-                    ("reason", "shortcut".into()),
-                ],
-            );
-            continue;
-        };
-        optimizer_calls += eval.optimizer_calls;
-        if live {
-            for q in &eval.poison_repairs {
-                record_fault(
-                    &mut report,
-                    trc(live),
-                    &token,
-                    options.max_faults,
-                    iteration,
-                    FaultKind::CachePoison,
-                    format!("repaired poisoned cache cost for query {q}"),
-                );
-            }
-        }
-
-        if options.validate_bounds {
+        if env.options.validate_bounds {
             // Inherited candidate scores can be stale with respect to
             // the node they are applied from, so the oracle recomputes
             // the bound fresh against this node's plans — through the
@@ -2054,169 +2298,110 @@ pub fn tune_session(
             // already priced against this exact (transformation,
             // configuration) context, so the rescore is a guaranteed
             // hit and the same context is never priced twice.
-            let node = &nodes[node_idx];
-            let (entry, hit) = memoized_bound(
-                db,
-                &opt,
-                workload,
-                &node.eval,
-                &node.config,
-                memo.cfg_key(node.sig),
-                &transformation,
-                chosen_sig,
-                &node.view_costs,
-                &memo,
-                options.incremental,
-                true,
-            );
-            let bound = entry.bound;
-            memo.record_traced(u64::from(hit), u64::from(!hit), trc(live));
+            let cfg_key = env.memo.cfg_key(node.sig);
+            let (entry, hit) = env.bound(node, cfg_key, &chosen.transformation, chosen.sig, true);
+            env.memo
+                .record_traced(u64::from(hit), u64::from(!hit), tracer);
             oracle_check(
-                &mut report,
-                trc(live),
+                &mut self.report,
+                tracer,
                 iteration,
-                &transformation,
-                bound,
+                &chosen.transformation,
+                entry.bound,
                 eval.total_cost,
             );
             if shortcut_limit.is_some_and(|l| eval.total_cost > l) {
-                pdt_trace::emit(
-                    trc(live),
-                    "step.skip",
-                    vec![
-                        ("transformation", transformation.to_string().into()),
-                        ("reason", "shortcut".into()),
-                    ],
-                );
-                continue;
+                skip_shortcut();
+                return None;
             }
         }
+        Some(eval)
+    }
 
-        // Pull the step delta out of `applied` before consuming its
-        // configuration; shrink removals below fold into it so the
-        // child's delta describes the *net* structural change.
-        let AppliedTransform {
-            mut config,
-            delta: step,
-        } = applied;
-        let step_added_vw = step.added_views();
-        let TransformDelta {
-            removed_indexes: mut step_removed_ix,
-            removed_views: step_removed_vw,
-            added_indexes: mut step_added_ix,
-            ..
-        } = step;
-        let mut eval = eval;
-        if options.shrink_unused {
-            let (unused_ix, _) = unused_structures(&config, &base, &eval);
-            if !unused_ix.is_empty() {
-                // Build the shrunk configuration aside and commit only
-                // on a successful re-evaluation: a panic or a stop mid-
-                // shrink keeps the consistent unshrunk pair.
-                let mut shrunk = config.clone();
-                for i in &unused_ix {
-                    shrunk.remove_index(i);
-                }
-                let shrink_ctx = EvalCtx {
-                    stop: live.then_some(&stop_check),
-                    faults: options
-                        .fault_plan
-                        .as_ref()
-                        .map(|p| FaultSite::new(p, SITE_SHRINK, iteration as u64)),
-                    tracer: trc(live),
-                    ..ctx
-                };
-                // Unused indexes carry no plans, but shells change.
-                let shrink_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Eval);
-                let shrink_result = catch_unwind(AssertUnwindSafe(|| {
-                    evaluate_incremental_ctx(
-                        db,
-                        &opt,
-                        &shrunk,
-                        workload,
-                        &eval,
-                        &[],
-                        &[],
-                        None,
-                        shrink_ctx,
-                    )
-                }));
-                drop(shrink_hot);
-                match shrink_result {
-                    Ok(Some(e2)) => {
-                        if live {
-                            for q in &e2.poison_repairs {
-                                record_fault(
-                                    &mut report,
-                                    trc(live),
-                                    &token,
-                                    options.max_faults,
-                                    iteration,
-                                    FaultKind::CachePoison,
-                                    format!("repaired poisoned cache cost for query {q}"),
-                                );
-                            }
-                        }
-                        config = shrunk;
-                        eval = e2;
-                        if options.incremental {
-                            // A shrunk-away addition cancels out; a
-                            // shrunk pre-existing structure counts as
-                            // removed.
-                            for i in &unused_ix {
-                                if let Some(pos) = step_added_ix.iter().position(|a| a == i) {
-                                    step_added_ix.remove(pos);
-                                } else {
-                                    step_removed_ix.push(i.clone());
-                                }
-                            }
-                        }
-                    }
-                    // Stopped mid-shrink: keep the unshrunk pair.
-                    Ok(None) => {}
-                    Err(payload) => {
-                        if live {
-                            record_fault(
-                                &mut report,
-                                trc(live),
-                                &token,
-                                options.max_faults,
-                                iteration,
-                                FaultKind::EvalPanic,
-                                payload_str(payload.as_ref()),
-                            );
-                        }
-                    }
+    /// §3.5 shrinking: drop the indexes the child's plans do not use
+    /// and fold the removals into its step, so its delta describes the
+    /// *net* structural change.
+    fn shrink(&mut self, iteration: usize, child: &mut Child) {
+        let env = &self.env;
+        let (unused_ix, _) = unused_structures(&child.config, &env.base, &child.eval);
+        if unused_ix.is_empty() {
+            return;
+        }
+        // Build the shrunk configuration aside and commit only on a
+        // successful re-evaluation: a panic or a stop mid-shrink keeps
+        // the consistent unshrunk pair.
+        let mut shrunk = child.config.clone();
+        for i in &unused_ix {
+            shrunk.remove_index(i);
+        }
+        // Unused indexes carry no plans, but shells change.
+        let job = EvalJob {
+            site: SITE_SHRINK,
+            iteration,
+            config: &shrunk,
+            prev: &child.eval,
+            removed_indexes: &[],
+            removed_views: &[],
+            limit: None,
+        };
+        let Contained::Done(eval) = env.evaluate_contained(&self.gate, &mut self.report, job)
+        else {
+            return;
+        };
+        child.config = shrunk;
+        child.eval = eval;
+        if env.options.incremental {
+            // A shrunk-away addition cancels out; a shrunk pre-existing
+            // structure counts as removed.
+            for i in &unused_ix {
+                if let Some(pos) = child.step.added_indexes.iter().position(|a| a == i) {
+                    child.step.added_indexes.remove(pos);
+                } else {
+                    child.step.removed_indexes.push(i.clone());
                 }
             }
         }
+    }
 
-        let size = config.size_bytes(db);
+    /// Lines 7–8: pool the child, record the step on the frontier, and
+    /// update `best` if the child fits and is cheaper.
+    fn pool(&mut self, iteration: usize, parent: usize, chosen: &ScoredCandidate, child: Child) {
+        let env = &self.env;
+        let tracer = self.gate.tracer();
+        let Child {
+            config,
+            eval,
+            step,
+            est_cost,
+        } = child;
+        let size = config.size_bytes(env.db);
         let cost = eval.total_cost;
-        let actual_penalty = (cost - nodes[node_idx].eval.total_cost) / delta_s.abs().max(1.0);
-        nodes[node_idx].last_relax_penalty = nodes[node_idx].last_relax_penalty.max(actual_penalty);
+        let fits = env.fits(size);
+        let node = &mut self.nodes[parent];
+        let actual_penalty = (cost - node.eval.total_cost) / chosen.delta_s.abs().max(1.0);
+        node.last_relax_penalty = node.last_relax_penalty.max(actual_penalty);
 
         pdt_trace::emit(
-            trc(live),
+            tracer,
             "search.step",
             vec![
                 ("iteration", iteration.into()),
-                ("transformation", transformation.to_string().into()),
-                ("parent_size", nodes[node_idx].size.into()),
+                ("transformation", chosen.transformation.to_string().into()),
+                ("parent_size", node.size.into()),
                 ("size", size.into()),
                 ("cost", cost.into()),
-                ("fits", fits(size).into()),
+                ("fits", fits.into()),
             ],
         );
-        report.frontier.push(FrontierPoint {
+        self.report.frontier.push(FrontierPoint {
             iteration,
             size_bytes: size,
             cost,
-            fits: fits(size),
+            fits,
         });
-        if fits(size) && report.best.as_ref().is_none_or(|b| cost < b.cost) {
+        if env.offer(&mut self.report, &config, cost, size) {
             pdt_trace::emit(
-                trc(live),
+                tracer,
                 "search.best",
                 vec![
                     ("iteration", iteration.into()),
@@ -2224,163 +2409,131 @@ pub fn tune_session(
                     ("size", size.into()),
                 ],
             );
-            report.best = Some(BestConfig {
-                config: config.clone(),
-                cost,
-                size_bytes: size,
-            });
         }
-        let child_sig = config.signature128();
-        let view_costs = child_view_costs(
-            db,
-            &opt,
-            options,
-            &nodes[node_idx].view_costs,
+        let view_costs = env.child_view_costs(
+            &node.view_costs,
             &config,
-            &step_removed_ix,
-            &step_removed_vw,
-            &step_added_ix,
+            &step.removed_indexes,
+            &step.removed_views,
+            &step.added_indexes,
         );
-        nodes.push(Node {
+        self.nodes.push(Node::new(
             config,
             eval,
             size,
-            parent: Some(node_idx),
-            last_relax_penalty: 0.0,
-            sig: child_sig,
+            Some(parent),
             view_costs,
-            tried: HashSet::new(),
-            cands: None,
-            delta: options.incremental.then_some(StepDelta {
-                removed_indexes: step_removed_ix,
-                removed_views: step_removed_vw,
-                added_indexes: step_added_ix,
-                added_views: step_added_vw,
-            }),
-            scored: None,
-            exhausted: false,
-            pruned: false,
-            est_cost: None,
-        });
-        last_created = nodes.len() - 1;
-    }
-    // A session resumed at (or past) its iteration budget replays the
-    // whole loop without ever crossing `resume_at`: go live now so the
-    // final report carries the checkpointed counters and trace.
-    if !live {
-        let ck = ctl.resume.expect("replay mode implies a checkpoint");
-        go_live_checks(&report, &rng, budget_spent, budget_skipped, ck)?;
-        optimizer_calls = ck.optimizer_calls;
-        if let Some(c) = &cache {
-            c.set_counters(ck.cache_hits, ck.cache_misses);
-            c.set_derived_counters(ck.derived);
-        }
-        memo.set_counters(ck.bound_memo_hits, ck.bound_memo_misses);
-        if let (Some(t), Some(tc)) = (ctl.tracer, &ck.trace) {
-            t.restore_state(tc.state.clone());
-            search_span = Some(t.resume_span("search", tc.open_span_seq));
-        }
-    }
-    drop(search_span);
-
-    // The loop can also end with the token tripped mid-final-iteration
-    // (no later loop top observes it): reflect the true reason. A trip
-    // never downgrades a natural end — `token.get()` is `None` unless
-    // something actually tripped.
-    if let Some(reason) = token.get() {
-        report.stop_reason = reason;
+            env.options.incremental.then_some(step),
+            est_cost,
+        ));
+        self.last_created = self.nodes.len() - 1;
     }
 
-    // ---- approximate tier: exact validation of the recommendation ---
-    // Bound-served ancestors leave upper-bound slack in the costs an
-    // incremental evaluation carries for unaffected queries, so the
-    // recommendation is re-priced exactly — the DBA-bandits "validate"
-    // step, budget-exempt — before the base-configuration safety floor
-    // below, which then guarantees the budgeted result is never worse
-    // than the deployed configuration. The exact tier never enters
-    // this block.
-    if budget.is_some() {
-        if let Some(best) = &report.best {
-            pdt_trace::emit(
-                ctl.tracer,
-                "budget.validate.begin",
-                vec![("cost", best.cost.into())],
-            );
-            let vctx = EvalCtx {
-                tracer: ctl.tracer,
-                ..ctx
-            };
-            let veval = evaluate_full_ctx(db, &opt, &best.config, workload, vctx);
-            optimizer_calls += veval.optimizer_calls;
-            let cost = veval.total_cost;
-            pdt_trace::emit(
-                ctl.tracer,
-                "budget.validate.end",
-                vec![("cost", cost.into())],
-            );
-            report.best.as_mut().expect("checked above").cost = cost;
+    /// Lines 9–10, hardened: the recommendation is re-priced exactly
+    /// when it may carry estimate slack, and is never worse than doing
+    /// nothing or than what is deployed.
+    fn settle_recommendation(&mut self) {
+        let env = &self.env;
+        let tracer = self.gate.tracer();
+        // Approximate tier: exact validation of the recommendation.
+        // Bound-served ancestors leave upper-bound slack in the costs
+        // an incremental evaluation carries for unaffected queries, so
+        // the recommendation is re-priced exactly — the DBA-bandits
+        // "validate" step, budget-exempt — before the base-
+        // configuration safety floor below, which then guarantees the
+        // budgeted result is never worse than the deployed
+        // configuration. The exact tier never enters this block.
+        if self.ledger.limited() {
+            if let Some(best) = &mut self.report.best {
+                pdt_trace::emit(
+                    tracer,
+                    "budget.validate.begin",
+                    vec![("cost", best.cost.into())],
+                );
+                let veval = evaluate_full_ctx(
+                    env.db,
+                    &env.opt,
+                    &best.config,
+                    env.workload,
+                    env.ctx(tracer),
+                );
+                best.cost = veval.total_cost;
+                pdt_trace::emit(
+                    tracer,
+                    "budget.validate.end",
+                    vec![("cost", best.cost.into())],
+                );
+                self.report.optimizer_calls += veval.optimizer_calls;
+            }
+        }
+
+        // Recommending nothing (the base configuration) is always an
+        // option: never return a configuration worse than the current
+        // one.
+        let (initial_cost, base_size) = (self.report.initial_cost, env.base.size_bytes(env.db));
+        env.offer(&mut self.report, &env.base, initial_cost, base_size);
+
+        // Warm-start safety floor (DBA-bandits): never recommend a
+        // configuration that prices worse than the one currently
+        // deployed.
+        if let Some((d, deval, dsize)) = &self.deployed {
+            env.offer(&mut self.report, d, deval.total_cost, *dsize);
         }
     }
 
-    // Recommending nothing (the base configuration) is always an
-    // option: never return a configuration worse than the current one.
-    let base_size = base.size_bytes(db);
-    if fits(base_size) && report.best.as_ref().is_none_or(|b| b.cost > initial_cost) {
-        report.best = Some(BestConfig {
-            config: base,
-            cost: initial_cost,
-            size_bytes: base_size,
-        });
-    }
-
-    // Warm-start safety floor (DBA-bandits): never recommend a
-    // configuration that prices worse than the one currently deployed.
-    if let Some((deval, dsize)) = &deployed_eval {
-        if fits(*dsize)
-            && report
-                .best
-                .as_ref()
-                .is_none_or(|b| b.cost > deval.total_cost)
-        {
-            report.best = Some(BestConfig {
-                config: options.deployed.clone().expect("eval implies a config"),
-                cost: deval.total_cost,
-                size_bytes: *dsize,
-            });
+    /// Close the report: copy in the store-backed counters and the
+    /// ledger, end the trace, stamp the clock.
+    fn finalize(self) -> TuningReport {
+        let Session {
+            env,
+            gate,
+            ledger,
+            start,
+            mut report,
+            ..
+        } = self;
+        let tracer = gate.tracer();
+        if let Some(c) = &env.cache {
+            report.cache_hits = c.hits();
+            report.cache_misses = c.misses();
+            let d = c.derived_counters();
+            report.optimizer_calls_avoided = d.avoided;
+            report.plan_cache_hits = d.plan_hits;
+            report.plan_cache_misses = d.plan_misses;
+            report.plan_cache_repriced = d.repriced;
         }
+        report.bound_memo_hits = env.memo.hits();
+        report.bound_memo_misses = env.memo.misses();
+        report.optimizer_calls_skipped = ledger.skipped;
+        report.budget_remaining = ledger.remaining();
+        if let Some(remaining) = report.budget_remaining {
+            pdt_trace::incr(tracer, "budget.remaining", remaining);
+        }
+        pdt_trace::emit(
+            tracer,
+            "session.end",
+            vec![
+                ("iterations", report.iterations.into()),
+                ("optimizer_calls", report.optimizer_calls.into()),
+                ("stop_reason", report.stop_reason.label().into()),
+            ],
+        );
+        report.trace = tracer.map(|t| t.summary());
+        report.elapsed = start.elapsed();
+        report
     }
+}
 
-    report.optimizer_calls = optimizer_calls;
-    if let Some(c) = &cache {
-        report.cache_hits = c.hits();
-        report.cache_misses = c.misses();
-        let d = c.derived_counters();
-        report.optimizer_calls_avoided = d.avoided;
-        report.plan_cache_hits = d.plan_hits;
-        report.plan_cache_misses = d.plan_misses;
-        report.plan_cache_repriced = d.repriced;
-    }
-    report.candidates_generated = candidates_generated;
-    report.candidates_reused = candidates_reused;
-    report.bound_memo_hits = memo.hits();
-    report.bound_memo_misses = memo.misses();
-    report.optimizer_calls_skipped = budget_skipped;
-    report.budget_remaining = budget.map(|b| (b as u64).saturating_sub(budget_spent));
-    if let Some(remaining) = report.budget_remaining {
-        pdt_trace::incr(ctl.tracer, "budget.remaining", remaining);
-    }
+/// A chosen step that produced no child, and why.
+fn emit_skip(tracer: Option<&Tracer>, transformation: &Transformation, reason: &'static str) {
     pdt_trace::emit(
-        ctl.tracer,
-        "session.end",
+        tracer,
+        "step.skip",
         vec![
-            ("iterations", report.iterations.into()),
-            ("optimizer_calls", report.optimizer_calls.into()),
-            ("stop_reason", report.stop_reason.label().into()),
+            ("transformation", transformation.to_string().into()),
+            ("reason", reason.into()),
         ],
     );
-    report.trace = ctl.tracer.map(|t| t.summary());
-    report.elapsed = start.elapsed();
-    Ok(report)
 }
 
 /// Record one differential bound-oracle comparison (§3.3.2 as a
@@ -2427,71 +2580,6 @@ fn oracle_check(
             actual,
         });
     }
-}
-
-/// Line 5 of Fig. 5 — the §3.4 heuristic (as amended by §3.6):
-///
-/// 1. keep relaxing the last configuration while it does not fit (or,
-///    with updates, while it improved on its parent);
-/// 2. otherwise revisit the chain and "correct" the step with the
-///    largest actual penalty;
-/// 3. otherwise the cheapest configuration with available work.
-fn pick_node(
-    nodes: &[Node],
-    last_created: usize,
-    options: &TunerOptions,
-    has_updates: bool,
-    fits: &dyn Fn(f64) -> bool,
-) -> Option<usize> {
-    let usable = |n: &Node| !n.exhausted && !n.pruned;
-
-    if options.config_choice == ConfigChoice::MinCost {
-        return nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| usable(n))
-            .min_by(|a, b| node_cost(a.1).total_cmp(&node_cost(b.1)))
-            .map(|(i, _)| i);
-    }
-
-    // Step 1.
-    let last = &nodes[last_created];
-    let improved_parent = has_updates
-        && last
-            .parent
-            .map(|p| node_cost(last) < node_cost(&nodes[p]))
-            .unwrap_or(false);
-    if usable(last) && (!fits(last.size) || improved_parent) {
-        return Some(last_created);
-    }
-
-    // Step 2: the chain from the last configuration to the root; pick
-    // the largest-actual-penalty node with remaining work.
-    let mut chain = Vec::new();
-    let mut cursor = Some(last_created);
-    while let Some(i) = cursor {
-        chain.push(i);
-        cursor = nodes[i].parent;
-    }
-    if let Some(&i) = chain
-        .iter()
-        .filter(|&&i| usable(&nodes[i]) && nodes[i].last_relax_penalty > 0.0)
-        .max_by(|&&a, &&b| {
-            nodes[a]
-                .last_relax_penalty
-                .total_cmp(&nodes[b].last_relax_penalty)
-        })
-    {
-        return Some(i);
-    }
-
-    // Step 3.
-    nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| usable(n))
-        .min_by(|a, b| node_cost(a.1).total_cmp(&node_cost(b.1)))
-        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -2825,31 +2913,25 @@ mod tests {
     }
 
     #[test]
-    fn incremental_engine_matches_reference_byte_for_byte() {
-        // The tentpole invariant in unit form: the incremental engine
-        // (delta enumeration + bound memo) must produce the same report
-        // and the same JSONL trace as the from-scratch reference, and
-        // the counters must be mode-invariant too.
+    fn reference_engines_match_byte_for_byte() {
+        // The pure-perf contract in unit form: flipping `incremental`
+        // (delta enumeration + bound memo vs. from scratch) or
+        // `derived_costs` (derived serves vs. a real optimizer call
+        // behind each) may change how much work is real, but never the
+        // report, the counters, or the JSONL trace bytes.
         let db = test_db();
         let w = workload(&db, SELECTS);
         let free = tune(&db, &w, &TunerOptions::default());
+        let knobs: [(&str, fn(&mut TunerOptions)); 2] = [
+            ("incremental", |o| o.incremental = false),
+            ("derived_costs", |o| o.derived_costs = false),
+        ];
         // A reachable budget (shallow search) and an unreachable one
         // (deepest chain, maximal delta enumeration and score reuse).
         for budget in [free.optimal_size * 0.4, 1.0] {
-            let run = |incremental: bool| {
+            let run = |opts: &TunerOptions| {
                 let tracer = Tracer::new();
-                let mut r = tune_traced(
-                    &db,
-                    &w,
-                    &TunerOptions {
-                        space_budget: Some(budget),
-                        max_iterations: 60,
-                        validate_bounds: true,
-                        incremental,
-                        ..Default::default()
-                    },
-                    Some(&tracer),
-                );
+                let mut r = tune_traced(&db, &w, opts, Some(&tracer));
                 r.elapsed = std::time::Duration::ZERO;
                 if let Some(t) = &mut r.trace {
                     for p in &mut t.phases {
@@ -2859,49 +2941,19 @@ mod tests {
                 }
                 (format!("{r:#?}"), tracer.to_jsonl())
             };
-            let (ra, ta) = run(true);
-            let (rb, tb) = run(false);
-            assert_eq!(ta, tb, "traces must be byte-identical across modes");
-            assert_eq!(ra, rb, "reports must be identical across modes");
-        }
-    }
-
-    #[test]
-    fn derived_costing_matches_reference_byte_for_byte() {
-        // Same contract as the incremental engine: flipping
-        // `derived_costs` may change which serves are backed by real
-        // optimizer invocations, but never the report, counters, or
-        // trace bytes.
-        let db = test_db();
-        let w = workload(&db, SELECTS);
-        let free = tune(&db, &w, &TunerOptions::default());
-        for budget in [free.optimal_size * 0.4, 1.0] {
-            let run = |derived_costs: bool| {
-                let tracer = Tracer::new();
-                let mut r = tune_traced(
-                    &db,
-                    &w,
-                    &TunerOptions {
-                        space_budget: Some(budget),
-                        max_iterations: 60,
-                        derived_costs,
-                        ..Default::default()
-                    },
-                    Some(&tracer),
-                );
-                r.elapsed = std::time::Duration::ZERO;
-                if let Some(t) = &mut r.trace {
-                    for p in &mut t.phases {
-                        p.elapsed = std::time::Duration::ZERO;
-                    }
-                    t.hot_phases.clear();
-                }
-                (format!("{r:#?}"), tracer.to_jsonl())
-            };
-            let (ra, ta) = run(true);
-            let (rb, tb) = run(false);
-            assert_eq!(ta, tb, "traces must be byte-identical across modes");
-            assert_eq!(ra, rb, "reports must be identical across modes");
+            for (knob, turn_off) in knobs {
+                let fast = TunerOptions {
+                    space_budget: Some(budget),
+                    max_iterations: 60,
+                    validate_bounds: knob == "incremental",
+                    ..Default::default()
+                };
+                let mut reference = fast.clone();
+                turn_off(&mut reference);
+                let ((ra, ta), (rb, tb)) = (run(&fast), run(&reference));
+                assert_eq!(ta, tb, "{knob}: traces must be byte-identical");
+                assert_eq!(ra, rb, "{knob}: reports must be identical");
+            }
         }
     }
 
@@ -2943,6 +2995,114 @@ mod tests {
             report.candidates_reused > 0,
             "child nodes must inherit scored candidates from their parents"
         );
+    }
+
+    #[test]
+    fn call_ledger_serves_charges_and_exhausts() {
+        let db = test_db();
+        let w = workload(&db, SELECTS);
+        let free = tune(&db, &w, &TunerOptions::default());
+        let t = candidates(&free.optimal_config, &Configuration::base(&db)).remove(0);
+        let quote = |affected: u64, gap: f64| Quote {
+            transformation: &t,
+            affected,
+            gap,
+            upper: 100.0 + gap,
+            parent_cost: 100.0,
+        };
+        let tracer = Tracer::new();
+        let trc = Some(&tracer);
+        let mut ledger = CallLedger::new(Some(5));
+        // At the tolerance the estimate is served, free of charge; just
+        // above it the evaluation is charged at its worst case.
+        let at_tol = quote(9, GAP_TOL * 100.0);
+        assert_eq!(
+            ledger.settle(trc, "prepass", None, &at_tol),
+            Settled::Served
+        );
+        assert_eq!((ledger.spent, ledger.skipped), (0, 9));
+        assert_eq!(
+            ledger.settle(trc, "search", Some(1), &quote(3, 2.5)),
+            Settled::Charged
+        );
+        assert_eq!((ledger.spent, ledger.remaining()), (3, Some(2)));
+        // An unaffordable charge is refused whole: nothing is spent, so
+        // a cheaper evaluation still fits afterwards.
+        assert_eq!(
+            ledger.settle(trc, "search", Some(2), &quote(3, 2.5)),
+            Settled::Exhausted
+        );
+        assert_eq!((ledger.spent, ledger.skipped), (3, 9));
+        assert_eq!(
+            ledger.settle(trc, "search", Some(3), &quote(2, 2.5)),
+            Settled::Charged
+        );
+        assert_eq!(ledger.remaining(), Some(0));
+        // One event per serve and per refusal, none per charge; only
+        // search-phase events carry the iteration.
+        let events = tracer.to_jsonl();
+        let lines: Vec<&str> = events.lines().collect();
+        assert_eq!(lines.len(), 2, "{events}");
+        assert!(lines[0].contains(r#""kind":"budget.skip","phase":"prepass","transformation""#));
+        assert!(lines[1].contains(r#""kind":"budget.exhausted","phase":"search","iteration":2"#));
+        assert!(lines[1].contains(r#""affected":3,"remaining":2"#));
+        assert_eq!(tracer.counter("optimizer.calls_skipped"), 9);
+        // Past its budget the ledger reports nothing left, not a wrap;
+        // the exact tier charges everything and records nothing.
+        ledger.spent = 7;
+        assert_eq!(ledger.remaining(), Some(0));
+        let mut exact = CallLedger::new(None);
+        assert_eq!(
+            exact.settle(None, "search", Some(1), &quote(4, 0.0)),
+            Settled::Charged
+        );
+        assert_eq!(
+            (exact.spent, exact.skipped, exact.remaining()),
+            (0, 0, None)
+        );
+    }
+
+    #[test]
+    fn replay_gate_is_silent_until_go_live() {
+        let db = test_db();
+        let w = workload(&db, SELECTS);
+        let free = tune(&db, &w, &TunerOptions::default());
+        let opts = TunerOptions {
+            space_budget: Some(free.optimal_size * 0.4),
+            max_iterations: 6,
+            ..Default::default()
+        };
+        let saved = std::cell::RefCell::new(String::new());
+        let sink = |_: usize, body: &str| *saved.borrow_mut() = body.to_string();
+        let ctl = SessionCtl {
+            checkpoint_every: 1,
+            checkpoint_sink: Some(&sink),
+            ..SessionCtl::default()
+        };
+        let mut report = tune_session(&db, &w, &opts, ctl).unwrap();
+        let ck = Checkpoint::from_json_str(&saved.into_inner()).unwrap();
+        // A replaying gate with an already-expired deadline and no
+        // fault tolerance: live, either would end the session at once.
+        let (tracer, token) = (Tracer::new(), StopToken::new());
+        let ctl = SessionCtl {
+            tracer: Some(&tracer),
+            resume: Some(&ck),
+            ..SessionCtl::default()
+        };
+        let mut gate = ReplayGate::new(&ctl, &token, Some(Instant::now()), 0);
+        assert!(!gate.live && gate.resume_at() == ck.iteration && ck.iteration > 0);
+        assert!(gate.tracer().is_none() && gate.stop().is_none());
+        assert_eq!(gate.stopped(), None);
+        gate.record_fault(&mut report, 1, FaultKind::EvalPanic, "replayed".into());
+        assert!(report.faults.is_empty(), "replay re-recorded a fault");
+        assert_eq!(tracer.to_jsonl(), "", "replay emitted an event");
+        assert_eq!(token.get(), None, "replay tripped the token");
+        // Live, the same calls record, trace and trip.
+        gate.live = true;
+        gate.record_fault(&mut report, 1, FaultKind::EvalPanic, "live".into());
+        assert_eq!(report.faults.len(), 1);
+        assert!(tracer.to_jsonl().contains(r#""kind":"fault""#));
+        assert_eq!(gate.stopped(), Some(StopReason::FaultLimit));
     }
 
     #[test]

@@ -17,6 +17,15 @@ use pdt_workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdt_workloads::star::{star_database, star_workload, StarParams};
 use pdt_workloads::{tpch, WorkloadSpec};
 
+/// Largest per-job worker count a spec may ask for. The tuner starts up
+/// to this many OS threads per scoring batch and sizes its stores as a
+/// multiple of it, so the wire must not choose it freely.
+const MAX_THREADS: usize = 256;
+
+/// Largest generated workload a spec may ask for; the generators
+/// allocate and bind one statement per requested query.
+const MAX_QUERIES: usize = 10_000;
+
 /// One tuning job, as submitted over the wire and persisted in the
 /// session manifest. Only built-in workloads are accepted: the spec
 /// must rebuild the identical workload on every recovery, which a
@@ -166,11 +175,19 @@ impl JobSpec {
                 Some(other) => Err(format!("`{key}` must be a string, got {other}")),
             }
         };
+        // The seed is an opaque 64-bit value, not a count: JSON integers
+        // are `i64`, so the upper half of the range travels as its
+        // two's-complement negative (see `to_json`) and is
+        // reinterpreted here.
+        let seed = match v.get("seed") {
+            None | Some(Json::Null) => d.seed,
+            Some(j) => j.as_i64().ok_or("`seed` must be an integer")? as u64,
+        };
         let spec = JobSpec {
             db: str_field("db", &d.db)?,
             sf: num_field("sf", d.sf)?,
             queries: opt_usize_field("queries")?,
-            seed: usize_field("seed", d.seed as usize)? as u64,
+            seed,
             budget: opt_num_field("budget")?,
             iterations: usize_field("iterations", d.iterations)?,
             updates: opt_num_field("updates")?,
@@ -216,6 +233,15 @@ impl JobSpec {
         }
         if self.iterations == 0 {
             return Err("iterations must be at least 1".to_string());
+        }
+        if self.threads > MAX_THREADS {
+            return Err(format!(
+                "threads {} exceeds the limit of {MAX_THREADS}",
+                self.threads
+            ));
+        }
+        if let Some(n) = self.queries.filter(|&n| n > MAX_QUERIES) {
+            return Err(format!("queries {n} exceeds the limit of {MAX_QUERIES}"));
         }
         if let Some(f) = &self.faults {
             FaultPlan::parse(f).map_err(|e| format!("faults: {e}"))?;
@@ -314,9 +340,16 @@ mod tests {
             io_faults: Some("9:1.0".into()),
             warm_from: Some("s0001".into()),
         };
-        let j = spec.to_json().to_string();
-        let back = JobSpec::from_json(&pdt_trace::json::parse(&j).unwrap()).unwrap();
-        assert_eq!(back, spec);
+        // Every `u64` is a valid seed, including those above `i64::MAX`.
+        for seed in [7, 1 << 63, u64::MAX] {
+            let spec = JobSpec {
+                seed,
+                ..spec.clone()
+            };
+            let j = spec.to_json().to_string();
+            let back = JobSpec::from_json(&pdt_trace::json::parse(&j).unwrap()).unwrap();
+            assert_eq!(back, spec);
+        }
     }
 
     #[test]
@@ -341,6 +374,8 @@ mod tests {
             r#"{"db":"tpch","faults":"nope"}"#,
             r#"{"db":"tpch","io_faults":"7:2.0"}"#,
             r#"{"db":"tpch","warm_from":""}"#,
+            r#"{"db":"tpch","threads":100000000}"#,
+            r#"{"db":"tpch","queries":4000000000}"#,
         ] {
             let v = pdt_trace::json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "{bad} should be rejected");

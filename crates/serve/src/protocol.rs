@@ -136,6 +136,7 @@ mod tests {
             r#"{"op":"status"}"#,
             r#"{"op":"submit"}"#,
             r#"{"op":"submit","spec":{"db":"oracle"}}"#,
+            r#"{"op":"submit","spec":{"db":"tpch","threads":100000000,"queries":4000000000}}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?}");
         }

@@ -87,7 +87,7 @@ OPTIONS:
   --iterations <n>              relaxation iteration budget   [default: 300]
   --indexes-only                do not recommend materialized views
   --updates <ratio>             mix in DML statements (e.g. 0.5)
-  --threads <n>                 worker threads, 0 = all cores  [default: $PDTUNE_THREADS or 1]
+  --threads <n>                 worker threads, 0 = all cores  [default: 1]
   --no-cache                    disable the shared what-if cost cache
   --no-incremental              disable the incremental candidate engine
                                 (delta enumeration + bound memo); output
@@ -169,7 +169,6 @@ SERVE MODE:
       \"retry_after_ms\":N}; the client honors the hint and retries.
 
 ENVIRONMENT:
-  PDTUNE_THREADS                default worker threads (0 = all cores)
   PDTUNE_FAULTS=<seed>:<rate>   deterministic fault injection (testing);
                                 in serve mode this drives manifest-write
                                 faults (checkpoint-write faults come from
@@ -239,7 +238,7 @@ impl CliOptions {
             db: "tpch".to_string(),
             sf: 0.1,
             iterations: 300,
-            threads: default_threads(),
+            threads: 1,
             checkpoint_every: 10,
             slots: 2,
             queue_cap: 16,
@@ -424,15 +423,6 @@ impl CliOptions {
         }
         Ok(o)
     }
-}
-
-/// `--threads` default: the `PDTUNE_THREADS` environment variable when
-/// set (0 = all cores), else 1.
-fn default_threads() -> usize {
-    std::env::var("PDTUNE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 /// Parse a byte size such as `256M` or `1.5G`. A budget must be a

@@ -103,26 +103,46 @@ fn options_budgeted(threads: usize) -> TunerOptions {
     }
 }
 
+/// [`options`] under a fault plan: faults contained before a checkpoint
+/// are restored from it, and the replay must not record them again.
+fn options_faulted() -> TunerOptions {
+    TunerOptions {
+        fault_plan: Some(FaultPlan { seed: 5, rate: 0.3 }),
+        max_faults: usize::MAX,
+        ..options(1)
+    }
+}
+
 #[test]
 fn resume_from_every_checkpoint_is_byte_identical() {
-    let (baseline, baseline_trace, checkpoints) = run_collecting(1, 7);
-    let baseline_fp = fingerprint(&baseline);
-    assert!(
-        checkpoints.len() >= 2,
-        "expected several cadence checkpoints, got {}",
-        checkpoints.len()
-    );
-    for (done, body) in &checkpoints {
-        let (report, trace) = resume_from(body, 1);
-        assert_eq!(
-            baseline_fp,
-            fingerprint(&report),
-            "report diverged resuming from iteration {done}"
+    for (label, opts) in [("clean", options(1)), ("faulted", options_faulted())] {
+        let (baseline, baseline_trace, checkpoints) = run_collecting_opts(&opts, 7);
+        let baseline_fp = fingerprint(&baseline);
+        assert!(
+            checkpoints.len() >= 2,
+            "{label}: expected several cadence checkpoints, got {}",
+            checkpoints.len()
         );
-        assert_eq!(
-            baseline_trace, trace,
-            "trace diverged resuming from iteration {done}"
-        );
+        if label == "faulted" {
+            let (last, _) = checkpoints.last().expect("checked above");
+            assert!(
+                baseline.faults.iter().any(|f| f.iteration <= *last),
+                "no fault precedes a checkpoint — the scenario restores nothing: {:?}",
+                baseline.faults
+            );
+        }
+        for (done, body) in &checkpoints {
+            let (report, trace) = resume_from_opts(body, &opts);
+            assert_eq!(
+                baseline_fp,
+                fingerprint(&report),
+                "{label}: report diverged resuming from iteration {done}"
+            );
+            assert_eq!(
+                baseline_trace, trace,
+                "{label}: trace diverged resuming from iteration {done}"
+            );
+        }
     }
 }
 
@@ -285,6 +305,26 @@ fn resume_rejects_a_mismatched_session() {
     )
     .expect_err("mismatched options must not resume");
     assert!(matches!(err, TuneError::Checkpoint(_)), "{err:?}");
+
+    // A checkpoint edited to claim the whole iteration budget (or more)
+    // replays the entire loop without ever crossing its resume
+    // boundary; the fidelity check after the loop must refuse it — an
+    // error, not a panic and not a report.
+    for claimed in [40, 45] {
+        let mut edited = Checkpoint::from_json_str(body).unwrap();
+        edited.iteration = claimed;
+        let err = tune_session(
+            &db,
+            &w,
+            &options(1),
+            SessionCtl {
+                resume: Some(&edited),
+                ..SessionCtl::default()
+            },
+        )
+        .expect_err("a checkpoint claiming unreplayable iterations must not resume");
+        assert!(matches!(err, TuneError::Checkpoint(_)), "{err:?}");
+    }
 
     // Thread count is a pure performance knob and must NOT invalidate
     // a checkpoint.

@@ -304,15 +304,24 @@ fn star_views_golden_digest() {
     );
 }
 
+/// Run one traced session; returns the report and its JSONL trace.
+fn traced(
+    db: &pdtune::catalog::Database,
+    w: &Workload,
+    opts: &TunerOptions,
+) -> (TuningReport, String) {
+    let tracer = Tracer::new();
+    let report = tune_traced(db, w, opts, Some(&tracer));
+    (report, tracer.to_jsonl())
+}
+
 /// One traced session over the TPC-H update mix the resume and fault
 /// suites use (24 MB budget, 40 iterations unless `opts` says otherwise).
 fn modes_session(opts: TunerOptions) -> (TuningReport, String) {
     let db = tpch::tpch_database(0.01);
     let spec = updates::with_updates(&db, &tpch::tpch_workload_variant(7, 6), 0.5, 7);
     let w = Workload::bind(&db, &spec.statements).unwrap();
-    let tracer = Tracer::new();
-    let report = tune_traced(&db, &w, &opts, Some(&tracer));
-    (report, tracer.to_jsonl())
+    traced(&db, &w, &opts)
 }
 
 fn modes_options() -> TunerOptions {
@@ -545,9 +554,7 @@ fn bench_modes_session(workload_seed: u64, opts: TunerOptions) -> (TuningReport,
     let spec = bench_workload(&db, workload_seed, 8);
     let spec = updates::with_updates(&db, &spec, 0.3, workload_seed);
     let w = Workload::bind(&db, &spec.statements).unwrap();
-    let tracer = Tracer::new();
-    let report = tune_traced(&db, &w, &opts, Some(&tracer));
-    (report, tracer.to_jsonl())
+    traced(&db, &w, &opts)
 }
 
 fn bench_modes_options() -> TunerOptions {
@@ -562,17 +569,11 @@ fn tpch_early_exit() -> (TuningReport, String) {
     let db = tpch::tpch_database(0.01);
     let spec = tpch::tpch_workload_variant(5, 6);
     let w = Workload::bind(&db, &spec.statements).unwrap();
-    let tracer = Tracer::new();
-    let report = tune_traced(
-        &db,
-        &w,
-        &TunerOptions {
-            optimizer_call_budget: Some(5),
-            ..TunerOptions::default()
-        },
-        Some(&tracer),
-    );
-    (report, tracer.to_jsonl())
+    let opts = TunerOptions {
+        optimizer_call_budget: Some(5),
+        ..TunerOptions::default()
+    };
+    traced(&db, &w, &opts)
 }
 
 // 20 -> 18 when the what-if cache moved to relevant-subset keys
