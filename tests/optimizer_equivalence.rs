@@ -1,0 +1,433 @@
+//! Byte-level pins on `pdt-opt`'s plan search.
+//!
+//! Two FNV-1a golden digests, recorded on the engine *before* the plan
+//! search was rebuilt around choice records, so a rewrite of the join
+//! DP or of access-path selection is correct iff they do not move:
+//!
+//! * the **plan digest** folds `(cost bits, rows bits, Debug of the
+//!   index usages, explain text)` of every SELECT of the TPC-H corpus,
+//!   the DS1/DS2 star workloads (views on) and six BENCH seeds, each
+//!   under the base configuration, the §2 optimal configuration and a
+//!   seeded chain of random relaxations of it;
+//! * the **request digest** folds the request stream of the
+//!   instrumented pass over the same corpora: the `TracingSink` JSONL
+//!   events, `CountingSink` totals under the base and the optimal
+//!   configuration, and the optimal configuration's `signature128`.
+//!
+//! The same loop asserts that an observing sink changes nothing about
+//! the plan: `optimize` and `optimize_with_sink(.., CountingSink)`
+//! agree bitwise on cost, rows, usages and explain text.
+
+use pdtune::catalog::ColumnId;
+use pdtune::catalog::Database;
+use pdtune::expr::BoundSelect;
+use pdtune::opt::optimizer::simulate_view;
+use pdtune::opt::{CountingSink, Op, Optimizer, OptimizerOptions, PhysPlan, QueryBlock};
+use pdtune::physical::{Configuration, Index};
+use pdtune::sql::Statement;
+use pdtune::trace::Tracer;
+use pdtune::tuner::instrument::{
+    gather_optimal_configuration, gather_optimal_configuration_traced,
+};
+use pdtune::tuner::{transform, Workload};
+use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
+use pdtune::workloads::star::{star_database, star_workload, StarParams};
+use pdtune::workloads::tpch;
+
+/// FNV-1a (64-bit), hand-rolled so the digest depends on the bytes
+/// alone — not on `DefaultHasher`'s unspecified algorithm.
+fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        state ^= u64::from(*b);
+        state = state.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    state
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// SplitMix64: a seeded stream that does not depend on any crate.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+struct Corpus {
+    name: String,
+    db: Database,
+    statements: Vec<Statement>,
+    with_views: bool,
+}
+
+fn corpora() -> Vec<Corpus> {
+    let mut out = Vec::new();
+    for with_views in [true, false] {
+        out.push(Corpus {
+            name: format!("tpch views={with_views}"),
+            db: tpch::tpch_database(0.02),
+            statements: tpch::tpch_workload().statements,
+            with_views,
+        });
+    }
+    for (p, seed) in [(StarParams::ds1(), 3u64), (StarParams::ds2(), 8)] {
+        out.push(Corpus {
+            name: format!("{} seed {seed}", p.name),
+            db: star_database(&p),
+            statements: star_workload(&p, seed, 8).statements,
+            with_views: true,
+        });
+    }
+    for seed in 0..6u64 {
+        let db = bench_database(&BenchParams::default());
+        let statements = bench_workload(&db, seed, 10).statements;
+        out.push(Corpus {
+            name: format!("bench seed {seed}"),
+            db,
+            statements,
+            with_views: true,
+        });
+    }
+    out
+}
+
+/// The optimal configuration followed by `RELAXATIONS` seeded random
+/// relaxations of it, each applied on top of the previous one (so the
+/// chain walks from "everything" towards the base configuration and
+/// passes through merged, split, prefixed and promoted indexes and
+/// merged views on the way).
+const RELAXATIONS: usize = 24;
+
+fn relaxation_chain(
+    db: &Database,
+    opt: &Optimizer<'_>,
+    optimal: &Configuration,
+    base: &Configuration,
+    seed: u64,
+) -> Vec<Configuration> {
+    let mut rng = seed ^ 0x0E0F_1A7E;
+    let mut chain = Vec::with_capacity(RELAXATIONS);
+    let mut current = optimal.clone();
+    let mut attempts = 0;
+    while chain.len() < RELAXATIONS && attempts < 8 * RELAXATIONS {
+        attempts += 1;
+        let cands = transform::candidates(&current, base);
+        if cands.is_empty() {
+            break;
+        }
+        let t = &cands[(splitmix(&mut rng) % cands.len() as u64) as usize];
+        if let Some(applied) = transform::apply(t, &current, db, opt) {
+            current = applied.config;
+            chain.push(current.clone());
+        }
+    }
+    chain
+}
+
+/// Two hand-built configurations for the plan shapes the §2 optimal
+/// configuration never leaves room for (its covering indexes and
+/// whole-query views win everything):
+///
+/// * `narrow` — the base configuration plus one single-column index per
+///   sargable column of the workload, so seeks need rid lookups and two
+///   selective predicates on one table can meet in a rid intersection;
+/// * `subset_views` — the index-only optimal configuration plus, for
+///   every query over three or more tables, a view over the two tables
+///   of its first join predicate, which can only be read *below* a
+///   join.
+fn hand_built(
+    db: &Database,
+    opt: &Optimizer<'_>,
+    w: &Workload,
+    base: &Configuration,
+) -> [Configuration; 2] {
+    let mut narrow = base.clone();
+    let (mut subset_views, _) = gather_optimal_configuration(db, w, false);
+    for q in selects(w) {
+        let block = QueryBlock::from_bound(db, q);
+        for r in &block.classified.ranges {
+            narrow.add_index(Index::new(r.column.table, [r.column], []));
+        }
+        if let (true, Some(j)) = (block.tables.len() >= 3, block.classified.joins.first()) {
+            let def = block.spjg_for_subset(&[j.left.table, j.right.table].into());
+            let vid = simulate_view(opt, &mut subset_views, def);
+            subset_views.add_index(Index::clustered(vid, [ColumnId::new(vid, 0)]));
+        }
+    }
+    [narrow, subset_views]
+}
+
+/// Which plan shapes the corpus reached (so the digest cannot quietly
+/// stop covering a branch of the search).
+#[derive(Default)]
+struct Coverage {
+    hash_joins: usize,
+    index_nljs: usize,
+    rid_intersections: usize,
+    rid_lookups: usize,
+    sorts: usize,
+    view_reads_below_a_join: usize,
+    whole_query_view_reads: usize,
+}
+
+impl Coverage {
+    fn note(&mut self, plan: &PhysPlan) {
+        let mut joins = 0;
+        plan.root.walk(&mut |n| match n.op {
+            Op::HashJoin => {
+                joins += 1;
+                self.hash_joins += 1;
+            }
+            Op::NestedLoopJoin => {
+                joins += 1;
+                self.index_nljs += 1;
+            }
+            Op::RidIntersect => self.rid_intersections += 1,
+            Op::RidLookup => self.rid_lookups += 1,
+            Op::Sort { .. } => self.sorts += 1,
+            _ => {}
+        });
+        if plan.index_usages.iter().any(|u| u.index.table.is_view()) {
+            if joins > 0 {
+                self.view_reads_below_a_join += 1;
+            } else {
+                self.whole_query_view_reads += 1;
+            }
+        }
+    }
+}
+
+fn fold_plan(mut digest: u64, plan: &PhysPlan) -> u64 {
+    digest = fnv1a(digest, &plan.cost.to_bits().to_le_bytes());
+    digest = fnv1a(digest, &plan.rows.to_bits().to_le_bytes());
+    digest = fnv1a(digest, format!("{:?}", plan.index_usages).as_bytes());
+    fnv1a(digest, plan.explain().as_bytes())
+}
+
+fn selects(w: &Workload) -> impl Iterator<Item = &BoundSelect> {
+    w.entries.iter().filter_map(|e| e.select.as_ref())
+}
+
+#[test]
+fn plan_bytes_golden_digest() {
+    let mut digest = FNV_OFFSET;
+    let mut plans = 0usize;
+    let mut seen = Coverage::default();
+    for (ci, corpus) in corpora().iter().enumerate() {
+        let db = &corpus.db;
+        let w = Workload::bind(db, &corpus.statements).expect("corpus binds");
+        let opt = Optimizer::new(db);
+        let base = Configuration::base(db);
+        let (optimal, _) = gather_optimal_configuration(db, &w, corpus.with_views);
+        let chain = relaxation_chain(db, &opt, &optimal, &base, ci as u64);
+        assert!(
+            chain.len() >= 20,
+            "{}: only {} relaxations applied",
+            corpus.name,
+            chain.len()
+        );
+        let extra = hand_built(db, &opt, &w, &base);
+        digest = fnv1a(digest, corpus.name.as_bytes());
+        for config in [&base, &optimal].into_iter().chain(&extra).chain(&chain) {
+            for q in selects(&w) {
+                let plan = opt.optimize(config, q);
+                digest = fold_plan(digest, &plan);
+                seen.note(&plan);
+                plans += 1;
+
+                // An observing sink sees the requests but must not move
+                // the plan.
+                let mut working = config.clone();
+                let mut sink = CountingSink::default();
+                let observed = opt.optimize_with_sink(&mut working, q, &mut sink);
+                assert!(sink.index_requests > 0);
+                assert_eq!(
+                    fold_plan(FNV_OFFSET, &observed),
+                    fold_plan(FNV_OFFSET, &plan),
+                    "{}: a counting sink changed the plan:\n{}\nvs\n{}",
+                    corpus.name,
+                    observed.explain(),
+                    plan.explain()
+                );
+            }
+        }
+
+        // The greedy join order (FROM lists above `max_dp_tables`).
+        let greedy = Optimizer::with_options(
+            db,
+            OptimizerOptions {
+                max_dp_tables: 2,
+                ..OptimizerOptions::default()
+            },
+        );
+        for config in [&base, &optimal, &extra[1]] {
+            for q in selects(&w) {
+                digest = fold_plan(digest, &greedy.optimize(config, q));
+                plans += 1;
+            }
+        }
+    }
+    assert!(plans > 2000, "corpus shrank: {plans} plans");
+    assert!(
+        seen.hash_joins > 0
+            && seen.index_nljs > 0
+            && seen.rid_intersections > 0
+            && seen.rid_lookups > 0
+            && seen.sorts > 0
+            && seen.view_reads_below_a_join > 0
+            && seen.whole_query_view_reads > 0,
+        "a plan shape is no longer reached: hash {} nlj {} intersect {} lookup {} sort {} \
+         subset-view {} whole-view {}",
+        seen.hash_joins,
+        seen.index_nljs,
+        seen.rid_intersections,
+        seen.rid_lookups,
+        seen.sorts,
+        seen.view_reads_below_a_join,
+        seen.whole_query_view_reads
+    );
+    assert_eq!(
+        digest, GOLDEN_PLAN_DIGEST,
+        "optimizer output moved: {digest:#018x} over {plans} plans"
+    );
+}
+
+#[test]
+fn request_stream_golden_digest() {
+    let mut digest = FNV_OFFSET;
+    for corpus in corpora() {
+        let db = &corpus.db;
+        let w = Workload::bind(db, &corpus.statements).expect("corpus binds");
+        let tracer = Tracer::new();
+        let (optimal, sink) =
+            gather_optimal_configuration_traced(db, &w, corpus.with_views, Some(&tracer));
+        digest = fnv1a(digest, corpus.name.as_bytes());
+        digest = fnv1a(digest, tracer.to_jsonl().as_bytes());
+        for n in [
+            sink.index_requests,
+            sink.view_requests,
+            sink.created_indexes,
+            sink.created_views,
+        ] {
+            digest = fnv1a(digest, &(n as u64).to_le_bytes());
+        }
+        digest = fnv1a(digest, &optimal.signature128().to_le_bytes());
+
+        // Table 1's counts: requests per query under a fixed
+        // configuration.
+        let opt = Optimizer::new(db);
+        for config in [Configuration::base(db), optimal] {
+            let mut counts = CountingSink::default();
+            for q in selects(&w) {
+                let mut working = config.clone();
+                opt.optimize_with_sink(&mut working, q, &mut counts);
+                digest = fnv1a(digest, &(counts.index_requests as u64).to_le_bytes());
+                digest = fnv1a(digest, &(counts.view_requests as u64).to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        digest, GOLDEN_REQUEST_DIGEST,
+        "the instrumented pass's request stream moved: {digest:#018x}"
+    );
+}
+
+/// The request counts of Table 1 for the two widest TPC-H blocks, under
+/// the base and the §2 optimal configuration: an observing sink
+/// receives every request the enumeration makes, one per `(mask, inner,
+/// join method)` — exactly the parent engine's numbers.
+#[test]
+fn counting_sink_sees_every_request_of_the_enumeration() {
+    let db = tpch::tpch_database(0.02);
+    let w = Workload::bind(&db, &tpch::tpch_workload().statements).unwrap();
+    let (optimal, _) = gather_optimal_configuration(&db, &w, true);
+    let opt = Optimizer::new(&db);
+    let queries: Vec<&BoundSelect> = selects(&w).collect();
+    let mut got = Vec::new();
+    for config in [Configuration::base(&db), optimal] {
+        for qi in [4, 7] {
+            // Q5 and Q8, the six-table blocks.
+            let mut sink = CountingSink::default();
+            opt.optimize_with_sink(&mut config.clone(), queries[qi], &mut sink);
+            got.push((
+                queries[qi].tables.len(),
+                sink.index_requests,
+                sink.view_requests,
+            ));
+        }
+    }
+    assert_eq!(got, PARENT_REQUEST_COUNTS);
+}
+
+/// A sink that adds a covering index the *second* time a table is
+/// requested: every request after that one must see the index, so no
+/// access path computed before the mutation may be served again.
+struct SecondRequestSink {
+    table: pdtune::catalog::TableId,
+    seen: usize,
+    index: Index,
+}
+
+impl pdtune::opt::RequestSink for SecondRequestSink {
+    fn on_index_request(
+        &mut self,
+        req: &pdtune::opt::IndexRequest,
+        _db: &Database,
+        config: &mut Configuration,
+    ) {
+        if req.table == self.table {
+            self.seen += 1;
+            if self.seen == 2 {
+                assert!(config.add_index(self.index.clone()));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_sink_mutating_mid_enumeration_changes_the_plan_as_on_the_parent() {
+    let db = tpch::tpch_database(0.02);
+    let w = Workload::bind(&db, &tpch::tpch_workload().statements).unwrap();
+    let opt = Optimizer::new(&db);
+    let base = Configuration::base(&db);
+    let mut digest = FNV_OFFSET;
+    let mut moved = 0;
+    for q in selects(&w).filter(|q| q.tables.len() >= 2) {
+        // The widest covering index a request for the table could want:
+        // keyed on its first join column.
+        let block = QueryBlock::from_bound(&db, q);
+        let j = block.classified.joins[0];
+        let index = Index::new(j.left.table, [j.left], block.required_columns(j.left.table));
+        let mut sink = SecondRequestSink {
+            table: j.left.table,
+            seen: 0,
+            index,
+        };
+        let mut working = base.clone();
+        let mutated = opt.optimize_with_sink(&mut working, q, &mut sink);
+        assert!(sink.seen >= 2, "the table was requested only once");
+        let plain = opt.optimize(&base, q);
+        if mutated.uses_index(&sink.index) {
+            assert!(mutated.cost < plain.cost);
+            moved += 1;
+        }
+        digest = fold_plan(digest, &mutated);
+    }
+    assert!(moved > 0, "no plan picked the mid-flight index up");
+    assert_eq!(
+        digest, GOLDEN_MUTATION_DIGEST,
+        "plans under a mutating sink moved: {digest:#018x} ({moved} plans use the index)"
+    );
+}
+
+// Recorded on the parent engine (commit 49645a7, rustc 1.95.0), debug
+// == release.
+const GOLDEN_PLAN_DIGEST: u64 = 0x55E0_F9C5_E647_19D8;
+const GOLDEN_REQUEST_DIGEST: u64 = 0xB40B_971A_F657_FCDB;
+const GOLDEN_MUTATION_DIGEST: u64 = 0x36E4_8F0A_6ECC_3E4F;
+/// `(tables, index requests, view requests)` for Q5 and Q8 under the
+/// base, then the optimal configuration.
+const PARENT_REQUEST_COUNTS: [(usize, usize, usize); 4] =
+    [(6, 320, 57), (6, 320, 57), (6, 321, 57), (6, 321, 57)];
