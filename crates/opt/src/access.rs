@@ -7,15 +7,22 @@
 //! intersections, (iii) an optional rid lookup ..., (iv) an optional
 //! filter for non-sargable predicates, and (v) an optional sort" — and
 //! returns the cheapest.
+//!
+//! Selection costs first and builds second: [`choose_access_path`]
+//! prices every candidate without constructing a plan operator or a
+//! usage record and names the winner; [`AccessChoice::build`] runs the
+//! winner's candidate code once more to materialize it. The join search
+//! keeps choices and builds only the access paths of its final plan.
 
 use crate::cost::{Cost, CostModel};
-use crate::plan::{IndexUsage, Op, PlanNode, UsageKind};
+use crate::plan::{CostOnly, Emit, IndexUsage, Materialize, Op, PlanNode, UsageKind};
 use crate::request::IndexRequest;
 use pdt_catalog::ColumnId;
 use pdt_expr::classify::sarg_selectivity_with;
 use pdt_expr::{Sarg, SargablePred};
 use pdt_physical::{Index, PhysicalSchema};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The chosen access path for one relation.
 #[derive(Debug, Clone)]
@@ -26,6 +33,30 @@ pub struct AccessPath {
     pub usages: Vec<IndexUsage>,
     /// True if the output satisfies the requested order without a sort.
     pub provides_order: bool,
+}
+
+/// The winner of access-path selection, priced but not built.
+#[derive(Debug, Clone)]
+pub struct AccessChoice {
+    pub cost: Cost,
+    pub rows: f64,
+    /// True if the output satisfies the requested order without a sort.
+    pub provides_order: bool,
+    candidate: Candidate,
+}
+
+/// Which template plan won, naming its indexes by shared handle (so the
+/// choice outlives later additions to the configuration).
+#[derive(Debug, Clone)]
+enum Candidate {
+    /// Scan of the clustered index, or of the heap when there is none.
+    BaseScan(Option<Arc<Index>>),
+    /// Scan of a secondary index that covers every referenced column.
+    CoveringScan(Arc<Index>),
+    /// Seek on one index, with a rid lookup unless it covers the rest.
+    Seek(Arc<Index>),
+    /// Two seeks, a rid intersection, and a rid lookup.
+    Intersect(Arc<Index>, Arc<Index>),
 }
 
 /// Selectivity of one sargable predicate against the physical schema
@@ -40,229 +71,308 @@ pub fn sarg_selectivity(schema: &PhysicalSchema<'_>, pred: &SargablePred) -> f64
     }
 }
 
-/// Pick the cheapest physical strategy for `req`.
+/// Pick the cheapest physical strategy for `req` and build it.
 pub fn best_access_path(
     model: &CostModel,
     schema: &PhysicalSchema<'_>,
     req: &IndexRequest,
 ) -> AccessPath {
-    let table = req.table;
-    let table_rows = schema.rows(table).max(1.0);
-    let table_pages = (table_rows * schema.row_width(table) / model.size.page_size)
-        .ceil()
-        .max(1.0);
+    let ctx = RequestCtx::new(model, schema, req);
+    ctx.build(&ctx.choose())
+}
 
-    // Per-sarg selectivities.
-    let sargs: Vec<(usize, f64)> = req
-        .sargable
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (i, sarg_selectivity(schema, s)))
-        .collect();
-    let sarg_sel: f64 = sargs
-        .iter()
-        .map(|(_, s)| s)
-        .product::<f64>()
-        .clamp(0.0, 1.0);
-    let others_sel: f64 = req
-        .non_sargable
-        .iter()
-        .map(|(_, s)| *s)
-        .product::<f64>()
-        .clamp(0.0, 1.0);
-    let out_rows = (table_rows * sarg_sel * others_sel).max(0.0);
+/// Pick the cheapest physical strategy for `req` without building it.
+pub fn choose_access_path(
+    model: &CostModel,
+    schema: &PhysicalSchema<'_>,
+    req: &IndexRequest,
+) -> AccessChoice {
+    RequestCtx::new(model, schema, req).choose()
+}
 
-    // Columns needed in the output stream (everything referenced at or
-    // above the filter level).
-    let mut needed: BTreeSet<ColumnId> = req.additional.clone();
-    needed.extend(req.order.iter().map(|(c, _)| *c));
-    for (cols, _) in &req.non_sargable {
-        needed.extend(cols.iter().copied());
+impl AccessChoice {
+    /// Materialize the chosen strategy for the request it was chosen
+    /// for. The schema may have gained structures since the choice was
+    /// made; the statistics the numbers are derived from do not change.
+    pub fn build(
+        &self,
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        req: &IndexRequest,
+    ) -> AccessPath {
+        RequestCtx::new(model, schema, req).build(self)
     }
+}
 
-    let order_cols: Vec<ColumnId> = req.order.iter().map(|(c, _)| *c).collect();
-    let n_preds = req.sargable.len() + req.non_sargable.len();
-    // Every column any predicate references — what a plan that consumes
-    // no predicates must be able to read to filter.
-    let pred_cols: BTreeSet<ColumnId> = req
-        .sargable
-        .iter()
-        .map(|s| s.column)
-        .chain(
-            req.non_sargable
-                .iter()
-                .flat_map(|(cols, _)| cols.iter().copied()),
-        )
-        .collect();
+/// What every candidate of one request reads: the request's
+/// cardinalities, selectivities and column sets, derived once.
+struct RequestCtx<'r> {
+    model: &'r CostModel,
+    schema: &'r PhysicalSchema<'r>,
+    req: &'r IndexRequest,
+    table_rows: f64,
+    table_pages: f64,
+    /// Selectivity of each sargable predicate, in request order.
+    sarg_sels: Vec<f64>,
+    /// Logical output cardinality, whatever plan shape produces it.
+    out_rows: f64,
+    /// Columns needed in the output stream (everything referenced at
+    /// or above the filter level).
+    needed: BTreeSet<ColumnId>,
+    /// `needed` plus the sargable columns: what a scan that filters
+    /// everything itself must be able to read.
+    all_ref: BTreeSet<ColumnId>,
+    order_cols: Vec<ColumnId>,
+    n_preds: usize,
+    /// Every column any predicate references — what a plan that
+    /// consumes no predicates must be able to read to filter.
+    pred_cols: BTreeSet<ColumnId>,
+}
 
-    let indexes: Vec<&Index> = schema.config.indexes_on(table).collect();
-    let clustered = indexes.iter().copied().find(|i| i.clustered);
+/// A candidate with residual filters and sort attached.
+struct Finished<N> {
+    node: N,
+    cost: Cost,
+    rows: f64,
+    provides_order: bool,
+}
 
-    let mut best: Option<AccessPath> = None;
-    let mut consider = |cand: AccessPath| {
-        if best
-            .as_ref()
-            .is_none_or(|b| cand.cost.total() < b.cost.total())
-        {
-            best = Some(cand);
+/// `(prefix length, seek selectivity, equality prefix length)` of a
+/// seekable index.
+type SeekPrefix = (usize, f64, usize);
+
+impl<'r> RequestCtx<'r> {
+    fn new(
+        model: &'r CostModel,
+        schema: &'r PhysicalSchema<'r>,
+        req: &'r IndexRequest,
+    ) -> RequestCtx<'r> {
+        let table_rows = schema.rows(req.table).max(1.0);
+        let table_pages = (table_rows * schema.row_width(req.table) / model.size.page_size)
+            .ceil()
+            .max(1.0);
+        let sarg_sels: Vec<f64> = req
+            .sargable
+            .iter()
+            .map(|s| sarg_selectivity(schema, s))
+            .collect();
+        let sarg_sel: f64 = sarg_sels.iter().product::<f64>().clamp(0.0, 1.0);
+        let others_sel: f64 = req
+            .non_sargable
+            .iter()
+            .map(|(_, s)| *s)
+            .product::<f64>()
+            .clamp(0.0, 1.0);
+        let mut needed: BTreeSet<ColumnId> = req.additional.clone();
+        needed.extend(req.order.iter().map(|(c, _)| *c));
+        for (cols, _) in &req.non_sargable {
+            needed.extend(cols.iter().copied());
         }
-    };
-
-    // ---------------- scans (base relation or covering index) -------
-    {
-        // Scan of the clustered index / heap.
-        let (scan_node, scan_cost, usage) = match clustered {
-            Some(ci) => {
-                let pages = model.index_pages(schema, ci);
-                let cost = model.full_scan(pages, table_rows);
-                let provides = order_satisfied(&ci.key, 0, &order_cols);
-                let usage = IndexUsage {
-                    index: ci.clone(),
-                    kind: UsageKind::Scan,
-                    access_io: cost.io,
-                    access_cpu: cost.cpu,
-                    rows: table_rows,
-                    provided_order: if provides && !order_cols.is_empty() {
-                        Some(req.order.clone())
-                    } else {
-                        None
-                    },
-                    provided_columns: {
-                        let mut c = needed.clone();
-                        c.extend(req.sargable.iter().map(|s| s.column));
-                        c
-                    },
-                    followed_by_lookup: false,
-                    seek_col_sels: Vec::new(),
-                    total_preds: n_preds,
-                    resid_pred_cols: pred_cols.clone(),
-                    resid_filter_cpu: if n_preds > 0 {
-                        model.filter(table_rows, n_preds).total()
-                    } else {
-                        0.0
-                    },
-                    executions: 1.0,
-                };
-                (
-                    PlanNode::leaf(
-                        Op::IndexScan { index: ci.clone() },
-                        cost.total(),
-                        table_rows,
-                    ),
-                    cost,
-                    Some(usage),
-                )
-            }
-            None => {
-                let cost = model.full_scan(table_pages, table_rows);
-                (
-                    PlanNode::leaf(Op::HeapScan { table }, cost.total(), table_rows),
-                    cost,
-                    None,
-                )
-            }
-        };
-        let provides = usage
-            .as_ref()
-            .map(|u| u.provided_order.is_some())
-            .unwrap_or(false);
-        consider(finish(
+        let mut all_ref = needed.clone();
+        all_ref.extend(req.sargable.iter().map(|s| s.column));
+        RequestCtx {
             model,
             schema,
             req,
-            scan_node,
-            scan_cost,
             table_rows,
-            out_rows,
-            n_preds,
-            usage.into_iter().collect(),
-            provides,
-            &order_cols,
-            &needed,
-        ));
-    }
-
-    for index in &indexes {
-        if index.clustered {
-            continue;
-        }
-        // Covering secondary scan: must provide every referenced column
-        // (sargable ones included — they are filtered here).
-        let mut all_ref = needed.clone();
-        all_ref.extend(req.sargable.iter().map(|s| s.column));
-        if index.covers(&all_ref) {
-            let pages = model.index_pages(schema, index);
-            let cost = model.full_scan(pages, table_rows);
-            let provides = order_satisfied(&index.key, 0, &order_cols);
-            let usage = IndexUsage {
-                index: (*index).clone(),
-                kind: UsageKind::Scan,
-                access_io: cost.io,
-                access_cpu: cost.cpu,
-                rows: table_rows,
-                provided_order: if provides && !order_cols.is_empty() {
-                    Some(req.order.clone())
-                } else {
-                    None
-                },
-                provided_columns: all_ref.clone(),
-                followed_by_lookup: false,
-                seek_col_sels: Vec::new(),
-                total_preds: n_preds,
-                resid_pred_cols: pred_cols.clone(),
-                resid_filter_cpu: if n_preds > 0 {
-                    model.filter(table_rows, n_preds).total()
-                } else {
-                    0.0
-                },
-                executions: 1.0,
-            };
-            let node = PlanNode::leaf(
-                Op::IndexScan {
-                    index: (*index).clone(),
-                },
-                cost.total(),
-                table_rows,
-            );
-            consider(finish(
-                model,
-                schema,
-                req,
-                node,
-                cost,
-                table_rows,
-                out_rows,
-                n_preds,
-                vec![usage],
-                provides,
-                &order_cols,
-                &needed,
-            ));
+            table_pages,
+            out_rows: (table_rows * sarg_sel * others_sel).max(0.0),
+            sarg_sels,
+            needed,
+            all_ref,
+            order_cols: req.order.iter().map(|(c, _)| *c).collect(),
+            n_preds: req.sargable.len() + req.non_sargable.len(),
+            pred_cols: req
+                .sargable
+                .iter()
+                .map(|s| s.column)
+                .chain(
+                    req.non_sargable
+                        .iter()
+                        .flat_map(|(cols, _)| cols.iter().copied()),
+                )
+                .collect(),
         }
     }
 
-    // ---------------- single-index seeks ----------------------------
-    let mut seekables: Vec<(usize, f64, &Index)> = Vec::new(); // (prefix len, sel, index)
-    for index in &indexes {
-        let (prefix_len, seek_sel, eq_prefix) = seek_prefix(index, req, &sargs);
-        if prefix_len == 0 {
-            continue;
+    /// Price every candidate in a fixed order; the first strictly
+    /// cheapest wins.
+    fn choose(&self) -> AccessChoice {
+        let indexes = self.schema.config.index_handles_on(self.req.table);
+        let clustered = indexes.iter().find(|i| i.clustered);
+        let e = &mut CostOnly;
+
+        let mut best: Option<AccessChoice> = None;
+        let mut consider = |cand: Finished<()>, candidate: &dyn Fn() -> Candidate| {
+            if best
+                .as_ref()
+                .is_none_or(|b| cand.cost.total() < b.cost.total())
+            {
+                best = Some(AccessChoice {
+                    cost: cand.cost,
+                    rows: cand.rows,
+                    provides_order: cand.provides_order,
+                    candidate: candidate(),
+                });
+            }
+        };
+
+        // ---------------- scans (base relation or covering index) ---
+        consider(self.base_scan(e, clustered.map(Arc::as_ref)), &|| {
+            Candidate::BaseScan(clustered.cloned())
+        });
+        for index in indexes {
+            // Covering secondary scan: must provide every referenced
+            // column (sargable ones included — they are filtered here).
+            if !index.clustered && index.covers(&self.all_ref) {
+                consider(self.index_scan(e, index), &|| {
+                    Candidate::CoveringScan(index.clone())
+                });
+            }
         }
-        seekables.push((prefix_len, seek_sel, index));
-        let rows_after_seek = (table_rows * seek_sel).max(0.0);
-        let levels = model.btree_levels(schema, index);
-        let leaf_pages = model.index_pages(schema, index);
+
+        // ---------------- single-index seeks ------------------------
+        let mut seekables: Vec<(SeekPrefix, &Arc<Index>)> = Vec::new();
+        for index in indexes {
+            let prefix = self.seek_prefix(index);
+            if prefix.0 == 0 {
+                continue;
+            }
+            seekables.push((prefix, index));
+            consider(self.seek(e, index, prefix), &|| {
+                Candidate::Seek(index.clone())
+            });
+        }
+
+        // ---------------- two-way rid intersection ------------------
+        seekables.sort_by(|a, b| a.0 .1.total_cmp(&b.0 .1));
+        for i in 0..seekables.len().min(4) {
+            for j in (i + 1)..seekables.len().min(4) {
+                let (p1, i1) = seekables[i];
+                let (p2, i2) = seekables[j];
+                if i1.key[0] == i2.key[0] {
+                    continue; // same leading column: intersection is useless
+                }
+                consider(self.intersect(e, (i1, p1), (i2, p2)), &|| {
+                    Candidate::Intersect(i1.clone(), i2.clone())
+                });
+            }
+        }
+
+        best.expect("at least the base scan is always available")
+    }
+
+    /// Run the chosen candidate's code again, this time building it.
+    fn build(&self, choice: &AccessChoice) -> AccessPath {
+        let e = &mut Materialize::default();
+        let built = match &choice.candidate {
+            Candidate::BaseScan(clustered) => self.base_scan(e, clustered.as_deref()),
+            Candidate::CoveringScan(index) => self.index_scan(e, index),
+            Candidate::Seek(index) => self.seek(e, index, self.seek_prefix(index)),
+            Candidate::Intersect(i1, i2) => {
+                self.intersect(e, (i1, self.seek_prefix(i1)), (i2, self.seek_prefix(i2)))
+            }
+        };
+        debug_assert_eq!(
+            (built.cost.total().to_bits(), built.rows.to_bits()),
+            (choice.cost.total().to_bits(), choice.rows.to_bits()),
+            "a rebuilt access path must carry the numbers it was chosen with"
+        );
+        AccessPath {
+            node: built.node,
+            cost: built.cost,
+            rows: built.rows,
+            usages: std::mem::take(&mut e.usages),
+            provides_order: built.provides_order,
+        }
+    }
+
+    /// The requested order, when a plan relies on its access providing
+    /// it.
+    fn relied_order(&self, provides: bool) -> Option<Vec<(ColumnId, bool)>> {
+        (provides && !self.order_cols.is_empty()).then(|| self.req.order.clone())
+    }
+
+    /// Filter CPU of a full scan that re-checks every predicate.
+    fn scan_filter_cpu(&self) -> f64 {
+        if self.n_preds > 0 {
+            self.model.filter(self.table_rows, self.n_preds).total()
+        } else {
+            0.0
+        }
+    }
+
+    /// Scan of the clustered index / heap.
+    fn base_scan<E: Emit>(&self, e: &mut E, clustered: Option<&Index>) -> Finished<E::Node> {
+        match clustered {
+            Some(ci) => self.index_scan(e, ci),
+            None => {
+                let table = self.req.table;
+                let cost = self.model.full_scan(self.table_pages, self.table_rows);
+                let node = e.leaf(|| Op::HeapScan { table }, cost.total(), self.table_rows);
+                self.finish(e, node, cost, self.table_rows, self.n_preds, false)
+            }
+        }
+    }
+
+    /// Full scan of an index that can answer the request by itself: the
+    /// clustered index, or a covering secondary one.
+    fn index_scan<E: Emit>(&self, e: &mut E, index: &Index) -> Finished<E::Node> {
+        let pages = self.model.index_pages(self.schema, index);
+        let cost = self.model.full_scan(pages, self.table_rows);
+        let provides = order_satisfied(&index.key, 0, &self.order_cols);
+        let relied = provides && !self.order_cols.is_empty();
+        e.usage(|| IndexUsage {
+            index: index.clone(),
+            kind: UsageKind::Scan,
+            access_io: cost.io,
+            access_cpu: cost.cpu,
+            rows: self.table_rows,
+            provided_order: self.relied_order(provides),
+            provided_columns: self.all_ref.clone(),
+            followed_by_lookup: false,
+            seek_col_sels: Vec::new(),
+            total_preds: self.n_preds,
+            resid_pred_cols: self.pred_cols.clone(),
+            resid_filter_cpu: self.scan_filter_cpu(),
+            executions: 1.0,
+        });
+        let node = e.leaf(
+            || Op::IndexScan {
+                index: index.clone(),
+            },
+            cost.total(),
+            self.table_rows,
+        );
+        // A clustered scan counts as ordered only when the plan relies
+        // on it; a covering scan whenever its key allows it.
+        let ordered = if index.clustered { relied } else { provides };
+        self.finish(e, node, cost, self.table_rows, self.n_preds, ordered)
+    }
+
+    /// Seek on `index`, then on-index filters, then — unless the index
+    /// covers everything still needed — a rid lookup and the remaining
+    /// filters.
+    fn seek<E: Emit>(
+        &self,
+        e: &mut E,
+        index: &Index,
+        (prefix_len, seek_sel, eq_prefix): SeekPrefix,
+    ) -> Finished<E::Node> {
+        let (model, req) = (self.model, self.req);
+        let rows_after_seek = (self.table_rows * seek_sel).max(0.0);
+        let levels = model.btree_levels(self.schema, index);
+        let leaf_pages = model.index_pages(self.schema, index);
         let seek_cost = model.seek(levels, leaf_pages, seek_sel, rows_after_seek);
 
         // Residual predicates: sargs not consumed by the seek plus the
         // non-sargable ones.
-        let consumed: BTreeSet<ColumnId> = index.key[..prefix_len].iter().copied().collect();
+        let consumed = &index.key[..prefix_len];
         let mut resid_sel_on_index = 1.0;
         let mut resid_sel_after_lookup = 1.0;
         let mut n_on_index = 0usize;
         let mut n_after = 0usize;
-        for (si, sel) in &sargs {
-            let sp = &req.sargable[*si];
+        for (sp, sel) in req.sargable.iter().zip(&self.sarg_sels) {
             if consumed.contains(&sp.column) {
                 continue;
             }
@@ -284,28 +394,17 @@ pub fn best_access_path(
             }
         }
 
-        let covers_output = index.covers(&needed);
-        let provides = order_satisfied(&index.key, 0, &order_cols)
-            || order_satisfied(&index.key, eq_prefix, &order_cols);
+        // Fully covered plans are seek + filter; the others go seek ->
+        // on-index filters -> rid lookup -> remaining filters. (Rid
+        // lookups lose index order in this engine: rows come back in
+        // rid order.)
+        let lookup = !(index.covers(&self.needed) && n_after == 0);
+        let provides = !lookup
+            && (order_satisfied(&index.key, 0, &self.order_cols)
+                || order_satisfied(&index.key, eq_prefix, &self.order_cols));
 
-        // Residual-filter CPU this plan will charge downstream of the
-        // seek: on-index filters run at the seek's output, post-lookup
-        // filters at the on-index-filtered cardinality.
-        let resid_filter_cpu = {
-            let mut cpu = 0.0;
-            if n_on_index > 0 {
-                cpu += model.filter(rows_after_seek, n_on_index).total();
-            }
-            if n_after > 0 {
-                cpu += model
-                    .filter(rows_after_seek * resid_sel_on_index, n_after)
-                    .total();
-            }
-            cpu
-        };
-
-        let mut usage = IndexUsage {
-            index: (*index).clone(),
+        e.usage(|| IndexUsage {
+            index: index.clone(),
             kind: UsageKind::Seek {
                 seek_cols: prefix_len,
                 selectivity: seek_sel,
@@ -313,14 +412,11 @@ pub fn best_access_path(
             access_io: seek_cost.io,
             access_cpu: seek_cost.cpu,
             rows: rows_after_seek,
-            provided_order: if provides && !order_cols.is_empty() {
-                Some(req.order.clone())
-            } else {
-                None
-            },
+            provided_order: self.relied_order(provides),
             provided_columns: {
                 let all = index.all_columns();
-                let mut c: BTreeSet<ColumnId> = needed
+                let mut c: BTreeSet<ColumnId> = self
+                    .needed
                     .iter()
                     .copied()
                     .filter(|x| index.clustered || all.contains(x))
@@ -328,101 +424,59 @@ pub fn best_access_path(
                 c.extend(consumed.iter().copied());
                 c
             },
-            followed_by_lookup: false,
-            seek_col_sels: index.key[..prefix_len]
-                .iter()
-                .map(|kc| {
-                    let (sel, eq) = sargs
-                        .iter()
-                        .find(|(si, _)| req.sargable[*si].column == *kc)
-                        .map(|(si, s)| (*s, req.sargable[*si].sarg.is_equality()))
-                        .unwrap_or((1.0, false));
-                    (*kc, sel, eq)
-                })
-                .collect(),
-            total_preds: n_preds,
-            resid_pred_cols: pred_cols
-                .iter()
-                .copied()
-                .filter(|c| !consumed.contains(c))
-                .collect(),
-            resid_filter_cpu,
+            followed_by_lookup: lookup,
+            seek_col_sels: self.seek_col_sels(consumed),
+            total_preds: self.n_preds,
+            resid_pred_cols: self.resid_pred_cols(consumed),
+            // Residual-filter CPU this plan charges downstream of the
+            // seek: on-index filters run at the seek's output,
+            // post-lookup filters at the on-index-filtered cardinality.
+            resid_filter_cpu: {
+                let mut cpu = 0.0;
+                if n_on_index > 0 {
+                    cpu += model.filter(rows_after_seek, n_on_index).total();
+                }
+                if n_after > 0 {
+                    cpu += model
+                        .filter(rows_after_seek * resid_sel_on_index, n_after)
+                        .total();
+                }
+                cpu
+            },
             executions: 1.0,
-        };
+        });
 
-        let seek_node = PlanNode::leaf(
-            Op::IndexSeek {
-                index: (*index).clone(),
+        let mut cost = seek_cost;
+        let mut node = e.leaf(
+            || Op::IndexSeek {
+                index: index.clone(),
                 selectivity: seek_sel,
             },
             seek_cost.total(),
             rows_after_seek,
         );
-
-        if covers_output && n_after == 0 {
-            // Fully covered: seek + filter.
-            let mut cost = seek_cost;
-            let mut node = seek_node;
-            let rows_mid = rows_after_seek * resid_sel_on_index;
-            if n_on_index > 0 {
-                let f = model.filter(rows_after_seek, n_on_index);
-                cost = cost.add(f);
-                node = PlanNode::unary(
-                    Op::Filter {
-                        predicates: n_on_index,
-                        selectivity: resid_sel_on_index,
-                    },
-                    cost.total(),
-                    rows_mid,
-                    node,
-                );
-            }
-            consider(finish(
-                model,
-                schema,
-                req,
-                node,
-                cost,
+        let mut rows_mid = rows_after_seek;
+        if n_on_index > 0 {
+            cost = cost.add(model.filter(rows_mid, n_on_index));
+            rows_mid *= resid_sel_on_index;
+            node = e.unary(
+                || Op::Filter {
+                    predicates: n_on_index,
+                    selectivity: resid_sel_on_index,
+                },
+                cost.total(),
                 rows_mid,
-                out_rows,
-                0,
-                vec![usage.clone()],
-                provides,
-                &order_cols,
-                &needed,
-            ));
-        } else {
-            // Seek -> on-index filters -> rid lookup -> remaining
-            // filters. (Rid lookups lose index order in this engine:
-            // rows come back in rid order.)
-            usage.followed_by_lookup = true;
-            usage.provided_order = None;
-            let mut cost = seek_cost;
-            let mut node = seek_node;
-            let mut rows_mid = rows_after_seek;
-            if n_on_index > 0 {
-                let f = model.filter(rows_mid, n_on_index);
-                cost = cost.add(f);
-                rows_mid *= resid_sel_on_index;
-                node = PlanNode::unary(
-                    Op::Filter {
-                        predicates: n_on_index,
-                        selectivity: resid_sel_on_index,
-                    },
-                    cost.total(),
-                    rows_mid,
-                    node,
-                );
-            }
-            let lk = model.rid_lookup(rows_mid, table_pages);
-            cost = cost.add(lk);
-            node = PlanNode::unary(Op::RidLookup, cost.total(), rows_mid, node);
+                node,
+            );
+        }
+        if lookup {
+            cost = cost.add(model.rid_lookup(rows_mid, self.table_pages));
+            node = e.unary(|| Op::RidLookup, cost.total(), rows_mid, node);
             if n_after > 0 {
-                let f = model.filter(rows_mid, n_after);
-                cost = cost.add(f);
+                cost = cost.add(model.filter(rows_mid, n_after));
                 rows_mid *= resid_sel_after_lookup;
-                node = PlanNode::unary(
-                    Op::Filter {
+                node = e.unary(
+                    || Op::Filter {
                         predicates: n_after,
                         selectivity: resid_sel_after_lookup,
                     },
@@ -431,176 +485,201 @@ pub fn best_access_path(
                     node,
                 );
             }
-            consider(finish(
-                model,
-                schema,
-                req,
-                node,
-                cost,
-                rows_mid,
-                out_rows,
-                0,
-                vec![usage],
-                false,
-                &order_cols,
-                &needed,
-            ));
         }
+        self.finish(e, node, cost, rows_mid, 0, provides)
     }
 
-    // ---------------- two-way rid intersection ----------------------
-    seekables.sort_by(|a, b| a.1.total_cmp(&b.1));
-    for i in 0..seekables.len().min(4) {
-        for j in (i + 1)..seekables.len().min(4) {
-            let (p1, s1, i1) = seekables[i];
-            let (p2, s2, i2) = seekables[j];
-            if i1.key[0] == i2.key[0] {
-                continue; // same leading column: intersection is useless
-            }
-            let r1 = table_rows * s1;
-            let r2 = table_rows * s2;
-            let combined = (table_rows * s1 * s2).max(0.0);
-            let c1 = model.seek(
-                model.btree_levels(schema, i1),
-                model.index_pages(schema, i1),
-                s1,
-                r1,
-            );
-            let c2 = model.seek(
-                model.btree_levels(schema, i2),
-                model.index_pages(schema, i2),
-                s2,
-                r2,
-            );
-            let ci = model.rid_intersect(r1, r2);
-            let lk = model.rid_lookup(combined, table_pages);
-            let mut cost = c1.add(c2).add(ci).add(lk);
-            let n_resid = n_preds.saturating_sub(2);
-            let mk_usage = |idx: &Index, sel: f64, prefix: usize, c: Cost, r: f64| IndexUsage {
-                index: idx.clone(),
+    /// Seeks on two indexes with different leading columns, their rid
+    /// streams intersected, then one rid lookup.
+    fn intersect<E: Emit>(
+        &self,
+        e: &mut E,
+        (i1, (p1, s1, _)): (&Index, SeekPrefix),
+        (i2, (p2, s2, _)): (&Index, SeekPrefix),
+    ) -> Finished<E::Node> {
+        let model = self.model;
+        let r1 = self.table_rows * s1;
+        let r2 = self.table_rows * s2;
+        let combined = (self.table_rows * s1 * s2).max(0.0);
+        let seek_cost = |index: &Index, sel: f64, rows: f64| {
+            model.seek(
+                model.btree_levels(self.schema, index),
+                model.index_pages(self.schema, index),
+                sel,
+                rows,
+            )
+        };
+        let c1 = seek_cost(i1, s1, r1);
+        let c2 = seek_cost(i2, s2, r2);
+        let ci = model.rid_intersect(r1, r2);
+        let lk = model.rid_lookup(combined, self.table_pages);
+        let mut cost = c1.add(c2).add(ci).add(lk);
+        let n_resid = self.n_preds.saturating_sub(2);
+
+        let seek = |e: &mut E, index: &Index, sel: f64, prefix: usize, c: Cost, rows: f64| {
+            let consumed = &index.key[..prefix];
+            e.usage(|| IndexUsage {
+                index: index.clone(),
                 kind: UsageKind::Seek {
                     seek_cols: prefix,
                     selectivity: sel,
                 },
                 access_io: c.io,
                 access_cpu: c.cpu,
-                rows: r,
+                rows,
                 provided_order: None,
-                provided_columns: idx.key[..prefix].iter().copied().collect(),
+                provided_columns: consumed.iter().copied().collect(),
                 followed_by_lookup: true,
-                seek_col_sels: idx.key[..prefix]
-                    .iter()
-                    .map(|kc| {
-                        let (s, eq) = sargs
-                            .iter()
-                            .find(|(si, _)| req.sargable[*si].column == *kc)
-                            .map(|(si, v)| (*v, req.sargable[*si].sarg.is_equality()))
-                            .unwrap_or((1.0, false));
-                        (*kc, s, eq)
-                    })
-                    .collect(),
-                total_preds: n_preds,
-                resid_pred_cols: {
-                    let consumed: BTreeSet<ColumnId> = idx.key[..prefix].iter().copied().collect();
-                    pred_cols
-                        .iter()
-                        .copied()
-                        .filter(|c| !consumed.contains(c))
-                        .collect()
-                },
+                seek_col_sels: self.seek_col_sels(consumed),
+                total_preds: self.n_preds,
+                resid_pred_cols: self.resid_pred_cols(consumed),
                 // The residual filters of an intersection plan are
                 // shared between both seeks; crediting them to either
                 // usage could double-count when both indexes are
                 // removed, so neither claims them.
                 resid_filter_cpu: 0.0,
                 executions: 1.0,
-            };
-            let usages = vec![mk_usage(i1, s1, p1, c1, r1), mk_usage(i2, s2, p2, c2, r2)];
-            let seek1 = PlanNode::leaf(
-                Op::IndexSeek {
-                    index: i1.clone(),
-                    selectivity: s1,
+            });
+            e.leaf(
+                || Op::IndexSeek {
+                    index: index.clone(),
+                    selectivity: sel,
                 },
-                c1.total(),
-                r1,
-            );
-            let seek2 = PlanNode::leaf(
-                Op::IndexSeek {
-                    index: i2.clone(),
-                    selectivity: s2,
+                c.total(),
+                rows,
+            )
+        };
+        let seek1 = seek(e, i1, s1, p1, c1, r1);
+        let seek2 = seek(e, i2, s2, p2, c2, r2);
+        let inter = e.binary(
+            Op::RidIntersect,
+            c1.add(c2).add(ci).total(),
+            combined,
+            seek1,
+            seek2,
+        );
+        let mut node = e.unary(|| Op::RidLookup, cost.total(), combined, inter);
+        let mut rows_mid = combined;
+        if n_resid > 0 {
+            cost = cost.add(model.filter(rows_mid, n_resid));
+            rows_mid = self.out_rows.min(rows_mid);
+            node = e.unary(
+                || Op::Filter {
+                    predicates: n_resid,
+                    selectivity: 1.0,
                 },
-                c2.total(),
-                r2,
-            );
-            let inter = PlanNode::binary(
-                Op::RidIntersect,
-                c1.add(c2).add(ci).total(),
-                combined,
-                seek1,
-                seek2,
-            );
-            let mut node = PlanNode::unary(Op::RidLookup, cost.total(), combined, inter);
-            let mut rows_mid = combined;
-            if n_resid > 0 {
-                let f = model.filter(rows_mid, n_resid);
-                cost = cost.add(f);
-                rows_mid = out_rows.min(rows_mid);
-                node = PlanNode::unary(
-                    Op::Filter {
-                        predicates: n_resid,
-                        selectivity: 1.0,
-                    },
-                    cost.total(),
-                    rows_mid,
-                    node,
-                );
-            }
-            consider(finish(
-                model,
-                schema,
-                req,
+                cost.total(),
+                rows_mid,
                 node,
-                cost,
-                rows_mid.max(out_rows),
-                out_rows,
-                0,
-                usages,
-                false,
-                &order_cols,
-                &needed,
-            ));
+            );
         }
+        self.finish(e, node, cost, rows_mid.max(self.out_rows), 0, false)
     }
 
-    best.expect("at least the base scan is always available")
-}
-
-/// Longest seekable key prefix: every column must carry a sarg, and
-/// only point-equality sargs allow the seek to continue to the next
-/// key column. Returns `(prefix_len, selectivity, equality_prefix_len)`.
-fn seek_prefix(index: &Index, req: &IndexRequest, sels: &[(usize, f64)]) -> (usize, f64, usize) {
-    let mut len = 0usize;
-    let mut eq_len = 0usize;
-    let mut sel = 1.0f64;
-    for key_col in &index.key {
-        match req.sargable.iter().position(|s| s.column == *key_col) {
-            Some(si) => {
-                sel *= sels
-                    .iter()
-                    .find(|(i, _)| *i == si)
-                    .map(|(_, s)| *s)
-                    .unwrap_or(1.0);
-                len += 1;
-                if req.sargable[si].sarg.is_equality() {
-                    eq_len = len;
-                } else {
-                    break; // a range consumes the column and stops the seek
+    /// Longest seekable key prefix: every column must carry a sarg, and
+    /// only point-equality sargs allow the seek to continue to the next
+    /// key column.
+    fn seek_prefix(&self, index: &Index) -> SeekPrefix {
+        let mut len = 0usize;
+        let mut eq_len = 0usize;
+        let mut sel = 1.0f64;
+        for key_col in &index.key {
+            match self.req.sargable.iter().position(|s| s.column == *key_col) {
+                Some(si) => {
+                    sel *= self.sarg_sels[si];
+                    len += 1;
+                    if self.req.sargable[si].sarg.is_equality() {
+                        eq_len = len;
+                    } else {
+                        break; // a range consumes the column and stops the seek
+                    }
                 }
+                None => break,
             }
-            None => break,
+        }
+        (len, sel, eq_len)
+    }
+
+    /// Per-column `(column, selectivity, is_equality)` of the sargs a
+    /// seek on `consumed` uses.
+    fn seek_col_sels(&self, consumed: &[ColumnId]) -> Vec<(ColumnId, f64, bool)> {
+        consumed
+            .iter()
+            .map(|kc| {
+                let (sel, eq) = self
+                    .req
+                    .sargable
+                    .iter()
+                    .zip(&self.sarg_sels)
+                    .find(|(s, _)| s.column == *kc)
+                    .map(|(s, sel)| (*sel, s.sarg.is_equality()))
+                    .unwrap_or((1.0, false));
+                (*kc, sel, eq)
+            })
+            .collect()
+    }
+
+    /// Columns of the predicates a seek on `consumed` leaves to filter.
+    fn resid_pred_cols(&self, consumed: &[ColumnId]) -> BTreeSet<ColumnId> {
+        self.pred_cols
+            .iter()
+            .copied()
+            .filter(|c| !consumed.contains(c))
+            .collect()
+    }
+
+    /// Attach residual filters (when `extra_preds > 0`) and a sort (when
+    /// order is requested but not provided), producing the final
+    /// candidate.
+    fn finish<E: Emit>(
+        &self,
+        e: &mut E,
+        mut node: E::Node,
+        mut cost: Cost,
+        rows_in: f64,
+        extra_preds: usize,
+        provides_order: bool,
+    ) -> Finished<E::Node> {
+        // The access path's final estimate is the logical output
+        // cardinality regardless of which plan shape produced it.
+        let rows = self.out_rows;
+        if extra_preds > 0 {
+            cost = cost.add(self.model.filter(rows_in, extra_preds));
+            node = e.unary(
+                || Op::Filter {
+                    predicates: extra_preds,
+                    selectivity: 1.0,
+                },
+                cost.total(),
+                rows,
+                node,
+            );
+        }
+        if !self.order_cols.is_empty() && !provides_order {
+            let width: f64 = self
+                .needed
+                .iter()
+                .map(|c| self.schema.column_width(*c))
+                .sum::<f64>()
+                .max(8.0);
+            cost = cost.add(self.model.sort(rows, width));
+            node = e.unary(
+                || Op::Sort {
+                    columns: self.req.order.clone(),
+                },
+                cost.total(),
+                rows,
+                node,
+            );
+        }
+        Finished {
+            node,
+            cost,
+            rows,
+            // Sorted one way or the other.
+            provides_order: provides_order || !self.order_cols.is_empty(),
         }
     }
-    (len, sel, eq_len)
 }
 
 /// True if `order_cols` is a prefix of `key[skip..]`.
@@ -613,69 +692,6 @@ fn order_satisfied(key: &[ColumnId], skip: usize, order_cols: &[ColumnId]) -> bo
     }
     let tail = &key[skip..];
     tail.len() >= order_cols.len() && tail[..order_cols.len()] == *order_cols
-}
-
-/// Attach residual filters (when `extra_preds > 0`) and a sort (when
-/// order is requested but not provided), producing the final candidate.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    model: &CostModel,
-    schema: &PhysicalSchema<'_>,
-    req: &IndexRequest,
-    mut node: PlanNode,
-    mut cost: Cost,
-    rows_in: f64,
-    out_rows: f64,
-    extra_preds: usize,
-    usages: Vec<IndexUsage>,
-    provides_order: bool,
-    order_cols: &[ColumnId],
-    needed: &BTreeSet<ColumnId>,
-) -> AccessPath {
-    let mut rows = rows_in;
-    if extra_preds > 0 {
-        let f = model.filter(rows, extra_preds);
-        cost = cost.add(f);
-        rows = out_rows;
-        node = PlanNode::unary(
-            Op::Filter {
-                predicates: extra_preds,
-                selectivity: 1.0,
-            },
-            cost.total(),
-            rows,
-            node,
-        );
-    }
-    // The access path's final estimate is the logical output
-    // cardinality regardless of which plan shape produced it.
-    rows = out_rows;
-    let mut provided = provides_order;
-    if !order_cols.is_empty() && !provides_order {
-        let width: f64 = needed
-            .iter()
-            .map(|c| schema.column_width(*c))
-            .sum::<f64>()
-            .max(8.0);
-        let s = model.sort(rows, width);
-        cost = cost.add(s);
-        node = PlanNode::unary(
-            Op::Sort {
-                columns: req.order.clone(),
-            },
-            cost.total(),
-            rows,
-            node,
-        );
-        provided = true;
-    }
-    AccessPath {
-        node,
-        cost,
-        rows,
-        usages,
-        provides_order: provided,
-    }
 }
 
 #[cfg(test)]

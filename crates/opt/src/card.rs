@@ -3,7 +3,7 @@
 //! Cardenas-style distinct counting for group-by outputs.
 
 use pdt_catalog::{ColumnId, TableId};
-use pdt_expr::ClassifiedPredicates;
+use pdt_expr::{ClassifiedPredicates, JoinPred};
 use pdt_physical::PhysicalSchema;
 use std::collections::BTreeSet;
 
@@ -21,6 +21,79 @@ pub fn join_selectivity(schema: &PhysicalSchema<'_>, left: ColumnId, right: Colu
     1.0 / column_ndv(schema, left).max(column_ndv(schema, right))
 }
 
+/// The factors of [`subset_rows`] for one set of tables and predicates,
+/// read from the statistics once so that any number of subsets can be
+/// sized from them: a join search sizes `2^n` subsets of one block.
+#[derive(Debug)]
+pub struct SubsetCard {
+    /// `(table, max(rows, 1), local selectivity)` in table-id order.
+    tables: Vec<(TableId, f64, f64)>,
+    /// The equi-join predicates with their selectivities, in predicate
+    /// order.
+    pub joins: Vec<(JoinPred, f64)>,
+    /// Cross-table "other" predicates: the tables each one spans and
+    /// its selectivity.
+    others: Vec<(BTreeSet<TableId>, f64)>,
+}
+
+impl SubsetCard {
+    pub fn new(
+        schema: &PhysicalSchema<'_>,
+        tables: &BTreeSet<TableId>,
+        preds: &ClassifiedPredicates,
+    ) -> SubsetCard {
+        SubsetCard {
+            tables: tables
+                .iter()
+                .map(|&t| {
+                    (
+                        t,
+                        schema.rows(t).max(1.0),
+                        preds.local_selectivity(schema.db, t),
+                    )
+                })
+                .collect(),
+            joins: preds
+                .joins
+                .iter()
+                .map(|j| (*j, join_selectivity(schema, j.left, j.right)))
+                .collect(),
+            others: preds
+                .others
+                .iter()
+                .map(|o| (o.tables(), o.selectivity))
+                .filter(|(ts, _)| ts.len() > 1)
+                .collect(),
+        }
+    }
+
+    /// Estimated output rows of joining the tables `contains` accepts,
+    /// with all applicable local and join predicates, under
+    /// independence. The factors multiply in one fixed order (tables by
+    /// id, then joins, then cross-table predicates).
+    pub fn rows(&self, contains: impl Fn(TableId) -> bool) -> f64 {
+        let mut rows = 1.0f64;
+        for &(t, table_rows, local_sel) in &self.tables {
+            if contains(t) {
+                rows *= table_rows;
+                rows *= local_sel;
+            }
+        }
+        for (j, sel) in &self.joins {
+            if contains(j.left.table) && contains(j.right.table) {
+                rows *= sel;
+            }
+        }
+        // Cross-table "other" predicates fully inside the subset.
+        for (ts, sel) in &self.others {
+            if ts.iter().all(|t| contains(*t)) {
+                rows *= sel;
+            }
+        }
+        rows.max(1.0)
+    }
+}
+
 /// Estimated output rows of joining `subset` with all applicable local
 /// and join predicates, under independence.
 pub fn subset_rows(
@@ -28,24 +101,7 @@ pub fn subset_rows(
     subset: &BTreeSet<TableId>,
     preds: &ClassifiedPredicates,
 ) -> f64 {
-    let mut rows = 1.0f64;
-    for &t in subset {
-        rows *= schema.rows(t).max(1.0);
-        rows *= preds.local_selectivity(schema.db, t);
-    }
-    for j in &preds.joins {
-        if subset.contains(&j.left.table) && subset.contains(&j.right.table) {
-            rows *= join_selectivity(schema, j.left, j.right);
-        }
-    }
-    // Cross-table "other" predicates fully inside the subset.
-    for o in &preds.others {
-        let ts = o.tables();
-        if ts.len() > 1 && ts.iter().all(|t| subset.contains(t)) {
-            rows *= o.selectivity;
-        }
-    }
-    rows.max(1.0)
+    SubsetCard::new(schema, subset, preds).rows(|t| subset.contains(&t))
 }
 
 /// Estimated number of groups when grouping `input_rows` rows by

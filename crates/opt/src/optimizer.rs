@@ -2,17 +2,26 @@
 //! (left-deep dynamic programming), matches materialized views, and
 //! plans aggregation/ordering — invoking the [`RequestSink`] at every
 //! index- and view-request point.
+//!
+//! One invocation does work proportional to what it decides. The join
+//! search records *choices* — which access path, which join method,
+//! which inner table — with their costs and cardinalities; plan
+//! operators and usage records are built once, for the plan that won.
+//! When nobody observes the requests, each distinct access-path
+//! request of the invocation is answered once. DESIGN.md ("Plan
+//! search") has the rules that keep the output bytes fixed.
 
-use crate::access::{best_access_path, AccessPath};
+use crate::access::{choose_access_path, AccessChoice, AccessPath};
 use crate::block::QueryBlock;
-use crate::card::{group_count, join_selectivity, subset_rows};
+use crate::card::{group_count, SubsetCard};
 use crate::cost::CostModel;
-use crate::plan::{IndexUsage, Op, PhysPlan, PlanNode};
-use crate::request::{IndexRequest, NullSink, RequestSink, ViewRequest};
+use crate::plan::{CostOnly, Emit, IndexUsage, Materialize, Op, PhysPlan, PlanNode};
+use crate::request::{IndexRequest, RequestSink, ViewRequest};
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_expr::{BoundSelect, ClassifiedPredicates, Sarg, SargablePred};
 use pdt_physical::{Configuration, MaterializedView, PhysicalSchema, SpjgExpr, ViewMatch};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-global count of *real* plan searches ([`Optimizer::optimize`]
@@ -28,11 +37,15 @@ pub fn invocation_count() -> u64 {
     INVOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Exhaustive DP keeps one record per subset of the FROM list, so it is
+/// never run above this many tables whatever `max_dp_tables` says.
+const DP_TABLE_LIMIT: usize = 16;
+
 /// Optimizer tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerOptions {
-    /// Largest FROM-list size optimized with exhaustive left-deep DP;
-    /// larger queries fall back to a greedy join order.
+    /// Largest FROM-list size optimized with exhaustive left-deep DP
+    /// (at most 16); larger queries fall back to a greedy join order.
     pub max_dp_tables: usize,
     /// Whether to issue view requests for proper join subsets (the
     /// paper does; turning it off reproduces index-only tuning).
@@ -57,17 +70,6 @@ pub struct Optimizer<'a> {
     pub opts: OptimizerOptions,
 }
 
-#[derive(Clone)]
-struct SubPlan {
-    node: PlanNode,
-    cost: f64,
-    rows: f64,
-    usages: Vec<IndexUsage>,
-    /// Order provided by the subplan output (satisfied request order
-    /// for single-table plans; joins destroy order in this engine).
-    provides_order: bool,
-}
-
 impl<'a> Optimizer<'a> {
     pub fn new(db: &'a Database) -> Optimizer<'a> {
         Optimizer {
@@ -83,8 +85,8 @@ impl<'a> Optimizer<'a> {
     /// Optimize under a fixed configuration (no instrumentation).
     pub fn optimize(&self, config: &Configuration, q: &BoundSelect) -> PhysPlan {
         INVOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let mut working = config.clone();
-        self.optimize_with_sink(&mut working, q, &mut NullSink)
+        let block = QueryBlock::from_bound(self.db, q);
+        Search::new(self, &block, Watch::Nobody(config)).run()
     }
 
     /// Optimize, invoking `sink` at every index/view request. The sink
@@ -97,7 +99,12 @@ impl<'a> Optimizer<'a> {
         sink: &mut dyn RequestSink,
     ) -> PhysPlan {
         let block = QueryBlock::from_bound(self.db, q);
-        self.optimize_block(config, &block, sink)
+        let watch = if sink.observes() {
+            Watch::Sink(config, sink)
+        } else {
+            Watch::Nobody(config)
+        };
+        Search::new(self, &block, watch).run()
     }
 
     /// Estimated output cardinality of an SPJG expression (used when
@@ -111,236 +118,285 @@ impl<'a> Optimizer<'a> {
             ranges: def.ranges.clone(),
             others: def.others.clone(),
         };
-        let rows = subset_rows(&schema, &def.tables, &preds);
+        let rows = crate::card::subset_rows(&schema, &def.tables, &preds);
         if def.is_grouped() {
             group_count(&schema, rows, &def.group_by)
         } else {
             rows
         }
     }
+}
 
-    fn optimize_block(
-        &self,
-        config: &mut Configuration,
-        block: &QueryBlock,
-        sink: &mut dyn RequestSink,
-    ) -> PhysPlan {
+/// Who receives the requests of one plan search.
+enum Watch<'s> {
+    /// Nobody: requests are not issued and the configuration cannot
+    /// change under the search, so an access path chosen once stays
+    /// right for the whole invocation.
+    Nobody(&'s Configuration),
+    /// An observing sink: it receives every request, in enumeration
+    /// order, and may add structures to the configuration each time.
+    Sink(&'s mut Configuration, &'s mut dyn RequestSink),
+}
+
+impl Watch<'_> {
+    fn config(&self) -> &Configuration {
+        match self {
+            Watch::Nobody(config) => config,
+            Watch::Sink(config, _) => config,
+        }
+    }
+
+    fn observed(&self) -> bool {
+        matches!(self, Watch::Sink(..))
+    }
+}
+
+/// The parameterized join columns of an index nested-loops inner side:
+/// `(inner column, join selectivity)` per connecting join predicate.
+type JoinParams = Vec<(ColumnId, f64)>;
+
+/// An access-path request and the choice made for it; the request is
+/// kept because building the choice reads it again.
+struct Access {
+    req: IndexRequest,
+    choice: AccessChoice,
+}
+
+impl Access {
+    fn cost(&self) -> f64 {
+        self.choice.cost.total()
+    }
+
+    fn build(&self, model: &CostModel, schema: &PhysicalSchema<'_>) -> AccessPath {
+        self.choice.build(model, schema, &self.req)
+    }
+}
+
+#[derive(Clone, Copy)]
+enum JoinMethod {
+    /// Hash join over the inner table's plain access path.
+    Hash,
+    /// Index nested loops: the inner access path is parameterized by
+    /// the join columns and runs once per outer row.
+    IndexNlj,
+}
+
+/// One decided join of a left-deep plan: the outer side is whatever was
+/// decided for the remaining tables.
+struct Join {
+    /// Position of the inner table in the FROM list.
+    inner: usize,
+    method: JoinMethod,
+    access: Rc<Access>,
+    cost: f64,
+    rows: f64,
+}
+
+/// The record the join search keeps per subset of tables: how its best
+/// plan is reached, and that plan's cost and cardinality.
+enum Decision {
+    /// One access path: a single table, or a materialized view standing
+    /// in for the whole subset.
+    Access(Rc<Access>),
+    Join(Join),
+}
+
+impl Decision {
+    fn cost(&self) -> f64 {
+        match self {
+            Decision::Access(a) => a.cost(),
+            Decision::Join(j) => j.cost,
+        }
+    }
+
+    fn rows(&self) -> f64 {
+        match self {
+            Decision::Access(a) => a.choice.rows,
+            Decision::Join(j) => j.rows,
+        }
+    }
+}
+
+/// A complete left-deep plan as decisions: a leaf access and the joins
+/// above it, bottom-up.
+struct LeftDeep {
+    leaf: Rc<Access>,
+    joins: Vec<Join>,
+    /// Order provided by the plan output (satisfied request order for
+    /// single-table plans; joins destroy order in this engine).
+    provides_order: bool,
+}
+
+impl LeftDeep {
+    fn cost(&self) -> f64 {
+        self.joins.last().map_or(self.leaf.cost(), |j| j.cost)
+    }
+
+    fn rows(&self) -> f64 {
+        self.joins.last().map_or(self.leaf.choice.rows, |j| j.rows)
+    }
+}
+
+/// A sub-plan on its way through grouping, ordering and projection.
+struct Stage<N> {
+    node: N,
+    cost: f64,
+    rows: f64,
+    ordered: bool,
+}
+
+/// `true` when `cost` strictly beats the best decision so far: among
+/// equally cheap candidates the first enumerated wins.
+fn improves(best: &Option<Decision>, cost: f64) -> bool {
+    best.as_ref().is_none_or(|b| cost < b.cost())
+}
+
+/// The state of one plan search. It lives on the stack of the
+/// `optimize` call that created it, so the [`Optimizer`] itself stays
+/// shareable between threads.
+struct Search<'s> {
+    db: &'s Database,
+    opts: &'s OptimizerOptions,
+    block: &'s QueryBlock,
+    watch: Watch<'s>,
+    /// Cardinality factors of the block's tables and predicates; no
+    /// structure a sink can add changes them.
+    card: SubsetCard,
+    /// `(table, position in the FROM list)`, sorted by table. The
+    /// binder rejects a table that appears twice.
+    positions: Vec<(TableId, usize)>,
+    /// Per FROM position, the access paths already chosen in this
+    /// invocation, keyed by their parameterized join columns. Consulted
+    /// only when nobody observes the requests.
+    chosen: Vec<Vec<(JoinParams, Rc<Access>)>>,
+}
+
+impl<'s> Search<'s> {
+    fn new(opt: &'s Optimizer<'_>, block: &'s QueryBlock, watch: Watch<'s>) -> Search<'s> {
+        let schema = PhysicalSchema::new(opt.db, watch.config());
+        let card = SubsetCard::new(
+            &schema,
+            &block.tables.iter().copied().collect(),
+            &block.classified,
+        );
+        let mut positions: Vec<(TableId, usize)> = block
+            .tables
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i))
+            .collect();
+        positions.sort_unstable();
+        Search {
+            db: opt.db,
+            opts: &opt.opts,
+            block,
+            watch,
+            card,
+            positions,
+            chosen: vec![Vec::new(); block.tables.len()],
+        }
+    }
+
+    fn schema(&self) -> PhysicalSchema<'_> {
+        PhysicalSchema::new(self.db, self.watch.config())
+    }
+
+    /// True if `table` is one of the FROM-list positions set in `mask`.
+    fn in_mask(&self, mask: usize, table: TableId) -> bool {
+        self.positions
+            .binary_search_by_key(&table, |p| p.0)
+            .is_ok_and(|at| mask >> self.positions[at].1 & 1 == 1)
+    }
+
+    fn run(mut self) -> PhysPlan {
+        let block = self.block;
         let n = block.tables.len();
 
         // ---- join-order search over base tables ---------------------
-        let base = if n <= self.opts.max_dp_tables {
-            self.dp_join(config, block, sink)
+        let base = if n == 1 {
+            let order = if block.is_grouped() {
+                Vec::new()
+            } else {
+                block.order_by.clone()
+            };
+            let leaf = self.request_access(self.table_request(block.tables[0], &[], order));
+            LeftDeep {
+                provides_order: leaf.choice.provides_order && !block.order_by.is_empty(),
+                leaf,
+                joins: Vec::new(),
+            }
+        } else if n <= self.opts.max_dp_tables.min(DP_TABLE_LIMIT) {
+            self.dp_join()
         } else {
-            self.greedy_join(config, block, sink)
+            self.greedy_join()
         };
 
         // ---- grouping / ordering / projection on the base plan ------
-        let mut best = self.finish_plan(config, block, base);
+        let mut best_cost = self.finish_base(&mut CostOnly, &base, ()).cost;
 
         // ---- whole-query view alternatives ---------------------------
-        let full_spjg = block.to_spjg();
-        sink.on_view_request(
-            &ViewRequest {
-                spjg: full_spjg.clone(),
-                top_level: true,
-            },
-            self.db,
-            config,
-        );
-        let matches: Vec<(ViewMatch, f64)> = config
-            .usable_views()
-            .filter_map(|v| v.try_match(&full_spjg).map(|m| (m, v.rows)))
-            .collect();
-        for (m, view_rows) in matches {
-            if let Some(candidate) = self.view_plan(config, block, &m, view_rows, sink) {
-                if candidate.cost < best.cost {
-                    best = candidate;
+        let mut best_view: Option<(ViewMatch, Rc<Access>)> = None;
+        for (m, view_rows) in self.view_matches(None) {
+            let order = self.view_order(&m);
+            let additional = m
+                .base_map
+                .iter()
+                .map(|(_, ord)| *ord)
+                .chain(m.agg_map.iter().map(|(_, ord)| *ord));
+            if let Some(access) = self.view_access(&m, view_rows, additional, order) {
+                let cost = self.finish_view(&mut CostOnly, &m, &access, ()).cost;
+                if cost < best_cost {
+                    best_cost = cost;
+                    best_view = Some((m, access));
                 }
             }
         }
-        best
-    }
 
-    /// Finish a pre-aggregation subplan: grouping, ordering,
-    /// projection. (Plans from exact grouped view matches never pass
-    /// through here — `view_plan` finishes those itself.)
-    fn finish_plan(&self, config: &Configuration, block: &QueryBlock, sub: SubPlan) -> PhysPlan {
-        let schema = PhysicalSchema::new(self.db, config);
-        let model = &self.opts.cost;
-        let mut node = sub.node;
-        let mut cost = node.cost;
-        let mut rows = sub.rows;
-        let mut ordered = sub.provides_order;
-
-        if block.is_grouped() {
-            let groups = group_count(&schema, rows, &block.group_by);
-            let agg_cost = model.hash_aggregate(rows, groups);
-            cost += agg_cost.total();
-            node = PlanNode::unary(
-                Op::HashAggregate {
-                    groups: block.group_by.len(),
-                },
-                cost,
-                groups,
-                node,
-            );
-            rows = groups;
-            ordered = false;
-        }
-
-        if !block.order_by.is_empty() && !ordered {
-            let width: f64 = block
-                .output_cols
-                .iter()
-                .map(|c| schema.column_width(*c))
-                .sum::<f64>()
-                .max(8.0);
-            let s = model.sort(rows, width);
-            cost += s.total();
-            node = PlanNode::unary(
-                Op::Sort {
-                    columns: block.order_by.clone(),
-                },
-                cost,
-                rows,
-                node,
-            );
-        }
-
-        if let Some(k) = block.top {
-            rows = rows.min(k as f64);
-        }
-        cost += rows * model.cpu_tuple;
-        node = PlanNode::unary(Op::Project, cost, rows, node);
-
+        // ---- build the winner ----------------------------------------
+        let e = &mut Materialize::default();
+        let (done, index_usages) = match best_view {
+            Some((m, access)) => {
+                let path = access.build(&self.opts.cost, &self.schema());
+                (self.finish_view(e, &m, &access, path.node), path.usages)
+            }
+            None => {
+                let (node, usages) = self.assemble(&base);
+                (self.finish_base(e, &base, node), usages)
+            }
+        };
+        debug_assert_eq!(done.cost.to_bits(), best_cost.to_bits());
         PhysPlan {
-            root: node,
-            cost,
-            rows,
-            index_usages: sub.usages,
+            root: done.node,
+            cost: done.cost,
+            rows: done.rows,
+            index_usages,
         }
     }
 
-    /// Build the access plan for a query rewritten over a matched view.
-    fn view_plan(
-        &self,
-        config: &mut Configuration,
-        block: &QueryBlock,
-        m: &ViewMatch,
-        view_rows: f64,
-        sink: &mut dyn RequestSink,
-    ) -> Option<PhysPlan> {
-        let model = &self.opts.cost;
+    // -----------------------------------------------------------------
+    // Requests
+    // -----------------------------------------------------------------
 
-        // Columns of the view we need in the output.
-        let mut additional: BTreeSet<ColumnId> = m
-            .base_map
-            .iter()
-            .map(|(_, ord)| ColumnId::new(m.view_id, *ord))
-            .collect();
-        additional.extend(
-            m.agg_map
-                .iter()
-                .map(|(_, ord)| ColumnId::new(m.view_id, *ord)),
-        );
-        let order: Vec<(ColumnId, bool)> = if m.regroup {
-            Vec::new()
-        } else {
-            block
-                .order_by
-                .iter()
-                .filter_map(|(c, d)| {
-                    m.base_map
-                        .iter()
-                        .find(|(b, _)| b == c)
-                        .map(|(_, ord)| (ColumnId::new(m.view_id, *ord), *d))
-                })
-                .collect()
-        };
-        let order_complete = order.len() == block.order_by.len();
-
-        let req = IndexRequest {
-            table: m.view_id,
-            sargable: m.residual_ranges.clone(),
-            non_sargable: m
-                .residual_others
-                .iter()
-                .map(|o| (o.columns(), o.selectivity))
-                .collect(),
-            order: if order_complete { order } else { Vec::new() },
-            additional,
-            input_rows: view_rows,
-        };
-        sink.on_index_request(&req, self.db, config);
-        let schema = PhysicalSchema::new(self.db, config);
-        // The view may have been deleted meanwhile (defensive).
-        config.view(m.view_id)?;
-        let access = best_access_path(model, &schema, &req);
-
-        let mut node = access.node;
-        let mut cost = access.cost.total();
-        let mut rows = access.rows;
-        let mut ordered = access.provides_order && order_complete && !block.order_by.is_empty();
-
-        if m.regroup {
-            let group_cols: BTreeSet<ColumnId> = m.regroup_cols.iter().copied().collect();
-            let groups = group_count(&schema, rows, &group_cols);
-            let agg = model.hash_aggregate(rows, groups);
-            cost += agg.total();
-            node = PlanNode::unary(
-                Op::HashAggregate {
-                    groups: group_cols.len(),
-                },
-                cost,
-                groups,
-                node,
-            );
-            rows = groups;
-            ordered = false;
+    /// Issue an index request (when somebody observes) and choose the
+    /// access path under the configuration the sink left behind.
+    fn request_access(&mut self, req: IndexRequest) -> Rc<Access> {
+        if let Watch::Sink(config, sink) = &mut self.watch {
+            sink.on_index_request(&req, self.db, config);
         }
-
-        if !block.order_by.is_empty() && !ordered {
-            let s = model.sort(rows, 64.0);
-            cost += s.total();
-            node = PlanNode::unary(
-                Op::Sort {
-                    columns: block.order_by.clone(),
-                },
-                cost,
-                rows,
-                node,
-            );
-        }
-        if let Some(k) = block.top {
-            rows = rows.min(k as f64);
-        }
-        cost += rows * model.cpu_tuple;
-        node = PlanNode::unary(Op::Project, cost, rows, node);
-
-        Some(PhysPlan {
-            root: node,
-            cost,
-            rows,
-            index_usages: access.usages,
-        })
+        let choice = choose_access_path(&self.opts.cost, &self.schema(), &req);
+        Rc::new(Access { req, choice })
     }
-
-    // -----------------------------------------------------------------
-    // Join enumeration
-    // -----------------------------------------------------------------
 
     /// Build the access-path request for a single table inside the
     /// block, with optional parameterized join sargs (for the inner
     /// side of an index nested-loops join).
     fn table_request(
         &self,
-        config: &Configuration,
-        block: &QueryBlock,
         table: TableId,
         join_params: &[(ColumnId, f64)],
         order: Vec<(ColumnId, bool)>,
     ) -> IndexRequest {
-        let schema = PhysicalSchema::new(self.db, config);
+        let block = self.block;
         let mut sargable: Vec<SargablePred> = block.classified.ranges_on(table).cloned().collect();
         for (col, sel) in join_params {
             if !sargable.iter().any(|s| s.column == *col) {
@@ -361,202 +417,91 @@ impl<'a> Optimizer<'a> {
             non_sargable,
             order,
             additional: block.required_columns(table),
-            input_rows: schema.rows(table),
+            input_rows: self.schema().rows(table),
         }
     }
 
-    /// Access path for one table, issuing the index request first.
-    fn table_access(
-        &self,
-        config: &mut Configuration,
-        block: &QueryBlock,
-        table: TableId,
-        join_params: &[(ColumnId, f64)],
-        order: Vec<(ColumnId, bool)>,
-        sink: &mut dyn RequestSink,
-    ) -> AccessPath {
-        let req = self.table_request(config, block, table, join_params, order);
-        sink.on_index_request(&req, self.db, config);
-        let schema = PhysicalSchema::new(self.db, config);
-        best_access_path(&self.opts.cost, &schema, &req)
+    /// Access path for the table at FROM position `pos` inside a join,
+    /// issuing the index request first. Unobserved, one distinct
+    /// `(table, join parameters)` request is answered once per
+    /// invocation; an observing sink gets every request and a fresh
+    /// choice each time, because it may have changed the configuration
+    /// in between.
+    fn table_access(&mut self, pos: usize, join_params: &[(ColumnId, f64)]) -> Rc<Access> {
+        let same = |a: &[(ColumnId, f64)]| {
+            a.len() == join_params.len()
+                && a.iter()
+                    .zip(join_params)
+                    .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+        };
+        let reusable = !self.watch.observed();
+        if reusable {
+            if let Some((_, access)) = self.chosen[pos].iter().find(|(k, _)| same(k)) {
+                return access.clone();
+            }
+        }
+        let req = self.table_request(self.block.tables[pos], join_params, Vec::new());
+        let access = self.request_access(req);
+        if reusable {
+            self.chosen[pos].push((join_params.to_vec(), access.clone()));
+        }
+        access
     }
 
-    /// The order request a single-table plan should try to satisfy:
-    /// the ORDER BY for plain queries, the grouping columns for
-    /// aggregations (enabling sort-free stream aggregation — modeled
-    /// as order-preserving hash aggregation input here).
-    fn leaf_order(&self, block: &QueryBlock) -> Vec<(ColumnId, bool)> {
-        if block.tables.len() != 1 {
+    /// True if `view` is defined over exactly the block's tables, or
+    /// exactly those at the FROM positions of `subset`.
+    fn spans(&self, view: &MaterializedView, subset: Option<usize>) -> bool {
+        let count = subset.map_or(self.block.tables.len(), |mask| mask.count_ones() as usize);
+        view.def.tables.len() == count
+            && view.def.tables.iter().all(|t| match subset {
+                Some(mask) => self.in_mask(mask, *t),
+                None => self.block.tables.contains(t),
+            })
+    }
+
+    /// The usable views over exactly the tables of `subset` (`None`:
+    /// the whole block) that match the block's SPJG expression for
+    /// them, with their row counts. Issues the view request first;
+    /// unobserved, the expression is built only if some view could
+    /// match it.
+    fn view_matches(&mut self, subset: Option<usize>) -> Vec<(ViewMatch, f64)> {
+        let config = self.watch.config();
+        if !self.watch.observed() && !config.usable_views().any(|v| self.spans(v, subset)) {
             return Vec::new();
         }
-        if block.is_grouped() {
-            Vec::new()
-        } else {
-            block.order_by.clone()
+        let block = self.block;
+        let spjg = match subset {
+            Some(mask) => {
+                let tables = block.tables.iter().enumerate();
+                let tables = tables.filter(|(i, _)| mask >> i & 1 == 1).map(|(_, t)| *t);
+                block.spjg_for_subset(&tables.collect())
+            }
+            None => block.to_spjg(),
+        };
+        let req = ViewRequest {
+            spjg,
+            top_level: subset.is_none(),
+        };
+        if let Watch::Sink(config, sink) = &mut self.watch {
+            sink.on_view_request(&req, self.db, config);
         }
+        self.watch
+            .config()
+            .usable_views()
+            .filter(|v| self.spans(v, subset))
+            .filter_map(|v| v.try_match(&req.spjg).map(|m| (m, v.rows)))
+            .collect()
     }
 
-    fn single_table_subplan(
-        &self,
-        config: &mut Configuration,
-        block: &QueryBlock,
-        table: TableId,
-        sink: &mut dyn RequestSink,
-    ) -> SubPlan {
-        let order = self.leaf_order(block);
-        let access = self.table_access(config, block, table, &[], order, sink);
-        SubPlan {
-            cost: access.cost.total(),
-            rows: access.rows,
-            provides_order: access.provides_order && !block.order_by.is_empty(),
-            node: access.node,
-            usages: access.usages,
-        }
-    }
-
-    fn dp_join(
-        &self,
-        config: &mut Configuration,
-        block: &QueryBlock,
-        sink: &mut dyn RequestSink,
-    ) -> SubPlan {
-        let n = block.tables.len();
-        if n == 1 {
-            return self.single_table_subplan(config, block, block.tables[0], sink);
-        }
-        let full_mask: u64 = (1 << n) - 1;
-        let mut dp: HashMap<u64, SubPlan> = HashMap::with_capacity(1 << n);
-
-        for (i, &t) in block.tables.iter().enumerate() {
-            let sub = self.single_table_subplan(config, block, t, sink);
-            dp.insert(1 << i, sub);
-        }
-
-        for mask in 2u64..=full_mask {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            let subset: BTreeSet<TableId> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| block.tables[i])
-                .collect();
-
-            // View request for this SPJG sub-query (paper §2).
-            let sub_spjg = if self.opts.subset_view_requests && mask != full_mask {
-                let spjg = block.spjg_for_subset(&subset);
-                sink.on_view_request(
-                    &ViewRequest {
-                        spjg: spjg.clone(),
-                        top_level: false,
-                    },
-                    self.db,
-                    config,
-                );
-                Some(spjg)
-            } else {
-                None
-            };
-
-            let mut best: Option<SubPlan> = None;
-
-            // Materialized views covering exactly this subset can
-            // replace the whole join sub-expression.
-            if let Some(spjg) = &sub_spjg {
-                let matches: Vec<(pdt_physical::ViewMatch, f64)> = config
-                    .usable_views()
-                    .filter(|v| v.def.tables == subset)
-                    .filter_map(|v| v.try_match(spjg).map(|m| (m, v.rows)))
-                    .collect();
-                for (m, view_rows) in matches {
-                    if let Some(cand) = self.subset_view_subplan(config, &m, view_rows, sink) {
-                        if best.as_ref().is_none_or(|b| cand.cost < b.cost) {
-                            best = Some(cand);
-                        }
-                    }
-                }
-            }
-            for i in 0..n {
-                let bit = 1u64 << i;
-                if mask & bit == 0 {
-                    continue;
-                }
-                let rest = mask & !bit;
-                if rest == 0 {
-                    continue;
-                }
-                let Some(outer) = dp.get(&rest).cloned() else {
-                    continue;
-                };
-                let inner_table = block.tables[i];
-                // Prefer connected joins; cross products only when the
-                // rest has no join edge to this table.
-                let join_cols: Vec<(ColumnId, f64)> = {
-                    let schema = PhysicalSchema::new(self.db, config);
-                    block
-                        .classified
-                        .joins
-                        .iter()
-                        .filter_map(|j| {
-                            let (lt, rt) = (j.left.table, j.right.table);
-                            let rest_tables: BTreeSet<TableId> = (0..n)
-                                .filter(|k| rest & (1 << k) != 0)
-                                .map(|k| block.tables[k])
-                                .collect();
-                            if lt == inner_table && rest_tables.contains(&rt) {
-                                Some((j.left, join_selectivity(&schema, j.left, j.right)))
-                            } else if rt == inner_table && rest_tables.contains(&lt) {
-                                Some((j.right, join_selectivity(&schema, j.left, j.right)))
-                            } else {
-                                None
-                            }
-                        })
-                        .collect()
-                };
-                let out_rows = subset_rows(
-                    &PhysicalSchema::new(self.db, config),
-                    &subset,
-                    &block.classified,
-                );
-
-                for cand in self.join_candidates(
-                    config,
-                    block,
-                    &outer,
-                    inner_table,
-                    &join_cols,
-                    out_rows,
-                    sink,
-                ) {
-                    if best.as_ref().is_none_or(|b| cand.cost < b.cost) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            if let Some(b) = best {
-                dp.insert(mask, b);
-            }
-        }
-        dp.remove(&full_mask).expect("full join plan exists")
-    }
-
-    /// Access a matched subset view as a join-subexpression replacement
-    /// (ungrouped matches only — grouped views never match subset SPJGs
-    /// because those carry no grouping).
-    fn subset_view_subplan(
-        &self,
-        config: &mut Configuration,
-        m: &pdt_physical::ViewMatch,
+    /// Access path over a matched view: the residual predicates of the
+    /// match, the view columns at `additional` ordinals, and `order`.
+    fn view_access(
+        &mut self,
+        m: &ViewMatch,
         view_rows: f64,
-        sink: &mut dyn RequestSink,
-    ) -> Option<SubPlan> {
-        if m.regroup {
-            return None;
-        }
-        let additional: BTreeSet<ColumnId> = m
-            .base_map
-            .iter()
-            .map(|(_, ord)| ColumnId::new(m.view_id, *ord))
-            .collect();
+        additional: impl Iterator<Item = u16>,
+        order: Vec<(ColumnId, bool)>,
+    ) -> Option<Rc<Access>> {
         let req = IndexRequest {
             table: m.view_id,
             sargable: m.residual_ranges.clone(),
@@ -565,118 +510,185 @@ impl<'a> Optimizer<'a> {
                 .iter()
                 .map(|o| (o.columns(), o.selectivity))
                 .collect(),
-            order: Vec::new(),
-            additional,
+            order,
+            additional: additional
+                .map(|ord| ColumnId::new(m.view_id, ord))
+                .collect(),
             input_rows: view_rows,
         };
-        sink.on_index_request(&req, self.db, config);
-        config.view(m.view_id)?;
-        let schema = PhysicalSchema::new(self.db, config);
-        let access = best_access_path(&self.opts.cost, &schema, &req);
-        Some(SubPlan {
-            cost: access.cost.total(),
-            rows: access.rows,
-            provides_order: false,
-            node: access.node,
-            usages: access.usages,
-        })
+        let access = self.request_access(req);
+        // The view may have been deleted meanwhile (defensive).
+        self.watch.config().view(m.view_id)?;
+        Some(access)
     }
 
-    /// Hash-join and index-NLJ candidates for `outer ⋈ inner_table`.
-    #[allow(clippy::too_many_arguments)]
+    // -----------------------------------------------------------------
+    // Join enumeration
+    // -----------------------------------------------------------------
+
+    /// The parameterized join columns of `inner` against the tables
+    /// `in_outer` accepts: one `(inner column, join selectivity)` per
+    /// join predicate that connects them, in predicate order. Empty
+    /// means the join would be a cross product.
+    fn join_cols(&self, inner: TableId, in_outer: impl Fn(TableId) -> bool, out: &mut JoinParams) {
+        out.clear();
+        for (j, sel) in &self.card.joins {
+            if j.left.table == inner && in_outer(j.right.table) {
+                out.push((j.left, *sel));
+            } else if j.right.table == inner && in_outer(j.left.table) {
+                out.push((j.right, *sel));
+            }
+        }
+    }
+
+    /// Cost the two ways of joining an outer plan of `outer_cost` and
+    /// `outer_rows` with the table at FROM position `inner` — a hash
+    /// join, then (when a join predicate connects them) index nested
+    /// loops — and keep in `best` the first strictly cheapest decision.
+    /// The only copy of the join cost formulas; the DP and the greedy
+    /// order both price through it.
     fn join_candidates(
-        &self,
-        config: &mut Configuration,
-        block: &QueryBlock,
-        outer: &SubPlan,
-        inner_table: TableId,
+        &mut self,
+        (outer_cost, outer_rows): (f64, f64),
+        inner: usize,
         join_cols: &[(ColumnId, f64)],
         out_rows: f64,
-        sink: &mut dyn RequestSink,
-    ) -> Vec<SubPlan> {
-        let model = &self.opts.cost;
-        let mut cands = Vec::with_capacity(2);
+        best: &mut Option<Decision>,
+    ) {
+        let model = self.opts.cost;
+        let mut offer = |method: JoinMethod, access: Rc<Access>, cost: f64| {
+            if improves(best, cost) {
+                *best = Some(Decision::Join(Join {
+                    inner,
+                    method,
+                    access,
+                    cost,
+                    rows: out_rows,
+                }));
+            }
+        };
 
         // Hash join: full access of inner (local predicates only).
-        {
-            let inner = self.table_access(config, block, inner_table, &[], Vec::new(), sink);
-            let (build_rows, probe_rows) = if inner.rows < outer.rows {
-                (inner.rows, outer.rows)
-            } else {
-                (outer.rows, inner.rows)
-            };
-            let schema = PhysicalSchema::new(self.db, config);
-            let jc = model.hash_join(build_rows, probe_rows, schema.row_width(inner_table));
-            let cost = outer.cost + inner.cost.total() + jc.total() + out_rows * model.cpu_tuple;
-            let mut usages = outer.usages.clone();
-            usages.extend(inner.usages);
-            cands.push(SubPlan {
-                node: PlanNode::binary(
-                    Op::HashJoin,
-                    cost,
-                    out_rows,
-                    outer.node.clone(),
-                    inner.node,
-                ),
-                cost,
-                rows: out_rows,
-                usages,
-                provides_order: false,
-            });
-        }
+        let access = self.table_access(inner, &[]);
+        let inner_rows = access.choice.rows;
+        let (build_rows, probe_rows) = if inner_rows < outer_rows {
+            (inner_rows, outer_rows)
+        } else {
+            (outer_rows, inner_rows)
+        };
+        let width = self.schema().row_width(self.block.tables[inner]);
+        let jc = model.hash_join(build_rows, probe_rows, width);
+        let cost = outer_cost + access.cost() + jc.total() + out_rows * model.cpu_tuple;
+        offer(JoinMethod::Hash, access, cost);
 
         // Index nested-loops: parameterized inner executed per outer row.
         if !join_cols.is_empty() {
-            let inner = self.table_access(config, block, inner_table, join_cols, Vec::new(), sink);
-            let per_exec = inner.cost.total();
-            let cost = outer.cost + outer.rows * per_exec + out_rows * model.cpu_tuple;
-            let mut usages = outer.usages.clone();
-            for mut u in inner.usages {
-                // Scale the per-execution usage to the whole join.
-                u.access_io *= outer.rows.max(1.0);
-                u.access_cpu *= outer.rows.max(1.0);
-                u.rows *= outer.rows.max(1.0);
-                u.resid_filter_cpu *= outer.rows.max(1.0);
-                u.executions *= outer.rows.max(1.0);
-                usages.push(u);
-            }
-            cands.push(SubPlan {
-                node: PlanNode::binary(
-                    Op::NestedLoopJoin,
-                    cost,
-                    out_rows,
-                    outer.node.clone(),
-                    inner.node,
-                ),
-                cost,
-                rows: out_rows,
-                usages,
-                provides_order: false,
-            });
+            let access = self.table_access(inner, join_cols);
+            let cost = outer_cost + outer_rows * access.cost() + out_rows * model.cpu_tuple;
+            offer(JoinMethod::IndexNlj, access, cost);
         }
-        cands
+    }
+
+    /// Exhaustive left-deep DP over a table of decisions indexed by
+    /// subset mask. Candidates of one subset are enumerated in a fixed
+    /// order — matching views, then per inner table (FROM order) hash
+    /// join before index nested loops — and the first strictly cheapest
+    /// is recorded; the outer side of a candidate is read from the
+    /// table, never copied.
+    fn dp_join(&mut self) -> LeftDeep {
+        let block = self.block;
+        let n = block.tables.len();
+        let full_mask: usize = (1 << n) - 1;
+        let mut dp: Vec<Option<Decision>> = Vec::new();
+        dp.resize_with(full_mask + 1, || None);
+
+        for i in 0..n {
+            dp[1 << i] = Some(Decision::Access(self.table_access(i, &[])));
+        }
+
+        let mut join_cols = Vec::new();
+        for mask in 3..=full_mask {
+            if mask.count_ones() < 2 {
+                continue;
+            }
+            let mut best: Option<Decision> = None;
+
+            // View request for this SPJG sub-query (paper §2);
+            // materialized views covering exactly this subset can
+            // replace the whole join sub-expression.
+            if self.opts.subset_view_requests && mask != full_mask {
+                self.subset_view_candidates(mask, &mut best);
+            }
+
+            let out_rows = self.card.rows(|t| self.in_mask(mask, t));
+            for i in (0..n).filter(|i| mask >> i & 1 == 1) {
+                let rest = mask & !(1 << i);
+                let Some(outer) = &dp[rest] else { continue };
+                let outer = (outer.cost(), outer.rows());
+                // Prefer connected joins; cross products only when the
+                // rest has no join edge to this table.
+                self.join_cols(block.tables[i], |t| self.in_mask(rest, t), &mut join_cols);
+                self.join_candidates(outer, i, &join_cols, out_rows, &mut best);
+            }
+            dp[mask] = best;
+        }
+
+        // Walk the decisions down from the full set.
+        let mut joins = Vec::with_capacity(n - 1);
+        let mut mask = full_mask;
+        let leaf = loop {
+            match dp[mask].take().expect("every subset has a hash-join plan") {
+                Decision::Join(j) => {
+                    mask &= !(1 << j.inner);
+                    joins.push(j);
+                }
+                Decision::Access(leaf) => break leaf,
+            }
+        };
+        joins.reverse();
+        LeftDeep {
+            leaf,
+            joins,
+            provides_order: false,
+        }
+    }
+
+    /// Offer every matched view over exactly the tables of `mask` as a
+    /// replacement for the join sub-expression (ungrouped matches only —
+    /// grouped views never match subset SPJGs because those carry no
+    /// grouping).
+    fn subset_view_candidates(&mut self, mask: usize, best: &mut Option<Decision>) {
+        for (m, view_rows) in self.view_matches(Some(mask)) {
+            if m.regroup {
+                continue;
+            }
+            let additional = m.base_map.iter().map(|(_, ord)| *ord);
+            if let Some(access) = self.view_access(&m, view_rows, additional, Vec::new()) {
+                if improves(best, access.cost()) {
+                    *best = Some(Decision::Access(access));
+                }
+            }
+        }
     }
 
     /// Greedy left-deep join order for very large FROM lists.
-    fn greedy_join(
-        &self,
-        config: &mut Configuration,
-        block: &QueryBlock,
-        sink: &mut dyn RequestSink,
-    ) -> SubPlan {
+    fn greedy_join(&mut self) -> LeftDeep {
+        let block = self.block;
         let n = block.tables.len();
         // Start from the table with the smallest filtered cardinality.
-        let schema_rows = |config: &Configuration, t: TableId| {
-            let schema = PhysicalSchema::new(self.db, config);
-            schema.rows(t) * block.classified.local_selectivity(self.db, t)
-        };
+        let filtered_rows: Vec<f64> = block
+            .tables
+            .iter()
+            .map(|&t| self.schema().rows(t) * block.classified.local_selectivity(self.db, t))
+            .collect();
         let mut remaining: Vec<usize> = (0..n).collect();
-        remaining.sort_by(|a, b| {
-            schema_rows(config, block.tables[*a]).total_cmp(&schema_rows(config, block.tables[*b]))
-        });
+        remaining.sort_by(|a, b| filtered_rows[*a].total_cmp(&filtered_rows[*b]));
         let first = remaining.remove(0);
         let mut joined: BTreeSet<TableId> = [block.tables[first]].into();
-        let mut current = self.single_table_subplan(config, block, block.tables[first], sink);
+        let leaf = self.table_access(first, &[]);
+        let mut current = (leaf.cost(), leaf.choice.rows);
+        let mut joins = Vec::with_capacity(n - 1);
+        let mut join_cols = Vec::new();
 
         while !remaining.is_empty() {
             // Next: the connected table minimizing the joined cardinality.
@@ -688,10 +700,7 @@ impl<'a> Optimizer<'a> {
                     (j.left.table == t && joined.contains(&j.right.table))
                         || (j.right.table == t && joined.contains(&j.left.table))
                 });
-                let mut subset = joined.clone();
-                subset.insert(t);
-                let schema = PhysicalSchema::new(self.db, config);
-                let rows = subset_rows(&schema, &subset, &block.classified)
+                let rows = self.card.rows(|x| x == t || joined.contains(&x))
                     * if connected { 1.0 } else { 1e6 };
                 if rows < best_rows {
                     best_rows = rows;
@@ -700,37 +709,188 @@ impl<'a> Optimizer<'a> {
             }
             let i = remaining.remove(best_idx);
             let t = block.tables[i];
-            let join_cols: Vec<(ColumnId, f64)> = {
-                let schema = PhysicalSchema::new(self.db, config);
-                block
-                    .classified
-                    .joins
-                    .iter()
-                    .filter_map(|j| {
-                        if j.left.table == t && joined.contains(&j.right.table) {
-                            Some((j.left, join_selectivity(&schema, j.left, j.right)))
-                        } else if j.right.table == t && joined.contains(&j.left.table) {
-                            Some((j.right, join_selectivity(&schema, j.left, j.right)))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            };
+            self.join_cols(t, |x| joined.contains(&x), &mut join_cols);
             joined.insert(t);
-            let out_rows = subset_rows(
-                &PhysicalSchema::new(self.db, config),
-                &joined,
-                &block.classified,
-            );
-            let cands =
-                self.join_candidates(config, block, &current, t, &join_cols, out_rows, sink);
-            current = cands
-                .into_iter()
-                .min_by(|a, b| a.cost.total_cmp(&b.cost))
-                .expect("hash join always available");
+            let out_rows = self.card.rows(|x| joined.contains(&x));
+            let mut best = None;
+            self.join_candidates(current, i, &join_cols, out_rows, &mut best);
+            let Some(Decision::Join(join)) = best else {
+                unreachable!("a hash join is always available")
+            };
+            current = (join.cost, join.rows);
+            joins.push(join);
         }
-        current
+        LeftDeep {
+            leaf,
+            joins,
+            provides_order: false,
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Building the winner
+    // -----------------------------------------------------------------
+
+    /// Build the operator tree and the usage records of a decided
+    /// left-deep plan: usages of the outer side first, then the inner
+    /// side's, those of a nested-loops inner scaled to the whole join.
+    fn assemble(&self, plan: &LeftDeep) -> (PlanNode, Vec<IndexUsage>) {
+        let model = &self.opts.cost;
+        let schema = self.schema();
+        let leaf = plan.leaf.build(model, &schema);
+        let (mut node, mut usages) = (leaf.node, leaf.usages);
+        let mut outer_rows = leaf.rows;
+        for join in &plan.joins {
+            let inner = join.access.build(model, &schema);
+            let op = match join.method {
+                JoinMethod::Hash => {
+                    usages.extend(inner.usages);
+                    Op::HashJoin
+                }
+                JoinMethod::IndexNlj => {
+                    // Scale the per-execution usage to the whole join.
+                    let runs = outer_rows.max(1.0);
+                    usages.extend(inner.usages.into_iter().map(|mut u| {
+                        u.access_io *= runs;
+                        u.access_cpu *= runs;
+                        u.rows *= runs;
+                        u.resid_filter_cpu *= runs;
+                        u.executions *= runs;
+                        u
+                    }));
+                    Op::NestedLoopJoin
+                }
+            };
+            node = PlanNode::binary(op, join.cost, join.rows, node, inner.node);
+            outer_rows = join.rows;
+        }
+        (node, usages)
+    }
+
+    /// Finish the pre-aggregation plan of the base tables: grouping,
+    /// ordering, projection.
+    fn finish_base<E: Emit>(&self, e: &mut E, base: &LeftDeep, node: E::Node) -> Stage<E::Node> {
+        let block = self.block;
+        let schema = self.schema();
+        let sort_width = block
+            .output_cols
+            .iter()
+            .map(|c| schema.column_width(*c))
+            .sum::<f64>()
+            .max(8.0);
+        let stage = Stage {
+            node,
+            cost: base.cost(),
+            rows: base.rows(),
+            ordered: base.provides_order,
+        };
+        let group_by = block.is_grouped().then_some(&block.group_by);
+        self.finish(e, stage, group_by, sort_width)
+    }
+
+    /// The order request of the query, mapped onto a matched view's
+    /// columns (empty when the view must be regrouped first, or when
+    /// some order column is not in the view).
+    fn view_order(&self, m: &ViewMatch) -> Vec<(ColumnId, bool)> {
+        if m.regroup {
+            return Vec::new();
+        }
+        let order: Vec<(ColumnId, bool)> = self
+            .block
+            .order_by
+            .iter()
+            .filter_map(|(c, d)| {
+                m.base_map
+                    .iter()
+                    .find(|(b, _)| b == c)
+                    .map(|(_, ord)| (ColumnId::new(m.view_id, *ord), *d))
+            })
+            .collect();
+        if order.len() == self.block.order_by.len() {
+            order
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Finish the plan of a query rewritten over a matched view: the
+    /// compensating group-by, ordering, projection.
+    fn finish_view<E: Emit>(
+        &self,
+        e: &mut E,
+        m: &ViewMatch,
+        access: &Access,
+        node: E::Node,
+    ) -> Stage<E::Node> {
+        // The request carried the whole ORDER BY or none of it.
+        let order_requested = !access.req.order.is_empty();
+        let stage = Stage {
+            node,
+            cost: access.cost(),
+            rows: access.choice.rows,
+            ordered: access.choice.provides_order && order_requested,
+        };
+        let group_cols: BTreeSet<ColumnId> = m.regroup_cols.iter().copied().collect();
+        self.finish(e, stage, m.regroup.then_some(&group_cols), 64.0)
+    }
+
+    /// Grouping (when `group_by` is given), a sort of `sort_width`-byte
+    /// rows unless the input already has the query's order, the row
+    /// limit, and the projection.
+    fn finish<E: Emit>(
+        &self,
+        e: &mut E,
+        stage: Stage<E::Node>,
+        group_by: Option<&BTreeSet<ColumnId>>,
+        sort_width: f64,
+    ) -> Stage<E::Node> {
+        let block = self.block;
+        let model = &self.opts.cost;
+        let Stage {
+            mut node,
+            mut cost,
+            mut rows,
+            mut ordered,
+        } = stage;
+
+        if let Some(group_by) = group_by {
+            let groups = group_count(&self.schema(), rows, group_by);
+            cost += model.hash_aggregate(rows, groups).total();
+            node = e.unary(
+                || Op::HashAggregate {
+                    groups: group_by.len(),
+                },
+                cost,
+                groups,
+                node,
+            );
+            rows = groups;
+            ordered = false;
+        }
+
+        if !block.order_by.is_empty() && !ordered {
+            cost += model.sort(rows, sort_width).total();
+            node = e.unary(
+                || Op::Sort {
+                    columns: block.order_by.clone(),
+                },
+                cost,
+                rows,
+                node,
+            );
+        }
+
+        if let Some(k) = block.top {
+            rows = rows.min(k as f64);
+        }
+        cost += rows * model.cpu_tuple;
+        node = e.unary(|| Op::Project, cost, rows, node);
+        Stage {
+            node,
+            cost,
+            rows,
+            ordered,
+        }
     }
 }
 
@@ -1088,6 +1248,68 @@ mod tests {
             }
         });
         assert_eq!(joins, 2);
+    }
+
+    #[test]
+    fn wide_from_lists_plan_greedily_whatever_max_dp_tables_says() {
+        // 17 tables in a chain with `max_dp_tables: 64`: exhaustive DP
+        // would need a 2^17-record table (and a shift overflow at 64),
+        // so the clamp sends the block down the greedy path.
+        const N: usize = 17;
+        let mut b = Database::builder("wide");
+        for i in 0..N {
+            let col = |name: &str, ndv: f64| pdt_catalog::Column {
+                name: name.into(),
+                ty: ColumnType::Int,
+                stats: ColumnStats::uniform(ndv, 0.0, ndv, 4.0),
+            };
+            b.add_table(
+                format!("t{i}"),
+                1_000.0 * (i + 1) as f64,
+                vec![col("pk", 1_000.0), col("fk", 500.0)],
+                vec![0],
+            );
+        }
+        let db = b.build();
+        let from: Vec<String> = (0..N).map(|i| format!("t{i}")).collect();
+        let joins: Vec<String> = (1..N).map(|i| format!("t{}.fk = t{i}.pk", i - 1)).collect();
+        let sql = format!(
+            "SELECT t0.pk FROM {} WHERE {}",
+            from.join(", "),
+            joins.join(" AND ")
+        );
+        let bound = Binder::new(&db)
+            .bind(&parse_statement(&sql).unwrap())
+            .unwrap();
+        let opt = Optimizer::with_options(
+            &db,
+            OptimizerOptions {
+                max_dp_tables: 64,
+                ..Default::default()
+            },
+        );
+        let p = opt.optimize(&Configuration::base(&db), bound.as_select().unwrap());
+        assert!(p.cost.is_finite() && p.cost > 0.0);
+        let mut joins = 0;
+        p.root.walk(&mut |n| {
+            if matches!(n.op, Op::HashJoin | Op::NestedLoopJoin) {
+                joins += 1;
+            }
+        });
+        assert_eq!(joins, N - 1);
+    }
+
+    #[test]
+    fn only_the_null_sink_does_not_observe() {
+        use crate::request::{NullSink, TracingSink};
+        let tracer = pdt_trace::Tracer::new();
+        assert!(!NullSink.observes());
+        assert!(CountingSink::default().observes());
+        assert!(TracingSink::new(NullSink, &tracer).observes());
+        // The default is to observe: a sink has to opt out.
+        struct Custom;
+        impl RequestSink for Custom {}
+        assert!(Custom.observes());
     }
 
     #[test]

@@ -158,6 +158,78 @@ impl PlanNode {
     }
 }
 
+/// Where costing code sends the operators and usage records of the plan
+/// it prices. Candidates are compared with [`CostOnly`], which drops
+/// them unbuilt; the winner is run once more through [`Materialize`].
+/// Both passes execute the same code, so a rebuilt winner carries
+/// exactly the numbers it won with.
+pub(crate) trait Emit {
+    type Node;
+    fn leaf(&mut self, op: impl FnOnce() -> Op, cost: f64, rows: f64) -> Self::Node;
+    fn unary(
+        &mut self,
+        op: impl FnOnce() -> Op,
+        cost: f64,
+        rows: f64,
+        child: Self::Node,
+    ) -> Self::Node;
+    fn binary(
+        &mut self,
+        op: Op,
+        cost: f64,
+        rows: f64,
+        left: Self::Node,
+        right: Self::Node,
+    ) -> Self::Node;
+    fn usage(&mut self, usage: impl FnOnce() -> IndexUsage);
+}
+
+/// Prices a plan without building it.
+pub(crate) struct CostOnly;
+
+impl Emit for CostOnly {
+    type Node = ();
+    fn leaf(&mut self, _: impl FnOnce() -> Op, _: f64, _: f64) {}
+    fn unary(&mut self, _: impl FnOnce() -> Op, _: f64, _: f64, _: ()) {}
+    fn binary(&mut self, _: Op, _: f64, _: f64, _: (), _: ()) {}
+    fn usage(&mut self, _: impl FnOnce() -> IndexUsage) {}
+}
+
+/// Builds the [`PlanNode`] tree and collects the usage records.
+#[derive(Default)]
+pub(crate) struct Materialize {
+    pub usages: Vec<IndexUsage>,
+}
+
+impl Emit for Materialize {
+    type Node = PlanNode;
+    fn leaf(&mut self, op: impl FnOnce() -> Op, cost: f64, rows: f64) -> PlanNode {
+        PlanNode::leaf(op(), cost, rows)
+    }
+    fn unary(
+        &mut self,
+        op: impl FnOnce() -> Op,
+        cost: f64,
+        rows: f64,
+        child: PlanNode,
+    ) -> PlanNode {
+        PlanNode::unary(op(), cost, rows, child)
+    }
+    fn binary(
+        &mut self,
+        op: Op,
+        cost: f64,
+        rows: f64,
+        left: PlanNode,
+        right: PlanNode,
+    ) -> PlanNode {
+        PlanNode::binary(op, cost, rows, left, right)
+    }
+    fn usage(&mut self, usage: impl FnOnce() -> IndexUsage) {
+        self.usages.push(usage());
+    }
+}
+
 /// A complete optimized plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysPlan {

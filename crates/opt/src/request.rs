@@ -83,13 +83,29 @@ pub trait RequestSink {
     /// indexes) to `config`.
     fn on_view_request(&mut self, _req: &ViewRequest, _db: &Database, _config: &mut Configuration) {
     }
+
+    /// Whether this sink looks at the requests at all. A property of
+    /// the sink type, not a setting: only a sink that ignores every
+    /// request and never touches the configuration may answer `false`.
+    /// The optimizer then neither builds requests nobody reads nor
+    /// chooses the same access path twice in one invocation. Any sink
+    /// that counts, traces or extends the configuration must see every
+    /// request, in enumeration order, and each choice must be made
+    /// under the configuration it left behind.
+    fn observes(&self) -> bool {
+        true
+    }
 }
 
 /// A sink that does nothing (plain optimization).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
-impl RequestSink for NullSink {}
+impl RequestSink for NullSink {
+    fn observes(&self) -> bool {
+        false
+    }
+}
 
 /// A sink that counts requests (reproduces the paper's Table 1).
 #[derive(Debug, Default, Clone)]

@@ -141,6 +141,14 @@ impl Configuration {
             .map(Arc::as_ref)
     }
 
+    /// The shared handles of one table's indexes, in [`indexes_on`]
+    /// order: cloning one names the index without copying it.
+    ///
+    /// [`indexes_on`]: Configuration::indexes_on
+    pub fn index_handles_on(&self, table: TableId) -> &[Arc<Index>] {
+        &self.indexes[self.table_range(table)]
+    }
+
     fn table_range(&self, table: TableId) -> std::ops::Range<usize> {
         let start = self.indexes.partition_point(|i| i.table < table);
         let len = self.indexes[start..].partition_point(|i| i.table == table);

@@ -75,6 +75,31 @@ impl Index {
             .collect()
     }
 
+    /// Key and suffix columns in ascending column order — the iteration
+    /// order of [`all_columns`](Index::all_columns), without building
+    /// the set. (`K` and `S` are disjoint and `K` has no duplicates.)
+    pub fn columns_ascending(&self) -> impl Iterator<Item = ColumnId> + '_ {
+        let mut suffix = self.suffix.iter().copied().peekable();
+        // The largest key column handed out so far.
+        let mut floor: Option<ColumnId> = None;
+        std::iter::from_fn(move || {
+            let key = self
+                .key
+                .iter()
+                .copied()
+                .filter(|k| floor.is_none_or(|f| *k > f))
+                .min();
+            match (key, suffix.peek()) {
+                (Some(k), Some(s)) if *s < k => suffix.next(),
+                (Some(k), _) => {
+                    floor = Some(k);
+                    Some(k)
+                }
+                (None, _) => suffix.next(),
+            }
+        })
+    }
+
     /// Number of stored columns (key + suffix).
     pub fn width(&self) -> usize {
         self.key.len() + self.suffix.len()
@@ -84,11 +109,10 @@ impl Index {
     /// without a rid lookup. Clustered indexes cover every column of
     /// their table.
     pub fn covers<'a>(&self, needed: impl IntoIterator<Item = &'a ColumnId>) -> bool {
-        if self.clustered {
-            return true;
-        }
-        let all = self.all_columns();
-        needed.into_iter().all(|c| all.contains(c))
+        self.clustered
+            || needed
+                .into_iter()
+                .all(|c| self.key.contains(c) || self.suffix.contains(c))
     }
 
     /// Length of the longest prefix of `K` that appears (in order) at
@@ -275,6 +299,23 @@ mod tests {
     // Column letters from the paper: a=0, b=1, c=2, d=3, e=4, f=5, g=6.
     fn ix(key: &[u16], suffix: &[u16]) -> Index {
         Index::new(T, key.iter().map(|i| c(*i)), suffix.iter().map(|i| c(*i)))
+    }
+
+    #[test]
+    fn columns_ascending_is_the_set_order_and_covers_agrees() {
+        for (key, suffix) in [
+            (&[4u16, 0, 2][..], &[1u16, 3, 5, 9][..]),
+            (&[7], &[]),
+            (&[0], &[1, 2]),
+            (&[9, 8], &[0, 10]),
+        ] {
+            let i = ix(key, suffix);
+            let all = i.all_columns();
+            assert!(i.columns_ascending().eq(all.iter().copied()), "{i}");
+            for probe in 0..12 {
+                assert_eq!(i.covers([&c(probe)]), all.contains(&c(probe)), "{i}");
+            }
+        }
     }
 
     #[test]

@@ -72,9 +72,8 @@ impl SizeModel {
             schema.row_width(index.table)
         } else {
             index
-                .all_columns()
-                .iter()
-                .map(|c| schema.column_width(*c))
+                .columns_ascending()
+                .map(|c| schema.column_width(c))
                 .sum::<f64>()
                 + self.rid_width
         };
