@@ -2913,6 +2913,35 @@ mod tests {
     }
 
     #[test]
+    fn options_signature_is_pinned() {
+        // `DefaultHasher::new()` is SipHash with fixed keys, so these
+        // literals are what "a checkpoint written by an earlier build
+        // still validates" means: whatever is deleted from or added to
+        // `TunerOptions`, the hashed byte stream must not move.
+        let db = test_db();
+        let w = workload(&db, SELECTS);
+        let sig = |o: &TunerOptions| options_signature(o, &db, &w);
+        let default = TunerOptions::default();
+        assert_eq!(sig(&default), 0xf697_4754_761a_f0c8);
+        assert_eq!(
+            sig(&TunerOptions {
+                space_budget: Some(24e6),
+                max_iterations: 40,
+                optimizer_call_budget: Some(64),
+                ..default.clone()
+            }),
+            0xb94a_fab1_6728_7998
+        );
+        assert_eq!(
+            sig(&TunerOptions {
+                deployed: Some(Configuration::base(&db)),
+                ..default
+            }),
+            0x55b0_6d98_55c0_91f5
+        );
+    }
+
+    #[test]
     fn reference_engines_match_byte_for_byte() {
         // The pure-perf contract in unit form: flipping `incremental`
         // (delta enumeration + bound memo vs. from scratch) or
