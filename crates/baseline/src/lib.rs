@@ -61,11 +61,6 @@ pub struct BaselineOptions {
     /// Worker threads for atomic-configuration evaluation (0 = one per
     /// available core). The report is identical for every value.
     pub threads: usize,
-    /// Memoize optimizer what-if calls in a shared [`CostCache`] — the
-    /// generalization of the atomic-configuration shortcut: a query is
-    /// re-optimized at most once per distinct projection of a trial
-    /// configuration onto its tables.
-    pub cost_cache: bool,
 }
 
 impl Default for BaselineOptions {
@@ -79,7 +74,6 @@ impl Default for BaselineOptions {
             max_view_join_tables: 4,
             max_evaluations: 5_000,
             threads: 1,
-            cost_cache: true,
         }
     }
 }
@@ -183,7 +177,7 @@ pub struct BaselineReport {
     pub best_size: f64,
     pub candidate_count: usize,
     pub optimizer_calls: usize,
-    /// What-if cost-cache hits/misses (both 0 with the cache disabled).
+    /// What-if cost-cache hits/misses.
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub progress: Vec<ProgressPoint>,
@@ -227,10 +221,13 @@ impl<'a> BaselineAdvisor<'a> {
         let mut calls = 0usize;
 
         let threads = resolve_threads(self.options.threads);
-        let cache = self.options.cost_cache.then(CostCache::new);
+        // The generalization of the atomic-configuration shortcut: a
+        // query is re-optimized at most once per distinct projection of
+        // a trial configuration onto its tables.
+        let cache = CostCache::new();
         let ctx = EvalCtx {
             threads,
-            cache: cache.as_ref(),
+            cache: Some(&cache),
             tracer,
             ..EvalCtx::default()
         };
@@ -447,8 +444,8 @@ impl<'a> BaselineAdvisor<'a> {
             best_config: config,
             candidate_count,
             optimizer_calls: calls,
-            cache_hits: cache.as_ref().map_or(0, |c| c.hits()),
-            cache_misses: cache.as_ref().map_or(0, |c| c.misses()),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
             progress,
             trace: tracer.map(|t| t.summary()),
             elapsed: start.elapsed(),

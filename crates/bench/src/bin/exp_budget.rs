@@ -26,7 +26,7 @@
 //! Writes `BENCH_budget.json` into the current directory (run from
 //! the repo root) in addition to the shared results directory.
 
-use pdt_bench::json::ToJson;
+use pdt_bench::json::{pretty, ToJson};
 use pdt_bench::json_struct;
 use pdt_bench::{bind_workload, median_wall_ms, render_table, write_json};
 use pdt_opt::invocation_count;
@@ -68,9 +68,8 @@ json_struct!(Row {
 struct Summary {
     seeds: usize,
     queries_per_seed: usize,
-    /// Hardware threads on the recording machine, same field name as
-    /// BENCH_parallel/BENCH_hotpath so artifact consumers can join on
-    /// it.
+    /// Hardware threads on the recording machine, same field name in
+    /// every `BENCH_*.json` so artifact consumers can join on it.
     nproc: usize,
     /// True when the sessions ran more threads than the machine has
     /// cores — wall-clock columns then measure scheduler pressure,
@@ -322,7 +321,7 @@ fn main() {
     );
 
     write_json("BENCH_budget", &summary);
-    std::fs::write("BENCH_budget.json", summary.to_json().pretty())
+    std::fs::write("BENCH_budget.json", pretty(&summary.to_json()))
         .expect("write BENCH_budget.json");
     eprintln!("[saved BENCH_budget.json]");
 }

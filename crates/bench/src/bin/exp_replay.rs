@@ -30,7 +30,7 @@
 //! stream). Writes `BENCH_replay.json` into the current directory (run
 //! from the repo root) in addition to the shared results directory.
 
-use pdt_bench::json::ToJson;
+use pdt_bench::json::{pretty, ToJson};
 use pdt_bench::json_struct;
 use pdt_bench::{render_table, write_json};
 use pdt_opt::invocation_count;
@@ -318,7 +318,7 @@ fn main() {
     );
 
     write_json("BENCH_replay", &summary);
-    std::fs::write("BENCH_replay.json", summary.to_json().pretty())
+    std::fs::write("BENCH_replay.json", pretty(&summary.to_json()))
         .expect("write BENCH_replay.json");
     eprintln!("[saved BENCH_replay.json]");
 

@@ -18,7 +18,7 @@
 //! Writes `BENCH_shared.json` into the current directory (run from
 //! the repo root) in addition to the shared results directory.
 
-use pdt_bench::json::ToJson;
+use pdt_bench::json::{pretty, ToJson};
 use pdt_bench::json_struct;
 use pdt_bench::{render_table, write_json};
 use pdt_opt::invocation_count;
@@ -343,7 +343,7 @@ fn main() {
 
     let _ = std::fs::remove_file(&warm_file);
     write_json("BENCH_shared", &summary);
-    std::fs::write("BENCH_shared.json", summary.to_json().pretty())
+    std::fs::write("BENCH_shared.json", pretty(&summary.to_json()))
         .expect("write BENCH_shared.json");
     eprintln!("[saved BENCH_shared.json]");
 }

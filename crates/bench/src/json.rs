@@ -1,106 +1,64 @@
-//! A minimal JSON emitter so the harness writes machine-readable
-//! results without an external serialization dependency (the workspace
-//! builds fully offline). Only what the experiment binaries need:
-//! objects, arrays, strings, numbers, bools — pretty-printed with
-//! stable key order (declaration order).
+//! The harness's JSON writer: machine-readable results without an
+//! external serialization dependency (the workspace builds fully
+//! offline). The value type is [`pdt_trace::json::Json`]; this module
+//! adds what the experiment binaries need on top of it — a
+//! pretty-printer with stable key order (declaration order), and
+//! [`ToJson`] / [`crate::json_struct!`] to build values from result rows.
 
+pub use pdt_trace::json::Json;
 use std::fmt::Write as _;
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Int(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// Pretty-print with two-space indentation (trailing newline).
+pub fn pretty(value: &Json) -> String {
+    let mut out = String::new();
+    write(value, &mut out, 0);
+    out.push('\n');
+    out
 }
 
-impl Json {
-    /// Pretty-print with two-space indentation (trailing newline).
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Num(n) => {
-                // JSON has no NaN/Infinity; map them to null like
-                // serde_json's lossy writers do.
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
+fn write(value: &Json, out: &mut String, indent: usize) {
+    match value {
+        // Floats print as `{}` (`1` for 1.0), not the trace layer's
+        // round-trip `{:?}`: the checked-in `results/` were written so.
+        Json::Num(n) if n.is_finite() => {
+            let _ = write!(out, "{n}");
+        }
+        Json::Arr(items) if !items.is_empty() => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
                 }
                 out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
+                out.push_str(&"  ".repeat(indent + 1));
+                write(item, out, indent + 1);
             }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
+            out.push('\n');
+            out.push_str(&"  ".repeat(indent));
+            out.push(']');
+        }
+        Json::Obj(fields) if !fields.is_empty() => {
+            out.push('{');
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
                 }
                 out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
+                out.push_str(&"  ".repeat(indent + 1));
+                pdt_trace::json::write_escaped(out, key);
+                out.push_str(": ");
+                write(value, out, indent + 1);
             }
+            out.push('\n');
+            out.push_str(&"  ".repeat(indent));
+            out.push('}');
+        }
+        // Scalars, strings, non-finite numbers (`null`) and empty
+        // containers read the same compact or pretty.
+        compact => {
+            let _ = write!(out, "{compact}");
         }
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Conversion into [`Json`]; implemented for primitives, collections,
@@ -209,7 +167,7 @@ mod tests {
             ("tags".into(), vec!["a", "b"].to_json()),
             ("empty".into(), Json::Arr(vec![])),
         ]);
-        let s = v.pretty();
+        let s = pretty(&v);
         assert!(s.contains("\"q\\\"1\\\"\""), "{s}");
         assert!(s.contains("\"cost\": 12.5"), "{s}");
         assert!(s.contains("\"empty\": []"), "{s}");
@@ -217,8 +175,8 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_become_null() {
-        assert_eq!(f64::NAN.to_json().pretty(), "null\n");
-        assert_eq!(f64::INFINITY.to_json().pretty(), "null\n");
+        assert_eq!(pretty(&f64::NAN.to_json()), "null\n");
+        assert_eq!(pretty(&f64::INFINITY.to_json()), "null\n");
     }
 
     #[test]
@@ -228,7 +186,7 @@ mod tests {
             a: usize,
         }
         json_struct!(P { b, a });
-        let s = P { b: 1.0, a: 2 }.to_json().pretty();
+        let s = pretty(&P { b: 1.0, a: 2 }.to_json());
         let (bi, ai) = (s.find("\"b\"").unwrap(), s.find("\"a\"").unwrap());
         assert!(bi < ai, "{s}");
     }

@@ -1,8 +1,9 @@
 //! # pdt-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (Section 4),
-//! plus a parallel-scaling run. Every binary prints the rows/series
-//! the paper reports and writes machine-readable JSON to `results/`.
+//! plus the call-budget, shared-store and replay floors. Every binary
+//! prints the rows/series the paper reports and writes machine-readable
+//! JSON to `results/`.
 //!
 //! | binary       | reproduces |
 //! |--------------|------------|
@@ -16,9 +17,6 @@
 //! | `exp_fig9`   | Fig. 9 — ΔImprovement, UPDATE workloads |
 //! | `exp_fig10`  | Fig. 10 — quality vs storage constraint |
 //! | `exp_ablation` | design-choice ablations (DESIGN.md §5) |
-//! | `exp_parallel` | thread/cache scaling → `BENCH_parallel.json` |
-//! | `exp_incremental` | incremental candidate engine on/off → `BENCH_incremental.json` |
-//! | `exp_derived` | derived what-if costing on/off → `BENCH_derived.json` |
 //! | `exp_budget` | what-if call-budget frontier → `BENCH_budget.json` |
 //! | `exp_serve_shared` | cross-session shared what-if store → `BENCH_shared.json` |
 
@@ -42,7 +40,7 @@ pub fn results_dir() -> PathBuf {
 /// Persist a JSON result next to the printed output.
 pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     let path = results_dir().join(format!("{name}.json"));
-    std::fs::write(&path, value.to_json().pretty()).expect("write results");
+    std::fs::write(&path, json::pretty(&value.to_json())).expect("write results");
     eprintln!("[saved {}]", path.display());
 }
 

@@ -36,8 +36,7 @@
 //! (which *is* scheduling-dependent under parallel scoring) can never
 //! leak into costs, counters, traces, or checkpoints. Only the
 //! process-global real-invocation count drops. The store is never
-//! checkpointed and the `--no-derived-costs` reference mode never reads
-//! it.
+//! checkpointed and the `Reference::Costs` oracle never reads it.
 //!
 //! Both stores are [`EntryStore`]s — flat open-addressed tables behind
 //! sharded locks (DESIGN.md §13) — and every serving tier answers

@@ -111,7 +111,7 @@ pub struct EvalCtx<'c> {
     pub relevance: Option<&'c RelevanceTable>,
     /// Whether derived serves (beyond-coarse keyed hits and plan-reuse
     /// answers) may skip the real optimizer invocation. With `false`
-    /// (the `--no-derived-costs` reference mode) every derived serve is
+    /// (the [`crate::Reference::Costs`] oracle) every derived serve is
     /// still *accounted* identically — same keys, probes, counters,
     /// cache contents — but is backed by a fresh optimizer call whose
     /// answer is used, so any unsoundness in the relevance derivation

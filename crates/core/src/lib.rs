@@ -69,8 +69,8 @@ pub use online::{
 };
 pub use report::{configuration_ddl, index_ddl, summarize};
 pub use search::{
-    tune, tune_session, tune_traced, BoundViolation, ConfigChoice, FrontierPoint, SessionCtl,
-    TransformationChoice, TunerOptions, TuningReport,
+    tune, tune_session, tune_traced, BoundViolation, ConfigChoice, FrontierPoint, Reference,
+    SessionCtl, TransformationChoice, TunerOptions, TuningReport,
 };
 pub use shared::{
     schema_signature, statement_signature, SharedInvocationStore, SharedKey, SharedStats,

@@ -105,9 +105,6 @@ pub struct TunerOptions {
     /// (0 = one per available core). The report is identical for every
     /// value; only wall-clock time changes.
     pub threads: usize,
-    /// Memoize optimizer what-if calls across the session in a shared
-    /// [`CostCache`].
-    pub cost_cache: bool,
     /// Differential bound oracle: after each relaxation step, compare
     /// the §3.3.2 closed-form cost upper bound against the actually
     /// re-optimized workload cost and record any violation in
@@ -134,24 +131,6 @@ pub struct TunerOptions {
     /// Contained faults tolerated before the session trips
     /// [`StopReason::FaultLimit`] and returns the best-so-far report.
     pub max_faults: usize,
-    /// Incremental candidate engine: derive each node's candidate list
-    /// from its parent's by delta enumeration, serve repeated §3.3.2
-    /// bound computations from the bound memo, and restrict fresh bound
-    /// computations to the affected-query subset. A pure perf knob:
-    /// reports, traces, and checkpoints are byte-identical to the
-    /// from-scratch reference engine (`false`), which recomputes
-    /// everything and revalidates the memo against it in debug builds.
-    pub incremental: bool,
-    /// Derived what-if costing: key the cost cache by each query's
-    /// *relevant* structure subset (so relaxations of structures a
-    /// query cannot use are guaranteed hits), and serve keyed misses by
-    /// re-pricing a cached plan whose access paths survive. A pure perf
-    /// knob with the same contract as `incremental`: reports, traces,
-    /// and checkpoints are byte-identical to the reference mode
-    /// (`false`), which performs a real optimizer call behind every
-    /// derived serve and uses its answer; debug builds additionally
-    /// assert bitwise agreement on every serve in both modes.
-    pub derived_costs: bool,
     /// Wii-style what-if call budget — the *approximate tier*. Caps the
     /// worst-case real optimizer invocations the relaxation loop
     /// (pre-pass included) may spend; candidates whose exact cost
@@ -163,8 +142,8 @@ pub struct TunerOptions {
     /// budget. The recommended configuration is re-priced exactly
     /// (budget-exempt) before it is returned. `None` (the default) is
     /// the exact tier: byte-identical to an engine without this knob.
-    /// Unlike the perf knobs above, the budget changes logical
-    /// decisions, so it is part of the options signature.
+    /// The budget changes logical decisions, so it is part of the
+    /// options signature.
     pub optimizer_call_budget: Option<usize>,
     /// Warm start: the currently-deployed configuration of an online
     /// re-tuning loop. When set, the session evaluates it once during
@@ -191,14 +170,11 @@ impl Default for TunerOptions {
             transformation_choice: TransformationChoice::default(),
             seed: 0,
             threads: 1,
-            cost_cache: true,
             validate_bounds: false,
             deadline_ms: None,
             stop: None,
             fault_plan: None,
             max_faults: 16,
-            incremental: true,
-            derived_costs: true,
             optimizer_call_budget: None,
             deployed: None,
         }
@@ -257,8 +233,7 @@ pub struct TuningReport {
     /// yields a complete report with the best configuration found.
     pub stop_reason: StopReason,
     pub optimizer_calls: usize,
-    /// What-if cost-cache hits/misses over the whole session (both 0
-    /// when the cache is disabled).
+    /// What-if cost-cache hits/misses over the whole session.
     pub cache_hits: u64,
     pub cache_misses: u64,
     /// Candidate scores computed fresh at a node (a §3.3.2 bound memo
@@ -275,8 +250,8 @@ pub struct TuningReport {
     pub bound_memo_misses: u64,
     /// Optimizer calls the derived-costing layer made unnecessary:
     /// relevant-subset cache hits beyond the coarse per-table
-    /// projection, plus plan-reuse serves. Mode-invariant: with
-    /// `--no-derived-costs` every such serve is still classified (and
+    /// projection, plus plan-reuse serves. Mode-invariant: under
+    /// [`Reference::Costs`] every such serve is still classified (and
     /// counted) identically, just backed by a real validation call.
     pub optimizer_calls_avoided: u64,
     /// Keyed cache misses served by re-pricing a surviving cached plan.
@@ -351,11 +326,12 @@ struct Node {
     /// node.
     tried: HashSet<u64>,
     /// Full candidate list in enumeration order with interned
-    /// signatures; kept only in incremental mode, where children derive
-    /// theirs from it by delta enumeration.
+    /// signatures, from which children derive theirs by delta
+    /// enumeration (`None` under [`Reference::Candidates`]).
     cands: Option<std::sync::Arc<Vec<(Transformation, u64)>>>,
-    /// Net structural change from the parent (incremental mode only;
-    /// `None` for the root, which enumerates from scratch).
+    /// Net structural change from the parent (`None` for the root,
+    /// which enumerates from scratch, and under
+    /// [`Reference::Candidates`]).
     delta: Option<StepDelta>,
     /// Candidate transformations with their §3.3 estimates, computed
     /// once per node ("we can also cache results from one iteration to
@@ -481,15 +457,21 @@ struct Env<'a> {
     base: Configuration,
     has_updates: bool,
     threads: usize,
+    /// `false` only under [`Reference::Candidates`]: candidate lists,
+    /// bounds and CBV tables are then recomputed from scratch instead
+    /// of derived from the parent node's.
+    incremental: bool,
+    /// `false` only under [`Reference::Costs`]; see [`EvalCtx::derived`].
+    derived: bool,
     /// Both stores are sharded for the actual worker count; their dense
     /// ids are session-local, checkpoints serialize portable signatures.
-    cache: Option<CostCache>,
+    cache: CostCache,
     /// The bound memo (like the session's interner) exists in both
     /// engines (the reference engine maintains and revalidates it
     /// without depending on it), so checkpoints stay portable across
-    /// `incremental` settings. Replay against a restored memo flips
-    /// original misses into hits; the counters are overwritten with the
-    /// authoritative values at go-live.
+    /// them. Replay against a restored memo flips original misses into
+    /// hits; the counters are overwritten with the authoritative values
+    /// at go-live.
     memo: BoundMemo,
     /// Per-query relevant-structure sets, derived once from the
     /// workload text (see [`crate::derived`]); every evaluation in the
@@ -497,9 +479,8 @@ struct Env<'a> {
     relevance: RelevanceTable,
     /// Session-portable content signatures for the shared store,
     /// computed once: the store with its schema namespace, and one
-    /// signature per workload statement. Like `incremental` and
-    /// `derived_costs`, the shared store is excluded from
-    /// `options_signature` — it is pure perf, so checkpoints stay
+    /// signature per workload statement. The shared store is excluded
+    /// from `options_signature` — it is pure perf, so checkpoints stay
     /// portable across shared-store settings.
     shared: Option<(&'a crate::shared::SharedInvocationStore, u128)>,
     query_sigs: Vec<u128>,
@@ -533,10 +514,10 @@ impl<'a> Env<'a> {
             }
         }
         let threads = resolve_threads(options.threads);
-        let cache = options.cost_cache.then(|| match ctl.resume {
+        let cache = match ctl.resume {
             Some(ck) => ck.restore_cache(threads),
             None => CostCache::with_workers(threads),
-        });
+        };
         let memo = match ctl.resume {
             Some(ck) => ck.restore_memo(threads),
             None => BoundMemo::new(threads),
@@ -568,6 +549,8 @@ impl<'a> Env<'a> {
             base,
             has_updates: workload.has_updates(),
             threads,
+            incremental: ctl.reference != Some(Reference::Candidates),
+            derived: ctl.reference != Some(Reference::Costs),
             cache,
             memo,
             relevance,
@@ -588,10 +571,10 @@ impl<'a> Env<'a> {
     fn ctx<'c>(&'c self, tracer: Option<&'c Tracer>) -> EvalCtx<'c> {
         EvalCtx {
             threads: self.threads,
-            cache: self.cache.as_ref(),
+            cache: Some(&self.cache),
             tracer,
             relevance: Some(&self.relevance),
-            derived: self.options.derived_costs,
+            derived: self.derived,
             shared: self
                 .shared
                 .map(|(store, schema_sig)| crate::shared::SharedCtx {
@@ -659,7 +642,7 @@ impl<'a> Env<'a> {
         sig: u64,
         memoize: bool,
     ) -> (BoundMemoEntry, bool) {
-        let incremental = self.options.incremental;
+        let incremental = self.incremental;
         let cached = if memoize {
             self.memo.lookup_keyed(sig, cfg_key)
         } else {
@@ -702,7 +685,7 @@ impl<'a> Env<'a> {
                 view_costs,
             )
         };
-        let bound = if self.options.incremental {
+        let bound = if self.incremental {
             let b = cost_upper_bound_restricted(
                 db,
                 cost,
@@ -768,7 +751,7 @@ impl<'a> Env<'a> {
         removed_views: &[TableId],
         added_indexes: &[Index],
     ) -> ViewBuildCosts {
-        if !self.options.incremental {
+        if !self.incremental {
             return ViewBuildCosts::new();
         }
         let carried = parent.carried(child, removed_indexes, removed_views, added_indexes);
@@ -927,6 +910,30 @@ pub struct SessionCtl<'a> {
     /// [`crate::shared`]. Pure perf: report and trace are
     /// byte-identical with or without it.
     pub shared_store: Option<&'a crate::shared::SharedInvocationStore>,
+    /// Run one of the from-scratch reference engines instead of the
+    /// engine everyone runs (`None`). Report, trace and checkpoints are
+    /// byte-identical under every value — that identity is what the
+    /// oracle suites assert — so, like `shared_store`, it is not part of
+    /// the options signature. Set by tests only.
+    pub reference: Option<Reference>,
+}
+
+/// The from-scratch engines the differential suites compare the real
+/// one against; selected through [`SessionCtl::reference`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reference {
+    /// Enumerate every node's candidates from scratch (no delta
+    /// enumeration from the parent's list), recompute every §3.3.2
+    /// bound unrestricted and use the recomputed value (the bound memo
+    /// is still maintained, and checked against it in debug builds),
+    /// and start every configuration's CBV table empty (no carry).
+    Candidates,
+    /// Back every derived what-if serve — a relevant-subset cache hit
+    /// beyond the coarse key or a plan-reuse answer — with a real
+    /// optimizer call and use its answer, and never read the invocation
+    /// or shared store; keys, probes, counters and cache contents are
+    /// unchanged.
+    Costs,
 }
 
 /// Hash of every decision-relevant option plus the workload and
@@ -948,7 +955,9 @@ fn options_signature(options: &TunerOptions, db: &Database, workload: &Workload)
     (options.config_choice as u8).hash(&mut h);
     (options.transformation_choice as u8).hash(&mut h);
     options.seed.hash(&mut h);
-    options.cost_cache.hash(&mut h);
+    // Once `options.cost_cache`, which every session left `true`; the
+    // byte keeps checkpoints written before the option went away valid.
+    true.hash(&mut h);
     options.validate_bounds.hash(&mut h);
     // `optimizer_call_budget` is hashed — the asymmetry is deliberate:
     // the budget changes which evaluations really run and therefore
@@ -956,11 +965,9 @@ fn options_signature(options: &TunerOptions, db: &Database, workload: &Workload)
     // budgeted checkpoint must never resume an unbudgeted session or
     // vice versa.
     options.optimizer_call_budget.hash(&mut h);
-    // `incremental` and `derived_costs` are deliberately excluded:
-    // every engine and costing mode produces byte-identical output, so
-    // checkpoints are portable across all of them. The shared store
-    // (`SessionCtl::shared_store`) is excluded for the same reason — it
-    // only converts real invocations into bitwise-identical serves.
+    // `SessionCtl::{reference, shared_store}` are not options and are
+    // not hashed: both leave every output byte where it was, so
+    // checkpoints are portable across them.
     match options.fault_plan {
         None => 0u8.hash(&mut h),
         Some(p) => {
@@ -1828,10 +1835,9 @@ impl<'a> Session<'a> {
         let ck = self.gate.resume.expect("replay mode implies a checkpoint");
         go_live_checks(&self.report, &self.rng, &self.ledger, ck)?;
         self.report.optimizer_calls = ck.optimizer_calls;
-        if let Some(c) = &self.env.cache {
-            c.set_counters(ck.cache_hits, ck.cache_misses);
-            c.set_derived_counters(ck.derived);
-        }
+        let cache = &self.env.cache;
+        cache.set_counters(ck.cache_hits, ck.cache_misses);
+        cache.set_derived_counters(ck.derived);
         // Replay against the restored memo turns original misses into
         // hits. The candidate generated/reused counters replay exactly
         // — `generated` counts memo probes regardless of hit/miss
@@ -1910,7 +1916,7 @@ impl<'a> Session<'a> {
     /// of the search loop, before any of the next iteration's work).
     fn capture_checkpoint(&self, iteration_done: usize) -> Checkpoint {
         let (env, report) = (&self.env, &self.report);
-        let cache = env.cache.as_ref();
+        let cache = &env.cache;
         Checkpoint {
             options_sig: env.opts_sig,
             base_sig: env.base_sig,
@@ -1922,15 +1928,15 @@ impl<'a> Session<'a> {
             optimizer_calls: report.optimizer_calls,
             budget_spent: self.ledger.spent,
             budget_skipped: self.ledger.skipped,
-            cache_hits: cache.map_or(0, |c| c.hits()),
-            cache_misses: cache.map_or(0, |c| c.misses()),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
             bound_memo_hits: env.memo.hits(),
             bound_memo_misses: env.memo.misses(),
-            derived: cache.map(|c| c.derived_counters()).unwrap_or_default(),
+            derived: cache.derived_counters(),
             best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
             frontier_len: report.frontier.len(),
             faults: report.faults.clone(),
-            cache: cache.map(|c| c.snapshot()).unwrap_or_default(),
+            cache: cache.snapshot(),
             bound_memo: env.memo.snapshot(),
             interner: self.interner.snapshot(),
             relevance: env.relevance.rows().to_vec(),
@@ -2017,7 +2023,7 @@ impl<'a> Session<'a> {
         let parent_cands = node.parent.and_then(|p| self.nodes[p].cands.clone());
         let cands_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
         let cands: std::sync::Arc<Vec<(Transformation, u64)>> =
-            match (env.options.incremental, parent_cands, &node.delta) {
+            match (env.incremental, parent_cands, &node.delta) {
                 (true, Some(pc), Some(d)) => std::sync::Arc::new(candidates_delta(
                     &node.config,
                     &env.base,
@@ -2085,7 +2091,7 @@ impl<'a> Session<'a> {
             }
         }
         let node = &mut self.nodes[node_idx];
-        if env.options.incremental {
+        if env.incremental {
             node.cands = Some(cands);
         }
         node.scored = Some(scored);
@@ -2350,7 +2356,7 @@ impl<'a> Session<'a> {
         };
         child.config = shrunk;
         child.eval = eval;
-        if env.options.incremental {
+        if env.incremental {
             // A shrunk-away addition cancels out; a shrunk pre-existing
             // structure counts as removed.
             for i in &unused_ix {
@@ -2423,7 +2429,7 @@ impl<'a> Session<'a> {
             size,
             Some(parent),
             view_costs,
-            env.options.incremental.then_some(step),
+            env.incremental.then_some(step),
             est_cost,
         ));
         self.last_created = self.nodes.len() - 1;
@@ -2493,15 +2499,13 @@ impl<'a> Session<'a> {
             ..
         } = self;
         let tracer = gate.tracer();
-        if let Some(c) = &env.cache {
-            report.cache_hits = c.hits();
-            report.cache_misses = c.misses();
-            let d = c.derived_counters();
-            report.optimizer_calls_avoided = d.avoided;
-            report.plan_cache_hits = d.plan_hits;
-            report.plan_cache_misses = d.plan_misses;
-            report.plan_cache_repriced = d.repriced;
-        }
+        report.cache_hits = env.cache.hits();
+        report.cache_misses = env.cache.misses();
+        let d = env.cache.derived_counters();
+        report.optimizer_calls_avoided = d.avoided;
+        report.plan_cache_hits = d.plan_hits;
+        report.plan_cache_misses = d.plan_misses;
+        report.plan_cache_repriced = d.repriced;
         report.bound_memo_hits = env.memo.hits();
         report.bound_memo_misses = env.memo.misses();
         report.optimizer_calls_skipped = ledger.skipped;
@@ -2874,8 +2878,6 @@ mod tests {
                 threads: 8,
                 deadline_ms: Some(5),
                 stop: Some(StopToken::new()),
-                incremental: false,
-                derived_costs: false,
                 ..a.clone()
             }),
             "non-decision knobs must not change the signature"
@@ -2943,24 +2945,25 @@ mod tests {
 
     #[test]
     fn reference_engines_match_byte_for_byte() {
-        // The pure-perf contract in unit form: flipping `incremental`
-        // (delta enumeration + bound memo vs. from scratch) or
-        // `derived_costs` (derived serves vs. a real optimizer call
-        // behind each) may change how much work is real, but never the
+        // The oracle contract in unit form: `Reference::Candidates`
+        // (from scratch vs. delta enumeration + bound memo) and
+        // `Reference::Costs` (a real optimizer call behind each derived
+        // serve) may change how much work is real, but never the
         // report, the counters, or the JSONL trace bytes.
         let db = test_db();
         let w = workload(&db, SELECTS);
         let free = tune(&db, &w, &TunerOptions::default());
-        let knobs: [(&str, fn(&mut TunerOptions)); 2] = [
-            ("incremental", |o| o.incremental = false),
-            ("derived_costs", |o| o.derived_costs = false),
-        ];
         // A reachable budget (shallow search) and an unreachable one
         // (deepest chain, maximal delta enumeration and score reuse).
         for budget in [free.optimal_size * 0.4, 1.0] {
-            let run = |opts: &TunerOptions| {
+            let run = |opts: &TunerOptions, reference: Option<Reference>| {
                 let tracer = Tracer::new();
-                let mut r = tune_traced(&db, &w, opts, Some(&tracer));
+                let ctl = SessionCtl {
+                    tracer: Some(&tracer),
+                    reference,
+                    ..SessionCtl::default()
+                };
+                let mut r = tune_session(&db, &w, opts, ctl).unwrap();
                 r.elapsed = std::time::Duration::ZERO;
                 if let Some(t) = &mut r.trace {
                     for p in &mut t.phases {
@@ -2970,18 +2973,16 @@ mod tests {
                 }
                 (format!("{r:#?}"), tracer.to_jsonl())
             };
-            for (knob, turn_off) in knobs {
-                let fast = TunerOptions {
+            for reference in [Reference::Candidates, Reference::Costs] {
+                let opts = TunerOptions {
                     space_budget: Some(budget),
                     max_iterations: 60,
-                    validate_bounds: knob == "incremental",
+                    validate_bounds: reference == Reference::Candidates,
                     ..Default::default()
                 };
-                let mut reference = fast.clone();
-                turn_off(&mut reference);
-                let ((ra, ta), (rb, tb)) = (run(&fast), run(&reference));
-                assert_eq!(ta, tb, "{knob}: traces must be byte-identical");
-                assert_eq!(ra, rb, "{knob}: reports must be identical");
+                let ((ra, ta), (rb, tb)) = (run(&opts, None), run(&opts, Some(reference)));
+                assert_eq!(ta, tb, "{reference:?}: traces must be byte-identical");
+                assert_eq!(ra, rb, "{reference:?}: reports must be identical");
             }
         }
     }

@@ -267,8 +267,10 @@ impl JobSpec {
         }
     }
 
-    pub fn build_workload(&self, db: &Database) -> Result<Workload, String> {
-        let mut spec: WorkloadSpec = match self.db.as_str() {
+    /// The built-in workload the spec names, as statements: generated
+    /// from `db`/`queries`/`seed`, with the `updates` mix applied.
+    pub fn workload_spec(&self, db: &Database) -> WorkloadSpec {
+        let spec = match self.db.as_str() {
             "tpch" => match self.queries {
                 Some(n) => tpch::tpch_workload_variant(self.seed, n),
                 None => tpch::tpch_workload(),
@@ -277,10 +279,15 @@ impl JobSpec {
             "ds2" => star_workload(&StarParams::ds2(), self.seed, self.queries.unwrap_or(12)),
             _ => bench_workload(db, self.seed, self.queries.unwrap_or(15)),
         };
-        if let Some(ratio) = self.updates {
-            spec = pdt_workloads::updates::with_updates(db, &spec, ratio, self.seed);
+        match self.updates {
+            Some(ratio) => pdt_workloads::updates::with_updates(db, &spec, ratio, self.seed),
+            None => spec,
         }
-        Workload::bind(db, &spec.statements).map_err(|e| format!("binding workload: {e}"))
+    }
+
+    pub fn build_workload(&self, db: &Database) -> Result<Workload, String> {
+        Workload::bind(db, &self.workload_spec(db).statements)
+            .map_err(|e| format!("binding workload: {e}"))
     }
 
     /// The session's [`TunerOptions`]: a pure function of the spec plus

@@ -287,6 +287,7 @@ pub fn run_session(
         checkpoint_sink: Some(&sink),
         resume: resumed.as_ref(),
         shared_store: shared,
+        ..SessionCtl::default()
     };
 
     // ---- the engine run, panic-isolated -----------------------------

@@ -70,7 +70,8 @@ impl Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

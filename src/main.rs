@@ -6,16 +6,26 @@
 //! pdtune compare --db ds1 --seed 3 --queries 12
 //! pdtune corpus
 //! ```
+//!
+//! Every flag is one row of [`FLAGS`]: parsing, the OPTIONS block of the
+//! usage text and both flag errors (unknown; not read by this command)
+//! are derived from the table. Every command that tunes builds its
+//! database and built-in workload through one validated [`JobSpec`] —
+//! the request the daemon persists.
+
+#![deny(clippy::too_many_lines)]
 
 use pdtune::baseline::{BaselineAdvisor, BaselineOptions};
 use pdtune::catalog::Database;
 use pdtune::expr::Binder;
 use pdtune::prelude::*;
+use pdtune::serve::JobSpec;
 use pdtune::tuner::instrument::gather_optimal_configuration;
 use pdtune::tuner::StopReason;
-use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
-use pdtune::workloads::star::{star_database, star_workload, StarParams};
+use pdtune::workloads::bench::{bench_database, BenchParams};
+use pdtune::workloads::star::{star_database, StarParams};
 use pdtune::workloads::{tpch, WorkloadSpec};
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -25,7 +35,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             if matches!(e, TuneError::Usage(_)) {
-                eprintln!("\n{USAGE}");
+                eprintln!("\n{}", usage());
             }
             ExitCode::from(e.exit_code())
         }
@@ -45,26 +55,292 @@ fn run(args: &[String]) -> Result<(), TuneError> {
                     .to_string(),
             ));
         };
-        let opts = CliOptions::parse(&args[2..])?;
+        let cmd = if action == "submit" {
+            Cmd::Submit
+        } else {
+            Cmd::Job
+        };
+        let opts = parse(cmd, &format!("job {action}"), &args[2..])?;
         return cmd_job(action, &opts);
     }
-    let opts = CliOptions::parse(&args[1..])?;
-    match command {
-        "tune" => cmd_tune(&opts),
-        "replay" => cmd_replay(&opts),
-        "serve" => cmd_serve(&opts),
-        "explain" => cmd_explain(&opts),
-        "compare" => cmd_compare(&opts),
-        "corpus" => cmd_corpus(),
+    type Handler = fn(&CliOptions) -> Result<(), TuneError>;
+    let (cmd, handler): (Cmd, Handler) = match command {
+        "tune" => (Cmd::Tune, cmd_tune),
+        "replay" => (Cmd::Replay, cmd_replay),
+        "serve" => (Cmd::Serve, cmd_serve),
+        "explain" => (Cmd::Explain, cmd_explain),
+        "compare" => (Cmd::Compare, cmd_compare),
+        "corpus" => (Cmd::Corpus, |_| cmd_corpus()),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
+            println!("{}", usage());
+            return Ok(());
         }
-        other => Err(TuneError::Usage(format!("unknown command `{other}`"))),
+        other => return Err(TuneError::Usage(format!("unknown command `{other}`"))),
+    };
+    handler(&parse(cmd, command, &args[1..])?)
+}
+
+/// A command, as far as flags go; the discriminant is its bit in
+/// [`Flag::cmds`]. `Job` is every `job` action but `submit`.
+#[derive(Debug, Clone, Copy)]
+enum Cmd {
+    Tune = 1,
+    Replay = 2,
+    Serve = 4,
+    Submit = 8,
+    Job = 16,
+    Explain = 32,
+    Compare = 64,
+    /// Reads no flag.
+    Corpus = 128,
+}
+
+const TUNE: u8 = Cmd::Tune as u8;
+const REPLAY: u8 = Cmd::Replay as u8;
+const SERVE: u8 = Cmd::Serve as u8;
+const SUBMIT: u8 = Cmd::Submit as u8;
+const JOB: u8 = Cmd::Job as u8;
+const EXPLAIN: u8 = Cmd::Explain as u8;
+const COMPARE: u8 = Cmd::Compare as u8;
+/// The commands that tune one request.
+const SESSION: u8 = TUNE | SUBMIT | COMPARE;
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// Placeholder of the value the flag takes; `None` for a switch.
+    value: Option<&'static str>,
+    /// Bit set of the [`Cmd`]s that read the flag.
+    cmds: u8,
+    /// Usage text; the renderer indents continuation lines.
+    help: &'static str,
+    /// Parse, range-check and store the value (`""` for a switch).
+    set: fn(&mut CliOptions, &str) -> Result<(), String>,
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+fn at_least_one(v: &str) -> Result<usize, String> {
+    match num(v)? {
+        0 => Err("must be at least 1".to_string()),
+        n => Ok(n),
     }
 }
 
-const USAGE: &str = "\
+fn unit_interval(v: &str) -> Result<f64, String> {
+    match num(v)? {
+        x if (0.0..=1.0).contains(&x) => Ok(x),
+        _ => Err("must be in [0, 1]".to_string()),
+    }
+}
+
+fn non_negative(v: &str) -> Result<f64, String> {
+    match num::<f64>(v)? {
+        x if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err("must be a non-negative number".to_string()),
+    }
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--db", value: Some("<tpch|ds1|ds2|bench>"), cmds: SESSION | EXPLAIN,
+           help: "benchmark database            [default: tpch]",
+           set: |o, v| { o.spec.db = v.to_string(); Ok(()) } },
+    Flag { name: "--sf", value: Some("<float>"), cmds: SESSION | EXPLAIN | REPLAY,
+           help: "TPC-H scale factor            [default: 0.1]",
+           set: |o, v| num(v).map(|x| o.spec.sf = x) },
+    Flag { name: "--budget", value: Some("<bytes|K|M|G>"), cmds: SESSION | REPLAY,
+           help: "storage budget, e.g. 256M     [default: none]",
+           set: |o, v| parse_bytes(v).map(|x| o.spec.budget = Some(x)) },
+    Flag { name: "--workload", value: Some("<file.sql>"), cmds: TUNE | COMPARE,
+           help: "semicolon-separated SQL file  [default: built-in]",
+           set: |o, v| { o.workload_file = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--queries", value: Some("<n>"), cmds: SESSION,
+           help: "built-in workload size        [default: all]",
+           set: |o, v| num(v).map(|x| o.spec.queries = Some(x)) },
+    Flag { name: "--seed", value: Some("<n>"), cmds: SESSION | REPLAY,
+           help: "workload generator seed       [default: 0]",
+           set: |o, v| num(v).map(|x| o.spec.seed = x) },
+    Flag { name: "--iterations", value: Some("<n>"), cmds: SESSION | REPLAY,
+           help: "relaxation iteration budget   [default: 300]",
+           set: |o, v| num(v).map(|x| o.spec.iterations = x) },
+    Flag { name: "--indexes-only", value: None, cmds: SESSION | REPLAY | EXPLAIN,
+           help: "do not recommend materialized views",
+           set: |o, _| { o.spec.indexes_only = true; Ok(()) } },
+    Flag { name: "--updates", value: Some("<ratio>"), cmds: SESSION | REPLAY,
+           help: "mix in DML statements (e.g. 0.5)",
+           set: |o, v| num(v).map(|x| o.spec.updates = Some(x)) },
+    Flag { name: "--threads", value: Some("<n>"), cmds: SESSION | REPLAY,
+           help: "worker threads, 0 = all cores  [default: 1]",
+           set: |o, v| num(v).map(|x| o.spec.threads = x) },
+    Flag { name: "--optimizer-call-budget", value: Some("<n>"), cmds: TUNE | SUBMIT,
+           help: "approximate tier: spend at most n real\n\
+                  what-if invocations, serving bound-gap\n\
+                  midpoint estimates elsewhere; exhausting\n\
+                  the budget reports best-so-far (exit 0,\n\
+                  like --deadline)  [default: unlimited]",
+           set: |o, v| num(v).map(|x| o.spec.call_budget = Some(x)) },
+    Flag { name: "--trace", value: Some("<file.jsonl>"), cmds: TUNE | REPLAY,
+           help: "write structured search telemetry as JSONL",
+           set: |o, v| { o.trace = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--validate-bounds", value: None, cmds: TUNE,
+           help: "re-optimize after each step and check the\n\
+                  §3.3.2 cost upper bound (fails on violation)",
+           set: |o, _| { o.validate_bounds = true; Ok(()) } },
+    Flag { name: "--deadline", value: Some("<ms>"), cmds: TUNE,
+           help: "anytime stop: report best-so-far after this\n\
+                  many milliseconds (exit 0)",
+           set: |o, v| num(v).map(|x| o.deadline = Some(x)) },
+    Flag { name: "--checkpoint", value: Some("<file>"), cmds: TUNE,
+           help: "write a resumable checkpoint on the cadence\n\
+                  below and when the session stops early",
+           set: |o, v| { o.checkpoint = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--checkpoint-every", value: Some("<n>"), cmds: TUNE | SUBMIT,
+           help: "checkpoint cadence in completed iterations\n\
+                  [default: 10]",
+           set: |o, v| at_least_one(v).map(|x| o.spec.checkpoint_every = x) },
+    Flag { name: "--resume", value: Some("<file>"), cmds: TUNE,
+           help: "resume a prior session from its checkpoint;\n\
+                  the resumed report/trace are byte-identical\n\
+                  to an uninterrupted run",
+           set: |o, v| { o.resume = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--max-faults", value: Some("<n>"), cmds: TUNE | SUBMIT,
+           help: "abort (exit 6) after more than n contained\n\
+                  faults                         [default: 16]",
+           set: |o, v| num(v).map(|x| o.spec.max_faults = Some(x)) },
+    Flag { name: "--sql", value: Some("<text>"), cmds: EXPLAIN,
+           help: "query text (explain)",
+           set: |o, v| { o.sql = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--optimal", value: None, cmds: EXPLAIN,
+           help: "explain under the optimal configuration",
+           set: |o, _| { o.optimal = true; Ok(()) } },
+    Flag { name: "--epochs", value: Some("<n>"), cmds: REPLAY,
+           help: "replay: epochs in the stream  [default: 8]",
+           set: |o, v| at_least_one(v).map(|x| o.epochs = x) },
+    Flag { name: "--per-epoch", value: Some("<n>"), cmds: REPLAY,
+           help: "replay: statements per epoch  [default: 12]",
+           set: |o, v| num(v).map(|x| o.per_epoch = x) },
+    Flag { name: "--window-cap", value: Some("<n>"), cmds: REPLAY,
+           help: "replay: distinct statements the sliding\n\
+                  window keeps                  [default: 256]",
+           set: |o, v| at_least_one(v).map(|x| o.window_cap = x) },
+    Flag { name: "--decay", value: Some("<0..1>"), cmds: REPLAY,
+           help: "replay: per-epoch weight decay [default: 0.5]",
+           set: |o, v| unit_interval(v).map(|x| o.decay = x) },
+    Flag { name: "--drift-threshold", value: Some("<x>"), cmds: REPLAY,
+           help: "replay: relative window-cost drift that\n\
+                  triggers a re-tune            [default: 0.15]",
+           set: |o, v| non_negative(v).map(|x| o.drift_threshold = x) },
+    Flag { name: "--shared-store-cap", value: Some("<n>"), cmds: REPLAY | SERVE,
+           help: "replay, serve: entries the shared what-if\n\
+                  store may hold                [default: 65536]",
+           set: |o, v| at_least_one(v).map(|x| o.shared_store_cap = Some(x)) },
+    Flag { name: "--addr", value: Some("<host:port>"), cmds: SERVE | SUBMIT | JOB,
+           help: "serve: listen address [default: 127.0.0.1:0];\n\
+                  job: the daemon's address",
+           set: |o, v| { o.addr = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--data-dir", value: Some("<dir>"), cmds: SERVE | SUBMIT | JOB,
+           help: "serve: durable state  [default: pdtune-serve];\n\
+                  job: read the daemon's address from here",
+           set: |o, v| { o.data_dir = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--slots", value: Some("<n>"), cmds: SERVE,
+           help: "serve: concurrent sessions    [default: 2]",
+           set: |o, v| at_least_one(v).map(|x| o.slots = x) },
+    Flag { name: "--queue-cap", value: Some("<n>"), cmds: SERVE,
+           help: "serve: queued jobs before the daemon answers\n\
+                  overloaded                    [default: 16]",
+           set: |o, v| num(v).map(|x| o.queue_cap = x) },
+    Flag { name: "--global-call-budget", value: Some("<n>"), cmds: SERVE,
+           help: "serve: what-if call budget shared out among\n\
+                  admitted jobs                 [default: none]",
+           set: |o, v| num(v).map(|x| o.global_call_budget = Some(x)) },
+    Flag { name: "--retry-after-ms", value: Some("<ms>"), cmds: SERVE,
+           help: "serve: retry hint sent with an overloaded\n\
+                  answer                        [default: 250]",
+           set: |o, v| num(v).map(|x| o.retry_after_ms = x) },
+    Flag { name: "--shared-store", value: None, cmds: SERVE,
+           help: "serve: answer one tenant's what-if calls from\n\
+                  another's with matching schema + query +\n\
+                  relevant subset; reports and traces stay\n\
+                  byte-identical to solo runs",
+           set: |o, _| { o.shared_store = true; Ok(()) } },
+    Flag { name: "--warm-store", value: Some("<file>"), cmds: SERVE,
+           help: "serve: persist the shared store across\n\
+                  graceful restarts (implies --shared-store; a\n\
+                  corrupt file cold-starts, never fails the daemon)",
+           set: |o, v| { o.warm_store = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--id", value: Some("<sNNNN>"), cmds: JOB,
+           help: "job: the session to address",
+           set: |o, v| { o.id = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--wait", value: None, cmds: SUBMIT,
+           help: "job submit: block until the session is\n\
+                  terminal, exit with its outcome",
+           set: |o, _| { o.wait = true; Ok(()) } },
+    Flag { name: "--faults", value: Some("<seed:rate>"), cmds: SUBMIT,
+           help: "job submit: eval-layer fault injection (testing)",
+           set: |o, v| { o.spec.faults = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--io-faults", value: Some("<seed:rate>"), cmds: SUBMIT,
+           help: "job submit: checkpoint-write fault injection\n\
+                  (testing)",
+           set: |o, v| { o.spec.io_faults = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--warm-from", value: Some("<sNNNN>"), cmds: SUBMIT,
+           help: "job submit: start from a finished session's\n\
+                  final configuration, copied at submit (start\n\
+                  point + never-regress floor)",
+           set: |o, v| { o.spec.warm_from = Some(v.to_string()); Ok(()) } },
+];
+
+/// Parse `args` as the flags of `cmd` (`label` names it in errors).
+fn parse(cmd: Cmd, label: &str, args: &[String]) -> Result<CliOptions, TuneError> {
+    let mut o = CliOptions::defaults();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+            return Err(TuneError::Usage(format!("unknown flag `{arg}`")));
+        };
+        if flag.cmds & cmd as u8 == 0 {
+            let reads = FLAGS.iter().filter(|f| f.cmds & cmd as u8 != 0);
+            let mut reads: Vec<&str> = reads.map(|f| f.name).collect();
+            if reads.is_empty() {
+                reads.push("no flags");
+            }
+            return Err(TuneError::Usage(format!(
+                "`{arg}` is not a `{label}` flag (`{label}` reads: {})",
+                reads.join(" ")
+            )));
+        }
+        let value = match flag.value {
+            Some(_) => it
+                .next()
+                .ok_or_else(|| TuneError::Usage(format!("{arg} needs a value")))?,
+            None => "",
+        };
+        (flag.set)(&mut o, value).map_err(|e| TuneError::Usage(format!("{arg}: {e}")))?;
+    }
+    o.spec.validate().map_err(TuneError::Usage)?;
+    Ok(o)
+}
+
+/// The usage text: the OPTIONS block is rendered from [`FLAGS`].
+fn usage() -> String {
+    let mut options = String::new();
+    for f in FLAGS {
+        let head = format!("{} {}", f.name, f.value.unwrap_or(""));
+        let mut help = f.help.lines();
+        let _ = writeln!(options, "  {head:<30}{}", help.next().unwrap_or(""));
+        for line in help {
+            let _ = writeln!(options, "{:32}{line}", "");
+        }
+    }
+    format!("{USAGE_COMMANDS}\nOPTIONS:\n{options}\n{USAGE_MODES}")
+}
+
+const USAGE_COMMANDS: &str = "\
 pdtune — relaxation-based automatic physical database tuning
 (Bruno & Chaudhuri, SIGMOD 2005)
 
@@ -77,51 +353,17 @@ USAGE:
   pdtune compare [options]      relaxation (PTT) vs bottom-up (CTT) on one workload
   pdtune corpus                 list the built-in benchmark databases
 
-OPTIONS:
-  --db <tpch|ds1|ds2|bench>     benchmark database            [default: tpch]
-  --sf <float>                  TPC-H scale factor            [default: 0.1]
-  --budget <bytes|K|M|G>        storage budget, e.g. 256M     [default: none]
-  --workload <file.sql>         semicolon-separated SQL file  [default: built-in]
-  --queries <n>                 built-in workload size        [default: all]
-  --seed <n>                    workload generator seed       [default: 0]
-  --iterations <n>              relaxation iteration budget   [default: 300]
-  --indexes-only                do not recommend materialized views
-  --updates <ratio>             mix in DML statements (e.g. 0.5)
-  --threads <n>                 worker threads, 0 = all cores  [default: 1]
-  --no-cache                    disable the shared what-if cost cache
-  --no-incremental              disable the incremental candidate engine
-                                (delta enumeration + bound memo); output
-                                is byte-identical either way
-  --no-derived-costs            disable derived what-if costing (relevant-
-                                structure cache keys + plan reuse); output
-                                is byte-identical either way
-  --optimizer-call-budget <n>   approximate tier: spend at most n real
-                                what-if invocations, serving bound-gap
-                                midpoint estimates elsewhere; exhausting
-                                the budget reports best-so-far (exit 0,
-                                like --deadline)  [default: unlimited]
-  --trace <file.jsonl>          write structured search telemetry as JSONL
-  --validate-bounds             re-optimize after each step and check the
-                                \u{a7}3.3.2 cost upper bound (fails on violation)
-  --deadline <ms>               anytime stop: report best-so-far after this
-                                many milliseconds (exit 0)
-  --checkpoint <file>           write a resumable checkpoint on the cadence
-                                below and when the session stops early
-  --checkpoint-every <n>        checkpoint cadence in completed iterations
-                                [default: 10]
-  --resume <file>               resume a prior session from its checkpoint;
-                                the resumed report/trace are byte-identical
-                                to an uninterrupted run
-  --max-faults <n>              abort (exit 6) after more than n contained
-                                faults                         [default: 16]
-  --sql <text>                  query text (explain)
-  --optimal                     explain under the optimal configuration
+A flag a command does not read is a usage error, not ignored; the
+error lists the flags the command does read.
+";
 
+const USAGE_MODES: &str = "\
 REPLAY MODE:
   pdtune replay [--sf 0.01] [--seed 42] [--epochs 8] [--per-epoch 12]
                 [--updates 0.3] [--budget SIZE] [--iterations 60]
                 [--window-cap 256] [--decay 0.5] [--drift-threshold 0.15]
-                [--shared-store-cap 65536] [--threads N] [--trace FILE]
+                [--shared-store-cap 65536] [--indexes-only] [--threads N]
+                [--trace FILE]
       Feed a drifting TPC-H stream (query-mix shift at epochs/2, with
       --updates DML mixed in after the shift) through the online
       re-tuning loop: a sliding window summarizes the stream (weights
@@ -146,23 +388,17 @@ SERVE MODE:
       daemon on the same --data-dir resumes every registered session
       and produces byte-identical reports and traces. SIGTERM drains
       live sessions to a final checkpoint and exits 0.
-      --shared-store serves one tenant's what-if optimizer answers to
-      every other tenant with matching content keys (schema + query +
-      relevant subset); reports and traces stay byte-identical to solo
-      runs. --shared-store-cap bounds it in entries. --warm-store
-      persists it across graceful restarts (a corrupt warm file
-      cold-starts; it never fails the daemon) and implies
-      --shared-store.
 
-  pdtune job submit [tune options] [--data-dir DIR | --addr HOST:PORT]
+  pdtune job submit [--db NAME] [--sf F] [--queries N] [--seed N]
+                    [--budget SIZE] [--iterations N] [--updates RATIO]
+                    [--indexes-only] [--threads N] [--checkpoint-every N]
+                    [--optimizer-call-budget N] [--max-faults N]
+                    [--data-dir DIR | --addr HOST:PORT]
                     [--wait] [--faults s:r] [--io-faults s:r]
                     [--warm-from sNNNN]
-      --warm-from seeds the new session from a finished session's
-      final configuration (deployed start point + never-regress
-      safety floor); the config is copied into the new session's
-      directory, so recovery does not depend on the source session.
-  pdtune job status|wait|watch|cancel --id sNNNN [--data-dir DIR]
-  pdtune job list|stats|ping|shutdown [--data-dir DIR]
+  pdtune job status|wait|watch|cancel --id sNNNN
+                    [--data-dir DIR | --addr HOST:PORT]
+  pdtune job list|stats|ping|shutdown [--data-dir DIR | --addr HOST:PORT]
       Submit prints the assigned session id; --wait blocks until the
       session is terminal and maps its outcome to the exit codes below.
       An overloaded daemon answers {\"error\":\"overloaded\",
@@ -184,29 +420,21 @@ EXIT CODES:
   130  interrupted (SIGINT; a final checkpoint is written first)
 ";
 
+/// What the flags said: the tuning request, and what only this process
+/// reads.
 #[derive(Debug, Default)]
 struct CliOptions {
-    db: String,
-    sf: f64,
-    budget: Option<f64>,
+    /// The request behind `tune`, `compare`, `explain`, `replay` and
+    /// `job submit` — what the daemon persists for a submitted job;
+    /// the flags the daemon also understands are stored here directly,
+    /// and [`parse`] checks it by the daemon's rules.
+    spec: JobSpec,
     workload_file: Option<String>,
-    queries: Option<usize>,
-    seed: u64,
-    iterations: usize,
-    indexes_only: bool,
-    updates: Option<f64>,
-    threads: usize,
-    no_cache: bool,
-    no_incremental: bool,
-    no_derived_costs: bool,
-    optimizer_call_budget: Option<usize>,
     trace: Option<String>,
     validate_bounds: bool,
     deadline: Option<u64>,
     checkpoint: Option<String>,
-    checkpoint_every: usize,
     resume: Option<String>,
-    max_faults: Option<usize>,
     sql: Option<String>,
     optimal: bool,
     // serve/job options
@@ -221,9 +449,6 @@ struct CliOptions {
     warm_store: Option<String>,
     id: Option<String>,
     wait: bool,
-    faults: Option<String>,
-    io_faults: Option<String>,
-    warm_from: Option<String>,
     // replay options
     epochs: usize,
     per_epoch: usize,
@@ -233,13 +458,12 @@ struct CliOptions {
 }
 
 impl CliOptions {
-    fn parse(args: &[String]) -> Result<CliOptions, TuneError> {
-        let mut o = CliOptions {
-            db: "tpch".to_string(),
-            sf: 0.1,
-            iterations: 300,
-            threads: 1,
-            checkpoint_every: 10,
+    fn defaults() -> CliOptions {
+        CliOptions {
+            spec: JobSpec {
+                checkpoint_every: 10,
+                ..JobSpec::default()
+            },
             slots: 2,
             queue_cap: 16,
             retry_after_ms: 250,
@@ -249,179 +473,7 @@ impl CliOptions {
             decay: 0.5,
             drift_threshold: 0.15,
             ..Default::default()
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| TuneError::Usage(format!("{name} needs a value")))
-            };
-            let usage =
-                |name: &str, e: &dyn std::fmt::Display| TuneError::Usage(format!("{name}: {e}"));
-            match flag.as_str() {
-                "--db" => o.db = value("--db")?,
-                "--sf" => o.sf = value("--sf")?.parse().map_err(|e| usage("--sf", &e))?,
-                "--budget" => {
-                    o.budget = Some(parse_bytes(&value("--budget")?).map_err(TuneError::Usage)?)
-                }
-                "--workload" => o.workload_file = Some(value("--workload")?),
-                "--queries" => {
-                    o.queries = Some(
-                        value("--queries")?
-                            .parse()
-                            .map_err(|e| usage("--queries", &e))?,
-                    )
-                }
-                "--seed" => o.seed = value("--seed")?.parse().map_err(|e| usage("--seed", &e))?,
-                "--iterations" => {
-                    o.iterations = value("--iterations")?
-                        .parse()
-                        .map_err(|e| usage("--iterations", &e))?
-                }
-                "--indexes-only" => o.indexes_only = true,
-                "--updates" => {
-                    o.updates = Some(
-                        value("--updates")?
-                            .parse()
-                            .map_err(|e| usage("--updates", &e))?,
-                    )
-                }
-                "--threads" => {
-                    o.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| usage("--threads", &e))?
-                }
-                "--no-cache" => o.no_cache = true,
-                "--no-incremental" => o.no_incremental = true,
-                "--no-derived-costs" => o.no_derived_costs = true,
-                "--optimizer-call-budget" => {
-                    o.optimizer_call_budget = Some(
-                        value("--optimizer-call-budget")?
-                            .parse()
-                            .map_err(|e| usage("--optimizer-call-budget", &e))?,
-                    )
-                }
-                "--trace" => o.trace = Some(value("--trace")?),
-                "--validate-bounds" => o.validate_bounds = true,
-                "--deadline" => {
-                    o.deadline = Some(
-                        value("--deadline")?
-                            .parse()
-                            .map_err(|e| usage("--deadline", &e))?,
-                    )
-                }
-                "--checkpoint" => o.checkpoint = Some(value("--checkpoint")?),
-                "--checkpoint-every" => {
-                    o.checkpoint_every = value("--checkpoint-every")?
-                        .parse()
-                        .map_err(|e| usage("--checkpoint-every", &e))?;
-                    if o.checkpoint_every == 0 {
-                        return Err(TuneError::Usage(
-                            "--checkpoint-every must be at least 1".to_string(),
-                        ));
-                    }
-                }
-                "--resume" => o.resume = Some(value("--resume")?),
-                "--max-faults" => {
-                    o.max_faults = Some(
-                        value("--max-faults")?
-                            .parse()
-                            .map_err(|e| usage("--max-faults", &e))?,
-                    )
-                }
-                "--sql" => o.sql = Some(value("--sql")?),
-                "--optimal" => o.optimal = true,
-                "--addr" => o.addr = Some(value("--addr")?),
-                "--data-dir" => o.data_dir = Some(value("--data-dir")?),
-                "--slots" => {
-                    o.slots = value("--slots")?
-                        .parse()
-                        .map_err(|e| usage("--slots", &e))?;
-                    if o.slots == 0 {
-                        return Err(TuneError::Usage("--slots must be at least 1".to_string()));
-                    }
-                }
-                "--queue-cap" => {
-                    o.queue_cap = value("--queue-cap")?
-                        .parse()
-                        .map_err(|e| usage("--queue-cap", &e))?
-                }
-                "--global-call-budget" => {
-                    o.global_call_budget = Some(
-                        value("--global-call-budget")?
-                            .parse()
-                            .map_err(|e| usage("--global-call-budget", &e))?,
-                    )
-                }
-                "--retry-after-ms" => {
-                    o.retry_after_ms = value("--retry-after-ms")?
-                        .parse()
-                        .map_err(|e| usage("--retry-after-ms", &e))?
-                }
-                "--shared-store" => o.shared_store = true,
-                "--shared-store-cap" => {
-                    let cap: usize = value("--shared-store-cap")?
-                        .parse()
-                        .map_err(|e| usage("--shared-store-cap", &e))?;
-                    if cap == 0 {
-                        return Err(TuneError::Usage(
-                            "--shared-store-cap must be at least 1".to_string(),
-                        ));
-                    }
-                    o.shared_store_cap = Some(cap);
-                }
-                "--warm-store" => o.warm_store = Some(value("--warm-store")?),
-                "--id" => o.id = Some(value("--id")?),
-                "--warm-from" => o.warm_from = Some(value("--warm-from")?),
-                "--epochs" => {
-                    o.epochs = value("--epochs")?
-                        .parse()
-                        .map_err(|e| usage("--epochs", &e))?;
-                    if o.epochs == 0 {
-                        return Err(TuneError::Usage("--epochs must be at least 1".to_string()));
-                    }
-                }
-                "--per-epoch" => {
-                    o.per_epoch = value("--per-epoch")?
-                        .parse()
-                        .map_err(|e| usage("--per-epoch", &e))?
-                }
-                "--window-cap" => {
-                    o.window_cap = value("--window-cap")?
-                        .parse()
-                        .map_err(|e| usage("--window-cap", &e))?;
-                    if o.window_cap == 0 {
-                        return Err(TuneError::Usage(
-                            "--window-cap must be at least 1".to_string(),
-                        ));
-                    }
-                }
-                "--decay" => {
-                    o.decay = value("--decay")?
-                        .parse()
-                        .map_err(|e| usage("--decay", &e))?;
-                    if !(0.0..=1.0).contains(&o.decay) {
-                        return Err(TuneError::Usage("--decay must be in [0, 1]".to_string()));
-                    }
-                }
-                "--drift-threshold" => {
-                    o.drift_threshold = value("--drift-threshold")?
-                        .parse()
-                        .map_err(|e| usage("--drift-threshold", &e))?;
-                    if !o.drift_threshold.is_finite() || o.drift_threshold < 0.0 {
-                        return Err(TuneError::Usage(
-                            "--drift-threshold must be a non-negative number".to_string(),
-                        ));
-                    }
-                }
-                "--wait" => o.wait = true,
-                "--faults" => o.faults = Some(value("--faults")?),
-                "--io-faults" => o.io_faults = Some(value("--io-faults")?),
-                other => return Err(TuneError::Usage(format!("unknown flag `{other}`"))),
-            }
         }
-        Ok(o)
     }
 }
 
@@ -462,44 +514,28 @@ fn write_file(path: &str, contents: &str) -> Result<(), TuneError> {
     })
 }
 
-fn load_database(o: &CliOptions) -> Result<Database, TuneError> {
-    match o.db.as_str() {
-        "tpch" => Ok(tpch::tpch_database(o.sf)),
-        "ds1" => Ok(star_database(&StarParams::ds1())),
-        "ds2" => Ok(star_database(&StarParams::ds2())),
-        "bench" => Ok(bench_database(&BenchParams::default())),
-        other => Err(TuneError::Usage(format!(
-            "unknown database `{other}` (try tpch|ds1|ds2|bench)"
-        ))),
-    }
+fn build_database(o: &CliOptions) -> Result<Database, TuneError> {
+    o.spec.build_database().map_err(TuneError::Usage)
 }
 
-fn load_workload(o: &CliOptions, db: &Database) -> Result<WorkloadSpec, TuneError> {
-    let mut spec = if let Some(path) = &o.workload_file {
-        let text = read_file(path)?;
-        let statements = pdtune::sql::parse_workload(&text)
-            .map_err(|e| TuneError::Workload(format!("{path}: {e}")))?;
-        WorkloadSpec::new(path.clone(), statements)
-    } else {
-        match o.db.as_str() {
-            "tpch" => match o.queries {
-                Some(n) => tpch::tpch_workload_variant(o.seed, n),
-                None => tpch::tpch_workload(),
-            },
-            "ds1" => star_workload(&StarParams::ds1(), o.seed, o.queries.unwrap_or(12)),
-            "ds2" => star_workload(&StarParams::ds2(), o.seed, o.queries.unwrap_or(12)),
-            _ => bench_workload(db, o.seed, o.queries.unwrap_or(15)),
+/// The workload a single-shot command tunes: `--workload FILE` (mixed
+/// with `--updates` like a built-in one) or the request's built-in.
+fn load_workload(o: &CliOptions, db: &Database) -> Result<(WorkloadSpec, Workload), TuneError> {
+    let statements = match &o.workload_file {
+        None => o.spec.workload_spec(db),
+        Some(path) => {
+            let statements = pdtune::sql::parse_workload(&read_file(path)?)
+                .map_err(|e| TuneError::Workload(format!("{path}: {e}")))?;
+            let file = WorkloadSpec::new(path.clone(), statements);
+            match o.spec.updates {
+                Some(r) => pdtune::workloads::updates::with_updates(db, &file, r, o.spec.seed),
+                None => file,
+            }
         }
     };
-    if let Some(ratio) = o.updates {
-        spec = pdtune::workloads::updates::with_updates(db, &spec, ratio, o.seed);
-    }
-    Ok(spec)
-}
-
-fn bind_workload(db: &Database, spec: &WorkloadSpec) -> Result<Workload, TuneError> {
-    Workload::bind(db, &spec.statements)
-        .map_err(|e| TuneError::Workload(format!("binding workload: {e}")))
+    let workload = Workload::bind(db, &statements.statements)
+        .map_err(|e| TuneError::Workload(format!("binding workload: {e}")))?;
+    Ok((statements, workload))
 }
 
 /// Suppress the default "thread panicked" stderr noise for panics the
@@ -519,9 +555,8 @@ fn quiet_injected_panics() {
 }
 
 fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
-    let db = load_database(o)?;
-    let spec = load_workload(o, &db)?;
-    let workload = bind_workload(&db, &spec)?;
+    let db = build_database(o)?;
+    let (statements, workload) = load_workload(o, &db)?;
 
     let fault_plan = FaultPlan::from_env().map_err(TuneError::Usage)?;
     if fault_plan.is_some() {
@@ -541,29 +576,19 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
     pdtune::tuner::install_sigint(&token);
 
     let options = TunerOptions {
-        space_budget: o.budget,
-        max_iterations: o.iterations,
-        with_views: !o.indexes_only,
-        threads: o.threads,
-        cost_cache: !o.no_cache,
-        incremental: !o.no_incremental,
-        derived_costs: !o.no_derived_costs,
-        optimizer_call_budget: o.optimizer_call_budget,
         validate_bounds: o.validate_bounds,
         deadline_ms: o.deadline,
-        stop: Some(token.clone()),
         fault_plan,
-        max_faults: o
-            .max_faults
-            .unwrap_or_else(|| TunerOptions::default().max_faults),
-        ..TunerOptions::default()
+        ..o.spec
+            .tuner_options(o.spec.call_budget.map(|n| n as u64), token.clone())
+            .map_err(TuneError::Usage)?
     };
 
     println!(
         "tuning `{}` over {} statements ({} updates)...",
         db.name,
         workload.len(),
-        spec.update_count()
+        statements.update_count()
     );
     if let (Some(path), Some(ck)) = (&o.resume, &resumed) {
         println!(
@@ -591,13 +616,50 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
         &options,
         SessionCtl {
             tracer: tracer.as_ref(),
-            checkpoint_every: o.checkpoint_every,
+            checkpoint_every: o.spec.checkpoint_every,
             checkpoint_sink: sink.as_ref().map(|s| s as &dyn Fn(usize, &str)),
             resume: resumed.as_ref(),
-            shared_store: None,
+            ..SessionCtl::default()
         },
     )?;
 
+    print_recommendation(&db, &report);
+    print_counters(&report);
+    if let (Some(path), Some(tracer)) = (&o.trace, tracer.as_ref()) {
+        write_file(path, &tracer.to_jsonl())?;
+        println!("trace: {} events -> {path}", tracer.len());
+    }
+    if o.validate_bounds {
+        println!(
+            "bound oracle: {} checks, {} violations",
+            report.bound_checks,
+            report.bound_violations.len()
+        );
+        if let Some(v) = report.bound_violations.first() {
+            return Err(TuneError::BoundViolation {
+                iteration: v.iteration,
+                transformation: v.transformation.clone(),
+                bound: v.bound,
+                actual: v.actual,
+            });
+        }
+    }
+    match report.stop_reason {
+        // A deadline or call-budget stop is a successful anytime run:
+        // best-so-far was reported above, exit 0.
+        StopReason::Converged
+        | StopReason::IterationBudget
+        | StopReason::Deadline
+        | StopReason::CallBudget => Ok(()),
+        StopReason::Interrupted => Err(TuneError::Interrupted),
+        StopReason::FaultLimit => Err(TuneError::FaultLimit {
+            faults: report.faults.len(),
+        }),
+    }
+}
+
+/// The reference costs, the recommendation's cost and its DDL.
+fn print_recommendation(db: &Database, report: &TuningReport) {
     println!(
         "\ninitial  cost {:>12.0}   ({:.1} MB)",
         report.initial_cost,
@@ -646,11 +708,15 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
                 }
             }
             for view in best.config.views() {
-                println!("  CREATE MATERIALIZED VIEW AS {}", view.def.to_sql(&db));
+                println!("  CREATE MATERIALIZED VIEW AS {}", view.def.to_sql(db));
             }
         }
         None => println!("no configuration fits the budget"),
     }
+}
+
+/// How the session ended and what its stores and tiers counted.
+fn print_counters(report: &TuningReport) {
     println!(
         "\n{} iterations ({}), {} optimizer calls, {:?}",
         report.iterations,
@@ -658,10 +724,7 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
         report.optimizer_calls,
         report.elapsed
     );
-    println!(
-        "{}",
-        cache_line(report.cache_hits, report.cache_misses, o.no_cache)
-    );
+    println!("{}", cache_line(report.cache_hits, report.cache_misses));
     if report.workload_deduped > 0 {
         println!(
             "workload: {} duplicate statements folded into weighted entries",
@@ -716,50 +779,20 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
             );
         }
     }
-    if let (Some(path), Some(tracer)) = (&o.trace, tracer.as_ref()) {
-        write_file(path, &tracer.to_jsonl())?;
-        println!("trace: {} events -> {path}", tracer.len());
-    }
-    if o.validate_bounds {
-        println!(
-            "bound oracle: {} checks, {} violations",
-            report.bound_checks,
-            report.bound_violations.len()
-        );
-        if let Some(v) = report.bound_violations.first() {
-            return Err(TuneError::BoundViolation {
-                iteration: v.iteration,
-                transformation: v.transformation.clone(),
-                bound: v.bound,
-                actual: v.actual,
-            });
-        }
-    }
-    match report.stop_reason {
-        // A deadline or call-budget stop is a successful anytime run:
-        // best-so-far was reported above, exit 0.
-        StopReason::Converged
-        | StopReason::IterationBudget
-        | StopReason::Deadline
-        | StopReason::CallBudget => Ok(()),
-        StopReason::Interrupted => Err(TuneError::Interrupted),
-        StopReason::FaultLimit => Err(TuneError::FaultLimit {
-            faults: report.faults.len(),
-        }),
-    }
 }
 
 fn cmd_replay(o: &CliOptions) -> Result<(), TuneError> {
     use pdtune::tuner::{render_replay_report, run_replay, ReplayOptions, WindowOptions};
     use pdtune::workloads::drift::{drifting_tpch_stream, DriftSpec};
 
-    let db = tpch::tpch_database(o.sf);
+    // `--db` is not a replay flag: the request names the default, TPC-H.
+    let db = build_database(o)?;
     let spec = DriftSpec {
         epochs: o.epochs,
         per_epoch: o.per_epoch,
         shift_epoch: o.epochs / 2,
-        update_ratio: o.updates.unwrap_or(0.3),
-        seed: o.seed,
+        update_ratio: o.spec.updates.unwrap_or(0.3),
+        seed: o.spec.seed,
     };
     let stream = drifting_tpch_stream(&db, &spec);
     let options = ReplayOptions {
@@ -773,20 +806,17 @@ fn cmd_replay(o: &CliOptions) -> Result<(), TuneError> {
             .shared_store_cap
             .unwrap_or(pdtune::tuner::DEFAULT_SHARED_CAP),
         tuner: TunerOptions {
-            space_budget: o.budget,
-            max_iterations: o.iterations,
-            with_views: !o.indexes_only,
-            threads: o.threads,
-            cost_cache: !o.no_cache,
-            incremental: !o.no_incremental,
-            derived_costs: !o.no_derived_costs,
+            space_budget: o.spec.budget,
+            max_iterations: o.spec.iterations,
+            with_views: !o.spec.indexes_only,
+            threads: o.spec.threads,
             ..TunerOptions::default()
         },
     };
     println!(
         "replaying a drifting tpch stream (sf {}): {} epochs x {} statements, \
          shift at epoch {}, update ratio {} after the shift",
-        o.sf, spec.epochs, spec.per_epoch, spec.shift_epoch, spec.update_ratio
+        o.spec.sf, spec.epochs, spec.per_epoch, spec.shift_epoch, spec.update_ratio
     );
     let tracer = o.trace.is_some().then(pdtune::trace::Tracer::new);
     let report = run_replay(&db, &stream, &options, tracer.as_ref())?;
@@ -799,10 +829,7 @@ fn cmd_replay(o: &CliOptions) -> Result<(), TuneError> {
 }
 
 /// Render the cost-cache counter line of a report.
-fn cache_line(hits: u64, misses: u64, disabled: bool) -> String {
-    if disabled {
-        return "cost cache disabled".to_string();
-    }
+fn cache_line(hits: u64, misses: u64) -> String {
     let total = hits + misses;
     let rate = if total == 0 {
         0.0
@@ -841,27 +868,6 @@ fn cmd_serve(o: &CliOptions) -> Result<(), TuneError> {
         pdtune::tuner::install_sigterm(&shutdown);
     }
     pdtune::serve::serve(opts, shutdown)
-}
-
-/// Build the serve-mode job spec from the shared CLI flags.
-fn job_spec(o: &CliOptions) -> pdtune::serve::JobSpec {
-    pdtune::serve::JobSpec {
-        db: o.db.clone(),
-        sf: o.sf,
-        queries: o.queries,
-        seed: o.seed,
-        budget: o.budget,
-        iterations: o.iterations,
-        updates: o.updates,
-        indexes_only: o.indexes_only,
-        threads: o.threads,
-        checkpoint_every: o.checkpoint_every,
-        call_budget: o.optimizer_call_budget,
-        max_faults: o.max_faults,
-        faults: o.faults.clone(),
-        io_faults: o.io_faults.clone(),
-        warm_from: o.warm_from.clone(),
-    }
 }
 
 /// Map a terminal serve-mode session outcome to the process exit
@@ -929,9 +935,7 @@ fn cmd_job(action: &str, o: &CliOptions) -> Result<(), TuneError> {
 
     match action {
         "submit" => {
-            let spec = job_spec(o);
-            spec.validate().map_err(TuneError::Usage)?;
-            let id = client.submit(&spec.to_json()).map_err(call_err)?;
+            let id = client.submit(&o.spec.to_json()).map_err(call_err)?;
             println!("{id}");
             if o.wait {
                 let (state, error) = client
@@ -1003,7 +1007,7 @@ fn cmd_job(action: &str, o: &CliOptions) -> Result<(), TuneError> {
 }
 
 fn cmd_explain(o: &CliOptions) -> Result<(), TuneError> {
-    let db = load_database(o)?;
+    let db = build_database(o)?;
     let sql = o
         .sql
         .as_deref()
@@ -1020,7 +1024,7 @@ fn cmd_explain(o: &CliOptions) -> Result<(), TuneError> {
     let config = if o.optimal {
         let w = Workload::bind(&db, std::slice::from_ref(&stmt))
             .map_err(|e| TuneError::Workload(e.to_string()))?;
-        let (c, _) = gather_optimal_configuration(&db, &w, !o.indexes_only);
+        let (c, _) = gather_optimal_configuration(&db, &w, !o.spec.indexes_only);
         c
     } else {
         Configuration::base(&db)
@@ -1036,53 +1040,48 @@ fn cmd_explain(o: &CliOptions) -> Result<(), TuneError> {
 }
 
 fn cmd_compare(o: &CliOptions) -> Result<(), TuneError> {
-    let db = load_database(o)?;
-    let spec = load_workload(o, &db)?;
-    let workload = bind_workload(&db, &spec)?;
+    let db = build_database(o)?;
+    let (statements, workload) = load_workload(o, &db)?;
     let ptt = tune(
         &db,
         &workload,
         &TunerOptions {
-            space_budget: o.budget,
-            max_iterations: o.iterations,
-            with_views: !o.indexes_only,
-            threads: o.threads,
-            cost_cache: !o.no_cache,
+            space_budget: o.spec.budget,
+            max_iterations: o.spec.iterations,
+            with_views: !o.spec.indexes_only,
+            threads: o.spec.threads,
             ..TunerOptions::default()
         },
     );
     let ctt = BaselineAdvisor::new(
         &db,
         BaselineOptions {
-            space_budget: o.budget,
-            with_views: !o.indexes_only,
-            threads: o.threads,
-            cost_cache: !o.no_cache,
+            space_budget: o.spec.budget,
+            with_views: !o.spec.indexes_only,
+            threads: o.spec.threads,
             ..BaselineOptions::default()
         },
     )
     .tune(&workload);
-    println!("workload `{}` ({} statements)", spec.name, workload.len());
+    println!(
+        "workload `{}` ({} statements)",
+        statements.name,
+        workload.len()
+    );
     println!(
         "PTT (relaxation): {:+.1}% improvement, {} optimizer calls, {:?}",
         ptt.best_improvement_pct(),
         ptt.optimizer_calls,
         ptt.elapsed
     );
-    println!(
-        "    {}",
-        cache_line(ptt.cache_hits, ptt.cache_misses, o.no_cache)
-    );
+    println!("    {}", cache_line(ptt.cache_hits, ptt.cache_misses));
     println!(
         "CTT (bottom-up) : {:+.1}% improvement, {} optimizer calls, {:?}",
         ctt.improvement_pct(),
         ctt.optimizer_calls,
         ctt.elapsed
     );
-    println!(
-        "    {}",
-        cache_line(ctt.cache_hits, ctt.cache_misses, o.no_cache)
-    );
+    println!("    {}", cache_line(ctt.cache_hits, ctt.cache_misses));
     println!(
         "dImprovement = {:+.1} points",
         ptt.best_improvement_pct() - ctt.improvement_pct()
@@ -1119,6 +1118,12 @@ fn cmd_corpus() -> Result<(), TuneError> {
 mod tests {
     use super::*;
 
+    /// Parse a space-separated flag list as `cmd`'s.
+    fn parse_as(cmd: Cmd, args: &str) -> Result<CliOptions, TuneError> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        parse(cmd, "test", &args)
+    }
+
     #[test]
     fn parse_bytes_accepts_positive_sizes() {
         assert_eq!(parse_bytes("1024"), Ok(1024.0));
@@ -1139,8 +1144,7 @@ mod tests {
     #[test]
     fn cli_rejects_bad_budgets_with_usage_errors() {
         for bad in ["NaN", "-5G", "0"] {
-            let args = vec!["--budget".to_string(), bad.to_string()];
-            match CliOptions::parse(&args) {
+            match parse_as(Cmd::Tune, &format!("--budget {bad}")) {
                 Err(TuneError::Usage(msg)) => assert!(msg.contains("byte size"), "{msg}"),
                 other => panic!("`--budget {bad}` should be a usage error, got {other:?}"),
             }
@@ -1149,135 +1153,127 @@ mod tests {
 
     #[test]
     fn cli_parses_anytime_flags() {
-        let args: Vec<String> = [
-            "--deadline",
-            "1500",
-            "--checkpoint",
-            "ck.json",
-            "--checkpoint-every",
-            "5",
-            "--max-faults",
-            "3",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = CliOptions::parse(&args).unwrap();
+        let flags = "--deadline 1500 --checkpoint ck.json --checkpoint-every 5 --max-faults 3";
+        let o = parse_as(Cmd::Tune, flags).unwrap();
         assert_eq!(o.deadline, Some(1500));
         assert_eq!(o.checkpoint.as_deref(), Some("ck.json"));
-        assert_eq!(o.checkpoint_every, 5);
-        assert_eq!(o.max_faults, Some(3));
+        assert_eq!(o.spec.checkpoint_every, 5);
+        assert_eq!(o.spec.max_faults, Some(3));
     }
 
     #[test]
     fn cli_parses_replay_flags() {
-        let o = CliOptions::parse(&[]).unwrap();
+        let o = parse_as(Cmd::Replay, "").unwrap();
         assert_eq!(o.epochs, 8);
         assert_eq!(o.per_epoch, 12);
         assert_eq!(o.window_cap, 256);
         assert_eq!(o.decay, 0.5);
         assert_eq!(o.drift_threshold, 0.15);
-        assert_eq!(o.warm_from, None);
-        let args: Vec<String> = [
-            "--epochs",
-            "4",
-            "--per-epoch",
-            "6",
-            "--window-cap",
-            "32",
-            "--decay",
-            "0.25",
-            "--drift-threshold",
-            "0.05",
-            "--warm-from",
-            "s0001",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = CliOptions::parse(&args).unwrap();
+        assert_eq!(o.spec.warm_from, None);
+        let flags = "--epochs 4 --per-epoch 6 --window-cap 32 --decay 0.25 --drift-threshold 0.05";
+        let o = parse_as(Cmd::Replay, flags).unwrap();
         assert_eq!(o.epochs, 4);
         assert_eq!(o.per_epoch, 6);
         assert_eq!(o.window_cap, 32);
         assert_eq!(o.decay, 0.25);
         assert_eq!(o.drift_threshold, 0.05);
-        assert_eq!(o.warm_from.as_deref(), Some("s0001"));
+        let o = parse_as(Cmd::Submit, "--warm-from s0001").unwrap();
+        assert_eq!(o.spec.warm_from.as_deref(), Some("s0001"));
     }
 
     #[test]
     fn cli_rejects_bad_replay_flags() {
         for bad in [
-            vec!["--epochs", "0"],
-            vec!["--window-cap", "0"],
-            vec!["--decay", "1.5"],
-            vec!["--decay", "-0.1"],
-            vec!["--drift-threshold", "-1"],
-            vec!["--drift-threshold", "NaN"],
+            "--epochs 0",
+            "--window-cap 0",
+            "--decay 1.5",
+            "--decay -0.1",
+            "--drift-threshold -1",
+            "--drift-threshold NaN",
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
-                matches!(CliOptions::parse(&args), Err(TuneError::Usage(_))),
-                "`{bad:?}` should be a usage error"
+                matches!(parse_as(Cmd::Replay, bad), Err(TuneError::Usage(_))),
+                "`{bad}` should be a usage error"
             );
         }
     }
 
     #[test]
-    fn cli_parses_incremental_flag() {
-        let o = CliOptions::parse(&[]).unwrap();
-        assert!(!o.no_incremental, "incremental engine is the default");
-        let args = vec!["--no-incremental".to_string()];
-        let o = CliOptions::parse(&args).unwrap();
-        assert!(o.no_incremental);
-    }
-
-    #[test]
-    fn cli_parses_derived_costs_flag() {
-        let o = CliOptions::parse(&[]).unwrap();
-        assert!(!o.no_derived_costs, "derived costing is the default");
-        let args = vec!["--no-derived-costs".to_string()];
-        let o = CliOptions::parse(&args).unwrap();
-        assert!(o.no_derived_costs);
-    }
-
-    #[test]
     fn cli_parses_optimizer_call_budget() {
-        let o = CliOptions::parse(&[]).unwrap();
-        assert_eq!(o.optimizer_call_budget, None, "unlimited is the default");
-        let args = vec!["--optimizer-call-budget".to_string(), "64".to_string()];
-        let o = CliOptions::parse(&args).unwrap();
-        assert_eq!(o.optimizer_call_budget, Some(64));
-        let args = vec!["--optimizer-call-budget".to_string(), "lots".to_string()];
-        assert!(matches!(CliOptions::parse(&args), Err(TuneError::Usage(_))));
+        let o = parse_as(Cmd::Tune, "").unwrap();
+        assert_eq!(o.spec.call_budget, None, "unlimited is the default");
+        let o = parse_as(Cmd::Tune, "--optimizer-call-budget 64").unwrap();
+        assert_eq!(o.spec.call_budget, Some(64));
+        let bad = parse_as(Cmd::Tune, "--optimizer-call-budget lots");
+        assert!(matches!(bad, Err(TuneError::Usage(_))));
     }
 
     #[test]
     fn cli_rejects_zero_checkpoint_cadence() {
-        let args = vec!["--checkpoint-every".to_string(), "0".to_string()];
-        assert!(matches!(CliOptions::parse(&args), Err(TuneError::Usage(_))));
+        let bad = parse_as(Cmd::Tune, "--checkpoint-every 0");
+        assert!(matches!(bad, Err(TuneError::Usage(_))));
     }
 
     #[test]
     fn cli_parses_shared_store_flags() {
-        let o = CliOptions::parse(&[]).unwrap();
+        let o = parse_as(Cmd::Serve, "").unwrap();
         assert!(!o.shared_store, "shared store is opt-in");
         assert_eq!(o.shared_store_cap, None);
         assert_eq!(o.warm_store, None);
-        let args: Vec<String> = [
-            "--shared-store",
-            "--shared-store-cap",
-            "1024",
-            "--warm-store",
-            "/tmp/warm.json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = CliOptions::parse(&args).unwrap();
+        let flags = "--shared-store --shared-store-cap 1024 --warm-store /tmp/warm.json";
+        let o = parse_as(Cmd::Serve, flags).unwrap();
         assert!(o.shared_store);
         assert_eq!(o.shared_store_cap, Some(1024));
         assert_eq!(o.warm_store.as_deref(), Some("/tmp/warm.json"));
-        let args = vec!["--shared-store-cap".to_string(), "0".to_string()];
-        assert!(matches!(CliOptions::parse(&args), Err(TuneError::Usage(_))));
+        let bad = parse_as(Cmd::Serve, "--shared-store-cap 0");
+        assert!(matches!(bad, Err(TuneError::Usage(_))));
+    }
+
+    /// The table is the usage text: every flag is one OPTIONS entry, and
+    /// a command's synopsis names only flags the command reads.
+    #[test]
+    fn usage_and_synopses_agree_with_the_flag_table() {
+        let usage = usage();
+        for f in FLAGS {
+            let entry =
+                |l: &&str| l.strip_prefix("  ").and_then(|l| l.split(' ').next()) == Some(f.name);
+            let entries = usage.lines().filter(entry).count();
+            assert_eq!(entries, 1, "{} has {entries} OPTIONS entries", f.name);
+            assert!(f.cmds != 0, "{} is read by no command", f.name);
+        }
+        // A synopsis is a `  pdtune <command> ...` line and the bracketed
+        // continuation lines under it.
+        let (mut cmd, mut checked) = (None, 0);
+        for line in usage.lines() {
+            if let Some(rest) = line.strip_prefix("  pdtune ") {
+                let mut words = rest.split_whitespace();
+                cmd = Some(match (words.next(), words.next()) {
+                    (Some("tune"), _) => Cmd::Tune,
+                    (Some("replay"), _) => Cmd::Replay,
+                    (Some("serve"), _) => Cmd::Serve,
+                    (Some("job"), Some("submit")) => Cmd::Submit,
+                    (Some("job"), _) => Cmd::Job,
+                    (Some("explain"), _) => Cmd::Explain,
+                    (Some("compare"), _) => Cmd::Compare,
+                    (Some("corpus"), _) => Cmd::Corpus,
+                    other => panic!("synopsis of an unknown command: {other:?}"),
+                });
+            } else if !line.trim_start().starts_with('[') {
+                cmd = None;
+            }
+            let Some(cmd) = cmd else { continue };
+            let words = line.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+            for word in words.filter(|w| w.starts_with("--")) {
+                let flag = FLAGS.iter().find(|f| f.name == word);
+                let flag = flag.unwrap_or_else(|| panic!("synopsis names unknown flag {word}"));
+                let reads = flag.cmds & cmd as u8 != 0;
+                assert!(
+                    reads,
+                    "{cmd:?}'s synopsis names {word}, which it does not read"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 40, "only {checked} synopsis flags found");
     }
 }

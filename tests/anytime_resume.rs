@@ -60,8 +60,7 @@ fn run_collecting_opts(
             tracer: Some(&tracer),
             checkpoint_every: every,
             checkpoint_sink: Some(&sink),
-            resume: None,
-            shared_store: None,
+            ..SessionCtl::default()
         },
     )
     .expect("uninterrupted session succeeds");
@@ -259,8 +258,7 @@ fn interrupted_session_resumes_to_the_uninterrupted_result() {
             tracer: Some(&tracer),
             checkpoint_every: 7,
             checkpoint_sink: Some(&sink),
-            resume: None,
-            shared_store: None,
+            ..SessionCtl::default()
         },
     )
     .expect("interrupted session still returns a report");
@@ -355,8 +353,7 @@ fn untraced_sessions_checkpoint_and_resume_too() {
             tracer: None,
             checkpoint_every: 9,
             checkpoint_sink: Some(&sink),
-            resume: None,
-            shared_store: None,
+            ..SessionCtl::default()
         },
     )
     .expect("untraced session succeeds");

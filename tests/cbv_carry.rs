@@ -22,7 +22,9 @@ use pdtune::physical::{Configuration, Index, MaterializedView, SpjgExpr};
 use pdtune::trace::Tracer;
 use pdtune::tuner::bound::ViewBuildCosts;
 use pdtune::tuner::transform::{apply, candidates, AppliedTransform, Transformation};
-use pdtune::tuner::{gather_optimal_configuration, tune_traced, TunerOptions, Workload};
+use pdtune::tuner::{
+    gather_optimal_configuration, tune_session, Reference, SessionCtl, TunerOptions, Workload,
+};
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::star::{star_database, star_workload, StarParams};
 use pdtune::workloads::{updates, WorkloadSpec};
@@ -75,9 +77,9 @@ fn sessions_carry_only_entries_a_recomputation_reproduces() {
         let base_size = Configuration::base(&db).size_bytes(&db);
         let budget =
             base_size + [0.05, 0.3][(seed % 2) as usize] * (optimal.size_bytes(&db) - base_size);
-        let run = |incremental: bool| {
+        let run = |reference: Option<Reference>| {
             let tracer = Tracer::new();
-            tune_traced(
+            tune_session(
                 &db,
                 &workload,
                 &TunerOptions {
@@ -89,17 +91,21 @@ fn sessions_carry_only_entries_a_recomputation_reproduces() {
                     // The oracle verifies every carried table against a
                     // from-scratch computation and panics on a mismatch.
                     validate_bounds: true,
-                    incremental,
                     ..TunerOptions::default()
                 },
-                Some(&tracer),
-            );
+                SessionCtl {
+                    tracer: Some(&tracer),
+                    reference,
+                    ..SessionCtl::default()
+                },
+            )
+            .expect("no checkpoint involved");
             tracer.to_jsonl()
         };
-        let carried = run(true);
+        let carried = run(None);
         assert_eq!(
             carried,
-            run(false),
+            run(Some(Reference::Candidates)),
             "seed {seed}: the carrying engine's trace diverged from the reference engine's"
         );
         view_steps += carried.matches("remove-view(").count();

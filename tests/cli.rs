@@ -197,6 +197,34 @@ fn bad_flags_fail_cleanly() {
     let (code3, _, stderr3) = pdtune_env(&["tune", concat!("--no-flat", "-hot-path")], &[]);
     assert_eq!(code3, 2);
     assert!(stderr3.contains("unknown flag"), "{stderr3}");
+    // So is the flag of a reference engine: those are test oracles now.
+    let (code4, _, stderr4) = pdtune_env(&["tune", "--no-incremental"], &[]);
+    assert_eq!(code4, 2);
+    assert!(
+        stderr4.contains("unknown flag `--no-incremental`"),
+        "{stderr4}"
+    );
+    // A flag the command does not read is an error, not ignored: each of
+    // these used to run something other than what was asked for. None
+    // needs a daemon — parsing fails before the client looks for one.
+    for (args, flag) in [
+        (&["job", "submit", "--workload", "f.sql"][..], "--workload"),
+        (&["job", "submit", "--trace", "t.jsonl"], "--trace"),
+        (&["replay", "--db", "ds1"], "--db"),
+        (
+            &["replay", "--optimizer-call-budget", "5"],
+            "--optimizer-call-budget",
+        ),
+        (&["explain", "--slots", "2"], "--slots"),
+    ] {
+        let (code, _, stderr) = pdtune_env(args, &[]);
+        assert_eq!(code, 2, "{args:?} should exit 2: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.contains(&format!("`{flag}` is not a `{}", args[0])),
+            "{args:?}: {first}"
+        );
+    }
 }
 
 #[test]
@@ -205,6 +233,17 @@ fn degenerate_budgets_are_usage_errors() {
         let (code, _, stderr) = pdtune_env(&["tune", "--budget", bad], &[]);
         assert_eq!(code, 2, "--budget {bad} should exit 2: {stderr}");
         assert!(stderr.contains("byte size"), "{stderr}");
+    }
+    // The single-shot path checks its request by the daemon's rules.
+    for (flag, bad, names) in [
+        ("--sf", "-1", "scale factor -1"),
+        ("--sf", "nan", "scale factor NaN"),
+        ("--iterations", "0", "iterations must be at least 1"),
+        ("--updates", "7", "update ratio 7"),
+    ] {
+        let (code, _, stderr) = pdtune_env(&["tune", flag, bad], &[]);
+        assert_eq!(code, 2, "{flag} {bad} should exit 2: {stderr}");
+        assert!(stderr.contains(names), "{flag} {bad}: {stderr}");
     }
 }
 

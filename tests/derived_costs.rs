@@ -2,9 +2,9 @@
 //! seeded random schemas, workloads, budgets, and thread counts, the
 //! derived engine (relevant-structure cache keys + atomic-configuration
 //! plan reuse) must be **byte-identical** to the reference engine
-//! (`TunerOptions::derived_costs = false`, which backs every derived
-//! serve with a real optimizer invocation and uses the fresh answer) —
-//! same report, same JSONL trace, same counters.
+//! (`SessionCtl::reference = Some(Reference::Costs)`, which backs every
+//! derived serve with a real optimizer invocation and uses the fresh
+//! answer) — same report, same JSONL trace, same counters.
 //!
 //! A separate property pins the soundness obligation the whole layer
 //! rests on: the per-query relevant set must be a superset of the
@@ -14,7 +14,7 @@ use pdtune::opt::{plan_footprint, Optimizer};
 use pdtune::physical::Configuration;
 use pdtune::trace::Tracer;
 use pdtune::tuner::derived::{sorted_subset, RelevanceTable};
-use pdtune::tuner::{tune_traced, TunerOptions, TuningReport, Workload};
+use pdtune::tuner::{tune_session, Reference, SessionCtl, TunerOptions, TuningReport, Workload};
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::{tpch, updates};
 
@@ -45,7 +45,25 @@ fn fingerprint(report: &TuningReport) -> String {
     format!("{r:#?}")
 }
 
-fn run_case(case: &Case, derived_costs: bool) -> (TuningReport, String) {
+/// A traced session under the engine everyone runs (`None`) or the
+/// costing oracle.
+fn traced(
+    db: &pdtune::catalog::Database,
+    workload: &Workload,
+    options: &TunerOptions,
+    reference: Option<Reference>,
+) -> (TuningReport, String) {
+    let tracer = Tracer::new();
+    let ctl = SessionCtl {
+        tracer: Some(&tracer),
+        reference,
+        ..SessionCtl::default()
+    };
+    let report = tune_session(db, workload, options, ctl).expect("no checkpoint involved");
+    (report, tracer.to_jsonl())
+}
+
+fn run_case(case: &Case, reference: Option<Reference>) -> (TuningReport, String) {
     let p = BenchParams {
         name: format!("derived-{}", case.seed),
         tables: 2 + (case.seed % 2) as usize,
@@ -63,22 +81,15 @@ fn run_case(case: &Case, derived_costs: bool) -> (TuningReport, String) {
         Some(f) => Configuration::base(&db).size_bytes(&db) * f,
         None => 1.0,
     };
-    let tracer = Tracer::new();
-    let report = tune_traced(
-        &db,
-        &workload,
-        &TunerOptions {
-            space_budget: Some(budget),
-            max_iterations: 12,
-            with_views: case.with_views,
-            threads: case.threads,
-            validate_bounds: case.validate_bounds,
-            derived_costs,
-            ..TunerOptions::default()
-        },
-        Some(&tracer),
-    );
-    (report, tracer.to_jsonl())
+    let options = TunerOptions {
+        space_budget: Some(budget),
+        max_iterations: 12,
+        with_views: case.with_views,
+        threads: case.threads,
+        validate_bounds: case.validate_bounds,
+        ..TunerOptions::default()
+    };
+    traced(&db, &workload, &options, reference)
 }
 
 fn cases() -> Vec<Case> {
@@ -109,8 +120,8 @@ fn cases() -> Vec<Case> {
 fn derived_is_byte_identical_to_reference_across_random_cases() {
     let (mut avoided_total, mut plan_hit_total) = (0u64, 0u64);
     for case in cases() {
-        let (rd, td) = run_case(&case, true);
-        let (rr, tr) = run_case(&case, false);
+        let (rd, td) = run_case(&case, None);
+        let (rr, tr) = run_case(&case, Some(Reference::Costs));
         assert_eq!(
             td,
             tr,
@@ -144,44 +155,38 @@ fn derived_is_byte_identical_to_reference_across_random_cases() {
     );
 }
 
-fn tpch_session(derived_costs: bool, threads: usize) -> (TuningReport, String) {
+fn tpch_session(reference: Option<Reference>, threads: usize) -> (TuningReport, String) {
     let db = tpch::tpch_database(0.01);
     let spec = tpch::tpch_workload_variant(5, 6);
     let w = Workload::bind(&db, &spec.statements).unwrap();
     let budget = Configuration::base(&db).size_bytes(&db) * 1.15;
-    let tracer = Tracer::new();
     // Indexes only: views are pinned for every query that can see
     // them, which suppresses the beyond-coarse serving this test must
     // exercise (the mode/thread cross holds either way).
-    let report = tune_traced(
-        &db,
-        &w,
-        &TunerOptions {
-            space_budget: Some(budget),
-            max_iterations: 30,
-            threads,
-            derived_costs,
-            with_views: false,
-            ..TunerOptions::default()
-        },
-        Some(&tracer),
-    );
-    (report, tracer.to_jsonl())
+    let options = TunerOptions {
+        space_budget: Some(budget),
+        max_iterations: 30,
+        threads,
+        with_views: false,
+        ..TunerOptions::default()
+    };
+    traced(&db, &w, &options, reference)
 }
 
 #[test]
 fn tpch_traces_are_identical_across_modes_and_threads() {
-    let (baseline_report, baseline_trace) = tpch_session(true, 1);
-    for (derived, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let (r, t) = tpch_session(derived, threads);
+    let (baseline_report, baseline_trace) = tpch_session(None, 1);
+    let oracle = Some(Reference::Costs);
+    for (reference, threads) in [(None, 4), (oracle, 1), (oracle, 4)] {
+        let (r, t) = tpch_session(reference, threads);
         assert_eq!(
             baseline_trace, t,
-            "trace diverged (derived_costs={derived}, threads={threads})"
+            "trace diverged (reference={reference:?}, threads={threads})"
         );
         assert_eq!(
             fingerprint(&baseline_report),
             fingerprint(&r),
-            "report diverged (derived_costs={derived}, threads={threads})"
+            "report diverged (reference={reference:?}, threads={threads})"
         );
     }
     assert!(

@@ -2,8 +2,9 @@
 //! of seeded random schemas, workloads, budgets, and thread counts, the
 //! incremental engine (delta-driven candidate enumeration + memoized
 //! §3.3.2 bounds + interned signatures) must be **byte-identical** to
-//! the from-scratch reference engine (`TunerOptions::incremental =
-//! false`) — same report, same JSONL trace, same counters.
+//! the from-scratch reference engine (`SessionCtl::reference =
+//! Some(Reference::Candidates)`) — same report, same JSONL trace, same
+//! counters.
 //!
 //! A golden counter-regression test pins `optimizer_calls` and
 //! `candidates_generated` for a fixed TPC-H session, so an accidental
@@ -22,8 +23,8 @@
 use pdtune::physical::Configuration;
 use pdtune::trace::Tracer;
 use pdtune::tuner::{
-    tune_traced, ConfigChoice, FaultKind, FaultPlan, StopReason, TransformationChoice,
-    TunerOptions, TuningReport, Workload,
+    tune_session, tune_traced, ConfigChoice, FaultKind, FaultPlan, Reference, SessionCtl,
+    StopReason, TransformationChoice, TunerOptions, TuningReport, Workload,
 };
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::star::{star_database, star_workload, StarParams};
@@ -68,7 +69,25 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-fn run_case(case: &Case, incremental: bool) -> (TuningReport, String) {
+/// Run one traced session under the engine everyone runs (`None`) or a
+/// reference engine; returns the report and its JSONL trace.
+fn traced(
+    db: &pdtune::catalog::Database,
+    workload: &Workload,
+    options: &TunerOptions,
+    reference: Option<Reference>,
+) -> (TuningReport, String) {
+    let tracer = Tracer::new();
+    let ctl = SessionCtl {
+        tracer: Some(&tracer),
+        reference,
+        ..SessionCtl::default()
+    };
+    let report = tune_session(db, workload, options, ctl).expect("no checkpoint involved");
+    (report, tracer.to_jsonl())
+}
+
+fn run_case(case: &Case, reference: Option<Reference>) -> (TuningReport, String) {
     let p = BenchParams {
         name: format!("incr-{}", case.seed),
         tables: 2 + (case.seed % 2) as usize,
@@ -86,22 +105,15 @@ fn run_case(case: &Case, incremental: bool) -> (TuningReport, String) {
         Some(f) => Configuration::base(&db).size_bytes(&db) * f,
         None => 1.0,
     };
-    let tracer = Tracer::new();
-    let report = tune_traced(
-        &db,
-        &workload,
-        &TunerOptions {
-            space_budget: Some(budget),
-            max_iterations: 12,
-            with_views: case.with_views,
-            threads: case.threads,
-            validate_bounds: case.validate_bounds,
-            incremental,
-            ..TunerOptions::default()
-        },
-        Some(&tracer),
-    );
-    (report, tracer.to_jsonl())
+    let options = TunerOptions {
+        space_budget: Some(budget),
+        max_iterations: 12,
+        with_views: case.with_views,
+        threads: case.threads,
+        validate_bounds: case.validate_bounds,
+        ..TunerOptions::default()
+    };
+    traced(&db, &workload, &options, reference)
 }
 
 fn cases() -> Vec<Case> {
@@ -133,8 +145,8 @@ fn incremental_is_byte_identical_to_reference_across_random_cases() {
     let (mut reused_total, mut generated_total) = (0u64, 0u64);
     let mut sweep_digest = FNV_OFFSET;
     for case in cases() {
-        let (ri, ti) = run_case(&case, true);
-        let (rr, tr) = run_case(&case, false);
+        let (ri, ti) = run_case(&case, None);
+        let (rr, tr) = run_case(&case, Some(Reference::Candidates));
         // Seed first, so trace boundaries are unambiguous in the fold.
         sweep_digest = fnv1a(sweep_digest, &case.seed.to_le_bytes());
         sweep_digest = fnv1a(sweep_digest, ti.as_bytes());
@@ -172,40 +184,34 @@ fn incremental_is_byte_identical_to_reference_across_random_cases() {
     );
 }
 
-fn tpch_session(incremental: bool, threads: usize) -> (TuningReport, String) {
+fn tpch_session(reference: Option<Reference>, threads: usize) -> (TuningReport, String) {
     let db = tpch::tpch_database(0.01);
     let spec = tpch::tpch_workload_variant(5, 6);
     let w = Workload::bind(&db, &spec.statements).unwrap();
     let budget = Configuration::base(&db).size_bytes(&db) * 1.15;
-    let tracer = Tracer::new();
-    let report = tune_traced(
-        &db,
-        &w,
-        &TunerOptions {
-            space_budget: Some(budget),
-            max_iterations: 30,
-            threads,
-            incremental,
-            ..TunerOptions::default()
-        },
-        Some(&tracer),
-    );
-    (report, tracer.to_jsonl())
+    let options = TunerOptions {
+        space_budget: Some(budget),
+        max_iterations: 30,
+        threads,
+        ..TunerOptions::default()
+    };
+    traced(&db, &w, &options, reference)
 }
 
 #[test]
 fn tpch_traces_are_identical_across_modes_and_threads() {
-    let (baseline_report, baseline_trace) = tpch_session(true, 1);
-    for (incremental, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let (r, t) = tpch_session(incremental, threads);
+    let (baseline_report, baseline_trace) = tpch_session(None, 1);
+    let oracle = Some(Reference::Candidates);
+    for (reference, threads) in [(None, 4), (oracle, 1), (oracle, 4)] {
+        let (r, t) = tpch_session(reference, threads);
         assert_eq!(
             baseline_trace, t,
-            "trace diverged (incremental={incremental}, threads={threads})"
+            "trace diverged (reference={reference:?}, threads={threads})"
         );
         assert_eq!(
             fingerprint(&baseline_report),
             fingerprint(&r),
-            "report diverged (incremental={incremental}, threads={threads})"
+            "report diverged (reference={reference:?}, threads={threads})"
         );
     }
 }
@@ -217,7 +223,7 @@ fn tpch_traces_are_identical_across_modes_and_threads() {
 /// search itself changed. Update deliberately, never casually.
 #[test]
 fn tpch_golden_counters() {
-    let (report, trace) = tpch_session(true, 1);
+    let (report, trace) = tpch_session(None, 1);
     let trace_digest = fnv1a(FNV_OFFSET, trace.as_bytes());
     assert_eq!(
         trace_digest, GOLDEN_TRACE_DIGEST,
@@ -304,24 +310,13 @@ fn star_views_golden_digest() {
     );
 }
 
-/// Run one traced session; returns the report and its JSONL trace.
-fn traced(
-    db: &pdtune::catalog::Database,
-    w: &Workload,
-    opts: &TunerOptions,
-) -> (TuningReport, String) {
-    let tracer = Tracer::new();
-    let report = tune_traced(db, w, opts, Some(&tracer));
-    (report, tracer.to_jsonl())
-}
-
 /// One traced session over the TPC-H update mix the resume and fault
 /// suites use (24 MB budget, 40 iterations unless `opts` says otherwise).
 fn modes_session(opts: TunerOptions) -> (TuningReport, String) {
     let db = tpch::tpch_database(0.01);
     let spec = updates::with_updates(&db, &tpch::tpch_workload_variant(7, 6), 0.5, 7);
     let w = Workload::bind(&db, &spec.statements).unwrap();
-    traced(&db, &w, &opts)
+    traced(&db, &w, &opts, None)
 }
 
 fn modes_options() -> TunerOptions {
@@ -554,7 +549,7 @@ fn bench_modes_session(workload_seed: u64, opts: TunerOptions) -> (TuningReport,
     let spec = bench_workload(&db, workload_seed, 8);
     let spec = updates::with_updates(&db, &spec, 0.3, workload_seed);
     let w = Workload::bind(&db, &spec.statements).unwrap();
-    traced(&db, &w, &opts)
+    traced(&db, &w, &opts, None)
 }
 
 fn bench_modes_options() -> TunerOptions {
@@ -573,7 +568,7 @@ fn tpch_early_exit() -> (TuningReport, String) {
         optimizer_call_budget: Some(5),
         ..TunerOptions::default()
     };
-    traced(&db, &w, &opts)
+    traced(&db, &w, &opts, None)
 }
 
 // 20 -> 18 when the what-if cache moved to relevant-subset keys

@@ -1,8 +1,7 @@
 //! The parallel relaxation engine must be a pure performance knob:
 //! `tune()` has to produce the same report — best configuration,
 //! frontier, optimizer-call count, cache counters — for every thread
-//! count, and with the what-if cost cache on or off. Only `elapsed`
-//! may differ.
+//! count. Only `elapsed` may differ.
 
 use pdtune::trace::Tracer;
 use pdtune::tuner::{tune, tune_traced, TunerOptions, TuningReport, Workload};
@@ -16,7 +15,7 @@ fn fingerprint(report: &TuningReport) -> String {
     format!("{r:#?}")
 }
 
-fn run(threads: usize, cost_cache: bool, update_ratio: f64) -> TuningReport {
+fn run(threads: usize, update_ratio: f64) -> TuningReport {
     let db = tpch::tpch_database(0.01);
     let mut spec = tpch::tpch_workload_variant(7, 6);
     if update_ratio > 0.0 {
@@ -30,7 +29,6 @@ fn run(threads: usize, cost_cache: bool, update_ratio: f64) -> TuningReport {
             space_budget: Some(24.0 * 1024.0 * 1024.0),
             max_iterations: 40,
             threads,
-            cost_cache,
             ..TunerOptions::default()
         },
     )
@@ -38,18 +36,18 @@ fn run(threads: usize, cost_cache: bool, update_ratio: f64) -> TuningReport {
 
 #[test]
 fn report_is_identical_for_any_thread_count_select_only() {
-    let baseline = fingerprint(&run(1, true, 0.0));
+    let baseline = fingerprint(&run(1, 0.0));
     for threads in [2, 8] {
-        let r = fingerprint(&run(threads, true, 0.0));
+        let r = fingerprint(&run(threads, 0.0));
         assert_eq!(baseline, r, "threads={threads} diverged from threads=1");
     }
 }
 
 #[test]
 fn report_is_identical_for_any_thread_count_with_updates() {
-    let baseline = fingerprint(&run(1, true, 0.5));
+    let baseline = fingerprint(&run(1, 0.5));
     for threads in [2, 8] {
-        let r = fingerprint(&run(threads, true, 0.5));
+        let r = fingerprint(&run(threads, 0.5));
         assert_eq!(baseline, r, "threads={threads} diverged from threads=1");
     }
 }
@@ -129,28 +127,4 @@ fn oracle_counters_are_identical_across_threads_with_tracing() {
         assert_eq!(r1.cache_misses, r.cache_misses);
         assert_eq!(r1.bound_checks, r.bound_checks);
     }
-}
-
-#[test]
-fn cache_changes_counters_but_not_the_recommendation() {
-    let cached = run(4, true, 0.5);
-    let uncached = run(4, false, 0.5);
-    assert_eq!(uncached.cache_hits, 0);
-    assert_eq!(uncached.cache_misses, 0);
-    // Same search, same answer.
-    let strip = |r: &TuningReport| {
-        let mut r = r.clone();
-        r.elapsed = std::time::Duration::ZERO;
-        r.cache_hits = 0;
-        r.cache_misses = 0;
-        r.optimizer_calls = 0; // hits replace optimizer invocations
-        r.optimizer_calls_avoided = 0; // derived serves need a cache too
-        r.plan_cache_hits = 0;
-        r.plan_cache_misses = 0;
-        r.plan_cache_repriced = 0;
-        format!("{r:#?}")
-    };
-    assert_eq!(strip(&cached), strip(&uncached));
-    // The cache can only save calls, never add them.
-    assert!(cached.optimizer_calls <= uncached.optimizer_calls);
 }

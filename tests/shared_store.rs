@@ -68,7 +68,6 @@ fn run_case(case: &Case, shared: Option<&SharedInvocationStore>) -> (TuningRepor
             max_iterations: 12,
             with_views: case.with_views,
             threads: case.threads,
-            derived_costs: true,
             ..TunerOptions::default()
         },
         SessionCtl {
