@@ -45,9 +45,8 @@
 //!
 //! [`Configuration::signature_for_tables128`]: pdt_physical::Configuration::signature_for_tables128
 
-use crate::arena::{shard_count, shard_index, CachePadded, ProbeTable};
+use crate::arena::{sort_batch, Sharded};
 use crate::derived::{sorted_subset, Projection};
-use parking_lot::RwLock;
 use pdt_opt::IndexUsage;
 use pdt_physical::Configuration;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,43 +100,30 @@ impl CacheEntry {
     }
 }
 
-/// One cache-line-padded shard of an [`EntryStore`].
-type EntryShard = CachePadded<RwLock<ProbeTable<(u32, u128), CacheEntry>>>;
-
-/// A sharded store of what-if answers: per-shard open-addressed
-/// [`ProbeTable`]s keyed by `(query as u32, projection signature)` and
-/// probed by the signature's own bits (it is already a hash); the
-/// shard count follows the worker count ([`shard_count`]). Lookups take a read lock on one shard, so scoring
-/// workers proceed in parallel.
+/// A sharded store of what-if answers: a [`Sharded`] table keyed by
+/// `(query as u32, projection signature)` and probed by the signature's
+/// own bits (it is already a hash).
 ///
 /// [`CostCache`] holds two of these — the committed entries and the
 /// invocation store — so both are probed by the same three methods.
 #[derive(Debug)]
 pub struct EntryStore {
-    shards: Vec<EntryShard>,
+    table: Sharded<(u32, u128), CacheEntry>,
 }
 
 impl EntryStore {
     fn new(workers: usize) -> EntryStore {
         EntryStore {
-            shards: (0..shard_count(workers))
-                .map(|_| CachePadded(RwLock::new(ProbeTable::new())))
-                .collect(),
+            table: Sharded::new(workers),
         }
     }
 
-    fn shard(&self, key: (u32, u128)) -> &RwLock<ProbeTable<(u32, u128), CacheEntry>> {
-        &self.shards[shard_index(&key, self.shards.len())]
-    }
-
     pub fn lookup(&self, query: usize, signature: u128) -> Option<CacheEntry> {
-        let key = (query as u32, signature);
-        self.shard(key).read().get(key).cloned()
+        self.table.get((query as u32, signature))
     }
 
     pub fn insert(&self, query: usize, signature: u128, entry: CacheEntry) {
-        let key = (query as u32, signature);
-        self.shard(key).write().insert(key, entry);
+        self.table.insert((query as u32, signature), entry);
     }
 
     /// Plan reuse (§3.3.2 local re-pricing): after a keyed miss at
@@ -161,17 +147,16 @@ impl EntryStore {
     /// answers.
     pub fn plan_probe(&self, query: usize, proj: &Projection) -> Option<CacheEntry> {
         let mut best = None;
-        for shard in &self.shards {
+        self.table.for_each_table(|table| {
             scan_servable(
                 proj,
-                shard
-                    .read()
+                table
                     .iter()
                     .filter(|((q, _), _)| *q as usize == query)
                     .map(|((_, sig), e)| (*sig, e)),
                 &mut best,
             );
-        }
+        });
         best.map(|(_, e)| e)
     }
 
@@ -192,7 +177,7 @@ impl EntryStore {
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.table.len()
     }
 }
 
@@ -420,21 +405,46 @@ impl CostCache {
         }
     }
 
-    /// Every committed entry, sorted by key. The deterministic order
-    /// (independent of shard count and slot order) makes checkpoint
-    /// files reproducible byte-for-byte.
+    /// Every committed entry, sorted by key (independent of shard
+    /// count and slot order): what the folded checkpoint log of a
+    /// session must add up to.
     pub fn snapshot(&self) -> Vec<((usize, u128), CacheEntry)> {
         let mut out: Vec<((usize, u128), CacheEntry)> = Vec::new();
-        for shard in &self.committed.shards {
+        self.committed.table.for_each_table(|table| {
             out.extend(
-                shard
-                    .read()
+                table
                     .iter()
                     .map(|((q, sig), v)| ((*q as usize, *sig), v.clone())),
             );
-        }
+        });
         out.sort_by_key(|(k, _)| *k);
         out
+    }
+
+    /// Journal committed inserts from here on (a session with a
+    /// checkpoint sink; see [`Sharded::start_journal`]). The invocation
+    /// store is never checkpointed and never journaled.
+    pub fn start_journal(&mut self) {
+        self.committed.table.start_journal();
+    }
+
+    /// Close journal epoch `epoch` at a clean iteration boundary.
+    pub fn seal(&self, epoch: u32) {
+        self.committed.table.seal(epoch);
+    }
+
+    /// The entries committed in epochs `..= epoch` and not yet handed
+    /// out, sorted by key — one checkpoint record's `cache` section.
+    pub fn drain_through(&self, epoch: u32) -> Vec<((usize, u128), CacheEntry)> {
+        let mut batch: Vec<((usize, u128), CacheEntry)> = self
+            .committed
+            .table
+            .drain_through(epoch)
+            .into_iter()
+            .map(|((q, sig), e)| ((q as usize, sig), e))
+            .collect();
+        sort_batch(&mut batch);
+        batch
     }
 }
 

@@ -14,13 +14,31 @@
 //! length), counters and trace are restored, and the run continues —
 //! byte-identical to one that was never interrupted.
 //!
-//! The format is JSON via `pdt-trace`'s hand-rolled writer (no new
-//! dependencies). Cache entries are sorted by key and floats use the
-//! shortest round-trip rendering, so a given state serializes to the
-//! same bytes every time. Signatures rely on `std`'s `DefaultHasher`,
-//! which is only stable within one build — checkpoints are same-binary
-//! artifacts, and `validate` rejects anything else.
+//! Everything a checkpoint holds is append-only (cache, memo and
+//! interner entries, trace events, faults) or a handful of scalars, so
+//! a session writes it as a **log of records**, each costing what
+//! changed since the one before. The first record a sink receives is a
+//! complete document ([`Checkpoint::from_json_str`] reads it); every
+//! later one is a *delta*: the header scalars, plus only the entries,
+//! events and faults added since the previous record.
+//! [`Checkpoint::apply_record`] folds a delta in, and the fold of
+//! records `0..=k` is exactly the state at record `k`'s iteration — so
+//! any prefix of the log is a resumable checkpoint and the whole log is
+//! the size of one snapshot. On disk each record is framed
+//! ([`Checkpoint::frame_record`]: length, checksum, body, newline) and
+//! [`Checkpoint::from_log`] folds the longest intact prefix, which is
+//! what makes a plain `append` + `fdatasync` crash-safe: a torn tail is
+//! a record that does not check out, and is dropped.
+//!
+//! Records are JSON, streamed straight into one reused `String` (no
+//! value tree; `pdt-trace`'s parser reads them back). Entry batches are
+//! sorted by key and floats use the shortest round-trip rendering, so a
+//! given state serializes to the same bytes every time. Signatures rely
+//! on `std`'s `DefaultHasher`, which is only stable within one build —
+//! checkpoints are same-binary artifacts, and `validate` rejects
+//! anything else.
 
+use crate::arena::sort_batch;
 use crate::cache::{CacheEntry, CostCache, DerivedTally};
 use crate::derived::QueryRelevance;
 use crate::error::TuneError;
@@ -29,14 +47,16 @@ use crate::incremental::{BoundMemo, BoundMemoEntry, Interner};
 use pdt_catalog::{ColumnId, TableId};
 use pdt_opt::{IndexUsage, UsageKind};
 use pdt_physical::{Configuration, Index};
-use pdt_trace::json::Json;
+use pdt_trace::json::{write_bool, write_escaped, write_int, write_num, Json};
 use pdt_trace::{Event, PhaseSummary, TraceState, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 use std::sync::Mutex;
 use std::time::Duration;
 
-const VERSION: i64 = 5;
+const VERSION: i64 = 6;
 const KIND: &str = "pdtune-checkpoint";
+const DELTA_KIND: &str = "pdtune-checkpoint-delta";
 
 /// Serialized mid-session state; see the module docs for the model.
 #[derive(Debug, Clone)]
@@ -163,197 +183,487 @@ impl Checkpoint {
         interner
     }
 
+    /// The complete document: what the first record of a session's log
+    /// is, and what the fold of any log prefix renders back to.
     pub fn to_json_string(&self) -> String {
-        let mut obj: Vec<(String, Json)> = vec![
-            ("version".into(), Json::Int(VERSION)),
-            ("kind".into(), Json::Str(KIND.into())),
-            ("options_sig".into(), hex(self.options_sig)),
-            ("base_sig".into(), hex(self.base_sig)),
-            ("initial_cost".into(), Json::Num(self.initial_cost)),
-            ("optimal_cost".into(), Json::Num(self.optimal_cost)),
-            (
-                "deployed".into(),
-                match self.deployed {
-                    Some((cost, size)) => Json::Obj(vec![
-                        ("cost".into(), Json::Num(cost)),
-                        ("size_bytes".into(), Json::Num(size)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            ("iteration".into(), Json::Int(self.iteration as i64)),
-            ("rng_state".into(), hex(self.rng_state)),
-            (
-                "optimizer_calls".into(),
-                Json::Int(self.optimizer_calls as i64),
-            ),
-            ("budget_spent".into(), hex(self.budget_spent)),
-            ("budget_skipped".into(), hex(self.budget_skipped)),
-            ("cache_hits".into(), hex(self.cache_hits)),
-            ("cache_misses".into(), hex(self.cache_misses)),
-            ("bound_memo_hits".into(), hex(self.bound_memo_hits)),
-            ("bound_memo_misses".into(), hex(self.bound_memo_misses)),
-            (
-                "derived".into(),
-                Json::Obj(vec![
-                    ("avoided".into(), hex(self.derived.avoided)),
-                    ("plan_hits".into(), hex(self.derived.plan_hits)),
-                    ("plan_misses".into(), hex(self.derived.plan_misses)),
-                    ("repriced".into(), hex(self.derived.repriced)),
-                ]),
-            ),
-            (
-                "best".into(),
-                match self.best {
-                    Some((cost, size)) => Json::Obj(vec![
-                        ("cost".into(), Json::Num(cost)),
-                        ("size_bytes".into(), Json::Num(size)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            ("frontier_len".into(), Json::Int(self.frontier_len as i64)),
-            (
-                "faults".into(),
-                Json::Arr(self.faults.iter().map(fault_json).collect()),
-            ),
-            (
-                "cache".into(),
-                Json::Arr(
-                    self.cache
-                        .iter()
-                        .map(|((q, sig), e)| {
-                            Json::Obj(vec![
-                                ("q".into(), Json::Int(*q as i64)),
-                                ("sig".into(), hex128(*sig)),
-                                ("cost".into(), Json::Num(e.cost)),
-                                (
-                                    "usages".into(),
-                                    Json::Arr(e.usages.iter().map(usage_json).collect()),
-                                ),
-                                ("coarse".into(), hex128(e.coarse)),
-                                ("relevant".into(), sigs128_json(&e.relevant)),
-                                ("footprint".into(), sigs128_json(&e.footprint)),
-                                ("pinned".into(), sigs128_json(&e.pinned)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "bound_memo".into(),
-                Json::Arr(
-                    self.bound_memo
-                        .iter()
-                        .map(|((t, c), e)| {
-                            Json::Obj(vec![
-                                ("t".into(), hex(*t)),
-                                ("c".into(), hex128(*c)),
-                                ("applies".into(), Json::Bool(e.applies)),
-                                ("bound".into(), Json::Num(e.bound)),
-                                ("delta_s".into(), Json::Num(e.delta_s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "interner".into(),
-                Json::Arr(
-                    self.interner
-                        .iter()
-                        .map(|(i, sig)| {
-                            Json::Obj(vec![
-                                ("index".into(), index_json(i)),
-                                ("sig".into(), hex(*sig)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "relevance".into(),
-                Json::Arr(
-                    self.relevance
-                        .iter()
-                        .map(|r| match r {
-                            Some(qr) => relevance_json(qr),
-                            None => Json::Null,
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "trace".into(),
-                match &self.trace {
-                    Some(t) => trace_json(t),
-                    None => Json::Null,
-                },
-            ),
-        ];
-        // Compact single-object document; insertion order is fixed, so
-        // equal checkpoints serialize to equal bytes.
-        obj.shrink_to_fit();
-        Json::Obj(obj).to_string()
+        let mut out = String::new();
+        write_record(
+            &mut out,
+            RecordKind::Full(&Identity {
+                options_sig: self.options_sig,
+                base_sig: self.base_sig,
+                initial_cost: self.initial_cost,
+                optimal_cost: self.optimal_cost,
+                deployed: self.deployed,
+                relevance: &self.relevance,
+            }),
+            &self.head(),
+            &Batch {
+                faults: &self.faults,
+                cache: &self.cache,
+                bound_memo: &self.bound_memo,
+                interner: &self.interner,
+                trace: self.trace.as_ref().map(|t| TraceBatch {
+                    depth: t.state.depth,
+                    open_span_seq: t.open_span_seq,
+                    counters: &t.state.counters,
+                    phases: &t.state.phases,
+                    events: &t.state.events,
+                }),
+            },
+        );
+        out
     }
 
+    /// Parse a complete document (a log's first record).
     pub fn from_json_str(s: &str) -> Result<Checkpoint, TuneError> {
         parse_checkpoint(s).map_err(TuneError::Checkpoint)
     }
+
+    fn head(&self) -> Head {
+        Head {
+            iteration: self.iteration,
+            rng_state: self.rng_state,
+            optimizer_calls: self.optimizer_calls,
+            budget_spent: self.budget_spent,
+            budget_skipped: self.budget_skipped,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            bound_memo_hits: self.bound_memo_hits,
+            bound_memo_misses: self.bound_memo_misses,
+            derived: self.derived,
+            best: self.best,
+            frontier_len: self.frontier_len,
+        }
+    }
+
+    /// Fold one delta record into this checkpoint, which must be the
+    /// state the record was written against (`base`). All-or-nothing:
+    /// the record is parsed and checked in full before anything moves,
+    /// so a rejected record leaves the checkpoint as it was. Batches
+    /// are merged by key (a re-inserted key takes the record's value),
+    /// so the result equals a full capture at the record's iteration.
+    pub fn apply_record(&mut self, record: &str) -> Result<(), TuneError> {
+        let (head, batch) = parse_delta(record, self).map_err(TuneError::Checkpoint)?;
+        self.iteration = head.iteration;
+        self.rng_state = head.rng_state;
+        self.optimizer_calls = head.optimizer_calls;
+        self.budget_spent = head.budget_spent;
+        self.budget_skipped = head.budget_skipped;
+        self.cache_hits = head.cache_hits;
+        self.cache_misses = head.cache_misses;
+        self.bound_memo_hits = head.bound_memo_hits;
+        self.bound_memo_misses = head.bound_memo_misses;
+        self.derived = head.derived;
+        self.best = head.best;
+        self.frontier_len = head.frontier_len;
+        self.faults.extend(batch.faults);
+        self.cache.extend(batch.cache);
+        sort_batch(&mut self.cache);
+        self.bound_memo.extend(batch.bound_memo);
+        sort_batch(&mut self.bound_memo);
+        self.interner.extend(batch.interner);
+        sort_batch(&mut self.interner);
+        match (&mut self.trace, batch.trace) {
+            (Some(mine), Some(theirs)) => {
+                mine.state.events.extend(theirs.state.events);
+                mine.state.depth = theirs.state.depth;
+                mine.state.counters = theirs.state.counters;
+                mine.state.phases = theirs.state.phases;
+                mine.open_span_seq = theirs.open_span_seq;
+            }
+            // An untraced session resumed a traced log and kept
+            // appending: from here on the log describes an untraced one.
+            (mine, None) => *mine = None,
+            (None, Some(_)) => unreachable!("parse_delta rejects a trace without a base"),
+        }
+        Ok(())
+    }
+
+    /// Frame `record` for an append-only log file into `out` (cleared
+    /// first): `<len:08x> <checksum:016x> <record>\n`. Length and
+    /// checksum cover the record text only.
+    pub fn frame_record(record: &str, out: &mut Vec<u8>) {
+        out.clear();
+        let header = format!("{:08x} {:016x} ", record.len(), checksum(record.as_bytes()));
+        debug_assert_eq!(header.len(), FRAME_HEADER);
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(record.as_bytes());
+        out.push(b'\n');
+    }
+
+    /// Fold the longest intact prefix of a record log: returns the
+    /// checkpoint at the last record that checks out and the number of
+    /// bytes those records occupy. Reading stops — silently — at the
+    /// first record that is short, fails its checksum or lacks its
+    /// terminator: that is what a crash mid-append leaves, and
+    /// everything from there on is dropped (an appender truncates the
+    /// file to the returned length first). A log whose *first* record
+    /// is not intact, or whose intact records do not parse or chain, is
+    /// an error.
+    pub fn from_log(log: &[u8]) -> Result<(Checkpoint, usize), TuneError> {
+        let mut folded: Option<Checkpoint> = None;
+        let mut kept = 0;
+        while let Some((record, framed)) = read_frame(&log[kept..]) {
+            match &mut folded {
+                None => folded = Some(Checkpoint::from_json_str(record)?),
+                Some(ck) => ck.apply_record(record)?,
+            }
+            kept += framed;
+        }
+        match folded {
+            Some(ck) => Ok((ck, kept)),
+            None => Err(TuneError::Checkpoint(
+                // A bare document is what builds before version 6
+                // wrote; say so instead of "corrupt".
+                match std::str::from_utf8(log).map(parse_checkpoint) {
+                    Ok(Err(why)) if log.first() == Some(&b'{') => why,
+                    _ => "no intact checkpoint record (not a checkpoint log, or torn \
+                          before its first record was complete)"
+                        .to_string(),
+                },
+            )),
+        }
+    }
+}
+
+// ---- log framing ----------------------------------------------------
+
+/// `<len:08x> <checksum:016x> ` — two fixed-width hex fields, each
+/// followed by a space.
+const FRAME_HEADER: usize = 8 + 1 + 16 + 1;
+
+/// One intact frame at the start of `log`: the record text and the
+/// frame's total length. `None` for anything else.
+fn read_frame(log: &[u8]) -> Option<(&str, usize)> {
+    let header = std::str::from_utf8(log.get(..FRAME_HEADER)?).ok()?;
+    let (len, sum) = (header.get(..8)?, header.get(9..25)?);
+    if header.as_bytes()[8] != b' ' || header.as_bytes()[25] != b' ' {
+        return None;
+    }
+    let len = usize::from_str_radix(len, 16).ok()?;
+    let sum = u64::from_str_radix(sum, 16).ok()?;
+    // The length comes from the file: bound it by what is there before
+    // slicing, and never allocate for it.
+    let end = FRAME_HEADER.checked_add(len)?;
+    let record = log.get(FRAME_HEADER..end)?;
+    if log.get(end) != Some(&b'\n') || checksum(record) != sum {
+        return None;
+    }
+    Some((std::str::from_utf8(record).ok()?, end + 1))
+}
+
+/// 64-bit multiply-xor checksum over little-endian words. Not a hash
+/// anyone relies on for distribution — it only has to make a torn or
+/// bit-flipped record fail: each step is a bijection of the running
+/// value, so any change confined to one word changes the result.
+fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
+        h = (h ^ w).wrapping_mul(K).rotate_left(29);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(K).rotate_left(29);
+    }
+    h
+}
+
+// ---- records --------------------------------------------------------
+
+/// The scalars every record carries — the whole header of a delta.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    pub iteration: usize,
+    pub rng_state: u64,
+    pub optimizer_calls: usize,
+    pub budget_spent: u64,
+    pub budget_skipped: u64,
+    pub cache_hits: u64,
+    pub cache_misses: u64,
+    pub bound_memo_hits: u64,
+    pub bound_memo_misses: u64,
+    pub derived: DerivedTally,
+    pub best: Option<(f64, f64)>,
+    pub frontier_len: usize,
+}
+
+/// What never changes over a session; only the first record carries it.
+pub(crate) struct Identity<'a> {
+    pub options_sig: u64,
+    pub base_sig: u64,
+    pub initial_cost: f64,
+    pub optimal_cost: f64,
+    pub deployed: Option<(f64, f64)>,
+    pub relevance: &'a [Option<QueryRelevance>],
+}
+
+pub(crate) enum RecordKind<'a> {
+    /// A log's first record: a complete document.
+    Full(&'a Identity<'a>),
+    /// Extends the record written at iteration `base`.
+    Delta { base: usize },
+}
+
+/// What a record adds to the one before it (for the first record:
+/// everything so far). Entry slices are sorted by key.
+pub(crate) struct Batch<'a> {
+    pub faults: &'a [FaultEvent],
+    pub cache: &'a [((usize, u128), CacheEntry)],
+    pub bound_memo: &'a [((u64, u128), BoundMemoEntry)],
+    pub interner: &'a [(Index, u64)],
+    pub trace: Option<TraceBatch<'a>>,
+}
+
+/// The tracer's scalars at the record's boundary, whole (they are a
+/// fixed small vocabulary), and the events since the previous record.
+pub(crate) struct TraceBatch<'a> {
+    pub depth: u16,
+    pub open_span_seq: u64,
+    pub counters: &'a [(&'static str, u64)],
+    pub phases: &'a [PhaseSummary],
+    pub events: &'a [Event],
+}
+
+/// Stream one record into `out`. Field order is fixed, so equal state
+/// serializes to equal bytes.
+pub(crate) fn write_record(out: &mut String, kind: RecordKind<'_>, head: &Head, batch: &Batch<'_>) {
+    let _ = write!(out, "{{\"version\":{VERSION},\"kind\":");
+    match kind {
+        RecordKind::Full(id) => {
+            write_escaped(out, KIND);
+            out.push_str(",\"options_sig\":");
+            write_hex(out, id.options_sig);
+            out.push_str(",\"base_sig\":");
+            write_hex(out, id.base_sig);
+            out.push_str(",\"initial_cost\":");
+            write_num(out, id.initial_cost);
+            out.push_str(",\"optimal_cost\":");
+            write_num(out, id.optimal_cost);
+            out.push_str(",\"deployed\":");
+            write_cost_size(out, id.deployed);
+        }
+        RecordKind::Delta { base } => {
+            write_escaped(out, DELTA_KIND);
+            out.push_str(",\"base\":");
+            write_int(out, base as i64);
+        }
+    }
+    out.push_str(",\"iteration\":");
+    write_int(out, head.iteration as i64);
+    out.push_str(",\"rng_state\":");
+    write_hex(out, head.rng_state);
+    out.push_str(",\"optimizer_calls\":");
+    write_int(out, head.optimizer_calls as i64);
+    for (key, v) in [
+        ("budget_spent", head.budget_spent),
+        ("budget_skipped", head.budget_skipped),
+        ("cache_hits", head.cache_hits),
+        ("cache_misses", head.cache_misses),
+        ("bound_memo_hits", head.bound_memo_hits),
+        ("bound_memo_misses", head.bound_memo_misses),
+    ] {
+        let _ = write!(out, ",\"{key}\":");
+        write_hex(out, v);
+    }
+    out.push_str(",\"derived\":{\"avoided\":");
+    write_hex(out, head.derived.avoided);
+    out.push_str(",\"plan_hits\":");
+    write_hex(out, head.derived.plan_hits);
+    out.push_str(",\"plan_misses\":");
+    write_hex(out, head.derived.plan_misses);
+    out.push_str(",\"repriced\":");
+    write_hex(out, head.derived.repriced);
+    out.push_str("},\"best\":");
+    write_cost_size(out, head.best);
+    out.push_str(",\"frontier_len\":");
+    write_int(out, head.frontier_len as i64);
+    out.push_str(",\"faults\":");
+    write_arr(out, batch.faults, write_fault);
+    out.push_str(",\"cache\":");
+    write_arr(out, batch.cache, |out, ((q, sig), e)| {
+        out.push_str("{\"q\":");
+        write_int(out, *q as i64);
+        out.push_str(",\"sig\":");
+        write_hex128(out, *sig);
+        out.push(',');
+        write_entry_fields(out, e);
+        out.push('}');
+    });
+    out.push_str(",\"bound_memo\":");
+    write_arr(out, batch.bound_memo, |out, ((t, c), e)| {
+        out.push_str("{\"t\":");
+        write_hex(out, *t);
+        out.push_str(",\"c\":");
+        write_hex128(out, *c);
+        out.push_str(",\"applies\":");
+        write_bool(out, e.applies);
+        out.push_str(",\"bound\":");
+        write_num(out, e.bound);
+        out.push_str(",\"delta_s\":");
+        write_num(out, e.delta_s);
+        out.push('}');
+    });
+    out.push_str(",\"interner\":");
+    write_arr(out, batch.interner, |out, (index, sig)| {
+        out.push_str("{\"index\":");
+        write_index(out, index);
+        out.push_str(",\"sig\":");
+        write_hex(out, *sig);
+        out.push('}');
+    });
+    if let RecordKind::Full(id) = kind {
+        out.push_str(",\"relevance\":");
+        write_arr(out, id.relevance, |out, r| match r {
+            Some(qr) => write_relevance(out, qr),
+            None => out.push_str("null"),
+        });
+    }
+    out.push_str(",\"trace\":");
+    match &batch.trace {
+        Some(t) => write_trace(out, t),
+        None => out.push_str("null"),
+    }
+    out.push('}');
 }
 
 fn parse_checkpoint(s: &str) -> Result<Checkpoint, String> {
     let doc = pdt_trace::json::parse(s)?;
-    if get(&doc, "version")?.as_i64() != Some(VERSION) {
-        return Err("unsupported checkpoint version".to_string());
-    }
+    check_version(&doc)?;
     if get(&doc, "kind")?.as_str() != Some(KIND) {
         return Err("not a pdtune checkpoint".to_string());
     }
-    let best = match get(&doc, "best")? {
-        Json::Null => None,
-        b => Some((f64n(get(b, "cost")?)?, f64n(get(b, "size_bytes")?)?)),
-    };
-    let deployed = match get(&doc, "deployed")? {
-        Json::Null => None,
-        b => Some((f64n(get(b, "cost")?)?, f64n(get(b, "size_bytes")?)?)),
-    };
-    let faults = get(&doc, "faults")?
+    let head = parse_head(&doc)?;
+    let batch = parse_batch(&doc)?;
+    let relevance = get(&doc, "relevance")?
         .as_arr()
-        .ok_or("faults must be an array")?
+        .ok_or("relevance must be an array")?
+        .iter()
+        .map(|r| match r {
+            Json::Null => Ok(None),
+            q => relevance_parse(q).map(Some),
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(Checkpoint {
+        options_sig: unhex(get(&doc, "options_sig")?)?,
+        base_sig: unhex(get(&doc, "base_sig")?)?,
+        initial_cost: f64n(get(&doc, "initial_cost")?)?,
+        optimal_cost: f64n(get(&doc, "optimal_cost")?)?,
+        deployed: cost_size_parse(get(&doc, "deployed")?)?,
+        iteration: head.iteration,
+        rng_state: head.rng_state,
+        optimizer_calls: head.optimizer_calls,
+        budget_spent: head.budget_spent,
+        budget_skipped: head.budget_skipped,
+        cache_hits: head.cache_hits,
+        cache_misses: head.cache_misses,
+        bound_memo_hits: head.bound_memo_hits,
+        bound_memo_misses: head.bound_memo_misses,
+        derived: head.derived,
+        best: head.best,
+        frontier_len: head.frontier_len,
+        faults: batch.faults,
+        cache: batch.cache,
+        bound_memo: batch.bound_memo,
+        interner: batch.interner,
+        relevance,
+        trace: batch.trace,
+    })
+}
+
+/// Checkpoints are same-binary artifacts: there is no migration, only
+/// a clear refusal.
+fn check_version(doc: &Json) -> Result<(), String> {
+    match get(doc, "version")?.as_i64() {
+        Some(VERSION) => Ok(()),
+        Some(5) => Err(
+            "checkpoint version 5 (one rewritten document per save) was written by an \
+             earlier build; this build reads version 6 record logs — re-run the session"
+                .to_string(),
+        ),
+        _ => Err(format!(
+            "unsupported checkpoint version (expected {VERSION})"
+        )),
+    }
+}
+
+/// Parse and check a delta record against the checkpoint it extends.
+fn parse_delta(record: &str, onto: &Checkpoint) -> Result<(Head, OwnedBatch), String> {
+    let doc = pdt_trace::json::parse(record)?;
+    check_version(&doc)?;
+    if get(&doc, "kind")?.as_str() != Some(DELTA_KIND) {
+        return Err("not a pdtune checkpoint delta record".to_string());
+    }
+    let base = uint(get(&doc, "base")?)? as usize;
+    let head = parse_head(&doc)?;
+    if base != onto.iteration || head.iteration <= base {
+        return Err(format!(
+            "record for iterations {base}..{} does not extend a checkpoint at iteration {}",
+            head.iteration, onto.iteration
+        ));
+    }
+    let batch = parse_batch(&doc)?;
+    if let Some(theirs) = &batch.trace {
+        let Some(mine) = &onto.trace else {
+            return Err("record carries a trace but the checkpoint it extends has none".into());
+        };
+        let next = mine.state.events.len() as u64;
+        if theirs.state.events.first().is_some_and(|e| e.seq != next) {
+            return Err(format!("record's events do not continue at seq {next}"));
+        }
+    }
+    Ok((head, batch))
+}
+
+fn parse_head(doc: &Json) -> Result<Head, String> {
+    let dj = get(doc, "derived")?;
+    Ok(Head {
+        iteration: uint(get(doc, "iteration")?)? as usize,
+        rng_state: unhex(get(doc, "rng_state")?)?,
+        optimizer_calls: uint(get(doc, "optimizer_calls")?)? as usize,
+        budget_spent: unhex(get(doc, "budget_spent")?)?,
+        budget_skipped: unhex(get(doc, "budget_skipped")?)?,
+        cache_hits: unhex(get(doc, "cache_hits")?)?,
+        cache_misses: unhex(get(doc, "cache_misses")?)?,
+        bound_memo_hits: unhex(get(doc, "bound_memo_hits")?)?,
+        bound_memo_misses: unhex(get(doc, "bound_memo_misses")?)?,
+        derived: DerivedTally {
+            avoided: unhex(get(dj, "avoided")?)?,
+            plan_hits: unhex(get(dj, "plan_hits")?)?,
+            plan_misses: unhex(get(dj, "plan_misses")?)?,
+            repriced: unhex(get(dj, "repriced")?)?,
+        },
+        best: cost_size_parse(get(doc, "best")?)?,
+        frontier_len: uint(get(doc, "frontier_len")?)? as usize,
+    })
+}
+
+/// A parsed record's batch sections.
+struct OwnedBatch {
+    faults: Vec<FaultEvent>,
+    cache: Vec<((usize, u128), CacheEntry)>,
+    bound_memo: Vec<((u64, u128), BoundMemoEntry)>,
+    interner: Vec<(Index, u64)>,
+    trace: Option<TraceCheckpoint>,
+}
+
+fn parse_batch(doc: &Json) -> Result<OwnedBatch, String> {
+    let faults = arr(get(doc, "faults")?)?
         .iter()
         .map(fault_parse)
         .collect::<Result<Vec<_>, _>>()?;
-    let cache = get(&doc, "cache")?
-        .as_arr()
-        .ok_or("cache must be an array")?
+    let cache = arr(get(doc, "cache")?)?
         .iter()
         .map(|e| {
-            let q = uint(get(e, "q")?)? as usize;
-            let sig = unhex128(get(e, "sig")?)?;
-            let cost = f64n(get(e, "cost")?)?;
-            let usages = get(e, "usages")?
-                .as_arr()
-                .ok_or("usages must be an array")?
-                .iter()
-                .map(usage_parse)
-                .collect::<Result<Vec<_>, String>>()?;
             Ok((
-                (q, sig),
-                CacheEntry {
-                    cost,
-                    usages: usages.into(),
-                    coarse: unhex128(get(e, "coarse")?)?,
-                    relevant: sigs128_parse(get(e, "relevant")?)?,
-                    footprint: sigs128_parse(get(e, "footprint")?)?,
-                    pinned: sigs128_parse(get(e, "pinned")?)?,
-                },
+                (uint(get(e, "q")?)? as usize, unhex128(get(e, "sig")?)?),
+                entry_parse(e)?,
             ))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let bound_memo = get(&doc, "bound_memo")?
-        .as_arr()
-        .ok_or("bound_memo must be an array")?
+    let bound_memo = arr(get(doc, "bound_memo")?)?
         .iter()
         .map(|e| {
             Ok((
@@ -366,55 +676,19 @@ fn parse_checkpoint(s: &str) -> Result<Checkpoint, String> {
             ))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let interner = get(&doc, "interner")?
-        .as_arr()
-        .ok_or("interner must be an array")?
+    let interner = arr(get(doc, "interner")?)?
         .iter()
         .map(|e| Ok((index_parse(get(e, "index")?)?, unhex(get(e, "sig")?)?)))
         .collect::<Result<Vec<_>, String>>()?;
-    let relevance = get(&doc, "relevance")?
-        .as_arr()
-        .ok_or("relevance must be an array")?
-        .iter()
-        .map(|r| match r {
-            Json::Null => Ok(None),
-            q => relevance_parse(q).map(Some),
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let dj = get(&doc, "derived")?;
-    let derived = DerivedTally {
-        avoided: unhex(get(dj, "avoided")?)?,
-        plan_hits: unhex(get(dj, "plan_hits")?)?,
-        plan_misses: unhex(get(dj, "plan_misses")?)?,
-        repriced: unhex(get(dj, "repriced")?)?,
-    };
-    let trace = match get(&doc, "trace")? {
+    let trace = match get(doc, "trace")? {
         Json::Null => None,
         t => Some(trace_parse(t)?),
     };
-    Ok(Checkpoint {
-        options_sig: unhex(get(&doc, "options_sig")?)?,
-        base_sig: unhex(get(&doc, "base_sig")?)?,
-        initial_cost: f64n(get(&doc, "initial_cost")?)?,
-        optimal_cost: f64n(get(&doc, "optimal_cost")?)?,
-        deployed,
-        iteration: uint(get(&doc, "iteration")?)? as usize,
-        rng_state: unhex(get(&doc, "rng_state")?)?,
-        optimizer_calls: uint(get(&doc, "optimizer_calls")?)? as usize,
-        budget_spent: unhex(get(&doc, "budget_spent")?)?,
-        budget_skipped: unhex(get(&doc, "budget_skipped")?)?,
-        cache_hits: unhex(get(&doc, "cache_hits")?)?,
-        cache_misses: unhex(get(&doc, "cache_misses")?)?,
-        bound_memo_hits: unhex(get(&doc, "bound_memo_hits")?)?,
-        bound_memo_misses: unhex(get(&doc, "bound_memo_misses")?)?,
-        derived,
-        best,
-        frontier_len: uint(get(&doc, "frontier_len")?)? as usize,
+    Ok(OwnedBatch {
         faults,
         cache,
         bound_memo,
         interner,
-        relevance,
         trace,
     })
 }
@@ -436,15 +710,13 @@ pub fn config_to_json(config: &Configuration) -> Result<String, TuneError> {
             "configurations with materialized views have no durable serialization".to_string(),
         ));
     }
-    let obj = Json::Obj(vec![
-        ("version".into(), Json::Int(CONFIG_VERSION)),
-        ("kind".into(), Json::Str(CONFIG_KIND.into())),
-        (
-            "indexes".into(),
-            Json::Arr(config.indexes().map(index_json).collect()),
-        ),
-    ]);
-    Ok(obj.to_string())
+    let mut out = String::new();
+    let _ = write!(out, "{{\"version\":{CONFIG_VERSION},\"kind\":");
+    write_escaped(&mut out, CONFIG_KIND);
+    out.push_str(",\"indexes\":");
+    write_arr(&mut out, config.indexes(), write_index);
+    out.push('}');
+    Ok(out)
 }
 
 /// Inverse of [`config_to_json`].
@@ -469,9 +741,10 @@ pub fn config_from_json(s: &str) -> Result<Configuration, TuneError> {
 // ---- scalar helpers -------------------------------------------------
 
 /// u64 values (signatures, RNG state, counters) are rendered as 16-hex-
-/// digit strings: `Json::Int` is `i64` and cannot carry the high bit.
-fn hex(v: u64) -> Json {
-    Json::Str(format!("{v:016x}"))
+/// digit strings: JSON integers are `i64` here and cannot carry the
+/// high bit.
+fn write_hex(out: &mut String, v: u64) {
+    let _ = write!(out, "\"{v:016x}\"");
 }
 
 fn unhex(j: &Json) -> Result<u64, String> {
@@ -480,8 +753,45 @@ fn unhex(j: &Json) -> Result<u64, String> {
 }
 
 /// 128-bit signatures render as 32-hex-digit strings.
-pub(crate) fn hex128(v: u128) -> Json {
-    Json::Str(format!("{v:032x}"))
+pub(crate) fn write_hex128(out: &mut String, v: u128) {
+    let _ = write!(out, "\"{v:032x}\"");
+}
+
+/// `[a,b,…]` with `each` rendering one item.
+pub(crate) fn write_arr<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
+}
+
+/// `{"cost":…,"size_bytes":…}` or `null`.
+fn write_cost_size(out: &mut String, pair: Option<(f64, f64)>) {
+    match pair {
+        Some((cost, size)) => {
+            out.push_str("{\"cost\":");
+            write_num(out, cost);
+            out.push_str(",\"size_bytes\":");
+            write_num(out, size);
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+}
+
+fn cost_size_parse(j: &Json) -> Result<Option<(f64, f64)>, String> {
+    match j {
+        Json::Null => Ok(None),
+        b => Ok(Some((f64n(get(b, "cost")?)?, f64n(get(b, "size_bytes")?)?))),
+    }
 }
 
 pub(crate) fn unhex128(j: &Json) -> Result<u128, String> {
@@ -489,8 +799,8 @@ pub(crate) fn unhex128(j: &Json) -> Result<u128, String> {
     u128::from_str_radix(s, 16).map_err(|_| format!("bad hex value '{s}'"))
 }
 
-pub(crate) fn sigs128_json(sigs: &[u128]) -> Json {
-    Json::Arr(sigs.iter().map(|s| hex128(*s)).collect())
+fn write_sigs128(out: &mut String, sigs: &[u128]) {
+    write_arr(out, sigs, |out, s| write_hex128(out, *s));
 }
 
 pub(crate) fn sigs128_parse(j: &Json) -> Result<std::sync::Arc<[u128]>, String> {
@@ -540,12 +850,14 @@ fn intern(s: &str) -> &'static str {
 
 // ---- faults ---------------------------------------------------------
 
-fn fault_json(f: &FaultEvent) -> Json {
-    Json::Obj(vec![
-        ("iteration".into(), Json::Int(f.iteration as i64)),
-        ("kind".into(), Json::Str(f.kind.label().into())),
-        ("detail".into(), Json::Str(f.detail.clone())),
-    ])
+fn write_fault(out: &mut String, f: &FaultEvent) {
+    out.push_str("{\"iteration\":");
+    write_int(out, f.iteration as i64);
+    out.push_str(",\"kind\":");
+    write_escaped(out, f.kind.label());
+    out.push_str(",\"detail\":");
+    write_escaped(out, &f.detail);
+    out.push('}');
 }
 
 fn fault_parse(j: &Json) -> Result<FaultEvent, String> {
@@ -566,11 +878,8 @@ fn fault_parse(j: &Json) -> Result<FaultEvent, String> {
 
 // ---- physical structures -------------------------------------------
 
-fn cid_json(c: ColumnId) -> Json {
-    Json::Arr(vec![
-        Json::Int(c.table.0 as i64),
-        Json::Int(c.ordinal as i64),
-    ])
+fn write_cid(out: &mut String, c: ColumnId) {
+    let _ = write!(out, "[{},{}]", c.table.0, c.ordinal);
 }
 
 fn cid_parse(j: &Json) -> Result<ColumnId, String> {
@@ -583,19 +892,14 @@ fn cid_parse(j: &Json) -> Result<ColumnId, String> {
     }
 }
 
-fn index_json(i: &Index) -> Json {
-    Json::Obj(vec![
-        ("table".into(), Json::Int(i.table.0 as i64)),
-        (
-            "key".into(),
-            Json::Arr(i.key.iter().map(|c| cid_json(*c)).collect()),
-        ),
-        (
-            "suffix".into(),
-            Json::Arr(i.suffix.iter().map(|c| cid_json(*c)).collect()),
-        ),
-        ("clustered".into(), Json::Bool(i.clustered)),
-    ])
+fn write_index(out: &mut String, i: &Index) {
+    let _ = write!(out, "{{\"table\":{},\"key\":", i.table.0);
+    write_arr(out, &i.key, |out, c| write_cid(out, *c));
+    out.push_str(",\"suffix\":");
+    write_arr(out, &i.suffix, |out, c| write_cid(out, *c));
+    out.push_str(",\"clustered\":");
+    write_bool(out, i.clustered);
+    out.push('}');
 }
 
 fn index_parse(j: &Json) -> Result<Index, String> {
@@ -624,63 +928,96 @@ fn bool_(j: &Json) -> Result<bool, String> {
     }
 }
 
-pub(crate) fn usage_json(u: &IndexUsage) -> Json {
-    let kind = match &u.kind {
-        UsageKind::Scan => Json::Obj(vec![("kind".into(), Json::Str("scan".into()))]),
+/// A [`CacheEntry`]'s fields, without the braces — the checkpoint's
+/// cache section and the shared store's warm file each lead with their
+/// own key.
+pub(crate) fn write_entry_fields(out: &mut String, e: &CacheEntry) {
+    out.push_str("\"cost\":");
+    write_num(out, e.cost);
+    out.push_str(",\"usages\":");
+    write_arr(out, e.usages.iter(), write_usage);
+    out.push_str(",\"coarse\":");
+    write_hex128(out, e.coarse);
+    out.push_str(",\"relevant\":");
+    write_sigs128(out, &e.relevant);
+    out.push_str(",\"footprint\":");
+    write_sigs128(out, &e.footprint);
+    out.push_str(",\"pinned\":");
+    write_sigs128(out, &e.pinned);
+}
+
+/// Inverse of [`write_entry_fields`], over the object that holds them.
+pub(crate) fn entry_parse(j: &Json) -> Result<CacheEntry, String> {
+    let usages = arr(get(j, "usages")?)?
+        .iter()
+        .map(usage_parse)
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(CacheEntry {
+        cost: f64n(get(j, "cost")?)?,
+        usages: usages.into(),
+        coarse: unhex128(get(j, "coarse")?)?,
+        relevant: sigs128_parse(get(j, "relevant")?)?,
+        footprint: sigs128_parse(get(j, "footprint")?)?,
+        pinned: sigs128_parse(get(j, "pinned")?)?,
+    })
+}
+
+fn write_usage(out: &mut String, u: &IndexUsage) {
+    out.push_str("{\"index\":");
+    write_index(out, &u.index);
+    match &u.kind {
+        UsageKind::Scan => out.push_str(",\"kind\":{\"kind\":\"scan\"}"),
         UsageKind::Seek {
             seek_cols,
             selectivity,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str("seek".into())),
-            ("seek_cols".into(), Json::Int(*seek_cols as i64)),
-            ("selectivity".into(), Json::Num(*selectivity)),
-        ]),
-    };
-    Json::Obj(vec![
-        ("index".into(), index_json(&u.index)),
-        ("kind".into(), kind),
-        ("access_io".into(), Json::Num(u.access_io)),
-        ("access_cpu".into(), Json::Num(u.access_cpu)),
-        ("rows".into(), Json::Num(u.rows)),
-        (
-            "provided_order".into(),
-            match &u.provided_order {
-                None => Json::Null,
-                Some(order) => Json::Arr(
-                    order
-                        .iter()
-                        .map(|(c, desc)| Json::Arr(vec![cid_json(*c), Json::Bool(*desc)]))
-                        .collect(),
-                ),
-            },
-        ),
-        (
-            "provided_columns".into(),
-            Json::Arr(u.provided_columns.iter().map(|c| cid_json(*c)).collect()),
-        ),
-        (
-            "followed_by_lookup".into(),
-            Json::Bool(u.followed_by_lookup),
-        ),
-        (
-            "seek_col_sels".into(),
-            Json::Arr(
-                u.seek_col_sels
-                    .iter()
-                    .map(|(c, sel, eq)| {
-                        Json::Arr(vec![cid_json(*c), Json::Num(*sel), Json::Bool(*eq)])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("total_preds".into(), Json::Int(u.total_preds as i64)),
-        (
-            "resid_pred_cols".into(),
-            Json::Arr(u.resid_pred_cols.iter().map(|c| cid_json(*c)).collect()),
-        ),
-        ("resid_filter_cpu".into(), Json::Num(u.resid_filter_cpu)),
-        ("executions".into(), Json::Num(u.executions)),
-    ])
+        } => {
+            let _ = write!(
+                out,
+                ",\"kind\":{{\"kind\":\"seek\",\"seek_cols\":{seek_cols},\"selectivity\":"
+            );
+            write_num(out, *selectivity);
+            out.push('}');
+        }
+    }
+    out.push_str(",\"access_io\":");
+    write_num(out, u.access_io);
+    out.push_str(",\"access_cpu\":");
+    write_num(out, u.access_cpu);
+    out.push_str(",\"rows\":");
+    write_num(out, u.rows);
+    out.push_str(",\"provided_order\":");
+    match &u.provided_order {
+        None => out.push_str("null"),
+        Some(order) => write_arr(out, order, |out, (c, desc)| {
+            out.push('[');
+            write_cid(out, *c);
+            out.push(',');
+            write_bool(out, *desc);
+            out.push(']');
+        }),
+    }
+    out.push_str(",\"provided_columns\":");
+    write_arr(out, &u.provided_columns, |out, c| write_cid(out, *c));
+    out.push_str(",\"followed_by_lookup\":");
+    write_bool(out, u.followed_by_lookup);
+    out.push_str(",\"seek_col_sels\":");
+    write_arr(out, &u.seek_col_sels, |out, (c, sel, eq)| {
+        out.push('[');
+        write_cid(out, *c);
+        out.push(',');
+        write_num(out, *sel);
+        out.push(',');
+        write_bool(out, *eq);
+        out.push(']');
+    });
+    let _ = write!(out, ",\"total_preds\":{}", u.total_preds);
+    out.push_str(",\"resid_pred_cols\":");
+    write_arr(out, &u.resid_pred_cols, |out, c| write_cid(out, *c));
+    out.push_str(",\"resid_filter_cpu\":");
+    write_num(out, u.resid_filter_cpu);
+    out.push_str(",\"executions\":");
+    write_num(out, u.executions);
+    out.push('}');
 }
 
 pub(crate) fn usage_parse(j: &Json) -> Result<IndexUsage, String> {
@@ -737,31 +1074,18 @@ pub(crate) fn usage_parse(j: &Json) -> Result<IndexUsage, String> {
 
 // ---- relevance ------------------------------------------------------
 
-fn relevance_json(qr: &QueryRelevance) -> Json {
-    Json::Obj(vec![
-        (
-            "tables".into(),
-            Json::Arr(qr.tables.iter().map(|t| Json::Int(t.0 as i64)).collect()),
-        ),
-        (
-            "sarg_cols".into(),
-            Json::Arr(qr.sarg_cols.iter().map(|c| cid_json(*c)).collect()),
-        ),
-        (
-            "required".into(),
-            Json::Arr(
-                qr.required
-                    .iter()
-                    .map(|(t, cols)| {
-                        Json::Arr(vec![
-                            Json::Int(t.0 as i64),
-                            Json::Arr(cols.iter().map(|c| cid_json(*c)).collect()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn write_relevance(out: &mut String, qr: &QueryRelevance) {
+    out.push_str("{\"tables\":");
+    write_arr(out, &qr.tables, |out, t| write_int(out, i64::from(t.0)));
+    out.push_str(",\"sarg_cols\":");
+    write_arr(out, &qr.sarg_cols, |out, c| write_cid(out, *c));
+    out.push_str(",\"required\":");
+    write_arr(out, &qr.required, |out, (t, cols)| {
+        let _ = write!(out, "[{},", t.0);
+        write_arr(out, cols, |out, c| write_cid(out, *c));
+        out.push(']');
+    });
+    out.push('}');
 }
 
 fn relevance_parse(j: &Json) -> Result<QueryRelevance, String> {
@@ -792,41 +1116,30 @@ fn relevance_parse(j: &Json) -> Result<QueryRelevance, String> {
 
 // ---- trace ----------------------------------------------------------
 
-fn trace_json(t: &TraceCheckpoint) -> Json {
-    Json::Obj(vec![
-        ("depth".into(), Json::Int(t.state.depth as i64)),
-        ("open_span_seq".into(), Json::Int(t.open_span_seq as i64)),
-        (
-            "counters".into(),
-            Json::Arr(
-                t.state
-                    .counters
-                    .iter()
-                    .map(|(k, v)| Json::Arr(vec![Json::Str((*k).into()), hex(*v)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "phases".into(),
-            Json::Arr(
-                t.state
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        Json::Arr(vec![
-                            Json::Str(p.name.into()),
-                            hex(p.events),
-                            Json::Int(p.elapsed.as_nanos() as i64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "events".into(),
-            Json::Arr(t.state.events.iter().map(Event::to_json).collect()),
-        ),
-    ])
+fn write_trace(out: &mut String, t: &TraceBatch<'_>) {
+    let _ = write!(
+        out,
+        "{{\"depth\":{},\"open_span_seq\":{},\"counters\":",
+        t.depth, t.open_span_seq
+    );
+    write_arr(out, t.counters, |out, (name, v)| {
+        out.push('[');
+        write_escaped(out, name);
+        out.push(',');
+        write_hex(out, *v);
+        out.push(']');
+    });
+    out.push_str(",\"phases\":");
+    write_arr(out, t.phases, |out, p| {
+        out.push('[');
+        write_escaped(out, p.name);
+        out.push(',');
+        write_hex(out, p.events);
+        let _ = write!(out, ",{}]", p.elapsed.as_nanos() as i64);
+    });
+    out.push_str(",\"events\":");
+    write_arr(out, t.events, |out, e| e.write_json(out));
+    out.push('}');
 }
 
 fn trace_parse(j: &Json) -> Result<TraceCheckpoint, String> {
@@ -959,7 +1272,13 @@ mod tests {
         );
         tracer.incr("search.iterations", 1);
         let open_span_seq = span.events_at_open();
-        let state = tracer.export_state();
+        let mark = tracer.mark();
+        let state = tracer.read_prefix(0, &mark, |events, phases| TraceState {
+            events: events.to_vec(),
+            depth: mark.depth,
+            counters: mark.counters.clone(),
+            phases: phases.to_vec(),
+        });
         std::mem::forget(span);
         Checkpoint {
             options_sig: 0xDEAD_BEEF_0123_4567,
@@ -1193,5 +1512,163 @@ mod tests {
         let valid = sample_checkpoint().to_json_string();
         let truncated = &valid[..valid.len() / 2];
         assert!(Checkpoint::from_json_str(truncated).is_err());
+        // A version-5 file (one bare document) is refused by name, both
+        // as a document and where a log is expected.
+        let v5 = valid.replacen("\"version\":6", "\"version\":5", 1);
+        for err in [
+            Checkpoint::from_json_str(&v5).unwrap_err(),
+            Checkpoint::from_log(v5.as_bytes()).unwrap_err(),
+        ] {
+            assert!(matches!(&err, TuneError::Checkpoint(m) if m.contains("version 5")));
+        }
+        assert!(Checkpoint::from_log(b"").is_err());
+        assert!(Checkpoint::from_log(b"{\"not\": \"a checkpoint\"}").is_err());
+    }
+
+    /// A delta record extending `base`: two more cache entries (one
+    /// re-inserting — repairing — the poisoned key), a memo entry, an
+    /// interned index, a fault and one more trace event.
+    fn sample_delta(base: &Checkpoint, iteration: usize) -> String {
+        let tracer = pdt_trace::Tracer::new();
+        let trace = base.trace.as_ref().unwrap();
+        tracer.restore_state(trace.state.clone());
+        let before = tracer.mark();
+        tracer.emit("search.step", vec![("iteration", iteration.into())]);
+        tracer.incr("search.iterations", 1);
+        let at = tracer.mark();
+        let repaired = CacheEntry::plain(3.5, Vec::new().into(), 0x42);
+        let mut out = String::new();
+        tracer.read_prefix(before.events, &at, |events, phases| {
+            write_record(
+                &mut out,
+                RecordKind::Delta {
+                    base: base.iteration,
+                },
+                &Head {
+                    iteration,
+                    rng_state: 0xABCD,
+                    optimizer_calls: base.optimizer_calls + 3,
+                    ..base.head()
+                },
+                &Batch {
+                    faults: &[FaultEvent {
+                        iteration,
+                        kind: FaultKind::CachePoison,
+                        detail: "repaired".to_string(),
+                    }],
+                    cache: &[((0, 5), repaired.clone()), ((1, 99), repaired)],
+                    bound_memo: &[((0x22, 0x1), BoundMemoEntry::inapplicable())],
+                    interner: &[(
+                        Index::clustered(
+                            TableId(1),
+                            [ColumnId {
+                                table: TableId(1),
+                                ordinal: 0,
+                            }],
+                        ),
+                        7,
+                    )],
+                    trace: Some(TraceBatch {
+                        depth: at.depth,
+                        open_span_seq: trace.open_span_seq,
+                        counters: &at.counters,
+                        phases,
+                        events,
+                    }),
+                },
+            );
+        });
+        out
+    }
+
+    #[test]
+    fn folding_a_record_equals_the_full_state_and_is_all_or_nothing() {
+        let base = sample_checkpoint();
+        let record = sample_delta(&base, 9);
+        let mut folded = Checkpoint::from_json_str(&base.to_json_string()).unwrap();
+        folded.apply_record(&record).expect("extends iteration 7");
+        assert_eq!((folded.iteration, folded.rng_state), (9, 0xABCD));
+        assert_eq!(folded.optimizer_calls, 45);
+        assert_eq!(folded.faults.len(), 2);
+        // Merged by key: (0,5) sorts first, (1,99) took the record's
+        // value instead of growing a duplicate.
+        let keys: Vec<_> = folded.cache.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![(0, 5), (0, 17 << 70), (1, 99)]);
+        assert_eq!(folded.cache[2].1.cost, 3.5);
+        assert!(folded.bound_memo.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(folded.interner.windows(2).all(|w| w[0].0 < w[1].0));
+        let trace = folded.trace.as_ref().unwrap();
+        assert_eq!(trace.state.events.len(), 4);
+        assert_eq!(trace.state.events[3].seq, 3);
+        assert_eq!(trace.state.counters, vec![("search.iterations", 2)]);
+        // The fold is a fixpoint of the document format too.
+        let doc = folded.to_json_string();
+        assert_eq!(
+            Checkpoint::from_json_str(&doc).unwrap().to_json_string(),
+            doc
+        );
+
+        // Rejected records change nothing: wrong base, a replay of the
+        // same record, a full document, a torn body.
+        let before = folded.to_json_string();
+        for bad in [
+            record.as_str(),
+            &sample_delta(&base, 12),
+            &base.to_json_string(),
+            &record[..record.len() - 9],
+        ] {
+            assert!(matches!(
+                folded.apply_record(bad),
+                Err(TuneError::Checkpoint(_))
+            ));
+            assert_eq!(folded.to_json_string(), before);
+        }
+        // An untraced session that resumed this log keeps appending:
+        // the fold follows it and drops the trace.
+        let untraced = sample_delta(&folded, 11);
+        let cut = untraced.find(",\"trace\":").unwrap();
+        let untraced = format!("{},\"trace\":null}}", &untraced[..cut]);
+        folded.apply_record(&untraced).unwrap();
+        assert!(folded.trace.is_none());
+        assert_eq!(folded.iteration, 11);
+    }
+
+    #[test]
+    fn logs_fold_their_longest_intact_prefix() {
+        let base = sample_checkpoint();
+        let records = [base.to_json_string(), sample_delta(&base, 9)];
+        let mut log = Vec::new();
+        let mut frame = Vec::new();
+        let mut ends = Vec::new();
+        for r in &records {
+            Checkpoint::frame_record(r, &mut frame);
+            log.extend_from_slice(&frame);
+            ends.push(log.len());
+        }
+        let (whole, kept) = Checkpoint::from_log(&log).unwrap();
+        assert_eq!((whole.iteration, kept), (9, log.len()));
+        // Cut anywhere inside the last record: the first survives.
+        for cut in [ends[0], ends[0] + 1, ends[0] + FRAME_HEADER, log.len() - 1] {
+            let (ck, kept) = Checkpoint::from_log(&log[..cut]).unwrap();
+            assert_eq!((ck.iteration, kept), (7, ends[0]), "cut at {cut}");
+        }
+        // Cut inside the first: nothing to resume from.
+        assert!(Checkpoint::from_log(&log[..ends[0] - 1]).is_err());
+        // One flipped byte drops its record and everything after it.
+        let mut flipped = log.clone();
+        flipped[ends[0] + FRAME_HEADER + 40] ^= 0x20;
+        assert_eq!(Checkpoint::from_log(&flipped).unwrap().1, ends[0]);
+        flipped = log.clone();
+        flipped[FRAME_HEADER + 40] ^= 0x01;
+        assert!(Checkpoint::from_log(&flipped).is_err());
+        // A record that checks out but does not chain is a corrupt
+        // log, not a torn one.
+        let mut twice = log.clone();
+        twice.extend_from_slice(&frame);
+        assert!(Checkpoint::from_log(&twice).is_err());
+        // A length field larger than the file is just a short record.
+        let mut huge = log[..ends[0]].to_vec();
+        huge.extend_from_slice(b"ffffffff 0000000000000000 {}\n");
+        assert_eq!(Checkpoint::from_log(&huge).unwrap().1, ends[0]);
     }
 }

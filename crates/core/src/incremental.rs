@@ -24,11 +24,11 @@
 //! (commit-on-success, like the cost cache), so traces and reports are
 //! byte-identical for every `--threads` value.
 
-use crate::arena::{shard_count, shard_index, CachePadded, ProbeTable};
+use crate::arena::{sort_batch, Sharded};
 use crate::transform::Transformation;
 use parking_lot::RwLock;
 use pdt_physical::Index;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -44,6 +44,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Default)]
 pub struct Interner {
     indexes: RefCell<HashMap<Index, u64>>,
+    /// `(epoch, index, signature)` of every first sighting since the
+    /// last checkpoint record; `None` = not journaling. Same epoch
+    /// protocol as [`Sharded`], without the shards.
+    journal: RefCell<Option<Vec<(u32, Index, u64)>>>,
+    epoch: Cell<u32>,
 }
 
 impl Interner {
@@ -60,6 +65,9 @@ impl Interner {
         index.hash(&mut h);
         let sig = h.finish();
         self.indexes.borrow_mut().insert(index.clone(), sig);
+        if let Some(journal) = self.journal.borrow_mut().as_mut() {
+            journal.push((self.epoch.get(), index.clone(), sig));
+        }
         sig
     }
 
@@ -127,12 +135,39 @@ impl Interner {
         out
     }
 
-    /// Rebuild from a checkpoint dump.
+    /// Rebuild from a checkpoint dump (never journaled: the log the
+    /// session resumed from already holds these).
     pub fn restore(&self, entries: Vec<(Index, u64)>) {
         let mut map = self.indexes.borrow_mut();
         for (index, sig) in entries {
             map.entry(index).or_insert(sig);
         }
+    }
+
+    /// Journal first sightings from here on (a session with a
+    /// checkpoint sink).
+    pub fn start_journal(&self) {
+        *self.journal.borrow_mut() = Some(Vec::new());
+    }
+
+    /// Close journal epoch `epoch` at a clean iteration boundary.
+    pub fn seal(&self, epoch: u32) {
+        self.epoch.set(epoch + 1);
+    }
+
+    /// The descriptors first seen in epochs `..= epoch` and not yet
+    /// handed out, sorted by descriptor — one checkpoint record's
+    /// `interner` section.
+    pub fn drain_through(&self, epoch: u32) -> Vec<(Index, u64)> {
+        let mut journal = self.journal.borrow_mut();
+        let Some(journal) = journal.as_mut() else {
+            return Vec::new();
+        };
+        let sealed = journal.partition_point(|(e, _, _)| *e <= epoch);
+        let mut batch: Vec<(Index, u64)> =
+            journal.drain(..sealed).map(|(_, i, s)| (i, s)).collect();
+        sort_batch(&mut batch);
+        batch
     }
 }
 
@@ -177,22 +212,18 @@ impl BoundMemoEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoCfg(u32);
 
-/// One cache-line-padded shard of the bound memo.
-type MemoShard = CachePadded<RwLock<ProbeTable<(u64, u32), BoundMemoEntry>>>;
-
 /// Sharded memo of §3.3.2 bound computations, keyed by
 /// `(transformation signature, configuration signature)`. The
 /// configuration side is the 128-bit [`Configuration::signature128`]
 /// (`pdt_physical`), matching the what-if cache keys; internally it is
-/// interned to a dense id ([`MemoCfg`]) and entries live in per-shard
-/// open-addressed [`ProbeTable`]s probed by the transformation
-/// signature's own bits. [`BoundMemo::snapshot`] emits portable signature keys,
+/// interned to a dense id ([`MemoCfg`]) and entries live in a
+/// [`Sharded`] table probed by the transformation signature's own bits. [`BoundMemo::snapshot`] emits portable signature keys,
 /// so checkpoints never see an id.
 pub struct BoundMemo {
     cfg_ids: RwLock<HashMap<u128, u32>>,
     /// id → signature, so snapshots serialize portable keys.
     cfg_sigs: RwLock<Vec<u128>>,
-    shards: Vec<MemoShard>,
+    table: Sharded<(u64, u32), BoundMemoEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -203,16 +234,10 @@ impl BoundMemo {
         Self {
             cfg_ids: RwLock::new(HashMap::new()),
             cfg_sigs: RwLock::new(Vec::new()),
-            shards: (0..shard_count(workers))
-                .map(|_| CachePadded(RwLock::new(ProbeTable::new())))
-                .collect(),
+            table: Sharded::new(workers),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    fn shard(&self, key: (u64, u32)) -> &RwLock<ProbeTable<(u64, u32), BoundMemoEntry>> {
-        &self.shards[shard_index(&key, self.shards.len())]
     }
 
     /// Resolve the configuration side of the key: called once per
@@ -232,13 +257,11 @@ impl BoundMemo {
     }
 
     pub fn lookup_keyed(&self, t_sig: u64, cfg: MemoCfg) -> Option<BoundMemoEntry> {
-        let key = (t_sig, cfg.0);
-        self.shard(key).read().get(key).copied()
+        self.table.get((t_sig, cfg.0))
     }
 
     pub fn insert_keyed(&self, t_sig: u64, cfg: MemoCfg, entry: BoundMemoEntry) {
-        let key = (t_sig, cfg.0);
-        self.shard(key).write().insert(key, entry);
+        self.table.insert((t_sig, cfg.0), entry);
     }
 
     pub fn lookup(&self, t_sig: u64, cfg_sig: u128) -> Option<BoundMemoEntry> {
@@ -283,7 +306,7 @@ impl BoundMemo {
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.table.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -292,17 +315,44 @@ impl BoundMemo {
 
     /// Deterministic dump sorted by key, with dense configuration ids
     /// mapped back to their portable 128-bit signatures — independent
-    /// of shard count, slot order, and id assignment order.
+    /// of shard count, slot order, and id assignment order. What the
+    /// folded checkpoint log of a session must add up to.
     pub fn snapshot(&self) -> Vec<((u64, u128), BoundMemoEntry)> {
         let sigs = self.cfg_sigs.read();
         let mut out: Vec<((u64, u128), BoundMemoEntry)> = Vec::new();
-        for shard in &self.shards {
-            for ((t_sig, cfg_id), v) in shard.read().iter() {
+        self.table.for_each_table(|table| {
+            for ((t_sig, cfg_id), v) in table.iter() {
                 out.push(((*t_sig, sigs[*cfg_id as usize]), *v));
             }
-        }
+        });
         out.sort_by_key(|(k, _)| *k);
         out
+    }
+
+    /// Journal inserts from here on (a session with a checkpoint sink;
+    /// see [`Sharded::start_journal`]).
+    pub fn start_journal(&mut self) {
+        self.table.start_journal();
+    }
+
+    /// Close journal epoch `epoch` at a clean iteration boundary.
+    pub fn seal(&self, epoch: u32) {
+        self.table.seal(epoch);
+    }
+
+    /// The entries inserted in epochs `..= epoch` and not yet handed
+    /// out, under their portable keys and sorted by them — one
+    /// checkpoint record's `bound_memo` section.
+    pub fn drain_through(&self, epoch: u32) -> Vec<((u64, u128), BoundMemoEntry)> {
+        let sigs = self.cfg_sigs.read();
+        let mut batch: Vec<((u64, u128), BoundMemoEntry)> = self
+            .table
+            .drain_through(epoch)
+            .into_iter()
+            .map(|((t_sig, cfg_id), e)| ((t_sig, sigs[cfg_id as usize]), e))
+            .collect();
+        sort_batch(&mut batch);
+        batch
     }
 }
 
@@ -362,6 +412,45 @@ mod tests {
         for (c, sig) in sigs.iter().enumerate() {
             assert_eq!(restored.index_sig(&ix(1, c as u16)), *sig);
         }
+    }
+
+    #[test]
+    fn journals_hand_out_what_each_epoch_added() {
+        let it = Interner::new();
+        it.index_sig(&ix(9, 9));
+        it.start_journal();
+        let s2 = it.index_sig(&ix(1, 2));
+        let s1 = it.index_sig(&ix(1, 1));
+        it.index_sig(&ix(1, 2)); // a repeat sighting is not an insert
+        it.seal(0);
+        let late = it.index_sig(&ix(1, 0));
+        assert_eq!(
+            it.drain_through(0),
+            vec![(ix(1, 1), s1), (ix(1, 2), s2)],
+            "sorted by descriptor; nothing from before the journal or after the seal"
+        );
+        it.seal(1);
+        assert_eq!(it.drain_through(1), vec![(ix(1, 0), late)]);
+
+        let mut m = BoundMemo::new(4);
+        m.insert(5, 50, BoundMemoEntry::inapplicable());
+        m.start_journal();
+        let e = |b: f64| BoundMemoEntry {
+            applies: true,
+            bound: b,
+            delta_s: 0.0,
+        };
+        m.insert(9, 1 << 90, e(1.0));
+        m.insert(2, 7, e(2.0));
+        m.seal(0);
+        m.insert(1, 7, e(3.0));
+        let keys = |b: Vec<((u64, u128), BoundMemoEntry)>| -> Vec<(u64, u128)> {
+            b.into_iter().map(|(k, _)| k).collect()
+        };
+        assert_eq!(keys(m.drain_through(0)), vec![(2, 7), (9, 1 << 90)]);
+        m.seal(1);
+        assert_eq!(keys(m.drain_through(1)), vec![(1, 7)]);
+        assert_eq!(m.snapshot().len(), 4, "the store itself keeps everything");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::bound::{
     bound_served_eval, cost_upper_bound, cost_upper_bound_restricted, ViewBuildCosts,
 };
 use crate::cache::CostCache;
-use crate::checkpoint::{Checkpoint, TraceCheckpoint};
+use crate::checkpoint::{write_record, Batch, Checkpoint, Head, Identity, RecordKind, TraceBatch};
 use crate::derived::RelevanceTable;
 use crate::error::TuneError;
 use crate::eval::{
@@ -514,14 +514,22 @@ impl<'a> Env<'a> {
             }
         }
         let threads = resolve_threads(options.threads);
-        let cache = match ctl.resume {
+        let mut cache = match ctl.resume {
             Some(ck) => ck.restore_cache(threads),
             None => CostCache::with_workers(threads),
         };
-        let memo = match ctl.resume {
+        let mut memo = match ctl.resume {
             Some(ck) => ck.restore_memo(threads),
             None => BoundMemo::new(threads),
         };
+        // A session that checkpoints journals what its stores gain from
+        // here on, so a record costs what changed; any other session
+        // keeps (and pays) nothing. What a resume restored is already
+        // in the log it came from.
+        if ctl.checkpoint_sink.is_some() {
+            cache.start_journal();
+            memo.start_journal();
+        }
         // A resumed session validates the checkpointed relevance table
         // against this rebuilt one.
         let relevance = RelevanceTable::build(db, workload);
@@ -880,8 +888,8 @@ pub fn tune_traced(
     .expect("no checkpoint to write or resume, cannot fail")
 }
 
-/// Receives `(iterations_completed, serialized_checkpoint)` from a
-/// session; see [`SessionCtl::checkpoint_sink`].
+/// Receives `(iterations_completed, record)` from a session; see
+/// [`SessionCtl::checkpoint_sink`].
 pub type CheckpointSink<'a> = &'a dyn Fn(usize, &str);
 
 /// Checkpoint/resume and tracing plumbing for [`tune_session`]. The
@@ -891,12 +899,17 @@ pub type CheckpointSink<'a> = &'a dyn Fn(usize, &str);
 pub struct SessionCtl<'a> {
     /// Structured-event sink; see [`tune_traced`].
     pub tracer: Option<&'a Tracer>,
-    /// Write a checkpoint every N completed iterations (0 = only when
-    /// the session stops early). Meaningful only with a sink.
+    /// Write a checkpoint record every N completed iterations (0 =
+    /// only when the session stops early). Meaningful only with a sink.
     pub checkpoint_every: usize,
-    /// Receives `(iterations_completed, serialized_checkpoint)` on the
-    /// cadence above and once more — with the last clean boundary —
-    /// when the session stops early (deadline / SIGINT / fault limit).
+    /// Receives `(iterations_completed, record)` on the cadence above
+    /// and once more — for the last clean boundary — when the session
+    /// stops early (deadline / SIGINT / fault limit). The records are a
+    /// log (see [`crate::checkpoint`]): a fresh session's first is a
+    /// complete document, every later one — and every record of a
+    /// resumed session, which extends the checkpoint it resumed from —
+    /// carries only what was added since the one before, so a sink
+    /// appends.
     pub checkpoint_sink: Option<CheckpointSink<'a>>,
     /// Resume from this checkpoint: the session silently replays the
     /// checkpointed prefix (cheap — the restored cache answers every
@@ -1333,12 +1346,42 @@ struct Session<'a> {
     /// session re-opens the checkpointed one at go-live.
     search_span: Option<pdt_trace::Span<'a>>,
     ctl: SessionCtl<'a>,
-    /// The newest clean boundary captured but not yet written.
-    pending: Option<(usize, Checkpoint)>,
-    last_saved: usize,
+    /// Journal epoch inserts currently land in; closed by every
+    /// [`Mark`].
+    epoch: u32,
+    /// The newest clean boundary marked but not yet written.
+    pending: Option<Mark>,
+    /// What the records written so far (or the checkpoint resumed
+    /// from) already cover.
+    written: Written,
+    /// Reused across records.
+    record_buf: String,
     /// SoA scratch for the §3.6 skyline scan, reused across iterations
     /// instead of reallocating a snapshot per pass.
     skyline_scratch: SkylineScratch,
+}
+
+/// A clean iteration boundary, held until (and unless) a checkpoint
+/// record is written for it: the record's header scalars by value, and
+/// everything append-only by position; see [`Session::mark`].
+struct Mark {
+    head: Head,
+    /// The journal epoch this boundary closed: the record takes what
+    /// the stores gained in epochs `..= epoch`.
+    epoch: u32,
+    /// `report.faults.len()` at the boundary.
+    faults: usize,
+    trace: Option<pdt_trace::TraceMark>,
+}
+
+/// How far the checkpoint log already reaches: the boundary of the last
+/// record written (or of the checkpoint resumed from; 0 = the log is
+/// empty and the next record opens it with a complete document), and
+/// the positions the next record's batches start at.
+struct Written {
+    iteration: usize,
+    faults: usize,
+    events: u64,
 }
 
 /// A relaxed configuration ready to join the pool.
@@ -1522,14 +1565,25 @@ impl<'a> Session<'a> {
             None,
             None,
         );
+        let interner = match gate.resume {
+            Some(ck) => ck.restore_interner(),
+            None => Interner::new(),
+        };
+        if ctl.checkpoint_sink.is_some() {
+            interner.start_journal();
+        }
         let session = Session {
-            last_saved: gate.resume_at(),
+            written: Written {
+                iteration: gate.resume_at(),
+                faults: report.faults.len(),
+                events: gate
+                    .resume
+                    .and_then(|ck| ck.trace.as_ref())
+                    .map_or(0, |t| t.state.events.len() as u64),
+            },
             rng: StdRng::seed_from_u64(options.seed),
             env,
-            interner: match gate.resume {
-                Some(ck) => ck.restore_interner(),
-                None => Interner::new(),
-            },
+            interner,
             gate,
             ledger,
             start,
@@ -1539,7 +1593,9 @@ impl<'a> Session<'a> {
             last_created: 0,
             search_span: None,
             ctl,
+            epoch: 0,
             pending: None,
+            record_buf: String::new(),
             skyline_scratch: SkylineScratch::default(),
         };
         Ok((session, optimal))
@@ -1867,35 +1923,31 @@ impl<'a> Session<'a> {
             if let Some(reason) = self.gate.stop.stopped() {
                 self.report.stop_reason = reason;
                 // Save the newest clean boundary. `pending` was
-                // captured before the previous iteration ran, so it is
+                // marked before the previous iteration ran, so it is
                 // valid even if that iteration was truncated mid-
-                // evaluation by this very stop.
-                if let (Some(sink), Some((done, ck))) =
-                    (self.ctl.checkpoint_sink, self.pending.take())
-                {
-                    if done > self.last_saved {
-                        sink(done, &ck.to_json_string());
+                // evaluation by this very stop: nothing inserted or
+                // emitted after the mark reaches the record.
+                if let Some(mark) = self.pending.take() {
+                    if mark.head.iteration > self.written.iteration {
+                        self.write_record(&mark);
                     }
                 }
                 return Ok(false);
             }
-            if let Some(sink) = self.ctl.checkpoint_sink {
+            if self.ctl.checkpoint_sink.is_some() && iteration > 1 {
                 // Reaching this point un-stopped proves iterations
                 // `1..=iteration-1` completed without stop interference
-                // (the token is sticky): capture them as the new resume
+                // (the token is sticky): mark them as the new resume
                 // boundary.
                 let done = iteration - 1;
-                if done >= 1 {
-                    let ck = self.capture_checkpoint(done);
-                    if self.ctl.checkpoint_every > 0
-                        && done.is_multiple_of(self.ctl.checkpoint_every)
-                        && done > self.last_saved
-                    {
-                        sink(done, &ck.to_json_string());
-                        self.last_saved = done;
-                    }
-                    self.pending = Some((done, ck));
+                let mark = self.mark(done);
+                if self.ctl.checkpoint_every > 0
+                    && done.is_multiple_of(self.ctl.checkpoint_every)
+                    && done > self.written.iteration
+                {
+                    self.write_record(&mark);
                 }
+                self.pending = Some(mark);
             }
         }
         self.report.iterations = iteration;
@@ -1912,39 +1964,98 @@ impl<'a> Session<'a> {
         Ok(true)
     }
 
-    /// Capture the resume state at a clean iteration boundary (the top
-    /// of the search loop, before any of the next iteration's work).
-    fn capture_checkpoint(&self, iteration_done: usize) -> Checkpoint {
+    /// Mark a clean iteration boundary (the top of the search loop,
+    /// before any of the next iteration's work): the scalars a record's
+    /// header carries, and *positions* in everything append-only — the
+    /// journal epoch this closes, the fault count, the tracer's event
+    /// and phase counts. Costs the same however much state the session
+    /// has accumulated.
+    fn mark(&mut self, iteration_done: usize) -> Mark {
         let (env, report) = (&self.env, &self.report);
-        let cache = &env.cache;
-        Checkpoint {
+        let epoch = self.epoch;
+        env.cache.seal(epoch);
+        env.memo.seal(epoch);
+        self.interner.seal(epoch);
+        self.epoch += 1;
+        Mark {
+            head: Head {
+                iteration: iteration_done,
+                rng_state: self.rng.state(),
+                optimizer_calls: report.optimizer_calls,
+                budget_spent: self.ledger.spent,
+                budget_skipped: self.ledger.skipped,
+                cache_hits: env.cache.hits(),
+                cache_misses: env.cache.misses(),
+                bound_memo_hits: env.memo.hits(),
+                bound_memo_misses: env.memo.misses(),
+                derived: env.cache.derived_counters(),
+                best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
+                frontier_len: report.frontier.len(),
+            },
+            epoch,
+            faults: report.faults.len(),
+            trace: self.gate.tracer.map(Tracer::mark),
+        }
+    }
+
+    /// Render the record for `mark` — what the stores, the fault list
+    /// and the tracer gained between the previous record and the mark —
+    /// and hand it to the sink.
+    fn write_record(&mut self, mark: &Mark) {
+        let sink = self
+            .ctl
+            .checkpoint_sink
+            .expect("marks are only taken with a sink");
+        let (env, report, written) = (&self.env, &self.report, &self.written);
+        let cache = env.cache.drain_through(mark.epoch);
+        let bound_memo = env.memo.drain_through(mark.epoch);
+        let interner = self.interner.drain_through(mark.epoch);
+        let identity = Identity {
             options_sig: env.opts_sig,
             base_sig: env.base_sig,
-            deployed: self.deployed.as_ref().map(|(_, e, s)| (e.total_cost, *s)),
             initial_cost: report.initial_cost,
             optimal_cost: report.optimal_cost,
-            iteration: iteration_done,
-            rng_state: self.rng.state(),
-            optimizer_calls: report.optimizer_calls,
-            budget_spent: self.ledger.spent,
-            budget_skipped: self.ledger.skipped,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            bound_memo_hits: env.memo.hits(),
-            bound_memo_misses: env.memo.misses(),
-            derived: cache.derived_counters(),
-            best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
-            frontier_len: report.frontier.len(),
-            faults: report.faults.clone(),
-            cache: cache.snapshot(),
-            bound_memo: env.memo.snapshot(),
-            interner: self.interner.snapshot(),
-            relevance: env.relevance.rows().to_vec(),
-            trace: self.gate.tracer.map(|t| TraceCheckpoint {
-                state: t.export_state(),
-                open_span_seq: self.search_span.as_ref().map_or(0, |s| s.events_at_open()),
+            deployed: self.deployed.as_ref().map(|(_, e, s)| (e.total_cost, *s)),
+            relevance: env.relevance.rows(),
+        };
+        let kind = if written.iteration == 0 {
+            RecordKind::Full(&identity)
+        } else {
+            RecordKind::Delta {
+                base: written.iteration,
+            }
+        };
+        let open_span_seq = self.search_span.as_ref().map_or(0, |s| s.events_at_open());
+        let out = &mut self.record_buf;
+        out.clear();
+        let render = |trace: Option<TraceBatch<'_>>| {
+            let batch = Batch {
+                faults: &report.faults[written.faults..mark.faults],
+                cache: &cache,
+                bound_memo: &bound_memo,
+                interner: &interner,
+                trace,
+            };
+            write_record(out, kind, &mark.head, &batch);
+        };
+        match (self.gate.tracer, &mark.trace) {
+            (Some(t), Some(at)) => t.read_prefix(written.events, at, |events, phases| {
+                render(Some(TraceBatch {
+                    depth: at.depth,
+                    open_span_seq,
+                    counters: &at.counters,
+                    phases,
+                    events,
+                }))
             }),
+            _ => render(None),
         }
+        sink(mark.head.iteration, &self.record_buf);
+        self.written = Written {
+            iteration: mark.head.iteration,
+            faults: mark.faults,
+            events: mark.trace.as_ref().map_or(0, |t| t.events),
+        };
     }
 
     /// Line 5 of Fig. 5 — the §3.4 heuristic (as amended by §3.6):
@@ -3102,8 +3213,13 @@ mod tests {
             max_iterations: 6,
             ..Default::default()
         };
+        // The log's first record is a complete checkpoint on its own.
         let saved = std::cell::RefCell::new(String::new());
-        let sink = |_: usize, body: &str| *saved.borrow_mut() = body.to_string();
+        let sink = |_: usize, record: &str| {
+            if saved.borrow().is_empty() {
+                *saved.borrow_mut() = record.to_string();
+            }
+        };
         let ctl = SessionCtl {
             checkpoint_every: 1,
             checkpoint_sink: Some(&sink),

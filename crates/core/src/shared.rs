@@ -47,15 +47,12 @@
 
 use crate::arena::{shard_count, shard_index, CachePadded, ProbeTable};
 use crate::cache::{probe_chain, scan_servable, CacheEntry};
-use crate::checkpoint::{
-    f64n, get, hex128, sigs128_json, sigs128_parse, unhex128, usage_json, usage_parse,
-};
+use crate::checkpoint::{entry_parse, get, unhex128, write_arr, write_entry_fields, write_hex128};
 use crate::derived::Projection;
 use parking_lot::RwLock;
 use pdt_catalog::Database;
 use pdt_physical::{Configuration, Tagged128};
 use pdt_sql::Statement;
-use pdt_trace::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `(schema signature, query content signature, relevant-subset
@@ -301,32 +298,24 @@ impl SharedInvocationStore {
     /// Serialize the store for the warm-store file. Deterministic:
     /// sorted by key, fixed field order.
     pub fn to_warm_json(&self) -> String {
-        let entries = self
-            .snapshot()
-            .into_iter()
-            .map(|((schema, qsig, sig), e)| {
-                Json::Obj(vec![
-                    ("schema".into(), hex128(schema)),
-                    ("query".into(), hex128(qsig)),
-                    ("sig".into(), hex128(sig)),
-                    ("cost".into(), Json::Num(e.cost)),
-                    (
-                        "usages".into(),
-                        Json::Arr(e.usages.iter().map(usage_json).collect()),
-                    ),
-                    ("coarse".into(), hex128(e.coarse)),
-                    ("relevant".into(), sigs128_json(&e.relevant)),
-                    ("footprint".into(), sigs128_json(&e.footprint)),
-                    ("pinned".into(), sigs128_json(&e.pinned)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("version".into(), Json::Int(WARM_VERSION)),
-            ("kind".into(), Json::Str(WARM_KIND.into())),
-            ("entries".into(), Json::Arr(entries)),
-        ])
-        .to_string()
+        let mut out = format!("{{\"version\":{WARM_VERSION},\"kind\":\"{WARM_KIND}\",\"entries\":");
+        write_arr(
+            &mut out,
+            self.snapshot(),
+            |out, ((schema, qsig, sig), e)| {
+                out.push_str("{\"schema\":");
+                write_hex128(out, schema);
+                out.push_str(",\"query\":");
+                write_hex128(out, qsig);
+                out.push_str(",\"sig\":");
+                write_hex128(out, sig);
+                out.push(',');
+                write_entry_fields(out, &e);
+                out.push('}');
+            },
+        );
+        out.push('}');
+        out
     }
 
     /// Load a warm-store dump into this store. All-or-nothing: the
@@ -351,21 +340,7 @@ impl SharedInvocationStore {
                     unhex128(get(j, "query")?)?,
                     unhex128(get(j, "sig")?)?,
                 );
-                let usages = get(j, "usages")?
-                    .as_arr()
-                    .ok_or("usages must be an array")?
-                    .iter()
-                    .map(usage_parse)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let entry = CacheEntry {
-                    cost: f64n(get(j, "cost")?)?,
-                    usages: usages.into(),
-                    coarse: unhex128(get(j, "coarse")?)?,
-                    relevant: sigs128_parse(get(j, "relevant")?)?,
-                    footprint: sigs128_parse(get(j, "footprint")?)?,
-                    pinned: sigs128_parse(get(j, "pinned")?)?,
-                };
-                Ok((key, entry))
+                Ok((key, entry_parse(j)?))
             })
             .collect::<Result<Vec<(SharedKey, CacheEntry)>, String>>()?;
         let n = entries.len();

@@ -20,9 +20,10 @@
 //! 2. **Bind** the TCP listener ([`TuneError::Bind`], exit 8, on
 //!    failure) and durably publish the actual address in `endpoint`
 //!    (port 0 lets tests pick a free port).
-//! 3. **Serve**: a nonblocking accept loop hands each connection to a
-//!    short-lived handler thread; `slots` worker threads drain the
-//!    session queue. Admission is bounded: more than `queue_cap`
+//! 3. **Serve**: a blocking accept loop hands each connection to a
+//!    short-lived handler thread (a waker thread watches the shutdown
+//!    token and releases the `accept` with a self-connection); `slots`
+//!    worker threads drain the session queue. Admission is bounded: more than `queue_cap`
 //!    waiting sessions → explicit backpressure
 //!    (`{"error":"overloaded","retry_after_ms":...}`), never
 //!    unbounded memory.
@@ -40,8 +41,8 @@ use pdt_trace::json::Json;
 use pdt_tuner::fault::FaultPlan;
 use pdt_tuner::{StopReason, StopToken, TuneError};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -450,21 +451,39 @@ fn handle_watch(
     }
 }
 
+/// Longest request line the daemon will buffer. Real requests are a
+/// job spec — a few hundred bytes, or a workload file's SQL inline.
+const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
+/// The first line of `stream`, or `Err` with the protocol answer when
+/// it runs past [`MAX_REQUEST_BYTES`] without ending — a client can
+/// make the daemon hold a megabyte, never more. `Ok(None)`: nothing to
+/// answer (closed, timed out, empty, not UTF-8).
+fn read_request_line(stream: impl Read) -> Result<Option<String>, String> {
+    let mut line = String::new();
+    let mut capped = BufReader::new(stream.take(MAX_REQUEST_BYTES));
+    if capped.read_line(&mut line).is_err() {
+        return Ok(None);
+    }
+    if line.len() as u64 >= MAX_REQUEST_BYTES && !line.ends_with('\n') {
+        return Err(err_response("request too large"));
+    }
+    Ok(Some(line).filter(|l| !l.trim().is_empty()))
+}
+
 fn handle_connection(daemon: &Daemon, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
+    let Ok(reader) = stream.try_clone() else {
         return;
-    }
-    if line.trim().is_empty() {
-        return;
-    }
+    };
+    let line = match read_request_line(reader) {
+        Ok(Some(line)) => line,
+        Ok(None) => return,
+        Err(too_large) => {
+            let _ = writeln!(stream, "{too_large}");
+            return;
+        }
+    };
     let response = match parse_request(&line) {
         Err(e) => err_response(&e),
         Ok(Request::Ping) => ok_response(vec![(
@@ -636,6 +655,22 @@ pub fn quiet_injected_panics() {
     }));
 }
 
+/// How often the waker looks at the shutdown token: the most a
+/// SIGTERM or `shutdown` op waits before the drain starts.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(5);
+
+/// Where to reach a listener bound to `local` from this host: a
+/// wildcard bind address is not a destination.
+fn loopback(mut local: SocketAddr) -> SocketAddr {
+    if local.ip().is_unspecified() {
+        local.set_ip(match local {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    local
+}
+
 /// Run the daemon until `shutdown` trips (SIGTERM, Ctrl-C, or the
 /// `shutdown` op). On a clean return every running session has drained
 /// to a durable checkpoint and every queued session's manifest is on
@@ -693,10 +728,6 @@ pub fn serve(opts: ServeOptions, shutdown: StopToken) -> Result<(), TuneError> {
         addr: daemon.opts.addr.clone(),
         msg: e.to_string(),
     })?;
-    listener.set_nonblocking(true).map_err(|e| TuneError::Io {
-        path: local.to_string(),
-        msg: e.to_string(),
-    })?;
     let endpoint = daemon.opts.data_dir.join("endpoint");
     atomic_write(&endpoint, format!("{local}\n").as_bytes()).map_err(|e| TuneError::Io {
         path: endpoint.display().to_string(),
@@ -718,17 +749,31 @@ pub fn serve(opts: ServeOptions, shutdown: StopToken) -> Result<(), TuneError> {
         })
         .collect();
 
-    // 4. Accept loop, polling the shutdown token between accepts.
-    while daemon.shutdown.get().is_none() {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    // 4. Accept loop. `accept` blocks, so a request is picked up the
+    // moment it arrives; the waker turns a tripped shutdown token into
+    // one more connection for the loop to wake on.
+    let waker = {
+        let token = daemon.shutdown.clone();
+        std::thread::Builder::new()
+            .name("pdtune-waker".to_string())
+            .spawn(move || {
+                while token.get().is_none() {
+                    std::thread::sleep(SHUTDOWN_POLL);
+                }
+                let _ = TcpStream::connect(loopback(local));
+            })
+            .expect("spawn waker")
+    };
+    for stream in listener.incoming() {
+        if daemon.shutdown.get().is_some() {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 let d = Arc::clone(&daemon);
                 let _ = std::thread::Builder::new()
                     .name("pdtune-conn".to_string())
                     .spawn(move || handle_connection(&d, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) => {
                 eprintln!("serve: accept: {e}");
@@ -736,6 +781,7 @@ pub fn serve(opts: ServeOptions, shutdown: StopToken) -> Result<(), TuneError> {
             }
         }
     }
+    let _ = waker.join();
 
     // 5. Graceful drain: no new work, trip every running session, join.
     eprintln!("pdtune serve: shutting down, draining live sessions");
@@ -790,6 +836,47 @@ mod tests {
         // Degenerate global budgets still assign at least one call.
         opts.global_call_budget = Some(2);
         assert_eq!(assign_budget(&opts, None), Some(1));
+    }
+
+    #[test]
+    fn request_lines_are_bounded() {
+        let ok = read_request_line(&b"{\"op\":\"ping\"}\nignored"[..]).unwrap();
+        assert_eq!(ok.as_deref(), Some("{\"op\":\"ping\"}\n"));
+        assert_eq!(read_request_line(&b"  \n"[..]).unwrap(), None);
+        assert_eq!(read_request_line(&b""[..]).unwrap(), None);
+        assert_eq!(read_request_line(&b"\xff\xfe\n"[..]).unwrap(), None);
+        // The largest line that fits is still a request…
+        let mut fits = vec![b'a'; MAX_REQUEST_BYTES as usize - 1];
+        fits.push(b'\n');
+        assert_eq!(
+            read_request_line(&fits[..]).unwrap().map(|l| l.len()),
+            Some(MAX_REQUEST_BYTES as usize)
+        );
+        // …a 2 MiB one is answered, not buffered…
+        let mut big = vec![b'a'; 2 << 20];
+        big.push(b'\n');
+        let answer = read_request_line(&big[..]).unwrap_err();
+        assert!(answer.contains("request too large"), "{answer}");
+        assert_eq!(
+            parse_request_ok(&answer),
+            Some(false),
+            "the refusal is a protocol answer"
+        );
+        // …and so is one that never ends.
+        let endless = read_request_line(std::io::repeat(b'{')).unwrap_err();
+        assert_eq!(endless, answer);
+    }
+
+    fn parse_request_ok(response: &str) -> Option<bool> {
+        pdt_trace::json::parse(response).ok()?.get("ok")?.as_bool()
+    }
+
+    #[test]
+    fn wildcard_listeners_are_woken_through_loopback() {
+        let woken = |bind: &str| loopback(bind.parse().unwrap()).to_string();
+        assert_eq!(woken("0.0.0.0:7070"), "127.0.0.1:7070");
+        assert_eq!(woken("[::]:7070"), "[::1]:7070");
+        assert_eq!(woken("127.0.0.1:9"), "127.0.0.1:9");
     }
 
     #[test]

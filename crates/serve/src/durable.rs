@@ -1,12 +1,20 @@
 //! Crash-safe file writes and the bounded-retry policy around them.
 //!
-//! Every durable artifact the daemon owns — job manifests, session
-//! checkpoints, final reports and traces — goes through
-//! [`atomic_write`]: write `<path>.tmp`, fsync the file, rename over
-//! the target, then fsync the parent directory. Process death
-//! (`kill -9`) at any instant leaves either the old bytes or the new
-//! bytes, never a torn file; the directory fsync extends that to host
-//! crashes, where a rename alone may not yet be on disk.
+//! Two shapes of durable write, matched to two shapes of data:
+//!
+//! * **Replace** — job manifests, final reports and traces, a log's
+//!   first record — goes through [`atomic_write`]: write `<path>.tmp`,
+//!   fsync the file, rename over the target, then fsync the parent
+//!   directory. Process death (`kill -9`) at any instant leaves either
+//!   the old bytes or the new bytes, never a torn file; the directory
+//!   fsync extends that to host crashes, where a rename alone may not
+//!   yet be on disk.
+//! * **Append** — a session's checkpoint records — goes through
+//!   [`AppendLog`]: write at the end of one open file, `fdatasync`. A
+//!   crash can tear the record being appended, and only that one; the
+//!   records carry their own length and checksum, so the reader drops a
+//!   torn tail and the next appender truncates it. What this buys is
+//!   cost proportional to the record instead of to the whole state.
 //!
 //! [`DurableWriter`] layers the daemon's retry policy on top: bounded
 //! attempts with exponential backoff, with deterministic fault
@@ -15,23 +23,92 @@
 
 use pdt_tuner::fault::FaultPlan;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Atomically replace `path` with `contents`, surviving both process
 /// death and host crash: tmp + fsync(file) + rename + fsync(dir).
 pub fn atomic_write(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(contents)?;
-        // A rename can be durable while the data it points at is not;
-        // flush file bytes before the rename makes them reachable.
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
+    stage(path, contents)?;
+    fs::rename(tmp_path(path), path)?;
     sync_parent_dir(path)
+}
+
+/// Write `contents` to `<path>.tmp` and fsync it: everything of an
+/// atomic replace short of the rename.
+fn stage(path: &Path, contents: &[u8]) -> io::Result<()> {
+    let mut f = fs::File::create(tmp_path(path))?;
+    f.write_all(contents)?;
+    // A rename can be durable while the data it points at is not;
+    // flush file bytes before the rename makes them reachable.
+    f.sync_all()
+}
+
+/// An append-only file of self-delimiting records (a session's
+/// checkpoint log). The file comes into existence whole: the first
+/// record is installed by [`atomic_write`], which also makes the name
+/// durable, so a log that exists starts with an intact record. Every
+/// later record is one write at the end plus `sync_data` — no rename,
+/// no directory fsync, no rewrite of what is already there.
+#[derive(Debug)]
+pub struct AppendLog {
+    path: PathBuf,
+    /// Open once the file exists.
+    file: Option<fs::File>,
+    /// Bytes of intact records; the next record lands here.
+    len: u64,
+}
+
+impl AppendLog {
+    /// A log the first [`append`](AppendLog::append) will create,
+    /// replacing whatever is at `path`.
+    pub fn create(path: &Path) -> AppendLog {
+        AppendLog {
+            path: path.to_path_buf(),
+            file: None,
+            len: 0,
+        }
+    }
+
+    /// Keep appending to an existing log whose first `keep` bytes are
+    /// intact records; a torn tail beyond them is cut off first.
+    pub fn reopen(path: &Path, keep: u64) -> io::Result<AppendLog> {
+        let file = fs::OpenOptions::new().write(true).open(path)?;
+        if file.metadata()?.len() != keep {
+            file.set_len(keep)?;
+            file.sync_data()?;
+        }
+        Ok(AppendLog {
+            path: path.to_path_buf(),
+            file: Some(file),
+            len: keep,
+        })
+    }
+
+    /// Durably append one framed record. On error the log still ends
+    /// at its last intact record (a partial write is cut back off), so
+    /// the call can simply be retried.
+    pub fn append(&mut self, record: &[u8]) -> io::Result<()> {
+        match &mut self.file {
+            None => {
+                atomic_write(&self.path, record)?;
+                self.file = Some(fs::OpenOptions::new().write(true).open(&self.path)?);
+            }
+            Some(file) => {
+                let written = file
+                    .seek(SeekFrom::Start(self.len))
+                    .and_then(|_| file.write_all(record))
+                    .and_then(|()| file.sync_data());
+                if let Err(e) = written {
+                    let _ = file.set_len(self.len);
+                    return Err(e);
+                }
+            }
+        }
+        self.len += record.len() as u64;
+        Ok(())
+    }
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -110,6 +187,50 @@ impl DurableWriter {
     /// try succeeded); after the retry budget is exhausted, returns the
     /// last error — the caller moves the session to `failed`.
     pub fn write(&self, site: u32, seq: u64, path: &Path, contents: &[u8]) -> Result<u32, String> {
+        self.retry(site, seq, path, || atomic_write(path, contents))
+    }
+
+    /// [`DurableWriter::write`] for one record of an [`AppendLog`]:
+    /// same coordinates, same retry budget, append instead of replace.
+    pub fn append(
+        &self,
+        site: u32,
+        seq: u64,
+        log: &mut AppendLog,
+        record: &[u8],
+    ) -> Result<u32, String> {
+        let path = log.path.clone();
+        self.retry(site, seq, &path, || log.append(record))
+    }
+
+    /// Install several files of one directory as a group: each is
+    /// staged (tmp + fsync) under its own retry budget and its own
+    /// `seq` coordinate, then all are renamed into place and the
+    /// directory is fsynced once — one directory flush where separate
+    /// [`DurableWriter::write`]s pay one each. Not atomic as a group:
+    /// the caller's commit record (the manifest) is what says the
+    /// group is complete.
+    pub fn write_group(&self, site: u32, files: &[(u64, &Path, &[u8])]) -> Result<(), String> {
+        for (seq, path, contents) in files {
+            self.retry(site, *seq, path, || stage(path, contents))?;
+        }
+        let Some((_, first, _)) = files.first() else {
+            return Ok(());
+        };
+        files
+            .iter()
+            .try_for_each(|(_, path, _)| fs::rename(tmp_path(path), path))
+            .and_then(|()| sync_parent_dir(first))
+            .map_err(|e| format!("installing into {}: {e}", first.display()))
+    }
+
+    fn retry(
+        &self,
+        site: u32,
+        seq: u64,
+        path: &Path,
+        mut op: impl FnMut() -> io::Result<()>,
+    ) -> Result<u32, String> {
         let attempts = self.policy.max_attempts.max(1);
         let mut last_err = String::new();
         for attempt in 0..attempts {
@@ -124,7 +245,7 @@ impl DurableWriter {
                     "injected I/O fault: site={site} seq={seq} attempt={attempt}"
                 )))
             } else {
-                atomic_write(path, contents)
+                op()
             };
             match result {
                 Ok(()) => return Ok(attempt + 1),
@@ -182,6 +303,70 @@ mod tests {
         let dir = scratch_dir("noparent");
         let path = dir.join("missing").join("ck.json");
         assert!(atomic_write(&path, b"x").is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_log_is_created_whole_and_grows_in_place() {
+        let dir = scratch_dir("appendlog");
+        let path = dir.join("ck.log");
+        fs::write(&path, b"stale bytes from an earlier run").unwrap();
+        let mut log = AppendLog::create(&path);
+        assert_eq!(fs::read(&path).unwrap().len(), 31, "nothing until a record");
+        log.append(b"first\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"first\n");
+        assert!(!tmp_path(&path).exists());
+        log.append(b"second\n").unwrap();
+        log.append(b"third\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"first\nsecond\nthird\n");
+        drop(log);
+        // A crash tore the third record; the next daemon keeps the
+        // intact prefix, cuts the tail and appends after it.
+        let mut log = AppendLog::reopen(&path, 13).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"first\nsecond\n");
+        log.append(b"3rd\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"first\nsecond\n3rd\n");
+        assert!(AppendLog::reopen(&dir.join("absent.log"), 0).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn group_writes_keep_per_file_coordinates_and_stage_before_installing() {
+        let dir = scratch_dir("group");
+        let (a, b) = (dir.join("a.txt"), dir.join("b.txt"));
+        DurableWriter::default()
+            .write_group(SITE_CHECKPOINT_WRITE, &[(7, &a, b"aa"), (8, &b, b"bb")])
+            .unwrap();
+        assert_eq!(fs::read(&a).unwrap(), b"aa");
+        assert_eq!(fs::read(&b).unwrap(), b"bb");
+        assert!(!tmp_path(&a).exists() && !tmp_path(&b).exists());
+        // A certain fault fails the group at its first file, after the
+        // retry budget, with nothing installed.
+        let (c, d) = (dir.join("c.txt"), dir.join("d.txt"));
+        let faulty = DurableWriter::new(Some(FaultPlan { seed: 3, rate: 1.0 }), fast(2));
+        let err = faulty
+            .write_group(SITE_CHECKPOINT_WRITE, &[(7, &c, b"cc"), (8, &d, b"dd")])
+            .unwrap_err();
+        assert!(
+            err.contains("c.txt") && err.contains("after 2 attempts"),
+            "{err}"
+        );
+        assert!(
+            !c.exists() && !d.exists(),
+            "nothing of a failed group appears"
+        );
+        // The injector is consulted at exactly the coordinates separate
+        // writes would use.
+        for seed in 0..20u64 {
+            let w = DurableWriter::new(Some(FaultPlan { seed, rate: 0.5 }), fast(1));
+            let (e, f) = (dir.join(format!("e{seed}")), dir.join(format!("f{seed}")));
+            let separate = w.write(SITE_CHECKPOINT_WRITE, 1, &e, b"e").is_ok()
+                && w.write(SITE_CHECKPOINT_WRITE, 2, &f, b"f").is_ok();
+            let grouped = w
+                .write_group(SITE_CHECKPOINT_WRITE, &[(1, &e, b"e"), (2, &f, b"f")])
+                .is_ok();
+            assert_eq!(separate, grouped, "seed {seed}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -37,7 +37,7 @@ pub mod session;
 
 pub use client::Client;
 pub use daemon::{serve, ServeOptions};
-pub use durable::{atomic_write, DurableWriter, RetryPolicy};
+pub use durable::{atomic_write, AppendLog, DurableWriter, RetryPolicy};
 pub use job::JobSpec;
 pub use manifest::{Manifest, SessionState};
 pub use session::{run_session, RunOutcome, Session, SessionCounters};

@@ -6,27 +6,31 @@
 //! ```text
 //! sessions/s0001/
 //!   manifest.json     durable state machine record (WAL-style)
-//!   checkpoint.json   PR 3 checkpoint, rewritten on a cadence
+//!   checkpoint.log    DESIGN.md §10 record log, appended on a cadence
 //!   trace.jsonl       final JSONL trace       (written at `done`)
 //!   report.txt        final rendered report   (written at `done`)
 //! ```
 //!
-//! Durability contract: every artifact is written with
-//! [`crate::durable::atomic_write`] (tmp + fsync + rename + dir
-//! fsync), and the manifest is the commit record — a session is
-//! `done` exactly when its manifest says so, at which point report
-//! and trace are already on disk. `kill -9` at any instant therefore
-//! leaves one of two recoverable worlds: a terminal manifest with
-//! complete artifacts, or a non-terminal manifest whose checkpoint
-//! resumes the session byte-identically (reports *and* traces, at
-//! every thread count — the PR 3 contract, now load-bearing).
+//! Durability contract: the manifest and the final artifacts are
+//! replaced atomically ([`crate::durable::atomic_write`]: tmp, fsync,
+//! rename, dir fsync), the checkpoint log is appended to
+//! ([`crate::durable::AppendLog`]: write + `fdatasync`, records that
+//! check themselves), and the manifest is the commit record — a
+//! session is `done` exactly when its manifest says so, at which point
+//! report and trace are already on disk. `kill -9` at any instant
+//! therefore leaves one of two recoverable worlds: a terminal manifest
+//! with complete artifacts, or a non-terminal manifest whose checkpoint
+//! log — its longest intact prefix; a record torn by the crash is
+//! dropped — resumes the session byte-identically (reports *and*
+//! traces, at every thread count — the PR 3 contract, now
+//! load-bearing).
 //!
 //! Fault isolation: the entire run is wrapped in `catch_unwind`; a
 //! panic, a fault-limit abort, a bad spec, or a durable-write give-up
 //! moves *this* session to `failed` and never touches the daemon or
 //! any other session.
 
-use crate::durable::DurableWriter;
+use crate::durable::{AppendLog, DurableWriter};
 use crate::job::JobSpec;
 use crate::manifest::{Manifest, SessionState};
 use pdt_trace::Tracer;
@@ -35,6 +39,7 @@ use pdt_tuner::{
     configuration_ddl, tune_session, Checkpoint, SessionCtl, StopReason, StopToken, TuneError,
     TuningReport,
 };
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,7 +104,7 @@ impl Session {
     }
 
     pub fn checkpoint_path(&self) -> PathBuf {
-        self.dir.join("checkpoint.json")
+        self.dir.join("checkpoint.log")
     }
 
     pub fn trace_path(&self) -> PathBuf {
@@ -246,19 +251,27 @@ pub fn run_session(
         }
     }
 
-    // ---- recovery: resume from the durable checkpoint ---------------
+    // ---- recovery: resume from the durable checkpoint log -----------
+    // Fold the log's intact prefix and keep appending after it; a
+    // record the crash tore is cut off. The log's first record is
+    // installed atomically, so a log that exists but folds to nothing
+    // is corruption, not a crash.
     let ck_path = session.checkpoint_path();
-    let resumed: Option<Checkpoint> = if ck_path.exists() {
-        let body = match std::fs::read_to_string(&ck_path) {
-            Ok(b) => b,
-            Err(e) => return fail(format!("recovery mismatch: reading checkpoint: {e}")),
-        };
-        match Checkpoint::from_json_str(&body) {
-            Ok(ck) => Some(ck),
+    let (resumed, log) = if ck_path.exists() {
+        let recovered = std::fs::read(&ck_path)
+            .map_err(|e| format!("reading checkpoint log: {e}"))
+            .and_then(|bytes| Checkpoint::from_log(&bytes).map_err(|e| e.to_string()))
+            .and_then(|(ck, kept)| {
+                let log = AppendLog::reopen(&ck_path, kept as u64)
+                    .map_err(|e| format!("reopening checkpoint log: {e}"))?;
+                Ok((ck, log))
+            });
+        match recovered {
+            Ok((ck, log)) => (Some(ck), log),
             Err(e) => return fail(format!("recovery mismatch: {e}")),
         }
     } else {
-        None
+        (None, AppendLog::create(&ck_path))
     };
 
     // ---- checkpoint sink: durable, retried, fault-injectable --------
@@ -266,11 +279,19 @@ pub fn run_session(
         faults: session.spec.io_fault_plan(),
         ..*manifest_writer
     };
-    let ck_seq = AtomicU64::new(0);
     let io_error: Mutex<Option<String>> = Mutex::new(None);
-    let sink = |_done: usize, body: &str| {
-        let seq = ck_seq.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = ck_writer.write(SITE_CHECKPOINT_WRITE, seq, &ck_path, body.as_bytes()) {
+    // `(log, frame buffer, write number)`: the sink is a `Fn`.
+    let appender = RefCell::new((log, Vec::new(), 0u64));
+    let sink = |_done: usize, record: &str| {
+        // Records extend one another: once one is lost, a later one
+        // (the stop-time flush) would only corrupt the log.
+        if io_error.lock().unwrap_or_else(|p| p.into_inner()).is_some() {
+            return;
+        }
+        let mut guard = appender.borrow_mut();
+        let (log, frame, seq) = &mut *guard;
+        Checkpoint::frame_record(record, frame);
+        if let Err(e) = ck_writer.append(SITE_CHECKPOINT_WRITE, *seq, log, frame) {
             // Give up durably persisting progress: stop the session at
             // the next cooperative check and mark it failed below. A
             // session whose progress cannot be made durable must not
@@ -278,6 +299,7 @@ pub fn run_session(
             *io_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
             session.token.trip(StopReason::Interrupted);
         }
+        *seq += 1;
     };
 
     let tracer = Arc::clone(&session.tracer);
@@ -342,7 +364,7 @@ pub fn run_session(
                 }
             } else {
                 // Graceful drain: tune_session already pushed a final
-                // checkpoint through the sink. The manifest deliberately
+                // record through the sink. The manifest deliberately
                 // stays `running` on disk — that is the recovery marker.
                 session.set_state(SessionState::Queued, None);
                 RunOutcome {
@@ -359,40 +381,37 @@ pub fn run_session(
         )),
         _ => {
             // Artifacts first, then the terminal manifest: `done` on
-            // disk implies report and trace are already durable.
+            // disk implies report and trace are already durable. The
+            // three install as one group — three file fsyncs, one
+            // directory fsync.
             let trace_body = session.tracer.to_jsonl();
             let report_body = render_report(&db, &session.spec, &report);
+            // The final configuration, for future `warm_from` submits.
+            // View-bearing configurations have no portable encoding and
+            // simply leave no warm-start artifact — a later warm_from
+            // of this session is then rejected at submit, not silently
+            // degraded.
+            let result_body = report
+                .best
+                .as_ref()
+                .and_then(|best| pdt_tuner::config_to_json(&best.config).ok());
+            let (trace_path, report_path, result_path) = (
+                session.trace_path(),
+                session.report_path(),
+                session.result_path(),
+            );
             // Artifact writes get their own seq range, disjoint from
             // checkpoint seqs, so fault plans address them separately.
-            for (i, (path, body)) in [
-                (session.trace_path(), trace_body.as_bytes()),
-                (session.report_path(), report_body.as_bytes()),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let seq = u32::MAX as u64 + i as u64;
-                if let Err(e) = ck_writer.write(SITE_CHECKPOINT_WRITE, seq, &path, body) {
-                    return fail(format!("artifact write: {e}"));
-                }
+            let seq = |i: u64| u32::MAX as u64 + i;
+            let mut artifacts: Vec<(u64, &std::path::Path, &[u8])> = vec![
+                (seq(0), &trace_path, trace_body.as_bytes()),
+                (seq(1), &report_path, report_body.as_bytes()),
+            ];
+            if let Some(body) = &result_body {
+                artifacts.push((seq(2), &result_path, body.as_bytes()));
             }
-            // Persist the final configuration for future `warm_from`
-            // submits. View-bearing configurations have no portable
-            // encoding and simply leave no warm-start artifact — a
-            // later warm_from of this session is then rejected at
-            // submit, not silently degraded.
-            if let Some(best) = &report.best {
-                if let Ok(body) = pdt_tuner::config_to_json(&best.config) {
-                    let seq = u32::MAX as u64 + 2;
-                    if let Err(e) = ck_writer.write(
-                        SITE_CHECKPOINT_WRITE,
-                        seq,
-                        &session.result_path(),
-                        body.as_bytes(),
-                    ) {
-                        return fail(format!("artifact write: {e}"));
-                    }
-                }
+            if let Err(e) = ck_writer.write_group(SITE_CHECKPOINT_WRITE, &artifacts) {
+                return fail(format!("artifact write: {e}"));
             }
             session.set_state(SessionState::Done, None);
             if let Err(e) = session.persist_manifest(manifest_writer) {
@@ -747,7 +766,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_a_recovery_mismatch() {
         let dir = scratch_dir("badck");
-        std::fs::write(dir.join("checkpoint.json"), b"{not json").unwrap();
+        std::fs::write(dir.join("checkpoint.log"), b"{not json").unwrap();
         let s = session_in(&dir, tiny_spec());
         let outcome = run_session(&s, &fast_writer(), None);
         assert_eq!(outcome.state, SessionState::Failed);

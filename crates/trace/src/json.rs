@@ -81,7 +81,8 @@ pub fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                use fmt::Write;
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -89,22 +90,37 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Append `n` as a JSON integer.
+pub fn write_int(out: &mut String, n: i64) {
+    use fmt::Write;
+    let _ = write!(out, "{n}");
+}
+
+/// Append `n` as a JSON number (`null` when non-finite).
+pub fn write_num(out: &mut String, n: f64) {
+    use fmt::Write;
+    if n.is_finite() {
+        // `{:?}` prints the shortest string that round-trips the
+        // f64, and always includes a decimal point or exponent,
+        // so integers-valued floats stay floats on re-parse.
+        let _ = write!(out, "{n:?}");
+    } else {
+        // JSON has no NaN/Infinity.
+        out.push_str("null");
+    }
+}
+
+/// Append `b` as a JSON boolean.
+pub fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
 fn write_compact(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(n) => out.push_str(&n.to_string()),
-        Json::Num(n) => {
-            if n.is_finite() {
-                // `{:?}` prints the shortest string that round-trips the
-                // f64, and always includes a decimal point or exponent,
-                // so integers-valued floats stay floats on re-parse.
-                out.push_str(&format!("{:?}", n));
-            } else {
-                // JSON has no NaN/Infinity.
-                out.push_str("null");
-            }
-        }
+        Json::Bool(b) => write_bool(out, *b),
+        Json::Int(n) => write_int(out, *n),
+        Json::Num(n) => write_num(out, *n),
         Json::Str(s) => write_escaped(out, s),
         Json::Arr(items) => {
             out.push('[');

@@ -139,25 +139,30 @@ pub struct Event {
 }
 
 impl Event {
-    /// Render as one flat JSON object: `seq`/`depth`/`kind` first, then
-    /// the fields in emission order.
-    pub fn to_json(&self) -> json::Json {
-        let mut obj: Vec<(String, json::Json)> = vec![
-            ("seq".to_string(), json::Json::Int(self.seq as i64)),
-            ("depth".to_string(), json::Json::Int(self.depth as i64)),
-            ("kind".to_string(), json::Json::Str(self.kind.to_string())),
-        ];
+    /// Append the event as one flat JSON object: `seq`/`depth`/`kind`
+    /// first, then the fields in emission order. Streams straight into
+    /// `out` — JSONL export and checkpoint records both render through
+    /// here, so the two can never disagree on a byte.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        json::write_int(out, self.seq as i64);
+        out.push_str(",\"depth\":");
+        json::write_int(out, i64::from(self.depth));
+        out.push_str(",\"kind\":");
+        json::write_escaped(out, self.kind);
         for (k, v) in &self.fields {
-            let jv = match v {
-                Value::U64(x) => json::Json::Int(*x as i64),
-                Value::I64(x) => json::Json::Int(*x),
-                Value::F64(x) => json::Json::Num(*x),
-                Value::Bool(x) => json::Json::Bool(*x),
-                Value::Str(x) => json::Json::Str(x.clone()),
-            };
-            obj.push((k.to_string(), jv));
+            out.push(',');
+            json::write_escaped(out, k);
+            out.push(':');
+            match v {
+                Value::U64(x) => json::write_int(out, *x as i64),
+                Value::I64(x) => json::write_int(out, *x),
+                Value::F64(x) => json::write_num(out, *x),
+                Value::Bool(x) => json::write_bool(out, *x),
+                Value::Str(x) => json::write_escaped(out, x),
+            }
         }
-        json::Json::Obj(obj)
+        out.push('}');
     }
 }
 
@@ -390,13 +395,7 @@ impl Tracer {
 
     /// Render every event as one compact JSON object per line.
     pub fn to_jsonl(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        for e in &inner.events {
-            out.push_str(&e.to_json().to_string());
-            out.push('\n');
-        }
-        out
+        self.events_jsonl_from(0).0
     }
 
     /// Render the events with `seq >= from` as JSONL, returning the
@@ -409,24 +408,41 @@ impl Tracer {
         let inner = self.lock();
         let mut out = String::new();
         for e in inner.events.iter().skip(from as usize) {
-            out.push_str(&e.to_json().to_string());
+            e.write_json(&mut out);
             out.push('\n');
         }
         (out, inner.events.len() as u64)
     }
 
-    /// Snapshot the complete tracer state (events, depth, counters,
-    /// phases) for checkpointing. Unlike [`summary`](Tracer::summary),
-    /// this captures the raw event stream, so a restored tracer renders
-    /// byte-identical JSONL for the prefix it covers.
-    pub fn export_state(&self) -> TraceState {
+    /// Mark the stream at this instant: O(1) in the events emitted so
+    /// far (the counters are a fixed, small vocabulary). Events and
+    /// closed phases are append-only, so the mark holds only their
+    /// counts; [`read_prefix`](Tracer::read_prefix) hands out what lies
+    /// below a mark later, however far the stream has moved on.
+    pub fn mark(&self) -> TraceMark {
         let inner = self.lock();
-        TraceState {
-            events: inner.events.clone(),
+        TraceMark {
+            events: inner.events.len() as u64,
             depth: inner.depth,
             counters: inner.counters.iter().map(|(k, v)| (*k, *v)).collect(),
-            phases: inner.phases.clone(),
+            phases: inner.phases.len(),
         }
+    }
+
+    /// Run `f` over the events with `from <= seq < mark.events` and the
+    /// phases closed before `mark`, under the tracer lock — a
+    /// checkpoint record renders them in place instead of cloning them.
+    pub fn read_prefix<R>(
+        &self,
+        from: u64,
+        mark: &TraceMark,
+        f: impl FnOnce(&[Event], &[PhaseSummary]) -> R,
+    ) -> R {
+        let inner = self.lock();
+        f(
+            &inner.events[from as usize..mark.events as usize],
+            &inner.phases[..mark.phases],
+        )
     }
 
     /// Replace the tracer's state wholesale with a checkpointed one.
@@ -455,7 +471,19 @@ impl Tracer {
     }
 }
 
-/// A checkpointable snapshot of a [`Tracer`]'s full state.
+/// A position in a [`Tracer`]'s stream; see [`Tracer::mark`].
+#[derive(Debug, Clone)]
+pub struct TraceMark {
+    /// Events emitted before the mark (the next event's `seq`).
+    pub events: u64,
+    pub depth: u16,
+    /// Every named counter's value at the mark, in name order.
+    pub counters: Vec<(&'static str, u64)>,
+    /// Phases closed before the mark.
+    pub phases: usize,
+}
+
+/// A [`Tracer`]'s full deterministic state, as a checkpoint carries it.
 #[derive(Debug, Clone)]
 pub struct TraceState {
     pub events: Vec<Event>,
@@ -634,8 +662,18 @@ mod tests {
         );
     }
 
+    /// What a checkpoint folds out of a mark: the state below it.
+    fn state_at(t: &Tracer, mark: &TraceMark) -> TraceState {
+        t.read_prefix(0, mark, |events, phases| TraceState {
+            events: events.to_vec(),
+            depth: mark.depth,
+            counters: mark.counters.clone(),
+            phases: phases.to_vec(),
+        })
+    }
+
     #[test]
-    fn export_restore_resume_is_byte_identical() {
+    fn mark_restore_resume_is_byte_identical() {
         // Reference: one uninterrupted session with an open span.
         let full = {
             let t = Tracer::new();
@@ -654,7 +692,14 @@ mod tests {
             for i in 0..3u64 {
                 t.emit("step", vec![("i", i.into())]);
             }
-            let state = t.export_state();
+            // The mark outlives the instant it was taken at: whatever
+            // the stream does next stays above it.
+            let mark = t.mark();
+            t.emit("step", vec![("i", 99u64.into())]);
+            t.incr("late", 1);
+            let state = state_at(&t, &mark);
+            assert_eq!(state.events.len(), 4, "begin + 3 steps");
+            assert!(state.counters.is_empty());
             let begin_seq = s.events_at_open();
             std::mem::forget(s); // span stays "open" in the snapshot
             (state, begin_seq)
@@ -691,9 +736,8 @@ mod tests {
         assert_eq!(eval.calls, 2);
         assert!(eval.allocs >= 1, "the Vec allocation must be attributed");
         assert!(eval.alloc_bytes >= 64 * 8);
-        // Checkpoint state excludes measurement data entirely.
-        let state = t.export_state();
-        assert!(state.events.is_empty());
+        // Marks exclude measurement data entirely.
+        assert_eq!(t.mark().events, 0);
     }
 
     #[test]

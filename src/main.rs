@@ -197,17 +197,20 @@ const FLAGS: &[Flag] = &[
                   many milliseconds (exit 0)",
            set: |o, v| num(v).map(|x| o.deadline = Some(x)) },
     Flag { name: "--checkpoint", value: Some("<file>"), cmds: TUNE,
-           help: "write a resumable checkpoint on the cadence\n\
-                  below and when the session stops early",
+           help: "append a checkpoint record to this log on the\n\
+                  cadence below and when the session stops\n\
+                  early (a new session replaces the file)",
            set: |o, v| { o.checkpoint = Some(v.to_string()); Ok(()) } },
     Flag { name: "--checkpoint-every", value: Some("<n>"), cmds: TUNE | SUBMIT,
            help: "checkpoint cadence in completed iterations\n\
                   [default: 10]",
            set: |o, v| at_least_one(v).map(|x| o.spec.checkpoint_every = x) },
     Flag { name: "--resume", value: Some("<file>"), cmds: TUNE,
-           help: "resume a prior session from its checkpoint;\n\
+           help: "resume a prior session from its checkpoint\n\
+                  log (a record torn by a crash is dropped);\n\
                   the resumed report/trace are byte-identical\n\
-                  to an uninterrupted run",
+                  to an uninterrupted run, and --checkpoint on\n\
+                  the same file keeps appending to it",
            set: |o, v| { o.resume = Some(v.to_string()); Ok(()) } },
     Flag { name: "--max-faults", value: Some("<n>"), cmds: TUNE | SUBMIT,
            help: "abort (exit 6) after more than n contained\n\
@@ -507,6 +510,13 @@ fn read_file(path: &str) -> Result<String, TuneError> {
     })
 }
 
+fn read_bytes(path: &str) -> Result<Vec<u8>, TuneError> {
+    std::fs::read(path).map_err(|e| TuneError::Io {
+        path: path.to_string(),
+        msg: e.to_string(),
+    })
+}
+
 fn write_file(path: &str, contents: &str) -> Result<(), TuneError> {
     std::fs::write(path, contents).map_err(|e| TuneError::Io {
         path: path.to_string(),
@@ -563,8 +573,9 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
         quiet_injected_panics();
     }
 
+    // `--resume`: the log's longest intact prefix, and how long it is.
     let resumed = match &o.resume {
-        Some(path) => Some(Checkpoint::from_json_str(&read_file(path)?)?),
+        Some(path) => Some(Checkpoint::from_log(&read_bytes(path)?)?),
         None => None,
     };
 
@@ -590,7 +601,7 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
         workload.len(),
         statements.update_count()
     );
-    if let (Some(path), Some(ck)) = (&o.resume, &resumed) {
+    if let (Some(path), Some((ck, _))) = (&o.resume, &resumed) {
         println!(
             "resuming from {path} ({} completed iterations)",
             ck.iteration
@@ -598,18 +609,14 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
     }
 
     let tracer = (o.trace.is_some() || o.validate_bounds).then(pdtune::trace::Tracer::new);
-    // Checkpoints land crash-safely: tmp + fsync(file) + rename +
-    // fsync(dir), so neither process death nor a host crash can leave
-    // a torn or unreachable checkpoint.
-    let sink = o.checkpoint.clone().map(|path| {
-        move |done: usize, body: &str| match pdtune::serve::atomic_write(
-            std::path::Path::new(&path),
-            body.as_bytes(),
-        ) {
-            Ok(()) => eprintln!("checkpoint: {done} iterations -> {path}"),
-            Err(e) => eprintln!("warning: checkpoint write to {path} failed: {e}"),
-        }
-    });
+    let sink = match &o.checkpoint {
+        Some(path) => Some(checkpoint_sink(
+            path,
+            o.resume.as_deref(),
+            resumed.as_ref(),
+        )?),
+        None => None,
+    };
     let report = pdtune::tuner::tune_session(
         &db,
         &workload,
@@ -618,7 +625,7 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
             tracer: tracer.as_ref(),
             checkpoint_every: o.spec.checkpoint_every,
             checkpoint_sink: sink.as_ref().map(|s| s as &dyn Fn(usize, &str)),
-            resume: resumed.as_ref(),
+            resume: resumed.as_ref().map(|(ck, _)| ck),
             ..SessionCtl::default()
         },
     )?;
@@ -656,6 +663,63 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
             faults: report.faults.len(),
         }),
     }
+}
+
+/// The `--checkpoint` sink: each record is framed and appended to the
+/// log at `path` with one `fdatasync` (the first record of a new log is
+/// installed by tmp + fsync + rename + dir fsync, so the file appears
+/// whole). A resumed session's records extend the checkpoint it resumed
+/// from, so the log must already hold it: resuming *from* `path` keeps
+/// appending after its intact prefix (a torn tail is cut off), and
+/// resuming from anywhere else starts `path` with the folded checkpoint.
+fn checkpoint_sink(
+    path: &str,
+    resumed_from: Option<&str>,
+    resumed: Option<&(Checkpoint, usize)>,
+) -> Result<impl Fn(usize, &str), TuneError> {
+    use pdtune::serve::AppendLog;
+    let io_err = |e: std::io::Error| TuneError::Io {
+        path: path.to_string(),
+        msg: e.to_string(),
+    };
+    let target = std::path::Path::new(path);
+    let same_file = |a: &str| {
+        std::fs::canonicalize(a)
+            .ok()
+            .is_some_and(|a| std::fs::canonicalize(target).ok() == Some(a))
+    };
+    let mut frame = Vec::new();
+    let log = match resumed {
+        Some((_, kept)) if resumed_from.is_some_and(same_file) => {
+            AppendLog::reopen(target, *kept as u64).map_err(io_err)?
+        }
+        Some((ck, _)) => {
+            let mut log = AppendLog::create(target);
+            Checkpoint::frame_record(&ck.to_json_string(), &mut frame);
+            log.append(&frame).map_err(io_err)?;
+            log
+        }
+        None => AppendLog::create(target),
+    };
+    let path = path.to_string();
+    // `Some` while every record so far reached the log.
+    let appender = std::cell::RefCell::new(Some((log, frame)));
+    Ok(move |done: usize, record: &str| {
+        let mut appender = appender.borrow_mut();
+        let Some((log, frame)) = appender.as_mut() else {
+            return;
+        };
+        Checkpoint::frame_record(record, frame);
+        match log.append(frame) {
+            Ok(()) => eprintln!("checkpoint: {done} iterations -> {path}"),
+            Err(e) => {
+                // Later records extend this one; without it they would
+                // only corrupt the log.
+                eprintln!("warning: checkpoint write to {path} failed ({e}); the log ends here");
+                *appender = None;
+            }
+        }
+    })
 }
 
 /// The reference costs, the recommendation's cost and its DDL.

@@ -1,8 +1,11 @@
 //! Checkpoint/resume must be invisible in the output: a session resumed
 //! from any checkpoint has to finish with a report **and** trace that
 //! are byte-identical to the uninterrupted run's, for every thread
-//! count. These tests collect real checkpoints from a live session via
-//! the sink callback, then replay them cold.
+//! count. These tests collect a live session's checkpoint *records* via
+//! the sink callback — the first a complete document, each later one
+//! only what changed — then fold every prefix `0..=k` of the log and
+//! replay it cold; a framed log is also torn at every byte of its last
+//! record and resumed from what survives.
 
 use std::cell::RefCell;
 
@@ -40,8 +43,8 @@ fn fingerprint(report: &TuningReport) -> String {
     format!("{r:#?}")
 }
 
-/// Run a full traced session, collecting every checkpoint the sink
-/// receives as `(completed_iterations, serialized_body)`.
+/// Run a full traced session, collecting every record the sink
+/// receives as `(completed_iterations, record)`.
 fn run_collecting_opts(
     opts: &TunerOptions,
     every: usize,
@@ -71,9 +74,27 @@ fn run_collecting(threads: usize, every: usize) -> (TuningReport, String, Vec<(u
     run_collecting_opts(&options(threads), every)
 }
 
-fn resume_from_opts(body: &str, opts: &TunerOptions) -> (TuningReport, String) {
+/// The checkpoint at record `k`: the first record parsed, the deltas
+/// `1..=k` folded in.
+fn fold(records: &[(usize, String)], k: usize) -> Checkpoint {
+    let mut ck = Checkpoint::from_json_str(&records[0].1).expect("first record is a document");
+    for (done, record) in &records[1..=k] {
+        ck.apply_record(record)
+            .unwrap_or_else(|e| panic!("record at iteration {done} does not fold: {e}"));
+        assert_eq!(ck.iteration, *done);
+    }
+    ck
+}
+
+/// Every prefix of the log, as `(completed_iterations, checkpoint)`.
+fn fold_every_prefix(records: &[(usize, String)]) -> Vec<(usize, Checkpoint)> {
+    (0..records.len())
+        .map(|k| (records[k].0, fold(records, k)))
+        .collect()
+}
+
+fn resume_from_opts(ck: &Checkpoint, opts: &TunerOptions) -> (TuningReport, String) {
     let (db, w) = session_inputs();
-    let ck = Checkpoint::from_json_str(body).expect("checkpoint parses");
     let tracer = Tracer::new();
     let report = tune_session(
         &db,
@@ -81,7 +102,7 @@ fn resume_from_opts(body: &str, opts: &TunerOptions) -> (TuningReport, String) {
         opts,
         SessionCtl {
             tracer: Some(&tracer),
-            resume: Some(&ck),
+            resume: Some(ck),
             ..SessionCtl::default()
         },
     )
@@ -89,8 +110,17 @@ fn resume_from_opts(body: &str, opts: &TunerOptions) -> (TuningReport, String) {
     (report, tracer.to_jsonl())
 }
 
-fn resume_from(body: &str, threads: usize) -> (TuningReport, String) {
-    resume_from_opts(body, &options(threads))
+fn resume_from(ck: &Checkpoint, threads: usize) -> (TuningReport, String) {
+    resume_from_opts(ck, &options(threads))
+}
+
+/// Zero what legitimately differs between two runs of one session: the
+/// per-phase wall clock.
+fn zero_clocks(mut ck: Checkpoint) -> Checkpoint {
+    for p in ck.trace.iter_mut().flat_map(|t| &mut t.state.phases) {
+        p.elapsed = std::time::Duration::ZERO;
+    }
+    ck
 }
 
 /// [`options`] with a finite optimizer-call budget: the approximate
@@ -130,18 +160,59 @@ fn resume_from_every_checkpoint_is_byte_identical() {
                 baseline.faults
             );
         }
-        for (done, body) in &checkpoints {
-            let (report, trace) = resume_from_opts(body, &opts);
+        for (done, ck) in &fold_every_prefix(&checkpoints) {
+            for threads in [1usize, 4] {
+                let opts = TunerOptions {
+                    threads,
+                    ..opts.clone()
+                };
+                let (report, trace) = resume_from_opts(ck, &opts);
+                assert_eq!(
+                    baseline_fp,
+                    fingerprint(&report),
+                    "{label}: report diverged resuming from iteration {done} at {threads} threads"
+                );
+                assert_eq!(
+                    baseline_trace, trace,
+                    "{label}: trace diverged resuming from iteration {done} at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+/// The fold of a log is the full state, not an approximation of it:
+/// records `0..=k` of a session that writes one record per iteration
+/// add up to exactly the document a session writes when boundary `k`
+/// is the first it checkpoints — for every `k`, clean and faulted.
+#[test]
+fn folded_records_equal_a_full_capture_at_the_same_boundary() {
+    for (label, opts) in [("clean", options(1)), ("faulted", options_faulted())] {
+        let (_, _, fine) = run_collecting_opts(&opts, 1);
+        assert!(fine.len() >= 20, "{label}: one record per iteration");
+        let folded = fold_every_prefix(&fine);
+        for every in [7usize, 12] {
+            let (_, _, coarse) = run_collecting_opts(&opts, every);
+            let (done, document) = &coarse[0];
+            assert_eq!(*done, every);
+            let full = Checkpoint::from_json_str(document).unwrap();
+            let (_, ck) = &folded[every - 1];
             assert_eq!(
-                baseline_fp,
-                fingerprint(&report),
-                "{label}: report diverged resuming from iteration {done}"
-            );
-            assert_eq!(
-                baseline_trace, trace,
-                "{label}: trace diverged resuming from iteration {done}"
+                zero_clocks(ck.clone()).to_json_string(),
+                zero_clocks(full).to_json_string(),
+                "{label}: fold of records 1..={every} is not the capture at {every}"
             );
         }
+        // What the log writes in total is one snapshot, not one per
+        // record: the deltas repeat only the header.
+        let (_, _, coarse) = run_collecting_opts(&opts, 7);
+        let total: usize = coarse.iter().map(|(_, r)| r.len()).sum();
+        let snapshot = fold(&coarse, coarse.len() - 1).to_json_string().len();
+        assert!(
+            total < snapshot + 4096 * coarse.len(),
+            "{label}: {} records wrote {total} bytes for a {snapshot}-byte state",
+            coarse.len()
+        );
     }
 }
 
@@ -149,9 +220,9 @@ fn resume_from_every_checkpoint_is_byte_identical() {
 fn resume_is_thread_count_invariant() {
     let (baseline, baseline_trace, checkpoints) = run_collecting(1, 10);
     let baseline_fp = fingerprint(&baseline);
-    let (done, body) = checkpoints.first().expect("at least one checkpoint");
+    let (done, ck) = &fold_every_prefix(&checkpoints)[0];
     for threads in [1, 2, 8] {
-        let (report, trace) = resume_from(body, threads);
+        let (report, trace) = resume_from(ck, threads);
         assert_eq!(
             baseline_fp,
             fingerprint(&report),
@@ -220,9 +291,8 @@ fn checkpoints_agree_across_thread_counts() {
                 "threads={threads} checkpoint at iteration {d1} differs"
             );
         }
-        // A checkpoint captured on a wide run resumes on one thread.
-        let (_, body) = ckn.last().expect("at least one checkpoint");
-        let (resumed, trace) = resume_from(body, 1);
+        // A log written by a wide run resumes on one thread.
+        let (resumed, trace) = resume_from(&fold(&ckn, ckn.len() - 1), 1);
         assert_eq!(baseline_fp, fingerprint(&resumed), "threads={threads}");
         assert_eq!(baseline_trace, trace, "threads={threads}");
     }
@@ -269,24 +339,198 @@ fn interrupted_session_resumes_to_the_uninterrupted_result() {
     );
     assert!(interrupted.best.is_some(), "best-so-far must survive");
 
-    // Picking up from the last checkpoint written replays the prefix
-    // and finishes exactly where the uninterrupted run did. The resumed
-    // session uses its own (untripped) stop state.
-    let (_, body) = collected
-        .borrow()
-        .last()
-        .cloned()
-        .expect("checkpoint saved");
-    let (resumed, trace) = resume_from(&body, 1);
+    // Picking up from the log as the interrupt left it replays the
+    // prefix and finishes exactly where the uninterrupted run did. The
+    // resumed session uses its own (untripped) stop state.
+    let records = collected.into_inner();
+    assert!(!records.is_empty(), "checkpoint saved");
+    let (resumed, trace) = resume_from(&fold(&records, records.len() - 1), 1);
     assert_eq!(baseline_fp, fingerprint(&resumed));
     assert_eq!(baseline_trace, trace);
+}
+
+/// A stop that truncates iteration `i` mid-flight writes the record for
+/// boundary `i - 1` — and nothing iteration `i` inserted, emitted or
+/// recorded after that boundary was marked. The truncation here is
+/// deterministic: a zero fault tolerance turns the session's first
+/// contained fault into a `FaultLimit` stop in the middle of `i`.
+#[test]
+fn a_truncated_iteration_leaves_the_previous_boundary_and_nothing_later() {
+    // This plan's first fault lands in iteration 6.
+    let tolerant = TunerOptions {
+        fault_plan: Some(FaultPlan {
+            seed: 4,
+            rate: 0.05,
+        }),
+        ..options_faulted()
+    };
+    let (reference, _, fine) = run_collecting_opts(&tolerant, 1);
+    let first_fault = reference.faults.first().expect("the plan faults").iteration;
+    assert!(first_fault >= 2, "need a clean boundary before the fault");
+
+    let strict = TunerOptions {
+        max_faults: 0,
+        ..tolerant
+    };
+    // Cadence 0: the only record is the one the stop flushes.
+    let (stopped, _, records) = run_collecting_opts(&strict, 0);
+    assert_eq!(stopped.stop_reason, StopReason::FaultLimit);
+    assert_eq!(
+        stopped.iterations, first_fault,
+        "stopped at the next loop top"
+    );
+    let [(done, record)] = &records[..] else {
+        panic!(
+            "expected exactly the stop-time record, got {}",
+            records.len()
+        );
+    };
+    assert_eq!(*done, first_fault - 1);
+    let flushed = Checkpoint::from_json_str(record).expect("a log's first record is a document");
+    assert!(flushed.faults.is_empty(), "the fault came after the mark");
+    // There was something to leak: the twin's record for the faulted
+    // iteration carries the events and the fault it produced.
+    let leaked = pdtune::trace::json::parse(&fine[first_fault - 1].1).unwrap();
+    let len = |path: &[&str]| {
+        let section = path.iter().try_fold(&leaked, |j, k| j.get(k));
+        section.and_then(|j| j.as_arr()).map_or(0, <[_]>::len)
+    };
+    assert!(len(&["trace", "events"]) > 0 && len(&["faults"]) == 1);
+    // Byte for byte the state at that boundary — as the tolerant twin,
+    // which ran the same trajectory up to the fault, logged it. Only
+    // the options signature differs (`max_faults` is part of it).
+    let mut expected = fold(&fine, first_fault - 2);
+    assert_eq!(expected.iteration, first_fault - 1);
+    expected.options_sig = flushed.options_sig;
+    assert_eq!(
+        zero_clocks(flushed).to_json_string(),
+        zero_clocks(expected).to_json_string()
+    );
+}
+
+/// Frame records the way a log file holds them.
+fn framed_log(records: &[(usize, String)]) -> (Vec<u8>, Vec<usize>) {
+    let (mut log, mut frame, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+    for (_, record) in records {
+        Checkpoint::frame_record(record, &mut frame);
+        log.extend_from_slice(&frame);
+        ends.push(log.len());
+    }
+    (log, ends)
+}
+
+/// Torn tails: cut a real session's log at every byte offset inside its
+/// last record and `from_log` lands on the previous boundary — never an
+/// error, never a half-applied record — from which the session resumes
+/// to the uninterrupted report and trace. A byte flipped mid-log drops
+/// its record and everything after it.
+#[test]
+fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
+    let (baseline, baseline_trace, records) = run_collecting(1, 7);
+    let baseline_fp = fingerprint(&baseline);
+    let (log, ends) = framed_log(&records);
+    let n = records.len();
+    assert!(n >= 3);
+
+    let (whole, kept) = Checkpoint::from_log(&log).unwrap();
+    assert_eq!((whole.iteration, kept), (records[n - 1].0, log.len()));
+
+    let previous = zero_clocks(fold(&records, n - 2)).to_json_string();
+    // Every offset in release (the CI suite); a debug build re-parses
+    // the log ~100x slower, so it takes every offset around the frame's
+    // two ends and every 41st in between.
+    let (start, end) = (ends[n - 2], log.len());
+    let near_an_end = |cut: usize| cut - start < 64 || end - cut < 64;
+    let cuts = (start..end)
+        .filter(|&cut| !cfg!(debug_assertions) || near_an_end(cut) || (cut - start) % 41 == 0);
+    for cut in cuts {
+        let (ck, kept) = Checkpoint::from_log(&log[..cut])
+            .unwrap_or_else(|e| panic!("cut at {cut} of {}: {e}", log.len()));
+        assert_eq!(kept, ends[n - 2], "cut at {cut}");
+        assert_eq!(ck.iteration, records[n - 2].0, "cut at {cut}");
+        // Checking the whole state at every offset would be quadratic
+        // in the log; the frame decides, so spot-check the fold.
+        if (cut - ends[n - 2]) % 997 == 0 {
+            assert_eq!(zero_clocks(ck).to_json_string(), previous, "cut at {cut}");
+        }
+    }
+    let (torn, _) = Checkpoint::from_log(&log[..log.len() - 1]).unwrap();
+    let (report, trace) = resume_from(&torn, 1);
+    assert_eq!(baseline_fp, fingerprint(&report));
+    assert_eq!(baseline_trace, trace);
+
+    // One flipped byte in record 1 (header, body, terminator): records
+    // 1.. are dropped, record 0 survives, and it still resumes.
+    for at in [
+        ends[0] + 3,
+        ends[0] + 20,
+        (ends[0] + ends[1]) / 2,
+        ends[1] - 1,
+    ] {
+        let mut flipped = log.clone();
+        flipped[at] ^= 0x04;
+        let (ck, kept) = Checkpoint::from_log(&flipped).unwrap();
+        assert_eq!(
+            (ck.iteration, kept),
+            (records[0].0, ends[0]),
+            "flip at {at}"
+        );
+    }
+    let (first, _) = Checkpoint::from_log(&log[..ends[0]]).unwrap();
+    let (report, trace) = resume_from(&first, 4);
+    assert_eq!(baseline_fp, fingerprint(&report));
+    assert_eq!(baseline_trace, trace);
+}
+
+/// A resumed session with a sink extends the log it resumed from: its
+/// records are deltas against the folded checkpoint, and the extended
+/// log folds and resumes like one written in a single run.
+#[test]
+fn a_resumed_session_keeps_appending_to_its_log() {
+    let (baseline, baseline_trace, records) = run_collecting(1, 7);
+    let baseline_fp = fingerprint(&baseline);
+    let (db, w) = session_inputs();
+    for k in [0, 1] {
+        let ck = fold(&records, k);
+        let tracer = Tracer::new();
+        let appended: RefCell<Vec<(usize, String)>> = RefCell::new(records[..=k].to_vec());
+        let sink = |done: usize, record: &str| {
+            appended.borrow_mut().push((done, record.to_string()));
+        };
+        let report = tune_session(
+            &db,
+            &w,
+            &options(1),
+            SessionCtl {
+                tracer: Some(&tracer),
+                checkpoint_every: 7,
+                checkpoint_sink: Some(&sink),
+                resume: Some(&ck),
+                ..SessionCtl::default()
+            },
+        )
+        .expect("resume with a sink succeeds");
+        assert_eq!(baseline_fp, fingerprint(&report));
+        assert_eq!(baseline_trace, tracer.to_jsonl());
+        let appended = appended.into_inner();
+        let boundaries = |r: &[(usize, String)]| r.iter().map(|(d, _)| *d).collect::<Vec<_>>();
+        assert_eq!(
+            boundaries(&appended),
+            boundaries(&records),
+            "resumed at record {k}"
+        );
+        assert_eq!(
+            zero_clocks(fold(&appended, appended.len() - 1)).to_json_string(),
+            zero_clocks(fold(&records, records.len() - 1)).to_json_string(),
+            "resumed at record {k}"
+        );
+    }
 }
 
 #[test]
 fn resume_rejects_a_mismatched_session() {
     let (_, _, checkpoints) = run_collecting(1, 10);
-    let (_, body) = checkpoints.first().expect("at least one checkpoint");
-    let ck = Checkpoint::from_json_str(body).unwrap();
+    let ck = fold(&checkpoints, 0);
     let (db, w) = session_inputs();
 
     // Different decision knobs -> different search -> refuse to resume.
@@ -309,7 +553,7 @@ fn resume_rejects_a_mismatched_session() {
     // boundary; the fidelity check after the loop must refuse it — an
     // error, not a panic and not a report.
     for claimed in [40, 45] {
-        let mut edited = Checkpoint::from_json_str(body).unwrap();
+        let mut edited = ck.clone();
         edited.iteration = claimed;
         let err = tune_session(
             &db,
@@ -358,28 +602,32 @@ fn untraced_sessions_checkpoint_and_resume_too() {
     )
     .expect("untraced session succeeds");
     let checkpoints = collected.into_inner();
-    let (done, body) = checkpoints.first().expect("at least one checkpoint");
-    let ck = Checkpoint::from_json_str(body).unwrap();
-    let resumed = tune_session(
-        &db,
-        &w,
-        &options(1),
-        SessionCtl {
-            resume: Some(&ck),
-            ..SessionCtl::default()
-        },
-    )
-    .expect("untraced resume succeeds");
+    assert!(checkpoints.len() >= 2, "expected several records");
     let zero = |r: &TuningReport| {
         let mut r = r.clone();
         r.elapsed = std::time::Duration::ZERO;
         format!("{r:#?}")
     };
-    assert_eq!(
-        zero(&baseline),
-        zero(&resumed),
-        "untraced resume from iteration {done} diverged"
-    );
+    for (done, ck) in &fold_every_prefix(&checkpoints) {
+        assert!(ck.trace.is_none());
+        for threads in [1usize, 4] {
+            let resumed = tune_session(
+                &db,
+                &w,
+                &options(threads),
+                SessionCtl {
+                    resume: Some(ck),
+                    ..SessionCtl::default()
+                },
+            )
+            .expect("untraced resume succeeds");
+            assert_eq!(
+                zero(&baseline),
+                zero(&resumed),
+                "untraced resume from iteration {done} at {threads} threads diverged"
+            );
+        }
+    }
 }
 
 /// The approximate tier checkpoints its budget ledger mid-flight
@@ -425,9 +673,9 @@ fn budgeted_resume_is_byte_identical_and_restores_the_ledger() {
         last = ledger;
     }
 
-    for (done, body) in &checkpoints {
+    for (done, ck) in &fold_every_prefix(&checkpoints) {
         for threads in [1usize, 4] {
-            let (report, trace) = resume_from_opts(body, &options_budgeted(threads));
+            let (report, trace) = resume_from_opts(ck, &options_budgeted(threads));
             assert_eq!(
                 baseline_fp,
                 fingerprint(&report),
@@ -442,8 +690,7 @@ fn budgeted_resume_is_byte_identical_and_restores_the_ledger() {
 
     // The budget is a decision knob: a checkpoint from a budgeted
     // session must not resume under a different budget.
-    let (_, body) = checkpoints.first().expect("at least one checkpoint");
-    let ck = Checkpoint::from_json_str(body).unwrap();
+    let ck = fold(&checkpoints, 0);
     let (db, w) = session_inputs();
     let err = tune_session(
         &db,

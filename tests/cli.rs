@@ -301,7 +301,7 @@ fn checkpoint_resume_round_trip_is_byte_identical() {
         "--checkpoint",
         ck.to_str().unwrap(),
         "--checkpoint-every",
-        "4",
+        "2",
         "--trace",
         t1.to_str().unwrap(),
     ]);
@@ -322,6 +322,39 @@ fn checkpoint_resume_round_trip_is_byte_identical() {
         full, resumed,
         "resumed trace must match the uninterrupted run"
     );
+
+    // Tear the log's tail as a crash mid-append would, then resume from
+    // it *and* checkpoint to it: the torn record is dropped, the session
+    // picks up at the boundary before it and keeps appending to the same
+    // file, which ends up a whole log again.
+    let whole = std::fs::read(&ck).unwrap();
+    assert!(
+        whole.iter().filter(|&&b| b == b'\n').count() >= 2,
+        "several records"
+    );
+    let (last, _) = pdtune::tuner::Checkpoint::from_log(&whole).unwrap();
+    std::fs::write(&ck, &whole[..whole.len() - 40]).unwrap();
+    let (code, stdout, stderr) = run(&[
+        "--resume",
+        ck.to_str().unwrap(),
+        "--checkpoint",
+        ck.to_str().unwrap(),
+        "--checkpoint-every",
+        "2",
+        "--trace",
+        t2.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("resuming from"), "{stdout}");
+    assert_eq!(full, std::fs::read_to_string(&t2).unwrap());
+    let appended = std::fs::read(&ck).unwrap();
+    let (folded, kept) = pdtune::tuner::Checkpoint::from_log(&appended).unwrap();
+    assert_eq!(kept, appended.len(), "no torn bytes left in the log");
+    assert_eq!(
+        folded.iteration, last.iteration,
+        "the lost record was rewritten"
+    );
+    assert_eq!(appended, whole, "same session, same records, same log");
 }
 
 #[test]

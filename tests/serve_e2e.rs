@@ -119,6 +119,109 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
+const CRASH_SPECS: [&[&str]; 3] = [&[], &["--seed", "1"], &["--queries", "5", "--seed", "2"]];
+
+fn submit_crash_specs(data_dir: &Path, threads: &str) -> Vec<String> {
+    CRASH_SPECS
+        .iter()
+        .map(|spec| {
+            let mut args = vec!["--threads", threads];
+            args.extend_from_slice(spec);
+            submit(data_dir, &args)
+        })
+        .collect()
+}
+
+/// Leave `log` the way a `kill -9` in the middle of an append leaves
+/// it: its last record half-written. (A log's first record is installed
+/// by rename, so a log of one record is torn by a half-written second.)
+fn tear_last_record(log: &Path) {
+    let bytes = std::fs::read(log).unwrap();
+    // One record per line (`<len> <checksum> {json}\n`; JSON strings
+    // escape their newlines).
+    if bytes.last() != Some(&b'\n') {
+        return; // the kill itself landed mid-append
+    }
+    let body = &bytes[..bytes.len() - 1];
+    let torn = match body.iter().rposition(|&b| b == b'\n') {
+        Some(nl) => bytes[..nl + 1 + (body.len() - nl) / 2].to_vec(),
+        None => [&bytes[..], &bytes[..bytes.len() / 2]].concat(),
+    };
+    std::fs::write(log, torn).unwrap();
+}
+
+/// SIGKILL a daemon running the crash specs once a checkpoint record
+/// has landed, optionally tear every unfinished session's log, restart
+/// on the same data dir and wait for every job. Returns the job ids and
+/// how many logs were torn.
+fn crash_and_recover(crash_dir: &Path, threads: &str, tear: bool) -> (Vec<String>, usize) {
+    let mut daemon = start_daemon(crash_dir, &["--slots", "2"]);
+    let crash_ids = submit_crash_specs(crash_dir, threads);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !crash_ids
+        .iter()
+        .any(|id| session_file(crash_dir, id, "checkpoint.log").exists())
+    {
+        assert!(Instant::now() < deadline, "no checkpoint ever appeared");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // SIGKILL: no handlers, no drain — the crash case.
+    unsafe { libc_kill(daemon.id() as i32, 9) };
+    let _ = daemon.wait();
+
+    // Every accepted job must still be registered, none terminal-
+    // by-luck into a lost state.
+    let mut torn = 0;
+    for id in &crash_ids {
+        let manifest = read(&session_file(crash_dir, id, "manifest.json"));
+        let done = manifest.contains("\"state\":\"done\"");
+        assert!(
+            manifest.contains("\"state\":\"queued\"")
+                || manifest.contains("\"state\":\"running\"")
+                || done,
+            "unexpected post-kill manifest for {id}: {manifest}"
+        );
+        let log = session_file(crash_dir, id, "checkpoint.log");
+        if tear && !done && log.exists() {
+            tear_last_record(&log);
+            torn += 1;
+        }
+    }
+
+    // Restart on the same data dir: recovery resumes everything.
+    let daemon = start_daemon(crash_dir, &["--slots", "2"]);
+    for id in &crash_ids {
+        let (code, state) = wait_done(crash_dir, id);
+        assert_eq!((code, state.as_str()), (0, "done"), "session {id}");
+    }
+    shutdown_and_join(crash_dir, daemon);
+    (crash_ids, torn)
+}
+
+/// Run the crash specs to completion, no interruption.
+fn control_run(control_dir: &Path, threads: &str) -> Vec<String> {
+    let daemon = start_daemon(control_dir, &["--slots", "2"]);
+    let control_ids = submit_crash_specs(control_dir, threads);
+    for id in &control_ids {
+        let (code, state) = wait_done(control_dir, id);
+        assert_eq!((code, state.as_str()), (0, "done"));
+    }
+    shutdown_and_join(control_dir, daemon);
+    control_ids
+}
+
+fn assert_same_artifacts(control: (&Path, &[String]), crash: (&Path, &[String]), label: &str) {
+    for (control_id, crash_id) in control.1.iter().zip(crash.1) {
+        for artifact in ["report.txt", "trace.jsonl"] {
+            assert_eq!(
+                read(&session_file(control.0, control_id, artifact)),
+                read(&session_file(crash.0, crash_id, artifact)),
+                "{label} {crash_id}: recovered {artifact} must be byte-identical"
+            );
+        }
+    }
+}
+
 /// The tentpole contract: SIGKILL the daemon mid-run with several
 /// concurrent sessions in flight, restart it on the same data dir, and
 /// every session must complete with a report and trace byte-identical
@@ -129,71 +232,45 @@ fn kill_dash_nine_recovery_is_byte_identical() {
     for threads in ["1", "2"] {
         let control_dir = scratch(&format!("ctl-t{threads}"));
         let crash_dir = scratch(&format!("crash-t{threads}"));
-        let specs: [&[&str]; 3] = [
-            &["--threads", threads],
-            &["--threads", threads, "--seed", "1"],
-            &["--threads", threads, "--queries", "5", "--seed", "2"],
-        ];
-
-        // Control: run all three to completion, no interruption.
-        let daemon = start_daemon(&control_dir, &["--slots", "2"]);
-        let control_ids: Vec<String> = specs.iter().map(|s| submit(&control_dir, s)).collect();
-        for id in &control_ids {
-            let (code, state) = wait_done(&control_dir, id);
-            assert_eq!((code, state.as_str()), (0, "done"));
-        }
-        shutdown_and_join(&control_dir, daemon);
-
-        // Crash run: same three jobs, SIGKILL once a checkpoint lands.
-        let mut daemon = start_daemon(&crash_dir, &["--slots", "2"]);
-        let crash_ids: Vec<String> = specs.iter().map(|s| submit(&crash_dir, s)).collect();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !crash_ids
-            .iter()
-            .any(|id| session_file(&crash_dir, id, "checkpoint.json").exists())
-        {
-            assert!(Instant::now() < deadline, "no checkpoint ever appeared");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // SIGKILL: no handlers, no drain — the crash case.
-        unsafe { libc_kill(daemon.id() as i32, 9) };
-        let _ = daemon.wait();
-
-        // Every accepted job must still be registered, none terminal-
-        // by-luck into a lost state.
-        for id in &crash_ids {
-            let manifest = read(&session_file(&crash_dir, id, "manifest.json"));
-            assert!(
-                manifest.contains("\"state\":\"queued\"")
-                    || manifest.contains("\"state\":\"running\"")
-                    || manifest.contains("\"state\":\"done\""),
-                "unexpected post-kill manifest for {id}: {manifest}"
-            );
-        }
-
-        // Restart on the same data dir: recovery resumes everything.
-        let daemon = start_daemon(&crash_dir, &["--slots", "2"]);
-        for id in &crash_ids {
-            let (code, state) = wait_done(&crash_dir, id);
-            assert_eq!((code, state.as_str()), (0, "done"), "session {id}");
-        }
-        shutdown_and_join(&crash_dir, daemon);
-
-        for (control_id, crash_id) in control_ids.iter().zip(&crash_ids) {
-            assert_eq!(
-                read(&session_file(&control_dir, control_id, "report.txt")),
-                read(&session_file(&crash_dir, crash_id, "report.txt")),
-                "threads={threads} {crash_id}: recovered report must be byte-identical"
-            );
-            assert_eq!(
-                read(&session_file(&control_dir, control_id, "trace.jsonl")),
-                read(&session_file(&crash_dir, crash_id, "trace.jsonl")),
-                "threads={threads} {crash_id}: recovered trace must be byte-identical"
-            );
-        }
+        let control_ids = control_run(&control_dir, threads);
+        let (crash_ids, _) = crash_and_recover(&crash_dir, threads, false);
+        assert_same_artifacts(
+            (&control_dir, &control_ids),
+            (&crash_dir, &crash_ids),
+            &format!("threads={threads}"),
+        );
         let _ = std::fs::remove_dir_all(&control_dir);
         let _ = std::fs::remove_dir_all(&crash_dir);
     }
+}
+
+/// The same crash landing *inside* an append: every unfinished
+/// session's checkpoint log ends in a half-written record. Recovery
+/// drops the torn record, resumes from the boundary before it, keeps
+/// appending to the same log — and the artifacts still do not move.
+#[test]
+fn kill_mid_append_recovery_is_byte_identical() {
+    let control_dir = scratch("ctl-torn");
+    let control_ids = control_run(&control_dir, "1");
+    // Which sessions are mid-run when the kill lands is a race; the
+    // tear needs at least one, so a run that caught none is repeated.
+    let mut torn_any = false;
+    for attempt in 0..5 {
+        let crash_dir = scratch(&format!("crash-torn-{attempt}"));
+        let (crash_ids, torn) = crash_and_recover(&crash_dir, "1", true);
+        assert_same_artifacts(
+            (&control_dir, &control_ids),
+            (&crash_dir, &crash_ids),
+            &format!("torn={torn}"),
+        );
+        let _ = std::fs::remove_dir_all(&crash_dir);
+        if torn > 0 {
+            torn_any = true;
+            break;
+        }
+    }
+    assert!(torn_any, "five crashes and never a session mid-run");
+    let _ = std::fs::remove_dir_all(&control_dir);
 }
 
 extern "C" {
