@@ -239,8 +239,7 @@ fn main() {
     // the cold recommendation.
     let last = rows
         .iter()
-        .filter(|r| r.retuned)
-        .next_back()
+        .rfind(|r| r.retuned)
         .expect("at least one re-tune after the first");
     let (final_epoch, warm_final_cost, cold_final_cost) =
         (last.epoch, last.warm_cost, last.cold_cost);

@@ -4,6 +4,8 @@ use crate::ids::{ColumnId, TableId};
 use crate::stats::ColumnStats;
 use crate::types::ColumnType;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A column definition with its statistics.
 #[derive(Debug, Clone)]
@@ -83,11 +85,27 @@ impl Table {
 }
 
 /// A database: the set of base tables plus a name index.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Database {
     pub name: String,
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,
+    /// A content signature of the catalog with the name it was computed
+    /// under; see [`Database::memo_signature`]. Empty until first use,
+    /// so building a catalog never pays for it.
+    signature: OnceLock<(String, u128)>,
+}
+
+/// Written by hand so the memoized signature stays out of the rendering
+/// (the output is that of the derived impl before the memo existed).
+impl fmt::Debug for Database {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Database")
+            .field("name", &self.name)
+            .field("tables", &self.tables)
+            .field("by_name", &self.by_name)
+            .finish()
+    }
 }
 
 impl Database {
@@ -98,7 +116,26 @@ impl Database {
                 name: name.into(),
                 tables: Vec::new(),
                 by_name: HashMap::new(),
+                signature: OnceLock::new(),
             },
+        }
+    }
+
+    /// A content signature of this catalog, computed by `compute` at most
+    /// once per value: the first call computes and remembers it, later
+    /// calls (on this value or a clone of it) return it. Tables cannot
+    /// change once built; the name can, so a value renamed after the
+    /// first call computes afresh rather than answer for its old name.
+    /// Callers must pass the same `compute` every time — the catalog
+    /// keeps one signature, whose definition lives with its user.
+    pub fn memo_signature(&self, compute: impl Fn(&Database) -> u128) -> u128 {
+        let (name, sig) = self
+            .signature
+            .get_or_init(|| (self.name.clone(), compute(self)));
+        if *name == self.name {
+            *sig
+        } else {
+            compute(self)
         }
     }
 

@@ -17,9 +17,9 @@
 //! Removed views use the `CBV` fallback: the cost of computing the view
 //! from the base configuration plus a scan per former index usage.
 
-use crate::eval::{shell_cost_over, EvalResult};
+use crate::eval::{EvalResult, ShellTable};
 use crate::transform::TransformDelta;
-use crate::workload::{UpdateShell, Workload};
+use crate::workload::Workload;
 use parking_lot::RwLock;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::{CostModel, IndexUsage, UsageKind};
@@ -236,7 +236,9 @@ fn rebuild_cost(
 /// No optimizer calls are made, and the relaxed configuration is never
 /// built: it is read as `old_config` minus/plus the delta (an
 /// [`AppliedTransform`](crate::transform::AppliedTransform) passes as
-/// its delta).
+/// its delta). Update shells are folded from `old_config`'s
+/// [`ShellTable`], built here; the search carries one per node and
+/// calls [`node_bound`] with it.
 #[allow(clippy::too_many_arguments)]
 pub fn cost_upper_bound(
     db: &Database,
@@ -247,21 +249,17 @@ pub fn cost_upper_bound(
     delta: &TransformDelta,
     view_costs: &ViewBuildCosts,
 ) -> f64 {
-    bound_impl(
+    scratch_bound(
         db, model, workload, prev, old_config, delta, view_costs, false,
     )
 }
 
 /// [`cost_upper_bound`] restricted to the affected-query subset: a
 /// query whose plan uses none of the removed structures keeps its
-/// evaluated `select_cost` verbatim (the patch loop would add nothing),
-/// and an update shell untouched by the removed *and* added indexes
-/// keeps its evaluated `shell_cost` (the closed-form sum is a left
-/// fold of non-negative per-index terms, so inserting or removing the
-/// irrelevant indexes' `0.0` terms is a bitwise no-op: `x + 0.0 == x`
-/// for `x >= +0.0`). The result is therefore bit-identical to the full
-/// computation — asserted against it in debug builds by the caller —
-/// while costing O(affected) instead of O(workload).
+/// evaluated `select_cost` verbatim (the patch loop would add nothing).
+/// The result is therefore bit-identical to the full computation —
+/// asserted against it in debug builds by the search — while the
+/// select side costs O(affected) instead of O(workload).
 #[allow(clippy::too_many_arguments)]
 pub fn cost_upper_bound_restricted(
     db: &Database,
@@ -272,9 +270,41 @@ pub fn cost_upper_bound_restricted(
     delta: &TransformDelta,
     view_costs: &ViewBuildCosts,
 ) -> f64 {
-    bound_impl(
+    scratch_bound(
         db, model, workload, prev, old_config, delta, view_costs, true,
     )
+}
+
+/// [`node_bound`] for a configuration whose shell table is built here.
+#[allow(clippy::too_many_arguments)]
+fn scratch_bound(
+    db: &Database,
+    model: &CostModel,
+    workload: &Workload,
+    prev: &EvalResult,
+    old_config: &Configuration,
+    delta: &TransformDelta,
+    view_costs: &ViewBuildCosts,
+    restricted: bool,
+) -> f64 {
+    let shells = ShellTable::build(model, &PhysicalSchema::new(db, old_config), workload);
+    let node = BoundNode {
+        prev,
+        config: old_config,
+        shells: &shells,
+        view_costs,
+    };
+    node_bound(db, model, workload, &node, delta, restricted)
+}
+
+/// What the §3.3.2 machinery reads about the configuration a step
+/// relaxes: its evaluation, the configuration, and the two tables the
+/// search carries for it.
+pub(crate) struct BoundNode<'n> {
+    pub prev: &'n EvalResult,
+    pub config: &'n Configuration,
+    pub shells: &'n ShellTable,
+    pub view_costs: &'n ViewBuildCosts,
 }
 
 /// Synthesize a full [`EvalResult`] for the relaxed configuration from the
@@ -307,24 +337,27 @@ pub fn cost_upper_bound_restricted(
 /// in `[total_cost - gap, total_cost]`. A zero gap means the estimate
 /// *is* the evaluation; the budget policy serves estimates only while
 /// the gap is too small to change a relaxation decision.
-#[allow(clippy::too_many_arguments)]
-pub fn bound_served_eval(
+pub(crate) fn bound_served_eval(
     db: &Database,
     model: &CostModel,
     workload: &Workload,
-    prev: &EvalResult,
-    old_config: &Configuration,
+    node: &BoundNode<'_>,
     delta: &TransformDelta,
-    view_costs: &ViewBuildCosts,
 ) -> (EvalResult, f64) {
+    let BoundNode {
+        prev,
+        config: old_config,
+        shells,
+        view_costs,
+    } = *node;
     let old_schema = PhysicalSchema::new(db, old_config);
     let new_schema = old_schema.relaxed(&delta.removed_views, delta.added_view.as_ref());
-    let new_indexes = delta.child_indexes(old_config);
+    let new_shells = shells.relaxed(model, &new_schema, old_config, delta);
     let mut per_query = Vec::with_capacity(prev.per_query.len());
     let mut total = 0.0;
     let mut gap = 0.0;
 
-    for (entry, q) in workload.entries.iter().zip(&prev.per_query) {
+    for (i, (entry, q)) in workload.entries.iter().zip(&prev.per_query).enumerate() {
         let mut select = q.select_cost;
         let affected = q.uses_any(&delta.removed_indexes, &delta.removed_views);
         let usages = if affected {
@@ -357,10 +390,7 @@ pub fn bound_served_eval(
         } else {
             q.usages.clone()
         };
-        let shell = match entry.shell.as_ref() {
-            None => 0.0,
-            Some(s) => shell_cost_over(model, &new_schema, s, new_indexes.iter().copied()),
-        };
+        let shell = entry.shell.as_ref().map_or(0.0, |s| new_shells.cost(i, s));
         per_query.push(crate::eval::QueryEval {
             select_cost: select,
             shell_cost: shell,
@@ -380,25 +410,31 @@ pub fn bound_served_eval(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn bound_impl(
+/// The §3.3.2 bound of `delta` applied to `node`'s configuration;
+/// `restricted` skips the select-side patch loop for queries the step
+/// does not affect (see [`cost_upper_bound_restricted`]). Shells are
+/// exact (closed form) under the new configuration, folded from the
+/// node's shell table.
+pub(crate) fn node_bound(
     db: &Database,
     model: &CostModel,
     workload: &Workload,
-    prev: &EvalResult,
-    old_config: &Configuration,
+    node: &BoundNode<'_>,
     delta: &TransformDelta,
-    view_costs: &ViewBuildCosts,
     restricted: bool,
 ) -> f64 {
+    let BoundNode {
+        prev,
+        config: old_config,
+        shells,
+        view_costs,
+    } = *node;
     let old_schema = PhysicalSchema::new(db, old_config);
     let new_schema = old_schema.relaxed(&delta.removed_views, delta.added_view.as_ref());
-    // The relaxed configuration's index list, for the shells that need
-    // re-costing; built on first use.
-    let new_indexes = std::cell::OnceCell::new();
+    let new_shells = shells.relaxed(model, &new_schema, old_config, delta);
     let mut total = 0.0;
 
-    for (entry, q) in workload.entries.iter().zip(&prev.per_query) {
+    for (i, (entry, q)) in workload.entries.iter().zip(&prev.per_query).enumerate() {
         let mut select = q.select_cost;
         if !restricted || q.uses_any(&delta.removed_indexes, &delta.removed_views) {
             for usage in q.usages.iter() {
@@ -420,49 +456,10 @@ fn bound_impl(
                 select += (patch - usage.access_cost()).max(0.0);
             }
         }
-        // Shells are exact (closed form) under the new configuration.
-        let shell = match entry.shell.as_ref() {
-            None => 0.0,
-            Some(s) => {
-                if restricted && !shell_affected(s, &old_schema, &new_schema, delta) {
-                    q.shell_cost
-                } else {
-                    let indexes = new_indexes.get_or_init(|| delta.child_indexes(old_config));
-                    shell_cost_over(model, &new_schema, s, indexes.iter().copied())
-                }
-            }
-        };
+        let shell = entry.shell.as_ref().map_or(0.0, |s| new_shells.cost(i, s));
         total += entry.weight * (select + shell);
     }
     total
-}
-
-/// Does the step change [`shell_cost`](crate::eval::shell_cost) for
-/// this shell at all? Mirrors `shell_index_cost`'s relevance test
-/// exactly: an irrelevant index contributes a `0.0` term, and inserting
-/// or removing `0.0` terms in the non-negative left-fold sum is a
-/// bitwise no-op — so `false` here means the old shell cost can be
-/// reused bit-for-bit. Removed indexes are tested under the old
-/// configuration (where their backing views still exist), added ones
-/// under the new.
-fn shell_affected(
-    shell: &UpdateShell,
-    old_schema: &PhysicalSchema<'_>,
-    new_schema: &PhysicalSchema<'_>,
-    delta: &TransformDelta,
-) -> bool {
-    let relevant = |index: &Index, schema: &PhysicalSchema<'_>| -> bool {
-        if index.table.is_view() {
-            matches!(schema.view(index.table), Some(v) if v.def.tables.contains(&shell.table))
-        } else {
-            shell.affects(index)
-        }
-    };
-    delta
-        .removed_indexes
-        .iter()
-        .any(|i| relevant(i, old_schema))
-        || delta.added_indexes.iter().any(|i| relevant(i, new_schema))
 }
 
 /// What the winning patch plan depends on — the part of the answer a

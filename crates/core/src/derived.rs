@@ -35,9 +35,7 @@
 use crate::workload::Workload;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::QueryBlock;
-use pdt_physical::{
-    index_sig128, view_sig128, Configuration, Index, MaterializedView, SpjgExpr, Tagged128,
-};
+use pdt_physical::{Configuration, MaterializedView, SpjgExpr, Tagged128};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -192,13 +190,15 @@ impl RelevanceTable {
     /// for the query under any configuration, so it (and every index
     /// over it) is *irrelevant* — far sharper than the table-visibility
     /// rule, which keeps every view the query could merely see.
-    fn view_matchable(&self, query: usize, v: &MaterializedView) -> bool {
+    ///
+    /// `sig` is the view's signature as its configuration holds it.
+    fn view_matchable(&self, query: usize, v: &MaterializedView, sig: u128) -> bool {
         let Some(Some((block, spjg))) = self.blocks.get(query) else {
             // No block (resume path before `build`, or a non-SELECT
             // entry): fall back to the conservative visibility rule.
             return true;
         };
-        let key = (query, view_sig128(v.id, v));
+        let key = (query, sig);
         if let Some(&hit) = self.view_memo.read().expect("memo poisoned").get(&key) {
             return hit;
         }
@@ -220,16 +220,31 @@ impl RelevanceTable {
     /// Project `config` onto the relevant structures of query `query`.
     pub fn projection(&self, query: usize, config: &Configuration) -> Option<Projection> {
         let qr = self.query(query)?;
+        let coarse = config.signature_for_tables128(&qr.tables);
+        Some(self.project_with(query, qr, config, coarse))
+    }
+
+    /// The projection of `config` onto `query` (relevance `qr`) under the
+    /// given coarse signature. Structure signatures are the ones the
+    /// configuration holds, so nothing here hashes or formats a
+    /// structure.
+    fn project_with(
+        &self,
+        query: usize,
+        qr: &QueryRelevance,
+        config: &Configuration,
+        coarse: u128,
+    ) -> Projection {
         let mut relevant: Vec<u128> = Vec::new();
         let mut pinned: Vec<u128> = Vec::new();
-        let usable_view = |id: TableId| {
-            config.view(id).is_some_and(|v| {
-                v.def.tables.is_subset(&qr.tables) && self.view_matchable(query, v)
-            })
+        let matchable = |v: &MaterializedView, sig: u128| {
+            v.def.tables.is_subset(&qr.tables) && self.view_matchable(query, v, sig)
         };
-        for i in config.indexes() {
+        for (i, s) in config.indexes_with_sigs() {
             let rel = if i.table.is_view() {
-                usable_view(i.table)
+                config
+                    .view_with_sig(i.table)
+                    .is_some_and(|(v, sig)| matchable(v, sig))
             } else {
                 qr.tables.contains(&i.table)
                     && (i.clustered
@@ -237,16 +252,14 @@ impl RelevanceTable {
                         || qr.required.get(&i.table).is_some_and(|req| i.covers(req)))
             };
             if rel {
-                let s = index_sig128(i);
                 relevant.push(s);
                 if i.clustered {
                     pinned.push(s);
                 }
             }
         }
-        for v in config.views() {
-            if v.def.tables.is_subset(&qr.tables) && self.view_matchable(query, v) {
-                let s = view_sig128(v.id, v);
+        for (v, s) in config.views_with_sigs() {
+            if matchable(v, s) {
                 relevant.push(s);
                 pinned.push(s);
             }
@@ -257,37 +270,28 @@ impl RelevanceTable {
         for s in &relevant {
             h.hash(s);
         }
-        Some(Projection {
+        Projection {
             sig: h.finish(),
-            coarse: config.signature_for_tables128(&qr.tables),
+            coarse,
             relevant: relevant.into(),
             pinned: pinned.into(),
-        })
+        }
     }
 }
 
 /// One configuration's projection context, built once per evaluation on
 /// the driver thread and shared (by reference) with scoring workers.
 ///
-/// [`RelevanceTable::projection`] re-derives per-structure work for
-/// every query: it walks the configuration's `BTreeSet`, re-hashes each
-/// relevant index/view to its 128-bit signature, and re-folds the
-/// coarse per-table signature. All of that is hoisted here —
-/// signatures are computed once per structure per evaluation, and the
-/// coarse signature once per distinct FROM table set
-/// ([`RelevanceTable::set_id`]) — while the per-query relevance tests,
-/// the sort, and the `Tagged128` fold stay verbatim, so
-/// [`FlatProjector::project`] returns a bitwise-identical
-/// [`Projection`] (debug builds assert it).
+/// Per-structure signatures are not computed here: the configuration
+/// computed each one when the structure entered it. What the projector
+/// adds over [`RelevanceTable::projection`] is the coarse per-table
+/// signature, computed once per distinct FROM table set
+/// ([`RelevanceTable::set_id`]) instead of once per query, so
+/// [`FlatProjector::project`] returns a bitwise-identical [`Projection`]
+/// (debug builds assert the coarse half).
 pub struct FlatProjector<'a> {
     rt: &'a RelevanceTable,
     config: &'a Configuration,
-    /// Every configuration index with its precomputed signature, in
-    /// `config.indexes()` order.
-    indexes: Vec<(&'a Index, u128)>,
-    /// Every configuration view with its precomputed signature, in
-    /// `config.views()` order.
-    views: Vec<(&'a MaterializedView, u128)>,
     /// Coarse per-table signature per dense table-set id, computed on
     /// first use (any thread; the value is a pure function of the
     /// configuration and the set).
@@ -299,74 +303,21 @@ impl<'a> FlatProjector<'a> {
         FlatProjector {
             rt,
             config,
-            indexes: config.indexes().map(|i| (i, index_sig128(i))).collect(),
-            views: config.views().map(|v| (v, view_sig128(v.id, v))).collect(),
             coarse: (0..rt.num_table_sets()).map(|_| OnceLock::new()).collect(),
         }
     }
 
     /// [`RelevanceTable::projection`] of the held configuration onto
-    /// query `query`, from precomputed signatures.
+    /// query `query`, with the coarse signature shared per table set.
     pub fn project(&self, query: usize) -> Option<Projection> {
         let qr = self.rt.query(query)?;
-        let mut relevant: Vec<u128> = Vec::new();
-        let mut pinned: Vec<u128> = Vec::new();
-        let usable_view = |id: TableId| {
-            self.config.view(id).is_some_and(|v| {
-                v.def.tables.is_subset(&qr.tables) && self.rt.view_matchable(query, v)
-            })
-        };
-        for &(i, s) in &self.indexes {
-            let rel = if i.table.is_view() {
-                usable_view(i.table)
-            } else {
-                qr.tables.contains(&i.table)
-                    && (i.clustered
-                        || i.key.first().is_some_and(|k| qr.sarg_cols.contains(k))
-                        || qr.required.get(&i.table).is_some_and(|req| i.covers(req)))
-            };
-            if rel {
-                relevant.push(s);
-                if i.clustered {
-                    pinned.push(s);
-                }
-            }
-        }
-        for &(v, s) in &self.views {
-            if v.def.tables.is_subset(&qr.tables) && self.rt.view_matchable(query, v) {
-                relevant.push(s);
-                pinned.push(s);
-            }
-        }
-        relevant.sort_unstable();
-        pinned.sort_unstable();
-        let mut h = Tagged128::new();
-        for s in &relevant {
-            h.hash(s);
-        }
         let coarse = match self.rt.set_id(query) {
             Some(id) => *self.coarse[id as usize]
                 .get_or_init(|| self.config.signature_for_tables128(&qr.tables)),
             None => self.config.signature_for_tables128(&qr.tables),
         };
-        let flat = Projection {
-            sig: h.finish(),
-            coarse,
-            relevant: relevant.into(),
-            pinned: pinned.into(),
-        };
-        #[cfg(debug_assertions)]
-        {
-            let reference = self
-                .rt
-                .projection(query, self.config)
-                .expect("reference projection exists when flat does");
-            debug_assert_eq!(flat.sig, reference.sig);
-            debug_assert_eq!(flat.coarse, reference.coarse);
-            debug_assert_eq!(flat.relevant, reference.relevant);
-            debug_assert_eq!(flat.pinned, reference.pinned);
-        }
-        Some(flat)
+        debug_assert_eq!(coarse, self.config.signature_for_tables128(&qr.tables));
+        Some(self.rt.project_with(query, qr, self.config, coarse))
     }
 }
 
@@ -390,7 +341,7 @@ pub fn sorted_subset(a: &[u128], b: &[u128]) -> bool {
 mod tests {
     use super::*;
     use pdt_catalog::{ColumnStats, ColumnType};
-    use pdt_physical::Index;
+    use pdt_physical::{index_sig128, Index};
     use pdt_sql::parse_workload;
 
     fn test_db() -> Database {

@@ -29,6 +29,7 @@ use crate::derived::{sorted_subset, FlatProjector, Projection, RelevanceTable};
 use crate::fault::FaultSite;
 use crate::par::par_map;
 use crate::stop::StopCheck;
+use crate::transform::TransformDelta;
 use crate::workload::{UpdateShell, Workload};
 use pdt_catalog::{Database, TableId};
 use pdt_expr::BoundSelect;
@@ -137,6 +138,36 @@ pub struct EvalCtx<'c> {
     pub shared: Option<crate::shared::SharedCtx<'c>>,
 }
 
+/// Delta maintenance multiplies an index's per-row cost when the index
+/// is over a materialized view referencing the written table.
+const VIEW_MAINTENANCE_FACTOR: f64 = 2.0;
+
+/// The factor at which `shell` must maintain `index` under `schema`:
+/// 1 for an affected base-table index, [`VIEW_MAINTENANCE_FACTOR`] for an
+/// index over a view that joins the written table, `None` when the
+/// shell leaves the index alone.
+fn maintenance_factor(
+    schema: &PhysicalSchema<'_>,
+    shell: &UpdateShell,
+    index: &Index,
+) -> Option<f64> {
+    if index.table.is_view() {
+        match schema.view(index.table) {
+            Some(v) if v.def.tables.contains(&shell.table) => Some(VIEW_MAINTENANCE_FACTOR),
+            _ => None,
+        }
+    } else {
+        shell.affects(index).then_some(1.0)
+    }
+}
+
+/// Cost of maintaining `index` for one modified row, whatever the
+/// shell: descend the tree and write the leaf entry.
+fn per_row_maintenance(model: &CostModel, schema: &PhysicalSchema<'_>, index: &Index) -> f64 {
+    let levels = model.btree_levels(schema, index);
+    (levels + 1.0) * model.rand_page * 0.5 + 2.0 * model.cpu_tuple
+}
+
 /// Maintenance cost of one update shell against one index: descend the
 /// tree and write the leaf entry, per modified row. Indexes over
 /// materialized views referencing the written table pay a delta-
@@ -147,31 +178,21 @@ pub fn shell_index_cost(
     shell: &UpdateShell,
     index: &Index,
 ) -> f64 {
-    const VIEW_MAINTENANCE_FACTOR: f64 = 2.0;
-    let (affected, factor) = if index.table.is_view() {
-        match schema.view(index.table) {
-            Some(v) if v.def.tables.contains(&shell.table) => (true, VIEW_MAINTENANCE_FACTOR),
-            _ => (false, 1.0),
-        }
-    } else {
-        (shell.affects(index), 1.0)
-    };
-    if !affected {
-        return 0.0;
+    match maintenance_factor(schema, shell, index) {
+        Some(factor) => shell.rows * per_row_maintenance(model, schema, index) * factor,
+        None => 0.0,
     }
-    let levels = model.btree_levels(schema, index);
-    let per_row = (levels + 1.0) * model.rand_page * 0.5 + 2.0 * model.cpu_tuple;
-    shell.rows * per_row * factor
 }
 
-/// Total shell cost of one entry under a configuration.
+/// Total shell cost of one entry under a configuration: the definition
+/// [`ShellTable`] folds, and its oracle.
 pub fn shell_cost(model: &CostModel, schema: &PhysicalSchema<'_>, shell: &UpdateShell) -> f64 {
     shell_cost_over(model, schema, shell, schema.config.indexes())
 }
 
 /// [`shell_cost`] over an explicit index list (in configuration order):
-/// the §3.3.2 bound costs a relaxed configuration it never builds.
-pub(crate) fn shell_cost_over<'a>(
+/// the oracle for a relaxed configuration that is never built.
+fn shell_cost_over<'a>(
     model: &CostModel,
     schema: &PhysicalSchema<'_>,
     shell: &UpdateShell,
@@ -180,6 +201,234 @@ pub(crate) fn shell_cost_over<'a>(
     indexes
         .map(|i| shell_index_cost(model, schema, shell, i))
         .sum()
+}
+
+/// [`shell_cost`]'s sum from the terms of the indexes a shell maintains
+/// alone. `shell_cost` adds one term per configuration index, a `+0.0`
+/// for each index the shell leaves alone. Every term is non-negative,
+/// and `x + 0.0 == x` bit for bit for every `x` but `-0.0` — the start
+/// of `f64`'s `Sum`, which any first term replaces — so dropping the
+/// zeros changes nothing but the sign of a sum left with no term: one
+/// `+0.0` stands in for them whenever the configuration has an index.
+fn fold_terms(any_index: bool, terms: impl Iterator<Item = f64>) -> f64 {
+    std::iter::once(0.0)
+        .filter(|_| any_index)
+        .chain(terms)
+        .sum()
+}
+
+/// The union of two sequences sorted by index, in index order.
+fn merge_sorted<K: Ord, T>(
+    a: impl Iterator<Item = (K, T)>,
+    b: impl Iterator<Item = (K, T)>,
+) -> impl Iterator<Item = (K, T)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// One shell's terms: `(index, shell_index_cost)` in configuration
+/// order.
+type ShellRow = Vec<(Arc<Index>, f64)>;
+
+/// One configuration's update-shell maintenance terms: per workload
+/// entry with a shell, `(index, shell_index_cost)` for every index the
+/// shell maintains, in configuration order. Folding a row
+/// ([`ShellTable::fold`]) is [`shell_cost`] bit for bit at the cost of
+/// the terms that are not zero, and each index's B-tree levels are
+/// computed once, not once per shell.
+///
+/// Like a node's `ViewBuildCosts`, a child configuration's table is
+/// derived from its parent's ([`ShellTable::child`]): a term depends only
+/// on its index, the shell, and — for an index over a view — that view,
+/// which lives exactly as long as its indexes do. So every term of a
+/// surviving index carries over unchanged, removed indexes drop out and
+/// added ones are priced fresh.
+#[derive(Debug, Clone, Default)]
+pub struct ShellTable {
+    /// Indexed by workload entry: `None` for entries without a shell.
+    /// Empty when no entry has one.
+    rows: Vec<Option<ShellRow>>,
+    /// Whether the configuration has any index; see [`fold_terms`].
+    any_index: bool,
+}
+
+impl ShellTable {
+    /// The table of `schema.config`, computed from scratch.
+    pub fn build(
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        workload: &Workload,
+    ) -> ShellTable {
+        let handles = schema.config.index_handles();
+        let mut table = ShellTable {
+            rows: Vec::new(),
+            any_index: !handles.is_empty(),
+        };
+        if workload.has_updates() {
+            table.rows = workload
+                .entries
+                .iter()
+                .map(|e| e.shell.as_ref().map(|_| Vec::new()))
+                .collect();
+            table.add_terms(model, schema, workload, handles.iter());
+        }
+        table
+    }
+
+    /// Insert the terms of `added` (handles of `schema.config`'s
+    /// indexes, not yet in the table) in configuration order.
+    fn add_terms<'h>(
+        &mut self,
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        workload: &Workload,
+        added: impl Iterator<Item = &'h Arc<Index>>,
+    ) {
+        for handle in added {
+            let mut per_row = None;
+            for (row, entry) in self.rows.iter_mut().zip(&workload.entries) {
+                let (Some(row), Some(shell)) = (row, &entry.shell) else {
+                    continue;
+                };
+                if let Some(factor) = maintenance_factor(schema, shell, handle) {
+                    let per_row =
+                        *per_row.get_or_insert_with(|| per_row_maintenance(model, schema, handle));
+                    let at = row.partition_point(|(i, _)| i < handle);
+                    row.insert(at, (handle.clone(), shell.rows * per_row * factor));
+                }
+            }
+        }
+    }
+
+    /// The table of `schema.config`, one step away from this table's
+    /// configuration: `removed` indexes left it, `added` ones (all in
+    /// `schema.config`) entered it.
+    pub fn child(
+        &self,
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        workload: &Workload,
+        removed: &[Index],
+        added: &[Index],
+    ) -> ShellTable {
+        let config = schema.config;
+        let mut table = ShellTable {
+            rows: self.rows.clone(),
+            any_index: config.index_count() > 0,
+        };
+        if table.rows.is_empty() {
+            return table;
+        }
+        if !removed.is_empty() {
+            for row in table.rows.iter_mut().flatten() {
+                row.retain(|(i, _)| !removed.contains(i));
+            }
+        }
+        let handles = added.iter().map(|a| {
+            config
+                .index_handles_on(a.table)
+                .iter()
+                .find(|h| ***h == *a)
+                .expect("an added index is in the child configuration")
+        });
+        table.add_terms(model, schema, workload, handles);
+        table
+    }
+
+    /// [`shell_cost`] of entry `entry`'s shell under this table's
+    /// configuration; `0.0` for an entry without a shell.
+    pub fn fold(&self, entry: usize) -> f64 {
+        match self.rows.get(entry) {
+            Some(Some(row)) => fold_terms(self.any_index, row.iter().map(|(_, t)| *t)),
+            _ => 0.0,
+        }
+    }
+
+    /// Entry `entry`'s terms: the indexes its shell maintains, in
+    /// configuration order, with their costs (none for an entry without
+    /// a shell).
+    pub fn terms(&self, entry: usize) -> &[(Arc<Index>, f64)] {
+        match self.rows.get(entry) {
+            Some(Some(row)) => row,
+            _ => &[],
+        }
+    }
+
+    /// The shell costs of the configuration `delta` relaxes `parent`
+    /// (this table's configuration) into, read from this table without
+    /// building that configuration or its table; `schema` is its
+    /// relaxed schema.
+    pub fn relaxed<'a>(
+        &'a self,
+        model: &'a CostModel,
+        schema: &'a PhysicalSchema<'a>,
+        parent: &'a Configuration,
+        delta: &'a TransformDelta,
+    ) -> RelaxedShells<'a> {
+        RelaxedShells {
+            table: self,
+            model,
+            schema,
+            parent,
+            delta,
+            added: std::cell::OnceCell::new(),
+        }
+    }
+}
+
+/// [`ShellTable::relaxed`]: [`ShellTable::child`]'s folds for one
+/// relaxation step, computed per shell on demand.
+pub struct RelaxedShells<'a> {
+    table: &'a ShellTable,
+    model: &'a CostModel,
+    schema: &'a PhysicalSchema<'a>,
+    parent: &'a Configuration,
+    delta: &'a TransformDelta,
+    /// The added indexes with their per-row cost, in index order;
+    /// computed for the first shell that asks.
+    added: std::cell::OnceCell<Vec<(&'a Index, f64)>>,
+}
+
+impl RelaxedShells<'_> {
+    /// [`shell_cost`] of entry `entry`'s `shell` under the relaxed
+    /// configuration.
+    pub fn cost(&self, entry: usize, shell: &UpdateShell) -> f64 {
+        let removed = &self.delta.removed_indexes;
+        let added = self.added.get_or_init(|| {
+            let mut added: Vec<(&Index, f64)> = self
+                .delta
+                .added_indexes
+                .iter()
+                .map(|i| (i, per_row_maintenance(self.model, self.schema, i)))
+                .collect();
+            added.sort_by(|a, b| a.0.cmp(b.0));
+            added
+        });
+        let kept = self.table.terms(entry).iter();
+        let kept = kept
+            .filter(|(i, _)| !removed.contains(i))
+            .map(|(i, t)| (&**i, *t));
+        let fresh = added.iter().filter_map(|&(i, per_row)| {
+            maintenance_factor(self.schema, shell, i).map(|f| (i, shell.rows * per_row * f))
+        });
+        let any_index = !self.delta.added_indexes.is_empty()
+            || self.parent.indexes().any(|i| !removed.contains(i));
+        let cost = fold_terms(any_index, merge_sorted(kept, fresh).map(|(_, t)| t));
+        if cfg!(debug_assertions) {
+            let indexes = self.delta.child_indexes(self.parent);
+            let full = shell_cost_over(self.model, self.schema, shell, indexes.into_iter());
+            debug_assert_eq!(
+                cost.to_bits(),
+                full.to_bits(),
+                "relaxed shell fold of entry {entry} diverged from the full sum"
+            );
+        }
+        cost
+    }
 }
 
 /// Evaluate the full workload from scratch.
@@ -210,7 +459,7 @@ pub fn evaluate_full_ctx(
     // the isolation layer upstream) or poison the cache (repaired
     // in-line as a miss); neither produces a `None`.
     let ctx = EvalCtx { stop: None, ..ctx };
-    evaluate_entries(db, opt, config, workload, None, None, ctx)
+    evaluate_entries(db, opt, config, workload, None, None, ctx, None)
         .expect("no shortcut limit and no stop token, cannot abort")
 }
 
@@ -263,6 +512,7 @@ pub fn evaluate_incremental_ctx(
         Some((prev, removed_indexes, removed_views)),
         shortcut_limit,
         ctx,
+        None,
     )
 }
 
@@ -308,6 +558,8 @@ struct EvalEnv<'a> {
     /// Per-structure signature work hoisted out of the per-entry loop;
     /// present iff the context carries a relevance table.
     projector: Option<FlatProjector<'a>>,
+    /// The configuration's shell terms.
+    shells: &'a ShellTable,
     ctx: EvalCtx<'a>,
 }
 
@@ -339,15 +591,18 @@ fn evaluate_entry(env: &EvalEnv<'_>, i: usize) -> EntryEval {
         (None, Some(q)) => price_select(env, i, q, &mut tally),
         (None, None) => (0.0, Vec::new().into()),
     };
-    let shell_cost = entry
-        .shell
-        .as_ref()
-        .map(|s| shell_cost(&env.opt.opts.cost, &env.schema, s))
-        .unwrap_or(0.0);
+    let shell = env.shells.fold(i);
+    if let Some(s) = &entry.shell {
+        debug_assert_eq!(
+            shell.to_bits(),
+            shell_cost(&env.opt.opts.cost, &env.schema, s).to_bits(),
+            "shell table of entry {i} diverged from the full sum"
+        );
+    }
     EntryEval {
         q: QueryEval {
             select_cost,
-            shell_cost,
+            shell_cost: shell,
             usages,
         },
         tally,
@@ -642,8 +897,11 @@ fn run_entries(env: &EvalEnv<'_>, shortcut_limit: Option<f64>) -> Option<Vec<Ent
     evals
 }
 
-/// The common core of full and incremental evaluation.
-fn evaluate_entries(
+/// The common core of full and incremental evaluation. `shells` is
+/// `config`'s shell table when the caller carries one (the search
+/// derives each node's from its parent's); `None` builds it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_entries(
     db: &Database,
     opt: &Optimizer<'_>,
     config: &Configuration,
@@ -651,14 +909,25 @@ fn evaluate_entries(
     prev: Option<(&EvalResult, &[Index], &[TableId])>,
     shortcut_limit: Option<f64>,
     ctx: EvalCtx<'_>,
+    shells: Option<&ShellTable>,
 ) -> Option<EvalResult> {
+    let schema = PhysicalSchema::new(db, config);
+    let built;
+    let shells = match shells {
+        Some(table) => table,
+        None => {
+            built = ShellTable::build(&opt.opts.cost, &schema, workload);
+            &built
+        }
+    };
     let env = EvalEnv {
         opt,
         config,
-        schema: PhysicalSchema::new(db, config),
+        schema,
         workload,
         prev,
         projector: ctx.relevance.map(|rt| FlatProjector::new(rt, config)),
+        shells,
         ctx,
     };
     let evals = run_entries(&env, shortcut_limit)?;
@@ -1158,7 +1427,16 @@ mod tests {
                 stop: Some(&check),
                 ..EvalCtx::default()
             };
-            let r = evaluate_entries(&db, &opt, &config, &w, Some((&e0, &[], &[])), None, ctx);
+            let r = evaluate_entries(
+                &db,
+                &opt,
+                &config,
+                &w,
+                Some((&e0, &[], &[])),
+                None,
+                ctx,
+                None,
+            );
             assert!(r.is_none(), "tripped token must abort, threads={threads}");
             assert!(cache.is_empty());
         }

@@ -21,15 +21,13 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::arena::SkylineScratch;
-use crate::bound::{
-    bound_served_eval, cost_upper_bound, cost_upper_bound_restricted, ViewBuildCosts,
-};
+use crate::bound::{bound_served_eval, node_bound, BoundNode, ViewBuildCosts};
 use crate::cache::CostCache;
 use crate::checkpoint::{write_record, Batch, Checkpoint, Head, Identity, RecordKind, TraceBatch};
 use crate::derived::RelevanceTable;
 use crate::error::TuneError;
 use crate::eval::{
-    evaluate_full_ctx, evaluate_incremental_ctx, unused_structures, EvalCtx, EvalResult,
+    evaluate_entries, evaluate_full_ctx, unused_structures, EvalCtx, EvalResult, ShellTable,
 };
 use crate::fault::{
     FaultEvent, FaultKind, FaultPlan, FaultSite, SITE_CANDIDATE, SITE_PREPASS, SITE_SHRINK,
@@ -45,7 +43,7 @@ use crate::transform::{
 use crate::workload::Workload;
 use pdt_catalog::{Database, TableId};
 use pdt_opt::Optimizer;
-use pdt_physical::{Configuration, Index};
+use pdt_physical::{Configuration, Index, PhysicalSchema};
 use pdt_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -322,6 +320,9 @@ struct Node {
     sig: u128,
     /// The CBV table of `config`, carried from the parent's.
     view_costs: ViewBuildCosts,
+    /// The update-shell maintenance terms of `config`, carried from the
+    /// parent's.
+    shells: ShellTable,
     /// Interned signatures of transformations already tried from this
     /// node.
     tried: HashSet<u64>,
@@ -348,12 +349,14 @@ struct Node {
 
 impl Node {
     /// A pool entry with nothing scored and nothing tried yet.
+    #[allow(clippy::too_many_arguments)]
     fn new(
         config: Configuration,
         eval: EvalResult,
         size: f64,
         parent: Option<usize>,
         view_costs: ViewBuildCosts,
+        shells: ShellTable,
         delta: Option<StepDelta>,
         est_cost: Option<f64>,
     ) -> Node {
@@ -365,6 +368,7 @@ impl Node {
             parent,
             last_relax_penalty: 0.0,
             view_costs,
+            shells,
             tried: HashSet::new(),
             cands: None,
             delta,
@@ -378,6 +382,16 @@ impl Node {
     /// for an estimated node, the evaluated cost otherwise.
     fn cost(&self) -> f64 {
         self.est_cost.unwrap_or(self.eval.total_cost)
+    }
+
+    /// What the §3.3.2 bound reads about this node.
+    fn bound_node(&self) -> BoundNode<'_> {
+        BoundNode {
+            prev: &self.eval,
+            config: &self.config,
+            shells: &self.shells,
+            view_costs: &self.view_costs,
+        }
     }
 }
 
@@ -682,35 +696,25 @@ impl<'a> Env<'a> {
         let Some(delta) = describe(t, &node.config, db, &self.opt) else {
             return BoundMemoEntry::inapplicable();
         };
-        let full = |view_costs: &ViewBuildCosts| {
-            cost_upper_bound(
-                db,
-                cost,
-                self.workload,
-                &node.eval,
-                &node.config,
-                &delta,
-                view_costs,
-            )
-        };
         let bound = if self.incremental {
-            let b = cost_upper_bound_restricted(
-                db,
-                cost,
-                self.workload,
-                &node.eval,
-                &node.config,
-                &delta,
-                &node.view_costs,
-            );
+            let b = node_bound(db, cost, self.workload, &node.bound_node(), &delta, true);
             debug_assert_eq!(
                 b.to_bits(),
-                full(&ViewBuildCosts::new()).to_bits(),
+                crate::bound::cost_upper_bound(
+                    db,
+                    cost,
+                    self.workload,
+                    &node.eval,
+                    &node.config,
+                    &delta,
+                    &ViewBuildCosts::new(),
+                )
+                .to_bits(),
                 "restricted bound diverged from the full bound for {t}"
             );
             b
         } else {
-            full(&node.view_costs)
+            node_bound(db, cost, self.workload, &node.bound_node(), &delta, false)
         };
         BoundMemoEntry {
             applies: true,
@@ -731,10 +735,8 @@ impl<'a> Env<'a> {
             self.db,
             &self.opt.opts.cost,
             self.workload,
-            &node.eval,
-            &node.config,
+            &node.bound_node(),
             applied,
-            &node.view_costs,
         );
         let quote = Quote {
             transformation,
@@ -769,6 +771,30 @@ impl<'a> Env<'a> {
         carried
     }
 
+    /// The shell table of a configuration one step away from `parent`'s:
+    /// the incremental engine carries every surviving index's terms and
+    /// prices the added ones; the reference engine builds every table
+    /// from scratch.
+    fn child_shells(
+        &self,
+        parent: &ShellTable,
+        child: &Configuration,
+        removed_indexes: &[Index],
+        added_indexes: &[Index],
+    ) -> ShellTable {
+        let (model, schema) = (&self.opt.opts.cost, PhysicalSchema::new(self.db, child));
+        if !self.incremental {
+            return ShellTable::build(model, &schema, self.workload);
+        }
+        parent.child(
+            model,
+            &schema,
+            self.workload,
+            removed_indexes,
+            added_indexes,
+        )
+    }
+
     /// The one contained evaluation: an incremental re-evaluation under
     /// the stop control and fault site of its pipeline position, with a
     /// panic caught and recorded instead of propagated. Fault isolation
@@ -792,16 +818,15 @@ impl<'a> Env<'a> {
         };
         let hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Eval);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            evaluate_incremental_ctx(
+            evaluate_entries(
                 self.db,
                 &self.opt,
                 job.config,
                 self.workload,
-                job.prev,
-                job.removed_indexes,
-                job.removed_views,
+                Some((job.prev, job.removed_indexes, job.removed_views)),
                 job.limit,
                 ctx,
+                Some(job.shells),
             )
         }));
         drop(hot);
@@ -836,11 +861,13 @@ impl<'a> Env<'a> {
 
 /// One incremental re-evaluation for [`Env::evaluate_contained`]: the
 /// fault-site coordinates (`iteration` 0 is the pre-pass) and the
-/// arguments of `evaluate_incremental_ctx`.
+/// arguments of `evaluate_incremental_ctx`, plus `config`'s shell table
+/// (derived from `prev`'s configuration's).
 struct EvalJob<'j> {
     site: u32,
     iteration: usize,
     config: &'j Configuration,
+    shells: &'j ShellTable,
     prev: &'j EvalResult,
     removed_indexes: &'j [Index],
     removed_views: &'j [TableId],
@@ -1336,8 +1363,8 @@ struct Session<'a> {
     /// (`optimizer_calls`, `candidates_*`) live here, the store-backed
     /// ones are copied in by [`Session::finalize`].
     report: TuningReport,
-    /// Warm start: `options.deployed` with its evaluation and size.
-    deployed: Option<(&'a Configuration, EvalResult, f64)>,
+    /// Warm start: `options.deployed`, priced.
+    deployed: Option<Deployed<'a>>,
     /// Line 3: the configuration pool.
     nodes: Vec<Node>,
     last_created: usize,
@@ -1359,6 +1386,15 @@ struct Session<'a> {
     /// SoA scratch for the §3.6 skyline scan, reused across iterations
     /// instead of reallocating a snapshot per pass.
     skyline_scratch: SkylineScratch,
+}
+
+/// The warm start's deployed configuration with what setup computed
+/// for it.
+struct Deployed<'a> {
+    config: &'a Configuration,
+    eval: EvalResult,
+    size: f64,
+    shells: ShellTable,
 }
 
 /// A clean iteration boundary, held until (and unless) a checkpoint
@@ -1388,6 +1424,8 @@ struct Written {
 struct Child {
     config: Configuration,
     eval: EvalResult,
+    /// `config`'s shell table, derived from the parent's.
+    shells: ShellTable,
     /// Net structural change from the parent.
     step: StepDelta,
     /// Bound midpoint of a bound-served child; see [`Node::est_cost`].
@@ -1433,9 +1471,32 @@ impl<'a> Session<'a> {
         pdt_trace::incr(tracer, "workload.deduped", workload.deduped as u64);
         let setup_span = tracer.map(|t| t.span("setup"));
         let ctx = env.ctx(tracer);
+        // Setup's evaluations run to completion: the context carries no
+        // stop, and none of them has a shortcut limit.
+        let full = |config: &Configuration, shells: &ShellTable| {
+            evaluate_entries(
+                db,
+                &env.opt,
+                config,
+                workload,
+                None,
+                None,
+                ctx,
+                Some(shells),
+            )
+            .expect("no shortcut limit and no stop token, cannot abort")
+        };
+        let shells_of = |config: &Configuration| {
+            ShellTable::build(
+                &env.opt.opts.cost,
+                &PhysicalSchema::new(db, config),
+                workload,
+            )
+        };
 
         // Initial (base) evaluation.
-        let base_eval = evaluate_full_ctx(db, &env.opt, &env.base, workload, ctx);
+        let base_shells = shells_of(&env.base);
+        let base_eval = full(&env.base, &base_shells);
         let mut optimizer_calls = base_eval.optimizer_calls;
         let initial_cost = base_eval.total_cost;
 
@@ -1459,34 +1520,27 @@ impl<'a> Session<'a> {
                 ("views", sink.created_views.into()),
             ],
         );
-        let opt_eval = evaluate_full_ctx(db, &env.opt, &optimal_config, workload, ctx);
+        let optimal_shells = shells_of(&optimal_config);
+        let opt_eval = full(&optimal_config, &optimal_shells);
         optimizer_calls += opt_eval.optimizer_calls;
         let optimal_cost = opt_eval.total_cost;
         let optimal_size = optimal_config.size_bytes(db);
 
         // §3.6 lower bound: optimal SELECT components + shells under base.
-        let lower_bound_cost = {
-            let base_schema = pdt_physical::PhysicalSchema::new(db, &env.base);
-            workload
-                .entries
-                .iter()
-                .zip(&opt_eval.per_query)
-                .map(|(e, q)| {
-                    let shell = e
-                        .shell
-                        .as_ref()
-                        .map(|s| crate::eval::shell_cost(&env.opt.opts.cost, &base_schema, s))
-                        .unwrap_or(0.0);
-                    e.weight * (q.select_cost + shell)
-                })
-                .sum()
-        };
+        let lower_bound_cost = workload
+            .entries
+            .iter()
+            .zip(&opt_eval.per_query)
+            .enumerate()
+            .map(|(i, (e, q))| e.weight * (q.select_cost + base_shells.fold(i)))
+            .sum();
 
         // Warm start: price the currently-deployed configuration once,
         // budget-exempt, like the other setup references. It seeds the
         // pool and backs the final safety floor.
         let deployed = options.deployed.as_ref().map(|d| {
-            let e = evaluate_full_ctx(db, &env.opt, d, workload, ctx);
+            let shells = shells_of(d);
+            let e = full(d, &shells);
             optimizer_calls += e.optimizer_calls;
             let size = d.size_bytes(db);
             pdt_trace::emit(
@@ -1494,7 +1548,12 @@ impl<'a> Session<'a> {
                 "warm.deployed",
                 vec![("cost", e.total_cost.into()), ("size", size.into())],
             );
-            (d, e, size)
+            Deployed {
+                config: d,
+                eval: e,
+                size,
+                shells,
+            }
         });
         drop(setup_span);
 
@@ -1502,7 +1561,7 @@ impl<'a> Session<'a> {
         // (bitwise): anything else means the database or cost model
         // changed in a way the signatures could not see.
         if let Some(ck) = gate.resume {
-            let baseline = deployed.as_ref().map(|(_, e, s)| (e.total_cost, *s));
+            let baseline = deployed.as_ref().map(|d| (d.eval.total_cost, d.size));
             if ck.initial_cost.to_bits() != initial_cost.to_bits()
                 || ck.optimal_cost.to_bits() != optimal_cost.to_bits()
                 || !same_bits(baseline, ck.deployed)
@@ -1562,6 +1621,7 @@ impl<'a> Session<'a> {
             optimal_size,
             None,
             ViewBuildCosts::new(),
+            optimal_shells,
             None,
             None,
         );
@@ -1648,6 +1708,15 @@ impl<'a> Session<'a> {
         // Accumulated interval gap of every bound-served step: the
         // root's true cost lies in `[total - gap, total]`.
         let mut served_gap = 0.0f64;
+        // The pre-pass only ever scores removals: enumerate them
+        // directly instead of building (and discarding) the full
+        // merge/split/prefix list, once, then carry the list from step
+        // to step (`carry_removals`; debug builds assert it equals the
+        // enumeration at every step).
+        let mut removals: Vec<(Transformation, u64)> = {
+            let _hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
+            self.with_sigs(removal_candidates(&root.config, &env.base))
+        };
         for _ in 0..root.config.structure_count() {
             if self.gate.stopped().is_some() {
                 // Stopped before the first iteration: the root stays
@@ -1655,14 +1724,13 @@ impl<'a> Session<'a> {
                 // the trip into the final stop reason.
                 break;
             }
-            let removals: Vec<(Transformation, u64)> = {
-                let _hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
-                // The pre-pass only ever scores removals: enumerate
-                // them directly instead of building (and discarding)
-                // the full merge/split/prefix list (debug builds assert
-                // the sequence equals the filtered full enumeration).
-                self.with_sigs(removal_candidates(&root.config, &env.base))
-            };
+            debug_assert!(
+                removals
+                    .iter()
+                    .map(|(t, _)| t)
+                    .eq(&removal_candidates(&root.config, &env.base)),
+                "carried pre-pass removal list diverged from the enumeration"
+            );
             // Score every removal on the worker pool (through the bound
             // memo), then fold the results in candidate order: the fold
             // keeps the sequential tie-break (first strict minimum
@@ -1701,6 +1769,12 @@ impl<'a> Session<'a> {
             let Some(applied) = apply(transformation, &root.config, env.db, &env.opt) else {
                 break;
             };
+            let shells = env.child_shells(
+                &root.shells,
+                &applied.config,
+                &applied.removed_indexes,
+                &applied.added_indexes,
+            );
             // Approximate tier: a pre-pass winner's §3.3.2 bound proved
             // the removal does not increase cost (`delta_t <= 1e-9`),
             // but the bound's *select* side can still be pessimistic
@@ -1734,6 +1808,7 @@ impl<'a> Session<'a> {
                     site: SITE_PREPASS,
                     iteration: 0,
                     config: &applied.config,
+                    shells: &shells,
                     prev: &root.eval,
                     removed_indexes: &applied.removed_indexes,
                     removed_views: &applied.removed_views,
@@ -1772,10 +1847,12 @@ impl<'a> Session<'a> {
                 &applied.added_indexes,
             );
             root.config = applied.config;
+            root.shells = shells;
             // Hashed once per pre-pass configuration: the bound memo
             // key of the next step and, after the last, the root's.
             root.sig = root.config.signature128();
             root.eval = new_eval;
+            carry_removals(&mut removals, at);
         }
         drop(prepass_span);
         root.size = root.config.size_bytes(env.db);
@@ -1814,15 +1891,16 @@ impl<'a> Session<'a> {
         // out-of-space views defeat derived costing, so every step is a
         // real invocation). It then serves as the safety floor only,
         // not as a start point.
-        if let Some((d, deval, dsize)) = &self.deployed {
-            env.offer(&mut self.report, d, deval.total_cost, *dsize);
-            if deval.total_cost < self.report.initial_cost {
+        if let Some(d) = &self.deployed {
+            env.offer(&mut self.report, d.config, d.eval.total_cost, d.size);
+            if d.eval.total_cost < self.report.initial_cost {
                 self.nodes.push(Node::new(
-                    (*d).clone(),
-                    deval.clone(),
-                    *dsize,
+                    d.config.clone(),
+                    d.eval.clone(),
+                    d.size,
                     None,
                     ViewBuildCosts::new(),
+                    d.shells.clone(),
                     None,
                     None,
                 ));
@@ -1850,13 +1928,14 @@ impl<'a> Session<'a> {
             let Some(applied) = self.admit(iteration, parent, &chosen, applied) else {
                 continue;
             };
-            let Some(eval) = self.evaluate(iteration, parent, &chosen, &applied) else {
+            let Some((eval, shells)) = self.evaluate(iteration, parent, &chosen, &applied) else {
                 continue;
             };
             let AppliedTransform { config, delta } = applied;
             let mut child = Child {
                 config,
                 eval,
+                shells,
                 step: step_delta(delta),
                 est_cost: None,
             };
@@ -2015,7 +2094,7 @@ impl<'a> Session<'a> {
             base_sig: env.base_sig,
             initial_cost: report.initial_cost,
             optimal_cost: report.optimal_cost,
-            deployed: self.deployed.as_ref().map(|(_, e, s)| (e.total_cost, *s)),
+            deployed: self.deployed.as_ref().map(|d| (d.eval.total_cost, d.size)),
             relevance: env.relevance.rows(),
         };
         let kind = if written.iteration == 0 {
@@ -2333,10 +2412,17 @@ impl<'a> Session<'a> {
                 // total is bit-identical to `cost_upper_bound`), pool
                 // it, and let it claim `best` at its upper bound — a
                 // sound claim the final validation re-prices exactly.
+                let shells = env.child_shells(
+                    &node.shells,
+                    &applied.config,
+                    &applied.removed_indexes,
+                    &applied.added_indexes,
+                );
                 let AppliedTransform { config, delta } = applied;
                 let child = Child {
                     config,
                     eval: est_eval,
+                    shells,
                     step: step_delta(delta),
                     est_cost: Some(quote.upper - 0.5 * quote.gap),
                 };
@@ -2355,7 +2441,8 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Line 7: really evaluate the relaxed configuration (contained).
+    /// Line 7: really evaluate the relaxed configuration (contained),
+    /// returning the evaluation with the configuration's shell table.
     /// `None` when the child is not to be pooled: §3.5 shortcut, a
     /// stop-truncated evaluation, or a contained fault.
     fn evaluate(
@@ -2364,10 +2451,16 @@ impl<'a> Session<'a> {
         parent: usize,
         chosen: &ScoredCandidate,
         applied: &AppliedTransform,
-    ) -> Option<EvalResult> {
+    ) -> Option<(EvalResult, ShellTable)> {
         let env = &self.env;
         let tracer = self.gate.tracer();
         let node = &self.nodes[parent];
+        let shells = env.child_shells(
+            &node.shells,
+            &applied.config,
+            &applied.removed_indexes,
+            &applied.added_indexes,
+        );
         let skip_shortcut = || emit_skip(tracer, &chosen.transformation, "shortcut");
         let shortcut_limit = if env.options.shortcut_evaluation {
             self.report.best.as_ref().map(|b| b.cost)
@@ -2378,6 +2471,7 @@ impl<'a> Session<'a> {
             site: SITE_CANDIDATE,
             iteration,
             config: &applied.config,
+            shells: &shells,
             prev: &node.eval,
             removed_indexes: &applied.removed_indexes,
             removed_views: &applied.removed_views,
@@ -2432,7 +2526,7 @@ impl<'a> Session<'a> {
                 return None;
             }
         }
-        Some(eval)
+        Some((eval, shells))
     }
 
     /// §3.5 shrinking: drop the indexes the child's plans do not use
@@ -2451,11 +2545,13 @@ impl<'a> Session<'a> {
         for i in &unused_ix {
             shrunk.remove_index(i);
         }
+        let shells = env.child_shells(&child.shells, &shrunk, &unused_ix, &[]);
         // Unused indexes carry no plans, but shells change.
         let job = EvalJob {
             site: SITE_SHRINK,
             iteration,
             config: &shrunk,
+            shells: &shells,
             prev: &child.eval,
             removed_indexes: &[],
             removed_views: &[],
@@ -2467,6 +2563,7 @@ impl<'a> Session<'a> {
         };
         child.config = shrunk;
         child.eval = eval;
+        child.shells = shells;
         if env.incremental {
             // A shrunk-away addition cancels out; a shrunk pre-existing
             // structure counts as removed.
@@ -2488,6 +2585,7 @@ impl<'a> Session<'a> {
         let Child {
             config,
             eval,
+            shells,
             step,
             est_cost,
         } = child;
@@ -2540,6 +2638,7 @@ impl<'a> Session<'a> {
             size,
             Some(parent),
             view_costs,
+            shells,
             env.incremental.then_some(step),
             est_cost,
         ));
@@ -2593,8 +2692,8 @@ impl<'a> Session<'a> {
         // Warm-start safety floor (DBA-bandits): never recommend a
         // configuration that prices worse than the one currently
         // deployed.
-        if let Some((d, deval, dsize)) = &self.deployed {
-            env.offer(&mut self.report, d, deval.total_cost, *dsize);
+        if let Some(d) = &self.deployed {
+            env.offer(&mut self.report, d.config, d.eval.total_cost, d.size);
         }
     }
 
@@ -2636,6 +2735,21 @@ impl<'a> Session<'a> {
         report.trace = tracer.map(|t| t.summary());
         report.elapsed = start.elapsed();
         report
+    }
+}
+
+/// The pre-pass's removal list after the removal at `at` was applied:
+/// the winner drops out and, for a view, so do the removals of its
+/// indexes. A removal changes nothing else the list depends on — no
+/// structure is added, none becomes clustered or part of the base
+/// configuration — and dropping entries keeps the enumeration order, so
+/// the result is what [`removal_candidates`] would enumerate afresh.
+fn carry_removals(removals: &mut Vec<(Transformation, u64)>, at: usize) {
+    let (winner, _) = removals.remove(at);
+    if let Transformation::RemoveView { view } = winner {
+        removals.retain(
+            |(t, _)| !matches!(t, Transformation::RemoveIndex { index } if index.table == view),
+        );
     }
 }
 

@@ -73,7 +73,16 @@ pub const DEFAULT_SHARED_CAP: usize = 65_536;
 /// and distributions, so any stats drift changes the namespace. (The
 /// whole-`Database` rendering is unusable here: its name index is a
 /// `HashMap`, whose order is not a function of content.)
+///
+/// Computed at most once per `Database` value (on first use, never at
+/// catalog build) and remembered by the catalog; the bits are those of
+/// [`schema_signature_uncached`], the definition.
 pub fn schema_signature(db: &Database) -> u128 {
+    db.memo_signature(schema_signature_uncached)
+}
+
+/// The formula behind [`schema_signature`], evaluated afresh.
+pub fn schema_signature_uncached(db: &Database) -> u128 {
     let mut h = Tagged128::new();
     h.hash("pdtune-schema-v1");
     h.hash(&db.name);

@@ -35,7 +35,11 @@ impl UpdateShell {
             None => true,
             // A clustered index stores the row: every update touches it.
             Some(_) if index.clustered => true,
-            Some(cols) => index.all_columns().iter().any(|c| cols.contains(c)),
+            Some(cols) => index
+                .key
+                .iter()
+                .chain(&index.suffix)
+                .any(|c| cols.contains(c)),
         }
     }
 }
@@ -250,6 +254,55 @@ mod tests {
         assert!((shell.rows - 200.0).abs() < 5.0, "rows={}", shell.rows);
         let touched = shell.touched.as_ref().unwrap();
         assert_eq!(touched.len(), 2, "columns a and c are written");
+    }
+
+    #[test]
+    fn affects_tests_key_and_suffix_columns() {
+        let db = test_db();
+        let r = db.table_by_name("r").unwrap();
+        let (a, b, c, d) = (
+            r.column_id(0),
+            r.column_id(1),
+            r.column_id(2),
+            r.column_id(3),
+        );
+        let shell = UpdateShell {
+            table: r.id,
+            touched: Some([c].into()),
+            rows: 10.0,
+        };
+        // The answer `all_columns()` gives, without building the set.
+        let via_set = |i: &Index| match &shell.touched {
+            Some(cols) => i.clustered || i.all_columns().iter().any(|x| cols.contains(x)),
+            None => true,
+        };
+        let cases = [
+            (
+                Index::clustered(r.id, [a]),
+                true,
+                "clustered stores the row",
+            ),
+            (Index::new(r.id, [c, a], []), true, "key hit"),
+            (Index::new(r.id, [a, b], [d, c]), true, "suffix hit"),
+            (Index::new(r.id, [a], [b, d]), false, "miss"),
+        ];
+        for (index, want, what) in &cases {
+            assert_eq!(shell.affects(index), *want, "{what}");
+            assert_eq!(shell.affects(index), via_set(index), "{what}");
+        }
+        let whole_row = UpdateShell {
+            touched: None,
+            ..shell.clone()
+        };
+        for (index, _, what) in &cases {
+            assert!(whole_row.affects(index), "touched: None, {what}");
+        }
+        // Another table's index is never maintained by this shell.
+        let mut other = Database::builder("o");
+        other.add_table("x", 1.0, vec![r.columns[0].clone()], vec![]);
+        other.add_table("y", 1.0, vec![r.columns[0].clone()], vec![]);
+        let y = other.build().table_by_name("y").unwrap().id;
+        assert!(!whole_row.affects(&Index::new(y, [ColumnId::new(y, 0)], [])));
     }
 
     #[test]

@@ -900,13 +900,18 @@ impl<'s> Search<'s> {
 /// the per-structure encoding of [`Configuration::signature128`], so a
 /// footprint can be tested for survival against any configuration's
 /// relevant-structure set. Sorted and deduplicated.
+///
+/// The signatures are the ones `config` holds for its structures; a
+/// plan made under `config` uses no other index (a usage list from
+/// another configuration gets its foreign indexes hashed here).
 pub fn plan_footprint(usages: &[IndexUsage], config: &Configuration) -> Vec<u128> {
     let mut out: Vec<u128> = Vec::with_capacity(usages.len());
     for u in usages {
-        out.push(pdt_physical::index_sig128(&u.index));
+        let sig = config.index_sig(&u.index);
+        out.push(sig.unwrap_or_else(|| pdt_physical::index_sig128(&u.index)));
         if u.index.table.is_view() {
-            if let Some(v) = config.view(u.index.table) {
-                out.push(pdt_physical::view_sig128(v.id, v));
+            if let Some((_, s)) = config.view_with_sig(u.index.table) {
+                out.push(s);
             }
         }
     }

@@ -7,7 +7,7 @@ use crate::view::{MaterializedView, SpjgExpr};
 use pdt_catalog::{ColumnId, ColumnStats, Database, TableId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A physical configuration: the set of available physical structures.
 ///
@@ -20,21 +20,39 @@ use std::sync::Arc;
 /// configuration per step it takes and pools every one, and a clone is
 /// one allocation per collection plus a reference-count bump per
 /// structure.
+///
+/// Each structure's 128-bit content signature ([`index_sig128`],
+/// [`view_sig128`]) is computed at most once, the first time it is
+/// asked for, and travels with the structure through clones and
+/// relaxations. (Lazily, not at insertion: configurations that are only
+/// ever planned against, like the instrumentation pass's trials, never
+/// pay for one.)
 #[derive(Clone, Default)]
 pub struct Configuration {
     /// Sorted by `Index`'s `Ord` (table first), without duplicates: the
     /// iteration order of a `BTreeSet<Index>`, and one table's indexes
     /// are a contiguous range.
     indexes: Vec<Arc<Index>>,
+    /// `index_sig128` of each slot of `indexes`, position for position.
+    index_sigs: Vec<OnceLock<u128>>,
     views: BTreeMap<TableId, Arc<ViewEntry>>,
 }
 
 /// A registered view with the `Debug` rendering of its definition, which
-/// every content signature hashes: rendered once here instead of once
-/// per signature call.
+/// every content signature hashes, rendered once here instead of once
+/// per signature call, and its own [`view_sig128`].
 struct ViewEntry {
     view: MaterializedView,
     def_text: String,
+    sig: OnceLock<u128>,
+}
+
+impl ViewEntry {
+    fn sig(&self) -> u128 {
+        *self
+            .sig
+            .get_or_init(|| def_sig128(self.view.id, &self.def_text))
+    }
 }
 
 /// Written by hand so the output is that of the derived impl over
@@ -104,6 +122,7 @@ impl Configuration {
         match self.position(&index) {
             Ok(_) => false,
             Err(at) => {
+                self.index_sigs.insert(at, OnceLock::new());
                 self.indexes.insert(at, Arc::new(index));
                 true
             }
@@ -115,6 +134,7 @@ impl Configuration {
         match self.position(index) {
             Ok(at) => {
                 self.indexes.remove(at);
+                self.index_sigs.remove(at);
                 true
             }
             Err(_) => false,
@@ -132,6 +152,29 @@ impl Configuration {
     /// All indexes.
     pub fn indexes(&self) -> impl Iterator<Item = &Index> {
         self.indexes.iter().map(Arc::as_ref)
+    }
+
+    /// All indexes with their [`index_sig128`], in [`indexes`] order.
+    ///
+    /// [`indexes`]: Configuration::indexes
+    pub fn indexes_with_sigs(&self) -> impl Iterator<Item = (&Index, u128)> {
+        (0..self.indexes.len()).map(|at| (&*self.indexes[at], self.sig_at(at)))
+    }
+
+    /// The shared handles of all indexes, in [`indexes`] order.
+    ///
+    /// [`indexes`]: Configuration::indexes
+    pub fn index_handles(&self) -> &[Arc<Index>] {
+        &self.indexes
+    }
+
+    /// The [`index_sig128`] of `index`, if the configuration holds it.
+    pub fn index_sig(&self, index: &Index) -> Option<u128> {
+        self.position(index).ok().map(|at| self.sig_at(at))
+    }
+
+    fn sig_at(&self, at: usize) -> u128 {
+        *self.index_sigs[at].get_or_init(|| index_sig128(&self.indexes[at]))
     }
 
     /// Indexes over one table (or view).
@@ -183,9 +226,14 @@ impl Configuration {
     /// from [`Configuration::allocate_view_id`]).
     pub fn add_view(&mut self, view: MaterializedView) {
         let def_text = format!("{:?}", view.def);
-        let prev = self
-            .views
-            .insert(view.id, Arc::new(ViewEntry { view, def_text }));
+        let prev = self.views.insert(
+            view.id,
+            Arc::new(ViewEntry {
+                view,
+                def_text,
+                sig: OnceLock::new(),
+            }),
+        );
         assert!(prev.is_none(), "view id already in use");
     }
 
@@ -195,7 +243,9 @@ impl Configuration {
         if self.views.remove(&id).is_none() {
             return false;
         }
-        self.indexes.drain(self.table_range(id));
+        let range = self.table_range(id);
+        self.indexes.drain(range.clone());
+        self.index_sigs.drain(range);
         true
     }
 
@@ -203,8 +253,20 @@ impl Configuration {
         self.views.get(&id).map(|e| &e.view)
     }
 
+    /// The view registered under `id` with its [`view_sig128`].
+    pub fn view_with_sig(&self, id: TableId) -> Option<(&MaterializedView, u128)> {
+        self.views.get(&id).map(|e| (&e.view, e.sig()))
+    }
+
     pub fn views(&self) -> impl Iterator<Item = &MaterializedView> {
         self.views.values().map(|e| &e.view)
+    }
+
+    /// All views with their [`view_sig128`], in [`views`] order.
+    ///
+    /// [`views`]: Configuration::views
+    pub fn views_with_sigs(&self) -> impl Iterator<Item = (&MaterializedView, u128)> {
+        self.views.values().map(|e| (&e.view, e.sig()))
     }
 
     pub fn view_count(&self) -> usize {
@@ -386,9 +448,14 @@ pub fn index_sig128(index: &Index) -> u128 {
 
 /// See [`index_sig128`].
 pub fn view_sig128(id: TableId, view: &MaterializedView) -> u128 {
+    def_sig128(id, &format!("{:?}", view.def))
+}
+
+/// [`view_sig128`] from the already-rendered definition.
+fn def_sig128(id: TableId, def_text: &str) -> u128 {
     let mut h = Tagged128::new();
     h.hash(&id);
-    h.hash(&format!("{:?}", view.def));
+    h.hash(def_text);
     h.finish()
 }
 
