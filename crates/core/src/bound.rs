@@ -96,8 +96,8 @@ impl ViewBuildCosts {
         self.costs.write().entry(view).or_insert(entry).clone()
     }
 
-    /// The table of a child configuration, one relaxation step away
-    /// from this table's: every entry the step provably cannot have
+    /// The table of `child`, one relaxation step (`delta`) away from
+    /// this table's configuration: every entry the step provably cannot have
     /// changed is carried over (same cost bits, the same `Arc` of
     /// usages); the rest are left out and recomputed on first use.
     ///
@@ -121,19 +121,13 @@ impl ViewBuildCosts {
     ///   the entry's usages, not clustered, and not seekable for `V`.
     ///
     /// [`best_access_path`]: pdt_opt::access::best_access_path
-    pub fn carried(
-        &self,
-        child: &Configuration,
-        removed_indexes: &[Index],
-        removed_views: &[TableId],
-        added_indexes: &[Index],
-    ) -> ViewBuildCosts {
+    pub fn carried(&self, child: &Configuration, delta: &TransformDelta) -> ViewBuildCosts {
         let costs = self
             .costs
             .read()
             .iter()
             .filter(|(id, (_, usages))| {
-                if removed_views.contains(id) {
+                if delta.removed_views.contains(id) {
                     return false;
                 }
                 let Some(v) = child.view(**id) else {
@@ -146,7 +140,8 @@ impl ViewBuildCosts {
                             || v.def.ranges.iter().any(|p| p.column == r.key[0])
                             || usages.iter().any(|u| u.index == *r))
                 };
-                !added_indexes.iter().any(on_view_table) && !removed_indexes.iter().any(invalidates)
+                !delta.added_indexes.iter().any(on_view_table)
+                    && !delta.removed_indexes.iter().any(invalidates)
             })
             .map(|(id, entry)| (*id, entry.clone()))
             .collect();
@@ -157,9 +152,9 @@ impl ViewBuildCosts {
 
     /// Panic unless every entry is bit-equal (cost bits and usages) to
     /// a from-scratch computation against `config` — the differential
-    /// check behind [`carried`](Self::carried), run by the bound oracle
-    /// (`TunerOptions::validate_bounds`) on every table the search
-    /// carries. Returns the number of entries verified.
+    /// check behind [`carried`](Self::carried), part of
+    /// [`NodeFacts::assert_matches_scratch`](crate::node::NodeFacts::assert_matches_scratch).
+    /// Returns the number of entries verified.
     pub fn assert_matches_scratch(
         &self,
         db: &Database,

@@ -13,7 +13,9 @@
 //!    plans that used the replaced structures;
 //! 4. [`search`] — the Fig. 5 template search with the §3.4 penalty
 //!    heuristic, §3.5 variations, and §3.6 update handling (update
-//!    shells, skyline filtering, keep-relaxing-below-budget);
+//!    shells, skyline filtering, keep-relaxing-below-budget); what a
+//!    search node knows about its configuration, and the one rule that
+//!    derives a child's from its parent's, is [`node`];
 //! 5. [`eval`] — workload cost evaluation with minimal re-optimization,
 //!    parallel across entries and memoized through the shared what-if
 //!    cost cache ([`cache`]; scoped-thread helpers in [`par`]);
@@ -44,6 +46,7 @@ pub mod eval;
 pub mod fault;
 pub mod incremental;
 pub mod instrument;
+pub mod node;
 pub mod online;
 pub mod par;
 pub mod report;
