@@ -5,19 +5,18 @@
 //! for the §3.6 skyline dominance scan.
 //!
 //! Everything here is allocation *placement*, never logic: the stores
-//! built on [`ProbeTable`] (bound memo, cost cache, shared store) are
-//! probed by the bits of signatures that are already high-quality
-//! hashes instead of re-hashing them through SipHash, and every
-//! reduction over them is iteration-order-independent, so table layout
-//! and shard count never reach a report, trace, or checkpoint.
+//! built on [`ProbeTable`] (cost cache, shared store) are probed by the
+//! bits of signatures that are already high-quality hashes instead of
+//! re-hashing them through SipHash, and every reduction over them is
+//! iteration-order-independent, so table layout and shard count never
+//! reach a report, trace, or checkpoint.
 //!
 //! Lifetime argument (DESIGN.md §13): every structure in this module is
 //! scratch or session-local cache. `SkylineScratch` buffers live on the
 //! driver's stack frame for the whole session and are overwritten at
-//! each use; `ProbeTable`s live inside the memo/cost caches and die
-//! with the session. Nothing here is serialized: checkpoints keep
-//! writing portable 128-bit signatures, and id tables are rebuilt from
-//! those on resume.
+//! each use; `ProbeTable`s live inside the stores and die with the
+//! session. Nothing here is serialized: checkpoints keep writing
+//! portable 128-bit signatures.
 
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -35,7 +34,7 @@ impl<T> std::ops::Deref for CachePadded<T> {
     }
 }
 
-/// Shard count for the memo/cost caches, derived from the actual
+/// Shard count for the sharded stores, derived from the actual
 /// worker count instead of a fixed constant: enough shards that workers
 /// rarely collide (4x oversubscription smooths hash skew), rounded to a
 /// power of two so selection is a mask, clamped to keep the table walk
@@ -57,13 +56,6 @@ pub fn shard_index(key: &impl ProbeKey, shards: usize) -> usize {
 /// distributed hashes, so no hasher runs on the hot path.
 pub trait ProbeKey: Copy + Eq {
     fn probe_hash(&self) -> u64;
-}
-
-/// Bound-memo key: (transformation signature, dense configuration id).
-impl ProbeKey for (u64, u32) {
-    fn probe_hash(&self) -> u64 {
-        self.0 ^ u64::from(self.1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
 }
 
 /// Cost-cache fine key: (query index, 128-bit projection signature).
@@ -360,25 +352,25 @@ mod tests {
         assert_eq!(shard_count(1024), 64);
         for w in 0..100 {
             assert!(shard_count(w).is_power_of_two());
-            assert!(shard_index(&(u64::MAX, 0u32), shard_count(w)) < shard_count(w));
+            assert!(shard_index(&(0u32, u128::MAX), shard_count(w)) < shard_count(w));
         }
     }
 
     #[test]
     fn probe_table_round_trips_and_grows() {
-        let mut t: ProbeTable<(u64, u32), f64> = ProbeTable::new();
+        let mut t: ProbeTable<(u32, u128), f64> = ProbeTable::new();
         assert!(t.get((1, 2)).is_none());
-        for i in 0..1000u64 {
-            t.insert((i.wrapping_mul(0xABCDEF), i as u32), i as f64);
+        for i in 0..1000u32 {
+            t.insert((i, u128::from(i).wrapping_mul(0xABCDEF)), f64::from(i));
         }
         assert_eq!(t.len(), 1000);
-        for i in 0..1000u64 {
+        for i in 0..1000u32 {
             assert_eq!(
-                t.get((i.wrapping_mul(0xABCDEF), i as u32)),
-                Some(&(i as f64))
+                t.get((i, u128::from(i).wrapping_mul(0xABCDEF))),
+                Some(&f64::from(i))
             );
         }
-        assert!(t.get((1, 999)).is_none());
+        assert!(t.get((999, 1)).is_none());
         // Overwrite does not change the length.
         t.insert((0, 0), 42.0);
         assert_eq!(t.len(), 1000);

@@ -62,7 +62,7 @@ pub use derived::{FlatProjector, Projection, QueryRelevance, RelevanceTable};
 pub use error::TuneError;
 pub use eval::{EvalCtx, EvalResult, QueryEval};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use incremental::{BoundMemo, BoundMemoEntry, Interner, MemoCfg};
+pub use incremental::Interner;
 pub use instrument::{
     gather_optimal_configuration, gather_optimal_configuration_traced, OptimalSink,
 };

@@ -21,7 +21,7 @@ use crate::workload::Workload;
 use pdt_catalog::Database;
 use pdt_opt::CostModel;
 use pdt_physical::{Configuration, PhysicalSchema};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Candidate transformations in enumeration order, each with its
 /// interned signature.
@@ -52,9 +52,6 @@ impl FactCtx<'_> {
 
 /// One search node's facts about its configuration.
 pub struct NodeFacts {
-    /// `config.signature128()`, the bound memo's configuration key,
-    /// hashed at first use: see [`sig`](Self::sig).
-    sig: OnceLock<u128>,
     /// The §3.3.2 CBV table, filled on first use.
     pub view_costs: ViewBuildCosts,
     /// The §3.6 update-shell maintenance terms.
@@ -78,7 +75,6 @@ impl NodeFacts {
     /// The facts of `config`, computed from nothing.
     pub fn scratch(cx: FactCtx<'_>, config: &Configuration) -> NodeFacts {
         NodeFacts {
-            sig: OnceLock::new(),
             view_costs: ViewBuildCosts::new(),
             shells: ShellTable::build(cx.model, &PhysicalSchema::new(cx.db, config), cx.workload),
             cands: Cands::Scratch,
@@ -95,7 +91,6 @@ impl NodeFacts {
         }
         let schema = PhysicalSchema::new(cx.db, config);
         let facts = NodeFacts {
-            sig: OnceLock::new(),
             view_costs: self.view_costs.carried(config, step),
             shells: self.shells.child(cx.model, &schema, cx.workload, step),
             cands: match &self.cands {
@@ -132,19 +127,10 @@ impl NodeFacts {
         list
     }
 
-    /// The signature of `config`, this node's configuration.
-    pub fn sig(&self, config: &Configuration) -> u128 {
-        *self.sig.get_or_init(|| config.signature128())
-    }
-
     /// Panic unless every fact equals its from-scratch computation for
-    /// `config`: the signature, every CBV entry computed so far, every
-    /// shell term, and the candidate list once derived.
+    /// `config`: every CBV entry computed so far, every shell term, and
+    /// the candidate list once derived.
     pub fn assert_matches_scratch(&self, cx: FactCtx<'_>, config: &Configuration) {
-        assert!(
-            self.sig.get().is_none_or(|s| *s == config.signature128()),
-            "node signature diverged"
-        );
         self.view_costs
             .assert_matches_scratch(cx.db, cx.model, config);
         self.shells.assert_matches_scratch(
@@ -166,7 +152,7 @@ impl NodeFacts {
 }
 
 /// Pair each enumerated transformation with its interned signature.
-pub(crate) fn sign(enumerated: Vec<Transformation>, interner: &Interner) -> CandList {
+fn sign(enumerated: Vec<Transformation>, interner: &Interner) -> CandList {
     enumerated
         .into_iter()
         .map(|t| {

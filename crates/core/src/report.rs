@@ -150,16 +150,6 @@ pub fn summarize(db: &Database, report: &TuningReport) -> String {
             scored as f64 / report.candidates_generated.max(1) as f64
         );
     }
-    let memo_probes = report.bound_memo_hits + report.bound_memo_misses;
-    if memo_probes > 0 {
-        let _ = writeln!(
-            out,
-            "bounds:   {} memo hits / {} misses ({:.1}% hit rate)",
-            report.bound_memo_hits,
-            report.bound_memo_misses,
-            100.0 * report.bound_memo_hits as f64 / memo_probes as f64
-        );
-    }
     out
 }
 

@@ -471,14 +471,12 @@ pub fn render_report(db: &pdt_catalog::Database, spec: &JobSpec, report: &Tuning
     }
     let _ = writeln!(
         out,
-        "stop={} iterations={} optimizer_calls={} cache={}h/{}m memo={}h/{}m faults={}",
+        "stop={} iterations={} optimizer_calls={} cache={}h/{}m faults={}",
         report.stop_reason.label(),
         report.iterations,
         report.optimizer_calls,
         report.cache_hits,
         report.cache_misses,
-        report.bound_memo_hits,
-        report.bound_memo_misses,
         report.faults.len()
     );
     for f in &report.faults {
@@ -765,15 +763,25 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_is_a_recovery_mismatch() {
-        let dir = scratch_dir("badck");
-        std::fs::write(dir.join("checkpoint.log"), b"{not json").unwrap();
-        let s = session_in(&dir, tiny_spec());
-        let outcome = run_session(&s, &fast_writer(), None);
-        assert_eq!(outcome.state, SessionState::Failed);
-        assert!(
-            s.state().1.unwrap().starts_with("recovery mismatch:"),
-            "corrupt checkpoint must surface as a recovery mismatch"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        // Garbage, and an intact log an earlier build wrote (version 6),
+        // which is refused by its version.
+        let mut v6 = Vec::new();
+        Checkpoint::frame_record(r#"{"version":6,"kind":"pdtune-checkpoint"}"#, &mut v6);
+        for (name, log, why) in [
+            ("badck", b"{not json".to_vec(), ""),
+            ("v6ck", v6, "version 6"),
+        ] {
+            let dir = scratch_dir(name);
+            std::fs::write(dir.join("checkpoint.log"), log).unwrap();
+            let s = session_in(&dir, tiny_spec());
+            let outcome = run_session(&s, &fast_writer(), None);
+            assert_eq!(outcome.state, SessionState::Failed);
+            let detail = s.state().1.unwrap();
+            assert!(
+                detail.starts_with("recovery mismatch:") && detail.contains(why),
+                "{name}: a bad checkpoint must surface as a recovery mismatch: {detail}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

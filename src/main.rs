@@ -823,15 +823,6 @@ fn print_counters(report: &TuningReport) {
             scored as f64 / report.candidates_generated.max(1) as f64
         );
     }
-    let memo_probes = report.bound_memo_hits + report.bound_memo_misses;
-    if memo_probes > 0 {
-        println!(
-            "bound memo: {} hits / {} misses ({:.1}% hit rate)",
-            report.bound_memo_hits,
-            report.bound_memo_misses,
-            100.0 * report.bound_memo_hits as f64 / memo_probes as f64
-        );
-    }
     if !report.faults.is_empty() {
         println!("faults contained: {}", report.faults.len());
         for f in &report.faults {

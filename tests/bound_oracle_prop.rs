@@ -166,8 +166,6 @@ fn validate_bounds_does_not_change_the_recommendation() {
             r.optimizer_calls = 0;
             r.cache_hits = 0;
             r.cache_misses = 0;
-            r.bound_memo_hits = 0;
-            r.bound_memo_misses = 0;
             r.bound_checks = 0;
             format!("{r:#?}")
         };

@@ -1,5 +1,5 @@
 //! The facts a search node carries (`pdt_tuner::node::NodeFacts`) — its
-//! signature, CBV table, shell table and candidate list — derived from
+//! CBV table, shell table and candidate list — derived from
 //! its parent's must equal the same facts computed from scratch. A
 //! stale-low CBV breaks the §3.3.2 upper-bound guarantee, a stale shell
 //! term or candidate moves the trace bytes.

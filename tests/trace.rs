@@ -59,11 +59,6 @@ fn counters_reconcile_with_the_report() {
         tracer.counter("candidates.reused"),
         report.candidates_reused
     );
-    assert_eq!(tracer.counter("bound.memo.hits"), report.bound_memo_hits);
-    assert_eq!(
-        tracer.counter("bound.memo.misses"),
-        report.bound_memo_misses
-    );
     assert_eq!(
         tracer.counter("optimizer.calls_avoided"),
         report.optimizer_calls_avoided
