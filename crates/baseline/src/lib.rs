@@ -27,7 +27,6 @@ use pdt_trace::Tracer;
 use pdt_tuner::cache::{CacheEntry, CostCache};
 use pdt_tuner::eval::{evaluate_full_ctx, EvalCtx, EvalResult};
 use pdt_tuner::instrument::OptimalSink;
-use pdt_tuner::par::{par_map, resolve_threads};
 use pdt_tuner::Workload;
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -58,9 +57,6 @@ pub struct BaselineOptions {
     pub max_view_join_tables: usize,
     /// Optimizer-call budget (the tool's "tuning time").
     pub max_evaluations: usize,
-    /// Worker threads for atomic-configuration evaluation (0 = one per
-    /// available core). The report is identical for every value.
-    pub threads: usize,
 }
 
 impl Default for BaselineOptions {
@@ -73,7 +69,6 @@ impl Default for BaselineOptions {
             view_table_subset_min_freq: 2,
             max_view_join_tables: 4,
             max_evaluations: 5_000,
-            threads: 1,
         }
     }
 }
@@ -212,29 +207,24 @@ impl<'a> BaselineAdvisor<'a> {
     }
 
     /// [`BaselineAdvisor::tune`] with an optional structured-event
-    /// [`Tracer`]. Events are emitted from the driver thread only, so
-    /// the trace is byte-identical for every `threads` value.
+    /// [`Tracer`].
     pub fn tune_traced(&self, workload: &Workload, tracer: Option<&Tracer>) -> BaselineReport {
         let start = Instant::now();
         let opt = Optimizer::new(self.db);
         let base = Configuration::base(self.db);
         let mut calls = 0usize;
 
-        let threads = resolve_threads(self.options.threads);
         // The generalization of the atomic-configuration shortcut: a
         // query is re-optimized at most once per distinct projection of
         // a trial configuration onto its tables.
         let cache = CostCache::new();
         let ctx = EvalCtx {
-            threads,
             cache: Some(&cache),
             tracer,
             ..EvalCtx::default()
         };
 
         if let Some(t) = tracer {
-            // No thread count in the event stream: the trace must be
-            // byte-identical for every `--threads` value.
             let mut fields: Vec<(&'static str, pdt_trace::Value)> =
                 vec![("entries", workload.entries.len().into())];
             if let Some(b) = self.options.space_budget {
@@ -578,26 +568,17 @@ fn reopt_affected(
 ) -> EvalResult {
     let schema = pdt_physical::PhysicalSchema::new(db, config);
     let model = opt.opts.cost;
-    let indices: Vec<usize> = (0..workload.len()).collect();
-    // (eval, calls, hit, miss, pending cache insert), in entry order.
-    type Entry = (
-        pdt_tuner::QueryEval,
-        usize,
-        bool,
-        bool,
-        Option<(u128, CacheEntry)>,
-    );
-    let evals: Vec<Entry> = par_map(ctx.threads, &indices, |_, &i| {
-        let entry = &workload.entries[i];
+    let mut per_query = Vec::with_capacity(workload.len());
+    let mut total = 0.0;
+    let mut calls = 0;
+    let (mut hits, mut misses) = (0u64, 0u64);
+    for (i, entry) in workload.entries.iter().enumerate() {
         let q_prev = &prev.per_query[i];
         let touches = entry
             .select
             .as_ref()
             .map(|s| s.tables.iter().any(|t| affected.contains(t)))
             .unwrap_or(false);
-        let mut calls = 0;
-        let (mut hit, mut miss) = (false, false);
-        let mut pending = None;
         let (select_cost, usages) = if touches {
             let q = entry.select.as_ref().expect("touches");
             let cached = ctx.cache.map(|cache| {
@@ -609,16 +590,17 @@ fn reopt_affected(
                 .and_then(|(c, sig)| c.committed.lookup(i, *sig))
             {
                 Some(e) => {
-                    hit = true;
+                    hits += 1;
                     (e.cost, e.usages)
                 }
                 None => {
                     let plan = opt.optimize(config, q);
-                    calls = 1;
+                    calls += 1;
                     let usages: std::sync::Arc<[pdt_opt::IndexUsage]> = plan.index_usages.into();
-                    if let Some((_, sig)) = cached {
-                        miss = true;
-                        pending = Some((sig, CacheEntry::plain(plan.cost, usages.clone(), sig)));
+                    if let Some((cache, sig)) = cached {
+                        misses += 1;
+                        let ce = CacheEntry::plain(plan.cost, usages.clone(), sig);
+                        cache.committed.insert(i, sig, ce);
                     }
                     (plan.cost, usages)
                 }
@@ -636,23 +618,7 @@ fn reopt_affected(
             shell_cost,
             usages,
         };
-        (q, calls, hit, miss, pending)
-    });
-
-    let mut per_query = Vec::with_capacity(evals.len());
-    let mut total = 0.0;
-    let mut calls = 0;
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for (i, (q, c, hit, miss, pending)) in evals.into_iter().enumerate() {
-        total += workload.entries[i].weight * q.total();
-        calls += c;
-        hits += u64::from(hit);
-        misses += u64::from(miss);
-        if let Some((sig, ce)) = pending {
-            if let Some(cache) = ctx.cache {
-                cache.committed.insert(i, sig, ce);
-            }
-        }
+        total += entry.weight * q.total();
         per_query.push(q);
     }
     if let Some(cache) = ctx.cache {

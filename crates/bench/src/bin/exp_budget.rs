@@ -71,10 +71,9 @@ struct Summary {
     /// Hardware threads on the recording machine, same field name in
     /// every `BENCH_*.json` so artifact consumers can join on it.
     nproc: usize,
-    /// True when the sessions ran more threads than the machine has
-    /// cores — wall-clock columns then measure scheduler pressure,
-    /// not the engine. This panel is single-threaded, so the flag
-    /// only trips when the parallelism probe fails.
+    /// True in a debug build, whose cross-validation of every served
+    /// what-if answer makes the wall-clock columns measure the checks,
+    /// not the engine.
     degraded: bool,
     governed_invocation_reduction: f64,
     worst_ample_quality_ratio: f64,
@@ -264,12 +263,11 @@ fn main() {
     );
 
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = TunerOptions::default().threads;
     let summary = Summary {
         seeds: SEEDS as usize,
         queries_per_seed: QUERIES,
         nproc,
-        degraded: threads > nproc,
+        degraded: cfg!(debug_assertions),
         governed_invocation_reduction,
         worst_ample_quality_ratio,
         rows,

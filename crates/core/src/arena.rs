@@ -1,8 +1,7 @@
-//! Flat-memory primitives for the id-addressed hot path: cache-line
-//! padding, worker-derived shard counts, an open-addressed probe table
-//! keyed by pre-hashed integers, the sharded (and, for checkpointing
-//! sessions, journaled) store built from it, and reusable SoA scratch
-//! for the §3.6 skyline dominance scan.
+//! Flat-memory primitives for the id-addressed hot path: an
+//! open-addressed probe table keyed by pre-hashed integers, the
+//! cache-line padding and shard arithmetic of the daemon-wide shared
+//! store, and reusable SoA scratch for the §3.6 skyline dominance scan.
 //!
 //! Everything here is allocation *placement*, never logic: the stores
 //! built on [`ProbeTable`] (cost cache, shared store) are probed by the
@@ -18,11 +17,9 @@
 //! session. Nothing here is serialized: checkpoints keep writing
 //! portable 128-bit signatures.
 
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Pad a shard to its own cache line so concurrent workers touching
-/// adjacent shards do not false-share lock words or map headers.
+/// Pad a shard of the shared store to its own cache line so daemon
+/// slots touching adjacent shards do not false-share lock words or map
+/// headers.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 pub struct CachePadded<T>(pub T);
@@ -34,11 +31,11 @@ impl<T> std::ops::Deref for CachePadded<T> {
     }
 }
 
-/// Shard count for the sharded stores, derived from the actual
-/// worker count instead of a fixed constant: enough shards that workers
-/// rarely collide (4x oversubscription smooths hash skew), rounded to a
-/// power of two so selection is a mask, clamped to keep the table walk
-/// in `snapshot()` cheap on huge machines.
+/// Shard count for the shared store, derived from the number of
+/// concurrent writers instead of a fixed constant: enough shards that
+/// writers rarely collide (4x oversubscription smooths hash skew),
+/// rounded to a power of two so selection is a mask, clamped to keep
+/// the table walk in `snapshot()` cheap on huge machines.
 pub fn shard_count(workers: usize) -> usize {
     (workers.max(1) * 4).next_power_of_two().clamp(8, 64)
 }
@@ -170,124 +167,11 @@ impl<K: ProbeKey, V> ProbeTable<K, V> {
     }
 }
 
-/// One shard of a [`Sharded`] store: its table, and what was inserted
-/// into it since the last checkpoint record, tagged with the epoch of
-/// the insert. Both sit behind the shard's one lock, so journaling adds
-/// no synchronization to an insert.
-#[derive(Debug)]
-struct Shard<K, V> {
-    table: ProbeTable<K, V>,
-    journal: Vec<(u32, K, V)>,
-}
-
-/// Per-shard [`ProbeTable`]s behind cache-line-padded locks: a lookup
-/// takes a read lock on one shard, so scoring workers proceed in
-/// parallel. The shard count follows the worker count
-/// ([`shard_count`]).
-///
-/// A session with a checkpoint sink also *journals* the store
-/// ([`Sharded::start_journal`]): every insert is appended, under the
-/// write lock it already holds, to its shard's journal with the current
-/// epoch. The driver closes an epoch at each clean iteration boundary
-/// ([`Sharded::seal`] — one store, the whole cost of a boundary mark)
-/// and a checkpoint record takes everything up to a sealed epoch
-/// ([`Sharded::drain_through`]), so what a record writes is what was
-/// inserted since the previous one, never the whole store. Without a
-/// sink nothing is kept.
-#[derive(Debug)]
-pub struct Sharded<K, V> {
-    shards: Vec<CachePadded<RwLock<Shard<K, V>>>>,
-    /// The epoch inserts are tagged with; `None` = not journaling.
-    epoch: Option<AtomicU32>,
-}
-
-impl<K: ProbeKey, V: Clone> Sharded<K, V> {
-    /// A store sharded for `workers` concurrent scorers.
-    pub fn new(workers: usize) -> Self {
-        Sharded {
-            shards: (0..shard_count(workers))
-                .map(|_| {
-                    CachePadded(RwLock::new(Shard {
-                        table: ProbeTable::new(),
-                        journal: Vec::new(),
-                    }))
-                })
-                .collect(),
-            epoch: None,
-        }
-    }
-
-    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
-        &self.shards[shard_index(key, self.shards.len())]
-    }
-
-    pub fn get(&self, key: K) -> Option<V> {
-        self.shard(&key).read().table.get(key).cloned()
-    }
-
-    /// Insert or overwrite (see [`ProbeTable::insert`]).
-    pub fn insert(&self, key: K, value: V) {
-        let mut shard = self.shard(&key).write();
-        if let Some(epoch) = &self.epoch {
-            // Relaxed: epochs change only on the driver between scoring
-            // batches, and spawning the workers orders the store before
-            // their loads.
-            let epoch = epoch.load(Ordering::Relaxed);
-            shard.journal.push((epoch, key, value.clone()));
-        }
-        shard.table.insert(key, value);
-    }
-
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().table.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Visit every shard's table (read-locked one at a time). Callers
-    /// reduce order-independently or sort afterwards.
-    pub fn for_each_table(&self, mut f: impl FnMut(&ProbeTable<K, V>)) {
-        for shard in &self.shards {
-            f(&shard.read().table);
-        }
-    }
-
-    /// Journal every insert from here on, starting in epoch 0. Entries
-    /// already present (a resumed session's restored state, which the
-    /// log it resumed from already holds) are not journaled.
-    pub fn start_journal(&mut self) {
-        self.epoch = Some(AtomicU32::new(0));
-    }
-
-    /// Close `epoch`: later inserts belong to `epoch + 1`. Called by
-    /// the driver at an iteration boundary, when no worker is running.
-    pub fn seal(&self, epoch: u32) {
-        if let Some(current) = &self.epoch {
-            current.store(epoch + 1, Ordering::Relaxed);
-        }
-    }
-
-    /// Take every journaled insert of epochs `..= epoch`, in per-shard
-    /// insertion order (a key lives in one shard, so successive inserts
-    /// of one key stay ordered).
-    pub fn drain_through(&self, epoch: u32) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let journal = &mut shard.write().journal;
-            let sealed = journal.partition_point(|(e, _, _)| *e <= epoch);
-            out.extend(journal.drain(..sealed).map(|(_, k, v)| (k, v)));
-        }
-        out
-    }
-}
-
 /// Order a drained batch for a checkpoint record: sorted by key, the
 /// last insert of a key winning (the only store that ever overwrites
 /// with a different value is the cost cache repairing a poisoned
-/// entry). Sorting is what keeps record bytes independent of shard
-/// count and thread schedule.
+/// entry). Sorting is what keeps record bytes independent of table
+/// layout.
 pub fn sort_batch<K: Ord, V>(batch: &mut Vec<(K, V)>) {
     batch.sort_by(|a, b| a.0.cmp(&b.0));
     batch.dedup_by(|later, kept| {
@@ -392,40 +276,6 @@ mod tests {
         assert_eq!(t.len(), 64);
         // Same signature under a different query index is a miss.
         assert!(t.get((8, 0u128)).is_none());
-    }
-
-    #[test]
-    fn journal_hands_out_sealed_epochs_once() {
-        let mut quiet: Sharded<(u32, u128), u32> = Sharded::new(4);
-        quiet.insert((0, 1), 1);
-        assert!(quiet.drain_through(0).is_empty(), "no journal, no cost");
-        assert_eq!(quiet.get((0, 1)), Some(1));
-
-        quiet.start_journal();
-        let store = quiet;
-        // Epoch 0: three keys across shards, one of them overwritten.
-        store.insert((1, 7 << 100), 10);
-        store.insert((0, 9), 20);
-        store.insert((1, 7 << 100), 11);
-        store.seal(0);
-        // Epoch 1 — inserted after the boundary, must not leak into
-        // a record written for it.
-        store.insert((2, 3), 30);
-        let mut first = store.drain_through(0);
-        sort_batch(&mut first);
-        assert_eq!(first, vec![((0, 9), 20), ((1, 7 << 100), 11)]);
-        assert!(store.drain_through(0).is_empty(), "drained once");
-        store.seal(1);
-        store.insert((2, 4), 40);
-        assert_eq!(store.drain_through(1), vec![((2, 3), 30)]);
-        // A record may cover several epochs at once.
-        store.seal(2);
-        store.insert((2, 5), 50);
-        store.seal(3);
-        let mut rest = store.drain_through(3);
-        sort_batch(&mut rest);
-        assert_eq!(rest, vec![((2, 4), 40), ((2, 5), 50)]);
-        assert_eq!(store.len(), 6, "seven inserts, one of them an overwrite");
     }
 
     #[test]

@@ -20,11 +20,11 @@
 use crate::eval::{EvalResult, ShellTable};
 use crate::transform::TransformDelta;
 use crate::workload::Workload;
-use parking_lot::RwLock;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::{CostModel, IndexUsage, UsageKind};
 use pdt_physical::size::SizeModel;
 use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -45,13 +45,9 @@ type BuildCostEntry = (f64, Arc<[IndexUsage]>);
 /// *carries* entries from parent to child by the exact dependency rule
 /// of [`carried`](Self::carried) instead of keying a shared memo by a
 /// configuration signature.
-///
-/// Shared by concurrent scoring workers through a read/write lock.
-/// Whichever worker computes a view first inserts the same value any
-/// other would — the table stays deterministic under races.
 #[derive(Debug, Default)]
 pub struct ViewBuildCosts {
-    costs: RwLock<BTreeMap<TableId, BuildCostEntry>>,
+    costs: RefCell<BTreeMap<TableId, BuildCostEntry>>,
 }
 
 impl ViewBuildCosts {
@@ -86,14 +82,15 @@ impl ViewBuildCosts {
         config: &Configuration,
         view: TableId,
     ) -> (f64, Arc<[IndexUsage]>) {
-        if let Some(c) = self.costs.read().get(&view) {
+        if let Some(c) = self.costs.borrow().get(&view) {
             return c.clone();
         }
         let entry = match config.view(view) {
             Some(v) => rebuild_cost(db, model, config, v),
             None => (0.0, Vec::new().into()),
         };
-        self.costs.write().entry(view).or_insert(entry).clone()
+        self.costs.borrow_mut().insert(view, entry.clone());
+        entry
     }
 
     /// The table of `child`, one relaxation step (`delta`) away from
@@ -124,7 +121,7 @@ impl ViewBuildCosts {
     pub fn carried(&self, child: &Configuration, delta: &TransformDelta) -> ViewBuildCosts {
         let costs = self
             .costs
-            .read()
+            .borrow()
             .iter()
             .filter(|(id, (_, usages))| {
                 if delta.removed_views.contains(id) {
@@ -146,7 +143,7 @@ impl ViewBuildCosts {
             .map(|(id, entry)| (*id, entry.clone()))
             .collect();
         ViewBuildCosts {
-            costs: RwLock::new(costs),
+            costs: RefCell::new(costs),
         }
     }
 
@@ -161,7 +158,7 @@ impl ViewBuildCosts {
         model: &CostModel,
         config: &Configuration,
     ) -> usize {
-        let costs = self.costs.read();
+        let costs = self.costs.borrow();
         for (id, (cost, usages)) in costs.iter() {
             let v = config
                 .view(*id)

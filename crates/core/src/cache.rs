@@ -16,40 +16,42 @@
 //! structure lost, no *new* relevant structure present) can be
 //! re-priced instead of invoking the optimizer.
 //!
-//! Callers must follow a commit-on-success protocol: look entries up
+//! Callers follow a commit-on-success protocol: look entries up
 //! freely, but buffer new entries and hit/miss tallies locally and
 //! [`EntryStore::insert`]/[`CostCache::record`] them only after the
-//! whole evaluation succeeds. Shortcut-aborted evaluations then leave
-//! no trace, which keeps cache contents, counters, and the downstream
-//! `optimizer_calls` totals independent of thread count and scheduling.
+//! whole evaluation succeeds. A shortcut-aborted evaluation (§3.5)
+//! then leaves no trace: the logical counters (`cache_hits`,
+//! `cache_misses`, the report's `optimizer_calls`) and the checkpoint's
+//! `cache` section account exactly the evaluations the search
+//! completed. The golden digests and the checkpoint format pin that
+//! accounting, so the protocol stays until they are re-recorded for a
+//! single store.
 //!
-//! Commit-on-success keeps counters deterministic, but it also means a
-//! shortcut-aborted evaluation's plan searches are repaid in full the
-//! next time the search probes the same projection. The *invocation
-//! store* ([`CostCache::invocations`]) recovers that work without
-//! touching determinism: every real optimizer answer is recorded
-//! immediately, keyed exactly like the cost cache, and served on later
-//! keyed misses in derived mode. Because the stored value is a pure
-//! function of the key (the optimizer is deterministic over the
-//! projected configuration), serving it is bitwise identical to
-//! re-invoking the optimizer — so which probes happen to be served
-//! (which *is* scheduling-dependent under parallel scoring) can never
-//! leak into costs, counters, traces, or checkpoints. Only the
+//! Commit-on-success also means a shortcut-aborted evaluation's plan
+//! searches would be repaid in full the next time the search probes the
+//! same projection. The *invocation store* ([`CostCache::invocations`])
+//! recovers that work without touching the accounting: every real
+//! optimizer answer is recorded immediately, keyed exactly like the
+//! cost cache, and served on later keyed misses in derived mode.
+//! Because the stored value is a pure function of the key (the
+//! optimizer is deterministic over the projected configuration),
+//! serving it is bitwise identical to re-invoking the optimizer, so it
+//! never reaches costs, counters, traces, or checkpoints. Only the
 //! process-global real-invocation count drops. The store is never
 //! checkpointed and the `Reference::Costs` oracle never reads it.
 //!
-//! Both stores are [`EntryStore`]s — flat open-addressed tables behind
-//! sharded locks (DESIGN.md §13) — and every serving tier answers
-//! through the one `probe_chain`: exact key, then plan probe, then
-//! re-pricing.
+//! Both stores are [`EntryStore`]s — one flat open-addressed table each
+//! (DESIGN.md §13), owned by the session's one thread — and every
+//! serving tier answers through the one `probe_chain`: exact key, then
+//! plan probe, then re-pricing.
 //!
 //! [`Configuration::signature_for_tables128`]: pdt_physical::Configuration::signature_for_tables128
 
-use crate::arena::{sort_batch, Sharded};
+use crate::arena::{sort_batch, ProbeTable};
 use crate::derived::{sorted_subset, Projection};
 use pdt_opt::IndexUsage;
 use pdt_physical::Configuration;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// A memoized what-if answer: the optimizer's cost for one query under
@@ -100,30 +102,46 @@ impl CacheEntry {
     }
 }
 
-/// A sharded store of what-if answers: a [`Sharded`] table keyed by
+/// `(query as u32, projection signature)`.
+type StoreKey = (u32, u128);
+
+/// A store of what-if answers: one [`ProbeTable`] keyed by
 /// `(query as u32, projection signature)` and probed by the signature's
 /// own bits (it is already a hash).
 ///
 /// [`CostCache`] holds two of these — the committed entries and the
 /// invocation store — so both are probed by the same three methods.
-#[derive(Debug)]
+///
+/// A session with a checkpoint sink also *journals* the store
+/// (`start_journal`): every insert is appended to the
+/// journal with the current epoch. The driver closes an epoch at each
+/// clean iteration boundary (`seal` — the whole cost of a
+/// boundary mark) and a checkpoint record takes everything up to a
+/// sealed epoch (`drain_through`), so what a record
+/// writes is what was inserted since the previous one, never the whole
+/// store. Without a sink nothing is kept.
+#[derive(Debug, Default)]
 pub struct EntryStore {
-    table: Sharded<(u32, u128), CacheEntry>,
+    table: RefCell<ProbeTable<StoreKey, CacheEntry>>,
+    /// Inserts not yet handed to a checkpoint record, tagged with the
+    /// epoch they were made in.
+    journal: RefCell<Vec<(u32, StoreKey, CacheEntry)>>,
+    /// The epoch inserts are tagged with; `None` = not journaling.
+    epoch: Cell<Option<u32>>,
 }
 
 impl EntryStore {
-    fn new(workers: usize) -> EntryStore {
-        EntryStore {
-            table: Sharded::new(workers),
-        }
-    }
-
     pub fn lookup(&self, query: usize, signature: u128) -> Option<CacheEntry> {
-        self.table.get((query as u32, signature))
+        self.table.borrow().get((query as u32, signature)).cloned()
     }
 
+    /// Insert or overwrite (see [`ProbeTable::insert`]).
     pub fn insert(&self, query: usize, signature: u128, entry: CacheEntry) {
-        self.table.insert((query as u32, signature), entry);
+        let key = (query as u32, signature);
+        if let Some(epoch) = self.epoch.get() {
+            self.journal.borrow_mut().push((epoch, key, entry.clone()));
+        }
+        self.table.borrow_mut().insert(key, entry);
     }
 
     /// Plan reuse (§3.3.2 local re-pricing): after a keyed miss at
@@ -142,21 +160,19 @@ impl EntryStore {
     ///
     /// Poisoned entries (non-finite or negative cost) are never served.
     /// Among multiple servable entries the one with the smallest key
-    /// signature wins, making the result independent of shard and slot
-    /// iteration order — though all servable entries carry bitwise-equal
-    /// answers.
+    /// signature wins, making the result independent of slot iteration
+    /// order — though all servable entries carry bitwise-equal answers.
     pub fn plan_probe(&self, query: usize, proj: &Projection) -> Option<CacheEntry> {
         let mut best = None;
-        self.table.for_each_table(|table| {
-            scan_servable(
-                proj,
-                table
-                    .iter()
-                    .filter(|((q, _), _)| *q as usize == query)
-                    .map(|((_, sig), e)| (*sig, e)),
-                &mut best,
-            );
-        });
+        scan_servable(
+            proj,
+            self.table
+                .borrow()
+                .iter()
+                .filter(|((q, _), _)| *q as usize == query)
+                .map(|((_, sig), e)| (*sig, e)),
+            &mut best,
+        );
         best.map(|(_, e)| e)
     }
 
@@ -177,7 +193,34 @@ impl EntryStore {
     }
 
     fn len(&self) -> usize {
-        self.table.len()
+        self.table.borrow().len()
+    }
+
+    /// Journal every insert from here on, starting in epoch 0. Entries
+    /// already present (a resumed session's restored state, which the
+    /// log it resumed from already holds) are not journaled.
+    fn start_journal(&mut self) {
+        self.epoch.set(Some(0));
+    }
+
+    /// Close `epoch`: later inserts belong to `epoch + 1`.
+    fn seal(&self, epoch: u32) {
+        if self.epoch.get().is_some() {
+            self.epoch.set(Some(epoch + 1));
+        }
+    }
+
+    /// Take every journaled insert of epochs `..= epoch`, sorted by key
+    /// with the last insert of a key winning ([`sort_batch`]).
+    fn drain_through(&self, epoch: u32) -> Vec<((usize, u128), CacheEntry)> {
+        let mut journal = self.journal.borrow_mut();
+        let sealed = journal.partition_point(|(e, _, _)| *e <= epoch);
+        let mut batch: Vec<((usize, u128), CacheEntry)> = journal
+            .drain(..sealed)
+            .map(|(_, (q, sig), e)| ((q as usize, sig), e))
+            .collect();
+        sort_batch(&mut batch);
+        batch
     }
 }
 
@@ -246,8 +289,8 @@ pub(crate) fn scan_servable<'a>(
     }
 }
 
-/// Concurrent cost memo shared by every evaluation in a tuning session.
-#[derive(Debug)]
+/// Cost memo shared by every evaluation in a tuning session.
+#[derive(Debug, Default)]
 pub struct CostCache {
     /// Committed entries: written only at an evaluation's commit point,
     /// checkpointed, counted.
@@ -255,19 +298,19 @@ pub struct CostCache {
     /// Uncommitted real optimizer answers, keyed exactly like
     /// `committed`: the full entry the plan search produced, recorded
     /// at invocation time (even inside evaluations that later abort) —
-    /// the value is a pure function of the key, so racing writers are
-    /// idempotent and early visibility cannot perturb any deterministic
-    /// state. Every servable donor carries the bitwise-identical
-    /// answer, so the timing-dependent contents decide only *whether* a
-    /// real call is saved, never what any deterministic state observes.
-    /// Purely a real-invocation saver — see the module docs.
+    /// the value is a pure function of the key, so early visibility
+    /// cannot perturb any deterministic state. Every servable donor
+    /// carries the bitwise-identical answer, so its contents decide
+    /// only *whether* a real call is saved, never what any
+    /// deterministic state observes. Purely a real-invocation saver —
+    /// see the module docs.
     pub invocations: EntryStore,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    avoided: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    repriced: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    avoided: Cell<u64>,
+    plan_hits: Cell<u64>,
+    plan_misses: Cell<u64>,
+    repriced: Cell<u64>,
 }
 
 /// One evaluation's derived-costing tallies, committed alongside the
@@ -285,51 +328,31 @@ pub struct DerivedTally {
     pub repriced: u64,
 }
 
-impl Default for CostCache {
-    fn default() -> Self {
-        Self::new()
-    }
+fn bump(counter: &Cell<u64>, by: u64) {
+    counter.set(counter.get() + by);
 }
 
 impl CostCache {
-    /// A cache sharded for one worker; see [`CostCache::with_workers`].
     pub fn new() -> Self {
-        Self::with_workers(1)
-    }
-
-    /// A cache sharded for `workers` concurrent scorers.
-    pub fn with_workers(workers: usize) -> Self {
-        CostCache {
-            committed: EntryStore::new(workers),
-            invocations: EntryStore::new(workers),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            avoided: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            repriced: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Commit the hit/miss tallies of one successful evaluation.
     pub fn record(&self, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
+        bump(&self.hits, hits);
+        bump(&self.misses, misses);
     }
 
     /// Commit one evaluation's derived-costing tallies.
     pub fn record_derived(&self, tally: DerivedTally) {
-        self.avoided.fetch_add(tally.avoided, Ordering::Relaxed);
-        self.plan_hits.fetch_add(tally.plan_hits, Ordering::Relaxed);
-        self.plan_misses
-            .fetch_add(tally.plan_misses, Ordering::Relaxed);
-        self.repriced.fetch_add(tally.repriced, Ordering::Relaxed);
+        bump(&self.avoided, tally.avoided);
+        bump(&self.plan_hits, tally.plan_hits);
+        bump(&self.plan_misses, tally.plan_misses);
+        bump(&self.repriced, tally.repriced);
     }
 
     /// [`CostCache::record`], mirrored into trace counters and a
-    /// `cache.commit` event. Callers must invoke this only from the
-    /// thread driving the evaluation (the commit point), so the running
-    /// totals in the event are deterministic.
+    /// `cache.commit` event, at an evaluation's commit point.
     pub fn record_traced(&self, hits: u64, misses: u64, tracer: Option<&pdt_trace::Tracer>) {
         self.record(hits, misses);
         if let Some(t) = tracer {
@@ -348,27 +371,27 @@ impl CostCache {
     }
 
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     pub fn avoided(&self) -> u64 {
-        self.avoided.load(Ordering::Relaxed)
+        self.avoided.get()
     }
 
     pub fn plan_hits(&self) -> u64 {
-        self.plan_hits.load(Ordering::Relaxed)
+        self.plan_hits.get()
     }
 
     pub fn plan_misses(&self) -> u64 {
-        self.plan_misses.load(Ordering::Relaxed)
+        self.plan_misses.get()
     }
 
     pub fn repriced(&self) -> u64 {
-        self.repriced.load(Ordering::Relaxed)
+        self.repriced.get()
     }
 
     /// Committed entries; the invocation store is not counted.
@@ -383,16 +406,16 @@ impl CostCache {
     /// Overwrite the hit/miss tallies; used when restoring a cache from
     /// a checkpoint so counters continue from the checkpointed values.
     pub fn set_counters(&self, hits: u64, misses: u64) {
-        self.hits.store(hits, Ordering::Relaxed);
-        self.misses.store(misses, Ordering::Relaxed);
+        self.hits.set(hits);
+        self.misses.set(misses);
     }
 
     /// Overwrite the derived tallies (checkpoint restore).
     pub fn set_derived_counters(&self, tally: DerivedTally) {
-        self.avoided.store(tally.avoided, Ordering::Relaxed);
-        self.plan_hits.store(tally.plan_hits, Ordering::Relaxed);
-        self.plan_misses.store(tally.plan_misses, Ordering::Relaxed);
-        self.repriced.store(tally.repriced, Ordering::Relaxed);
+        self.avoided.set(tally.avoided);
+        self.plan_hits.set(tally.plan_hits);
+        self.plan_misses.set(tally.plan_misses);
+        self.repriced.set(tally.repriced);
     }
 
     /// The current derived tallies, as one value.
@@ -405,46 +428,37 @@ impl CostCache {
         }
     }
 
-    /// Every committed entry, sorted by key (independent of shard
-    /// count and slot order): what the folded checkpoint log of a
-    /// session must add up to.
+    /// Every committed entry, sorted by key (independent of slot
+    /// order): what the folded checkpoint log of a session must add up
+    /// to.
     pub fn snapshot(&self) -> Vec<((usize, u128), CacheEntry)> {
-        let mut out: Vec<((usize, u128), CacheEntry)> = Vec::new();
-        self.committed.table.for_each_table(|table| {
-            out.extend(
-                table
-                    .iter()
-                    .map(|((q, sig), v)| ((*q as usize, *sig), v.clone())),
-            );
-        });
+        let mut out: Vec<((usize, u128), CacheEntry)> = self
+            .committed
+            .table
+            .borrow()
+            .iter()
+            .map(|((q, sig), v)| ((*q as usize, *sig), v.clone()))
+            .collect();
         out.sort_by_key(|(k, _)| *k);
         out
     }
 
     /// Journal committed inserts from here on (a session with a
-    /// checkpoint sink; see [`Sharded::start_journal`]). The invocation
-    /// store is never checkpointed and never journaled.
+    /// checkpoint sink; see [`EntryStore`]). The
+    /// invocation store is never checkpointed and never journaled.
     pub fn start_journal(&mut self) {
-        self.committed.table.start_journal();
+        self.committed.start_journal();
     }
 
     /// Close journal epoch `epoch` at a clean iteration boundary.
     pub fn seal(&self, epoch: u32) {
-        self.committed.table.seal(epoch);
+        self.committed.seal(epoch);
     }
 
     /// The entries committed in epochs `..= epoch` and not yet handed
     /// out, sorted by key — one checkpoint record's `cache` section.
     pub fn drain_through(&self, epoch: u32) -> Vec<((usize, u128), CacheEntry)> {
-        let mut batch: Vec<((usize, u128), CacheEntry)> = self
-            .committed
-            .table
-            .drain_through(epoch)
-            .into_iter()
-            .map(|((q, sig), e)| ((q as usize, sig), e))
-            .collect();
-        sort_batch(&mut batch);
-        batch
+        self.committed.drain_through(epoch)
     }
 }
 
@@ -495,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_signatures_do_not_collide_per_shard() {
+    fn wide_signatures_do_not_collide() {
         // Keys differing only in their high 64 bits are distinct — the
         // collision the 64-bit keying could not express.
         let cache = CostCache::new();
@@ -637,19 +651,44 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_use_is_safe() {
-        let cache = CostCache::with_workers(4);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = &cache;
-                s.spawn(move || {
-                    for i in 0..250usize {
-                        cache.committed.insert(i, t as u128, entry(i as f64));
-                        assert_eq!(cache.committed.lookup(i, t as u128).unwrap().cost, i as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 1000);
+    fn journal_hands_out_sealed_epochs_once() {
+        let mut cache = CostCache::new();
+        cache.committed.insert(0, 1, entry(1.0));
+        assert!(cache.drain_through(0).is_empty(), "no journal, no cost");
+        assert_eq!(cache.committed.lookup(0, 1).unwrap().cost, 1.0);
+
+        cache.start_journal();
+        let cost = |batch: Vec<((usize, u128), CacheEntry)>| -> Vec<((usize, u128), f64)> {
+            batch.into_iter().map(|(k, e)| (k, e.cost)).collect()
+        };
+        // Epoch 0: two keys, one of them overwritten.
+        cache.committed.insert(1, 7 << 100, entry(10.0));
+        cache.committed.insert(0, 9, entry(20.0));
+        cache.committed.insert(1, 7 << 100, entry(11.0));
+        cache.seal(0);
+        // Epoch 1 — inserted after the boundary, must not leak into
+        // a record written for it.
+        cache.committed.insert(2, 3, entry(30.0));
+        assert_eq!(
+            cost(cache.drain_through(0)),
+            vec![((0, 9), 20.0), ((1, 7 << 100), 11.0)]
+        );
+        assert!(cache.drain_through(0).is_empty(), "drained once");
+        cache.seal(1);
+        cache.committed.insert(2, 4, entry(40.0));
+        assert_eq!(cost(cache.drain_through(1)), vec![((2, 3), 30.0)]);
+        // A record may cover several epochs at once.
+        cache.seal(2);
+        cache.committed.insert(2, 5, entry(50.0));
+        cache.seal(3);
+        assert_eq!(
+            cost(cache.drain_through(3)),
+            vec![((2, 4), 40.0), ((2, 5), 50.0)]
+        );
+        assert_eq!(cache.len(), 6, "seven inserts, one of them an overwrite");
+        // The invocation store never journals.
+        cache.invocations.insert(0, 1, entry(1.0));
+        cache.seal(4);
+        assert!(cache.drain_through(4).is_empty());
     }
 }

@@ -137,12 +137,12 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Rebuild the what-if cost cache, sharded for `workers` (counters
-    /// start at zero; the session restores them when it goes live).
-    /// Checkpoints carry only portable `(query, signature)` keys, so
-    /// the dump restores identically at any shard count.
-    pub fn restore_cache(&self, workers: usize) -> CostCache {
-        let cache = CostCache::with_workers(workers);
+    /// Rebuild the what-if cost cache (counters start at zero; the
+    /// session restores them when it goes live). Checkpoints carry only
+    /// portable `(query, signature)` keys, so the dump restores
+    /// identically whatever the table layout.
+    pub fn restore_cache(&self) -> CostCache {
+        let cache = CostCache::new();
         for ((q, sig), entry) in &self.cache {
             cache.committed.insert(*q, *sig, entry.clone());
         }
@@ -1304,26 +1304,14 @@ mod tests {
     #[test]
     fn restore_cache_rebuilds_entries() {
         let ck = sample_checkpoint();
-        let cache = ck.restore_cache(2);
+        let cache = ck.restore_cache();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.committed.lookup(0, 17 << 70).unwrap().cost, 9.75);
         assert!(cache.committed.lookup(1, 99).unwrap().cost.is_nan());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        // The restored store snapshots back to the identical dump, and
-        // the shard count never reaches checkpoint bytes (`Debug`
-        // rendering: the sample carries a NaN cost).
-        let snap = cache.snapshot();
-        assert_eq!(
-            snap.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            ck.cache.iter().map(|(k, _)| *k).collect::<Vec<_>>()
-        );
-        for workers in [1, 8] {
-            assert_eq!(
-                format!("{:?}", ck.restore_cache(workers).snapshot()),
-                format!("{snap:?}"),
-                "workers = {workers}"
-            );
-        }
+        // The restored store snapshots back to the identical dump
+        // (`Debug` rendering: the sample carries a NaN cost).
+        assert_eq!(format!("{:?}", cache.snapshot()), format!("{:?}", ck.cache));
     }
 
     #[test]

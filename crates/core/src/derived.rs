@@ -36,8 +36,9 @@ use crate::workload::Workload;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::QueryBlock;
 use pdt_physical::{Configuration, MaterializedView, SpjgExpr, Tagged128};
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// What a single query can see: its tables, the columns that can carry
 /// sargs on them, and the columns its plans must produce per table.
@@ -84,9 +85,9 @@ pub struct RelevanceTable {
     /// checkpointed consistency check).
     blocks: Vec<Option<(QueryBlock, SpjgExpr)>>,
     /// Memoized view-matchability verdicts, keyed by
-    /// `(query, view signature)`. Shared across clones; purely a
-    /// cache of the deterministic [`MaterializedView::try_match`].
-    view_memo: Arc<RwLock<HashMap<(usize, u128), bool>>>,
+    /// `(query, view signature)`: purely a cache of the deterministic
+    /// [`MaterializedView::try_match`].
+    view_memo: RefCell<HashMap<(usize, u128), bool>>,
     /// Dense id of each query's FROM table set: queries with equal
     /// table sets share an id, so the flat projector computes the
     /// coarse per-table signature once per *set* per configuration
@@ -141,7 +142,7 @@ impl RelevanceTable {
         RelevanceTable {
             per_query,
             blocks,
-            view_memo: Arc::default(),
+            view_memo: RefCell::default(),
             set_ids,
             num_sets,
         }
@@ -199,7 +200,7 @@ impl RelevanceTable {
             return true;
         };
         let key = (query, sig);
-        if let Some(&hit) = self.view_memo.read().expect("memo poisoned").get(&key) {
+        if let Some(&hit) = self.view_memo.borrow().get(&key) {
             return hit;
         }
         let q_tables: BTreeSet<TableId> = block.tables.iter().copied().collect();
@@ -210,10 +211,7 @@ impl RelevanceTable {
         } else {
             false
         };
-        self.view_memo
-            .write()
-            .expect("memo poisoned")
-            .insert(key, matchable);
+        self.view_memo.borrow_mut().insert(key, matchable);
         matchable
     }
 
@@ -279,8 +277,7 @@ impl RelevanceTable {
     }
 }
 
-/// One configuration's projection context, built once per evaluation on
-/// the driver thread and shared (by reference) with scoring workers.
+/// One configuration's projection context, built once per evaluation.
 ///
 /// Per-structure signatures are not computed here: the configuration
 /// computed each one when the structure entered it. What the projector
@@ -293,9 +290,8 @@ pub struct FlatProjector<'a> {
     rt: &'a RelevanceTable,
     config: &'a Configuration,
     /// Coarse per-table signature per dense table-set id, computed on
-    /// first use (any thread; the value is a pure function of the
-    /// configuration and the set).
-    coarse: Vec<OnceLock<u128>>,
+    /// first use (a pure function of the configuration and the set).
+    coarse: Vec<OnceCell<u128>>,
 }
 
 impl<'a> FlatProjector<'a> {
@@ -303,7 +299,7 @@ impl<'a> FlatProjector<'a> {
         FlatProjector {
             rt,
             config,
-            coarse: (0..rt.num_table_sets()).map(|_| OnceLock::new()).collect(),
+            coarse: (0..rt.num_table_sets()).map(|_| OnceCell::new()).collect(),
         }
     }
 

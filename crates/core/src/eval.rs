@@ -6,28 +6,16 @@
 //! structures", §3). Update shells are costed in closed form — no
 //! optimizer calls (§3.6).
 //!
-//! Evaluation is parallel and cache-aware: entries are optimized on a
-//! scoped worker pool ([`EvalCtx::threads`]) and what-if answers are
-//! memoized in a shared [`CostCache`]. Both are engineered so the
-//! result — costs, plans, optimizer-call counts, cache counters — is
-//! identical for every thread count:
-//!
-//! * totals are summed sequentially in entry order from the collected
-//!   per-entry results, never from the parallel accumulator;
-//! * shortcut evaluation aborts workers through an atomic running
-//!   total with a small relative margin, and the authoritative
-//!   over-limit decision is re-made from the ordered sum (costs are
-//!   non-negative, so any partial sum exceeding the margin implies the
-//!   ordered total exceeds the limit);
-//! * cache inserts and hit/miss tallies commit only after the whole
-//!   evaluation succeeds, so aborted evaluations leave no trace.
+//! Evaluation is cache-aware: entries are optimized in entry order and
+//! what-if answers are memoized in the session's [`CostCache`]. Cache
+//! inserts and hit/miss tallies commit only after the whole evaluation
+//! succeeds, so a shortcut-aborted evaluation leaves no trace.
 
 #![deny(clippy::too_many_lines)]
 
 use crate::cache::{CacheEntry, CostCache, DerivedTally, Served};
 use crate::derived::{sorted_subset, FlatProjector, Projection, RelevanceTable};
 use crate::fault::FaultSite;
-use crate::par::par_map;
 use crate::stop::StopCheck;
 use crate::transform::TransformDelta;
 use crate::workload::{UpdateShell, Workload};
@@ -36,7 +24,6 @@ use pdt_expr::BoundSelect;
 use pdt_opt::{CostModel, IndexUsage, Optimizer};
 use pdt_physical::{Configuration, Index, PhysicalSchema};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Evaluation of one workload entry under a configuration.
@@ -80,24 +67,22 @@ pub struct EvalResult {
     pub poison_repairs: Vec<usize>,
 }
 
-/// How an evaluation runs: worker count and the shared what-if cache.
-/// The default — one thread, no cache — reproduces the plain
-/// sequential evaluation exactly.
+/// How an evaluation runs: the what-if cache and the session's
+/// tiers around it. The default — no cache — reproduces the plain
+/// evaluation exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalCtx<'c> {
-    /// Scoped workers to optimize entries on (0 and 1 both mean
-    /// sequential).
+    /// Ignored. Retained only because the frozen `pdt-benchmark` crate
+    /// names it; the next benchmark PR drops it.
     pub threads: usize,
     /// Shared memo of optimizer answers, keyed per query by the
     /// configuration projected onto the query's tables.
     pub cache: Option<&'c CostCache>,
     /// Trace sink for `eval.commit`/`eval.abort` events and the
     /// `optimizer.calls`/`cache.*` counters. Emission happens only at
-    /// the commit point on the calling thread (never from workers), so
-    /// the event stream is identical for every `threads` value.
+    /// the commit point.
     pub tracer: Option<&'c pdt_trace::Tracer>,
-    /// Cooperative cancellation: checked between entries (sequential)
-    /// and before each worker pulls an entry (parallel). A stopped
+    /// Cooperative cancellation, checked between entries. A stopped
     /// evaluation returns `None` and, like a shortcut abort, commits
     /// nothing.
     pub stop: Option<&'c StopCheck<'c>>,
@@ -476,7 +461,7 @@ pub fn evaluate_full(
     evaluate_full_ctx(db, opt, config, workload, EvalCtx::default())
 }
 
-/// [`evaluate_full`] with explicit threading/caching.
+/// [`evaluate_full`] with an explicit cache context.
 pub fn evaluate_full_ctx(
     db: &Database,
     opt: &Optimizer<'_>,
@@ -526,7 +511,7 @@ pub fn evaluate_incremental(
     )
 }
 
-/// [`evaluate_incremental`] with explicit threading/caching.
+/// [`evaluate_incremental`] with an explicit cache context.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_incremental_ctx(
     db: &Database,
@@ -551,9 +536,9 @@ pub fn evaluate_incremental_ctx(
     )
 }
 
-/// One entry's evaluation plus its bookkeeping, produced by a worker
-/// and committed (cache inserts, counters) only if the whole
-/// evaluation survives the shortcut check.
+/// One entry's evaluation plus its bookkeeping, committed (cache
+/// inserts, counters) only if the whole evaluation survives the
+/// shortcut check.
 struct EntryEval {
     q: QueryEval,
     tally: EntryTally,
@@ -564,7 +549,8 @@ struct EntryEval {
 #[derive(Default)]
 struct EntryTally {
     /// Logical optimizer calls (0 or 1) — served-from-store real-call
-    /// savings still count, so the total is scheduling-independent.
+    /// savings still count, so the total does not depend on what the
+    /// invocation store happens to hold.
     calls: usize,
     hit: bool,
     miss: bool,
@@ -582,8 +568,7 @@ struct EntryTally {
     pending_insert: Option<(u128, CacheEntry)>,
 }
 
-/// Everything the entries of one evaluation share; workers read it by
-/// reference.
+/// Everything the entries of one evaluation share.
 struct EvalEnv<'a> {
     opt: &'a Optimizer<'a>,
     config: &'a Configuration,
@@ -850,78 +835,31 @@ fn price_miss(
     (plan_cost, usages)
 }
 
-/// Evaluate every entry, sequentially or on the worker pool. `None` on
-/// a shortcut abort (after emitting `eval.abort`) or a cooperative stop
-/// (silent).
+/// Evaluate every entry in order, aborting the moment the running
+/// total exceeds `shortcut_limit` (the paper's §3.5 shortcut). `None`
+/// on a shortcut abort (after emitting `eval.abort`) or a cooperative
+/// stop (silent).
 fn run_entries(env: &EvalEnv<'_>, shortcut_limit: Option<f64>) -> Option<Vec<EntryEval>> {
     let ctx = &env.ctx;
     let entries = &env.workload.entries;
-    if ctx.threads <= 1 {
-        // Sequential: abort the moment the ordered running total
-        // exceeds the limit, exactly like the paper's §3.5 shortcut.
-        let mut evals = Vec::with_capacity(entries.len());
-        let mut running = 0.0;
-        for (i, entry) in entries.iter().enumerate() {
-            // Cooperative stop between entries: silent (no eval.abort
-            // event) — the stopped session's trace ends at the last
-            // committed evaluation.
-            if ctx.stop.is_some_and(|s| s.is_stopped()) {
-                return None;
-            }
-            let e = evaluate_entry(env, i);
-            running += entry.weight * e.q.total();
-            if shortcut_limit.is_some_and(|l| running > l) {
-                pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
-                return None;
-            }
-            evals.push(e);
-        }
-        return Some(evals);
-    }
-    // Parallel: an atomic running total aborts in-flight workers.
-    // Partial sums of non-negative costs never exceed the ordered
-    // total by more than float-reordering noise, so a generous
-    // relative margin makes the abort a pure optimization: the
-    // Some/None outcome is decided by the ordered sum at commit.
-    let accumulated = AtomicU64::new(0f64.to_bits());
-    let aborted = AtomicBool::new(false);
-    let margin = shortcut_limit.map(|l| l * (1.0 + 1e-6));
-    let indices: Vec<usize> = (0..entries.len()).collect();
-    let results = par_map(ctx.threads, &indices, |_, &i| {
-        if aborted.load(Ordering::Relaxed) || ctx.stop.is_some_and(|s| s.is_stopped()) {
+    let mut evals = Vec::with_capacity(entries.len());
+    let mut running = 0.0;
+    for (i, entry) in entries.iter().enumerate() {
+        // Cooperative stop between entries: silent (no eval.abort
+        // event) — the stopped session's trace ends at the last
+        // committed evaluation.
+        if ctx.stop.is_some_and(|s| s.is_stopped()) {
             return None;
         }
         let e = evaluate_entry(env, i);
-        if let Some(margin) = margin {
-            let add = entries[i].weight * e.q.total();
-            let mut cur = accumulated.load(Ordering::Relaxed);
-            loop {
-                let new = (f64::from_bits(cur) + add).to_bits();
-                match accumulated.compare_exchange_weak(
-                    cur,
-                    new,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-            if f64::from_bits(accumulated.load(Ordering::Relaxed)) > margin {
-                aborted.store(true, Ordering::Relaxed);
-            }
+        running += entry.weight * e.q.total();
+        if shortcut_limit.is_some_and(|l| running > l) {
+            pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
+            return None;
         }
-        Some(e)
-    });
-    let evals = results.into_iter().collect::<Option<Vec<_>>>();
-    // A `None` from a stopped worker stays silent, like the sequential
-    // stop path. Otherwise a worker tripped the margin, which
-    // guarantees the ordered total also exceeds the limit — so
-    // eval.abort emits in exactly the cases the sequential path does.
-    if evals.is_none() && !ctx.stop.is_some_and(|s| s.is_stopped()) {
-        pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
+        evals.push(e);
     }
-    evals
+    Some(evals)
 }
 
 /// The common core of full and incremental evaluation. `shells` is
@@ -957,8 +895,8 @@ pub(crate) fn evaluate_entries(
     };
     let evals = run_entries(&env, shortcut_limit)?;
 
-    // Assemble in entry order: the ordered sum is the authoritative
-    // total (and shortcut decision) for every thread count.
+    // Assemble in entry order; `run_entries` summed the same terms in
+    // the same order, so the shortcut has already been decided.
     let entries = &workload.entries;
     let mut per_query = Vec::with_capacity(evals.len());
     let mut total = 0.0;
@@ -984,12 +922,8 @@ pub(crate) fn evaluate_entries(
         }
         per_query.push(q);
     }
-    if shortcut_limit.is_some_and(|l| total > l) {
-        pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
-        return None;
-    }
     // Commit on success only: aborted evaluations leave the cache and
-    // its counters untouched, keeping both independent of scheduling.
+    // its counters untouched (see the `cache` module docs).
     if let Some(cache) = ctx.cache {
         for (i, sig, ce) in inserts {
             cache.committed.insert(i, sig, ce);
@@ -1003,8 +937,7 @@ pub(crate) fn evaluate_entries(
             pdt_trace::incr(ctx.tracer, "plan_cache.repriced", tally.repriced);
         }
     }
-    // Repairs are reported in entry order at the commit point, so the
-    // event stream stays deterministic for every thread count.
+    // Repairs are reported in entry order at the commit point.
     for &i in &poison_repairs {
         pdt_trace::emit(ctx.tracer, "cache.repair", vec![("query", i.into())]);
     }
@@ -1211,40 +1144,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_eval_matches_sequential() {
-        let db = test_db();
-        let w = workload(
-            &db,
-            "SELECT r.c FROM r WHERE r.a = 5; \
-             SELECT r.b FROM r WHERE r.b < 10; \
-             SELECT r.a FROM r WHERE r.c = 3; \
-             UPDATE r SET a = 1 WHERE b < 10",
-        );
-        let opt = Optimizer::new(&db);
-        let config = Configuration::base(&db);
-        let seq = evaluate_full(&db, &opt, &config, &w);
-        for threads in [2, 4, 8] {
-            let par = evaluate_full_ctx(
-                &db,
-                &opt,
-                &config,
-                &w,
-                EvalCtx {
-                    threads,
-                    ..EvalCtx::default()
-                },
-            );
-            assert_eq!(par.total_cost, seq.total_cost, "threads = {threads}");
-            assert_eq!(par.optimizer_calls, seq.optimizer_calls);
-            for (a, b) in par.per_query.iter().zip(&seq.per_query) {
-                assert_eq!(a.select_cost, b.select_cost);
-                assert_eq!(a.shell_cost, b.shell_cost);
-                assert_eq!(a.usages.len(), b.usages.len());
-            }
-        }
-    }
-
-    #[test]
     fn cache_is_transparent_and_counts() {
         let db = test_db();
         let w = workload(
@@ -1257,7 +1156,6 @@ mod tests {
 
         let cache = CostCache::new();
         let ctx = EvalCtx {
-            threads: 1,
             cache: Some(&cache),
             ..EvalCtx::default()
         };
@@ -1286,27 +1184,24 @@ mod tests {
         let mut smaller = config.clone();
         smaller.remove_index(&ix);
         let cache = CostCache::new();
-        for threads in [1, 4] {
-            let ctx = EvalCtx {
-                threads,
-                cache: Some(&cache),
-                ..EvalCtx::default()
-            };
-            let r = evaluate_incremental_ctx(
-                &db,
-                &opt,
-                &smaller,
-                &w,
-                &e0,
-                std::slice::from_ref(&ix),
-                &[],
-                Some(e0.total_cost),
-                ctx,
-            );
-            assert!(r.is_none());
-            assert!(cache.is_empty(), "aborted eval must not populate the cache");
-            assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        }
+        let ctx = EvalCtx {
+            cache: Some(&cache),
+            ..EvalCtx::default()
+        };
+        let r = evaluate_incremental_ctx(
+            &db,
+            &opt,
+            &smaller,
+            &w,
+            &e0,
+            std::slice::from_ref(&ix),
+            &[],
+            Some(e0.total_cost),
+            ctx,
+        );
+        assert!(r.is_none());
+        assert!(cache.is_empty(), "aborted eval must not populate the cache");
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]
@@ -1322,7 +1217,6 @@ mod tests {
 
         let cache = CostCache::new();
         let ctx = EvalCtx {
-            threads: 1,
             cache: Some(&cache),
             ..EvalCtx::default()
         };
@@ -1363,7 +1257,6 @@ mod tests {
         for derived in [true, false] {
             let cache = CostCache::new();
             let ctx = EvalCtx {
-                threads: 1,
                 cache: Some(&cache),
                 relevance: Some(&rt),
                 derived,
@@ -1402,7 +1295,6 @@ mod tests {
         for derived in [true, false] {
             let cache = CostCache::new();
             let ctx = EvalCtx {
-                threads: 1,
                 cache: Some(&cache),
                 relevance: Some(&rt),
                 derived,
@@ -1445,29 +1337,25 @@ mod tests {
         token.trip(StopReason::Interrupted);
         let check = StopCheck::new(&token, None);
         let cache = CostCache::new();
-        for threads in [1, 4] {
-            let ctx = EvalCtx {
-                threads,
-                cache: Some(&cache),
-                stop: Some(&check),
-                ..EvalCtx::default()
-            };
-            let r = evaluate_entries(
-                &db,
-                &opt,
-                &config,
-                &w,
-                Some((&e0, &[], &[])),
-                None,
-                ctx,
-                None,
-            );
-            assert!(r.is_none(), "tripped token must abort, threads={threads}");
-            assert!(cache.is_empty());
-        }
+        let ctx = EvalCtx {
+            cache: Some(&cache),
+            stop: Some(&check),
+            ..EvalCtx::default()
+        };
+        let r = evaluate_entries(
+            &db,
+            &opt,
+            &config,
+            &w,
+            Some((&e0, &[], &[])),
+            None,
+            ctx,
+            None,
+        );
+        assert!(r.is_none(), "tripped token must abort");
+        assert!(cache.is_empty());
         // Full evaluation ignores the stop token by design.
         let ctx = EvalCtx {
-            threads: 1,
             stop: Some(&check),
             ..EvalCtx::default()
         };

@@ -6,10 +6,10 @@
 //! at chosen points — forced panics inside what-if evaluation and
 //! poisoned (NaN) cost-cache inserts — from a pure hash of
 //! `(seed, kind, site, iteration, query)`, so a given plan fires at
-//! exactly the same logical points regardless of thread count or
-//! scheduling. That keeps the workspace determinism invariant intact
-//! even for faulted runs, and makes every injected failure
-//! reproducible from the seed alone.
+//! exactly the same logical points on every run and across resume.
+//! That keeps the workspace determinism invariant intact even for
+//! faulted runs, and makes every injected failure reproducible from the
+//! seed alone.
 
 use std::fmt;
 
@@ -66,7 +66,7 @@ impl FaultPlan {
 
     /// Pure decision: does the fault of `kind` fire at this logical
     /// point? Depends only on the plan and the point's coordinates —
-    /// never on threads, time, or evaluation order.
+    /// never on time or evaluation order.
     fn roll(&self, kind: u64, site: u32, iteration: u64, query: u64) -> bool {
         if self.rate <= 0.0 {
             return false;
@@ -97,7 +97,7 @@ impl FaultPlan {
     /// with rate 1.0 every attempt fails (the write gives up after its
     /// retry budget), with intermediate rates some writes succeed only
     /// on a later attempt. Deterministic in `(seed, site, seq,
-    /// attempt)` — never in time or thread schedule.
+    /// attempt)` — never in time or daemon scheduling.
     pub fn io_write_fails(&self, site: u32, seq: u64, attempt: u64) -> bool {
         self.roll(KIND_IO, site, seq, attempt)
     }

@@ -14,8 +14,8 @@ use std::hash::{Hash, Hasher};
 
 /// Hash-consed signatures for physical structures and transformations.
 ///
-/// Lives on the driver thread only (`RefCell`); workers receive
-/// precomputed signatures. Signatures are *content-addressed* (a stable
+/// Interior-mutable (`RefCell`) so enumeration can intern through a
+/// shared borrow. Signatures are *content-addressed* (a stable
 /// hash of the descriptor itself, never an insertion counter), so a
 /// resumed session regenerates the identical mapping by replaying the
 /// same enumeration, and nothing about it is checkpointed.

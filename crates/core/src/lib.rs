@@ -17,8 +17,7 @@
 //!    search node knows about its configuration, and the one rule that
 //!    derives a child's from its parent's, is [`node`];
 //! 5. [`eval`] — workload cost evaluation with minimal re-optimization,
-//!    parallel across entries and memoized through the shared what-if
-//!    cost cache ([`cache`]; scoped-thread helpers in [`par`]);
+//!    memoized through the session's what-if cost cache ([`cache`]);
 //! 6. [`workload`] — bound workloads and update-shell splitting.
 //!
 //! Entry point: [`tune`].
@@ -48,7 +47,6 @@ pub mod incremental;
 pub mod instrument;
 pub mod node;
 pub mod online;
-pub mod par;
 pub mod report;
 pub mod search;
 pub mod shared;

@@ -21,15 +21,13 @@
 //!
 //! Determinism: the whole loop is a pure function of the stream and the
 //! options. Window state, drift arithmetic, and the per-statement cost
-//! map all derive from thread-invariant evaluations, so the same stream
-//! and seed produce byte-identical reports and traces at every
-//! `--threads` value.
+//! map all derive from deterministic evaluations, so the same stream
+//! and seed produce byte-identical reports and traces on every run.
 
 use crate::cache::CostCache;
 use crate::derived::RelevanceTable;
 use crate::error::TuneError;
 use crate::eval::{evaluate_full_ctx, EvalCtx};
-use crate::par::resolve_threads;
 use crate::search::{tune_session, SessionCtl, TunerOptions};
 use crate::shared::{
     schema_signature, statement_signature, SharedCtx, SharedInvocationStore, DEFAULT_SHARED_CAP,
@@ -305,12 +303,15 @@ impl DriftDetector {
 
 /// Per-statement (weight-1) costs of `workload` under `config`, priced
 /// through the shared store so statements already asked in earlier
-/// epochs cost no real optimizer invocation. Thread-invariant.
+/// epochs cost no real optimizer invocation.
+///
+/// `_threads` is ignored. Retained only because the frozen
+/// `pdt-benchmark` crate names it; the next benchmark PR drops it.
 pub fn window_costs(
     db: &Database,
     workload: &Workload,
     config: &Configuration,
-    threads: usize,
+    _threads: usize,
     store: Option<&SharedInvocationStore>,
 ) -> Vec<f64> {
     let opt = Optimizer::new(db);
@@ -331,7 +332,6 @@ pub fn window_costs(
     // is required even though nothing in it outlives this pricing.
     let cache = CostCache::new();
     let ctx = EvalCtx {
-        threads,
         cache: Some(&cache),
         relevance: Some(&relevance),
         derived: true,
@@ -425,8 +425,7 @@ pub fn run_replay(
     options: &ReplayOptions,
     tracer: Option<&Tracer>,
 ) -> Result<ReplayReport, TuneError> {
-    let workers = resolve_threads(options.tuner.threads);
-    let store = SharedInvocationStore::new(options.shared_cap.max(1), workers);
+    let store = SharedInvocationStore::new(options.shared_cap.max(1), 1);
     let mut summarizer = WindowSummarizer::new(options.window);
     let mut detector = DriftDetector::new();
     let mut deployed: Option<Configuration> = None;
@@ -493,7 +492,7 @@ pub fn run_replay(
                 // store serves every carried one) and re-assess with
                 // complete knowledge. A cheap arrival does not warrant
                 // a full re-tune.
-                let unit = window_costs(db, &workload, config, options.tuner.threads, Some(&store));
+                let unit = window_costs(db, &workload, config, 1, Some(&store));
                 let served = sigs.iter().filter(|s| detector.knows(**s)).count() as u64;
                 warm_serves += served;
                 pdt_trace::incr(tracer, "warm.serves", served);
@@ -574,7 +573,7 @@ pub fn run_replay(
                 None => None,
             };
             if let Some(config) = &deployed {
-                let unit = window_costs(db, &workload, config, options.tuner.threads, Some(&store));
+                let unit = window_costs(db, &workload, config, 1, Some(&store));
                 let cost = adopted.unwrap_or_else(|| {
                     workload
                         .entries
@@ -875,21 +874,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_byte_identical_across_runs_and_threads() {
+    fn replay_is_byte_identical_across_runs() {
         let db = test_db();
         let stream = replay_stream();
-        let mut renders = Vec::new();
-        for threads in [1usize, 4] {
-            let mut opts = small_options();
-            opts.tuner.threads = threads;
-            let report = run_replay(&db, &stream, &opts, None).unwrap();
-            renders.push(render_replay_report(&db, &report));
-        }
-        assert_eq!(renders[0], renders[1], "thread-count changed the replay");
-        // And a second identical run reproduces the first byte for
-        // byte.
-        let report = run_replay(&db, &stream, &small_options(), None).unwrap();
-        assert_eq!(renders[0], render_replay_report(&db, &report));
+        let render = || {
+            let report = run_replay(&db, &stream, &small_options(), None).unwrap();
+            render_replay_report(&db, &report)
+        };
+        assert_eq!(render(), render());
     }
 
     #[test]

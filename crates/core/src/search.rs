@@ -35,7 +35,6 @@ use crate::fault::{
 use crate::incremental::Interner;
 use crate::instrument::gather_optimal_configuration_traced;
 use crate::node::{FactCtx, NodeFacts};
-use crate::par::{par_map, resolve_threads};
 use crate::stop::{StopCheck, StopReason, StopToken};
 use crate::transform::{
     apply, describe, inherits, removal_candidates, AppliedTransform, TransformDelta, Transformation,
@@ -99,9 +98,8 @@ pub struct TunerOptions {
     pub transformation_choice: TransformationChoice,
     /// Seed for the `Random` ablation.
     pub seed: u64,
-    /// Worker threads for candidate scoring and workload evaluation
-    /// (0 = one per available core). The report is identical for every
-    /// value; only wall-clock time changes.
+    /// Ignored. Retained only because the frozen `pdt-benchmark` crate
+    /// names it; the next benchmark PR drops it.
     pub threads: usize,
     /// Differential bound oracle: after each relaxation step, compare
     /// the §3.3.2 closed-form cost upper bound against the actually
@@ -397,7 +395,8 @@ impl ScoredCandidate {
 }
 
 /// What a session reads but never reassigns: its inputs, the optimizer
-/// and the stores (interior-mutable, shared with the scoring workers).
+/// and the stores (interior-mutable, so scoring can fill them through a
+/// shared borrow).
 struct Env<'a> {
     db: &'a Database,
     workload: &'a Workload,
@@ -405,14 +404,12 @@ struct Env<'a> {
     opt: Optimizer<'a>,
     base: Configuration,
     has_updates: bool,
-    threads: usize,
     /// `false` only under [`Reference::Candidates`]: node facts and
     /// bounds are then recomputed from scratch instead of derived.
     incremental: bool,
     /// `false` only under [`Reference::Costs`]; see [`EvalCtx::derived`].
     derived: bool,
-    /// Sharded for the actual worker count; checkpoints serialize its
-    /// portable signatures.
+    /// Checkpoints serialize its portable signatures.
     cache: CostCache,
     /// Per-query relevant-structure sets, derived once from the
     /// workload text (see [`crate::derived`]); every evaluation in the
@@ -454,10 +451,9 @@ impl<'a> Env<'a> {
                 ));
             }
         }
-        let threads = resolve_threads(options.threads);
         let mut cache = match ctl.resume {
-            Some(ck) => ck.restore_cache(threads),
-            None => CostCache::with_workers(threads),
+            Some(ck) => ck.restore_cache(),
+            None => CostCache::new(),
         };
         // A session that checkpoints journals what the cache gains from
         // here on, so a record costs what changed; any other session
@@ -492,7 +488,6 @@ impl<'a> Env<'a> {
             opt: Optimizer::new(db),
             base,
             has_updates: workload.has_updates(),
-            threads,
             incremental: ctl.reference != Some(Reference::Candidates),
             derived: ctl.reference != Some(Reference::Costs),
             cache,
@@ -513,7 +508,6 @@ impl<'a> Env<'a> {
     /// sites); [`Env::evaluate_contained`] adds both.
     fn ctx<'c>(&'c self, tracer: Option<&'c Tracer>) -> EvalCtx<'c> {
         EvalCtx {
-            threads: self.threads,
             cache: Some(&self.cache),
             tracer,
             relevance: Some(&self.relevance),
@@ -727,10 +721,8 @@ pub fn tune(db: &Database, workload: &Workload, options: &TunerOptions) -> Tunin
     tune_traced(db, workload, options, None)
 }
 
-/// [`tune`] with an optional structured-event [`Tracer`]. Every event
-/// is emitted from the driver thread at points the engine already
-/// serializes, so for a fixed session the trace is byte-identical for
-/// every `threads` value.
+/// [`tune`] with an optional structured-event [`Tracer`]. For a fixed
+/// session the trace is byte-identical across runs and across resume.
 pub fn tune_traced(
     db: &Database,
     workload: &Workload,
@@ -813,11 +805,10 @@ pub enum Reference {
 
 /// Hash of every decision-relevant option plus the workload and
 /// database identity, used to pair checkpoints with sessions. Excludes
-/// knobs that cannot change the search trajectory: `threads` (the
-/// engine is thread-count-invariant), `deadline_ms`, `stop`, and the
-/// checkpoint cadence. `DefaultHasher` is stable only within one
-/// build, which is exactly the checkpoint contract (same binary on
-/// both sides).
+/// knobs that cannot change the search trajectory: `threads` (ignored),
+/// `deadline_ms`, `stop`, and the checkpoint cadence. `DefaultHasher`
+/// is stable only within one build, which is exactly the checkpoint
+/// contract (same binary on both sides).
 fn options_signature(options: &TunerOptions, db: &Database, workload: &Workload) -> u64 {
     let mut h = DefaultHasher::new();
     "pdtune-options-v1".hash(&mut h);
@@ -1188,9 +1179,8 @@ pub fn tune_session(
 /// order by [`tune_session`].
 struct Session<'a> {
     env: Env<'a>,
-    /// Transformation signatures; driver-thread only, so not part of
-    /// the environment the scoring workers share. Content-addressed, so
-    /// a resumed session re-derives them during replay.
+    /// Transformation signatures. Content-addressed, so a resumed
+    /// session re-derives them during replay.
     interner: Interner,
     gate: ReplayGate<'a>,
     ledger: CallLedger,
@@ -1270,9 +1260,6 @@ impl<'a> Session<'a> {
         let (db, workload, options) = (env.db, env.workload, env.options);
         let tracer = gate.tracer();
         if let Some(t) = tracer {
-            // The thread count is deliberately NOT recorded in the event
-            // stream: the trace must be byte-identical for every
-            // `--threads` value (it lives in the report/CLI output).
             let mut fields: Vec<(&'static str, pdt_trace::Value)> = vec![
                 ("entries", workload.entries.len().into()),
                 ("validate_bounds", options.validate_bounds.into()),
@@ -1494,12 +1481,10 @@ impl<'a> Session<'a> {
                 // the trip into the final stop reason.
                 break;
             }
-            // Score every removal on the worker pool, then fold the
-            // results in candidate order: the fold keeps the sequential
-            // tie-break (first strict minimum wins), so the pre-pass is
-            // identical for any thread count.
+            // Score every removal, then fold the results in candidate
+            // order: the first strict minimum wins.
             let pricing_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Pricing);
-            let scored = par_map(env.threads, &removals, |_, t| env.bound(&root, t));
+            let scored: Vec<_> = removals.iter().map(|t| env.bound(&root, t)).collect();
             drop(pricing_hot);
             // (ΔT, position in `removals`) of the running minimum.
             let mut best_removal: Option<(f64, usize)> = None;
@@ -1514,8 +1499,8 @@ impl<'a> Session<'a> {
                 break;
             };
             let transformation = &removals[at];
-            // Materialize only the winner: the workers priced deltas
-            // and built no configuration.
+            // Materialize only the winner: scoring priced deltas and
+            // built no configuration.
             let Some(applied) = apply(transformation, &root.config, env.db, &env.opt) else {
                 break;
             };
@@ -1937,31 +1922,27 @@ impl<'a> Session<'a> {
             .flat_map(|&p| self.nodes[p].scored.iter().flatten())
             .map(|c| (c.sig, c))
             .collect();
-        // Fresh candidates are priced on the worker pool; results come
-        // back in candidate order and are folded in that order, so the
-        // scored list (and everything downstream) is
-        // thread-count-invariant.
+        // Fresh candidates are priced in candidate order.
         let pricing_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Pricing);
-        // Each result says whether it was inherited.
-        let results: Vec<(Option<ScoredCandidate>, bool)> =
-            par_map(env.threads, &cands, |_, (t, sig)| {
+        let mut reused = 0u64;
+        let scored: Vec<ScoredCandidate> = cands
+            .iter()
+            .filter_map(|(t, sig)| {
                 if let Some(&c) = inherited.get(sig) {
-                    return (Some(c.clone()), true);
+                    reused += 1;
+                    return Some(c.clone());
                 }
-                let fresh = env
-                    .bound(node, t)
+                env.bound(node, t)
                     .map(|(delta_t, delta_s)| ScoredCandidate {
                         delta_t,
                         delta_s,
                         sig: *sig,
                         transformation: t.clone(),
-                    });
-                (fresh, false)
-            });
+                    })
+            })
+            .collect();
         drop(pricing_hot);
-        let reused = results.iter().filter(|(_, inherited)| *inherited).count() as u64;
-        let generated = results.len() as u64 - reused;
-        let scored: Vec<ScoredCandidate> = results.into_iter().filter_map(|(sc, _)| sc).collect();
+        let generated = cands.len() as u64 - reused;
         self.report.candidates_reused += reused;
         self.report.candidates_generated += generated;
         pdt_trace::incr(tracer, "candidates.reused", reused);
@@ -2717,7 +2698,6 @@ mod tests {
         assert_eq!(
             base,
             sig(&TunerOptions {
-                threads: 8,
                 deadline_ms: Some(5),
                 stop: Some(StopToken::new()),
                 ..a.clone()

@@ -171,9 +171,9 @@ pub struct SharedStats {
     pub evicted: u64,
 }
 
-/// The daemon-wide content-addressed what-if store. Sharded like the
-/// cost cache (`CachePadded<RwLock<..>>` per shard so adjacent
-/// locks do not false-share), bounded by [epoch/segment
+/// The daemon-wide content-addressed what-if store, split into shards
+/// for concurrent daemon slots (`CachePadded<RwLock<..>>` per shard so
+/// adjacent locks do not false-share), bounded by [epoch/segment
 /// eviction](self), and serialized to a warm-store file across daemon
 /// restarts.
 #[derive(Debug)]

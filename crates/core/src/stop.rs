@@ -109,8 +109,8 @@ impl StopToken {
 
 /// A [`StopToken`] plus an optional wall-clock deadline. `stopped`
 /// lazily converts a passed deadline into a `Deadline` trip, so every
-/// caller — driver loop, scoring workers, per-query evaluation — sees
-/// one consistent first-trip reason.
+/// caller — driver loop, pre-pass, per-query evaluation — sees one
+/// consistent first-trip reason.
 #[derive(Debug, Clone, Copy)]
 pub struct StopCheck<'a> {
     token: &'a StopToken,

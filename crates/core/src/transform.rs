@@ -199,8 +199,7 @@ pub fn candidates(config: &Configuration, base: &Configuration) -> Vec<Transform
 
     // Group by table for pairwise transformations. BTreeMap so the
     // candidate list has one deterministic order: consumers sample and
-    // tie-break by position, and the parallel scorer relies on stable
-    // candidate indexes.
+    // tie-break by position.
     let mut by_table: BTreeMap<TableId, Vec<&Index>> = BTreeMap::new();
     for i in &tunable {
         by_table.entry(i.table).or_default().push(i);

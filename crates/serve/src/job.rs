@@ -17,11 +17,6 @@ use pdt_workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdt_workloads::star::{star_database, star_workload, StarParams};
 use pdt_workloads::{tpch, WorkloadSpec};
 
-/// Largest per-job worker count a spec may ask for. The tuner starts up
-/// to this many OS threads per scoring batch and sizes its stores as a
-/// multiple of it, so the wire must not choose it freely.
-const MAX_THREADS: usize = 256;
-
 /// Largest generated workload a spec may ask for; the generators
 /// allocate and bind one statement per requested query.
 const MAX_QUERIES: usize = 10_000;
@@ -40,8 +35,9 @@ pub struct JobSpec {
     pub iterations: usize,
     pub updates: Option<f64>,
     pub indexes_only: bool,
-    /// Worker threads for this session. Reports and traces are
-    /// byte-identical for every value (the engine's standing contract).
+    /// Ignored. Retained only because the frozen `pdt-benchmark` crate
+    /// names it; the next benchmark PR drops it. Still parsed and
+    /// rendered, so manifests keep their bytes.
     pub threads: usize,
     pub checkpoint_every: usize,
     /// Per-job what-if call budget request; the daemon's global
@@ -234,12 +230,6 @@ impl JobSpec {
         if self.iterations == 0 {
             return Err("iterations must be at least 1".to_string());
         }
-        if self.threads > MAX_THREADS {
-            return Err(format!(
-                "threads {} exceeds the limit of {MAX_THREADS}",
-                self.threads
-            ));
-        }
         if let Some(n) = self.queries.filter(|&n| n > MAX_QUERIES) {
             return Err(format!("queries {n} exceeds the limit of {MAX_QUERIES}"));
         }
@@ -307,7 +297,6 @@ impl JobSpec {
             space_budget: self.budget,
             max_iterations: self.iterations,
             with_views: !self.indexes_only,
-            threads: self.threads,
             optimizer_call_budget: assigned_call_budget.map(|b| b as usize),
             stop: Some(stop),
             fault_plan,
@@ -365,7 +354,6 @@ mod tests {
         let spec = JobSpec::from_json(&v).unwrap();
         assert_eq!(spec.db, "bench");
         assert_eq!(spec.iterations, 10);
-        assert_eq!(spec.threads, 1);
         assert_eq!(spec.checkpoint_every, 5);
         assert_eq!(spec.budget, None);
     }
@@ -381,7 +369,6 @@ mod tests {
             r#"{"db":"tpch","faults":"nope"}"#,
             r#"{"db":"tpch","io_faults":"7:2.0"}"#,
             r#"{"db":"tpch","warm_from":""}"#,
-            r#"{"db":"tpch","threads":100000000}"#,
             r#"{"db":"tpch","queries":4000000000}"#,
         ] {
             let v = pdt_trace::json::parse(bad).unwrap();

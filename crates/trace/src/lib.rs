@@ -5,14 +5,13 @@
 //! export as JSONL. Zero dependencies (std only).
 //!
 //! The design constraint that shapes everything here is the workspace
-//! determinism invariant: `tune()` output must be byte-identical for
-//! any `--threads` value. Consequently:
+//! determinism invariant: `tune()` output must be byte-identical across
+//! runs and across checkpoint/resume. Consequently:
 //!
 //! * events carry **no wall-clock data** — only a session-scoped
 //!   sequence number, a span depth, a kind, and caller-chosen fields;
-//! * emission happens only at points the engine already serializes
-//!   (the search loop, the entry-ordered assembly of parallel
-//!   evaluations), never from worker threads;
+//! * emission happens only at deterministic points of the session (the
+//!   search loop, an evaluation's commit point);
 //! * wall-clock timing lives exclusively in the [`PhaseSummary`]
 //!   roll-up, where report consumers already expect a non-deterministic
 //!   `elapsed`.

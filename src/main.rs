@@ -175,9 +175,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--updates", value: Some("<ratio>"), cmds: SESSION | REPLAY,
            help: "mix in DML statements (e.g. 0.5)",
            set: |o, v| num(v).map(|x| o.spec.updates = Some(x)) },
-    Flag { name: "--threads", value: Some("<n>"), cmds: SESSION | REPLAY,
-           help: "worker threads, 0 = all cores  [default: 1]",
-           set: |o, v| num(v).map(|x| o.spec.threads = x) },
     Flag { name: "--optimizer-call-budget", value: Some("<n>"), cmds: TUNE | SUBMIT,
            help: "approximate tier: spend at most n real\n\
                   what-if invocations, serving bound-gap\n\
@@ -365,8 +362,7 @@ REPLAY MODE:
   pdtune replay [--sf 0.01] [--seed 42] [--epochs 8] [--per-epoch 12]
                 [--updates 0.3] [--budget SIZE] [--iterations 60]
                 [--window-cap 256] [--decay 0.5] [--drift-threshold 0.15]
-                [--shared-store-cap 65536] [--indexes-only] [--threads N]
-                [--trace FILE]
+                [--shared-store-cap 65536] [--indexes-only] [--trace FILE]
       Feed a drifting TPC-H stream (query-mix shift at epochs/2, with
       --updates DML mixed in after the shift) through the online
       re-tuning loop: a sliding window summarizes the stream (weights
@@ -377,8 +373,7 @@ REPLAY MODE:
       warm-starts from the deployed configuration and the cross-epoch
       what-if store. The recommendation never prices worse than the
       deployed configuration on the new window. Deterministic: same
-      stream + seed => byte-identical report and trace at any
-      --threads.
+      stream + seed => byte-identical report and trace.
 
 SERVE MODE:
   pdtune serve --data-dir DIR [--addr 127.0.0.1:0] [--slots 2]
@@ -394,7 +389,7 @@ SERVE MODE:
 
   pdtune job submit [--db NAME] [--sf F] [--queries N] [--seed N]
                     [--budget SIZE] [--iterations N] [--updates RATIO]
-                    [--indexes-only] [--threads N] [--checkpoint-every N]
+                    [--indexes-only] [--checkpoint-every N]
                     [--optimizer-call-budget N] [--max-faults N]
                     [--data-dir DIR | --addr HOST:PORT]
                     [--wait] [--faults s:r] [--io-faults s:r]
@@ -864,7 +859,6 @@ fn cmd_replay(o: &CliOptions) -> Result<(), TuneError> {
             space_budget: o.spec.budget,
             max_iterations: o.spec.iterations,
             with_views: !o.spec.indexes_only,
-            threads: o.spec.threads,
             ..TunerOptions::default()
         },
     };
@@ -1104,7 +1098,6 @@ fn cmd_compare(o: &CliOptions) -> Result<(), TuneError> {
             space_budget: o.spec.budget,
             max_iterations: o.spec.iterations,
             with_views: !o.spec.indexes_only,
-            threads: o.spec.threads,
             ..TunerOptions::default()
         },
     );
@@ -1113,7 +1106,6 @@ fn cmd_compare(o: &CliOptions) -> Result<(), TuneError> {
         BaselineOptions {
             space_budget: o.spec.budget,
             with_views: !o.spec.indexes_only,
-            threads: o.spec.threads,
             ..BaselineOptions::default()
         },
     )

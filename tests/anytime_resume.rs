@@ -1,11 +1,11 @@
 //! Checkpoint/resume must be invisible in the output: a session resumed
 //! from any checkpoint has to finish with a report **and** trace that
-//! are byte-identical to the uninterrupted run's, for every thread
-//! count. These tests collect a live session's checkpoint *records* via
-//! the sink callback — the first a complete document, each later one
-//! only what changed — then fold every prefix `0..=k` of the log and
-//! replay it cold; a framed log is also torn at every byte of its last
-//! record and resumed from what survives.
+//! are byte-identical to the uninterrupted run's. These tests collect a
+//! live session's checkpoint *records* via the sink callback — the
+//! first a complete document, each later one only what changed — then
+//! fold every prefix `0..=k` of the log and replay it cold; a framed log
+//! is also torn at every byte of its last record and resumed from what
+//! survives.
 
 use std::cell::RefCell;
 
@@ -20,11 +20,10 @@ fn session_inputs() -> (pdtune::catalog::Database, Workload) {
     (db, w)
 }
 
-fn options(threads: usize) -> TunerOptions {
+fn options() -> TunerOptions {
     TunerOptions {
         space_budget: Some(24.0 * 1024.0 * 1024.0),
         max_iterations: 40,
-        threads,
         ..TunerOptions::default()
     }
 }
@@ -70,8 +69,8 @@ fn run_collecting_opts(
     (report, tracer.to_jsonl(), collected.into_inner())
 }
 
-fn run_collecting(threads: usize, every: usize) -> (TuningReport, String, Vec<(usize, String)>) {
-    run_collecting_opts(&options(threads), every)
+fn run_collecting(every: usize) -> (TuningReport, String, Vec<(usize, String)>) {
+    run_collecting_opts(&options(), every)
 }
 
 /// The checkpoint at record `k`: the first record parsed, the deltas
@@ -110,8 +109,8 @@ fn resume_from_opts(ck: &Checkpoint, opts: &TunerOptions) -> (TuningReport, Stri
     (report, tracer.to_jsonl())
 }
 
-fn resume_from(ck: &Checkpoint, threads: usize) -> (TuningReport, String) {
-    resume_from_opts(ck, &options(threads))
+fn resume_from(ck: &Checkpoint) -> (TuningReport, String) {
+    resume_from_opts(ck, &options())
 }
 
 /// Zero what legitimately differs between two runs of one session: the
@@ -125,10 +124,10 @@ fn zero_clocks(mut ck: Checkpoint) -> Checkpoint {
 
 /// [`options`] with a finite optimizer-call budget: the approximate
 /// tier must checkpoint and resume as invisibly as the exact one.
-fn options_budgeted(threads: usize) -> TunerOptions {
+fn options_budgeted() -> TunerOptions {
     TunerOptions {
         optimizer_call_budget: Some(12),
-        ..options(threads)
+        ..options()
     }
 }
 
@@ -138,13 +137,13 @@ fn options_faulted() -> TunerOptions {
     TunerOptions {
         fault_plan: Some(FaultPlan { seed: 5, rate: 0.3 }),
         max_faults: usize::MAX,
-        ..options(1)
+        ..options()
     }
 }
 
 #[test]
 fn resume_from_every_checkpoint_is_byte_identical() {
-    for (label, opts) in [("clean", options(1)), ("faulted", options_faulted())] {
+    for (label, opts) in [("clean", options()), ("faulted", options_faulted())] {
         let (baseline, baseline_trace, checkpoints) = run_collecting_opts(&opts, 7);
         let baseline_fp = fingerprint(&baseline);
         assert!(
@@ -161,22 +160,16 @@ fn resume_from_every_checkpoint_is_byte_identical() {
             );
         }
         for (done, ck) in &fold_every_prefix(&checkpoints) {
-            for threads in [1usize, 4] {
-                let opts = TunerOptions {
-                    threads,
-                    ..opts.clone()
-                };
-                let (report, trace) = resume_from_opts(ck, &opts);
-                assert_eq!(
-                    baseline_fp,
-                    fingerprint(&report),
-                    "{label}: report diverged resuming from iteration {done} at {threads} threads"
-                );
-                assert_eq!(
-                    baseline_trace, trace,
-                    "{label}: trace diverged resuming from iteration {done} at {threads} threads"
-                );
-            }
+            let (report, trace) = resume_from_opts(ck, &opts);
+            assert_eq!(
+                baseline_fp,
+                fingerprint(&report),
+                "{label}: report diverged resuming from iteration {done}"
+            );
+            assert_eq!(
+                baseline_trace, trace,
+                "{label}: trace diverged resuming from iteration {done}"
+            );
         }
     }
 }
@@ -187,7 +180,7 @@ fn resume_from_every_checkpoint_is_byte_identical() {
 /// is the first it checkpoints — for every `k`, clean and faulted.
 #[test]
 fn folded_records_equal_a_full_capture_at_the_same_boundary() {
-    for (label, opts) in [("clean", options(1)), ("faulted", options_faulted())] {
+    for (label, opts) in [("clean", options()), ("faulted", options_faulted())] {
         let (_, _, fine) = run_collecting_opts(&opts, 1);
         assert!(fine.len() >= 20, "{label}: one record per iteration");
         let folded = fold_every_prefix(&fine);
@@ -217,90 +210,8 @@ fn folded_records_equal_a_full_capture_at_the_same_boundary() {
 }
 
 #[test]
-fn resume_is_thread_count_invariant() {
-    let (baseline, baseline_trace, checkpoints) = run_collecting(1, 10);
-    let baseline_fp = fingerprint(&baseline);
-    let (done, ck) = &fold_every_prefix(&checkpoints)[0];
-    for threads in [1, 2, 8] {
-        let (report, trace) = resume_from(ck, threads);
-        assert_eq!(
-            baseline_fp,
-            fingerprint(&report),
-            "threads={threads} diverged resuming from iteration {done}"
-        );
-        assert_eq!(baseline_trace, trace, "threads={threads} trace diverged");
-    }
-}
-
-#[test]
-fn checkpoints_agree_across_thread_counts() {
-    // The cost-cache dump is the one checkpoint section allowed to
-    // vary with the thread count: parallel workers evaluate entries
-    // the sequential shortcut short-circuits past, so a wider run may
-    // persist extra (equally valid) what-if answers. Every
-    // decision-relevant field must still match byte-for-byte, and a
-    // checkpoint taken at any width must resume at any other width.
-    // Besides the cache, zero the per-phase wall-clock roll-ups nested
-    // in the trace section — the only other nondeterministic bytes.
-    fn zero_phase_clocks(j: &mut pdtune::trace::json::Json) {
-        use pdtune::trace::json::Json;
-        if let Json::Obj(fields) = j {
-            for (k, v) in fields.iter_mut() {
-                if k == "trace" {
-                    zero_phase_clocks(v);
-                } else if k == "phases" {
-                    if let Json::Arr(phases) = v {
-                        for p in phases {
-                            if let Json::Arr(cols) = p {
-                                if let Some(last) = cols.last_mut() {
-                                    *last = Json::Int(0);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let strip_cache = |body: &str| {
-        let doc = pdtune::trace::json::parse(body).expect("checkpoint is valid JSON");
-        let mut fields: Vec<(String, pdtune::trace::json::Json)> = doc
-            .as_obj()
-            .expect("checkpoint is an object")
-            .iter()
-            .filter(|(k, _)| k != "cache")
-            .cloned()
-            .collect();
-        for (k, v) in fields.iter_mut() {
-            if k == "trace" {
-                zero_phase_clocks(v);
-            }
-        }
-        fields
-    };
-    let (baseline, baseline_trace, ck1) = run_collecting(1, 7);
-    let baseline_fp = fingerprint(&baseline);
-    for threads in [2, 8] {
-        let (_, _, ckn) = run_collecting(threads, 7);
-        assert_eq!(ck1.len(), ckn.len(), "threads={threads} cadence differs");
-        for ((d1, b1), (dn, bn)) in ck1.iter().zip(&ckn) {
-            assert_eq!(d1, dn);
-            assert_eq!(
-                strip_cache(b1),
-                strip_cache(bn),
-                "threads={threads} checkpoint at iteration {d1} differs"
-            );
-        }
-        // A log written by a wide run resumes on one thread.
-        let (resumed, trace) = resume_from(&fold(&ckn, ckn.len() - 1), 1);
-        assert_eq!(baseline_fp, fingerprint(&resumed), "threads={threads}");
-        assert_eq!(baseline_trace, trace, "threads={threads}");
-    }
-}
-
-#[test]
 fn interrupted_session_resumes_to_the_uninterrupted_result() {
-    let (baseline, baseline_trace, _) = run_collecting(1, 7);
+    let (baseline, baseline_trace, _) = run_collecting(7);
     let baseline_fp = fingerprint(&baseline);
 
     // Interrupt deterministically: the sink trips the stop token right
@@ -322,7 +233,7 @@ fn interrupted_session_resumes_to_the_uninterrupted_result() {
         &w,
         &TunerOptions {
             stop: Some(token.clone()),
-            ..options(1)
+            ..options()
         },
         SessionCtl {
             tracer: Some(&tracer),
@@ -344,7 +255,7 @@ fn interrupted_session_resumes_to_the_uninterrupted_result() {
     // resumed session uses its own (untripped) stop state.
     let records = collected.into_inner();
     assert!(!records.is_empty(), "checkpoint saved");
-    let (resumed, trace) = resume_from(&fold(&records, records.len() - 1), 1);
+    let (resumed, trace) = resume_from(&fold(&records, records.len() - 1));
     assert_eq!(baseline_fp, fingerprint(&resumed));
     assert_eq!(baseline_trace, trace);
 }
@@ -426,7 +337,7 @@ fn framed_log(records: &[(usize, String)]) -> (Vec<u8>, Vec<usize>) {
 /// its record and everything after it.
 #[test]
 fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
-    let (baseline, baseline_trace, records) = run_collecting(1, 7);
+    let (baseline, baseline_trace, records) = run_collecting(7);
     let baseline_fp = fingerprint(&baseline);
     let (log, ends) = framed_log(&records);
     let n = records.len();
@@ -455,7 +366,7 @@ fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
         }
     }
     let (torn, _) = Checkpoint::from_log(&log[..log.len() - 1]).unwrap();
-    let (report, trace) = resume_from(&torn, 1);
+    let (report, trace) = resume_from(&torn);
     assert_eq!(baseline_fp, fingerprint(&report));
     assert_eq!(baseline_trace, trace);
 
@@ -477,7 +388,7 @@ fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
         );
     }
     let (first, _) = Checkpoint::from_log(&log[..ends[0]]).unwrap();
-    let (report, trace) = resume_from(&first, 4);
+    let (report, trace) = resume_from(&first);
     assert_eq!(baseline_fp, fingerprint(&report));
     assert_eq!(baseline_trace, trace);
 }
@@ -487,7 +398,7 @@ fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
 /// log folds and resumes like one written in a single run.
 #[test]
 fn a_resumed_session_keeps_appending_to_its_log() {
-    let (baseline, baseline_trace, records) = run_collecting(1, 7);
+    let (baseline, baseline_trace, records) = run_collecting(7);
     let baseline_fp = fingerprint(&baseline);
     let (db, w) = session_inputs();
     for k in [0, 1] {
@@ -500,7 +411,7 @@ fn a_resumed_session_keeps_appending_to_its_log() {
         let report = tune_session(
             &db,
             &w,
-            &options(1),
+            &options(),
             SessionCtl {
                 tracer: Some(&tracer),
                 checkpoint_every: 7,
@@ -529,12 +440,12 @@ fn a_resumed_session_keeps_appending_to_its_log() {
 
 #[test]
 fn resume_rejects_a_mismatched_session() {
-    let (_, _, checkpoints) = run_collecting(1, 10);
+    let (_, _, checkpoints) = run_collecting(10);
     let ck = fold(&checkpoints, 0);
     let (db, w) = session_inputs();
 
     // Different decision knobs -> different search -> refuse to resume.
-    let mut other = options(1);
+    let mut other = options();
     other.max_iterations = 12;
     let err = tune_session(
         &db,
@@ -558,7 +469,7 @@ fn resume_rejects_a_mismatched_session() {
         let err = tune_session(
             &db,
             &w,
-            &options(1),
+            &options(),
             SessionCtl {
                 resume: Some(&edited),
                 ..SessionCtl::default()
@@ -568,12 +479,12 @@ fn resume_rejects_a_mismatched_session() {
         assert!(matches!(err, TuneError::Checkpoint(_)), "{err:?}");
     }
 
-    // Thread count is a pure performance knob and must NOT invalidate
-    // a checkpoint.
+    // The unedited checkpoint still resumes: the refusals above are the
+    // edits' doing.
     let ok = tune_session(
         &db,
         &w,
-        &options(4),
+        &options(),
         SessionCtl {
             resume: Some(&ck),
             ..SessionCtl::default()
@@ -592,7 +503,7 @@ fn untraced_sessions_checkpoint_and_resume_too() {
     let baseline = tune_session(
         &db,
         &w,
-        &options(1),
+        &options(),
         SessionCtl {
             tracer: None,
             checkpoint_every: 9,
@@ -610,34 +521,32 @@ fn untraced_sessions_checkpoint_and_resume_too() {
     };
     for (done, ck) in &fold_every_prefix(&checkpoints) {
         assert!(ck.trace.is_none());
-        for threads in [1usize, 4] {
-            let resumed = tune_session(
-                &db,
-                &w,
-                &options(threads),
-                SessionCtl {
-                    resume: Some(ck),
-                    ..SessionCtl::default()
-                },
-            )
-            .expect("untraced resume succeeds");
-            assert_eq!(
-                zero(&baseline),
-                zero(&resumed),
-                "untraced resume from iteration {done} at {threads} threads diverged"
-            );
-        }
+        let resumed = tune_session(
+            &db,
+            &w,
+            &options(),
+            SessionCtl {
+                resume: Some(ck),
+                ..SessionCtl::default()
+            },
+        )
+        .expect("untraced resume succeeds");
+        assert_eq!(
+            zero(&baseline),
+            zero(&resumed),
+            "untraced resume from iteration {done} diverged"
+        );
     }
 }
 
 /// The approximate tier checkpoints its budget ledger mid-flight
 /// (`budget_spent`/`budget_skipped`), and a budgeted session resumed
-/// from any checkpoint — at any thread count — finishes byte-identical
+/// from any checkpoint finishes byte-identical
 /// to the uninterrupted budgeted run, including the final remaining
 /// budget and served-estimate counters.
 #[test]
 fn budgeted_resume_is_byte_identical_and_restores_the_ledger() {
-    let (baseline, baseline_trace, checkpoints) = run_collecting_opts(&options_budgeted(1), 7);
+    let (baseline, baseline_trace, checkpoints) = run_collecting_opts(&options_budgeted(), 7);
     let baseline_fp = fingerprint(&baseline);
     assert!(
         baseline
@@ -674,18 +583,16 @@ fn budgeted_resume_is_byte_identical_and_restores_the_ledger() {
     }
 
     for (done, ck) in &fold_every_prefix(&checkpoints) {
-        for threads in [1usize, 4] {
-            let (report, trace) = resume_from_opts(ck, &options_budgeted(threads));
-            assert_eq!(
-                baseline_fp,
-                fingerprint(&report),
-                "budgeted report diverged resuming from iteration {done} at {threads} threads"
-            );
-            assert_eq!(
-                baseline_trace, trace,
-                "budgeted trace diverged resuming from iteration {done} at {threads} threads"
-            );
-        }
+        let (report, trace) = resume_from_opts(ck, &options_budgeted());
+        assert_eq!(
+            baseline_fp,
+            fingerprint(&report),
+            "budgeted report diverged resuming from iteration {done}"
+        );
+        assert_eq!(
+            baseline_trace, trace,
+            "budgeted trace diverged resuming from iteration {done}"
+        );
     }
 
     // The budget is a decision knob: a checkpoint from a budgeted
@@ -695,7 +602,7 @@ fn budgeted_resume_is_byte_identical_and_restores_the_ledger() {
     let err = tune_session(
         &db,
         &w,
-        &options(1),
+        &options(),
         SessionCtl {
             resume: Some(&ck),
             ..SessionCtl::default()

@@ -45,7 +45,6 @@ fn run_case(case: &Case) -> (TuningReport, Tracer) {
             max_iterations: 18,
             with_views: case.with_views,
             validate_bounds: true,
-            threads: 1,
             ..TunerOptions::default()
         },
         Some(&tracer),

@@ -81,7 +81,6 @@ fn sessions_carry_only_entries_a_recomputation_reproduces() {
                     space_budget: Some(budget),
                     max_iterations: 30,
                     with_views,
-                    threads: 1 + (seed % 2) as usize,
                     shrink_unused: seed % 4 == 3,
                     // The oracle checks every derived fact against a
                     // from-scratch computation and panics on a mismatch.

@@ -121,14 +121,10 @@ fn read(path: &Path) -> String {
 
 const CRASH_SPECS: [&[&str]; 3] = [&[], &["--seed", "1"], &["--queries", "5", "--seed", "2"]];
 
-fn submit_crash_specs(data_dir: &Path, threads: &str) -> Vec<String> {
+fn submit_crash_specs(data_dir: &Path) -> Vec<String> {
     CRASH_SPECS
         .iter()
-        .map(|spec| {
-            let mut args = vec!["--threads", threads];
-            args.extend_from_slice(spec);
-            submit(data_dir, &args)
-        })
+        .map(|spec| submit(data_dir, spec))
         .collect()
 }
 
@@ -154,9 +150,9 @@ fn tear_last_record(log: &Path) {
 /// has landed, optionally tear every unfinished session's log, restart
 /// on the same data dir and wait for every job. Returns the job ids and
 /// how many logs were torn.
-fn crash_and_recover(crash_dir: &Path, threads: &str, tear: bool) -> (Vec<String>, usize) {
+fn crash_and_recover(crash_dir: &Path, tear: bool) -> (Vec<String>, usize) {
     let mut daemon = start_daemon(crash_dir, &["--slots", "2"]);
-    let crash_ids = submit_crash_specs(crash_dir, threads);
+    let crash_ids = submit_crash_specs(crash_dir);
     let deadline = Instant::now() + Duration::from_secs(30);
     while !crash_ids
         .iter()
@@ -199,9 +195,9 @@ fn crash_and_recover(crash_dir: &Path, threads: &str, tear: bool) -> (Vec<String
 }
 
 /// Run the crash specs to completion, no interruption.
-fn control_run(control_dir: &Path, threads: &str) -> Vec<String> {
+fn control_run(control_dir: &Path) -> Vec<String> {
     let daemon = start_daemon(control_dir, &["--slots", "2"]);
-    let control_ids = submit_crash_specs(control_dir, threads);
+    let control_ids = submit_crash_specs(control_dir);
     for id in &control_ids {
         let (code, state) = wait_done(control_dir, id);
         assert_eq!((code, state.as_str()), (0, "done"));
@@ -225,23 +221,20 @@ fn assert_same_artifacts(control: (&Path, &[String]), crash: (&Path, &[String]),
 /// The tentpole contract: SIGKILL the daemon mid-run with several
 /// concurrent sessions in flight, restart it on the same data dir, and
 /// every session must complete with a report and trace byte-identical
-/// to an uninterrupted control run — at single- and multi-threaded
-/// session settings.
+/// to an uninterrupted control run.
 #[test]
 fn kill_dash_nine_recovery_is_byte_identical() {
-    for threads in ["1", "2"] {
-        let control_dir = scratch(&format!("ctl-t{threads}"));
-        let crash_dir = scratch(&format!("crash-t{threads}"));
-        let control_ids = control_run(&control_dir, threads);
-        let (crash_ids, _) = crash_and_recover(&crash_dir, threads, false);
-        assert_same_artifacts(
-            (&control_dir, &control_ids),
-            (&crash_dir, &crash_ids),
-            &format!("threads={threads}"),
-        );
-        let _ = std::fs::remove_dir_all(&control_dir);
-        let _ = std::fs::remove_dir_all(&crash_dir);
-    }
+    let control_dir = scratch("ctl");
+    let crash_dir = scratch("crash");
+    let control_ids = control_run(&control_dir);
+    let (crash_ids, _) = crash_and_recover(&crash_dir, false);
+    assert_same_artifacts(
+        (&control_dir, &control_ids),
+        (&crash_dir, &crash_ids),
+        "kill -9",
+    );
+    let _ = std::fs::remove_dir_all(&control_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
 }
 
 /// The same crash landing *inside* an append: every unfinished
@@ -251,13 +244,13 @@ fn kill_dash_nine_recovery_is_byte_identical() {
 #[test]
 fn kill_mid_append_recovery_is_byte_identical() {
     let control_dir = scratch("ctl-torn");
-    let control_ids = control_run(&control_dir, "1");
+    let control_ids = control_run(&control_dir);
     // Which sessions are mid-run when the kill lands is a race; the
     // tear needs at least one, so a run that caught none is repeated.
     let mut torn_any = false;
     for attempt in 0..5 {
         let crash_dir = scratch(&format!("crash-torn-{attempt}"));
-        let (crash_ids, torn) = crash_and_recover(&crash_dir, "1", true);
+        let (crash_ids, torn) = crash_and_recover(&crash_dir, true);
         assert_same_artifacts(
             (&control_dir, &control_ids),
             (&crash_dir, &crash_ids),

@@ -1,9 +1,9 @@
 //! Byte-identity sweep for the cross-session shared what-if store:
-//! across 200 seeded random schemas, workloads, budgets, and thread
-//! counts, a session running against a warm (or cold) shared store
-//! must produce a report **and** JSONL trace byte-identical to its
-//! solo run — the store converts real optimizer invocations into
-//! serves but never changes an answer, a counter, or an event.
+//! across 200 seeded random schemas, workloads, and budgets, a session
+//! running against a warm (or cold) shared store must produce a report
+//! **and** JSONL trace byte-identical to its solo run — the store
+//! converts real optimizer invocations into serves but never changes an
+//! answer, a counter, or an event.
 //!
 //! In debug builds every cross-session serve is additionally
 //! cross-validated against a real optimizer call inside the engine
@@ -24,7 +24,6 @@ struct Case {
     /// relaxation chain.
     budget_factor: Option<f64>,
     with_views: bool,
-    threads: usize,
 }
 
 /// Debug-format a traced report with the wall-clock fields zeroed, so
@@ -67,7 +66,6 @@ fn run_case(case: &Case, shared: Option<&SharedInvocationStore>) -> (TuningRepor
             space_budget: Some(budget),
             max_iterations: 12,
             with_views: case.with_views,
-            threads: case.threads,
             ..TunerOptions::default()
         },
         SessionCtl {
@@ -82,8 +80,7 @@ fn run_case(case: &Case, shared: Option<&SharedInvocationStore>) -> (TuningRepor
 
 fn cases() -> Vec<Case> {
     // 200 seeded cases: select-only and update mixes, reachable and
-    // unreachable budgets, with and without views, serial and parallel
-    // scoring.
+    // unreachable budgets, with and without views.
     (0..200u64)
         .map(|seed| Case {
             seed,
@@ -98,7 +95,6 @@ fn cases() -> Vec<Case> {
                 Some(1.05 + 0.1 * (seed % 6) as f64)
             },
             with_views: seed % 2 == 0,
-            threads: if seed % 7 == 0 { 2 } else { 1 },
         })
         .collect()
 }
@@ -112,7 +108,7 @@ fn shared_store_is_byte_invisible_across_random_cases() {
     let mut served_any = 0u64;
     for case in cases() {
         let (r_solo, t_solo) = run_case(&case, None);
-        let store = SharedInvocationStore::new(1 << 16, case.threads);
+        let store = SharedInvocationStore::new(1 << 16, 1);
         let (r_cold, t_cold) = run_case(&case, Some(&store));
         let before = store.stats();
         let (r_warm, t_warm) = run_case(&case, Some(&store));
@@ -120,9 +116,9 @@ fn shared_store_is_byte_invisible_across_random_cases() {
         for (tag, t, r) in [("cold", &t_cold, &r_cold), ("warm", &t_warm, &r_warm)] {
             assert_eq!(
                 t, &t_solo,
-                "seed {} (updates {}, budget {:?}, views {}, threads {}): \
+                "seed {} (updates {}, budget {:?}, views {}): \
                  {tag} shared-store trace diverged from solo",
-                case.seed, case.update_ratio, case.budget_factor, case.with_views, case.threads,
+                case.seed, case.update_ratio, case.budget_factor, case.with_views,
             );
             assert_eq!(
                 fingerprint(r),
@@ -154,7 +150,6 @@ fn shared_store_namespaces_by_schema() {
             update_ratio: 0.25,
             budget_factor: Some(1.25),
             with_views: true,
-            threads: 1,
         };
         let (r_solo, t_solo) = run_case(&case, None);
         let (r_shared, t_shared) = run_case(&case, Some(&store));

@@ -193,7 +193,6 @@ fn session_begin_records_the_options() {
             space_budget: Some(budget),
             max_iterations: 8,
             validate_bounds: true,
-            threads: 2,
             ..TunerOptions::default()
         },
         Some(&tracer),
@@ -206,10 +205,8 @@ fn session_begin_records_the_options() {
     );
     assert_eq!(v.get("entries").and_then(json::Json::as_i64), Some(4));
     assert_eq!(v.get("validate_bounds"), Some(&json::Json::Bool(true)));
-    // Run-environment knobs (thread count, pure-perf mode flags) must
-    // NOT be in the stream, or traces could never be compared across
-    // machines and modes.
-    assert_eq!(v.get("threads"), None);
+    // Pure-perf mode flags must NOT be in the stream, or traces could
+    // never be compared across modes.
     assert_eq!(v.get("derived_costs"), None);
     assert_eq!(v.get("budget").and_then(json::Json::as_f64), Some(budget));
 }
