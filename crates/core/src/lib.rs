@@ -43,7 +43,6 @@ pub mod derived;
 pub mod error;
 pub mod eval;
 pub mod fault;
-pub mod incremental;
 pub mod instrument;
 pub mod node;
 pub mod online;
@@ -60,7 +59,6 @@ pub use derived::{FlatProjector, Projection, QueryRelevance, RelevanceTable};
 pub use error::TuneError;
 pub use eval::{EvalCtx, EvalResult, QueryEval};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use incremental::Interner;
 pub use instrument::{
     gather_optimal_configuration, gather_optimal_configuration_traced, OptimalSink,
 };

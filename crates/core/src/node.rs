@@ -13,7 +13,6 @@
 
 use crate::bound::ViewBuildCosts;
 use crate::eval::ShellTable;
-use crate::incremental::Interner;
 use crate::transform::{
     candidates, candidates_delta, AppliedTransform, TransformDelta, Transformation,
 };
@@ -24,7 +23,7 @@ use pdt_physical::{Configuration, PhysicalSchema};
 use std::sync::Arc;
 
 /// Candidate transformations in enumeration order, each with its
-/// interned signature.
+/// [`Transformation::sig`].
 pub type CandList = Vec<(Transformation, u64)>;
 
 /// What deriving a node's facts reads: the session's fixed inputs.
@@ -107,18 +106,21 @@ impl NodeFacts {
 
     /// The full candidate list, derived on the first call: by the
     /// candidate rule from the parent's list, or from scratch.
-    pub fn candidates(
-        &mut self,
-        cx: FactCtx<'_>,
-        config: &Configuration,
-        interner: &Interner,
-    ) -> Arc<CandList> {
+    pub fn candidates(&mut self, cx: FactCtx<'_>, config: &Configuration) -> Arc<CandList> {
         let list = match std::mem::replace(&mut self.cands, Cands::Scratch) {
             Cands::Derived(list) => list,
             Cands::Pending(parent, net) => {
-                Arc::new(candidates_delta(config, cx.base, &parent, &net, interner))
+                Arc::new(candidates_delta(config, cx.base, &parent, &net))
             }
-            Cands::Scratch => Arc::new(sign(candidates(config, cx.base), interner)),
+            Cands::Scratch => Arc::new(
+                candidates(config, cx.base)
+                    .into_iter()
+                    .map(|t| {
+                        let sig = t.sig();
+                        (t, sig)
+                    })
+                    .collect(),
+            ),
         };
         self.cands = Cands::Derived(list.clone());
         if cx.checks() {
@@ -149,15 +151,4 @@ impl NodeFacts {
             );
         }
     }
-}
-
-/// Pair each enumerated transformation with its interned signature.
-fn sign(enumerated: Vec<Transformation>, interner: &Interner) -> CandList {
-    enumerated
-        .into_iter()
-        .map(|t| {
-            let sig = interner.transform_sig(&t);
-            (t, sig)
-        })
-        .collect()
 }

@@ -32,7 +32,6 @@ use crate::eval::{
 use crate::fault::{
     FaultEvent, FaultKind, FaultPlan, FaultSite, SITE_CANDIDATE, SITE_PREPASS, SITE_SHRINK,
 };
-use crate::incremental::Interner;
 use crate::instrument::gather_optimal_configuration_traced;
 use crate::node::{FactCtx, NodeFacts};
 use crate::stop::{StopCheck, StopReason, StopToken};
@@ -1179,9 +1178,6 @@ pub fn tune_session(
 /// order by [`tune_session`].
 struct Session<'a> {
     env: Env<'a>,
-    /// Transformation signatures. Content-addressed, so a resumed
-    /// session re-derives them during replay.
-    interner: Interner,
     gate: ReplayGate<'a>,
     ledger: CallLedger,
     start: Instant,
@@ -1412,7 +1408,6 @@ impl<'a> Session<'a> {
             },
             rng: StdRng::seed_from_u64(options.seed),
             env,
-            interner: Interner::new(),
             gate,
             ledger,
             start,
@@ -1908,8 +1903,7 @@ impl<'a> Session<'a> {
         let cands = {
             let _hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
             let node = &mut self.nodes[node_idx];
-            node.facts
-                .candidates(env.facts(), &node.config, &self.interner)
+            node.facts.candidates(env.facts(), &node.config)
         };
         let node = &self.nodes[node_idx];
         // The parent's scores, keyed by transformation signature and

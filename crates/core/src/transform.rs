@@ -12,8 +12,10 @@ use pdt_opt::Optimizer;
 use pdt_physical::size::SizeModel;
 use pdt_physical::view::merge_views;
 use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// One §3.1 transformation.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +48,29 @@ impl fmt::Display for Transformation {
             Transformation::MergeViews { v1, v2 } => write!(f, "merge-views({v1}, {v2})"),
             Transformation::RemoveView { view } => write!(f, "remove-view({view})"),
         }
+    }
+}
+
+impl Transformation {
+    /// Content signature: the variant tag, then each component in order
+    /// (an index as its own [`DefaultHasher`] hash, a prefix length, a
+    /// view id). Candidate lists carry it to key the `tried` set and
+    /// deduplicate derived candidates; a collision would affect the
+    /// derived and from-scratch candidate engines identically, so
+    /// byte-identity holds even then.
+    pub fn sig(&self) -> u64 {
+        let index = |i: &Index| BuildHasherDefault::<DefaultHasher>::default().hash_one(i);
+        let mut h = DefaultHasher::new();
+        match self {
+            Transformation::MergeIndexes { i1, i2 } => (1u8, index(i1), index(i2)).hash(&mut h),
+            Transformation::SplitIndexes { i1, i2 } => (2u8, index(i1), index(i2)).hash(&mut h),
+            Transformation::PrefixIndex { index: i, len } => (3u8, index(i), len).hash(&mut h),
+            Transformation::PromoteToClustered { index: i } => (4u8, index(i)).hash(&mut h),
+            Transformation::RemoveIndex { index: i } => (5u8, index(i)).hash(&mut h),
+            Transformation::MergeViews { v1, v2 } => (6u8, v1, v2).hash(&mut h),
+            Transformation::RemoveView { view } => (7u8, view).hash(&mut h),
+        }
+        h.finish()
     }
 }
 
@@ -353,15 +378,14 @@ pub fn inherits(t: &Transformation, delta: &TransformDelta, child: &Configuratio
 /// by the canonical enumeration key, so the result is element for
 /// element `candidates(config, base)`.
 ///
-/// `parent` is the parent's full candidate list paired with interned
-/// transformation signatures (in parent enumeration order); the result
-/// keeps inherited signatures and interns fresh ones.
+/// `parent` is the parent's full candidate list paired with
+/// [`Transformation::sig`]s (in parent enumeration order); the result
+/// keeps inherited signatures and signs fresh ones.
 pub fn candidates_delta(
     config: &Configuration,
     base: &Configuration,
     parent: &[(Transformation, u64)],
     delta: &TransformDelta,
-    interner: &crate::incremental::Interner,
 ) -> Vec<(Transformation, u64)> {
     use std::collections::HashSet;
     let added = |i: &Index| delta.added_indexes.contains(i);
@@ -478,7 +502,7 @@ pub fn candidates_delta(
     // canonical enumeration order.
     let mut seen: HashSet<u64> = out.iter().map(|(_, s)| *s).collect();
     for t in fresh {
-        let sig = interner.transform_sig(&t);
+        let sig = t.sig();
         if seen.insert(sig) {
             out.push((t, sig));
         }
@@ -960,5 +984,46 @@ mod tests {
         assert_eq!(applied.removed_indexes.len(), 1);
         assert_eq!(applied.config.view_count(), 0);
         assert!(applied.delta_bytes > 0.0);
+    }
+
+    fn ix(table: u32, cols: &[u16]) -> Index {
+        let t = TableId(table);
+        Index::new(t, cols.iter().map(|&c| ColumnId::new(t, c)), [])
+    }
+
+    #[test]
+    fn sig_is_content_addressed() {
+        let t = Transformation::RemoveIndex { index: ix(1, &[0]) };
+        assert_eq!(t.sig(), t.clone().sig());
+        assert_ne!(
+            t.sig(),
+            Transformation::RemoveIndex { index: ix(2, &[0]) }.sig()
+        );
+        // The exact values: candidate lists order the `tried` set and
+        // derived-candidate deduplication by them.
+        let (i1, i2) = (ix(1, &[0, 2]), ix(1, &[1]));
+        let merge = Transformation::MergeIndexes { i1: i1.clone(), i2 };
+        assert_eq!(merge.sig(), 0x2c8c_c9bd_c5ef_988b);
+        let prefix = Transformation::PrefixIndex { index: i1, len: 1 };
+        assert_eq!(prefix.sig(), 0x8de5_b198_84ee_eaab);
+        let views = Transformation::MergeViews {
+            v1: TableId(5),
+            v2: TableId(6),
+        };
+        assert_eq!(views.sig(), 0xad20_28bc_9b1b_a5cd);
+    }
+
+    #[test]
+    fn sigs_distinguish_variants() {
+        let (i1, i2) = (ix(1, &[0]), ix(1, &[1]));
+        let merge = Transformation::MergeIndexes {
+            i1: i1.clone(),
+            i2: i2.clone(),
+        };
+        let split = Transformation::SplitIndexes { i1: i1.clone(), i2 };
+        let remove = Transformation::RemoveIndex { index: i1.clone() };
+        let promote = Transformation::PromoteToClustered { index: i1 };
+        assert_ne!(merge.sig(), split.sig());
+        assert_ne!(remove.sig(), promote.sig());
     }
 }

@@ -20,9 +20,7 @@ use pdtune::tuner::transform::{
     apply, candidates, inherits, removal_candidates, AppliedTransform, TransformDelta,
     Transformation,
 };
-use pdtune::tuner::{
-    config_from_json, config_to_json, gather_optimal_configuration, Interner, Workload,
-};
+use pdtune::tuner::{config_from_json, config_to_json, gather_optimal_configuration, Workload};
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::star::{star_database, star_workload, StarParams};
 use pdtune::workloads::{tpch, updates, WorkloadSpec};
@@ -263,11 +261,7 @@ pub fn walk(seeds: Range<u64>, ratios: &[f64]) {
     for seed in seeds {
         let ratio = ratios[(seed / 4) as usize % ratios.len()];
         let (db, w) = case(seed % 4, seed, seed, ratio);
-        let (opt, base, interner) = (
-            Optimizer::new(&db),
-            Configuration::base(&db),
-            Interner::new(),
-        );
+        let (opt, base) = (Optimizer::new(&db), Configuration::base(&db));
         let cx = cx(&db, &model, &w, &base);
         let (optimal, _) = gather_optimal_configuration(&db, &w, true);
         assert_cached(&optimal, "optimal");
@@ -297,10 +291,10 @@ pub fn walk(seeds: Range<u64>, ratios: &[f64]) {
             tally.prepass += 1;
         }
         for step in 0..STEPS {
-            let all = facts.candidates(cx, &config, &interner);
+            let all = facts.candidates(cx, &config);
             facts.assert_matches_scratch(cx, &config);
             for (t, sig) in all.iter() {
-                assert_eq!(*sig, interner.transform_sig(t), "seed {seed}: stale {t}");
+                assert_eq!(*sig, t.sig(), "seed {seed}: stale {t}");
             }
             if all.is_empty() {
                 break;

@@ -31,8 +31,7 @@ use pdtune::tuner::transform::{
     apply, candidates, AppliedTransform, TransformDelta, Transformation,
 };
 use pdtune::tuner::{
-    gather_optimal_configuration, tune_session, Interner, Reference, SessionCtl, TunerOptions,
-    Workload,
+    gather_optimal_configuration, tune_session, Reference, SessionCtl, TunerOptions, Workload,
 };
 use pdtune::workloads::bench::BenchParams;
 use std::collections::BTreeSet;
@@ -179,7 +178,6 @@ struct Arms {
     /// `config`'s facts, both CBV entries priced and the candidate list
     /// derived, so every child's list is derived from it.
     facts: NodeFacts,
-    interner: Interner,
 }
 
 /// Entries of the workload in [`Arms`].
@@ -228,10 +226,10 @@ impl Arms {
         let vr = range_view(&db, &mut config, "r", 2, &[1]);
         assert!(config.add_index(Index::new(vr, [ColumnId::new(vr, 0)], [])));
         let vh = range_view(&db, &mut config, "h", 1, &[0]);
-        let (model, interner) = (CostModel::default(), Interner::new());
+        let model = CostModel::default();
         let cx = cx(&db, &model, &w, &base);
         let mut facts = NodeFacts::scratch(cx, &config);
-        facts.candidates(cx, &config, &interner);
+        facts.candidates(cx, &config);
         for v in [vr, vh] {
             assert!(facts.view_costs.get(&db, &model, &config, v) > 0.0);
         }
@@ -250,7 +248,6 @@ impl Arms {
             r_a_c,
             h_cover,
             facts,
-            interner,
         }
     }
 
@@ -261,7 +258,7 @@ impl Arms {
     /// Recompute `facts` from scratch after `config` was edited by hand.
     fn rescan(&mut self) {
         let mut facts = NodeFacts::scratch(self.cx(), &self.config);
-        facts.candidates(self.cx(), &self.config, &self.interner);
+        facts.candidates(self.cx(), &self.config);
         self.facts = facts;
     }
 
@@ -277,7 +274,7 @@ impl Arms {
         let mut tally = Tally::default();
         let cx = self.cx();
         let mut child = derive(&self.facts, cx, &self.config, step, &mut tally, "arms");
-        child.candidates(cx, &step.config, &self.interner);
+        child.candidates(cx, &step.config);
         child.assert_matches_scratch(cx, &step.config);
         child
     }
@@ -403,9 +400,9 @@ fn a_seekable_removal_can_open_the_intersection_window() {
     config.add_view(MaterializedView::create(vid, def, 1000.0, &db));
 
     let (model, w) = (CostModel::default(), Workload::bind(&db, &[]).unwrap());
-    let (cx, interner) = (cx(&db, &model, &w, &base), Interner::new());
+    let cx = cx(&db, &model, &w, &base);
     let mut parent = NodeFacts::scratch(cx, &config);
-    parent.candidates(cx, &config, &interner);
+    parent.candidates(cx, &config);
     let (old_cost, old_usages) = parent.view_costs.get_with_usages(&db, &model, &config, vid);
     let gone = b_led
         .iter()
@@ -417,7 +414,7 @@ fn a_seekable_removal_can_open_the_intersection_window() {
     };
     let step = apply(&remove, &config, &db, &opt).unwrap();
     let mut child = parent.child(cx, &step);
-    child.candidates(cx, &step.config, &interner);
+    child.candidates(cx, &step.config);
     child.assert_matches_scratch(cx, &step.config);
     let (new_cost, new_usages) = child
         .view_costs
@@ -682,13 +679,13 @@ fn clustered_removal_reenables_promotions() {
     let ci = Index::clustered(h, [ColumnId::new(h, 0)]);
     assert!(a.config.add_index(ci.clone()));
     a.rescan();
-    let (cx, interner) = (cx(&a.db, &a.model, &a.w, &a.base), &a.interner);
+    let cx = cx(&a.db, &a.model, &a.w, &a.base);
     let promotes = |list: &[(Transformation, u64)]| {
         let on_h = |t: &Transformation| matches!(t, Transformation::PromoteToClustered { index } if index.table == h);
         list.iter().filter(|(t, _)| on_h(t)).count()
     };
-    assert_eq!(promotes(&a.facts.candidates(cx, &a.config, interner)), 0);
+    assert_eq!(promotes(&a.facts.candidates(cx, &a.config)), 0);
     let step = TransformDelta::removing(vec![ci]).materialize(&a.config);
-    let list = a.derive(&step).candidates(cx, &step.config, interner);
+    let list = a.derive(&step).candidates(cx, &step.config);
     assert_eq!(promotes(&list), 2, "promotions not regenerated");
 }
