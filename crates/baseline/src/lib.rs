@@ -585,10 +585,7 @@ fn reopt_affected(
                 let tables: BTreeSet<TableId> = q.tables.iter().copied().collect();
                 (cache, config.signature_for_tables128(&tables))
             });
-            match cached
-                .as_ref()
-                .and_then(|(c, sig)| c.committed.lookup(i, *sig))
-            {
+            match cached.as_ref().and_then(|(c, sig)| c.lookup(i, *sig)) {
                 Some(e) => {
                     hits += 1;
                     (e.cost, e.usages)
@@ -600,7 +597,7 @@ fn reopt_affected(
                     if let Some((cache, sig)) = cached {
                         misses += 1;
                         let ce = CacheEntry::plain(plan.cost, usages.clone(), sig);
-                        cache.committed.insert(i, sig, ce);
+                        cache.insert(i, sig, ce);
                     }
                     (plan.cost, usages)
                 }

@@ -53,7 +53,7 @@ use std::fmt::Write;
 use std::sync::Mutex;
 use std::time::Duration;
 
-const VERSION: i64 = 7;
+const VERSION: i64 = 8;
 const KIND: &str = "pdtune-checkpoint";
 const DELTA_KIND: &str = "pdtune-checkpoint-delta";
 
@@ -144,7 +144,7 @@ impl Checkpoint {
     pub fn restore_cache(&self) -> CostCache {
         let cache = CostCache::new();
         for ((q, sig), entry) in &self.cache {
-            cache.committed.insert(*q, *sig, entry.clone());
+            cache.insert(*q, *sig, entry.clone());
         }
         cache
     }
@@ -1306,8 +1306,8 @@ mod tests {
         let ck = sample_checkpoint();
         let cache = ck.restore_cache();
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.committed.lookup(0, 17 << 70).unwrap().cost, 9.75);
-        assert!(cache.committed.lookup(1, 99).unwrap().cost.is_nan());
+        assert_eq!(cache.lookup(0, 17 << 70).unwrap().cost, 9.75);
+        assert!(cache.lookup(1, 99).unwrap().cost.is_nan());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
         // The restored store snapshots back to the identical dump
         // (`Debug` rendering: the sample carries a NaN cost).
@@ -1351,9 +1351,9 @@ mod tests {
         let truncated = &valid[..valid.len() / 2];
         assert!(Checkpoint::from_json_str(truncated).is_err());
         // What earlier builds wrote — a version-5 bare document, a
-        // version-6 record log — is refused by its version, as a
-        // document and where a log is expected.
-        for version in [5, 6] {
+        // version-6 or version-7 record log — is refused by its version,
+        // as a document and where a log is expected.
+        for version in [5, 6, 7] {
             let old = valid.replacen(
                 &format!("\"version\":{VERSION}"),
                 &format!("\"version\":{version}"),

@@ -7,9 +7,10 @@
 //! optimizer calls (§3.6).
 //!
 //! Evaluation is cache-aware: entries are optimized in entry order and
-//! what-if answers are memoized in the session's [`CostCache`]. Cache
-//! inserts and hit/miss tallies commit only after the whole evaluation
-//! succeeds, so a shortcut-aborted evaluation leaves no trace.
+//! what-if answers are memoized in the session's [`CostCache`] as they
+//! arrive. Hit/miss tallies commit only after the whole evaluation
+//! succeeds, so a shortcut-aborted evaluation keeps its answers but
+//! counts nothing.
 
 #![deny(clippy::too_many_lines)]
 
@@ -91,7 +92,7 @@ pub struct EvalCtx<'c> {
     pub faults: Option<FaultSite<'c>>,
     /// Per-query relevant-structure sets. When present, cache keys are
     /// relevant-subset signatures and keyed misses may be served by
-    /// plan reuse ([`crate::cache::EntryStore::plan_probe`]); when absent, keys fall
+    /// plan reuse ([`CostCache::plan_probe`]); when absent, keys fall
     /// back to the coarse per-table projection and no derived serving
     /// happens.
     pub relevance: Option<&'c RelevanceTable>,
@@ -112,14 +113,13 @@ pub struct EvalCtx<'c> {
     /// because the frozen `pdt-benchmark` crate names the field; the
     /// next benchmark PR drops it.
     pub flat: bool,
-    /// Daemon-wide shared what-if store: a third probe tier after the
-    /// per-session invocation store, consulted (and fed) only on the
-    /// real-invocation path and only in derived mode. Serves carry
-    /// bitwise-identical answers keyed by session-portable content
-    /// signatures ([`crate::shared`]), so — like the invocation store —
-    /// the tier is invisible to every logical counter and to the trace;
-    /// debug builds cross-validate each serve with a real call. `None`
-    /// outside serve mode.
+    /// Daemon-wide shared what-if store: a probe tier after the cost
+    /// cache, consulted (and fed) only on the real-invocation path and
+    /// only in derived mode. Serves carry bitwise-identical answers
+    /// keyed by session-portable content signatures ([`crate::shared`]),
+    /// so the tier is invisible to every logical counter and to the
+    /// trace; debug builds cross-validate each serve with a real call.
+    /// `None` outside serve mode.
     pub shared: Option<crate::shared::SharedCtx<'c>>,
 }
 
@@ -536,9 +536,8 @@ pub fn evaluate_incremental_ctx(
     )
 }
 
-/// One entry's evaluation plus its bookkeeping, committed (cache
-/// inserts, counters) only if the whole evaluation survives the
-/// shortcut check.
+/// One entry's evaluation plus its tally, committed only if the whole
+/// evaluation survives the shortcut check.
 struct EntryEval {
     q: QueryEval,
     tally: EntryTally,
@@ -548,9 +547,8 @@ struct EntryEval {
 /// counters at the commit point.
 #[derive(Default)]
 struct EntryTally {
-    /// Logical optimizer calls (0 or 1) — served-from-store real-call
-    /// savings still count, so the total does not depend on what the
-    /// invocation store happens to hold.
+    /// Logical optimizer calls (0 or 1) — a shared-store serve still
+    /// counts, so the total does not depend on what that store holds.
     calls: usize,
     hit: bool,
     miss: bool,
@@ -565,7 +563,6 @@ struct EntryTally {
     plan_miss: bool,
     /// Plan-reuse serve that re-priced a non-empty footprint.
     repriced: bool,
-    pending_insert: Option<(u128, CacheEntry)>,
 }
 
 /// Everything the entries of one evaluation share.
@@ -621,10 +618,10 @@ fn evaluate_entry(env: &EvalEnv<'_>, i: usize) -> EntryEval {
     }
 }
 
-/// Price one SELECT by walking the serving tiers in order: keyed cache
-/// → invocation store → shared store → real optimizer call. The first
-/// tier is the only one the logical counters see; the others convert a
-/// logical miss's real invocation into a bitwise-identical serve.
+/// Price one SELECT by walking the serving tiers in order: cost cache
+/// → shared store → real optimizer call. The cost cache is the only
+/// tier the logical counters see; the shared store converts a logical
+/// miss's real invocation into a bitwise-identical serve.
 fn price_select(
     env: &EvalEnv<'_>,
     i: usize,
@@ -652,19 +649,17 @@ fn price_select(
     });
     let probe = Probe { i, q, proj, cached };
 
-    // Tier 1, the keyed cache: the exact entry, or — on a keyed miss
-    // with relevance — a surviving cached plan. Classification is
+    // The cost cache: the exact entry, or — on a keyed miss with
+    // relevance — a surviving cached plan. Classification is
     // identical in both derived modes; only the backing invocation
     // differs.
-    let keyed = probe.cached.and_then(|(cache, sig)| {
-        cache
-            .committed
-            .probe(i, sig, probe.proj.as_ref(), env.config)
-    });
+    let keyed = probe
+        .cached
+        .and_then(|(cache, sig)| cache.probe(i, sig, probe.proj.as_ref(), env.config));
     match keyed {
         // Validate before trusting: a poisoned entry is discarded and
         // the entry recomputed as a plain miss — no plan probe —
-        // overwriting the corrupt value at commit time.
+        // overwriting the corrupt value.
         Some(Served::Exact(e)) if e.is_poisoned() => {
             tally.repaired = true;
             price_miss(env, &probe, tally)
@@ -749,37 +744,29 @@ fn serve_keyed(
     }
     // A plan-reuse serve memoizes itself at the probe's key, turning
     // the next identical probe into a keyed hit.
-    if tally.plan_hit {
-        let p = probe.proj.as_ref().expect("plan_hit requires a projection");
-        tally.pending_insert = Some((p.sig, derived_entry(env, i, p, cost, &usages)));
+    if let (true, Some((cache, sig)), Some(p)) = (tally.plan_hit, probe.cached, &probe.proj) {
+        cache.insert(i, sig, derived_entry(env, i, p, cost, &usages));
     }
     (cost, usages)
 }
 
-/// Answer a logical miss: the remaining tiers, then a real call.
+/// Answer a logical miss: the shared store, then a real call.
 fn price_miss(
     env: &EvalEnv<'_>,
     probe: &Probe<'_>,
     tally: &mut EntryTally,
 ) -> (f64, Arc<[IndexUsage]>) {
     let (i, ctx) = (probe.i, &env.ctx);
-    // Derived mode consults the invocation store before paying a real
-    // plan search: a prior invocation for this exact key — possibly
-    // from a shortcut-aborted evaluation whose cache inserts were never
-    // committed — already holds the bitwise-identical answer, and
-    // failing that, a stored plan that provably survives under this
-    // projection serves re-priced. Then the daemon-wide shared store,
-    // addressed by session-portable content signatures: another
-    // tenant's answer is bitwise-identical by key purity. All of these
-    // are invisible to every counter (this stays a plain logical miss);
-    // debug builds re-invoke and check, and the reference engine always
-    // re-invokes.
-    let stored = probe.cached.filter(|_| ctx.derived).and_then(|(c, sig)| {
-        let proj = probe.proj.as_ref();
-        c.invocations
-            .probe(i, sig, proj, env.config)
-            .map(Served::into_entry)
-            .or_else(|| ctx.shared.as_ref()?.probe(i, sig, proj, env.config))
+    // Derived mode consults the daemon-wide shared store before paying
+    // a real plan search, addressed by session-portable content
+    // signatures: another tenant's answer is bitwise-identical by key
+    // purity. A serve is invisible to every counter (this stays a plain
+    // logical miss); debug builds re-invoke and check, and the
+    // reference engine always re-invokes.
+    let stored = probe.cached.filter(|_| ctx.derived).and_then(|(_, sig)| {
+        ctx.shared
+            .as_ref()?
+            .probe(i, sig, probe.proj.as_ref(), env.config)
     });
     let (plan_cost, usages): (f64, Arc<[IndexUsage]>) = match stored {
         Some(e) => {
@@ -789,12 +776,12 @@ fn price_miss(
                 debug_assert_eq!(
                     fresh.cost.to_bits(),
                     e.cost.to_bits(),
-                    "stored invocation diverged for query {i}"
+                    "shared answer diverged for query {i}"
                 );
                 debug_assert_eq!(
                     fresh.index_usages.as_slice(),
                     e.usages.as_ref(),
-                    "stored plan diverged for query {i}"
+                    "shared plan diverged for query {i}"
                 );
             }
             (e.cost, e.usages)
@@ -811,17 +798,14 @@ fn price_miss(
             Some(p) => derived_entry(env, i, p, plan_cost, &usages),
             None => CacheEntry::plain(plan_cost, usages.clone(), sig),
         };
-        if ctx.derived {
-            cache.invocations.insert(i, sig, true_entry.clone());
-            // Publish the real answer under its portable key so other
-            // tenants (and this daemon's next session) can serve it.
-            if let Some(s) = ctx.shared.as_ref() {
-                s.record(i, sig, &true_entry);
-            }
+        // Publish the real answer under its portable key so other
+        // tenants (and this daemon's next session) can serve it.
+        if let Some(s) = ctx.shared.as_ref().filter(|_| ctx.derived) {
+            s.record(i, sig, &true_entry);
         }
         // Injected poisoning: write a NaN cost so a later lookup must
-        // repair it (the invocation store keeps the true answer —
-        // poison is a cache fault, not an optimizer fault).
+        // repair it (the shared store keeps the true answer — poison is
+        // a cache fault, not an optimizer fault).
         let ce = if ctx.faults.is_some_and(|f| f.poison_roll(i)) {
             CacheEntry {
                 cost: f64::NAN,
@@ -830,7 +814,7 @@ fn price_miss(
         } else {
             true_entry
         };
-        tally.pending_insert = Some((sig, ce));
+        cache.insert(i, sig, ce);
     }
     (plan_cost, usages)
 }
@@ -903,7 +887,6 @@ pub(crate) fn evaluate_entries(
     let mut calls = 0;
     let (mut hits, mut misses) = (0u64, 0u64);
     let mut tally = DerivedTally::default();
-    let mut inserts: Vec<(usize, u128, CacheEntry)> = Vec::new();
     let mut poison_repairs: Vec<usize> = Vec::new();
     for (i, EntryEval { q, tally: t }) in evals.into_iter().enumerate() {
         total += entries[i].weight * q.total();
@@ -917,17 +900,11 @@ pub(crate) fn evaluate_entries(
         if t.repaired {
             poison_repairs.push(i);
         }
-        if let Some((sig, ce)) = t.pending_insert {
-            inserts.push((i, sig, ce));
-        }
         per_query.push(q);
     }
-    // Commit on success only: aborted evaluations leave the cache and
-    // its counters untouched (see the `cache` module docs).
+    // Counters commit on success only: an aborted evaluation's answers
+    // stay cached but count nothing (see the `cache` module docs).
     if let Some(cache) = ctx.cache {
-        for (i, sig, ce) in inserts {
-            cache.committed.insert(i, sig, ce);
-        }
         cache.record_traced(hits, misses, ctx.tracer);
         if ctx.relevance.is_some() {
             cache.record_derived(tally);
@@ -1172,7 +1149,7 @@ mod tests {
     }
 
     #[test]
-    fn aborted_evaluations_commit_nothing() {
+    fn aborted_evaluations_keep_answers_but_count_nothing() {
         let db = test_db();
         let w = workload(&db, "SELECT r.c FROM r WHERE r.a = 5");
         let opt = Optimizer::new(&db);
@@ -1200,8 +1177,25 @@ mod tests {
             ctx,
         );
         assert!(r.is_none());
-        assert!(cache.is_empty(), "aborted eval must not populate the cache");
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        assert_eq!(cache.len(), 1, "the aborted eval's answer is kept");
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "but not counted");
+        // Re-running it un-shortcut is all hits: no optimizer call.
+        let kept = evaluate_incremental_ctx(
+            &db,
+            &opt,
+            &smaller,
+            &w,
+            &e0,
+            std::slice::from_ref(&ix),
+            &[],
+            None,
+            ctx,
+        )
+        .unwrap();
+        assert_eq!(kept.optimizer_calls, 0);
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        let fresh = evaluate_full(&db, &opt, &smaller, &w);
+        assert_eq!(kept.total_cost.to_bits(), fresh.total_cost.to_bits());
     }
 
     #[test]
@@ -1223,10 +1217,10 @@ mod tests {
         let first = evaluate_full_ctx(&db, &opt, &config, &w, ctx);
         assert!(first.poison_repairs.is_empty());
 
-        // Corrupt one committed entry in place, as the injector would.
+        // Corrupt one entry in place, as the injector would.
         let ((q, sig), mut entry) = cache.snapshot().into_iter().next().unwrap();
         entry.cost = f64::NAN;
-        cache.committed.insert(q, sig, entry);
+        cache.insert(q, sig, entry);
 
         let second = evaluate_full_ctx(&db, &opt, &config, &w, ctx);
         assert_eq!(second.poison_repairs, vec![q]);

@@ -2,13 +2,13 @@
 //!
 //! The daemon prices every tenant from scratch even when N tenants
 //! tune the same schema and statistics; this module is the natural
-//! cross-session layer on top of the per-session invocation store
+//! cross-session layer on top of the per-session cost cache
 //! (`cache.rs`): a concurrency-safe, bounded, content-addressed map
 //! from *session-portable* keys to optimizer answers.
 //!
 //! # Key portability
 //!
-//! The per-session stores key by `(query index, projection signature)`
+//! The per-session cache keys by `(query index, projection signature)`
 //! — the query index is an artifact of one session's workload order,
 //! so those keys cannot travel. Shared keys replace it with content:
 //!
@@ -20,7 +20,7 @@
 //! * **query signature** — [`Tagged128`] over the statement's SQL
 //!   rendering, the same text `Workload::bind_weighted` dedups on.
 //! * **relevant-subset signature** — the projection signature already
-//!   used by the per-session stores: a pure function of the subset of
+//!   used by the per-session cache: a pure function of the subset of
 //!   configuration structures relevant to the query.
 //!
 //! The optimizer's answer is a pure function of that triple (the

@@ -167,8 +167,10 @@ pub struct SessionCounters {
     pub cache_misses: u64,
     /// Keyed cache misses served by plan reuse.
     pub plan_hits: u64,
-    /// Real invocations the derived layer (invocation store + plan
-    /// reuse) made unnecessary.
+    /// Optimizer calls the derived layer made unnecessary
+    /// (`TuningReport::optimizer_calls_avoided`): keyed hits beyond the
+    /// coarse per-table projection plus plan-reuse serves. The wire key
+    /// keeps its older name.
     pub invocation_hits: u64,
 }
 
@@ -763,13 +765,18 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_is_a_recovery_mismatch() {
-        // Garbage, and an intact log an earlier build wrote (version 6),
-        // which is refused by its version.
-        let mut v6 = Vec::new();
-        Checkpoint::frame_record(r#"{"version":6,"kind":"pdtune-checkpoint"}"#, &mut v6);
+        // Garbage, and intact logs earlier builds wrote (versions 6 and
+        // 7), which are refused by their version.
+        let old = |v: u32| {
+            let mut log = Vec::new();
+            let record = format!(r#"{{"version":{v},"kind":"pdtune-checkpoint"}}"#);
+            Checkpoint::frame_record(&record, &mut log);
+            log
+        };
         for (name, log, why) in [
             ("badck", b"{not json".to_vec(), ""),
-            ("v6ck", v6, "version 6"),
+            ("v6ck", old(6), "version 6"),
+            ("v7ck", old(7), "version 7"),
         ] {
             let dir = scratch_dir(name);
             std::fs::write(dir.join("checkpoint.log"), log).unwrap();

@@ -361,9 +361,13 @@ fn checkpoint_resume_round_trip_is_byte_identical() {
 fn resume_from_garbage_exits_with_checkpoint_error() {
     let dir = std::env::temp_dir().join("pdtune_cli_badck_test");
     std::fs::create_dir_all(&dir).unwrap();
-    // Garbage, and an intact log an earlier build wrote (version 6).
-    let mut v6 = Vec::new();
-    pdtune::tuner::Checkpoint::frame_record(r#"{"version":6,"kind":"pdtune-checkpoint"}"#, &mut v6);
+    // Garbage, and intact logs earlier builds wrote (versions 6 and 7).
+    let old = |v: u32| {
+        let mut log = Vec::new();
+        let record = format!(r#"{{"version":{v},"kind":"pdtune-checkpoint"}}"#);
+        pdtune::tuner::Checkpoint::frame_record(&record, &mut log);
+        log
+    };
     for (name, bytes, why) in [
         (
             "bad.json",
@@ -372,8 +376,13 @@ fn resume_from_garbage_exits_with_checkpoint_error() {
         ),
         (
             "v6.log",
-            v6,
+            old(6),
             "checkpoint version 6 was written by an earlier build",
+        ),
+        (
+            "v7.log",
+            old(7),
+            "checkpoint version 7 was written by an earlier build",
         ),
     ] {
         let ck = dir.join(name);
