@@ -164,10 +164,9 @@ fn tpch_session(reference: Option<Reference>) -> (TuningReport, String) {
 }
 
 /// The reference engine reproduces the TPC-H session's trace and
-/// report byte for byte. (The name is kept so the suite's test ids stay
-/// stable; sessions are single-threaded, so only the engine varies.)
+/// report byte for byte.
 #[test]
-fn tpch_traces_are_identical_across_modes_and_threads() {
+fn tpch_traces_are_identical_across_modes() {
     let (baseline_report, baseline_trace) = tpch_session(None);
     let (r, t) = tpch_session(Some(Reference::Costs));
     assert_eq!(

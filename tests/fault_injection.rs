@@ -54,11 +54,10 @@ fn fingerprint(report: &TuningReport) -> String {
 }
 
 /// Every faulted run is contained: it converges or runs out of
-/// iterations with a recommendation. (The name is kept so the suite's
-/// test ids stay stable; sessions are single-threaded, and run-to-run
-/// identity of faulted reports is `fault_records_are_deterministic`.)
+/// iterations with a recommendation. (Run-to-run identity of faulted
+/// reports is `fault_records_are_deterministic`.)
 #[test]
-fn faulted_runs_are_contained_and_thread_count_invariant() {
+fn faulted_runs_are_contained_and_deterministic() {
     for seed in [1, 9] {
         for rate in [0.02, 0.1, 0.3] {
             let baseline = run_faulted(seed, rate, usize::MAX);

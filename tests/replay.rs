@@ -36,10 +36,9 @@ fn run() -> (ReplayReport, String, String) {
 }
 
 /// A repeat run reproduces the rendered report and the trace byte for
-/// byte. (The name is kept so the suite's test ids stay stable; replay
-/// sessions are single-threaded.)
+/// byte.
 #[test]
-fn replay_is_byte_identical_across_threads_and_runs() {
+fn replay_is_byte_identical_across_runs() {
     let (_, baseline_render, baseline_trace) = run();
     assert!(!baseline_trace.is_empty());
     let (_, render, trace) = run();
