@@ -9,15 +9,45 @@
 
 use std::cell::RefCell;
 
+use pdtune::physical::Configuration;
 use pdtune::prelude::*;
 use pdtune::trace::Tracer;
+use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::{tpch, updates};
 
-fn session_inputs() -> (pdtune::catalog::Database, Workload) {
+type Inputs = (pdtune::catalog::Database, Workload);
+
+fn session_inputs() -> Inputs {
     let db = tpch::tpch_database(0.01);
     let spec = updates::with_updates(&db, &tpch::tpch_workload_variant(7, 6), 0.5, 7);
     let w = Workload::bind(&db, &spec.statements).unwrap();
     (db, w)
+}
+
+/// The generated-schema session with views and a 0.5 write mix, built
+/// like seed 62 of the `incremental_candidates` sweep. Its shortcut
+/// aborts price queries that later evaluations reuse, so its records
+/// carry cache entries from evaluations the search did not keep.
+fn views_updates_inputs() -> (Inputs, TunerOptions) {
+    let seed = 62;
+    let p = BenchParams {
+        name: format!("incr-{seed}"),
+        tables: 2,
+        max_columns: 6,
+        max_rows: 8e4,
+        seed,
+    };
+    let db = bench_database(&p);
+    let spec = bench_workload(&db, seed ^ 0xD17A, 5);
+    let spec = updates::with_updates(&db, &spec, 0.5, seed);
+    let w = Workload::bind(&db, &spec.statements).unwrap();
+    let options = TunerOptions {
+        space_budget: Some(Configuration::base(&db).size_bytes(&db) * 1.25),
+        max_iterations: 40,
+        with_views: true,
+        ..TunerOptions::default()
+    };
+    ((db, w), options)
 }
 
 fn options() -> TunerOptions {
@@ -48,15 +78,22 @@ fn run_collecting_opts(
     opts: &TunerOptions,
     every: usize,
 ) -> (TuningReport, String, Vec<(usize, String)>) {
-    let (db, w) = session_inputs();
+    run_collecting_on(&session_inputs(), opts, every)
+}
+
+fn run_collecting_on(
+    (db, w): &Inputs,
+    opts: &TunerOptions,
+    every: usize,
+) -> (TuningReport, String, Vec<(usize, String)>) {
     let tracer = Tracer::new();
     let collected: RefCell<Vec<(usize, String)>> = RefCell::new(Vec::new());
     let sink = |done: usize, body: &str| {
         collected.borrow_mut().push((done, body.to_string()));
     };
     let report = tune_session(
-        &db,
-        &w,
+        db,
+        w,
         opts,
         SessionCtl {
             tracer: Some(&tracer),
@@ -93,11 +130,14 @@ fn fold_every_prefix(records: &[(usize, String)]) -> Vec<(usize, Checkpoint)> {
 }
 
 fn resume_from_opts(ck: &Checkpoint, opts: &TunerOptions) -> (TuningReport, String) {
-    let (db, w) = session_inputs();
+    resume_on(&session_inputs(), ck, opts)
+}
+
+fn resume_on((db, w): &Inputs, ck: &Checkpoint, opts: &TunerOptions) -> (TuningReport, String) {
     let tracer = Tracer::new();
     let report = tune_session(
-        &db,
-        &w,
+        db,
+        w,
         opts,
         SessionCtl {
             tracer: Some(&tracer),
@@ -143,8 +183,13 @@ fn options_faulted() -> TunerOptions {
 
 #[test]
 fn resume_from_every_checkpoint_is_byte_identical() {
-    for (label, opts) in [("clean", options()), ("faulted", options_faulted())] {
-        let (baseline, baseline_trace, checkpoints) = run_collecting_opts(&opts, 7);
+    let (views_updates, views_updates_options) = views_updates_inputs();
+    for (label, inputs, opts) in [
+        ("clean", session_inputs(), options()),
+        ("faulted", session_inputs(), options_faulted()),
+        ("views+updates", views_updates, views_updates_options),
+    ] {
+        let (baseline, baseline_trace, checkpoints) = run_collecting_on(&inputs, &opts, 7);
         let baseline_fp = fingerprint(&baseline);
         assert!(
             checkpoints.len() >= 2,
@@ -160,7 +205,7 @@ fn resume_from_every_checkpoint_is_byte_identical() {
             );
         }
         for (done, ck) in &fold_every_prefix(&checkpoints) {
-            let (report, trace) = resume_from_opts(ck, &opts);
+            let (report, trace) = resume_on(&inputs, ck, &opts);
             assert_eq!(
                 baseline_fp,
                 fingerprint(&report),
