@@ -10,7 +10,7 @@
 use crate::ids::TableId;
 use crate::schema::{Column, DatabaseBuilder};
 use crate::stats::{ColumnStats, Histogram};
-use crate::types::{string_sort_key, ColumnType, SortKey};
+use crate::types::{ColumnType, SortKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,9 +65,7 @@ impl Distribution {
             }
             Distribution::StringPool { pool, avg_len } => {
                 // Deterministic pool member -> pseudo-string sort key.
-                let member = rng.gen_range(0..*pool);
-                let synth = synth_string(member, *avg_len);
-                string_sort_key(&synth)
+                synth_sort_key(rng.gen_range(0..*pool), *avg_len)
             }
             Distribution::Serial => rng.gen_range(0.0..rows.max(1.0)).floor(),
         }
@@ -112,7 +110,10 @@ fn zipf_sample(rng: &mut StdRng, n: u64, theta: f64) -> u64 {
     x.ceil().clamp(1.0, n as f64) as u64
 }
 
-/// A deterministic synthetic string for pool member `i`.
+/// A deterministic synthetic string for pool member `i`. Sampling
+/// needs only its sort key, [`synth_sort_key`]; the string is that
+/// key's test oracle.
+#[cfg(test)]
 fn synth_string(i: u64, len: u16) -> String {
     let mut s = String::with_capacity(len as usize);
     let mut v = i.wrapping_mul(0x9E3779B97F4A7C15);
@@ -122,6 +123,22 @@ fn synth_string(i: u64, len: u16) -> String {
         v = v.rotate_left(11).wrapping_mul(0x2545F4914F6CDD1D) ^ i;
     }
     s
+}
+
+/// `string_sort_key(&synth_string(i, len))`, bit for bit, without
+/// building the string: the key reads only the first 8 bytes, so only
+/// those are generated (same recurrence, same accumulation order).
+fn synth_sort_key(i: u64, len: u16) -> SortKey {
+    let mut acc = 0.0f64;
+    let mut scale = 1.0f64 / 256.0;
+    let mut v = i.wrapping_mul(0x9E3779B97F4A7C15);
+    for _ in 0..len.clamp(1, 8) {
+        let c = b'a' + (v % 26) as u8;
+        acc += (c as f64) * scale;
+        scale /= 256.0;
+        v = v.rotate_left(11).wrapping_mul(0x2545F4914F6CDD1D) ^ i;
+    }
+    acc
 }
 
 /// Specification of one synthetic column.
@@ -211,6 +228,20 @@ fn fxhash(s: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::schema::Database;
+
+    #[test]
+    fn synth_sort_key_equals_the_key_of_the_string() {
+        use crate::types::string_sort_key;
+        for i in [0, 1, 2, 25, 26, 1_000, 123_456_789, u64::MAX / 3, u64::MAX] {
+            for len in 0..=120u16 {
+                assert_eq!(
+                    synth_sort_key(i, len).to_bits(),
+                    string_sort_key(&synth_string(i, len)).to_bits(),
+                    "member {i}, len {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {
