@@ -51,8 +51,12 @@ impl SizeModel {
         (self.usable() / entry_width.max(1.0)).max(2.0).floor()
     }
 
-    /// Total pages of a B-tree with `rows` leaf entries.
+    /// Total pages of a B-tree with `rows` leaf entries; infinite when
+    /// `rows` is not finite (a cardinality estimate that overflowed).
     pub fn btree_pages(&self, rows: f64, leaf_width: f64, internal_width: f64) -> f64 {
+        if !rows.is_finite() {
+            return f64::INFINITY;
+        }
         let rows = rows.max(1.0);
         let pl = self.entries_per_page(leaf_width);
         let pi = self.entries_per_page(internal_width);
@@ -228,6 +232,14 @@ mod tests {
     fn tiny_tables_take_one_page() {
         let m = SizeModel::default();
         assert_eq!(m.btree_pages(1.0, 50.0, 20.0), 1.0);
+    }
+
+    #[test]
+    fn an_infinite_row_count_is_an_infinite_tree() {
+        let m = SizeModel::default();
+        assert_eq!(m.btree_pages(f64::INFINITY, 100.0, 20.0), f64::INFINITY);
+        assert_eq!(m.btree_pages(f64::NAN, 100.0, 20.0), f64::INFINITY);
+        assert!(m.btree_pages(f64::MAX, 100.0, 20.0).is_finite());
     }
 
     #[test]

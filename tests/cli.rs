@@ -1,7 +1,8 @@
 //! CLI smoke tests: every subcommand runs end-to-end on a small
 //! database and produces the expected sections.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn pdtune(args: &[&str]) -> (bool, String, String) {
     let (code, stdout, stderr) = pdtune_env(args, &[]);
@@ -43,6 +44,43 @@ fn tune_prints_recommendation() {
     assert!(stdout.contains("initial"), "{stdout}");
     assert!(stdout.contains("optimal"), "{stdout}");
     assert!(stdout.contains("recommended physical design"), "{stdout}");
+}
+
+/// A scale factor whose cardinality estimates overflow to infinity
+/// must still finish: an infinitely large structure never fits the
+/// budget, it does not hang the size model.
+#[test]
+fn tune_finishes_when_cardinalities_overflow() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pdtune"))
+        .args([
+            "tune",
+            "--db",
+            "tpch",
+            "--sf",
+            "1e100",
+            "--queries",
+            "4",
+            "--iterations",
+            "5",
+            "--budget",
+            "10M",
+        ])
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("tune at sf 1e100 did not finish within 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(0));
 }
 
 #[test]
