@@ -4,8 +4,10 @@
 //! tuning job. It is deliberately a pure value: the daemon persists it
 //! in the session's manifest before acknowledging the submit, and
 //! every later run of the session — first attempt, resume after
-//! `kill -9`, resume after graceful drain — rebuilds the database,
-//! workload, and [`TunerOptions`] from the persisted spec alone. That
+//! `kill -9`, resume after graceful drain — derives the database,
+//! workload, and [`TunerOptions`] from the persisted spec alone (the
+//! database through the daemon's catalog table, keyed by
+//! [`JobSpec::catalog_key`]). That
 //! is what makes recovered sessions byte-identical: the options
 //! signature is a pure function of the spec, so the PR 3 checkpoint
 //! machinery accepts the recovered checkpoint and replays it exactly.
@@ -16,6 +18,10 @@ use pdt_tuner::{FaultPlan, StopToken, TunerOptions, Workload};
 use pdt_workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdt_workloads::star::{star_database, star_workload, StarParams};
 use pdt_workloads::{tpch, WorkloadSpec};
+
+/// What a built catalog depends on: the database name, plus the scale
+/// factor's bits for the one builder that reads it.
+pub type CatalogKey = (String, Option<u64>);
 
 /// Largest generated workload a spec may ask for; the generators
 /// allocate and bind one statement per requested query.
@@ -245,6 +251,14 @@ impl JobSpec {
             }
         }
         Ok(())
+    }
+
+    /// Everything [`JobSpec::build_database`] reads: two specs with the
+    /// same key build identical catalogs. Only TPC-H scales with `sf`;
+    /// the other builders ignore it.
+    pub fn catalog_key(&self) -> CatalogKey {
+        let sf_bits = (self.db == "tpch").then(|| self.sf.to_bits());
+        (self.db.clone(), sf_bits)
     }
 
     pub fn build_database(&self) -> Result<Database, String> {

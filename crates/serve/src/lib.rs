@@ -14,8 +14,10 @@
 //!   fsync) and the bounded-retry/backoff policy, with deterministic
 //!   I/O fault injection;
 //! - [`job`] — [`job::JobSpec`], the pure-data description of one job
-//!   from which database, workload, and options are rebuilt on every
+//!   from which database, workload, and options are derived on every
 //!   (re)run;
+//! - [`catalogs`] — the daemon's table of built catalogs, one shared
+//!   `Arc<Database>` per [`job::JobSpec::catalog_key`];
 //! - [`manifest`] — the WAL-style per-session state record that makes
 //!   accepted jobs unlosable;
 //! - [`session`] — the fault-isolated run of one session
@@ -27,6 +29,7 @@
 //! - [`client`] — a blocking client with retries, timeouts, and
 //!   backpressure-honoring submit (used by `pdtune job` and tests).
 
+pub mod catalogs;
 pub mod client;
 pub mod daemon;
 pub mod durable;
@@ -35,6 +38,7 @@ pub mod manifest;
 pub mod protocol;
 pub mod session;
 
+pub use catalogs::CatalogTable;
 pub use client::Client;
 pub use daemon::{serve, ServeOptions};
 pub use durable::{atomic_write, AppendLog, DurableWriter, RetryPolicy};

@@ -8,6 +8,7 @@
 
 #![cfg(unix)]
 
+use pdtune::tuner::Checkpoint;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -264,6 +265,68 @@ fn kill_mid_append_recovery_is_byte_identical() {
     }
     assert!(torn_any, "five crashes and never a session mid-run");
     let _ = std::fs::remove_dir_all(&control_dir);
+}
+
+/// The checkpoint a log folds to after each of its records, rendered
+/// with the per-phase wall clock zeroed: a record stores how long each
+/// phase took, the one field two runs of one session may differ in.
+fn checkpoint_records(log: &Path) -> Vec<String> {
+    let bytes = std::fs::read(log).unwrap();
+    let ends = bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1);
+    ends.map(|end| {
+        let (mut ck, kept) = Checkpoint::from_log(&bytes[..end]).unwrap();
+        assert_eq!(kept, end, "{}: record torn", log.display());
+        for p in ck.trace.iter_mut().flat_map(|t| &mut t.state.phases) {
+            p.elapsed = Duration::ZERO;
+        }
+        ck.to_json_string()
+    })
+    .collect()
+}
+
+/// Jobs over the same `(db, sf)` run against one shared catalog. A job
+/// that ran second, on the catalog its predecessor built, must leave
+/// the same artifacts, byte for byte, as the same job run alone on a
+/// fresh daemon that builds the catalog for it.
+#[test]
+fn a_shared_catalog_leaves_the_artifacts_of_a_fresh_one() {
+    let shared_dir = scratch("catalog-shared");
+    let daemon = start_daemon(&shared_dir, &["--slots", "1"]);
+    let shared_ids = [
+        submit(&shared_dir, &[]),
+        submit(&shared_dir, &["--seed", "5"]),
+    ];
+    for id in &shared_ids {
+        assert_eq!(wait_done(&shared_dir, id), (0, "done".to_string()), "{id}");
+    }
+    shutdown_and_join(&shared_dir, daemon);
+
+    let alone_dir = scratch("catalog-alone");
+    let daemon = start_daemon(&alone_dir, &["--slots", "1"]);
+    let alone = submit(&alone_dir, &["--seed", "5"]);
+    assert_eq!(wait_done(&alone_dir, &alone), (0, "done".to_string()));
+    shutdown_and_join(&alone_dir, daemon);
+
+    for artifact in ["report.txt", "trace.jsonl"] {
+        assert_eq!(
+            read(&session_file(&shared_dir, &shared_ids[1], artifact)),
+            read(&session_file(&alone_dir, &alone, artifact)),
+            "{artifact}: a shared catalog must not move a byte"
+        );
+    }
+    let records = checkpoint_records(&session_file(&shared_dir, &shared_ids[1], "checkpoint.log"));
+    assert!(!records.is_empty(), "the job never checkpointed");
+    assert_eq!(
+        records,
+        checkpoint_records(&session_file(&alone_dir, &alone, "checkpoint.log")),
+        "checkpoint.log: a shared catalog must not move a record"
+    );
+    let _ = std::fs::remove_dir_all(&shared_dir);
+    let _ = std::fs::remove_dir_all(&alone_dir);
 }
 
 extern "C" {
