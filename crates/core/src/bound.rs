@@ -15,10 +15,12 @@
 //!   a sort when a relied-upon order is lost.
 //!
 //! Removed views use the `CBV` fallback: the cost of computing the view
-//! from the base configuration plus a scan per former index usage.
+//! with the access paths of the configuration being relaxed (the paper's
+//! refinement, which costs it against `C − {V}` rather than the base
+//! configuration), plus a scan per former index usage.
 
 use crate::eval::{EvalResult, ShellTable};
-use crate::transform::TransformDelta;
+use crate::transform::{TransformDelta, Transformation};
 use crate::workload::Workload;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::{CostModel, IndexUsage, UsageKind};
@@ -131,14 +133,11 @@ impl ViewBuildCosts {
                     return false;
                 };
                 let on_view_table = |i: &Index| v.def.tables.contains(&i.table);
-                let invalidates = |r: &Index| {
-                    on_view_table(r)
-                        && (r.clustered
-                            || v.def.ranges.iter().any(|p| p.column == r.key[0])
-                            || usages.iter().any(|u| u.index == *r))
-                };
                 !delta.added_indexes.iter().any(on_view_table)
-                    && !delta.removed_indexes.iter().any(invalidates)
+                    && !delta
+                        .removed_indexes
+                        .iter()
+                        .any(|r| rebuild_reads(v, usages, r))
             })
             .map(|(id, entry)| (*id, entry.clone()))
             .collect();
@@ -171,6 +170,17 @@ impl ViewBuildCosts {
         }
         costs.len()
     }
+}
+
+/// The removal arm of [`ViewBuildCosts::carried`]: whether removing `r`
+/// can change the CBV of `v` whose rebuild plan leaned on `usages` —
+/// `r` is on a table of `v`'s definition and is used by the rebuild,
+/// clustered, or seekable for `v`.
+fn rebuild_reads(v: &MaterializedView, usages: &[IndexUsage], r: &Index) -> bool {
+    v.def.tables.contains(&r.table)
+        && (r.clustered
+            || v.def.ranges.iter().any(|p| p.column == r.key[0])
+            || usages.iter().any(|u| u.index == *r))
 }
 
 /// The refined CBV of `v` under `config`, with the rebuild plan's
@@ -299,6 +309,23 @@ pub(crate) struct BoundNode<'n> {
     pub view_costs: &'n ViewBuildCosts,
 }
 
+impl BoundNode<'_> {
+    /// Entry `entry`'s own term, `weight · (select + shell)` under this
+    /// configuration: its term in the bound of every step that does not
+    /// touch it ([`touched_terms`]).
+    pub fn term(&self, workload: &Workload, entry: usize) -> f64 {
+        workload.entries[entry].weight
+            * (self.prev.per_query[entry].select_cost + self.shells.fold(entry))
+    }
+
+    /// [`term`](Self::term) of every entry, in entry order.
+    pub fn terms(&self, workload: &Workload) -> Vec<f64> {
+        (0..workload.entries.len())
+            .map(|i| self.term(workload, i))
+            .collect()
+    }
+}
+
 /// Synthesize a full [`EvalResult`] for the relaxed configuration from the
 /// §3.3.2 bound machinery alone — the *estimate-serving* path of the
 /// approximate tier (`TunerOptions::optimizer_call_budget`). No
@@ -373,8 +400,8 @@ pub(crate) fn bound_served_eval(
                 );
                 select += (patch - usage.access_cost()).max(0.0);
                 match source {
-                    PatchSource::Structure(w) => kept.push(w),
-                    PatchSource::Heap => {}
+                    PatchSource::Structure(w) => kept.push(witness(usage, delta, w, patch)),
+                    PatchSource::Heap(_) => {}
                     PatchSource::Rebuild(ws) => kept.extend(ws.iter().cloned()),
                 }
             }
@@ -402,11 +429,14 @@ pub(crate) fn bound_served_eval(
     )
 }
 
-/// The §3.3.2 bound of `delta` applied to `node`'s configuration;
-/// `restricted` skips the select-side patch loop for queries the step
-/// does not affect (see [`cost_upper_bound_restricted`]). Shells are
-/// exact (closed form) under the new configuration, folded from the
-/// node's shell table.
+/// The §3.3.2 bound of `delta` applied to `node`'s configuration: the
+/// fold of its touched terms over the node's own ([`touched_terms`],
+/// [`fold_touched`]). Restricted, only the entries the step touches are
+/// priced, O(touched) instead of O(workload); unrestricted, every entry
+/// is — the from-scratch form behind [`cost_upper_bound`], which reads
+/// none of the node's own terms. Both add `weight · (select + shell)`
+/// in entry order, and an untouched entry's term is the node's own bit
+/// for bit, so the two agree exactly.
 pub(crate) fn node_bound(
     db: &Database,
     model: &CostModel,
@@ -415,6 +445,32 @@ pub(crate) fn node_bound(
     delta: &TransformDelta,
     restricted: bool,
 ) -> f64 {
+    let terms = touched_terms(db, model, workload, node, delta, restricted, None);
+    fold_touched(workload.entries.len(), |i| node.term(workload, i), &terms)
+}
+
+/// The entries `delta` *touches* on `node`, each with its term
+/// `weight · (select + shell)` under the relaxed configuration, in
+/// entry order. An entry is touched when its plan uses a structure the
+/// step removes (its select side is patched), or when the step can
+/// change its shell fold: its shell row holds a removed index, the step
+/// adds an index, or the step flips whether the configuration has any
+/// index (the fold's `+0.0`, see `ShellTable`). Every other entry's
+/// term under the step is [`BoundNode::term`] bit for bit. Unrestricted,
+/// every entry counts as touched.
+///
+/// With `deps`, each patch also records what it read beyond its entry
+/// ([`PatchDep`]), once per distinct dependency.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn touched_terms(
+    db: &Database,
+    model: &CostModel,
+    workload: &Workload,
+    node: &BoundNode<'_>,
+    delta: &TransformDelta,
+    restricted: bool,
+    mut deps: Option<&mut Vec<PatchDep>>,
+) -> Vec<(usize, f64)> {
     let BoundNode {
         prev,
         config: old_config,
@@ -424,18 +480,27 @@ pub(crate) fn node_bound(
     let old_schema = PhysicalSchema::new(db, old_config);
     let new_schema = old_schema.relaxed(&delta.removed_views, delta.added_view.as_ref());
     let new_shells = shells.relaxed(model, &new_schema, old_config, delta);
-    let mut total = 0.0;
-
+    let removed = &delta.removed_indexes;
+    let any_index =
+        !delta.added_indexes.is_empty() || old_config.indexes().any(|i| !removed.contains(i));
+    let every_shell = !delta.added_indexes.is_empty() || any_index != shells.any_index();
+    let mut terms = Vec::new();
     for (i, (entry, q)) in workload.entries.iter().zip(&prev.per_query).enumerate() {
+        let patched = q.uses_any(removed, &delta.removed_views);
+        let reshelled = entry.shell.is_some()
+            && (every_shell || shells.terms(i).iter().any(|(x, _)| removed.contains(x)));
+        if restricted && !patched && !reshelled {
+            continue;
+        }
         let mut select = q.select_cost;
-        if !restricted || q.uses_any(&delta.removed_indexes, &delta.removed_views) {
+        if patched {
             for usage in q.usages.iter() {
-                let removed_index = delta.removed_indexes.contains(&usage.index);
-                let removed_view = delta.removed_views.contains(&usage.index.table);
-                if !removed_index && !removed_view {
+                if !removed.contains(&usage.index)
+                    && !delta.removed_views.contains(&usage.index.table)
+                {
                     continue;
                 }
-                let (patch, _) = replacement_cost(
+                let (patch, source) = replacement_cost(
                     db,
                     model,
                     &old_schema,
@@ -446,31 +511,273 @@ pub(crate) fn node_bound(
                     view_costs,
                 );
                 select += (patch - usage.access_cost()).max(0.0);
+                if let Some(deps) = deps.as_deref_mut() {
+                    let dep = source.dep(usage);
+                    if !deps.contains(&dep) {
+                        deps.push(dep);
+                    }
+                }
             }
         }
         let shell = entry.shell.as_ref().map_or(0.0, |s| new_shells.cost(i, s));
-        total += entry.weight * (select + shell);
+        terms.push((i, entry.weight * (select + shell)));
+    }
+    terms
+}
+
+/// `Σ_i term_i` in entry order over `entries` entries: the touched
+/// entries' terms from `touched` (sorted by entry), every other entry's
+/// from `node_term`. The additions and their order do not depend on
+/// which entries are touched, so a restricted fold is the unrestricted
+/// one bit for bit whenever the untouched terms are.
+pub(crate) fn fold_touched(
+    entries: usize,
+    node_term: impl Fn(usize) -> f64,
+    touched: &[(usize, f64)],
+) -> f64 {
+    let mut touched = touched.iter().peekable();
+    let mut total = 0.0;
+    for i in 0..entries {
+        total += match touched.next_if(|(at, _)| *at == i) {
+            Some((_, term)) => *term,
+            None => node_term(i),
+        };
     }
     total
+}
+
+/// A step's §3.3 estimates `(ΔT, ΔS)` from its bound's ΔT and the space
+/// it frees; `None` when it neither frees space nor lowers the bound.
+pub(crate) fn estimates(delta_t: f64, delta_bytes: f64) -> Option<(f64, f64)> {
+    if delta_bytes <= 0.0 && delta_t >= 0.0 {
+        return None;
+    }
+    Some((delta_t, delta_bytes))
+}
+
+/// What a §3.3.2 patch read beyond its entry's evaluation and shell
+/// row: removing one of the structures it names can change the patch.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum PatchDep {
+    /// A patch over `table`'s surviving structures, won by `source`
+    /// (`None`: the heap). The patch is a first-strict-minimum argmin
+    /// over per-index candidates whose costs do not depend on one
+    /// another, plus a scan baseline through the clustered index: only
+    /// removing the winner or the clustered index can move it.
+    Source {
+        table: TableId,
+        source: Option<Index>,
+    },
+    /// A CBV patch: `view` rebuilt through `usages` (the rebuild plan's
+    /// index usages). It reads what the view's CBV entry reads
+    /// ([`ViewBuildCosts::carried`]).
+    Rebuild {
+        view: TableId,
+        usages: Arc<[IndexUsage]>,
+    },
+}
+
+impl PatchDep {
+    /// Whether removing `removed` from `config` can change the patch.
+    fn reads(&self, config: &Configuration, removed: &Index) -> bool {
+        match self {
+            PatchDep::Source { table, source } => {
+                removed.table == *table && (removed.clustered || source.as_ref() == Some(removed))
+            }
+            PatchDep::Rebuild { view, usages } => config
+                .view(*view)
+                .is_none_or(|v| rebuild_reads(v, usages, removed)),
+        }
+    }
+}
+
+/// A pre-pass removal's §3.3.2 score ingredients, carried from step to
+/// step beside the removal list (DESIGN.md §13, "Node facts"): its
+/// space delta, its touched terms ([`touched_terms`]) and what its
+/// patches read. The score on any node the ingredients are valid for is
+/// their fold over the node's own terms ([`score`](Self::score)), which
+/// is the restricted bound bit for bit. After a step,
+/// [`stale`](Self::stale) says whether the step can have changed them.
+#[derive(Debug, Clone)]
+pub(crate) struct RemovalScore {
+    delta_bytes: f64,
+    terms: Vec<(usize, f64)>,
+    deps: Vec<PatchDep>,
+    /// How many indexes the removal drops.
+    removed_indexes: usize,
+    /// How many indexes the configuration it was priced on had.
+    node_indexes: usize,
+}
+
+/// Why a step can have changed a carried [`RemovalScore`]: the arms of
+/// the carry rule, in the order [`RemovalScore::stale`] tries them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stale {
+    /// (a) The removal touches an entry the step touched: that entry
+    /// was re-evaluated, or its shell row lost a term.
+    SharedEntry,
+    /// (b) The step removed an index one of the removal's patches read
+    /// ([`PatchDep`]).
+    PatchInput,
+    /// (b′) The removal drops a view and the step removed one of that
+    /// view's indexes: the removal itself changed.
+    ViewIndex,
+    /// (c) An entry the step re-evaluated now uses a structure the
+    /// removal drops.
+    NewUse,
+    /// (d) The step flipped whether the configuration, or the
+    /// removal's relaxation of it, has any index.
+    IndexFlag,
+}
+
+impl Stale {
+    const ARMS: [Stale; 5] = [
+        Stale::SharedEntry,
+        Stale::PatchInput,
+        Stale::ViewIndex,
+        Stale::NewUse,
+        Stale::IndexFlag,
+    ];
+}
+
+/// A removal step just applied, as [`RemovalScore::stale`] reads it:
+/// its score on the node it was applied to, its delta, and the child's
+/// configuration and evaluation.
+pub(crate) struct RemovalStep<'s> {
+    pub score: &'s RemovalScore,
+    pub delta: &'s TransformDelta,
+    pub config: &'s Configuration,
+    pub eval: &'s EvalResult,
+}
+
+impl RemovalScore {
+    /// Price the removal `delta` (described against `node.config`)
+    /// from scratch.
+    pub(crate) fn price(
+        db: &Database,
+        model: &CostModel,
+        workload: &Workload,
+        node: &BoundNode<'_>,
+        delta: &TransformDelta,
+    ) -> RemovalScore {
+        debug_assert!(
+            delta.added_indexes.is_empty() && delta.added_view.is_none(),
+            "a carried pre-pass score prices a removal"
+        );
+        let mut deps = Vec::new();
+        let terms = touched_terms(db, model, workload, node, delta, true, Some(&mut deps));
+        RemovalScore {
+            delta_bytes: delta.delta_bytes,
+            terms,
+            deps,
+            removed_indexes: delta.removed_indexes.len(),
+            node_indexes: node.config.index_count(),
+        }
+    }
+
+    /// The removal's [`estimates`] on a node whose own terms are
+    /// `node_terms` and whose cost is `node_cost`.
+    pub(crate) fn score(&self, node_terms: &[f64], node_cost: f64) -> Option<(f64, f64)> {
+        let bound = fold_touched(node_terms.len(), |i| node_terms[i], &self.terms);
+        estimates(bound - node_cost, self.delta_bytes)
+    }
+
+    /// The arms of the carry rule under which `step` can have changed
+    /// the ingredients of `removal` (whose score this is, priced on the
+    /// node `step` was applied to or carried to it): empty iff they are
+    /// still exact for the child. Beyond the touched entries, a touched
+    /// term reads only the structures its patches name, so nothing
+    /// else can move it.
+    pub(crate) fn stale<'s>(
+        &'s self,
+        removal: &'s Transformation,
+        step: &'s RemovalStep<'s>,
+    ) -> impl Iterator<Item = Stale> + 's {
+        debug_assert!(
+            step.delta.added_indexes.is_empty() && step.delta.added_view.is_none(),
+            "the pre-pass steps by removals"
+        );
+        Stale::ARMS
+            .into_iter()
+            .filter(move |arm| self.holds(*arm, removal, step))
+    }
+
+    fn holds(&self, arm: Stale, removal: &Transformation, step: &RemovalStep<'_>) -> bool {
+        let removed = &step.delta.removed_indexes;
+        match arm {
+            Stale::SharedEntry => shares_entry(&self.terms, &step.score.terms),
+            Stale::PatchInput => self
+                .deps
+                .iter()
+                .any(|d| removed.iter().any(|x| d.reads(step.config, x))),
+            Stale::ViewIndex => match removal {
+                Transformation::RemoveView { view } => removed.iter().any(|x| x.table == *view),
+                _ => false,
+            },
+            Stale::NewUse => step.score.terms.iter().any(|(i, _)| {
+                step.eval.per_query[*i]
+                    .usages
+                    .iter()
+                    .any(|u| drops(removal, u))
+            }),
+            Stale::IndexFlag => {
+                let flags = |n: usize| (n > 0, n > self.removed_indexes);
+                flags(self.node_indexes) != flags(step.config.index_count())
+            }
+        }
+    }
+
+    /// Panic unless these ingredients equal `fresh`, a scratch pricing
+    /// of the same removal on the same node, bit for bit: the check
+    /// behind [`stale`](Self::stale).
+    pub(crate) fn assert_matches(&self, fresh: &RemovalScore, removal: &Transformation) {
+        assert!(
+            self.matches(fresh),
+            "carried pre-pass score of {removal} diverged from scratch pricing"
+        );
+    }
+
+    fn matches(&self, fresh: &RemovalScore) -> bool {
+        let same_terms = self.terms.len() == fresh.terms.len()
+            && self
+                .terms
+                .iter()
+                .zip(&fresh.terms)
+                .all(|((i, t), (j, u))| i == j && t.to_bits() == u.to_bits());
+        same_terms
+            && self.deps == fresh.deps
+            && self.delta_bytes.to_bits() == fresh.delta_bytes.to_bits()
+            && self.removed_indexes == fresh.removed_indexes
+    }
+}
+
+/// Whether two entry-sorted term lists share an entry.
+fn shares_entry(a: &[(usize, f64)], b: &[(usize, f64)]) -> bool {
+    a.iter()
+        .any(|(i, _)| b.binary_search_by_key(i, |(j, _)| *j).is_ok())
+}
+
+/// Whether `usage` is on a structure `removal` drops — the test
+/// [`touched_terms`] applies to a plan (`QueryEval::uses_any` over the
+/// removal's delta).
+fn drops(removal: &Transformation, usage: &IndexUsage) -> bool {
+    match removal {
+        Transformation::RemoveIndex { index } => usage.index == *index,
+        Transformation::RemoveView { view } => usage.index.table == *view,
+        _ => true,
+    }
 }
 
 /// What the winning patch plan depends on — the part of the answer a
 /// served evaluation must remember so *later* transformations still
 /// see the dependency.
-//
-// The variant sizes are lopsided (a full inline `IndexUsage` vs two
-// pointers), but the value is a transient return on the bound-pricing
-// hot path — boxing the common variant would trade a stack move for a
-// heap allocation per priced usage.
-#[allow(clippy::large_enum_variant)]
-enum PatchSource {
-    /// The patch scans or seeks a removable structure: a witness usage
-    /// carrying the whole patch as its access cost, so a subsequent
-    /// removal of that structure re-patches at least the increment.
-    Structure(IndexUsage),
-    /// The patch runs on the table heap — irremovable, nothing to
-    /// remember.
-    Heap,
+enum PatchSource<'a> {
+    /// The patch scans or seeks a removable structure; a served
+    /// evaluation records a [`witness`] usage on it.
+    Structure(&'a Index),
+    /// The patch runs on the heap of the table — irremovable, nothing
+    /// to remember.
+    Heap(TableId),
     /// The structure's table vanished and the patch rebuilds the view
     /// with the *current* configuration's access paths (the paper's
     /// refined CBV). The rebuild plan's own index usages — real
@@ -481,20 +788,76 @@ enum PatchSource {
     Rebuild(Arc<[IndexUsage]>),
 }
 
+impl PatchSource<'_> {
+    /// The [`PatchDep`] of the patch of `usage` this source won.
+    fn dep(self, usage: &IndexUsage) -> PatchDep {
+        match self {
+            PatchSource::Structure(index) => PatchDep::Source {
+                table: index.table,
+                source: Some(index.clone()),
+            },
+            PatchSource::Heap(table) => PatchDep::Source {
+                table,
+                source: None,
+            },
+            PatchSource::Rebuild(usages) => PatchDep::Rebuild {
+                view: usage.index.table,
+                usages,
+            },
+        }
+    }
+}
+
+/// The usage a served evaluation records for a patch of `usage` that
+/// costs `patch` and was won by `index`. It is deliberately coarse: a
+/// scan-shaped usage whose access I/O is the *entire* patch. A future
+/// removal of `index` then charges `(next_patch - patch)⁺` on top —
+/// never less than the true increment, so the §3.3.2 upper-bound
+/// guarantee survives chained servings.
+fn witness(usage: &IndexUsage, delta: &TransformDelta, index: &Index, patch: f64) -> IndexUsage {
+    let map_col = |c: &ColumnId| -> ColumnId { delta.col_map.get(c).copied().unwrap_or(*c) };
+    IndexUsage {
+        index: index.clone(),
+        kind: UsageKind::Scan,
+        access_io: patch.max(0.0),
+        access_cpu: 0.0,
+        rows: usage.rows,
+        provided_order: usage
+            .provided_order
+            .as_ref()
+            .map(|o| o.iter().map(|(c, d)| (map_col(c), *d)).collect()),
+        // What a lookup-free replacement must provide: the output
+        // columns and every predicate column.
+        provided_columns: usage
+            .provided_columns
+            .iter()
+            .chain(&usage.resid_pred_cols)
+            .chain(usage.seek_col_sels.iter().map(|(c, _, _)| c))
+            .map(map_col)
+            .collect(),
+        followed_by_lookup: false,
+        seek_col_sels: Vec::new(),
+        total_preds: usage.total_preds,
+        resid_pred_cols: BTreeSet::new(),
+        resid_filter_cpu: 0.0,
+        executions: usage.executions,
+    }
+}
+
 /// Cost of answering one former index usage with the relaxed
 /// configuration's structures (the patch plan of Fig. 7), plus the
 /// [`PatchSource`] the winning plan depends on.
 #[allow(clippy::too_many_arguments)]
-fn replacement_cost(
+fn replacement_cost<'a>(
     db: &Database,
     model: &CostModel,
     old_schema: &PhysicalSchema<'_>,
     new_schema: &PhysicalSchema<'_>,
-    old_config: &Configuration,
-    delta: &TransformDelta,
+    old_config: &'a Configuration,
+    delta: &'a TransformDelta,
     usage: &IndexUsage,
     view_costs: &ViewBuildCosts,
-) -> (f64, PatchSource) {
+) -> (f64, PatchSource<'a>) {
     let size_model = SizeModel::default();
     // Map the usage into the merged view's column space if applicable.
     let mapped_table = if usage.index.table.is_view() {
@@ -599,11 +962,11 @@ fn replacement_cost(
     // `best_access_path`, so the patch never undercuts a plan the
     // optimizer will actually enumerate.
     let candidates = delta.child_indexes_on(old_config, target_table);
-    let mut best_src: Option<Index> = None;
+    let mut best_src: Option<&Index> = None;
     let mut best = {
         let scan = match candidates.iter().copied().find(|i| i.clustered) {
             Some(ci) => {
-                best_src = Some(ci.clone());
+                best_src = Some(ci);
                 model.full_scan(model.index_pages(new_schema, ci), table_rows)
             }
             None => model.full_scan(table_pages, table_rows),
@@ -720,34 +1083,12 @@ fn replacement_cost(
         compensation(&mut cost);
         if cost < best {
             best = cost;
-            best_src = Some(candidate.clone());
+            best_src = Some(candidate);
         }
     }
-    // The witness is deliberately coarse: a scan-shaped usage whose
-    // access I/O is the *entire* patch. A future removal of the source
-    // structure then charges `(next_patch - patch)⁺` on top — never
-    // less than the true increment, so the §3.3.2 upper-bound
-    // guarantee survives chained servings.
     let source = match best_src {
-        None => PatchSource::Heap,
-        Some(index) => PatchSource::Structure(IndexUsage {
-            index,
-            kind: UsageKind::Scan,
-            access_io: best.max(0.0),
-            access_cpu: 0.0,
-            rows: usage.rows,
-            provided_order: usage
-                .provided_order
-                .as_ref()
-                .map(|o| o.iter().map(|(c, d)| (map_col(c), *d)).collect()),
-            provided_columns: full_needed.iter().copied().collect(),
-            followed_by_lookup: false,
-            seek_col_sels: Vec::new(),
-            total_preds: usage.total_preds,
-            resid_pred_cols: BTreeSet::new(),
-            resid_filter_cpu: 0.0,
-            executions: usage.executions,
-        }),
+        None => PatchSource::Heap(target_table),
+        Some(index) => PatchSource::Structure(index),
     };
     (best, source)
 }
@@ -755,8 +1096,8 @@ fn replacement_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_full;
-    use crate::transform::{apply, Transformation};
+    use crate::eval::{evaluate_full, evaluate_incremental};
+    use crate::transform::{apply, describe};
     use pdt_catalog::{ColumnStats, ColumnType};
     use pdt_opt::Optimizer;
     use pdt_physical::Index;
@@ -938,6 +1279,275 @@ mod tests {
             "dropping a write-only index lowers cost: {bound} vs {}",
             eval.total_cost
         );
+    }
+
+    /// One table `h(a, b, c)` of a million rows and no primary key: its
+    /// base configuration has no index, so a clustered index on it is
+    /// removable and a removal can leave the configuration index-free.
+    fn heap_db() -> Database {
+        let mut b = Database::builder("h");
+        let mk = |name: &str, ndv: f64| pdt_catalog::Column {
+            name: name.into(),
+            ty: ColumnType::Int,
+            stats: ColumnStats::uniform(ndv, 0.0, ndv, 4.0),
+        };
+        b.add_table(
+            "h",
+            1_000_000.0,
+            vec![mk("a", 10_000.0), mk("b", 100.0), mk("c", 1_000.0)],
+            vec![],
+        );
+        b.build()
+    }
+
+    /// One pre-pass step in miniature: price `removal` on `config`, step
+    /// by `winner`, re-evaluate incrementally, and price `removal` again
+    /// on the child. Returns the carry rule's arms for `removal` and
+    /// whether its carried ingredients still equal the fresh ones. The
+    /// fresh score is checked against the unrestricted bound on the way.
+    fn carry_step(
+        db: &Database,
+        sql: &str,
+        config: &Configuration,
+        winner: Transformation,
+        removal: Transformation,
+    ) -> (Vec<Stale>, bool) {
+        let w = Workload::bind(db, &parse_workload(sql).unwrap()).unwrap();
+        let opt = Optimizer::new(db);
+        let model = CostModel::default();
+        let price = |config: &Configuration, eval: &EvalResult, t: &Transformation| {
+            let shells = ShellTable::build(&model, &PhysicalSchema::new(db, config), &w);
+            let vc = ViewBuildCosts::new();
+            let node = BoundNode {
+                prev: eval,
+                config,
+                shells: &shells,
+                view_costs: &vc,
+            };
+            let delta = describe(t, config, db, &opt).unwrap();
+            let score = RemovalScore::price(db, &model, &w, &node, &delta);
+            let full = node_bound(db, &model, &w, &node, &delta, false);
+            let folded = fold_touched(w.entries.len(), |i| node.term(&w, i), &score.terms);
+            assert_eq!(folded.to_bits(), full.to_bits(), "{t}: fold vs full bound");
+            score
+        };
+        let eval = evaluate_full(db, &opt, config, &w);
+        let won = price(config, &eval, &winner);
+        let carried = price(config, &eval, &removal);
+        let step = apply(&winner, config, db, &opt).unwrap();
+        let child_eval = evaluate_incremental(
+            db,
+            &opt,
+            &step.config,
+            &w,
+            &eval,
+            &step.removed_indexes,
+            &step.removed_views,
+            None,
+        )
+        .unwrap();
+        let arms = carried
+            .stale(
+                &removal,
+                &RemovalStep {
+                    score: &won,
+                    delta: &step.delta,
+                    config: &step.config,
+                    eval: &child_eval,
+                },
+            )
+            .collect();
+        let fresh = price(&step.config, &child_eval, &removal);
+        (arms, carried.matches(&fresh))
+    }
+
+    fn remove(index: &Index) -> Transformation {
+        Transformation::RemoveIndex {
+            index: index.clone(),
+        }
+    }
+
+    /// A view over `r` with `b <= 10`, output `c`, and a clustered index
+    /// on its first column, added to `config`.
+    fn add_view(db: &Database, config: &mut Configuration) -> (TableId, Index) {
+        let r = db.table_by_name("r").unwrap().id;
+        let def = pdt_physical::SpjgExpr {
+            tables: [r].into(),
+            output_cols: [ColumnId::new(r, 3)].into(),
+            ranges: vec![pdt_expr::SargablePred {
+                column: ColumnId::new(r, 2),
+                sarg: pdt_expr::Sarg::Range(pdt_expr::Interval::at_most(10.0, true)),
+            }],
+            ..Default::default()
+        };
+        let vid = config.allocate_view_id();
+        config.add_view(MaterializedView::create(vid, def, 100_000.0, db));
+        let clustered = Index::clustered(vid, [ColumnId::new(vid, 0)]);
+        config.add_index(clustered.clone());
+        (vid, clustered)
+    }
+
+    #[test]
+    fn a_removal_the_step_cannot_reach_is_carried() {
+        let db = test_db();
+        let sql = "SELECT r.c FROM r WHERE r.a = 5; SELECT r.c FROM r WHERE r.b = 9";
+        let (_, config, i1, i2) = setup(&db, sql);
+        let case = carry_step(&db, sql, &config, remove(&i1), remove(&i2));
+        assert_eq!(case, (vec![], true));
+    }
+
+    #[test]
+    fn carry_arm_a_shared_entry() {
+        // Both indexes are maintained by the update and read by no plan:
+        // removing one drops a term from the shell row the other's
+        // score folded.
+        let db = test_db();
+        let t = db.table_by_name("r").unwrap();
+        let a = Index::new(t.id, [t.column_id(3)], []);
+        let b = Index::new(t.id, [t.column_id(3), t.column_id(1)], []);
+        let mut config = Configuration::base(&db);
+        config.add_index(a.clone());
+        config.add_index(b.clone());
+        let case = carry_step(
+            &db,
+            "UPDATE r SET c = c + 1 WHERE b = 7",
+            &config,
+            remove(&a),
+            remove(&b),
+        );
+        assert_eq!(case, (vec![Stale::SharedEntry], false));
+    }
+
+    #[test]
+    fn carry_arm_b_patch_source() {
+        // Removing (a, b) patches the query through (a); removing (a),
+        // which no plan reads, moves that patch to the clustered scan.
+        let db = test_db();
+        let t = db.table_by_name("r").unwrap();
+        let ab = Index::new(t.id, [t.column_id(1), t.column_id(2)], [t.column_id(3)]);
+        let a = Index::new(t.id, [t.column_id(1)], [t.column_id(3)]);
+        let mut config = Configuration::base(&db);
+        config.add_index(ab.clone());
+        config.add_index(a.clone());
+        let case = carry_step(
+            &db,
+            "SELECT r.c FROM r WHERE r.a = 5 AND r.b = 9",
+            &config,
+            remove(&a),
+            remove(&ab),
+        );
+        assert_eq!(case, (vec![Stale::PatchInput], false));
+    }
+
+    #[test]
+    fn carry_arm_b_clustered_baseline() {
+        // The patch of the covering seek is won by the narrower,
+        // non-covering seek on `a`, which beats the scan through the
+        // clustered index but not a heap scan: removing the clustered
+        // index, which is not the source, lets the heap scan win.
+        let db = heap_db();
+        let t = db.table_by_name("h").unwrap();
+        let clustered = Index::clustered(t.id, [t.column_id(1)]);
+        let covering = Index::new(t.id, [t.column_id(0)], [t.column_id(2)]);
+        let narrow = Index::new(t.id, [t.column_id(0)], []);
+        let mut config = Configuration::base(&db);
+        for i in [&clustered, &covering, &narrow] {
+            config.add_index(i.clone());
+        }
+        let case = carry_step(
+            &db,
+            "SELECT h.c FROM h WHERE h.a BETWEEN 0 AND 4000",
+            &config,
+            remove(&clustered),
+            remove(&covering),
+        );
+        assert_eq!(case, (vec![Stale::PatchInput], false));
+    }
+
+    #[test]
+    fn carry_arm_b_view_rebuild() {
+        // The query reads the view; removing the view patches it with a
+        // rebuild that seeks (b). Removing (b), which no plan reads,
+        // moves the rebuild to a scan.
+        let db = test_db();
+        let t = db.table_by_name("r").unwrap();
+        let mut config = Configuration::base(&db);
+        let (view, _) = add_view(&db, &mut config);
+        let b = Index::new(t.id, [t.column_id(2)], [t.column_id(3)]);
+        config.add_index(b.clone());
+        let case = carry_step(
+            &db,
+            "SELECT r.c FROM r WHERE r.b <= 10",
+            &config,
+            remove(&b),
+            Transformation::RemoveView { view },
+        );
+        assert_eq!(case, (vec![Stale::PatchInput], false));
+    }
+
+    #[test]
+    fn carry_arm_b_prime_view_index() {
+        // Removing one of the view's own indexes changes what removing
+        // the view drops, and so the space it frees. (The index on `a`
+        // keeps the configuration's index count clear of arm (d).)
+        let db = test_db();
+        let t = db.table_by_name("r").unwrap();
+        let mut config = Configuration::base(&db);
+        config.add_index(Index::new(t.id, [t.column_id(1)], []));
+        let (view, _) = add_view(&db, &mut config);
+        let secondary = Index::new(view, [ColumnId::new(view, 0)], []);
+        config.add_index(secondary.clone());
+        let case = carry_step(
+            &db,
+            "SELECT r.a FROM r WHERE r.a = 5",
+            &config,
+            remove(&secondary),
+            Transformation::RemoveView { view },
+        );
+        assert_eq!(case, (vec![Stale::ViewIndex], false));
+    }
+
+    #[test]
+    fn carry_arm_c_new_use() {
+        // No plan reads (a, b) until (a) is removed: the re-evaluated
+        // query then leans on it, so its removal now patches that query.
+        let db = test_db();
+        let t = db.table_by_name("r").unwrap();
+        let a = Index::new(t.id, [t.column_id(1)], [t.column_id(3)]);
+        let ab = Index::new(t.id, [t.column_id(1), t.column_id(2)], [t.column_id(3)]);
+        let mut config = Configuration::base(&db);
+        config.add_index(a.clone());
+        config.add_index(ab.clone());
+        let case = carry_step(
+            &db,
+            "SELECT r.c FROM r WHERE r.a = 5",
+            &config,
+            remove(&a),
+            remove(&ab),
+        );
+        assert_eq!(case, (vec![Stale::NewUse], false));
+    }
+
+    #[test]
+    fn carry_arm_d_index_flag() {
+        // With no base index, removing (c) leaves (b) the only index:
+        // removing (b) now empties the configuration, and every shell
+        // fold loses its `+0.0`.
+        let db = heap_db();
+        let t = db.table_by_name("h").unwrap();
+        let c = Index::new(t.id, [t.column_id(2)], []);
+        let b = Index::new(t.id, [t.column_id(1)], []);
+        let mut config = Configuration::base(&db);
+        config.add_index(c.clone());
+        config.add_index(b.clone());
+        let case = carry_step(
+            &db,
+            "UPDATE h SET c = c + 1 WHERE a = 3; SELECT h.b FROM h WHERE h.b = 5",
+            &config,
+            remove(&c),
+            remove(&b),
+        );
+        assert_eq!(case, (vec![Stale::IndexFlag], false));
     }
 
     #[test]

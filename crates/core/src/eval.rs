@@ -368,6 +368,12 @@ impl ShellTable {
         }
     }
 
+    /// Whether the table's configuration has any index: the flag its
+    /// folds put a `+0.0` in for ([`fold_terms`]).
+    pub fn any_index(&self) -> bool {
+        self.any_index
+    }
+
     /// Entry `entry`'s terms: the indexes its shell maintains, in
     /// configuration order, with their costs (none for an entry without
     /// a shell).

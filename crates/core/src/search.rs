@@ -21,7 +21,9 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::arena::SkylineScratch;
-use crate::bound::{bound_served_eval, node_bound, BoundNode, ViewBuildCosts};
+use crate::bound::{
+    bound_served_eval, estimates, node_bound, BoundNode, RemovalScore, RemovalStep, ViewBuildCosts,
+};
 use crate::cache::CostCache;
 use crate::checkpoint::{write_record, Batch, Checkpoint, Head, Identity, RecordKind, TraceBatch};
 use crate::derived::RelevanceTable;
@@ -564,10 +566,56 @@ impl<'a> Env<'a> {
     fn bound(&self, node: &Node, t: &Transformation) -> Option<(f64, f64)> {
         let delta = describe(t, &node.config, self.db, &self.opt)?;
         let delta_t = self.cost_bound(node, &delta) - node.eval.total_cost;
-        if delta.delta_bytes <= 0.0 && delta_t >= 0.0 {
-            return None;
+        estimates(delta_t, delta.delta_bytes)
+    }
+
+    /// The pre-pass score of the removal `t` on `node`, whose own
+    /// per-entry terms are `node_terms`: `carried`'s ingredients folded
+    /// over them, after pricing them fresh when there are none. Under
+    /// [`Reference::Candidates`] nothing is carried and every removal
+    /// is priced by [`bound`](Self::bound). When checks are on, the
+    /// score is asserted bit-equal to `bound`'s and carried ingredients
+    /// to a fresh pricing.
+    fn removal_score(
+        &self,
+        node: &Node,
+        node_terms: &[f64],
+        t: &Transformation,
+        carried: &mut Option<RemovalScore>,
+    ) -> Option<(f64, f64)> {
+        if !self.incremental {
+            return self.bound(node, t);
         }
-        Some((delta_t, delta.delta_bytes))
+        let price = || {
+            let delta = describe(t, &node.config, self.db, &self.opt)?;
+            let cost = &self.opt.opts.cost;
+            Some(RemovalScore::price(
+                self.db,
+                cost,
+                self.workload,
+                &node.bound_node(),
+                &delta,
+            ))
+        };
+        let checks = self.facts().checks();
+        match carried {
+            Some(score) if checks => {
+                let fresh = price().expect("a carried removal still applies");
+                score.assert_matches(&fresh, t);
+            }
+            Some(_) => {}
+            None => *carried = price(),
+        }
+        let score = carried.as_ref()?.score(node_terms, node.eval.total_cost);
+        if checks {
+            let scratch = self.bound(node, t);
+            assert!(
+                score.map(|(dt, ds)| (dt.to_bits(), ds.to_bits()))
+                    == scratch.map(|(dt, ds)| (dt.to_bits(), ds.to_bits())),
+                "pre-pass score of {t} diverged from the bound"
+            );
+        }
+        score
     }
 
     /// The §3.3.2 upper bound on the workload cost once `delta` is
@@ -1465,9 +1513,15 @@ impl<'a> Session<'a> {
         // directly instead of building (and discarding) the full
         // merge/split/prefix list, once, then carry the list from step
         // to step.
-        let mut removals = {
+        // Each removal rides with its carried score ingredients (`None`
+        // until first priced, and again once a step can have changed
+        // them).
+        let mut removals: Vec<(Transformation, Option<RemovalScore>)> = {
             let _hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
             removal_candidates(&root.config, &env.base)
+                .into_iter()
+                .map(|t| (t, None))
+                .collect()
         };
         for _ in 0..root.config.structure_count() {
             if self.gate.stopped().is_some() {
@@ -1479,7 +1533,11 @@ impl<'a> Session<'a> {
             // Score every removal, then fold the results in candidate
             // order: the first strict minimum wins.
             let pricing_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Pricing);
-            let scored: Vec<_> = removals.iter().map(|t| env.bound(&root, t)).collect();
+            let node_terms = root.bound_node().terms(env.workload);
+            let scored: Vec<_> = removals
+                .iter_mut()
+                .map(|(t, carried)| env.removal_score(&root, &node_terms, t, carried))
+                .collect();
             drop(pricing_hot);
             // (ΔT, position in `removals`) of the running minimum.
             let mut best_removal: Option<(f64, usize)> = None;
@@ -1493,7 +1551,7 @@ impl<'a> Session<'a> {
             let Some((delta_t, at)) = best_removal else {
                 break;
             };
-            let transformation = &removals[at];
+            let transformation = &removals[at].0;
             // Materialize only the winner: scoring priced deltas and
             // built no configuration.
             let Some(applied) = apply(transformation, &root.config, env.db, &env.opt) else {
@@ -1569,11 +1627,35 @@ impl<'a> Session<'a> {
             root.eval = new_eval;
             // The inheritance half of the candidate rule is the whole
             // rule for a step that adds nothing: the winner drops out
-            // and, for a view, so do the removals of its indexes.
-            removals.retain(|t| inherits(t, &applied.delta, &root.config));
+            // and, for a view, so do the removals of its indexes. A
+            // survivor keeps its score ingredients unless the carry rule
+            // says the step can have changed them. (The winner was
+            // priced, so it has ingredients unless nothing carries any,
+            // under `Reference::Candidates`.)
+            let winner = removals[at].1.take();
+            removals.retain(|(t, _)| inherits(t, &applied.delta, &root.config));
+            if let Some(score) = &winner {
+                let step = RemovalStep {
+                    score,
+                    delta: &applied.delta,
+                    config: &root.config,
+                    eval: &root.eval,
+                };
+                for (t, carried) in &mut removals {
+                    if carried
+                        .as_ref()
+                        .is_some_and(|c| c.stale(t, &step).next().is_some())
+                    {
+                        *carried = None;
+                    }
+                }
+            }
             if cx.checks() {
                 assert!(
-                    removals.eq(&removal_candidates(&root.config, &env.base)),
+                    removals
+                        .iter()
+                        .map(|(t, _)| t)
+                        .eq(&removal_candidates(&root.config, &env.base)),
                     "carried pre-pass removal list diverged from the enumeration"
                 );
             }
@@ -2757,6 +2839,42 @@ mod tests {
             }),
             0x55b0_6d98_55c0_91f5
         );
+    }
+
+    #[test]
+    fn only_the_real_engine_carries_prepass_scores() {
+        // `Reference::Candidates` prices every pre-pass removal from
+        // scratch and carries nothing; the real engine carries every
+        // removal it prices, at the same score bits.
+        let db = test_db();
+        let w = workload(&db, SELECTS);
+        let (config, _) = crate::instrument::gather_optimal_configuration(&db, &w, true);
+        let opts = TunerOptions::default();
+        let eval = evaluate_full_ctx(&db, &Optimizer::new(&db), &config, &w, EvalCtx::default());
+        let mut scores = Vec::new();
+        for reference in [None, Some(Reference::Candidates)] {
+            let ctl = SessionCtl {
+                reference,
+                ..SessionCtl::default()
+            };
+            let env = Env::new(&db, &w, &opts, &ctl).unwrap();
+            let facts = NodeFacts::scratch(env.facts(), &config);
+            let node = Node::new(config.clone(), eval.clone(), facts, &db);
+            let terms = node.bound_node().terms(&w);
+            let removals = removal_candidates(&config, &env.base);
+            assert!(removals.len() > 2, "a pre-pass with something to carry");
+            let run: Vec<_> = removals
+                .iter()
+                .map(|t| {
+                    let mut carried = None;
+                    let score = env.removal_score(&node, &terms, t, &mut carried);
+                    assert_eq!(carried.is_some(), reference.is_none(), "{t}");
+                    score.map(|(dt, ds)| (dt.to_bits(), ds.to_bits()))
+                })
+                .collect();
+            scores.push(run);
+        }
+        assert_eq!(scores[0], scores[1]);
     }
 
     #[test]
