@@ -46,8 +46,8 @@ use crate::fault::{FaultEvent, FaultKind};
 use pdt_catalog::{ColumnId, TableId};
 use pdt_opt::{IndexUsage, UsageKind};
 use pdt_physical::{Configuration, Index};
-use pdt_trace::json::{write_bool, write_escaped, write_int, write_num, Json};
-use pdt_trace::{Event, PhaseSummary, TraceState, Value};
+use pdt_trace::json::{self, write_bool, write_escaped, write_int, write_num, Json};
+use pdt_trace::{PhaseSummary, TraceState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::sync::Mutex;
@@ -172,7 +172,7 @@ impl Checkpoint {
                     open_span_seq: t.open_span_seq,
                     counters: &t.state.counters,
                     phases: &t.state.phases,
-                    events: &t.state.events,
+                    events: &t.state.jsonl,
                 }),
             },
         );
@@ -222,7 +222,8 @@ impl Checkpoint {
         sort_batch(&mut self.cache);
         match (&mut self.trace, batch.trace) {
             (Some(mine), Some(theirs)) => {
-                mine.state.events.extend(theirs.state.events);
+                mine.state.events += theirs.state.events;
+                mine.state.jsonl.push_str(&theirs.state.jsonl);
                 mine.state.depth = theirs.state.depth;
                 mine.state.counters = theirs.state.counters;
                 mine.state.phases = theirs.state.phases;
@@ -370,13 +371,14 @@ pub(crate) struct Batch<'a> {
 }
 
 /// The tracer's scalars at the record's boundary, whole (they are a
-/// fixed small vocabulary), and the events since the previous record.
+/// fixed small vocabulary), and the events since the previous record
+/// as the tracer rendered them: JSONL, which the record copies.
 pub(crate) struct TraceBatch<'a> {
     pub depth: u16,
     pub open_span_seq: u64,
     pub counters: &'a [(&'static str, u64)],
     pub phases: &'a [PhaseSummary],
-    pub events: &'a [Event],
+    pub events: &'a str,
 }
 
 /// Stream one record into `out`. Field order is fixed, so equal state
@@ -464,7 +466,7 @@ fn parse_checkpoint(s: &str) -> Result<Checkpoint, String> {
         return Err("not a pdtune checkpoint".to_string());
     }
     let head = parse_head(&doc)?;
-    let batch = parse_batch(&doc)?;
+    let batch = parse_batch(&doc, 0)?;
     let relevance = get(&doc, "relevance")?
         .as_arr()
         .ok_or("relevance must be an array")?
@@ -527,17 +529,14 @@ fn parse_delta(record: &str, onto: &Checkpoint) -> Result<(Head, OwnedBatch), St
             head.iteration, onto.iteration
         ));
     }
-    let batch = parse_batch(&doc)?;
-    if let Some(theirs) = &batch.trace {
-        let Some(mine) = &onto.trace else {
-            return Err("record carries a trace but the checkpoint it extends has none".into());
-        };
-        let next = mine.state.events.len() as u64;
-        if theirs.state.events.first().is_some_and(|e| e.seq != next) {
-            return Err(format!("record's events do not continue at seq {next}"));
+    let next = match (&onto.trace, get(&doc, "trace")?) {
+        (None, Json::Null) => 0,
+        (None, _) => {
+            return Err("record carries a trace but the checkpoint it extends has none".into())
         }
-    }
-    Ok((head, batch))
+        (Some(mine), _) => mine.state.events,
+    };
+    Ok((head, parse_batch(&doc, next)?))
 }
 
 fn parse_head(doc: &Json) -> Result<Head, String> {
@@ -568,7 +567,8 @@ struct OwnedBatch {
     trace: Option<TraceCheckpoint>,
 }
 
-fn parse_batch(doc: &Json) -> Result<OwnedBatch, String> {
+/// `next_seq`: the seq the batch's first trace event must carry.
+fn parse_batch(doc: &Json, next_seq: u64) -> Result<OwnedBatch, String> {
     let faults = arr(get(doc, "faults")?)?
         .iter()
         .map(fault_parse)
@@ -584,7 +584,7 @@ fn parse_batch(doc: &Json) -> Result<OwnedBatch, String> {
         .collect::<Result<Vec<_>, String>>()?;
     let trace = match get(doc, "trace")? {
         Json::Null => None,
-        t => Some(trace_parse(t)?),
+        t => Some(trace_parse(t, next_seq)?),
     };
     Ok(OwnedBatch {
         faults,
@@ -1038,11 +1038,14 @@ fn write_trace(out: &mut String, t: &TraceBatch<'_>) {
         let _ = write!(out, ",{}]", p.elapsed.as_nanos() as i64);
     });
     out.push_str(",\"events\":");
-    write_arr(out, t.events, |out, e| e.write_json(out));
+    write_arr(out, t.events.split_terminator('\n'), |out, e| {
+        out.push_str(e)
+    });
     out.push('}');
 }
 
-fn trace_parse(j: &Json) -> Result<TraceCheckpoint, String> {
+/// One record's trace section; its events must start at `next_seq`.
+fn trace_parse(j: &Json, next_seq: u64) -> Result<TraceCheckpoint, String> {
     let counters = arr(get(j, "counters")?)?
         .iter()
         .map(|c| match c.as_arr() {
@@ -1064,13 +1067,21 @@ fn trace_parse(j: &Json) -> Result<TraceCheckpoint, String> {
             _ => Err("phase must be [name, events, elapsed_nanos]".to_string()),
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let events = arr(get(j, "events")?)?
-        .iter()
-        .map(event_parse)
-        .collect::<Result<Vec<_>, String>>()?;
+    // The events go back to the lines the tracer rendered: the compact
+    // writer is the tracer's own, so each line is the bytes it was.
+    let events = arr(get(j, "events")?)?;
+    let mut jsonl = String::new();
+    for (seq, e) in (next_seq..).zip(events) {
+        if get(e, "seq")?.as_i64() != Some(seq as i64) {
+            return Err(format!("trace events do not continue at seq {seq}"));
+        }
+        json::write_compact(&mut jsonl, e);
+        jsonl.push('\n');
+    }
     Ok(TraceCheckpoint {
         state: TraceState {
-            events,
+            events: events.len() as u64,
+            jsonl,
             depth: uint(get(j, "depth")?)? as u16,
             counters,
             phases,
@@ -1079,42 +1090,10 @@ fn trace_parse(j: &Json) -> Result<TraceCheckpoint, String> {
     })
 }
 
-/// Inverse of [`Event::to_json`]. The original `U64`/`I64` distinction
-/// is collapsed by the writer (both render as JSON integers), so
-/// non-negative integers read back as `U64` — which re-renders to the
-/// same bytes, keeping restored JSONL byte-identical.
-fn event_parse(j: &Json) -> Result<Event, String> {
-    let obj = j.as_obj().ok_or("event must be an object")?;
-    let mut fields = Vec::new();
-    for (k, v) in obj.iter().skip(3) {
-        let value = match v {
-            Json::Int(i) if *i >= 0 => Value::U64(*i as u64),
-            Json::Int(i) => Value::I64(*i),
-            Json::Num(n) => Value::F64(*n),
-            // The writer renders non-finite floats as null; the only
-            // emitter of such values is a fault-injection run.
-            Json::Null => Value::F64(f64::NAN),
-            Json::Bool(b) => Value::Bool(*b),
-            Json::Str(s) => Value::Str(s.clone()),
-            _ => return Err(format!("unsupported event field type for '{k}'")),
-        };
-        fields.push((intern(k), value));
-    }
-    Ok(Event {
-        seq: uint(get(j, "seq")?)?,
-        depth: uint(get(j, "depth")?)? as u16,
-        kind: intern(
-            get(j, "kind")?
-                .as_str()
-                .ok_or("event kind must be a string")?,
-        ),
-        fields,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdt_trace::Value;
 
     fn sample_usage() -> IndexUsage {
         let t = TableId(3);
@@ -1170,11 +1149,26 @@ mod tests {
                 ("transformation", "remove(ix)".into()),
             ],
         );
+        // Every value kind a resume re-renders from parsed JSON: a
+        // non-finite float (written `null`), a u64 past `i64::MAX`
+        // (written as its two's-complement i64) and a string the
+        // writer escapes.
+        tracer.emit(
+            "search.edge",
+            vec![
+                ("nan", f64::NAN.into()),
+                ("inf", f64::NEG_INFINITY.into()),
+                ("big", u64::MAX.into()),
+                ("tiny", 5e-324.into()),
+                ("text", "tab\t \"quote\" back\\slash\n\u{1}\u{7f} ↦".into()),
+            ],
+        );
         tracer.incr("search.iterations", 1);
         let open_span_seq = span.events_at_open();
         let mark = tracer.mark();
-        let state = tracer.read_prefix(0, &mark, |events, phases| TraceState {
-            events: events.to_vec(),
+        let state = tracer.read_prefix(0, &mark, |jsonl, phases| TraceState {
+            events: mark.events,
+            jsonl: jsonl.to_string(),
             depth: mark.depth,
             counters: mark.counters.clone(),
             phases: phases.to_vec(),
@@ -1297,6 +1291,18 @@ mod tests {
         let t2 = pdt_trace::Tracer::new();
         t2.restore_state(back.trace.unwrap().state);
         assert_eq!(t1.to_jsonl(), t2.to_jsonl());
+        let jsonl = t2.to_jsonl();
+        assert_eq!(
+            jsonl.lines().nth(3).unwrap(),
+            r#"{"seq":3,"depth":1,"kind":"search.edge","nan":null,"inf":null,"big":-1,"tiny":5e-324,"text":"tab\t \"quote\" back\\slash\n\u0001"#
+                .to_string()
+                + "\u{7f} ↦\"}"
+        );
+        // The restored stream goes on at the next seq.
+        t2.emit("after", vec![]);
+        assert!(t2
+            .to_jsonl()
+            .ends_with("{\"seq\":4,\"depth\":1,\"kind\":\"after\"}\n"));
         assert_eq!(t1.counter("search.iterations"), 1);
         assert_eq!(t2.counter("search.iterations"), 1);
     }
@@ -1437,8 +1443,11 @@ mod tests {
         assert_eq!(keys, vec![(0, 5), (0, 17 << 70), (1, 99)]);
         assert_eq!(folded.cache[2].1.cost, 3.5);
         let trace = folded.trace.as_ref().unwrap();
-        assert_eq!(trace.state.events.len(), 4);
-        assert_eq!(trace.state.events[3].seq, 3);
+        assert_eq!(trace.state.events, 5);
+        assert!(trace
+            .state
+            .jsonl
+            .ends_with("\n{\"seq\":4,\"depth\":1,\"kind\":\"search.step\",\"iteration\":9}\n"));
         assert_eq!(trace.state.counters, vec![("search.iterations", 2)]);
         // The fold is a fixpoint of the document format too.
         let doc = folded.to_json_string();

@@ -66,7 +66,7 @@ pub use online::{
     render_replay_report, run_replay, window_costs, DriftDecision, DriftDetector, EpochReport,
     ReplayOptions, ReplayReport, WindowOptions, WindowSummarizer,
 };
-pub use report::{configuration_ddl, index_ddl, summarize};
+pub use report::{configuration_ddl, index_ddl};
 pub use search::{
     tune, tune_session, tune_traced, BoundViolation, ConfigChoice, FrontierPoint, Reference,
     SessionCtl, TransformationChoice, TunerOptions, TuningReport,

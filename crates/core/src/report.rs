@@ -1,7 +1,6 @@
-//! Human-readable rendering of tuning results: recommended DDL and
-//! session summaries (used by the CLI and the examples).
+//! Human-readable rendering of tuning results: the recommended DDL
+//! (used by the CLI, the daemon's `report.txt` and the examples).
 
-use crate::search::TuningReport;
 use pdt_catalog::Database;
 use pdt_physical::{Configuration, Index};
 use std::fmt::Write;
@@ -63,102 +62,10 @@ pub fn configuration_ddl(
     out
 }
 
-/// A compact multi-line summary of a tuning session.
-pub fn summarize(db: &Database, report: &TuningReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "tuning `{}`:", db.name);
-    let _ = writeln!(
-        out,
-        "initial:  cost {:>12.0}  size {:>9.1} MB",
-        report.initial_cost,
-        report.initial_size / 1e6
-    );
-    let _ = writeln!(
-        out,
-        "optimal:  cost {:>12.0}  size {:>9.1} MB  ({:+.1}%)",
-        report.optimal_cost,
-        report.optimal_size / 1e6,
-        report.optimal_improvement_pct()
-    );
-    match &report.best {
-        Some(best) => {
-            let _ = writeln!(
-                out,
-                "best:     cost {:>12.0}  size {:>9.1} MB  ({:+.1}%)",
-                best.cost,
-                best.size_bytes / 1e6,
-                report.best_improvement_pct()
-            );
-            let _ = writeln!(
-                out,
-                "          {} indexes, {} materialized views",
-                best.config.index_count(),
-                best.config.view_count()
-            );
-        }
-        None => {
-            let _ = writeln!(out, "best:     (no configuration fits the budget)");
-        }
-    }
-    let _ = writeln!(
-        out,
-        "session:  {} iterations, {} optimizer calls, {} requests intercepted, {:?}",
-        report.iterations,
-        report.optimizer_calls,
-        report.request_counts.0 + report.request_counts.1,
-        report.elapsed
-    );
-    if report.workload_deduped > 0 {
-        let _ = writeln!(
-            out,
-            "workload: {} duplicate statements folded into weighted entries",
-            report.workload_deduped
-        );
-    }
-    let probes = report.cache_hits + report.cache_misses;
-    if probes > 0 {
-        let _ = writeln!(
-            out,
-            "cache:    {} hits / {} misses ({:.1}% hit rate)",
-            report.cache_hits,
-            report.cache_misses,
-            100.0 * report.cache_hits as f64 / probes as f64
-        );
-    }
-    if report.optimizer_calls_avoided > 0 {
-        let _ = writeln!(
-            out,
-            "derived:  {} optimizer calls avoided beyond coarse keying",
-            report.optimizer_calls_avoided
-        );
-    }
-    let plan_probes = report.plan_cache_hits + report.plan_cache_misses;
-    if plan_probes > 0 {
-        let _ = writeln!(
-            out,
-            "plans:    {} reused / {} probes missed, {} repriced against new catalogs",
-            report.plan_cache_hits, report.plan_cache_misses, report.plan_cache_repriced
-        );
-    }
-    let scored = report.candidates_generated + report.candidates_reused;
-    if scored > 0 {
-        let _ = writeln!(
-            out,
-            "scoring:  {} candidates generated, {} reused ({:.1}x amplification)",
-            report.candidates_generated,
-            report.candidates_reused,
-            scored as f64 / report.candidates_generated.max(1) as f64
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tune, TunerOptions, Workload};
     use pdt_catalog::{ColumnId, ColumnStats, ColumnType, TableId};
-    use pdt_sql::parse_workload;
 
     fn test_db() -> Database {
         let mut b = Database::builder("t");
@@ -203,21 +110,5 @@ mod tests {
         let ddl = configuration_ddl(&db, &config, &base);
         assert_eq!(ddl.len(), 1, "{ddl:?}");
         assert!(ddl[0].contains("ON r (a)"));
-    }
-
-    #[test]
-    fn summary_contains_all_sections() {
-        let db = test_db();
-        let w = Workload::bind(
-            &db,
-            &parse_workload("SELECT r.b FROM r WHERE r.a = 3").unwrap(),
-        )
-        .unwrap();
-        let report = tune(&db, &w, &TunerOptions::default());
-        let s = summarize(&db, &report);
-        assert!(s.contains("initial:"));
-        assert!(s.contains("optimal:"));
-        assert!(s.contains("best:"));
-        assert!(s.contains("session:"));
     }
 }

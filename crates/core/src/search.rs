@@ -1452,7 +1452,7 @@ impl<'a> Session<'a> {
                 events: gate
                     .resume
                     .and_then(|ck| ck.trace.as_ref())
-                    .map_or(0, |t| t.state.events.len() as u64),
+                    .map_or(0, |t| t.state.events),
             },
             rng: StdRng::seed_from_u64(options.seed),
             env,

@@ -20,8 +20,12 @@
 //! attempts with exponential backoff, with deterministic fault
 //! injection (`FaultPlan::io_write_fails`) so the whole
 //! retry-then-fail path is exercised by tests rather than trusted.
+//! [`CheckpointLog`] puts the two together as the one writer of a
+//! session's checkpoint log, for `pdtune tune --checkpoint` and the
+//! daemon alike.
 
-use pdt_tuner::fault::FaultPlan;
+use pdt_tuner::fault::{FaultPlan, SITE_CHECKPOINT_WRITE};
+use pdt_tuner::{Checkpoint, TuneError};
 use std::fs;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -111,6 +115,98 @@ impl AppendLog {
     }
 }
 
+/// A session's checkpoint log (DESIGN.md §10): framed records on an
+/// [`AppendLog`], each appended through a [`DurableWriter`] at the
+/// fault coordinate `(SITE_CHECKPOINT_WRITE, n)`, `n` counting this
+/// log's appends from 0. Every record extends the one before it, so
+/// once one is lost a later one would only corrupt the log: every
+/// append after the first loss writes nothing and returns that loss.
+/// What a lost record means is the caller's policy.
+#[derive(Debug)]
+pub struct CheckpointLog {
+    log: AppendLog,
+    writer: DurableWriter,
+    frame: Vec<u8>,
+    appends: u64,
+    lost: Option<String>,
+}
+
+impl CheckpointLog {
+    /// Fold the longest intact prefix of the log at `path`: the
+    /// checkpoint it ends at and the bytes its intact records take.
+    pub fn read(path: &Path) -> Result<(Checkpoint, u64), TuneError> {
+        let bytes = fs::read(path).map_err(|e| io_error(path, e))?;
+        let (ck, kept) = Checkpoint::from_log(&bytes)?;
+        Ok((ck, kept as u64))
+    }
+
+    /// A new log at `path`; the first append replaces whatever is there.
+    pub fn create(path: &Path, writer: DurableWriter) -> CheckpointLog {
+        CheckpointLog {
+            log: AppendLog::create(path),
+            writer,
+            frame: Vec::new(),
+            appends: 0,
+            lost: None,
+        }
+    }
+
+    /// Go on appending to the log at `path` after its first `kept`
+    /// bytes, the intact records [`CheckpointLog::read`] folded; a torn
+    /// tail beyond them is cut off.
+    pub fn extend(path: &Path, kept: u64, writer: DurableWriter) -> Result<Self, TuneError> {
+        Ok(CheckpointLog {
+            log: AppendLog::reopen(path, kept).map_err(|e| io_error(path, e))?,
+            ..CheckpointLog::create(path, writer)
+        })
+    }
+
+    /// A new log at `path` whose first record is `ck`, folded: where a
+    /// session resumed from another log goes on checkpointing.
+    pub fn fork(path: &Path, ck: &Checkpoint, writer: DurableWriter) -> Result<Self, TuneError> {
+        let mut log = CheckpointLog::create(path, writer);
+        log.append(&ck.to_json_string())
+            .map_err(|msg| TuneError::Io {
+                path: path.display().to_string(),
+                msg,
+            })?;
+        Ok(log)
+    }
+
+    /// Frame `record` and append it durably, retrying by the writer's
+    /// policy. Once an append has failed, writes nothing and returns
+    /// that first error.
+    pub fn append(&mut self, record: &str) -> Result<(), String> {
+        if let Some(e) = &self.lost {
+            return Err(e.clone());
+        }
+        Checkpoint::frame_record(record, &mut self.frame);
+        let (log, frame) = (&mut self.log, &self.frame);
+        let path = log.path.clone();
+        let appended = self
+            .writer
+            .retry(SITE_CHECKPOINT_WRITE, self.appends, &path, || {
+                log.append(frame)
+            });
+        self.appends += 1;
+        appended
+            .map(|_| ())
+            .map_err(|e| self.lost.insert(e).clone())
+    }
+
+    /// The first append that failed, if one has.
+    pub fn lost(&self) -> Option<&str> {
+        self.lost.as_deref()
+    }
+}
+
+fn io_error(path: &Path, e: io::Error) -> TuneError {
+    TuneError::Io {
+        path: path.display().to_string(),
+        msg: e.to_string(),
+    }
+}
+
 fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".tmp");
@@ -188,19 +284,6 @@ impl DurableWriter {
     /// last error — the caller moves the session to `failed`.
     pub fn write(&self, site: u32, seq: u64, path: &Path, contents: &[u8]) -> Result<u32, String> {
         self.retry(site, seq, path, || atomic_write(path, contents))
-    }
-
-    /// [`DurableWriter::write`] for one record of an [`AppendLog`]:
-    /// same coordinates, same retry budget, append instead of replace.
-    pub fn append(
-        &self,
-        site: u32,
-        seq: u64,
-        log: &mut AppendLog,
-        record: &[u8],
-    ) -> Result<u32, String> {
-        let path = log.path.clone();
-        self.retry(site, seq, &path, || log.append(record))
     }
 
     /// Install several files of one directory as a group: each is
@@ -327,6 +410,115 @@ mod tests {
         log.append(b"3rd\n").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"first\nsecond\n3rd\n");
         assert!(AppendLog::reopen(&dir.join("absent.log"), 0).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The records a small traced session hands its sink, one per
+    /// iteration.
+    fn session_records() -> Vec<String> {
+        let spec = crate::JobSpec {
+            sf: 0.01,
+            queries: Some(6),
+            budget: Some(2e6),
+            iterations: 8,
+            ..crate::JobSpec::default()
+        };
+        let db = spec.build_database().unwrap();
+        let workload = spec.build_workload(&db).unwrap();
+        let options = spec
+            .tuner_options(None, pdt_tuner::StopToken::new())
+            .unwrap();
+        let records = std::cell::RefCell::new(Vec::new());
+        let sink = |_: usize, record: &str| records.borrow_mut().push(record.to_string());
+        let tracer = pdt_trace::Tracer::new();
+        let ctl = pdt_tuner::SessionCtl {
+            tracer: Some(&tracer),
+            checkpoint_every: 1,
+            checkpoint_sink: Some(&sink),
+            ..pdt_tuner::SessionCtl::default()
+        };
+        pdt_tuner::tune_session(&db, &workload, &options, ctl).unwrap();
+        records.into_inner()
+    }
+
+    #[test]
+    fn a_lost_record_ends_the_checkpoint_log() {
+        let records = session_records();
+        assert!(records.len() >= 5, "only {} records", records.len());
+        // A plan under which appends 0..3 land, append 3 fails all of
+        // its attempts, and append 4 would land again.
+        let attempts = 2;
+        let fails = |plan: &FaultPlan, n: u64| {
+            (0..u64::from(attempts)).all(|a| plan.io_write_fails(SITE_CHECKPOINT_WRITE, n, a))
+        };
+        let plan = (0..)
+            .map(|seed| FaultPlan { seed, rate: 0.5 })
+            .find(|p| (0..3).all(|n| !fails(p, n)) && fails(p, 3) && !fails(p, 4))
+            .unwrap();
+        let dir = scratch_dir("lost");
+        let path = dir.join("checkpoint.log");
+        let writer = DurableWriter::new(Some(plan), fast(attempts));
+        let mut log = CheckpointLog::create(&path, writer);
+        for record in &records[..3] {
+            log.append(record).unwrap();
+        }
+        let intact = fs::read(&path).unwrap();
+        let err = log.append(&records[3]).unwrap_err();
+        assert!(err.contains("after 2 attempts"), "{err}");
+        assert_eq!(log.lost(), Some(err.as_str()));
+        // Later appends, the one the plan would let land included,
+        // write nothing and report the loss.
+        for record in &records[4..] {
+            assert_eq!(log.append(record).unwrap_err(), err);
+        }
+        assert_eq!(fs::read(&path).unwrap(), intact);
+        // The file folds to the records written before the loss.
+        let (folded, kept) = CheckpointLog::read(&path).unwrap();
+        assert_eq!(kept, intact.len() as u64);
+        let mut expected = Checkpoint::from_json_str(&records[0]).unwrap();
+        for record in &records[1..3] {
+            expected.apply_record(record).unwrap();
+        }
+        assert_eq!(folded.to_json_string(), expected.to_json_string());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_logs_start_fresh_after_a_prefix_or_from_a_fold() {
+        let records = session_records();
+        let dir = scratch_dir("starts");
+        let (a, b) = (dir.join("a.log"), dir.join("b.log"));
+        let mut log = CheckpointLog::create(&a, DurableWriter::default());
+        for record in &records[..3] {
+            log.append(record).unwrap();
+        }
+        drop(log);
+        let whole = fs::read(&a).unwrap();
+        // Torn mid-record: the next log goes on after the intact prefix.
+        fs::write(&a, &whole[..whole.len() - 7]).unwrap();
+        let (ck, kept) = CheckpointLog::read(&a).unwrap();
+        let mut log = CheckpointLog::extend(&a, kept, DurableWriter::default()).unwrap();
+        log.append(&records[2]).unwrap();
+        assert_eq!(fs::read(&a).unwrap(), whole);
+        // A fork starts with the fold as one record and extends alike.
+        let mut fork = CheckpointLog::fork(&b, &ck, DurableWriter::default()).unwrap();
+        fork.append(&records[2]).unwrap();
+        let (from_fork, _) = CheckpointLog::read(&b).unwrap();
+        let (from_whole, _) = CheckpointLog::read(&a).unwrap();
+        assert_eq!(from_fork.to_json_string(), from_whole.to_json_string());
+        assert_eq!(fs::read_to_string(&b).unwrap().lines().count(), 2);
+        // What cannot be read is an I/O error, what does not fold a
+        // checkpoint error.
+        let absent = dir.join("absent.log");
+        assert!(matches!(
+            CheckpointLog::read(&absent),
+            Err(TuneError::Io { .. })
+        ));
+        fs::write(&absent, b"garbage").unwrap();
+        assert!(matches!(
+            CheckpointLog::read(&absent),
+            Err(TuneError::Checkpoint(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -41,7 +41,7 @@ pub mod session;
 pub use catalogs::CatalogTable;
 pub use client::Client;
 pub use daemon::{serve, ServeOptions};
-pub use durable::{atomic_write, AppendLog, DurableWriter, RetryPolicy};
+pub use durable::{atomic_write, CheckpointLog, DurableWriter, RetryPolicy};
 pub use job::JobSpec;
 pub use manifest::{Manifest, SessionState};
 pub use session::{run_session, RunOutcome, Session, SessionCounters};

@@ -14,8 +14,8 @@
 //! Durability contract: the manifest and the final artifacts are
 //! replaced atomically ([`crate::durable::atomic_write`]: tmp, fsync,
 //! rename, dir fsync), the checkpoint log is appended to
-//! ([`crate::durable::AppendLog`]: write + `fdatasync`, records that
-//! check themselves), and the manifest is the commit record — a
+//! ([`crate::durable::CheckpointLog`]: write + `fdatasync`, records
+//! that check themselves), and the manifest is the commit record — a
 //! session is `done` exactly when its manifest says so, at which point
 //! report and trace are already on disk. `kill -9` at any instant
 //! therefore leaves one of two recoverable worlds: a terminal manifest
@@ -31,14 +31,13 @@
 //! any other session.
 
 use crate::catalogs::CatalogTable;
-use crate::durable::{AppendLog, DurableWriter};
+use crate::durable::{CheckpointLog, DurableWriter};
 use crate::job::JobSpec;
 use crate::manifest::{Manifest, SessionState};
 use pdt_trace::Tracer;
 use pdt_tuner::fault::{SITE_CHECKPOINT_WRITE, SITE_MANIFEST_WRITE};
 use pdt_tuner::{
-    configuration_ddl, tune_session, Checkpoint, SessionCtl, StopReason, StopToken, TuneError,
-    TuningReport,
+    configuration_ddl, tune_session, SessionCtl, StopReason, StopToken, TuneError, TuningReport,
 };
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -260,53 +259,33 @@ pub fn run_session(
 
     // ---- recovery: resume from the durable checkpoint log -----------
     // Fold the log's intact prefix and keep appending after it; a
-    // record the crash tore is cut off. The log's first record is
-    // installed atomically, so a log that exists but folds to nothing
-    // is corruption, not a crash.
+    // record the crash tore is cut off. No log yet is a first attempt.
+    // The log's first record is installed atomically, so a log that
+    // exists but folds to nothing is corruption, not a crash.
     let ck_path = session.checkpoint_path();
-    let (resumed, log) = if ck_path.exists() {
-        let recovered = std::fs::read(&ck_path)
-            .map_err(|e| format!("reading checkpoint log: {e}"))
-            .and_then(|bytes| Checkpoint::from_log(&bytes).map_err(|e| e.to_string()))
-            .and_then(|(ck, kept)| {
-                let log = AppendLog::reopen(&ck_path, kept as u64)
-                    .map_err(|e| format!("reopening checkpoint log: {e}"))?;
-                Ok((ck, log))
-            });
-        match recovered {
-            Ok((ck, log)) => (Some(ck), log),
-            Err(e) => return fail(format!("recovery mismatch: {e}")),
-        }
-    } else {
-        (None, AppendLog::create(&ck_path))
-    };
-
-    // ---- checkpoint sink: durable, retried, fault-injectable --------
     let ck_writer = DurableWriter {
         faults: session.spec.io_fault_plan(),
         ..*manifest_writer
     };
-    let io_error: Mutex<Option<String>> = Mutex::new(None);
-    // `(log, frame buffer, write number)`: the sink is a `Fn`.
-    let appender = RefCell::new((log, Vec::new(), 0u64));
-    let sink = |_done: usize, record: &str| {
-        // Records extend one another: once one is lost, a later one
-        // (the stop-time flush) would only corrupt the log.
-        if io_error.lock().unwrap_or_else(|p| p.into_inner()).is_some() {
-            return;
+    let (resumed, log) = if ck_path.exists() {
+        let recovered = CheckpointLog::read(&ck_path).and_then(|(ck, kept)| {
+            Ok((Some(ck), CheckpointLog::extend(&ck_path, kept, ck_writer)?))
+        });
+        match recovered {
+            Ok(recovered) => recovered,
+            Err(e) => return fail(format!("recovery mismatch: {e}")),
         }
-        let mut guard = appender.borrow_mut();
-        let (log, frame, seq) = &mut *guard;
-        Checkpoint::frame_record(record, frame);
-        if let Err(e) = ck_writer.append(SITE_CHECKPOINT_WRITE, *seq, log, frame) {
-            // Give up durably persisting progress: stop the session at
-            // the next cooperative check and mark it failed below. A
+    } else {
+        (None, CheckpointLog::create(&ck_path, ck_writer))
+    };
+    let log = RefCell::new(log);
+    let sink = |_done: usize, record: &str| {
+        if log.borrow_mut().append(record).is_err() {
+            // Stop at the next cooperative check and fail below: a
             // session whose progress cannot be made durable must not
             // pretend to be crash-safe.
-            *io_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
             session.token.trip(StopReason::Interrupted);
         }
-        *seq += 1;
     };
 
     let tracer = Arc::clone(&session.tracer);
@@ -352,7 +331,7 @@ pub fn run_session(
         invocation_hits: report.optimizer_calls_avoided,
     };
 
-    if let Some(e) = io_error.lock().unwrap_or_else(|p| p.into_inner()).take() {
+    if let Some(e) = log.borrow().lost() {
         return fail(format!("checkpoint write: {e}"));
     }
 
@@ -502,6 +481,7 @@ pub fn render_report(db: &pdt_catalog::Database, spec: &JobSpec, report: &Tuning
 mod tests {
     use super::*;
     use crate::durable::RetryPolicy;
+    use pdt_tuner::Checkpoint;
     use std::time::Duration;
 
     fn scratch_dir(name: &str) -> PathBuf {

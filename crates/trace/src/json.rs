@@ -115,7 +115,8 @@ pub fn write_bool(out: &mut String, b: bool) {
     out.push_str(if b { "true" } else { "false" });
 }
 
-fn write_compact(out: &mut String, v: &Json) {
+/// Append `v` as compact JSON: no whitespace, object keys in order.
+pub fn write_compact(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => write_bool(out, *b),

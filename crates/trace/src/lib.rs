@@ -14,7 +14,10 @@
 //!   search loop, an evaluation's commit point);
 //! * wall-clock timing lives exclusively in the [`PhaseSummary`]
 //!   roll-up, where report consumers already expect a non-deterministic
-//!   `elapsed`.
+//!   `elapsed`;
+//! * each event is rendered to its JSON line once, when it is emitted,
+//!   and stored as that line: the JSONL export, the daemon's `watch`
+//!   and a checkpoint record's events all copy the same bytes.
 //!
 //! Everything funnels through an internal mutex, so a `&Tracer` can be
 //! shared freely; the engine threads `Option<&Tracer>` through its call
@@ -126,43 +129,31 @@ impl From<String> for Value {
     }
 }
 
-/// One structured event. `seq` is a session-scoped emission index and
-/// `depth` the span-nesting level at emission time; both are assigned
-/// under the tracer lock, so the event stream has one total order.
-#[derive(Debug, Clone)]
-pub struct Event {
-    pub seq: u64,
-    pub depth: u16,
-    pub kind: &'static str,
-    pub fields: Vec<(&'static str, Value)>,
-}
-
-impl Event {
-    /// Append the event as one flat JSON object: `seq`/`depth`/`kind`
-    /// first, then the fields in emission order. Streams straight into
-    /// `out` — JSONL export and checkpoint records both render through
-    /// here, so the two can never disagree on a byte.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"seq\":");
-        json::write_int(out, self.seq as i64);
-        out.push_str(",\"depth\":");
-        json::write_int(out, i64::from(self.depth));
-        out.push_str(",\"kind\":");
-        json::write_escaped(out, self.kind);
-        for (k, v) in &self.fields {
-            out.push(',');
-            json::write_escaped(out, k);
-            out.push(':');
-            match v {
-                Value::U64(x) => json::write_int(out, *x as i64),
-                Value::I64(x) => json::write_int(out, *x),
-                Value::F64(x) => json::write_num(out, *x),
-                Value::Bool(x) => json::write_bool(out, *x),
-                Value::Str(x) => json::write_escaped(out, x),
-            }
+/// Append one event as one flat JSON object: `seq`/`depth`/`kind`
+/// first, then the fields in emission order. The tracer renders each
+/// event through here exactly once, when it is emitted; JSONL export,
+/// `watch` and checkpoint records all copy those bytes, so they can
+/// never disagree on one.
+fn write_event(out: &mut String, seq: u64, depth: u16, kind: &str, fields: &[(&str, Value)]) {
+    out.push_str("{\"seq\":");
+    json::write_int(out, seq as i64);
+    out.push_str(",\"depth\":");
+    json::write_int(out, i64::from(depth));
+    out.push_str(",\"kind\":");
+    json::write_escaped(out, kind);
+    for (k, v) in fields {
+        out.push(',');
+        json::write_escaped(out, k);
+        out.push(':');
+        match v {
+            Value::U64(x) => json::write_int(out, *x as i64),
+            Value::I64(x) => json::write_int(out, *x),
+            Value::F64(x) => json::write_num(out, *x),
+            Value::Bool(x) => json::write_bool(out, *x),
+            Value::Str(x) => json::write_escaped(out, x),
         }
-        out.push('}');
     }
+    out.push('}');
 }
 
 /// Wall-clock and event-count roll-up of one closed span.
@@ -257,7 +248,11 @@ impl TraceSummary {
 
 #[derive(Debug)]
 struct Inner {
-    events: Vec<Event>,
+    /// Every event so far, rendered once at emission as one compact
+    /// JSON line (`\n`-terminated) — the JSONL trace itself.
+    lines: String,
+    /// Byte offset in `lines` at which each event starts, by `seq`.
+    starts: Vec<usize>,
     depth: u16,
     counters: BTreeMap<&'static str, u64>,
     phases: Vec<PhaseSummary>,
@@ -265,6 +260,28 @@ struct Inner {
     /// part of [`TraceState`] (a resumed session keeps accumulating
     /// into its own live counters).
     hot: Vec<HotPhaseStat>,
+}
+
+impl Inner {
+    /// Render one event at the current depth; returns its `seq`.
+    fn push(&mut self, kind: &str, fields: &[(&str, Value)]) -> u64 {
+        let seq = self.starts.len() as u64;
+        self.starts.push(self.lines.len());
+        write_event(&mut self.lines, seq, self.depth, kind, fields);
+        self.lines.push('\n');
+        seq
+    }
+
+    /// The JSONL of the events with `from <= seq < to`.
+    fn jsonl(&self, from: u64, to: u64) -> &str {
+        let at = |seq: u64| {
+            self.starts
+                .get(seq as usize)
+                .copied()
+                .unwrap_or(self.lines.len())
+        };
+        &self.lines[at(from)..at(to)]
+    }
 }
 
 fn fresh_hot_stats() -> Vec<HotPhaseStat> {
@@ -293,7 +310,8 @@ impl Tracer {
     pub fn new() -> Tracer {
         Tracer {
             inner: Mutex::new(Inner {
-                events: Vec::new(),
+                lines: String::new(),
+                starts: Vec::new(),
                 depth: 0,
                 counters: BTreeMap::new(),
                 phases: Vec::new(),
@@ -310,15 +328,7 @@ impl Tracer {
 
     /// Emit one event at the current span depth.
     pub fn emit(&self, kind: &'static str, fields: Vec<(&'static str, Value)>) {
-        let mut inner = self.lock();
-        let seq = inner.events.len() as u64;
-        let depth = inner.depth;
-        inner.events.push(Event {
-            seq,
-            depth,
-            kind,
-            fields,
-        });
+        self.lock().push(kind, &fields);
     }
 
     /// Add `n` to a named counter.
@@ -333,7 +343,7 @@ impl Tracer {
 
     /// Events emitted so far.
     pub fn len(&self) -> u64 {
-        self.lock().events.len() as u64
+        self.lock().starts.len() as u64
     }
 
     pub fn is_empty(&self) -> bool {
@@ -346,14 +356,7 @@ impl Tracer {
     pub fn span(&self, name: &'static str) -> Span<'_> {
         let events_at_open = {
             let mut inner = self.lock();
-            let seq = inner.events.len() as u64;
-            let depth = inner.depth;
-            inner.events.push(Event {
-                seq,
-                depth,
-                kind: "span.begin",
-                fields: vec![("name", Value::Str(name.to_string()))],
-            });
+            let seq = inner.push("span.begin", &[("name", Value::Str(name.to_string()))]);
             inner.depth += 1;
             seq
         };
@@ -385,32 +388,28 @@ impl Tracer {
     pub fn summary(&self) -> TraceSummary {
         let inner = self.lock();
         TraceSummary {
-            events: inner.events.len() as u64,
+            events: inner.starts.len() as u64,
             counters: inner.counters.iter().map(|(k, v)| (*k, *v)).collect(),
             phases: inner.phases.clone(),
             hot_phases: inner.hot.clone(),
         }
     }
 
-    /// Render every event as one compact JSON object per line.
+    /// Every event as one compact JSON object per line.
     pub fn to_jsonl(&self) -> String {
-        self.events_jsonl_from(0).0
+        self.lock().lines.clone()
     }
 
-    /// Render the events with `seq >= from` as JSONL, returning the
-    /// rendered text and the next unseen seq. Repeated calls with the
-    /// returned cursor stream a live session's trace incrementally —
-    /// the serve layer's `watch` op is built on this. Because `seq` is
-    /// dense and append-only, the concatenation of every streamed chunk
-    /// is byte-identical to [`to_jsonl`](Tracer::to_jsonl) at the end.
+    /// The events with `seq >= from` as JSONL, and the next unseen seq.
+    /// Repeated calls with the returned cursor stream a live session's
+    /// trace incrementally — the serve layer's `watch` op is built on
+    /// this. Because `seq` is dense and append-only, the concatenation
+    /// of every streamed chunk is byte-identical to
+    /// [`to_jsonl`](Tracer::to_jsonl) at the end.
     pub fn events_jsonl_from(&self, from: u64) -> (String, u64) {
         let inner = self.lock();
-        let mut out = String::new();
-        for e in inner.events.iter().skip(from as usize) {
-            e.write_json(&mut out);
-            out.push('\n');
-        }
-        (out, inner.events.len() as u64)
+        let next = inner.starts.len() as u64;
+        (inner.jsonl(from, next).to_string(), next)
     }
 
     /// Mark the stream at this instant: O(1) in the events emitted so
@@ -421,27 +420,25 @@ impl Tracer {
     pub fn mark(&self) -> TraceMark {
         let inner = self.lock();
         TraceMark {
-            events: inner.events.len() as u64,
+            events: inner.starts.len() as u64,
             depth: inner.depth,
             counters: inner.counters.iter().map(|(k, v)| (*k, *v)).collect(),
             phases: inner.phases.len(),
         }
     }
 
-    /// Run `f` over the events with `from <= seq < mark.events` and the
-    /// phases closed before `mark`, under the tracer lock — a
-    /// checkpoint record renders them in place instead of cloning them.
+    /// Run `f` over the JSONL of the events with
+    /// `from <= seq < mark.events` and the phases closed before `mark`,
+    /// under the tracer lock — a checkpoint record copies them in place
+    /// instead of cloning them.
     pub fn read_prefix<R>(
         &self,
         from: u64,
         mark: &TraceMark,
-        f: impl FnOnce(&[Event], &[PhaseSummary]) -> R,
+        f: impl FnOnce(&str, &[PhaseSummary]) -> R,
     ) -> R {
         let inner = self.lock();
-        f(
-            &inner.events[from as usize..mark.events as usize],
-            &inner.phases[..mark.phases],
-        )
+        f(inner.jsonl(from, mark.events), &inner.phases[..mark.phases])
     }
 
     /// Replace the tracer's state wholesale with a checkpointed one.
@@ -449,7 +446,18 @@ impl Tracer {
     /// checkpointed session left off (same seq, same depth).
     pub fn restore_state(&self, state: TraceState) {
         let mut inner = self.lock();
-        inner.events = state.events;
+        let mut at = 0;
+        inner.starts = state
+            .jsonl
+            .split_terminator('\n')
+            .map(|line| {
+                let start = at;
+                at += line.len() + 1;
+                start
+            })
+            .collect();
+        debug_assert_eq!(inner.starts.len() as u64, state.events);
+        inner.lines = state.jsonl;
         inner.depth = state.depth;
         inner.counters = state.counters.into_iter().collect();
         inner.phases = state.phases;
@@ -485,7 +493,10 @@ pub struct TraceMark {
 /// A [`Tracer`]'s full deterministic state, as a checkpoint carries it.
 #[derive(Debug, Clone)]
 pub struct TraceState {
-    pub events: Vec<Event>,
+    /// Number of events: the lines of `jsonl`.
+    pub events: u64,
+    /// The events as the tracer rendered them, one JSON line each.
+    pub jsonl: String,
     pub depth: u16,
     pub counters: Vec<(&'static str, u64)>,
     pub phases: Vec<PhaseSummary>,
@@ -513,14 +524,7 @@ impl Drop for Span<'_> {
         let elapsed = self.start.elapsed();
         let mut inner = self.tracer.lock();
         inner.depth = inner.depth.saturating_sub(1);
-        let seq = inner.events.len() as u64;
-        let depth = inner.depth;
-        inner.events.push(Event {
-            seq,
-            depth,
-            kind: "span.end",
-            fields: vec![("name", Value::Str(self.name.to_string()))],
-        });
+        let seq = inner.push("span.end", &[("name", Value::Str(self.name.to_string()))]);
         let events = seq + 1 - self.events_at_open;
         inner.phases.push(PhaseSummary {
             name: self.name,
@@ -663,8 +667,9 @@ mod tests {
 
     /// What a checkpoint folds out of a mark: the state below it.
     fn state_at(t: &Tracer, mark: &TraceMark) -> TraceState {
-        t.read_prefix(0, mark, |events, phases| TraceState {
-            events: events.to_vec(),
+        t.read_prefix(0, mark, |jsonl, phases| TraceState {
+            events: mark.events,
+            jsonl: jsonl.to_string(),
             depth: mark.depth,
             counters: mark.counters.clone(),
             phases: phases.to_vec(),
@@ -697,7 +702,8 @@ mod tests {
             t.emit("step", vec![("i", 99u64.into())]);
             t.incr("late", 1);
             let state = state_at(&t, &mark);
-            assert_eq!(state.events.len(), 4, "begin + 3 steps");
+            assert_eq!(state.events, 4, "begin + 3 steps");
+            assert_eq!(state.jsonl.lines().count(), 4);
             assert!(state.counters.is_empty());
             let begin_seq = s.events_at_open();
             std::mem::forget(s); // span stays "open" in the snapshot

@@ -53,13 +53,9 @@ fn main() {
             report.best_improvement_pct()
         );
         println!("\nrecommended structures:");
-        for index in best.config.indexes() {
-            if !index.table.is_view() {
-                println!("  CREATE INDEX ... {index}");
-            }
-        }
-        for view in best.config.views() {
-            println!("  CREATE MATERIALIZED VIEW ... AS {}", view.def.to_sql(&db));
+        let base = Configuration::base(&db);
+        for ddl in pdtune::tuner::configuration_ddl(&db, &best.config, &base) {
+            println!("  {ddl}");
         }
     }
     println!(

@@ -19,13 +19,15 @@ use pdtune::baseline::{BaselineAdvisor, BaselineOptions};
 use pdtune::catalog::Database;
 use pdtune::expr::Binder;
 use pdtune::prelude::*;
-use pdtune::serve::JobSpec;
+use pdtune::serve::{CheckpointLog, DurableWriter, JobSpec};
 use pdtune::tuner::instrument::gather_optimal_configuration;
-use pdtune::tuner::StopReason;
+use pdtune::tuner::{configuration_ddl, StopReason};
 use pdtune::workloads::bench::{bench_database, BenchParams};
 use pdtune::workloads::star::{star_database, StarParams};
 use pdtune::workloads::{tpch, WorkloadSpec};
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -505,13 +507,6 @@ fn read_file(path: &str) -> Result<String, TuneError> {
     })
 }
 
-fn read_bytes(path: &str) -> Result<Vec<u8>, TuneError> {
-    std::fs::read(path).map_err(|e| TuneError::Io {
-        path: path.to_string(),
-        msg: e.to_string(),
-    })
-}
-
 fn write_file(path: &str, contents: &str) -> Result<(), TuneError> {
     std::fs::write(path, contents).map_err(|e| TuneError::Io {
         path: path.to_string(),
@@ -543,34 +538,18 @@ fn load_workload(o: &CliOptions, db: &Database) -> Result<(WorkloadSpec, Workloa
     Ok((statements, workload))
 }
 
-/// Suppress the default "thread panicked" stderr noise for panics the
-/// fault injector fires on purpose; everything else still reaches the
-/// previous hook.
-fn quiet_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.starts_with("injected fault:"));
-        if !injected {
-            prev(info);
-        }
-    }));
-}
-
 fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
     let db = build_database(o)?;
     let (statements, workload) = load_workload(o, &db)?;
 
     let fault_plan = FaultPlan::from_env().map_err(TuneError::Usage)?;
     if fault_plan.is_some() {
-        quiet_injected_panics();
+        pdtune::serve::daemon::quiet_injected_panics();
     }
 
     // `--resume`: the log's longest intact prefix, and how long it is.
     let resumed = match &o.resume {
-        Some(path) => Some(Checkpoint::from_log(&read_bytes(path)?)?),
+        Some(path) => Some(CheckpointLog::read(Path::new(path))?),
         None => None,
     };
 
@@ -604,13 +583,38 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
     }
 
     let tracer = (o.trace.is_some() || o.validate_bounds).then(pdtune::trace::Tracer::new);
-    let sink = match &o.checkpoint {
-        Some(path) => Some(checkpoint_sink(
-            path,
-            o.resume.as_deref(),
-            resumed.as_ref(),
-        )?),
+    // A session resumed from `--checkpoint`'s own log goes on appending
+    // to it; one resumed from elsewhere starts it with the checkpoint.
+    let log = match &o.checkpoint {
+        Some(path) => {
+            let to = Path::new(path);
+            let same_file = |from: &str| {
+                std::fs::canonicalize(from)
+                    .ok()
+                    .is_some_and(|from| std::fs::canonicalize(to).ok() == Some(from))
+            };
+            let writer = DurableWriter::default();
+            let log = match &resumed {
+                Some((_, kept)) if o.resume.as_deref().is_some_and(same_file) => {
+                    CheckpointLog::extend(to, *kept, writer)?
+                }
+                Some((ck, _)) => CheckpointLog::fork(to, ck, writer)?,
+                None => CheckpointLog::create(to, writer),
+            };
+            Some((path, RefCell::new(log)))
+        }
         None => None,
+    };
+    // A lost record ends the log, not the session: warn once, keep tuning.
+    let sink = |done: usize, record: &str| {
+        let Some((path, log)) = &log else { return };
+        let mut log = log.borrow_mut();
+        if log.lost().is_none() {
+            match log.append(record) {
+                Ok(()) => eprintln!("checkpoint: {done} iterations -> {path}"),
+                Err(e) => eprintln!("warning: checkpoint {e}; the log ends here"),
+            }
+        }
     };
     let report = pdtune::tuner::tune_session(
         &db,
@@ -619,7 +623,7 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
         SessionCtl {
             tracer: tracer.as_ref(),
             checkpoint_every: o.spec.checkpoint_every,
-            checkpoint_sink: sink.as_ref().map(|s| s as &dyn Fn(usize, &str)),
+            checkpoint_sink: log.is_some().then_some(&sink as &dyn Fn(usize, &str)),
             resume: resumed.as_ref().map(|(ck, _)| ck),
             ..SessionCtl::default()
         },
@@ -660,63 +664,6 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
     }
 }
 
-/// The `--checkpoint` sink: each record is framed and appended to the
-/// log at `path` with one `fdatasync` (the first record of a new log is
-/// installed by tmp + fsync + rename + dir fsync, so the file appears
-/// whole). A resumed session's records extend the checkpoint it resumed
-/// from, so the log must already hold it: resuming *from* `path` keeps
-/// appending after its intact prefix (a torn tail is cut off), and
-/// resuming from anywhere else starts `path` with the folded checkpoint.
-fn checkpoint_sink(
-    path: &str,
-    resumed_from: Option<&str>,
-    resumed: Option<&(Checkpoint, usize)>,
-) -> Result<impl Fn(usize, &str), TuneError> {
-    use pdtune::serve::AppendLog;
-    let io_err = |e: std::io::Error| TuneError::Io {
-        path: path.to_string(),
-        msg: e.to_string(),
-    };
-    let target = std::path::Path::new(path);
-    let same_file = |a: &str| {
-        std::fs::canonicalize(a)
-            .ok()
-            .is_some_and(|a| std::fs::canonicalize(target).ok() == Some(a))
-    };
-    let mut frame = Vec::new();
-    let log = match resumed {
-        Some((_, kept)) if resumed_from.is_some_and(same_file) => {
-            AppendLog::reopen(target, *kept as u64).map_err(io_err)?
-        }
-        Some((ck, _)) => {
-            let mut log = AppendLog::create(target);
-            Checkpoint::frame_record(&ck.to_json_string(), &mut frame);
-            log.append(&frame).map_err(io_err)?;
-            log
-        }
-        None => AppendLog::create(target),
-    };
-    let path = path.to_string();
-    // `Some` while every record so far reached the log.
-    let appender = std::cell::RefCell::new(Some((log, frame)));
-    Ok(move |done: usize, record: &str| {
-        let mut appender = appender.borrow_mut();
-        let Some((log, frame)) = appender.as_mut() else {
-            return;
-        };
-        Checkpoint::frame_record(record, frame);
-        match log.append(frame) {
-            Ok(()) => eprintln!("checkpoint: {done} iterations -> {path}"),
-            Err(e) => {
-                // Later records extend this one; without it they would
-                // only corrupt the log.
-                eprintln!("warning: checkpoint write to {path} failed ({e}); the log ends here");
-                *appender = None;
-            }
-        }
-    })
-}
-
 /// The reference costs, the recommendation's cost and its DDL.
 fn print_recommendation(db: &Database, report: &TuningReport) {
     println!(
@@ -739,35 +686,8 @@ fn print_recommendation(db: &Database, report: &TuningReport) {
                 report.best_improvement_pct()
             );
             println!("recommended physical design:");
-            for index in best.config.indexes() {
-                if index.table.is_view() {
-                    continue;
-                }
-                let t = db.table(index.table);
-                let cols: Vec<&str> = index
-                    .key
-                    .iter()
-                    .map(|c| t.column(c.ordinal).name.as_str())
-                    .collect();
-                let suffix: Vec<&str> = index
-                    .suffix
-                    .iter()
-                    .map(|c| t.column(c.ordinal).name.as_str())
-                    .collect();
-                let kind = if index.clustered { "CLUSTERED " } else { "" };
-                if suffix.is_empty() {
-                    println!("  CREATE {kind}INDEX ON {} ({})", t.name, cols.join(", "));
-                } else {
-                    println!(
-                        "  CREATE {kind}INDEX ON {} ({}) INCLUDE ({})",
-                        t.name,
-                        cols.join(", "),
-                        suffix.join(", ")
-                    );
-                }
-            }
-            for view in best.config.views() {
-                println!("  CREATE MATERIALIZED VIEW AS {}", view.def.to_sql(db));
+            for ddl in configuration_ddl(db, &best.config, &Configuration::base(db)) {
+                println!("  {ddl}");
             }
         }
         None => println!("no configuration fits the budget"),

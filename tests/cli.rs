@@ -46,6 +46,55 @@ fn tune_prints_recommendation() {
     assert!(stdout.contains("recommended physical design"), "{stdout}");
 }
 
+/// The DDL the CLI recommends is that of the configuration it tuned to:
+/// the structures the base configuration lacks, indexes on views
+/// included — the lines the daemon's `report.txt` lists for the spec.
+#[test]
+fn tune_recommends_the_ddl_of_the_recommendation() {
+    let (ok, stdout, stderr) = pdtune(&[
+        "tune",
+        "--db",
+        "tpch",
+        "--sf",
+        "0.01",
+        "--budget",
+        "5M",
+        "--iterations",
+        "40",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let printed: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| *l != "recommended physical design:")
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .map(str::trim)
+        .collect();
+    let spec = pdtune::serve::JobSpec {
+        sf: 0.01,
+        budget: Some(5e6),
+        iterations: 40,
+        ..Default::default()
+    };
+    let db = spec.build_database().unwrap();
+    let workload = spec.build_workload(&db).unwrap();
+    let options = spec
+        .tuner_options(None, pdtune::tuner::StopToken::new())
+        .unwrap();
+    let best = pdtune::tuner::tune(&db, &workload, &options)
+        .best
+        .expect("a configuration fits 5M");
+    let base = pdtune::physical::Configuration::base(&db);
+    assert_eq!(
+        printed,
+        pdtune::tuner::configuration_ddl(&db, &best.config, &base)
+    );
+    assert!(
+        printed.iter().any(|l| l.contains(" ON mv")),
+        "the recommendation indexes views: {printed:?}"
+    );
+}
+
 /// A scale factor whose cardinality estimates overflow to infinity
 /// must still finish: an infinitely large structure never fits the
 /// budget, it does not hang the size model.
@@ -393,6 +442,92 @@ fn checkpoint_resume_round_trip_is_byte_identical() {
         "the lost record was rewritten"
     );
     assert_eq!(appended, whole, "same session, same records, same log");
+}
+
+/// `--resume A --checkpoint B` with two files: B starts with A's
+/// checkpoint and goes on from there, so B alone resumes the session to
+/// the uninterrupted trace.
+#[test]
+fn resume_into_another_log_starts_it_with_the_checkpoint() {
+    let dir = std::env::temp_dir().join("pdtune_cli_fork_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let base = [
+        "tune",
+        "--db",
+        "bench",
+        "--seed",
+        "3",
+        "--queries",
+        "5",
+        "--iterations",
+        "30",
+        "--budget",
+        "4M",
+        "--checkpoint-every",
+        "2",
+    ];
+    let run = |extra: &[&str]| {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        pdtune_env(&args, &[])
+    };
+    let (full, whole) = (path("full.jsonl"), path("whole.log"));
+    let (code, _, stderr) = run(&["--checkpoint", &whole, "--trace", &full]);
+    assert_eq!(code, 0, "{stderr}");
+    let whole_log = std::fs::read(&whole).unwrap();
+    let (last, _) = pdtune::tuner::Checkpoint::from_log(&whole_log).unwrap();
+
+    // A: the log as a crash after its second record left it.
+    let second_end = whole_log
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .nth(1)
+        .map(|(i, _)| i + 1)
+        .expect("several records");
+    let (a, b) = (path("a.log"), path("b.log"));
+    std::fs::write(&a, &whole_log[..second_end]).unwrap();
+    let (at_a, _) = pdtune::tuner::Checkpoint::from_log(&whole_log[..second_end]).unwrap();
+    assert!(at_a.iteration < last.iteration, "A stops mid-session");
+
+    let t2 = path("resumed.jsonl");
+    let (code, stdout, stderr) = run(&["--resume", &a, "--checkpoint", &b, "--trace", &t2]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("resuming from"), "{stdout}");
+    let full_trace = std::fs::read_to_string(&full).unwrap();
+    assert_eq!(full_trace, std::fs::read_to_string(&t2).unwrap());
+    assert_eq!(
+        std::fs::read(&a).unwrap(),
+        &whole_log[..second_end],
+        "A is only read"
+    );
+    let b_log = std::fs::read(&b).unwrap();
+    let (at_b, kept) = pdtune::tuner::Checkpoint::from_log(&b_log).unwrap();
+    assert_eq!(kept, b_log.len());
+    assert!(at_b.iteration >= at_a.iteration);
+    assert_eq!(
+        at_b.iteration, last.iteration,
+        "B reaches the whole log's end"
+    );
+    // B's first record is A's fold, as one complete document.
+    let (first, _) = pdtune::tuner::Checkpoint::from_log(
+        &b_log[..=b_log.iter().position(|&b| b == b'\n').unwrap()],
+    )
+    .unwrap();
+    assert_eq!(first.to_json_string(), at_a.to_json_string());
+
+    let t3 = path("from_b.jsonl");
+    let (code, _, stderr) = run(&["--resume", &b, "--trace", &t3]);
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(full_trace, std::fs::read_to_string(&t3).unwrap());
+
+    // A missing resume source is an I/O error (exit 3), not a fresh log.
+    let c = path("c.log");
+    let (code, _, stderr) = run(&["--resume", &path("absent.log"), "--checkpoint", &c]);
+    assert_eq!(code, 3, "{stderr}");
+    assert!(!std::path::Path::new(&c).exists(), "no log was started");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -337,6 +337,48 @@ extern "C" {
 /// Overload: a single-slot daemon with a tiny queue must answer
 /// rejected submits with explicit `retry_after_ms` backpressure, and
 /// every *accepted* job must still reach a terminal state.
+/// One spec, two front ends: `pdtune tune --checkpoint --trace` and a
+/// daemon job drive the same session through the same log writer, so
+/// they leave the same trace and the same checkpoint records.
+#[test]
+fn tune_and_a_daemon_job_leave_the_same_trace_and_log() {
+    let dir = scratch("cli-vs-daemon");
+    let daemon = start_daemon(&dir, &["--slots", "1"]);
+    let id = submit(&dir, &[]);
+    assert_eq!(wait_done(&dir, &id), (0, "done".to_string()));
+    shutdown_and_join(&dir, daemon);
+
+    let (log, trace) = (dir.join("cli.log"), dir.join("cli.jsonl"));
+    let mut args = vec!["tune"];
+    args.extend(&submit_args(&[])[1..]);
+    let out = Command::new(bin())
+        .args(&args)
+        .arg("--checkpoint")
+        .arg(&log)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        read(&trace),
+        read(&session_file(&dir, &id, "trace.jsonl")),
+        "trace.jsonl"
+    );
+    let records = checkpoint_records(&log);
+    assert!(records.len() > 1, "the session checkpointed once");
+    assert_eq!(
+        records,
+        checkpoint_records(&session_file(&dir, &id, "checkpoint.log")),
+        "checkpoint.log"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn overload_backpressure_rejects_explicitly_and_loses_nothing() {
     let dir = scratch("overload");
