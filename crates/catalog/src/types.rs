@@ -48,11 +48,6 @@ impl ColumnType {
         }
     }
 
-    /// True if values of this type are textual.
-    pub fn is_string(self) -> bool {
-        matches!(self, ColumnType::Char(_) | ColumnType::VarChar(_))
-    }
-
     /// True if values of this type are numeric (orderable arithmetic).
     pub fn is_numeric(self) -> bool {
         matches!(

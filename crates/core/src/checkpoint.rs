@@ -10,9 +10,10 @@
 //! checkpoint recording off); the restored cache turns every committed
 //! evaluation into pure hits, so the replay costs almost no optimizer
 //! calls. At `iteration + 1` the session "goes live": replayed state is
-//! verified against the checkpoint (RNG state, best cost, frontier
-//! length), counters and trace are restored, and the run continues —
-//! byte-identical to one that was never interrupted.
+//! verified against the checkpoint's [`Head`] (iteration, RNG state,
+//! frontier length, call-budget ledger, best cost), counters and trace
+//! are restored, and the run continues — byte-identical to one that was
+//! never interrupted.
 //!
 //! Everything a checkpoint holds is append-only (cache entries, trace
 //! events, faults) or a handful of scalars, so
@@ -37,19 +38,24 @@
 //! on `std`'s `DefaultHasher`, which is only stable within one build —
 //! checkpoints are same-binary artifacts, and `validate` rejects
 //! anything else.
+//!
+//! This module is the one owner of the record format: the [`Head`] every
+//! record carries, the session's `Capture` that writes the records, and
+//! the checks and restore a resume makes.
 
 use crate::arena::sort_batch;
 use crate::cache::{CacheEntry, CostCache, DerivedTally};
 use crate::derived::QueryRelevance;
 use crate::error::TuneError;
 use crate::fault::{FaultEvent, FaultKind};
+use crate::search::{CheckpointSink, SessionCtl, TuningReport};
 use pdt_catalog::{ColumnId, TableId};
 use pdt_opt::{IndexUsage, UsageKind};
 use pdt_physical::{Configuration, Index};
 use pdt_trace::json::{self, write_bool, write_escaped, write_int, write_num, Json};
-use pdt_trace::{PhaseSummary, TraceState};
+use pdt_trace::{PhaseSummary, TraceMark, TraceState, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write;
+use std::fmt::{Debug, Write};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -73,6 +79,25 @@ pub struct Checkpoint {
     /// (`TunerOptions::deployed`), verified bitwise after the setup
     /// replay like the costs above; `None` for cold sessions.
     pub deployed: Option<(f64, f64)>,
+    /// The scalars of the last record folded in.
+    pub head: Head,
+    pub faults: Vec<FaultEvent>,
+    /// Every cost-cache entry, sorted by `(query, signature)`.
+    pub cache: Vec<((usize, u128), CacheEntry)>,
+    /// Per-query relevance rows ([`crate::derived::RelevanceTable`]).
+    /// Pure function of the (already-validated) workload and database —
+    /// persisted so resume can verify the rebuilt table matches instead
+    /// of trusting it blindly.
+    pub relevance: Vec<Option<QueryRelevance>>,
+    pub trace: Option<TraceCheckpoint>,
+}
+
+/// The scalars every record carries — the whole header of a delta. A
+/// session builds one from its state at each boundary it marks, and
+/// again at go-live, where replay must have regenerated every field but
+/// the counters (`Head::restore` puts those back).
+#[derive(Debug, Clone, Copy)]
+pub struct Head {
     /// Completed search iterations at capture time; replay re-executes
     /// `1..=iteration` and goes live after.
     pub iteration: usize,
@@ -97,15 +122,92 @@ pub struct Checkpoint {
     /// by the replay).
     pub best: Option<(f64, f64)>,
     pub frontier_len: usize,
-    pub faults: Vec<FaultEvent>,
-    /// Every cost-cache entry, sorted by `(query, signature)`.
-    pub cache: Vec<((usize, u128), CacheEntry)>,
-    /// Per-query relevance rows ([`crate::derived::RelevanceTable`]).
-    /// Pure function of the (already-validated) workload and database —
-    /// persisted so resume can verify the rebuilt table matches instead
-    /// of trusting it blindly.
-    pub relevance: Vec<Option<QueryRelevance>>,
-    pub trace: Option<TraceCheckpoint>,
+}
+
+impl Head {
+    /// The header of a live session at its current boundary.
+    fn of(live: &Live<'_>) -> Head {
+        let (report, cache) = (live.report, live.cache);
+        Head {
+            iteration: report.iterations,
+            rng_state: live.rng_state,
+            optimizer_calls: report.optimizer_calls,
+            budget_spent: live.budget.0,
+            budget_skipped: live.budget.1,
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            derived: cache.derived_counters(),
+            best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
+            frontier_len: report.frontier.len(),
+        }
+    }
+
+    /// At go-live, what replay must regenerate: the first such field the
+    /// replayed session gets wrong, as a resume error naming it.
+    pub(crate) fn check_replay(&self, live: &Live<'_>) -> Result<(), TuneError> {
+        let (r, c) = (&Head::of(live), self);
+        let context = format!(
+            "replay diverged from the checkpoint at iteration {}",
+            c.iteration
+        );
+        check_fields(
+            &context,
+            &[
+                field("iteration", &r.iteration, &c.iteration),
+                field("rng_state", &r.rng_state, &c.rng_state),
+                field("frontier_len", &r.frontier_len, &c.frontier_len),
+                field("budget_spent", &r.budget_spent, &c.budget_spent),
+                field("budget_skipped", &r.budget_skipped, &c.budget_skipped),
+                costs("best", &r.best, &c.best),
+            ],
+        )
+    }
+
+    /// What replay cannot regenerate: its evaluations hit the restored
+    /// cache instead of calling the optimizer, so the call and cache
+    /// counters are put back from the checkpoint. (The candidate
+    /// generated/reused counters replay exactly — replay prices the same
+    /// candidates — so neither needs a field.)
+    pub(crate) fn restore(&self, report: &mut TuningReport, cache: &CostCache) {
+        report.optimizer_calls = self.optimizer_calls;
+        cache.set_counters(self.cache_hits, self.cache_misses);
+        cache.set_derived_counters(self.derived);
+    }
+}
+
+/// One field a resume check compares: its name, this session's value,
+/// the checkpoint's, and whether they agree.
+type Field<'v> = (&'v str, &'v dyn Debug, &'v dyn Debug, bool);
+
+fn field<'v, T: Debug + PartialEq>(name: &'v str, session: &'v T, checkpoint: &'v T) -> Field<'v> {
+    (name, session, checkpoint, session == checkpoint)
+}
+
+/// A cost compared bit for bit: a replay regenerates costs exactly.
+fn cost<'v>(name: &'v str, session: &'v f64, checkpoint: &'v f64) -> Field<'v> {
+    let same = session.to_bits() == checkpoint.to_bits();
+    (name, session, checkpoint, same)
+}
+
+/// A `(cost, size_bytes)` pair compared bit for bit, like [`cost`].
+fn costs<'v>(
+    name: &'v str,
+    session: &'v Option<(f64, f64)>,
+    checkpoint: &'v Option<(f64, f64)>,
+) -> Field<'v> {
+    let bits = |p: &Option<(f64, f64)>| p.map(|(cost, size)| (cost.to_bits(), size.to_bits()));
+    (name, session, checkpoint, bits(session) == bits(checkpoint))
+}
+
+/// The resume error naming the first of `fields` that disagrees, with
+/// both values.
+fn check_fields(context: &str, fields: &[Field<'_>]) -> Result<(), TuneError> {
+    let Some((name, session, checkpoint, _)) = fields.iter().find(|f| !f.3) else {
+        return Ok(());
+    };
+    Err(TuneError::Checkpoint(format!(
+        "{context}: {name} {session:?} in this session vs {checkpoint:?} in the checkpoint"
+    )))
 }
 
 /// The tracer's full state plus the seq of the open `search` span's
@@ -120,21 +222,59 @@ impl Checkpoint {
     /// Reject a checkpoint that does not match this session's options,
     /// workload, or database (or was written by a different build).
     pub fn validate(&self, options_sig: u64, base_sig: u64) -> Result<(), TuneError> {
-        if self.options_sig != options_sig {
-            return Err(TuneError::Checkpoint(
-                "checkpoint was written with different tuner options or workload \
-                 (or by a different build)"
-                    .to_string(),
-            ));
-        }
-        if self.base_sig != base_sig {
-            return Err(TuneError::Checkpoint(
-                "checkpoint was written against a different database (or by a \
-                 different build)"
-                    .to_string(),
-            ));
-        }
-        Ok(())
+        check_fields(
+            "checkpoint was written for different tuner options, workload or database (or by \
+             a different build)",
+            &[
+                field("options_sig", &options_sig, &self.options_sig),
+                field("base_sig", &base_sig, &self.base_sig),
+            ],
+        )
+    }
+
+    /// Before a resumed session does any work: [`validate`](Self::validate),
+    /// then refuse an untraced checkpoint for a traced session (its trace
+    /// could not be continued) and a relevance table other than the one
+    /// the session rebuilt from its workload.
+    pub(crate) fn check_identity(
+        &self,
+        options_sig: u64,
+        base_sig: u64,
+        traced: bool,
+        relevance: &[Option<QueryRelevance>],
+    ) -> Result<(), TuneError> {
+        self.validate(options_sig, base_sig)?;
+        let (rows, has_trace) = (&self.relevance, self.trace.is_some());
+        let row = (0..relevance.len().max(rows.len()))
+            .find(|&q| relevance.get(q) != rows.get(q))
+            .unwrap_or(0);
+        let (name, mine, theirs) = (
+            format!("relevance row {row}"),
+            relevance.get(row),
+            rows.get(row),
+        );
+        check_fields(
+            "checkpoint does not match this session",
+            &[
+                ("trace", &traced, &has_trace, has_trace || !traced),
+                (&name, &mine, &theirs, relevance == rows),
+            ],
+        )
+    }
+
+    /// After the setup replay: the reference costs must be the
+    /// checkpointed ones bit for bit — anything else means the database
+    /// or cost model changed in a way the signatures could not see.
+    pub(crate) fn check_setup(&self, live: &Live<'_>) -> Result<(), TuneError> {
+        let r = live.report;
+        check_fields(
+            "replayed setup diverged from the checkpoint",
+            &[
+                cost("initial_cost", &r.initial_cost, &self.initial_cost),
+                cost("optimal_cost", &r.optimal_cost, &self.optimal_cost),
+                costs("deployed", &live.deployed, &self.deployed),
+            ],
+        )
     }
 
     /// Rebuild the what-if cost cache (counters start at zero; the
@@ -163,7 +303,7 @@ impl Checkpoint {
                 deployed: self.deployed,
                 relevance: &self.relevance,
             }),
-            &self.head(),
+            &self.head,
             &Batch {
                 faults: &self.faults,
                 cache: &self.cache,
@@ -184,21 +324,6 @@ impl Checkpoint {
         parse_checkpoint(s).map_err(TuneError::Checkpoint)
     }
 
-    fn head(&self) -> Head {
-        Head {
-            iteration: self.iteration,
-            rng_state: self.rng_state,
-            optimizer_calls: self.optimizer_calls,
-            budget_spent: self.budget_spent,
-            budget_skipped: self.budget_skipped,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            derived: self.derived,
-            best: self.best,
-            frontier_len: self.frontier_len,
-        }
-    }
-
     /// Fold one delta record into this checkpoint, which must be the
     /// state the record was written against (`base`). All-or-nothing:
     /// the record is parsed and checked in full before anything moves,
@@ -207,16 +332,7 @@ impl Checkpoint {
     /// so the result equals a full capture at the record's iteration.
     pub fn apply_record(&mut self, record: &str) -> Result<(), TuneError> {
         let (head, batch) = parse_delta(record, self).map_err(TuneError::Checkpoint)?;
-        self.iteration = head.iteration;
-        self.rng_state = head.rng_state;
-        self.optimizer_calls = head.optimizer_calls;
-        self.budget_spent = head.budget_spent;
-        self.budget_skipped = head.budget_skipped;
-        self.cache_hits = head.cache_hits;
-        self.cache_misses = head.cache_misses;
-        self.derived = head.derived;
-        self.best = head.best;
-        self.frontier_len = head.frontier_len;
+        self.head = head;
         self.faults.extend(batch.faults);
         self.cache.extend(batch.cache);
         sort_batch(&mut self.cache);
@@ -284,6 +400,183 @@ impl Checkpoint {
     }
 }
 
+// ---- capture ------------------------------------------------------
+
+/// A live session as its checkpoint reads it: what a record captures at a
+/// clean boundary, and what the setup and go-live checks compare.
+pub(crate) struct Live<'s> {
+    pub options_sig: u64,
+    pub base_sig: u64,
+    pub relevance: &'s [Option<QueryRelevance>],
+    /// The warm start's deployed `(cost, size_bytes)`.
+    pub deployed: Option<(f64, f64)>,
+    pub report: &'s TuningReport,
+    pub rng_state: u64,
+    /// The call-budget ledger's `(spent, skipped)`.
+    pub budget: (u64, u64),
+    pub cache: &'s CostCache,
+    /// Seq of the open `search` span's begin event (0 before it opens).
+    pub open_span_seq: u64,
+}
+
+/// A session's side of its checkpoint log: when records are written
+/// and what each holds. A session has one exactly when it has a sink.
+pub(crate) struct Capture<'a> {
+    sink: CheckpointSink<'a>,
+    every: usize,
+    tracer: Option<&'a Tracer>,
+    /// Journal epoch inserts currently land in; closed by every [`Mark`].
+    epoch: u32,
+    /// The newest clean boundary marked but not yet written.
+    pending: Option<Mark>,
+    /// What the records written so far (or the checkpoint resumed
+    /// from) already cover.
+    written: Written,
+    /// Reused across records.
+    buf: String,
+}
+
+/// A clean iteration boundary, held until (and unless) a record is
+/// written for it: the header scalars by value, and everything
+/// append-only by position; see [`Capture::boundary`].
+struct Mark {
+    head: Head,
+    /// The journal epoch this boundary closed: the record takes what
+    /// the cost cache gained in epochs `..= epoch`.
+    epoch: u32,
+    /// `report.faults.len()` at the boundary.
+    faults: usize,
+    trace: Option<TraceMark>,
+}
+
+/// How far the checkpoint log already reaches: the boundary of the last
+/// record written (or of the checkpoint resumed from; 0 = the log is
+/// empty and the next record opens it with a complete document), and
+/// the positions the next record's batches start at.
+struct Written {
+    iteration: usize,
+    faults: usize,
+    events: u64,
+}
+
+impl<'a> Capture<'a> {
+    /// The capture of a session run under `ctl`; `None` without a sink.
+    /// A resumed session's log already reaches its checkpoint.
+    pub(crate) fn new(ctl: &SessionCtl<'a>) -> Option<Capture<'a>> {
+        let resume = ctl.resume;
+        Some(Capture {
+            sink: ctl.checkpoint_sink?,
+            every: ctl.checkpoint_every,
+            tracer: ctl.tracer,
+            epoch: 0,
+            pending: None,
+            written: Written {
+                iteration: resume.map_or(0, |ck| ck.head.iteration),
+                faults: resume.map_or(0, |ck| ck.faults.len()),
+                events: resume
+                    .and_then(|ck| ck.trace.as_ref())
+                    .map_or(0, |t| t.state.events),
+            },
+            buf: String::new(),
+        })
+    }
+
+    /// The top of a live iteration, un-stopped. The token is sticky, so
+    /// reaching it proves every iteration before it completed without
+    /// stop interference: mark them as the new resume boundary (there
+    /// is none before the first), and write it on the cadence.
+    pub(crate) fn boundary(&mut self, live: &Live<'_>) {
+        if live.report.iterations == 0 {
+            return;
+        }
+        let mark = self.mark(live);
+        let done = mark.head.iteration;
+        if self.every > 0 && done.is_multiple_of(self.every) && done > self.written.iteration {
+            self.write(&mark, live);
+        }
+        self.pending = Some(mark);
+    }
+
+    /// The session stops: save the newest clean boundary. It was marked
+    /// before the previous iteration ran, so it is valid even if that
+    /// iteration was truncated mid-evaluation by this very stop: nothing
+    /// inserted or emitted after the mark reaches the record.
+    pub(crate) fn stop(&mut self, live: &Live<'_>) {
+        if let Some(mark) = self.pending.take() {
+            if mark.head.iteration > self.written.iteration {
+                self.write(&mark, live);
+            }
+        }
+    }
+
+    /// The header scalars, and *positions* in everything append-only —
+    /// the journal epoch this closes, the fault count, the tracer's
+    /// event and phase counts. Costs the same however much state the
+    /// session has accumulated.
+    fn mark(&mut self, live: &Live<'_>) -> Mark {
+        let epoch = self.epoch;
+        live.cache.seal(epoch);
+        self.epoch += 1;
+        Mark {
+            head: Head::of(live),
+            epoch,
+            faults: live.report.faults.len(),
+            trace: self.tracer.map(Tracer::mark),
+        }
+    }
+
+    /// Render the record for `mark` — what the cost cache, the fault list
+    /// and the tracer gained between the previous record and the mark —
+    /// and hand it to the sink.
+    fn write(&mut self, mark: &Mark, live: &Live<'_>) {
+        let (report, written) = (live.report, &self.written);
+        let cache = live.cache.drain_through(mark.epoch);
+        let identity = Identity {
+            options_sig: live.options_sig,
+            base_sig: live.base_sig,
+            initial_cost: report.initial_cost,
+            optimal_cost: report.optimal_cost,
+            deployed: live.deployed,
+            relevance: live.relevance,
+        };
+        let kind = if written.iteration == 0 {
+            RecordKind::Full(&identity)
+        } else {
+            RecordKind::Delta {
+                base: written.iteration,
+            }
+        };
+        let out = &mut self.buf;
+        out.clear();
+        let render = |trace: Option<TraceBatch<'_>>| {
+            let batch = Batch {
+                faults: &report.faults[written.faults..mark.faults],
+                cache: &cache,
+                trace,
+            };
+            write_record(out, kind, &mark.head, &batch);
+        };
+        match (self.tracer, &mark.trace) {
+            (Some(t), Some(at)) => t.read_prefix(written.events, at, |events, phases| {
+                render(Some(TraceBatch {
+                    depth: at.depth,
+                    open_span_seq: live.open_span_seq,
+                    counters: &at.counters,
+                    phases,
+                    events,
+                }))
+            }),
+            _ => render(None),
+        }
+        (self.sink)(mark.head.iteration, &self.buf);
+        self.written = Written {
+            iteration: mark.head.iteration,
+            faults: mark.faults,
+            events: mark.trace.as_ref().map_or(0, |t| t.events),
+        };
+    }
+}
+
 // ---- log framing ----------------------------------------------------
 
 /// `<len:08x> <checksum:016x> ` — two fixed-width hex fields, each
@@ -330,32 +623,17 @@ fn checksum(bytes: &[u8]) -> u64 {
 
 // ---- records --------------------------------------------------------
 
-/// The scalars every record carries — the whole header of a delta.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Head {
-    pub iteration: usize,
-    pub rng_state: u64,
-    pub optimizer_calls: usize,
-    pub budget_spent: u64,
-    pub budget_skipped: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub derived: DerivedTally,
-    pub best: Option<(f64, f64)>,
-    pub frontier_len: usize,
-}
-
 /// What never changes over a session; only the first record carries it.
-pub(crate) struct Identity<'a> {
-    pub options_sig: u64,
-    pub base_sig: u64,
-    pub initial_cost: f64,
-    pub optimal_cost: f64,
-    pub deployed: Option<(f64, f64)>,
-    pub relevance: &'a [Option<QueryRelevance>],
+struct Identity<'a> {
+    options_sig: u64,
+    base_sig: u64,
+    initial_cost: f64,
+    optimal_cost: f64,
+    deployed: Option<(f64, f64)>,
+    relevance: &'a [Option<QueryRelevance>],
 }
 
-pub(crate) enum RecordKind<'a> {
+enum RecordKind<'a> {
     /// A log's first record: a complete document.
     Full(&'a Identity<'a>),
     /// Extends the record written at iteration `base`.
@@ -364,26 +642,26 @@ pub(crate) enum RecordKind<'a> {
 
 /// What a record adds to the one before it (for the first record:
 /// everything so far). Entry slices are sorted by key.
-pub(crate) struct Batch<'a> {
-    pub faults: &'a [FaultEvent],
-    pub cache: &'a [((usize, u128), CacheEntry)],
-    pub trace: Option<TraceBatch<'a>>,
+struct Batch<'a> {
+    faults: &'a [FaultEvent],
+    cache: &'a [((usize, u128), CacheEntry)],
+    trace: Option<TraceBatch<'a>>,
 }
 
 /// The tracer's scalars at the record's boundary, whole (they are a
 /// fixed small vocabulary), and the events since the previous record
 /// as the tracer rendered them: JSONL, which the record copies.
-pub(crate) struct TraceBatch<'a> {
-    pub depth: u16,
-    pub open_span_seq: u64,
-    pub counters: &'a [(&'static str, u64)],
-    pub phases: &'a [PhaseSummary],
-    pub events: &'a str,
+struct TraceBatch<'a> {
+    depth: u16,
+    open_span_seq: u64,
+    counters: &'a [(&'static str, u64)],
+    phases: &'a [PhaseSummary],
+    events: &'a str,
 }
 
 /// Stream one record into `out`. Field order is fixed, so equal state
 /// serializes to equal bytes.
-pub(crate) fn write_record(out: &mut String, kind: RecordKind<'_>, head: &Head, batch: &Batch<'_>) {
+fn write_record(out: &mut String, kind: RecordKind<'_>, head: &Head, batch: &Batch<'_>) {
     let _ = write!(out, "{{\"version\":{VERSION},\"kind\":");
     match kind {
         RecordKind::Full(id) => {
@@ -482,16 +760,7 @@ fn parse_checkpoint(s: &str) -> Result<Checkpoint, String> {
         initial_cost: f64n(get(&doc, "initial_cost")?)?,
         optimal_cost: f64n(get(&doc, "optimal_cost")?)?,
         deployed: cost_size_parse(get(&doc, "deployed")?)?,
-        iteration: head.iteration,
-        rng_state: head.rng_state,
-        optimizer_calls: head.optimizer_calls,
-        budget_spent: head.budget_spent,
-        budget_skipped: head.budget_skipped,
-        cache_hits: head.cache_hits,
-        cache_misses: head.cache_misses,
-        derived: head.derived,
-        best: head.best,
-        frontier_len: head.frontier_len,
+        head,
         faults: batch.faults,
         cache: batch.cache,
         relevance,
@@ -523,10 +792,10 @@ fn parse_delta(record: &str, onto: &Checkpoint) -> Result<(Head, OwnedBatch), St
     }
     let base = uint(get(&doc, "base")?)? as usize;
     let head = parse_head(&doc)?;
-    if base != onto.iteration || head.iteration <= base {
+    if base != onto.head.iteration || head.iteration <= base {
         return Err(format!(
             "record for iterations {base}..{} does not extend a checkpoint at iteration {}",
-            head.iteration, onto.iteration
+            head.iteration, onto.head.iteration
         ));
     }
     let next = match (&onto.trace, get(&doc, "trace")?) {
@@ -1180,21 +1449,23 @@ mod tests {
             initial_cost: 123.456,
             optimal_cost: 78.9,
             deployed: Some((101.5, 2048.0)),
-            iteration: 7,
-            rng_state: 0x0123_4567_89AB_CDEF,
-            optimizer_calls: 42,
-            budget_spent: 13,
-            budget_skipped: 27,
-            cache_hits: 10,
-            cache_misses: 5,
-            derived: DerivedTally {
-                avoided: 9,
-                plan_hits: 4,
-                plan_misses: 2,
-                repriced: 3,
+            head: Head {
+                iteration: 7,
+                rng_state: 0x0123_4567_89AB_CDEF,
+                optimizer_calls: 42,
+                budget_spent: 13,
+                budget_skipped: 27,
+                cache_hits: 10,
+                cache_misses: 5,
+                derived: DerivedTally {
+                    avoided: 9,
+                    plan_hits: 4,
+                    plan_misses: 2,
+                    repriced: 3,
+                },
+                best: Some((80.25, 4096.0)),
+                frontier_len: 8,
             },
-            best: Some((80.25, 4096.0)),
-            frontier_len: 8,
             faults: vec![FaultEvent {
                 iteration: 3,
                 kind: FaultKind::EvalPanic,
@@ -1259,10 +1530,10 @@ mod tests {
         let s2 = back.to_json_string();
         assert_eq!(s1, s2, "serialize → parse → serialize must be a fixpoint");
         // Spot-check deep contents.
-        assert_eq!(back.iteration, 7);
-        assert_eq!(back.rng_state, 0x0123_4567_89AB_CDEF);
-        assert_eq!((back.budget_spent, back.budget_skipped), (13, 27));
-        assert_eq!(back.best, Some((80.25, 4096.0)));
+        assert_eq!(back.head.iteration, 7);
+        assert_eq!(back.head.rng_state, 0x0123_4567_89AB_CDEF);
+        assert_eq!((back.head.budget_spent, back.head.budget_skipped), (13, 27));
+        assert_eq!(back.head.best, Some((80.25, 4096.0)));
         assert_eq!(back.deployed, Some((101.5, 2048.0)));
         assert_eq!(back.faults.len(), 1);
         assert_eq!(back.faults[0].kind, FaultKind::EvalPanic);
@@ -1277,7 +1548,7 @@ mod tests {
         assert_eq!(back.cache[0].1.footprint.as_ref(), &[1u128 << 90]);
         assert_eq!(back.cache[0].1.pinned.as_ref(), &[u128::MAX - 1]);
         assert!(back.cache[1].1.relevant.is_empty());
-        assert_eq!(back.derived, ck.derived);
+        assert_eq!(back.head.derived, ck.head.derived);
         assert_eq!(back.relevance, ck.relevance);
     }
 
@@ -1400,13 +1671,13 @@ mod tests {
             write_record(
                 &mut out,
                 RecordKind::Delta {
-                    base: base.iteration,
+                    base: base.head.iteration,
                 },
                 &Head {
                     iteration,
                     rng_state: 0xABCD,
-                    optimizer_calls: base.optimizer_calls + 3,
-                    ..base.head()
+                    optimizer_calls: base.head.optimizer_calls + 3,
+                    ..base.head
                 },
                 &Batch {
                     faults: &[FaultEvent {
@@ -1434,8 +1705,8 @@ mod tests {
         let record = sample_delta(&base, 9);
         let mut folded = Checkpoint::from_json_str(&base.to_json_string()).unwrap();
         folded.apply_record(&record).expect("extends iteration 7");
-        assert_eq!((folded.iteration, folded.rng_state), (9, 0xABCD));
-        assert_eq!(folded.optimizer_calls, 45);
+        assert_eq!((folded.head.iteration, folded.head.rng_state), (9, 0xABCD));
+        assert_eq!(folded.head.optimizer_calls, 45);
         assert_eq!(folded.faults.len(), 2);
         // Merged by key: (0,5) sorts first, (1,99) took the record's
         // value instead of growing a duplicate.
@@ -1478,7 +1749,7 @@ mod tests {
         let untraced = format!("{},\"trace\":null}}", &untraced[..cut]);
         folded.apply_record(&untraced).unwrap();
         assert!(folded.trace.is_none());
-        assert_eq!(folded.iteration, 11);
+        assert_eq!(folded.head.iteration, 11);
     }
 
     #[test]
@@ -1494,11 +1765,11 @@ mod tests {
             ends.push(log.len());
         }
         let (whole, kept) = Checkpoint::from_log(&log).unwrap();
-        assert_eq!((whole.iteration, kept), (9, log.len()));
+        assert_eq!((whole.head.iteration, kept), (9, log.len()));
         // Cut anywhere inside the last record: the first survives.
         for cut in [ends[0], ends[0] + 1, ends[0] + FRAME_HEADER, log.len() - 1] {
             let (ck, kept) = Checkpoint::from_log(&log[..cut]).unwrap();
-            assert_eq!((ck.iteration, kept), (7, ends[0]), "cut at {cut}");
+            assert_eq!((ck.head.iteration, kept), (7, ends[0]), "cut at {cut}");
         }
         // Cut inside the first: nothing to resume from.
         assert!(Checkpoint::from_log(&log[..ends[0] - 1]).is_err());

@@ -672,12 +672,6 @@ pub fn render_replay_report(db: &Database, report: &ReplayReport) -> String {
     out
 }
 
-/// Convenience wrapper summing logical iterations across epochs (used
-/// by benches and tests).
-pub fn total_iterations(report: &ReplayReport) -> usize {
-    report.epochs.iter().map(|e| e.iterations).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

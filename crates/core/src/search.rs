@@ -14,293 +14,45 @@
 //! ```
 //!
 //! [`tune_session`] runs that loop as the phase methods of one private
-//! `Session`; resume-by-replay, the call-budget ledger and fault
-//! containment each live behind one small type the phases call
-//! (`ReplayGate`, `CallLedger`, `Env::evaluate_contained`).
+//! `Session`. What the phases call lives one level down: the options
+//! and the report (`options`), the inputs and stores with the contained
+//! evaluation (`env`), the call-budget ledger (`budget`) and the §3.5
+//! pre-pass (`prepass`). Resume-by-replay is gated here (`ReplayGate`);
+//! the checkpoint record, its capture and its checks belong to
+//! [`crate::checkpoint`].
 
 #![deny(clippy::too_many_lines)]
 
+mod budget;
+mod env;
+mod options;
+mod prepass;
+
+pub use options::{
+    BestConfig, BoundViolation, CheckpointSink, ConfigChoice, FrontierPoint, Reference, SessionCtl,
+    TransformationChoice, TunerOptions, TuningReport,
+};
+
 use crate::arena::SkylineScratch;
-use crate::bound::{
-    bound_served_eval, estimates, node_bound, BoundNode, RemovalScore, RemovalStep, ViewBuildCosts,
-};
-use crate::cache::CostCache;
-use crate::checkpoint::{write_record, Batch, Checkpoint, Head, Identity, RecordKind, TraceBatch};
-use crate::derived::RelevanceTable;
+use crate::bound::BoundNode;
+use crate::checkpoint::{Capture, Checkpoint, Live};
 use crate::error::TuneError;
-use crate::eval::{
-    evaluate_entries, evaluate_full_ctx, unused_structures, EvalCtx, EvalResult, ShellTable,
-};
-use crate::fault::{
-    FaultEvent, FaultKind, FaultPlan, FaultSite, SITE_CANDIDATE, SITE_PREPASS, SITE_SHRINK,
-};
+use crate::eval::{evaluate_entries, evaluate_full_ctx, unused_structures, EvalResult, ShellTable};
+use crate::fault::{FaultEvent, FaultKind, SITE_CANDIDATE, SITE_SHRINK};
 use crate::instrument::gather_optimal_configuration_traced;
-use crate::node::{FactCtx, NodeFacts};
+use crate::node::NodeFacts;
 use crate::stop::{StopCheck, StopReason, StopToken};
-use crate::transform::{
-    apply, describe, inherits, removal_candidates, AppliedTransform, TransformDelta, Transformation,
-};
+use crate::transform::{apply, AppliedTransform, TransformDelta, Transformation};
 use crate::workload::Workload;
-use pdt_catalog::{Database, TableId};
-use pdt_opt::Optimizer;
-use pdt_physical::{Configuration, Index, PhysicalSchema};
+use budget::{CallLedger, Settled};
+use env::{Contained, Env, EvalJob};
+use pdt_catalog::Database;
+use pdt_physical::{Configuration, PhysicalSchema};
 use pdt_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-
-/// Which configuration to relax next (line 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConfigChoice {
-    /// The paper's three-step heuristic (§3.4 / §3.6).
-    #[default]
-    PaperHeuristic,
-    /// Always the minimum-cost configuration (the "interesting but
-    /// impractical" alternative the paper discusses; ablation).
-    MinCost,
-}
-
-/// Which transformation to apply (line 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransformationChoice {
-    /// Minimum `penalty = ΔT / min(Space(C)−B, ΔS)` (§3.4).
-    #[default]
-    Penalty,
-    /// Uniformly random applicable transformation (ablation).
-    Random,
-    /// Minimum ΔT regardless of space (ablation).
-    MinCostIncrease,
-}
-
-/// Tuning session options.
-#[derive(Debug, Clone)]
-pub struct TunerOptions {
-    /// Storage budget in bytes. `None` means unconstrained: the
-    /// optimal configuration is returned directly for SELECT-only
-    /// workloads; with updates the search still runs (removing
-    /// write-only structures pays).
-    pub space_budget: Option<f64>,
-    /// Iteration budget (the paper's wall-clock budget analog).
-    pub max_iterations: usize,
-    /// Recommend materialized views in addition to indexes.
-    pub with_views: bool,
-    /// §3.6 skyline filtering of candidate transformations.
-    pub skyline_filter: bool,
-    /// §3.5 shortcut evaluation (abort costing once above best).
-    pub shortcut_evaluation: bool,
-    /// §3.5 shrinking configurations (drop unused structures each
-    /// iteration).
-    pub shrink_unused: bool,
-    pub config_choice: ConfigChoice,
-    pub transformation_choice: TransformationChoice,
-    /// Seed for the `Random` ablation.
-    pub seed: u64,
-    /// Ignored. Retained only because the frozen `pdt-benchmark` crate
-    /// names it; the next benchmark PR drops it.
-    pub threads: usize,
-    /// Differential bound oracle: after each relaxation step, compare
-    /// the §3.3.2 closed-form cost upper bound against the actually
-    /// re-optimized workload cost and record any violation in
-    /// [`TuningReport::bound_violations`]. Decisions are unchanged (the
-    /// §3.5 shortcut skip is re-imposed on the completed evaluation),
-    /// but shortcut-aborted evaluations now run to completion, so
-    /// `optimizer_calls` and cache counters grow — this is the oracle's
-    /// overhead, not a behavior change. The oracle also compares every
-    /// fact the search derives for a node from its parent's — CBV table,
-    /// shell table, candidate list — with a from-scratch
-    /// computation and panics on a mismatch (a bug in the derivation,
-    /// see `NodeFacts::assert_matches_scratch`).
-    pub validate_bounds: bool,
-    /// Soft wall-clock deadline. Once it passes, the session stops at
-    /// the next cooperative check point and returns the best-so-far
-    /// report with [`StopReason::Deadline`]. `None` = no deadline.
-    pub deadline_ms: Option<u64>,
-    /// External cancellation token (e.g. tripped by a SIGINT handler).
-    /// `None` gives the session a private token, so deadline and
-    /// fault-limit stops still work without one.
-    pub stop: Option<StopToken>,
-    /// Deterministic fault injection for resilience testing; `None`
-    /// outside injection runs.
-    pub fault_plan: Option<FaultPlan>,
-    /// Contained faults tolerated before the session trips
-    /// [`StopReason::FaultLimit`] and returns the best-so-far report.
-    pub max_faults: usize,
-    /// Wii-style what-if call budget — the *approximate tier*. Caps the
-    /// worst-case real optimizer invocations the relaxation loop
-    /// (pre-pass included) may spend; candidates whose exact cost
-    /// cannot change the recommendation this step (their configuration
-    /// does not fit the space budget) are served a §3.3.2 bound-derived
-    /// estimate instead, and the session trips
-    /// [`StopReason::CallBudget`] — anytime, like a deadline — once a
-    /// decision-relevant evaluation no longer fits the remaining
-    /// budget. The recommended configuration is re-priced exactly
-    /// (budget-exempt) before it is returned. `None` (the default) is
-    /// the exact tier: byte-identical to an engine without this knob.
-    /// The budget changes logical decisions, so it is part of the
-    /// options signature.
-    pub optimizer_call_budget: Option<usize>,
-    /// Warm start: the currently-deployed configuration of an online
-    /// re-tuning loop. When set, the session evaluates it once during
-    /// setup (budget-exempt, like the base/optimal references), pools
-    /// it as an additional relaxable start point next to the §2
-    /// optimal root, and applies it as a final safety floor: the
-    /// recommendation is never allowed to price worse than the
-    /// deployed configuration on this workload (the DBA-bandits
-    /// ground rule). Changes the search trajectory, so it is part of
-    /// the options signature.
-    pub deployed: Option<Configuration>,
-}
-
-impl Default for TunerOptions {
-    fn default() -> Self {
-        TunerOptions {
-            space_budget: None,
-            max_iterations: 250,
-            with_views: true,
-            skyline_filter: true,
-            shortcut_evaluation: true,
-            shrink_unused: false,
-            config_choice: ConfigChoice::default(),
-            transformation_choice: TransformationChoice::default(),
-            seed: 0,
-            threads: 1,
-            validate_bounds: false,
-            deadline_ms: None,
-            stop: None,
-            fault_plan: None,
-            max_faults: 16,
-            optimizer_call_budget: None,
-            deployed: None,
-        }
-    }
-}
-
-/// One failure of the §3.3.2 lemma caught by the differential bound
-/// oracle: the closed-form upper bound was below the re-optimized cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundViolation {
-    pub iteration: usize,
-    pub transformation: String,
-    /// The closed-form `cost_upper_bound` for the step.
-    pub bound: f64,
-    /// The full re-optimized workload cost after the step.
-    pub actual: f64,
-}
-
-/// One point of the size/cost trajectory (Fig. 4).
-#[derive(Debug, Clone, Copy)]
-pub struct FrontierPoint {
-    pub iteration: usize,
-    pub size_bytes: f64,
-    pub cost: f64,
-    pub fits: bool,
-}
-
-/// A recommended configuration with its evaluation.
-#[derive(Debug, Clone)]
-pub struct BestConfig {
-    pub config: Configuration,
-    pub cost: f64,
-    pub size_bytes: f64,
-}
-
-/// The output of a tuning session.
-#[derive(Debug, Clone)]
-pub struct TuningReport {
-    /// Workload cost under the base configuration.
-    pub initial_cost: f64,
-    pub initial_size: f64,
-    /// The §2 optimal configuration (line 2 of Fig. 5).
-    pub optimal_cost: f64,
-    pub optimal_size: f64,
-    pub optimal_config: Configuration,
-    /// Cost that no configuration can beat (§3.6 lower bound: optimal
-    /// SELECT parts + update shells under the base configuration).
-    pub lower_bound_cost: f64,
-    /// Best configuration within budget, if any was found.
-    pub best: Option<BestConfig>,
-    /// Every explored configuration (the Fig. 4 by-product: "at the end
-    /// of the tuning process we have many alternative configurations").
-    pub frontier: Vec<FrontierPoint>,
-    pub iterations: usize,
-    /// Why the session ended. Anytime semantics: every reason still
-    /// yields a complete report with the best configuration found.
-    pub stop_reason: StopReason,
-    pub optimizer_calls: usize,
-    /// What-if cost-cache hits/misses over the whole session.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Candidate scores computed fresh at a node (one §3.3.2 bound
-    /// each). Mode-invariant: the reference engine prices the same
-    /// candidates from scratch.
-    pub candidates_generated: u64,
-    /// Candidate scores inherited from the parent node's scored list
-    /// without pricing them again.
-    pub candidates_reused: u64,
-    /// Optimizer calls the derived-costing layer made unnecessary:
-    /// relevant-subset cache hits beyond the coarse per-table
-    /// projection, plus plan-reuse serves. Mode-invariant: under
-    /// [`Reference::Costs`] every such serve is still classified (and
-    /// counted) identically, just backed by a real validation call.
-    pub optimizer_calls_avoided: u64,
-    /// Keyed cache misses served by re-pricing a surviving cached plan.
-    pub plan_cache_hits: u64,
-    /// Keyed cache misses where no cached plan survived.
-    pub plan_cache_misses: u64,
-    /// Plan-reuse serves that re-priced a non-empty plan footprint.
-    pub plan_cache_repriced: u64,
-    /// Evaluations the approximate tier served from the §3.3.2 bound
-    /// instead of re-optimizing, counted in worst-case real invocations
-    /// (affected queries). 0 in the exact tier.
-    pub optimizer_calls_skipped: u64,
-    /// Call budget left when the session ended; `None` in the exact
-    /// (unlimited) tier.
-    pub budget_remaining: Option<u64>,
-    /// Textually duplicate workload statements merged at load time
-    /// (each shares one evaluation, scaled by its combined weight).
-    pub workload_deduped: u64,
-    /// Candidate transformations available at each iteration (Fig. 6).
-    pub candidate_counts: Vec<usize>,
-    /// (index requests, view requests) intercepted (Table 1).
-    pub request_counts: (usize, usize),
-    /// Bound-oracle comparisons performed (0 unless
-    /// [`TunerOptions::validate_bounds`] is set).
-    pub bound_checks: u64,
-    /// §3.3.2 violations the oracle caught (must stay empty).
-    pub bound_violations: Vec<BoundViolation>,
-    /// Contained faults: escaped evaluation panics and repaired cache
-    /// poison. Empty outside fault injection and genuine bugs.
-    pub faults: Vec<FaultEvent>,
-    /// Roll-up of the structured trace (`Some` only when the session
-    /// ran with a [`Tracer`]); per-phase `elapsed` is wall-clock, all
-    /// other contents are deterministic.
-    pub trace: Option<pdt_trace::TraceSummary>,
-    pub elapsed: Duration,
-}
-
-impl TuningReport {
-    /// `improvement(CI, CR, W) = 100 · (1 − cost(CR)/cost(CI))` (§4).
-    pub fn improvement_pct(&self, cost: f64) -> f64 {
-        100.0 * (1.0 - cost / self.initial_cost.max(1e-12))
-    }
-
-    /// Improvement of the recommended configuration (0 when none fits).
-    pub fn best_improvement_pct(&self) -> f64 {
-        self.best
-            .as_ref()
-            .map(|b| self.improvement_pct(b.cost))
-            .unwrap_or(0.0)
-    }
-
-    /// Improvement of the unconstrained optimal configuration.
-    pub fn optimal_improvement_pct(&self) -> f64 {
-        self.improvement_pct(self.optimal_cost)
-    }
-}
 
 struct Node {
     config: Configuration,
@@ -395,374 +147,6 @@ impl ScoredCandidate {
     }
 }
 
-/// What a session reads but never reassigns: its inputs, the optimizer
-/// and the stores (interior-mutable, so scoring can fill them through a
-/// shared borrow).
-struct Env<'a> {
-    db: &'a Database,
-    workload: &'a Workload,
-    options: &'a TunerOptions,
-    opt: Optimizer<'a>,
-    base: Configuration,
-    has_updates: bool,
-    /// `false` only under [`Reference::Candidates`]: node facts and
-    /// bounds are then recomputed from scratch instead of derived.
-    incremental: bool,
-    /// `false` only under [`Reference::Costs`]; see [`EvalCtx::derived`].
-    derived: bool,
-    /// Checkpoints serialize its portable signatures.
-    cache: CostCache,
-    /// Per-query relevant-structure sets, derived once from the
-    /// workload text (see [`crate::derived`]); every evaluation in the
-    /// session keys the cost cache through them.
-    relevance: RelevanceTable,
-    /// Session-portable content signatures for the shared store,
-    /// computed once: the store with its schema namespace, and one
-    /// signature per workload statement. The shared store is excluded
-    /// from `options_signature` — it is pure perf, so checkpoints stay
-    /// portable across shared-store settings.
-    shared: Option<(&'a crate::shared::SharedInvocationStore, u128)>,
-    query_sigs: Vec<u128>,
-    /// Checkpoint identity: see [`options_signature`] and
-    /// [`Checkpoint::validate`].
-    opts_sig: u64,
-    base_sig: u64,
-}
-
-impl<'a> Env<'a> {
-    /// Resolve the inputs and build the stores — restored from
-    /// `ctl.resume` when the session resumes, after checking that the
-    /// checkpoint belongs to this session.
-    fn new(
-        db: &'a Database,
-        workload: &'a Workload,
-        options: &'a TunerOptions,
-        ctl: &SessionCtl<'a>,
-    ) -> Result<Env<'a>, TuneError> {
-        let base = Configuration::base(db);
-        let opts_sig = options_signature(options, db, workload);
-        let base_sig = base.signature();
-        if let Some(ck) = ctl.resume {
-            ck.validate(opts_sig, base_sig)?;
-            if ctl.tracer.is_some() && ck.trace.is_none() {
-                return Err(TuneError::Checkpoint(
-                    "checkpoint has no trace but this session traces; resume without \
-                     tracing or from a traced checkpoint"
-                        .to_string(),
-                ));
-            }
-        }
-        let mut cache = match ctl.resume {
-            Some(ck) => ck.restore_cache(),
-            None => CostCache::new(),
-        };
-        // A session that checkpoints journals what the cache gains from
-        // here on, so a record costs what changed; any other session
-        // keeps (and pays) nothing. What a resume restored is already
-        // in the log it came from.
-        if ctl.checkpoint_sink.is_some() {
-            cache.start_journal();
-        }
-        // A resumed session validates the checkpointed relevance table
-        // against this rebuilt one.
-        let relevance = RelevanceTable::build(db, workload);
-        if let Some(ck) = ctl.resume {
-            if ck.relevance != *relevance.rows() {
-                return Err(TuneError::Checkpoint(
-                    "checkpointed relevance table does not match the workload's".to_string(),
-                ));
-            }
-        }
-        let query_sigs: Vec<u128> = if ctl.shared_store.is_some() {
-            workload
-                .entries
-                .iter()
-                .map(|e| crate::shared::statement_signature(&e.statement))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(Env {
-            db,
-            workload,
-            options,
-            opt: Optimizer::new(db),
-            base,
-            has_updates: workload.has_updates(),
-            incremental: ctl.reference != Some(Reference::Candidates),
-            derived: ctl.reference != Some(Reference::Costs),
-            cache,
-            relevance,
-            shared: ctl
-                .shared_store
-                .map(|store| (store, crate::shared::schema_signature(db))),
-            query_sigs,
-            opts_sig,
-            base_sig,
-        })
-    }
-
-    /// The evaluation context every evaluation of the session starts
-    /// from. It carries no stop and no fault site: setup and the final
-    /// validation never take either (the report is only valid with real
-    /// reference costs, and injection coordinates are keyed to search
-    /// sites); [`Env::evaluate_contained`] adds both.
-    fn ctx<'c>(&'c self, tracer: Option<&'c Tracer>) -> EvalCtx<'c> {
-        EvalCtx {
-            cache: Some(&self.cache),
-            tracer,
-            relevance: Some(&self.relevance),
-            derived: self.derived,
-            shared: self
-                .shared
-                .map(|(store, schema_sig)| crate::shared::SharedCtx {
-                    store,
-                    schema_sig,
-                    query_sigs: &self.query_sigs,
-                }),
-            ..EvalCtx::default()
-        }
-    }
-
-    /// What deriving node facts reads.
-    fn facts(&self) -> FactCtx<'_> {
-        FactCtx {
-            db: self.db,
-            model: &self.opt.opts.cost,
-            workload: self.workload,
-            base: &self.base,
-            from_scratch: !self.incremental,
-            validate: self.options.validate_bounds,
-        }
-    }
-
-    fn fits(&self, size: f64) -> bool {
-        self.options.space_budget.is_none_or(|b| size <= b)
-    }
-
-    /// Line 8: `config` becomes the recommendation if it fits and is
-    /// strictly cheaper than the current one. Returns whether it did.
-    fn offer(
-        &self,
-        report: &mut TuningReport,
-        config: &Configuration,
-        cost: f64,
-        size: f64,
-    ) -> bool {
-        let takes = self.fits(size) && report.best.as_ref().is_none_or(|b| cost < b.cost);
-        if takes {
-            report.best = Some(BestConfig {
-                config: config.clone(),
-                cost,
-                size_bytes: size,
-            });
-        }
-        takes
-    }
-
-    /// A candidate's §3.3 estimates `(ΔT, ΔS)`: `t` applied to `node`,
-    /// priced by the §3.3.2 bound. `None` when `t` does not apply, or
-    /// when it neither frees space nor lowers the bound.
-    fn bound(&self, node: &Node, t: &Transformation) -> Option<(f64, f64)> {
-        let delta = describe(t, &node.config, self.db, &self.opt)?;
-        let delta_t = self.cost_bound(node, &delta) - node.eval.total_cost;
-        estimates(delta_t, delta.delta_bytes)
-    }
-
-    /// The pre-pass score of the removal `t` on `node`, whose own
-    /// per-entry terms are `node_terms`: `carried`'s ingredients folded
-    /// over them, after pricing them fresh when there are none. Under
-    /// [`Reference::Candidates`] nothing is carried and every removal
-    /// is priced by [`bound`](Self::bound). When checks are on, the
-    /// score is asserted bit-equal to `bound`'s and carried ingredients
-    /// to a fresh pricing.
-    fn removal_score(
-        &self,
-        node: &Node,
-        node_terms: &[f64],
-        t: &Transformation,
-        carried: &mut Option<RemovalScore>,
-    ) -> Option<(f64, f64)> {
-        if !self.incremental {
-            return self.bound(node, t);
-        }
-        let price = || {
-            let delta = describe(t, &node.config, self.db, &self.opt)?;
-            let cost = &self.opt.opts.cost;
-            Some(RemovalScore::price(
-                self.db,
-                cost,
-                self.workload,
-                &node.bound_node(),
-                &delta,
-            ))
-        };
-        let checks = self.facts().checks();
-        match carried {
-            Some(score) if checks => {
-                let fresh = price().expect("a carried removal still applies");
-                score.assert_matches(&fresh, t);
-            }
-            Some(_) => {}
-            None => *carried = price(),
-        }
-        let score = carried.as_ref()?.score(node_terms, node.eval.total_cost);
-        if checks {
-            let scratch = self.bound(node, t);
-            assert!(
-                score.map(|(dt, ds)| (dt.to_bits(), ds.to_bits()))
-                    == scratch.map(|(dt, ds)| (dt.to_bits(), ds.to_bits())),
-                "pre-pass score of {t} diverged from the bound"
-            );
-        }
-        score
-    }
-
-    /// The §3.3.2 upper bound on the workload cost once `delta` is
-    /// applied to `node`. The incremental engine uses the
-    /// affected-query-restricted bound, which is bit-identical to the
-    /// full one (see `cost_upper_bound_restricted`); the full side of
-    /// that debug assertion prices view rebuilds from scratch, so it is
-    /// also the oracle for the carried `view_costs`.
-    fn cost_bound(&self, node: &Node, delta: &TransformDelta) -> f64 {
-        let (db, cost) = (self.db, &self.opt.opts.cost);
-        if !self.incremental {
-            return node_bound(db, cost, self.workload, &node.bound_node(), delta, false);
-        }
-        let b = node_bound(db, cost, self.workload, &node.bound_node(), delta, true);
-        debug_assert_eq!(
-            b.to_bits(),
-            crate::bound::cost_upper_bound(
-                db,
-                cost,
-                self.workload,
-                &node.eval,
-                &node.config,
-                delta,
-                &ViewBuildCosts::new(),
-            )
-            .to_bits(),
-            "restricted bound diverged from the full bound"
-        );
-        b
-    }
-
-    /// Put one applied step to the approximate tier: its bound-served
-    /// evaluation and the [`Quote`] the ledger settles.
-    fn quote<'q>(
-        &self,
-        node: &Node,
-        transformation: &'q Transformation,
-        applied: &AppliedTransform,
-    ) -> (EvalResult, Quote<'q>) {
-        let (est_eval, gap) = bound_served_eval(
-            self.db,
-            &self.opt.opts.cost,
-            self.workload,
-            &node.bound_node(),
-            applied,
-        );
-        let quote = Quote {
-            transformation,
-            affected: affected_queries(&node.eval, applied),
-            gap,
-            upper: est_eval.total_cost,
-            parent_cost: node.eval.total_cost,
-        };
-        (est_eval, quote)
-    }
-
-    /// The one contained evaluation: an incremental re-evaluation under
-    /// the stop control and fault site of its pipeline position, with a
-    /// panic caught and recorded instead of propagated. Fault isolation
-    /// is the caller's by construction — a phase commits state only on
-    /// [`Contained::Done`], so a contained panic leaves nothing behind.
-    fn evaluate_contained(
-        &self,
-        gate: &ReplayGate<'_>,
-        report: &mut TuningReport,
-        job: EvalJob<'_>,
-    ) -> Contained {
-        let tracer = gate.tracer();
-        let ctx = EvalCtx {
-            stop: gate.stop(),
-            faults: self
-                .options
-                .fault_plan
-                .as_ref()
-                .map(|p| FaultSite::new(p, job.site, job.iteration as u64)),
-            ..self.ctx(tracer)
-        };
-        let hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Eval);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            evaluate_entries(
-                self.db,
-                &self.opt,
-                job.config,
-                self.workload,
-                Some((job.prev, job.removed_indexes, job.removed_views)),
-                job.limit,
-                ctx,
-                Some(job.shells),
-            )
-        }));
-        drop(hot);
-        match result {
-            Ok(Some(eval)) => {
-                report.optimizer_calls += eval.optimizer_calls;
-                for q in &eval.poison_repairs {
-                    gate.record_fault(
-                        report,
-                        job.iteration,
-                        FaultKind::CachePoison,
-                        format!("repaired poisoned cache cost for query {q}"),
-                    );
-                }
-                Contained::Done(eval)
-            }
-            // `None` without a stop can only be the shortcut limit.
-            Ok(None) if gate.stopped().is_some() => Contained::Stopped,
-            Ok(None) => Contained::Shortcut,
-            Err(payload) => {
-                gate.record_fault(
-                    report,
-                    job.iteration,
-                    FaultKind::EvalPanic,
-                    payload_str(payload.as_ref()),
-                );
-                Contained::Faulted
-            }
-        }
-    }
-}
-
-/// One incremental re-evaluation for [`Env::evaluate_contained`]: the
-/// fault-site coordinates (`iteration` 0 is the pre-pass) and the
-/// arguments of `evaluate_incremental_ctx`, plus `config`'s shell table
-/// (derived from `prev`'s configuration's).
-struct EvalJob<'j> {
-    site: u32,
-    iteration: usize,
-    config: &'j Configuration,
-    shells: &'j ShellTable,
-    prev: &'j EvalResult,
-    removed_indexes: &'j [Index],
-    removed_views: &'j [TableId],
-    /// §3.5 shortcut limit; `None` runs to completion.
-    limit: Option<f64>,
-}
-
-/// How a contained evaluation ended.
-enum Contained {
-    Done(EvalResult),
-    /// §3.5: the accumulated cost passed the shortcut limit.
-    Shortcut,
-    /// A cooperative stop truncated it; nothing was committed.
-    Stopped,
-    /// It panicked; the fault is recorded (when live).
-    Faulted,
-}
-
 /// Run a tuning session (the paper's PTT).
 pub fn tune(db: &Database, workload: &Workload, options: &TunerOptions) -> TuningReport {
     tune_traced(db, workload, options, None)
@@ -788,269 +172,6 @@ pub fn tune_traced(
     // `tune_session` is fallible only on the checkpoint write/resume
     // paths, and this call configures neither.
     .expect("no checkpoint to write or resume, cannot fail")
-}
-
-/// Receives `(iterations_completed, record)` from a session; see
-/// [`SessionCtl::checkpoint_sink`].
-pub type CheckpointSink<'a> = &'a dyn Fn(usize, &str);
-
-/// Checkpoint/resume and tracing plumbing for [`tune_session`]. The
-/// default (no tracer, no checkpointing, no resume) reproduces
-/// [`tune`] exactly.
-#[derive(Default, Clone, Copy)]
-pub struct SessionCtl<'a> {
-    /// Structured-event sink; see [`tune_traced`].
-    pub tracer: Option<&'a Tracer>,
-    /// Write a checkpoint record every N completed iterations (0 =
-    /// only when the session stops early). Meaningful only with a sink.
-    pub checkpoint_every: usize,
-    /// Receives `(iterations_completed, record)` on the cadence above
-    /// and once more — for the last clean boundary — when the session
-    /// stops early (deadline / SIGINT / fault limit). The records are a
-    /// log (see [`crate::checkpoint`]): a fresh session's first is a
-    /// complete document, every later one — and every record of a
-    /// resumed session, which extends the checkpoint it resumed from —
-    /// carries only what was added since the one before, so a sink
-    /// appends.
-    pub checkpoint_sink: Option<CheckpointSink<'a>>,
-    /// Resume from this checkpoint: the session silently replays the
-    /// checkpointed prefix (cheap — the restored cache answers every
-    /// committed what-if question), verifies replay fidelity, then
-    /// continues live. The resumed report and trace are byte-identical
-    /// to an uninterrupted run's.
-    pub resume: Option<&'a Checkpoint>,
-    /// Daemon-wide shared what-if store. The session computes its
-    /// portable content signatures (schema, per-statement) once and
-    /// probes the store as a third invocation tier; see
-    /// [`crate::shared`]. Pure perf: report and trace are
-    /// byte-identical with or without it.
-    pub shared_store: Option<&'a crate::shared::SharedInvocationStore>,
-    /// Run one of the from-scratch reference engines instead of the
-    /// engine everyone runs (`None`). Report, trace and checkpoints are
-    /// byte-identical under every value — that identity is what the
-    /// oracle suites assert — so, like `shared_store`, it is not part of
-    /// the options signature. Set by tests only.
-    pub reference: Option<Reference>,
-}
-
-/// The from-scratch engines the differential suites compare the real
-/// one against; selected through [`SessionCtl::reference`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reference {
-    /// Build every node's facts from scratch (`NodeFacts::scratch`: its
-    /// candidates enumerated, its shell table built and its CBV table
-    /// empty, nothing derived from the parent's), and price every
-    /// §3.3.2 bound unrestricted.
-    Candidates,
-    /// Back every derived what-if serve — a relevant-subset cache hit
-    /// beyond the coarse key or a plan-reuse answer — with a real
-    /// optimizer call and use its answer, and never read the invocation
-    /// or shared store; keys, probes, counters and cache contents are
-    /// unchanged.
-    Costs,
-}
-
-/// Hash of every decision-relevant option plus the workload and
-/// database identity, used to pair checkpoints with sessions. Excludes
-/// knobs that cannot change the search trajectory: `threads` (ignored),
-/// `deadline_ms`, `stop`, and the checkpoint cadence. `DefaultHasher`
-/// is stable only within one build, which is exactly the checkpoint
-/// contract (same binary on both sides).
-fn options_signature(options: &TunerOptions, db: &Database, workload: &Workload) -> u64 {
-    let mut h = DefaultHasher::new();
-    "pdtune-options-v1".hash(&mut h);
-    options.space_budget.map(f64::to_bits).hash(&mut h);
-    options.max_iterations.hash(&mut h);
-    options.with_views.hash(&mut h);
-    options.skyline_filter.hash(&mut h);
-    options.shortcut_evaluation.hash(&mut h);
-    options.shrink_unused.hash(&mut h);
-    (options.config_choice as u8).hash(&mut h);
-    (options.transformation_choice as u8).hash(&mut h);
-    options.seed.hash(&mut h);
-    // Once `options.cost_cache`, which every session left `true`; the
-    // byte keeps checkpoints written before the option went away valid.
-    true.hash(&mut h);
-    options.validate_bounds.hash(&mut h);
-    // `optimizer_call_budget` is hashed — the asymmetry is deliberate:
-    // the budget changes which evaluations really run and therefore
-    // the search trajectory itself (the approximate tier), so a
-    // budgeted checkpoint must never resume an unbudgeted session or
-    // vice versa.
-    options.optimizer_call_budget.hash(&mut h);
-    // `SessionCtl::{reference, shared_store}` are not options and are
-    // not hashed: both leave every output byte where it was, so
-    // checkpoints are portable across them.
-    match options.fault_plan {
-        None => 0u8.hash(&mut h),
-        Some(p) => {
-            1u8.hash(&mut h);
-            p.seed.hash(&mut h);
-            p.rate.to_bits().hash(&mut h);
-        }
-    }
-    options.max_faults.hash(&mut h);
-    // The deployed configuration seeds the pool and floors the final
-    // recommendation, so it changes the trajectory like the budget.
-    match &options.deployed {
-        None => 0u8.hash(&mut h),
-        Some(c) => {
-            1u8.hash(&mut h);
-            c.signature128().hash(&mut h);
-        }
-    }
-    db.name.hash(&mut h);
-    workload.entries.len().hash(&mut h);
-    for e in &workload.entries {
-        format!("{e:?}").hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Worst-case real optimizer invocations an incremental re-evaluation
-/// after `applied` can make: one per query whose previous plan used a
-/// removed structure (the `needs_reopt` rule in `eval.rs`). The
-/// approximate tier charges its call budget by this count rather than
-/// by actual calls — actual calls depend on cache state, which differs
-/// between a live run and a checkpoint replay (the restored cache
-/// answers replayed questions for free), while the affected count is a
-/// pure function of the search trajectory. `real calls <= charged`
-/// always holds.
-fn affected_queries(prev: &EvalResult, delta: &TransformDelta) -> u64 {
-    prev.per_query
-        .iter()
-        .filter(|q| q.uses_any(&delta.removed_indexes, &delta.removed_views))
-        .count() as u64
-}
-
-/// Serve-vs-spend threshold for the approximate tier: a bound-served
-/// estimate replaces a real evaluation only when its interval gap
-/// (`bound_served_eval`'s second return) is at most this fraction of
-/// the parent's evaluated cost. Below the threshold no point of the
-/// interval can move a relaxation decision by more than the tolerance,
-/// so the estimate steers identically to the evaluation it replaces
-/// (an unaffected child has gap 0 and is served bit-exactly); above it
-/// the candidate is decision-relevant and charges the call budget.
-/// Witness usages keep served chains sound at any tolerance — the
-/// setting trades steering fidelity against real calls, and the final
-/// exact validation re-prices whatever the steering picked. 2% keeps
-/// every seed of the 200-seed contract sweep within ε = 5%.
-const GAP_TOL: f64 = 0.02;
-
-/// Turn a caught panic payload into a printable detail string.
-fn payload_str(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The approximate tier's what-if call-budget ledger.
-///
-/// Charged by worst-case affected-query counts (see
-/// [`affected_queries`]), never by actual calls, so the ledger is a
-/// pure function of the search trajectory: replay regenerates it
-/// exactly and [`go_live_checks`] verifies it against the checkpoint.
-/// Setup (base/optimal evaluation, instrumentation) and the final
-/// validation re-pricing are budget-exempt.
-struct CallLedger {
-    /// `None` is the exact (unlimited) tier.
-    budget: Option<u64>,
-    spent: u64,
-    /// Worst-case invocations served from the bound instead.
-    skipped: u64,
-}
-
-/// One candidate evaluation put to the ledger: what running it would
-/// cost at worst, and the bound-served estimate that could replace it
-/// (the child's true cost lies in `[upper - gap, upper]`, see
-/// `bound_served_eval`).
-struct Quote<'q> {
-    transformation: &'q Transformation,
-    affected: u64,
-    gap: f64,
-    upper: f64,
-    /// The parent's evaluated cost, which `GAP_TOL` is a fraction of.
-    parent_cost: f64,
-}
-
-/// The ledger's answer to a [`Quote`].
-#[derive(Debug, PartialEq, Eq)]
-enum Settled {
-    /// Negligible gap: use the estimate, for free.
-    Served,
-    /// Decision-relevant: run the evaluation; its worst case is charged.
-    Charged,
-    /// Decision-relevant but unaffordable: nothing was charged, and the
-    /// caller trips [`StopReason::CallBudget`].
-    Exhausted,
-}
-
-impl CallLedger {
-    fn new(budget: Option<usize>) -> CallLedger {
-        CallLedger {
-            budget: budget.map(|b| b as u64),
-            spent: 0,
-            skipped: 0,
-        }
-    }
-
-    /// Whether the session runs the approximate tier at all; the exact
-    /// tier never computes an estimate to quote.
-    fn limited(&self) -> bool {
-        self.budget.is_some()
-    }
-
-    fn remaining(&self) -> Option<u64> {
-        self.budget.map(|b| b.saturating_sub(self.spent))
-    }
-
-    /// The gap-driven serve-or-spend decision for one evaluation in
-    /// `phase` (search-phase events also carry the iteration). A
-    /// negligible-gap estimate is served; anything else is charged up
-    /// front at its worst case, and an unaffordable charge ends the
-    /// phase anytime-style.
-    fn settle(
-        &mut self,
-        tracer: Option<&Tracer>,
-        phase: &'static str,
-        iteration: Option<usize>,
-        quote: &Quote<'_>,
-    ) -> Settled {
-        let Some(remaining) = self.remaining() else {
-            return Settled::Charged;
-        };
-        // Built only for the two outcomes that emit an event.
-        let lead_fields = || {
-            let mut fields: Vec<(&'static str, pdt_trace::Value)> = vec![("phase", phase.into())];
-            if let Some(i) = iteration {
-                fields.push(("iteration", i.into()));
-            }
-            fields.push(("transformation", quote.transformation.to_string().into()));
-            fields.push(("affected", quote.affected.into()));
-            fields
-        };
-        if quote.gap <= GAP_TOL * quote.parent_cost {
-            self.skipped += quote.affected;
-            pdt_trace::incr(tracer, "optimizer.calls_skipped", quote.affected);
-            let mut fields = lead_fields();
-            fields.push(("gap", quote.gap.into()));
-            fields.push(("upper", quote.upper.into()));
-            pdt_trace::emit(tracer, "budget.skip", fields);
-            Settled::Served
-        } else if quote.affected > remaining {
-            let mut fields = lead_fields();
-            fields.push(("remaining", remaining.into()));
-            pdt_trace::emit(tracer, "budget.exhausted", fields);
-            Settled::Exhausted
-        } else {
-            self.spent += quote.affected;
-            Settled::Charged
-        }
-    }
 }
 
 /// Resume-by-replay gating. Until a resumed session catches up to its
@@ -1090,16 +211,12 @@ impl<'a> ReplayGate<'a> {
     /// Completed iterations of the checkpoint being replayed (0 for a
     /// fresh session).
     fn resume_at(&self) -> usize {
-        self.resume.map_or(0, |ck| ck.iteration)
+        self.resume.map_or(0, |ck| ck.head.iteration)
     }
 
     /// The tracer the current mode exposes.
     fn tracer(&self) -> Option<&'a Tracer> {
-        if self.live {
-            self.tracer
-        } else {
-            None
-        }
+        self.tracer.filter(|_| self.live)
     }
 
     /// The stop control the current mode exposes.
@@ -1147,45 +264,6 @@ impl<'a> ReplayGate<'a> {
             self.token.trip(StopReason::FaultLimit);
         }
     }
-}
-
-/// Bitwise equality of two optional `(cost, size)` pairs: what a replay
-/// regenerates must match its checkpoint exactly, not approximately.
-fn same_bits(a: Option<(f64, f64)>, b: Option<(f64, f64)>) -> bool {
-    let bits = |p: Option<(f64, f64)>| p.map(|(cost, size)| (cost.to_bits(), size.to_bits()));
-    bits(a) == bits(b)
-}
-
-/// Verify a finished replay against its checkpoint. Everything the
-/// replay regenerates must match bitwise; a mismatch means the
-/// checkpoint does not belong to this session (or this build).
-fn go_live_checks(
-    report: &TuningReport,
-    rng: &StdRng,
-    ledger: &CallLedger,
-    ck: &Checkpoint,
-) -> Result<(), TuneError> {
-    let best = report.best.as_ref().map(|b| (b.cost, b.size_bytes));
-    if rng.state() != ck.rng_state
-        || report.iterations != ck.iteration
-        || report.frontier.len() != ck.frontier_len
-        || ledger.spent != ck.budget_spent
-        || ledger.skipped != ck.budget_skipped
-        || !same_bits(best, ck.best)
-    {
-        return Err(TuneError::Checkpoint(format!(
-            "replay diverged from the checkpoint at iteration {}: rng {:016x} vs \
-             {:016x}, frontier {} vs {}, best {:?} vs {:?}",
-            ck.iteration,
-            rng.state(),
-            ck.rng_state,
-            report.frontier.len(),
-            ck.frontier_len,
-            report.best.as_ref().map(|b| b.cost),
-            ck.best.map(|b| b.0),
-        )));
-    }
-    Ok(())
 }
 
 /// [`tune_traced`] plus the resilience layer: anytime stop control,
@@ -1242,17 +320,8 @@ struct Session<'a> {
     /// Open from the first iteration to the end of the loop; a resumed
     /// session re-opens the checkpointed one at go-live.
     search_span: Option<pdt_trace::Span<'a>>,
-    ctl: SessionCtl<'a>,
-    /// Journal epoch inserts currently land in; closed by every
-    /// [`Mark`].
-    epoch: u32,
-    /// The newest clean boundary marked but not yet written.
-    pending: Option<Mark>,
-    /// What the records written so far (or the checkpoint resumed
-    /// from) already cover.
-    written: Written,
-    /// Reused across records.
-    record_buf: String,
+    /// Present exactly when the session writes checkpoint records.
+    capture: Option<Capture<'a>>,
     /// SoA scratch for the §3.6 skyline scan, reused across iterations
     /// instead of reallocating a snapshot per pass.
     skyline_scratch: SkylineScratch,
@@ -1264,29 +333,6 @@ struct Deployed<'a> {
     config: &'a Configuration,
     eval: EvalResult,
     size: f64,
-}
-
-/// A clean iteration boundary, held until (and unless) a checkpoint
-/// record is written for it: the record's header scalars by value, and
-/// everything append-only by position; see [`Session::mark`].
-struct Mark {
-    head: Head,
-    /// The journal epoch this boundary closed: the record takes what
-    /// the cost cache gained in epochs `..= epoch`.
-    epoch: u32,
-    /// `report.faults.len()` at the boundary.
-    faults: usize,
-    trace: Option<pdt_trace::TraceMark>,
-}
-
-/// How far the checkpoint log already reaches: the boundary of the last
-/// record written (or of the checkpoint resumed from; 0 = the log is
-/// empty and the next record opens it with a complete document), and
-/// the positions the next record's batches start at.
-struct Written {
-    iteration: usize,
-    faults: usize,
-    events: u64,
 }
 
 impl<'a> Session<'a> {
@@ -1388,23 +434,6 @@ impl<'a> Session<'a> {
         });
         drop(setup_span);
 
-        // A resumed session must reproduce the checkpointed setup exactly
-        // (bitwise): anything else means the database or cost model
-        // changed in a way the signatures could not see.
-        if let Some(ck) = gate.resume {
-            let baseline = deployed.as_ref().map(|d| (d.eval.total_cost, d.size));
-            if ck.initial_cost.to_bits() != initial_cost.to_bits()
-                || ck.optimal_cost.to_bits() != optimal_cost.to_bits()
-                || !same_bits(baseline, ck.deployed)
-            {
-                return Err(TuneError::Checkpoint(
-                    "replayed setup diverged from the checkpoint (initial/optimal/deployed \
-                     cost mismatch)"
-                        .to_string(),
-                ));
-            }
-        }
-
         let ledger = CallLedger::new(options.optimizer_call_budget);
         let report = TuningReport {
             initial_cost,
@@ -1446,14 +475,7 @@ impl<'a> Session<'a> {
         };
         let optimal = Node::new(optimal_config, opt_eval, optimal_facts, db);
         let session = Session {
-            written: Written {
-                iteration: gate.resume_at(),
-                faults: report.faults.len(),
-                events: gate
-                    .resume
-                    .and_then(|ck| ck.trace.as_ref())
-                    .map_or(0, |t| t.state.events),
-            },
+            capture: Capture::new(&ctl),
             rng: StdRng::seed_from_u64(options.seed),
             env,
             gate,
@@ -1464,12 +486,11 @@ impl<'a> Session<'a> {
             nodes: Vec::new(),
             last_created: 0,
             search_span: None,
-            ctl,
-            epoch: 0,
-            pending: None,
-            record_buf: String::new(),
             skyline_scratch: SkylineScratch::default(),
         };
+        if let Some(ck) = session.gate.resume {
+            ck.check_setup(&session.live())?;
+        }
         Ok((session, optimal))
     }
 
@@ -1493,183 +514,6 @@ impl<'a> Session<'a> {
             config: optimal.config,
         });
         Ok(())
-    }
-
-    /// Pruning pre-pass (§3.5 "multiple transformations per
-    /// iteration"): greedily apply every *removal* whose cost upper
-    /// bound does not increase the expected cost — unused structures
-    /// always qualify, and under update workloads so do structures
-    /// whose maintenance outweighs their benefit. This collapses the
-    /// long prefix of trivially-good relaxations into one step: it
-    /// relaxes the optimal configuration in place into the pool's root.
-    fn prepass(&mut self, mut root: Node) -> Node {
-        let (env, cx) = (&self.env, self.env.facts());
-        let tracer = self.gate.tracer();
-        let prepass_span = tracer.map(|t| t.span("prepass"));
-        // Accumulated interval gap of every bound-served step: the
-        // root's true cost lies in `[total - gap, total]`.
-        let mut served_gap = 0.0f64;
-        // The pre-pass only ever scores removals: enumerate them
-        // directly instead of building (and discarding) the full
-        // merge/split/prefix list, once, then carry the list from step
-        // to step.
-        // Each removal rides with its carried score ingredients (`None`
-        // until first priced, and again once a step can have changed
-        // them).
-        let mut removals: Vec<(Transformation, Option<RemovalScore>)> = {
-            let _hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Candidates);
-            removal_candidates(&root.config, &env.base)
-                .into_iter()
-                .map(|t| (t, None))
-                .collect()
-        };
-        for _ in 0..root.config.structure_count() {
-            if self.gate.stopped().is_some() {
-                // Stopped before the first iteration: the root stays
-                // wherever the pre-pass got to; the loop prologue turns
-                // the trip into the final stop reason.
-                break;
-            }
-            // Score every removal, then fold the results in candidate
-            // order: the first strict minimum wins.
-            let pricing_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Pricing);
-            let node_terms = root.bound_node().terms(env.workload);
-            let scored: Vec<_> = removals
-                .iter_mut()
-                .map(|(t, carried)| env.removal_score(&root, &node_terms, t, carried))
-                .collect();
-            drop(pricing_hot);
-            // (ΔT, position in `removals`) of the running minimum.
-            let mut best_removal: Option<(f64, usize)> = None;
-            for (at, score) in scored.into_iter().enumerate() {
-                if let Some((delta_t, _)) = score {
-                    if delta_t <= 1e-9 && best_removal.is_none_or(|(d, _)| delta_t < d) {
-                        best_removal = Some((delta_t, at));
-                    }
-                }
-            }
-            let Some((delta_t, at)) = best_removal else {
-                break;
-            };
-            let transformation = &removals[at].0;
-            // Materialize only the winner: scoring priced deltas and
-            // built no configuration.
-            let Some(applied) = apply(transformation, &root.config, env.db, &env.opt) else {
-                break;
-            };
-            let facts = root.facts.child(cx, &applied);
-            // Approximate tier: a pre-pass winner's §3.3.2 bound proved
-            // the removal does not increase cost (`delta_t <= 1e-9`),
-            // but the bound's *select* side can still be pessimistic
-            // (its net non-positivity may lean on shell savings). Serve
-            // the bound estimate only while its interval gap is too
-            // small to change any downstream relaxation decision;
-            // otherwise this removal is decision-relevant and spends
-            // real budget like a main-loop step.
-            let mut served = None;
-            if self.ledger.limited() {
-                let (est_eval, quote) = env.quote(&root, transformation, &applied);
-                match self.ledger.settle(tracer, "prepass", None, &quote) {
-                    Settled::Served => {
-                        served_gap += quote.gap;
-                        served = Some(est_eval);
-                    }
-                    Settled::Charged => {}
-                    Settled::Exhausted => {
-                        // Ends the pre-pass anytime-style (the loop
-                        // prologue turns the trip into the final stop
-                        // reason).
-                        self.gate.token.trip(StopReason::CallBudget);
-                        break;
-                    }
-                }
-            }
-            let new_eval = if let Some(est_eval) = served {
-                est_eval
-            } else {
-                let job = EvalJob {
-                    site: SITE_PREPASS,
-                    iteration: 0,
-                    config: &applied.config,
-                    shells: &facts.shells,
-                    prev: &root.eval,
-                    removed_indexes: &applied.removed_indexes,
-                    removed_views: &applied.removed_views,
-                    limit: None,
-                };
-                match env.evaluate_contained(&self.gate, &mut self.report, job) {
-                    Contained::Done(e) => e,
-                    // Stopped, or a contained fault: keep the prefix
-                    // already built — the pre-pass is an optimization,
-                    // not a correctness step.
-                    _ => break,
-                }
-            };
-            pdt_trace::emit(
-                tracer,
-                "prepass.remove",
-                vec![
-                    ("transformation", transformation.to_string().into()),
-                    ("delta_t", delta_t.into()),
-                    ("cost", new_eval.total_cost.into()),
-                ],
-            );
-            pdt_trace::incr(tracer, "prepass.removed", 1);
-            if env.options.validate_bounds {
-                // The kept (delta_t, applied) pair was scored against
-                // the *current* root, so the bound is fresh.
-                let bound = root.eval.total_cost + delta_t;
-                let actual = new_eval.total_cost;
-                oracle_check(&mut self.report, tracer, 0, transformation, bound, actual);
-            }
-            root.config = applied.config;
-            root.facts = facts;
-            root.eval = new_eval;
-            // The inheritance half of the candidate rule is the whole
-            // rule for a step that adds nothing: the winner drops out
-            // and, for a view, so do the removals of its indexes. A
-            // survivor keeps its score ingredients unless the carry rule
-            // says the step can have changed them. (The winner was
-            // priced, so it has ingredients unless nothing carries any,
-            // under `Reference::Candidates`.)
-            let winner = removals[at].1.take();
-            removals.retain(|(t, _)| inherits(t, &applied.delta, &root.config));
-            if let Some(score) = &winner {
-                let step = RemovalStep {
-                    score,
-                    delta: &applied.delta,
-                    config: &root.config,
-                    eval: &root.eval,
-                };
-                for (t, carried) in &mut removals {
-                    if carried
-                        .as_ref()
-                        .is_some_and(|c| c.stale(t, &step).next().is_some())
-                    {
-                        *carried = None;
-                    }
-                }
-            }
-            if cx.checks() {
-                assert!(
-                    removals
-                        .iter()
-                        .map(|(t, _)| t)
-                        .eq(&removal_candidates(&root.config, &env.base)),
-                    "carried pre-pass removal list diverged from the enumeration"
-                );
-            }
-        }
-        drop(prepass_span);
-        root.size = root.config.size_bytes(env.db);
-        // A bound-served pre-pass leaves the root's costs upper-bounded
-        // rather than evaluated; rank it by its interval midpoint like
-        // any other estimated node. (Its `best` entry, if it fits, is a
-        // sound upper bound — the final validation re-prices it
-        // exactly.)
-        root.est_cost = (self.ledger.limited() && served_gap > 0.0)
-            .then_some(root.eval.total_cost - 0.5 * served_gap);
-        root
     }
 
     /// Line 3: pool the root — and the deployed configuration, when it
@@ -1759,14 +603,8 @@ impl<'a> Session<'a> {
     /// optimizer), and go live.
     fn go_live(&mut self) -> Result<(), TuneError> {
         let ck = self.gate.resume.expect("replay mode implies a checkpoint");
-        go_live_checks(&self.report, &self.rng, &self.ledger, ck)?;
-        self.report.optimizer_calls = ck.optimizer_calls;
-        let cache = &self.env.cache;
-        cache.set_counters(ck.cache_hits, ck.cache_misses);
-        cache.set_derived_counters(ck.derived);
-        // The candidate generated/reused counters replay exactly (replay
-        // prices the same candidates), so neither needs a checkpoint
-        // field.
+        ck.head.check_replay(&self.live())?;
+        ck.head.restore(&mut self.report, &self.env.cache);
         if let (Some(t), Some(tc)) = (self.gate.tracer, &ck.trace) {
             t.restore_state(tc.state.clone());
             self.search_span = Some(t.resume_span("search", tc.open_span_seq));
@@ -1786,33 +624,10 @@ impl<'a> Session<'a> {
         if self.gate.live {
             if let Some(reason) = self.gate.stop.stopped() {
                 self.report.stop_reason = reason;
-                // Save the newest clean boundary. `pending` was
-                // marked before the previous iteration ran, so it is
-                // valid even if that iteration was truncated mid-
-                // evaluation by this very stop: nothing inserted or
-                // emitted after the mark reaches the record.
-                if let Some(mark) = self.pending.take() {
-                    if mark.head.iteration > self.written.iteration {
-                        self.write_record(&mark);
-                    }
-                }
+                self.checkpoint(Capture::stop);
                 return Ok(false);
             }
-            if self.ctl.checkpoint_sink.is_some() && iteration > 1 {
-                // Reaching this point un-stopped proves iterations
-                // `1..=iteration-1` completed without stop interference
-                // (the token is sticky): mark them as the new resume
-                // boundary.
-                let done = iteration - 1;
-                let mark = self.mark(done);
-                if self.ctl.checkpoint_every > 0
-                    && done.is_multiple_of(self.ctl.checkpoint_every)
-                    && done > self.written.iteration
-                {
-                    self.write_record(&mark);
-                }
-                self.pending = Some(mark);
-            }
+            self.checkpoint(Capture::boundary);
         }
         self.report.iterations = iteration;
         let tracer = self.gate.tracer();
@@ -1828,90 +643,28 @@ impl<'a> Session<'a> {
         Ok(true)
     }
 
-    /// Mark a clean iteration boundary (the top of the search loop,
-    /// before any of the next iteration's work): the scalars a record's
-    /// header carries, and *positions* in everything append-only — the
-    /// journal epoch this closes, the fault count, the tracer's event
-    /// and phase counts. Costs the same however much state the session
-    /// has accumulated.
-    fn mark(&mut self, iteration_done: usize) -> Mark {
-        let (env, report) = (&self.env, &self.report);
-        let epoch = self.epoch;
-        env.cache.seal(epoch);
-        self.epoch += 1;
-        Mark {
-            head: Head {
-                iteration: iteration_done,
-                rng_state: self.rng.state(),
-                optimizer_calls: report.optimizer_calls,
-                budget_spent: self.ledger.spent,
-                budget_skipped: self.ledger.skipped,
-                cache_hits: env.cache.hits(),
-                cache_misses: env.cache.misses(),
-                derived: env.cache.derived_counters(),
-                best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
-                frontier_len: report.frontier.len(),
-            },
-            epoch,
-            faults: report.faults.len(),
-            trace: self.gate.tracer.map(Tracer::mark),
+    /// The session as its checkpoint reads it.
+    fn live(&self) -> Live<'_> {
+        let env = &self.env;
+        Live {
+            options_sig: env.opts_sig,
+            base_sig: env.base_sig,
+            relevance: env.relevance.rows(),
+            deployed: self.deployed.as_ref().map(|d| (d.eval.total_cost, d.size)),
+            report: &self.report,
+            rng_state: self.rng.state(),
+            budget: (self.ledger.spent, self.ledger.skipped),
+            cache: &env.cache,
+            open_span_seq: self.search_span.as_ref().map_or(0, |s| s.events_at_open()),
         }
     }
 
-    /// Render the record for `mark` — what the cost cache, the fault list
-    /// and the tracer gained between the previous record and the mark —
-    /// and hand it to the sink.
-    fn write_record(&mut self, mark: &Mark) {
-        let sink = self
-            .ctl
-            .checkpoint_sink
-            .expect("marks are only taken with a sink");
-        let (env, report, written) = (&self.env, &self.report, &self.written);
-        let cache = env.cache.drain_through(mark.epoch);
-        let identity = Identity {
-            options_sig: env.opts_sig,
-            base_sig: env.base_sig,
-            initial_cost: report.initial_cost,
-            optimal_cost: report.optimal_cost,
-            deployed: self.deployed.as_ref().map(|d| (d.eval.total_cost, d.size)),
-            relevance: env.relevance.rows(),
-        };
-        let kind = if written.iteration == 0 {
-            RecordKind::Full(&identity)
-        } else {
-            RecordKind::Delta {
-                base: written.iteration,
-            }
-        };
-        let open_span_seq = self.search_span.as_ref().map_or(0, |s| s.events_at_open());
-        let out = &mut self.record_buf;
-        out.clear();
-        let render = |trace: Option<TraceBatch<'_>>| {
-            let batch = Batch {
-                faults: &report.faults[written.faults..mark.faults],
-                cache: &cache,
-                trace,
-            };
-            write_record(out, kind, &mark.head, &batch);
-        };
-        match (self.gate.tracer, &mark.trace) {
-            (Some(t), Some(at)) => t.read_prefix(written.events, at, |events, phases| {
-                render(Some(TraceBatch {
-                    depth: at.depth,
-                    open_span_seq,
-                    counters: &at.counters,
-                    phases,
-                    events,
-                }))
-            }),
-            _ => render(None),
+    /// Hand the checkpoint capture, if the session has one, its state.
+    fn checkpoint(&mut self, step: impl FnOnce(&mut Capture<'a>, &Live<'_>)) {
+        if let Some(mut capture) = self.capture.take() {
+            step(&mut capture, &self.live());
+            self.capture = Some(capture);
         }
-        sink(mark.head.iteration, &self.record_buf);
-        self.written = Written {
-            iteration: mark.head.iteration,
-            faults: mark.faults,
-            events: mark.trace.as_ref().map_or(0, |t| t.events),
-        };
     }
 
     /// Line 5 of Fig. 5 — the §3.4 heuristic (as amended by §3.6):
@@ -2487,11 +1240,13 @@ fn oracle_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::candidates;
+    use crate::eval::EvalCtx;
+    use crate::transform::removal_candidates;
     use pdt_catalog::{ColumnStats, ColumnType};
+    use pdt_opt::Optimizer;
     use pdt_sql::parse_workload;
 
-    fn test_db() -> Database {
+    pub(super) fn test_db() -> Database {
         let mut b = Database::builder("t");
         let mk = |name: &str, ndv: f64| pdt_catalog::Column {
             name: name.into(),
@@ -2519,11 +1274,11 @@ mod tests {
         b.build()
     }
 
-    fn workload(db: &Database, sql: &str) -> Workload {
+    pub(super) fn workload(db: &Database, sql: &str) -> Workload {
         Workload::bind(db, &parse_workload(sql).unwrap()).unwrap()
     }
 
-    const SELECTS: &str = "\
+    pub(super) const SELECTS: &str = "\
         SELECT r.c FROM r WHERE r.a = 5; \
         SELECT r.d FROM r WHERE r.b = 9 AND r.c < 100; \
         SELECT r.a, s.w FROM r, s WHERE r.a = s.y AND s.z = 3; \
@@ -2765,83 +1520,6 @@ mod tests {
     }
 
     #[test]
-    fn options_signature_tracks_decisions_only() {
-        let db = test_db();
-        let w = workload(&db, SELECTS);
-        let a = TunerOptions::default();
-        let sig = |o: &TunerOptions| options_signature(o, &db, &w);
-        let base = sig(&a);
-        assert_eq!(
-            base,
-            sig(&TunerOptions {
-                deadline_ms: Some(5),
-                stop: Some(StopToken::new()),
-                ..a.clone()
-            }),
-            "non-decision knobs must not change the signature"
-        );
-        assert_ne!(
-            base,
-            sig(&TunerOptions {
-                seed: 1,
-                ..a.clone()
-            })
-        );
-        assert_ne!(
-            base,
-            sig(&TunerOptions {
-                max_iterations: 10,
-                ..a.clone()
-            })
-        );
-        assert_ne!(
-            base,
-            sig(&TunerOptions {
-                optimizer_call_budget: Some(64),
-                ..a.clone()
-            }),
-            "the call budget steers the trajectory, so budgeted and \
-             unbudgeted checkpoints must never cross-resume"
-        );
-        assert_ne!(
-            base,
-            sig(&TunerOptions {
-                fault_plan: Some(FaultPlan { seed: 1, rate: 0.1 }),
-                ..a
-            })
-        );
-    }
-
-    #[test]
-    fn options_signature_is_pinned() {
-        // `DefaultHasher::new()` is SipHash with fixed keys, so these
-        // literals are what "a checkpoint written by an earlier build
-        // still validates" means: whatever is deleted from or added to
-        // `TunerOptions`, the hashed byte stream must not move.
-        let db = test_db();
-        let w = workload(&db, SELECTS);
-        let sig = |o: &TunerOptions| options_signature(o, &db, &w);
-        let default = TunerOptions::default();
-        assert_eq!(sig(&default), 0xf697_4754_761a_f0c8);
-        assert_eq!(
-            sig(&TunerOptions {
-                space_budget: Some(24e6),
-                max_iterations: 40,
-                optimizer_call_budget: Some(64),
-                ..default.clone()
-            }),
-            0xb94a_fab1_6728_7998
-        );
-        assert_eq!(
-            sig(&TunerOptions {
-                deployed: Some(Configuration::base(&db)),
-                ..default
-            }),
-            0x55b0_6d98_55c0_91f5
-        );
-    }
-
-    #[test]
     fn only_the_real_engine_carries_prepass_scores() {
         // `Reference::Candidates` prices every pre-pass removal from
         // scratch and carries nothing; the real engine carries every
@@ -2922,71 +1600,6 @@ mod tests {
     }
 
     #[test]
-    fn call_ledger_serves_charges_and_exhausts() {
-        let db = test_db();
-        let w = workload(&db, SELECTS);
-        let free = tune(&db, &w, &TunerOptions::default());
-        let t = candidates(&free.optimal_config, &Configuration::base(&db)).remove(0);
-        let quote = |affected: u64, gap: f64| Quote {
-            transformation: &t,
-            affected,
-            gap,
-            upper: 100.0 + gap,
-            parent_cost: 100.0,
-        };
-        let tracer = Tracer::new();
-        let trc = Some(&tracer);
-        let mut ledger = CallLedger::new(Some(5));
-        // At the tolerance the estimate is served, free of charge; just
-        // above it the evaluation is charged at its worst case.
-        let at_tol = quote(9, GAP_TOL * 100.0);
-        assert_eq!(
-            ledger.settle(trc, "prepass", None, &at_tol),
-            Settled::Served
-        );
-        assert_eq!((ledger.spent, ledger.skipped), (0, 9));
-        assert_eq!(
-            ledger.settle(trc, "search", Some(1), &quote(3, 2.5)),
-            Settled::Charged
-        );
-        assert_eq!((ledger.spent, ledger.remaining()), (3, Some(2)));
-        // An unaffordable charge is refused whole: nothing is spent, so
-        // a cheaper evaluation still fits afterwards.
-        assert_eq!(
-            ledger.settle(trc, "search", Some(2), &quote(3, 2.5)),
-            Settled::Exhausted
-        );
-        assert_eq!((ledger.spent, ledger.skipped), (3, 9));
-        assert_eq!(
-            ledger.settle(trc, "search", Some(3), &quote(2, 2.5)),
-            Settled::Charged
-        );
-        assert_eq!(ledger.remaining(), Some(0));
-        // One event per serve and per refusal, none per charge; only
-        // search-phase events carry the iteration.
-        let events = tracer.to_jsonl();
-        let lines: Vec<&str> = events.lines().collect();
-        assert_eq!(lines.len(), 2, "{events}");
-        assert!(lines[0].contains(r#""kind":"budget.skip","phase":"prepass","transformation""#));
-        assert!(lines[1].contains(r#""kind":"budget.exhausted","phase":"search","iteration":2"#));
-        assert!(lines[1].contains(r#""affected":3,"remaining":2"#));
-        assert_eq!(tracer.counter("optimizer.calls_skipped"), 9);
-        // Past its budget the ledger reports nothing left, not a wrap;
-        // the exact tier charges everything and records nothing.
-        ledger.spent = 7;
-        assert_eq!(ledger.remaining(), Some(0));
-        let mut exact = CallLedger::new(None);
-        assert_eq!(
-            exact.settle(None, "search", Some(1), &quote(4, 0.0)),
-            Settled::Charged
-        );
-        assert_eq!(
-            (exact.spent, exact.skipped, exact.remaining()),
-            (0, 0, None)
-        );
-    }
-
-    #[test]
     fn replay_gate_is_silent_until_go_live() {
         let db = test_db();
         let w = workload(&db, SELECTS);
@@ -3019,7 +1632,8 @@ mod tests {
             ..SessionCtl::default()
         };
         let mut gate = ReplayGate::new(&ctl, &token, Some(Instant::now()), 0);
-        assert!(!gate.live && gate.resume_at() == ck.iteration && ck.iteration > 0);
+        let at = ck.head.iteration;
+        assert!(!gate.live && gate.resume_at() == at && at > 0);
         assert!(gate.tracer().is_none() && gate.stop().is_none());
         assert_eq!(gate.stopped(), None);
         gate.record_fault(&mut report, 1, FaultKind::EvalPanic, "replayed".into());

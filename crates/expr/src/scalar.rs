@@ -158,11 +158,6 @@ impl ScalarExpr {
         }
     }
 
-    /// True if the expression references no columns.
-    pub fn is_constant(&self) -> bool {
-        self.columns().is_empty()
-    }
-
     /// True if the expression contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
         match self {

@@ -151,11 +151,6 @@ impl CostModel {
     pub fn hash_aggregate(&self, rows: f64, groups: f64) -> Cost {
         Cost::new(0.0, rows * self.cpu_hash + groups * self.cpu_tuple)
     }
-
-    /// Cost of stream aggregation over sorted input.
-    pub fn stream_aggregate(&self, rows: f64) -> Cost {
-        Cost::new(0.0, rows * self.cpu_tuple)
-    }
 }
 
 #[cfg(test)]

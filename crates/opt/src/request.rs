@@ -45,15 +45,6 @@ impl IndexRequest {
         out.extend(self.additional.iter().copied());
         out
     }
-
-    /// Combined selectivity of all sargable predicates.
-    pub fn sargable_selectivity(&self, db: &Database) -> f64 {
-        self.sargable
-            .iter()
-            .map(|s| s.selectivity(db))
-            .product::<f64>()
-            .clamp(0.0, 1.0)
-    }
 }
 
 /// A view request: an SPJG sub-query the optimizer would like a

@@ -124,15 +124,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Comparison operators are the ones that can make a conjunct
-    /// sargable.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
-        )
-    }
-
     pub fn as_str(self) -> &'static str {
         match self {
             BinOp::Eq => "=",

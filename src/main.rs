@@ -578,7 +578,7 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
     if let (Some(path), Some((ck, _))) = (&o.resume, &resumed) {
         println!(
             "resuming from {path} ({} completed iterations)",
-            ck.iteration
+            ck.head.iteration
         );
     }
 

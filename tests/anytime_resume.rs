@@ -117,7 +117,7 @@ fn fold(records: &[(usize, String)], k: usize) -> Checkpoint {
     for (done, record) in &records[1..=k] {
         ck.apply_record(record)
             .unwrap_or_else(|e| panic!("record at iteration {done} does not fold: {e}"));
-        assert_eq!(ck.iteration, *done);
+        assert_eq!(ck.head.iteration, *done);
     }
     ck
 }
@@ -356,7 +356,7 @@ fn a_truncated_iteration_leaves_the_previous_boundary_and_nothing_later() {
     // which ran the same trajectory up to the fault, logged it. Only
     // the options signature differs (`max_faults` is part of it).
     let mut expected = fold(&fine, first_fault - 2);
-    assert_eq!(expected.iteration, first_fault - 1);
+    assert_eq!(expected.head.iteration, first_fault - 1);
     expected.options_sig = flushed.options_sig;
     assert_eq!(
         zero_clocks(flushed).to_json_string(),
@@ -389,7 +389,7 @@ fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
     assert!(n >= 3);
 
     let (whole, kept) = Checkpoint::from_log(&log).unwrap();
-    assert_eq!((whole.iteration, kept), (records[n - 1].0, log.len()));
+    assert_eq!((whole.head.iteration, kept), (records[n - 1].0, log.len()));
 
     let previous = zero_clocks(fold(&records, n - 2)).to_json_string();
     // Every offset in release (the CI suite); a debug build re-parses
@@ -403,7 +403,7 @@ fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
         let (ck, kept) = Checkpoint::from_log(&log[..cut])
             .unwrap_or_else(|e| panic!("cut at {cut} of {}: {e}", log.len()));
         assert_eq!(kept, ends[n - 2], "cut at {cut}");
-        assert_eq!(ck.iteration, records[n - 2].0, "cut at {cut}");
+        assert_eq!(ck.head.iteration, records[n - 2].0, "cut at {cut}");
         // Checking the whole state at every offset would be quadratic
         // in the log; the frame decides, so spot-check the fold.
         if (cut - ends[n - 2]) % 997 == 0 {
@@ -427,7 +427,7 @@ fn a_log_torn_anywhere_in_its_last_record_resumes_from_the_one_before() {
         flipped[at] ^= 0x04;
         let (ck, kept) = Checkpoint::from_log(&flipped).unwrap();
         assert_eq!(
-            (ck.iteration, kept),
+            (ck.head.iteration, kept),
             (records[0].0, ends[0]),
             "flip at {at}"
         );
@@ -485,7 +485,7 @@ fn a_resumed_session_keeps_appending_to_its_log() {
 
 #[test]
 fn resume_rejects_a_mismatched_session() {
-    let (_, _, checkpoints) = run_collecting(10);
+    let (plain, _, checkpoints) = run_collecting(10);
     let ck = fold(&checkpoints, 0);
     let (db, w) = session_inputs();
 
@@ -510,7 +510,7 @@ fn resume_rejects_a_mismatched_session() {
     // error, not a panic and not a report.
     for claimed in [40, 45] {
         let mut edited = ck.clone();
-        edited.iteration = claimed;
+        edited.head.iteration = claimed;
         let err = tune_session(
             &db,
             &w,
@@ -522,6 +522,68 @@ fn resume_rejects_a_mismatched_session() {
         )
         .expect_err("a checkpoint claiming unreplayable iterations must not resume");
         assert!(matches!(err, TuneError::Checkpoint(_)), "{err:?}");
+    }
+
+    // Every other field a resume verifies, edited alone: the refusal
+    // names it. The ledger is edited on a budgeted session and the
+    // setup costs on a warm-started one, where both are in play.
+    let (_, _, budgeted) = run_collecting_opts(&options_budgeted(), 10);
+    let budgeted = fold(&budgeted, 0);
+    let warm_opts = TunerOptions {
+        deployed: Some(plain.best.expect("the plain session recommends").config),
+        ..options()
+    };
+    let (_, _, warm) = run_collecting_opts(&warm_opts, 10);
+    let warm = fold(&warm, 0);
+    type Edit = fn(&mut Checkpoint);
+    let cases: [(&str, &Checkpoint, &TunerOptions, Edit); 10] = [
+        ("rng_state", &budgeted, &options_budgeted(), |c| {
+            c.head.rng_state ^= 1
+        }),
+        ("frontier_len", &budgeted, &options_budgeted(), |c| {
+            c.head.frontier_len += 1
+        }),
+        ("budget_spent", &budgeted, &options_budgeted(), |c| {
+            c.head.budget_spent += 1
+        }),
+        ("budget_skipped", &budgeted, &options_budgeted(), |c| {
+            c.head.budget_skipped += 1
+        }),
+        ("best", &budgeted, &options_budgeted(), |c| {
+            c.head.best = c.head.best.map(|(cost, size)| (cost + 1.0, size))
+        }),
+        ("initial_cost", &warm, &warm_opts, |c| c.initial_cost += 1.0),
+        ("optimal_cost", &warm, &warm_opts, |c| c.optimal_cost += 1.0),
+        ("deployed", &warm, &warm_opts, |c| {
+            c.deployed = c.deployed.map(|(cost, size)| (cost, size + 1.0))
+        }),
+        ("relevance row", &ck, &options(), |c| {
+            let row = c.relevance.iter().position(Option::is_some).unwrap();
+            c.relevance[row] = None
+        }),
+        // The trace is dropped: a traced session resumes it below.
+        ("trace", &ck, &options(), |c| c.trace = None),
+    ];
+    assert!(budgeted.head.best.is_some() && warm.deployed.is_some());
+    for (field, base, opts, edit) in cases {
+        let mut edited = base.clone();
+        edit(&mut edited);
+        let tracer = Tracer::new();
+        let err = tune_session(
+            &db,
+            &w,
+            opts,
+            SessionCtl {
+                tracer: (field == "trace").then_some(&tracer),
+                resume: Some(&edited),
+                ..SessionCtl::default()
+            },
+        )
+        .expect_err("an edited checkpoint must not resume");
+        assert!(
+            matches!(&err, TuneError::Checkpoint(m) if m.contains(&format!(": {field} "))),
+            "{field}: {err}"
+        );
     }
 
     // The unedited checkpoint still resumes: the refusals above are the

@@ -438,7 +438,7 @@ fn checkpoint_resume_round_trip_is_byte_identical() {
     let (folded, kept) = pdtune::tuner::Checkpoint::from_log(&appended).unwrap();
     assert_eq!(kept, appended.len(), "no torn bytes left in the log");
     assert_eq!(
-        folded.iteration, last.iteration,
+        folded.head.iteration, last.head.iteration,
         "the lost record was rewritten"
     );
     assert_eq!(appended, whole, "same session, same records, same log");
@@ -489,7 +489,10 @@ fn resume_into_another_log_starts_it_with_the_checkpoint() {
     let (a, b) = (path("a.log"), path("b.log"));
     std::fs::write(&a, &whole_log[..second_end]).unwrap();
     let (at_a, _) = pdtune::tuner::Checkpoint::from_log(&whole_log[..second_end]).unwrap();
-    assert!(at_a.iteration < last.iteration, "A stops mid-session");
+    assert!(
+        at_a.head.iteration < last.head.iteration,
+        "A stops mid-session"
+    );
 
     let t2 = path("resumed.jsonl");
     let (code, stdout, stderr) = run(&["--resume", &a, "--checkpoint", &b, "--trace", &t2]);
@@ -505,9 +508,9 @@ fn resume_into_another_log_starts_it_with_the_checkpoint() {
     let b_log = std::fs::read(&b).unwrap();
     let (at_b, kept) = pdtune::tuner::Checkpoint::from_log(&b_log).unwrap();
     assert_eq!(kept, b_log.len());
-    assert!(at_b.iteration >= at_a.iteration);
+    assert!(at_b.head.iteration >= at_a.head.iteration);
     assert_eq!(
-        at_b.iteration, last.iteration,
+        at_b.head.iteration, last.head.iteration,
         "B reaches the whole log's end"
     );
     // B's first record is A's fold, as one complete document.
