@@ -11,6 +11,10 @@
 //! arrive. Hit/miss tallies commit only after the whole evaluation
 //! succeeds, so a shortcut-aborted evaluation keeps its answers but
 //! counts nothing.
+//!
+//! A real what-if call runs the entry's prepared statement
+//! ([`PreparedStatements`]) and reads the winning plan's cost and
+//! usages only ([`Optimizer::what_if`]).
 
 #![deny(clippy::too_many_lines)]
 
@@ -22,9 +26,11 @@ use crate::transform::TransformDelta;
 use crate::workload::{UpdateShell, Workload};
 use pdt_catalog::{Database, TableId};
 use pdt_expr::BoundSelect;
-use pdt_opt::{CostModel, IndexUsage, Optimizer};
+use pdt_opt::{CostModel, IndexUsage, Optimizer, PreparedSelect, WhatIf};
 use pdt_physical::{Configuration, Index, PhysicalSchema};
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::Arc;
 
 /// Evaluation of one workload entry under a configuration.
@@ -121,6 +127,42 @@ pub struct EvalCtx<'c> {
     /// trace; debug builds cross-validate each serve with a real call.
     /// `None` outside serve mode.
     pub shared: Option<crate::shared::SharedCtx<'c>>,
+    /// The session's prepared statements, one per workload entry; real
+    /// what-if calls run them. `None` prepares each call's statement
+    /// afresh (the same answer, plus the configuration-independent
+    /// work).
+    pub prepared: Option<&'c PreparedStatements>,
+}
+
+/// Each workload entry's [`PreparedSelect`], derived the first time the
+/// entry's SELECT is really optimized and run by every later what-if
+/// call of the session. Belongs to one workload and one optimizer, like
+/// the cost cache's entry indexes.
+pub struct PreparedStatements {
+    slots: Vec<OnceCell<PreparedSelect>>,
+}
+
+impl PreparedStatements {
+    pub fn new(workload: &Workload) -> PreparedStatements {
+        PreparedStatements {
+            slots: workload.entries.iter().map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// Entry `i`'s prepared statement, preparing `q` on first use.
+    fn get(&self, opt: &Optimizer<'_>, i: usize, q: &BoundSelect) -> &PreparedSelect {
+        self.slots[i].get_or_init(|| opt.prepare(q))
+    }
+}
+
+impl fmt::Debug for PreparedStatements {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let prepared = self.slots.iter().filter(|s| s.get().is_some()).count();
+        f.debug_struct("PreparedStatements")
+            .field("entries", &self.slots.len())
+            .field("prepared", &prepared)
+            .finish()
+    }
 }
 
 /// Delta maintenance multiplies an index's per-row cost when the index
@@ -597,6 +639,17 @@ struct Probe<'a> {
     cached: Option<(&'a CostCache, u128)>,
 }
 
+/// One real what-if call for `probe`'s SELECT under `env.config`.
+fn what_if(env: &EvalEnv<'_>, probe: &Probe<'_>) -> WhatIf {
+    match env.ctx.prepared {
+        Some(prepared) => {
+            let q = prepared.get(env.opt, probe.i, probe.q);
+            env.opt.what_if(env.config, q)
+        }
+        None => env.opt.what_if(env.config, &env.opt.prepare(probe.q)),
+    }
+}
+
 /// Evaluate entry `i`: re-optimize its SELECT if the relaxation touched
 /// its plan (always, for a full evaluation), and re-cost its shell.
 fn evaluate_entry(env: &EvalEnv<'_>, i: usize) -> EntryEval {
@@ -732,7 +785,7 @@ fn serve_keyed(
     // unsound relevance derivation would surface as byte-level
     // divergence between the two modes.
     if tally.avoided && (!env.ctx.derived || cfg!(debug_assertions)) {
-        let plan = env.opt.optimize(env.config, probe.q);
+        let plan = what_if(env, probe);
         debug_assert_eq!(
             plan.cost.to_bits(),
             cost.to_bits(),
@@ -778,7 +831,7 @@ fn price_miss(
         Some(e) => {
             #[cfg(debug_assertions)]
             {
-                let fresh = env.opt.optimize(env.config, probe.q);
+                let fresh = what_if(env, probe);
                 debug_assert_eq!(
                     fresh.cost.to_bits(),
                     e.cost.to_bits(),
@@ -793,7 +846,7 @@ fn price_miss(
             (e.cost, e.usages)
         }
         None => {
-            let plan = env.opt.optimize(env.config, probe.q);
+            let plan = what_if(env, probe);
             (plan.cost, plan.index_usages.into())
         }
     };
@@ -874,6 +927,11 @@ pub(crate) fn evaluate_entries(
             &built
         }
     };
+    debug_assert!(
+        ctx.prepared
+            .is_none_or(|p| p.slots.len() == workload.entries.len()),
+        "prepared statements of another workload"
+    );
     let env = EvalEnv {
         opt,
         config,

@@ -29,7 +29,8 @@ use pdt_expr::Sarg;
 use pdt_opt::access::{best_access_path, sarg_selectivity};
 use pdt_opt::{CostModel, IndexRequest, Optimizer, RequestSink, ViewRequest};
 use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// The instrumentation sink that builds the optimal configuration.
 #[derive(Debug)]
@@ -48,6 +49,18 @@ pub struct OptimalSink {
     /// Requests seen (paper Table 1).
     pub index_requests: usize,
     pub view_requests: usize,
+    /// Answers given to base-table index requests, by the request's
+    /// [`IndexRequest::bit_key`].
+    answers: HashMap<Vec<u64>, Vec<Answer>>,
+}
+
+/// The indexes [`optimal_indexes_for_request`] chose for a request
+/// (`indexes`), and the indexes on its table it chose them under, by
+/// handle (`under`).
+#[derive(Debug)]
+struct Answer {
+    under: Vec<Arc<Index>>,
+    indexes: Vec<Index>,
 }
 
 impl OptimalSink {
@@ -59,15 +72,43 @@ impl OptimalSink {
             created_views: 0,
             index_requests: 0,
             view_requests: 0,
+            answers: HashMap::new(),
         }
     }
 }
 
 impl RequestSink for OptimalSink {
+    /// The answer to a base-table request is a function of the request
+    /// and the indexes on its table alone (its statistics come from the
+    /// catalog), so a request issued again while its table holds the
+    /// same index handles gets the answer it got then. A request over a
+    /// view also reads the view's statistics and is answered afresh.
     fn on_index_request(&mut self, req: &IndexRequest, db: &Database, config: &mut Configuration) {
         self.index_requests += 1;
-        for index in optimal_indexes_for_request(db, config, req) {
-            if config.add_index(index) {
+        let fresh;
+        let answer: &[Index] = if req.table.is_view() {
+            fresh = optimal_indexes_for_request(db, config, req);
+            &fresh
+        } else {
+            let under = config.index_handles_on(req.table);
+            let seen = self.answers.entry(req.bit_key()).or_default();
+            let at = match seen
+                .iter()
+                .position(|a| Configuration::same_handles(&a.under, under))
+            {
+                Some(at) => at,
+                None => {
+                    seen.push(Answer {
+                        under: under.to_vec(),
+                        indexes: optimal_indexes_for_request(db, config, req),
+                    });
+                    seen.len() - 1
+                }
+            };
+            &seen[at].indexes
+        };
+        for index in answer {
+            if !config.contains_index(index) && config.add_index(index.clone()) {
                 self.created_indexes += 1;
             }
         }
@@ -483,5 +524,42 @@ mod tests {
         let t = db.table_by_name("r").unwrap().id;
         let non_clustered = config.indexes_on(t).filter(|i| !i.clustered).count();
         assert_eq!(non_clustered, 1, "same request -> same index");
+    }
+
+    #[test]
+    fn answers_are_reused_only_under_the_same_handles() {
+        let db = test_db();
+        let mut config = Configuration::base(&db);
+        let (a, e) = (cid(&db, "r", "a"), cid(&db, "r", "e"));
+        let req = IndexRequest {
+            table: a.table,
+            sargable: vec![SargablePred {
+                column: a,
+                sarg: Sarg::Range(Interval::point(7.0)),
+            }],
+            non_sargable: vec![],
+            order: vec![],
+            additional: [e].into(),
+            input_rows: 1_000_000.0,
+        };
+        let mut sink = OptimalSink::new(false);
+        let answered = |sink: &OptimalSink| sink.answers[&req.bit_key()].len();
+        // Answered under the base indexes: the answer adds an index.
+        sink.on_index_request(&req, &db, &mut config);
+        assert_eq!((answered(&sink), sink.created_indexes), (1, 1));
+        // The table's indexes changed: answered afresh, adding nothing.
+        sink.on_index_request(&req, &db, &mut config);
+        assert_eq!((answered(&sink), sink.created_indexes), (2, 1));
+        // Same handles as last time, and an index on another table in
+        // between: the answer is reused.
+        let y = cid(&db, "s", "y");
+        assert!(config.add_index(Index::new(y.table, [y], [])));
+        sink.on_index_request(&req, &db, &mut config);
+        assert_eq!((answered(&sink), sink.index_requests), (2, 3));
+        // A reused answer is the answer a fresh one gives.
+        assert_eq!(
+            sink.answers[&req.bit_key()][1].indexes,
+            optimal_indexes_for_request(&db, &config, &req)
+        );
     }
 }

@@ -13,7 +13,7 @@ use crate::bound::{bound_served_eval, estimates, node_bound, RemovalScore, ViewB
 use crate::cache::CostCache;
 use crate::derived::RelevanceTable;
 use crate::error::TuneError;
-use crate::eval::{evaluate_entries, EvalCtx, EvalResult, ShellTable};
+use crate::eval::{evaluate_entries, EvalCtx, EvalResult, PreparedStatements, ShellTable};
 use crate::fault::{FaultKind, FaultSite};
 use crate::node::FactCtx;
 use crate::transform::{describe, AppliedTransform, TransformDelta, Transformation};
@@ -52,6 +52,10 @@ pub(super) struct Env<'a> {
     /// portable across shared-store settings.
     shared: Option<(&'a crate::shared::SharedInvocationStore, u128)>,
     query_sigs: Vec<u128>,
+    /// Each statement's configuration-independent plan-search facts,
+    /// prepared on its first real what-if call. Kept here, off the
+    /// workload, so `options_signature` never sees it.
+    prepared: PreparedStatements,
     /// Checkpoint identity: see [`options_signature`] and
     /// [`Checkpoint::check_identity`].
     pub(super) opts_sig: u64,
@@ -110,6 +114,7 @@ impl<'a> Env<'a> {
                 .shared_store
                 .map(|store| (store, crate::shared::schema_signature(db))),
             query_sigs,
+            prepared: PreparedStatements::new(workload),
             opts_sig,
             base_sig,
         })
@@ -133,6 +138,7 @@ impl<'a> Env<'a> {
                     schema_sig,
                     query_sigs: &self.query_sigs,
                 }),
+            prepared: Some(&self.prepared),
             ..EvalCtx::default()
         }
     }

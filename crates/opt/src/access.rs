@@ -8,11 +8,18 @@
 //! filter for non-sargable predicates, and (v) an optional sort" — and
 //! returns the cheapest.
 //!
-//! Selection costs first and builds second: [`choose_access_path`]
+//! Selection costs first and builds second: `PreparedRequest::choose`
 //! prices every candidate without constructing a plan operator or a
-//! usage record and names the winner; [`AccessChoice::build`] runs the
-//! winner's candidate code once more to materialize it. The join search
-//! keeps choices and builds only the access paths of its final plan.
+//! usage record and names the winner; `PreparedRequest::emit` runs the
+//! winner's candidate code once more, to build it or only to record its
+//! usages. The join search keeps choices and builds only the access
+//! paths of its final plan.
+//!
+//! What a request's candidates read apart from the indexes — its
+//! cardinalities, selectivities and column sets — is derived once, into
+//! the request's `RequestFacts`; a prepared statement keeps those of its
+//! base-table requests for every plan search it is run in (see
+//! [`crate::prepared`]).
 
 use crate::cost::{Cost, CostModel};
 use crate::plan::{CostOnly, Emit, IndexUsage, Materialize, Op, PlanNode, UsageKind};
@@ -77,39 +84,18 @@ pub fn best_access_path(
     schema: &PhysicalSchema<'_>,
     req: &IndexRequest,
 ) -> AccessPath {
-    let ctx = RequestCtx::new(model, schema, req);
+    let facts = RequestFacts::new(model, schema, req);
+    let ctx = RequestCtx::new(model, schema, req, &facts);
     ctx.build(&ctx.choose())
 }
 
-/// Pick the cheapest physical strategy for `req` without building it.
-pub fn choose_access_path(
-    model: &CostModel,
-    schema: &PhysicalSchema<'_>,
-    req: &IndexRequest,
-) -> AccessChoice {
-    RequestCtx::new(model, schema, req).choose()
-}
-
-impl AccessChoice {
-    /// Materialize the chosen strategy for the request it was chosen
-    /// for. The schema may have gained structures since the choice was
-    /// made; the statistics the numbers are derived from do not change.
-    pub fn build(
-        &self,
-        model: &CostModel,
-        schema: &PhysicalSchema<'_>,
-        req: &IndexRequest,
-    ) -> AccessPath {
-        RequestCtx::new(model, schema, req).build(self)
-    }
-}
-
-/// What every candidate of one request reads: the request's
-/// cardinalities, selectivities and column sets, derived once.
-struct RequestCtx<'r> {
-    model: &'r CostModel,
-    schema: &'r PhysicalSchema<'r>,
-    req: &'r IndexRequest,
+/// What every candidate of one request reads besides the indexes: the
+/// request's cardinalities, selectivities and column sets. Over a base
+/// table they are read from catalog statistics only, so no structure a
+/// configuration holds or a sink adds changes them; over a view they
+/// read the view's statistics.
+#[derive(Debug, Clone)]
+pub(crate) struct RequestFacts {
     table_rows: f64,
     table_pages: f64,
     /// Selectivity of each sargable predicate, in request order.
@@ -129,24 +115,8 @@ struct RequestCtx<'r> {
     pred_cols: BTreeSet<ColumnId>,
 }
 
-/// A candidate with residual filters and sort attached.
-struct Finished<N> {
-    node: N,
-    cost: Cost,
-    rows: f64,
-    provides_order: bool,
-}
-
-/// `(prefix length, seek selectivity, equality prefix length)` of a
-/// seekable index.
-type SeekPrefix = (usize, f64, usize);
-
-impl<'r> RequestCtx<'r> {
-    fn new(
-        model: &'r CostModel,
-        schema: &'r PhysicalSchema<'r>,
-        req: &'r IndexRequest,
-    ) -> RequestCtx<'r> {
+impl RequestFacts {
+    fn new(model: &CostModel, schema: &PhysicalSchema<'_>, req: &IndexRequest) -> RequestFacts {
         let table_rows = schema.rows(req.table).max(1.0);
         let table_pages = (table_rows * schema.row_width(req.table) / model.size.page_size)
             .ceil()
@@ -170,10 +140,7 @@ impl<'r> RequestCtx<'r> {
         }
         let mut all_ref = needed.clone();
         all_ref.extend(req.sargable.iter().map(|s| s.column));
-        RequestCtx {
-            model,
-            schema,
-            req,
+        RequestFacts {
             table_rows,
             table_pages,
             out_rows: (table_rows * sarg_sel * others_sel).max(0.0),
@@ -192,6 +159,82 @@ impl<'r> RequestCtx<'r> {
                         .flat_map(|(cols, _)| cols.iter().copied()),
                 )
                 .collect(),
+        }
+    }
+}
+
+/// A request with its [`RequestFacts`] derived: what access-path
+/// selection reads apart from the configuration's indexes.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedRequest {
+    pub(crate) req: IndexRequest,
+    facts: RequestFacts,
+}
+
+impl PreparedRequest {
+    pub(crate) fn new(
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        req: IndexRequest,
+    ) -> PreparedRequest {
+        PreparedRequest {
+            facts: RequestFacts::new(model, schema, &req),
+            req,
+        }
+    }
+
+    /// Pick the cheapest strategy under `schema`'s indexes on the table.
+    pub(crate) fn choose(&self, model: &CostModel, schema: &PhysicalSchema<'_>) -> AccessChoice {
+        RequestCtx::new(model, schema, &self.req, &self.facts).choose()
+    }
+
+    /// Send the operators and usage records of `choice` to `e`.
+    pub(crate) fn emit<E: Emit>(
+        &self,
+        e: &mut E,
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        choice: &AccessChoice,
+    ) -> E::Node {
+        RequestCtx::new(model, schema, &self.req, &self.facts)
+            .emit(e, choice)
+            .node
+    }
+}
+
+/// One request's [`RequestFacts`] together with the model and schema
+/// its candidates are priced against.
+struct RequestCtx<'r> {
+    model: &'r CostModel,
+    schema: &'r PhysicalSchema<'r>,
+    req: &'r IndexRequest,
+    facts: &'r RequestFacts,
+}
+
+/// A candidate with residual filters and sort attached.
+struct Finished<N> {
+    node: N,
+    cost: Cost,
+    rows: f64,
+    provides_order: bool,
+}
+
+/// `(prefix length, seek selectivity, equality prefix length)` of a
+/// seekable index.
+type SeekPrefix = (usize, f64, usize);
+
+impl<'r> RequestCtx<'r> {
+    fn new(
+        model: &'r CostModel,
+        schema: &'r PhysicalSchema<'r>,
+        req: &'r IndexRequest,
+        facts: &'r RequestFacts,
+    ) -> RequestCtx<'r> {
+        RequestCtx {
+            model,
+            schema,
+            req,
+            facts,
         }
     }
 
@@ -224,7 +267,7 @@ impl<'r> RequestCtx<'r> {
         for index in indexes {
             // Covering secondary scan: must provide every referenced
             // column (sargable ones included — they are filtered here).
-            if !index.clustered && index.covers(&self.all_ref) {
+            if !index.clustered && index.covers(&self.facts.all_ref) {
                 consider(self.index_scan(e, index), &|| {
                     Candidate::CoveringScan(index.clone())
                 });
@@ -262,9 +305,9 @@ impl<'r> RequestCtx<'r> {
         best.expect("at least the base scan is always available")
     }
 
-    /// Run the chosen candidate's code again, this time building it.
-    fn build(&self, choice: &AccessChoice) -> AccessPath {
-        let e = &mut Materialize::default();
+    /// Run the chosen candidate's code again, this time sending it to
+    /// `e`.
+    fn emit<E: Emit>(&self, e: &mut E, choice: &AccessChoice) -> Finished<E::Node> {
         let built = match &choice.candidate {
             Candidate::BaseScan(clustered) => self.base_scan(e, clustered.as_deref()),
             Candidate::CoveringScan(index) => self.index_scan(e, index),
@@ -278,6 +321,13 @@ impl<'r> RequestCtx<'r> {
             (choice.cost.total().to_bits(), choice.rows.to_bits()),
             "a rebuilt access path must carry the numbers it was chosen with"
         );
+        built
+    }
+
+    /// Build the chosen candidate.
+    fn build(&self, choice: &AccessChoice) -> AccessPath {
+        let e = &mut Materialize::default();
+        let built = self.emit(e, choice);
         AccessPath {
             node: built.node,
             cost: built.cost,
@@ -290,13 +340,15 @@ impl<'r> RequestCtx<'r> {
     /// The requested order, when a plan relies on its access providing
     /// it.
     fn relied_order(&self, provides: bool) -> Option<Vec<(ColumnId, bool)>> {
-        (provides && !self.order_cols.is_empty()).then(|| self.req.order.clone())
+        (provides && !self.facts.order_cols.is_empty()).then(|| self.req.order.clone())
     }
 
     /// Filter CPU of a full scan that re-checks every predicate.
     fn scan_filter_cpu(&self) -> f64 {
-        if self.n_preds > 0 {
-            self.model.filter(self.table_rows, self.n_preds).total()
+        if self.facts.n_preds > 0 {
+            self.model
+                .filter(self.facts.table_rows, self.facts.n_preds)
+                .total()
         } else {
             0.0
         }
@@ -308,9 +360,22 @@ impl<'r> RequestCtx<'r> {
             Some(ci) => self.index_scan(e, ci),
             None => {
                 let table = self.req.table;
-                let cost = self.model.full_scan(self.table_pages, self.table_rows);
-                let node = e.leaf(|| Op::HeapScan { table }, cost.total(), self.table_rows);
-                self.finish(e, node, cost, self.table_rows, self.n_preds, false)
+                let cost = self
+                    .model
+                    .full_scan(self.facts.table_pages, self.facts.table_rows);
+                let node = e.leaf(
+                    || Op::HeapScan { table },
+                    cost.total(),
+                    self.facts.table_rows,
+                );
+                self.finish(
+                    e,
+                    node,
+                    cost,
+                    self.facts.table_rows,
+                    self.facts.n_preds,
+                    false,
+                )
             }
         }
     }
@@ -319,21 +384,21 @@ impl<'r> RequestCtx<'r> {
     /// clustered index, or a covering secondary one.
     fn index_scan<E: Emit>(&self, e: &mut E, index: &Index) -> Finished<E::Node> {
         let pages = self.model.index_pages(self.schema, index);
-        let cost = self.model.full_scan(pages, self.table_rows);
-        let provides = order_satisfied(&index.key, 0, &self.order_cols);
-        let relied = provides && !self.order_cols.is_empty();
+        let cost = self.model.full_scan(pages, self.facts.table_rows);
+        let provides = order_satisfied(&index.key, 0, &self.facts.order_cols);
+        let relied = provides && !self.facts.order_cols.is_empty();
         e.usage(|| IndexUsage {
             index: index.clone(),
             kind: UsageKind::Scan,
             access_io: cost.io,
             access_cpu: cost.cpu,
-            rows: self.table_rows,
+            rows: self.facts.table_rows,
             provided_order: self.relied_order(provides),
-            provided_columns: self.all_ref.clone(),
+            provided_columns: self.facts.all_ref.clone(),
             followed_by_lookup: false,
             seek_col_sels: Vec::new(),
-            total_preds: self.n_preds,
-            resid_pred_cols: self.pred_cols.clone(),
+            total_preds: self.facts.n_preds,
+            resid_pred_cols: self.facts.pred_cols.clone(),
             resid_filter_cpu: self.scan_filter_cpu(),
             executions: 1.0,
         });
@@ -342,12 +407,19 @@ impl<'r> RequestCtx<'r> {
                 index: index.clone(),
             },
             cost.total(),
-            self.table_rows,
+            self.facts.table_rows,
         );
         // A clustered scan counts as ordered only when the plan relies
         // on it; a covering scan whenever its key allows it.
         let ordered = if index.clustered { relied } else { provides };
-        self.finish(e, node, cost, self.table_rows, self.n_preds, ordered)
+        self.finish(
+            e,
+            node,
+            cost,
+            self.facts.table_rows,
+            self.facts.n_preds,
+            ordered,
+        )
     }
 
     /// Seek on `index`, then on-index filters, then — unless the index
@@ -360,7 +432,7 @@ impl<'r> RequestCtx<'r> {
         (prefix_len, seek_sel, eq_prefix): SeekPrefix,
     ) -> Finished<E::Node> {
         let (model, req) = (self.model, self.req);
-        let rows_after_seek = (self.table_rows * seek_sel).max(0.0);
+        let rows_after_seek = (self.facts.table_rows * seek_sel).max(0.0);
         let levels = model.btree_levels(self.schema, index);
         let leaf_pages = model.index_pages(self.schema, index);
         let seek_cost = model.seek(levels, leaf_pages, seek_sel, rows_after_seek);
@@ -372,7 +444,7 @@ impl<'r> RequestCtx<'r> {
         let mut resid_sel_after_lookup = 1.0;
         let mut n_on_index = 0usize;
         let mut n_after = 0usize;
-        for (sp, sel) in req.sargable.iter().zip(&self.sarg_sels) {
+        for (sp, sel) in req.sargable.iter().zip(&self.facts.sarg_sels) {
             if consumed.contains(&sp.column) {
                 continue;
             }
@@ -398,10 +470,10 @@ impl<'r> RequestCtx<'r> {
         // on-index filters -> rid lookup -> remaining filters. (Rid
         // lookups lose index order in this engine: rows come back in
         // rid order.)
-        let lookup = !(index.covers(&self.needed) && n_after == 0);
+        let lookup = !(index.covers(&self.facts.needed) && n_after == 0);
         let provides = !lookup
-            && (order_satisfied(&index.key, 0, &self.order_cols)
-                || order_satisfied(&index.key, eq_prefix, &self.order_cols));
+            && (order_satisfied(&index.key, 0, &self.facts.order_cols)
+                || order_satisfied(&index.key, eq_prefix, &self.facts.order_cols));
 
         e.usage(|| IndexUsage {
             index: index.clone(),
@@ -416,6 +488,7 @@ impl<'r> RequestCtx<'r> {
             provided_columns: {
                 let all = index.all_columns();
                 let mut c: BTreeSet<ColumnId> = self
+                    .facts
                     .needed
                     .iter()
                     .copied()
@@ -426,7 +499,7 @@ impl<'r> RequestCtx<'r> {
             },
             followed_by_lookup: lookup,
             seek_col_sels: self.seek_col_sels(consumed),
-            total_preds: self.n_preds,
+            total_preds: self.facts.n_preds,
             resid_pred_cols: self.resid_pred_cols(consumed),
             // Residual-filter CPU this plan charges downstream of the
             // seek: on-index filters run at the seek's output,
@@ -470,7 +543,7 @@ impl<'r> RequestCtx<'r> {
             );
         }
         if lookup {
-            cost = cost.add(model.rid_lookup(rows_mid, self.table_pages));
+            cost = cost.add(model.rid_lookup(rows_mid, self.facts.table_pages));
             node = e.unary(|| Op::RidLookup, cost.total(), rows_mid, node);
             if n_after > 0 {
                 cost = cost.add(model.filter(rows_mid, n_after));
@@ -498,9 +571,9 @@ impl<'r> RequestCtx<'r> {
         (i2, (p2, s2, _)): (&Index, SeekPrefix),
     ) -> Finished<E::Node> {
         let model = self.model;
-        let r1 = self.table_rows * s1;
-        let r2 = self.table_rows * s2;
-        let combined = (self.table_rows * s1 * s2).max(0.0);
+        let r1 = self.facts.table_rows * s1;
+        let r2 = self.facts.table_rows * s2;
+        let combined = (self.facts.table_rows * s1 * s2).max(0.0);
         let seek_cost = |index: &Index, sel: f64, rows: f64| {
             model.seek(
                 model.btree_levels(self.schema, index),
@@ -512,9 +585,9 @@ impl<'r> RequestCtx<'r> {
         let c1 = seek_cost(i1, s1, r1);
         let c2 = seek_cost(i2, s2, r2);
         let ci = model.rid_intersect(r1, r2);
-        let lk = model.rid_lookup(combined, self.table_pages);
+        let lk = model.rid_lookup(combined, self.facts.table_pages);
         let mut cost = c1.add(c2).add(ci).add(lk);
-        let n_resid = self.n_preds.saturating_sub(2);
+        let n_resid = self.facts.n_preds.saturating_sub(2);
 
         let seek = |e: &mut E, index: &Index, sel: f64, prefix: usize, c: Cost, rows: f64| {
             let consumed = &index.key[..prefix];
@@ -531,7 +604,7 @@ impl<'r> RequestCtx<'r> {
                 provided_columns: consumed.iter().copied().collect(),
                 followed_by_lookup: true,
                 seek_col_sels: self.seek_col_sels(consumed),
-                total_preds: self.n_preds,
+                total_preds: self.facts.n_preds,
                 resid_pred_cols: self.resid_pred_cols(consumed),
                 // The residual filters of an intersection plan are
                 // shared between both seeks; crediting them to either
@@ -562,7 +635,7 @@ impl<'r> RequestCtx<'r> {
         let mut rows_mid = combined;
         if n_resid > 0 {
             cost = cost.add(model.filter(rows_mid, n_resid));
-            rows_mid = self.out_rows.min(rows_mid);
+            rows_mid = self.facts.out_rows.min(rows_mid);
             node = e.unary(
                 || Op::Filter {
                     predicates: n_resid,
@@ -573,7 +646,7 @@ impl<'r> RequestCtx<'r> {
                 node,
             );
         }
-        self.finish(e, node, cost, rows_mid.max(self.out_rows), 0, false)
+        self.finish(e, node, cost, rows_mid.max(self.facts.out_rows), 0, false)
     }
 
     /// Longest seekable key prefix: every column must carry a sarg, and
@@ -586,7 +659,7 @@ impl<'r> RequestCtx<'r> {
         for key_col in &index.key {
             match self.req.sargable.iter().position(|s| s.column == *key_col) {
                 Some(si) => {
-                    sel *= self.sarg_sels[si];
+                    sel *= self.facts.sarg_sels[si];
                     len += 1;
                     if self.req.sargable[si].sarg.is_equality() {
                         eq_len = len;
@@ -610,7 +683,7 @@ impl<'r> RequestCtx<'r> {
                     .req
                     .sargable
                     .iter()
-                    .zip(&self.sarg_sels)
+                    .zip(&self.facts.sarg_sels)
                     .find(|(s, _)| s.column == *kc)
                     .map(|(s, sel)| (*sel, s.sarg.is_equality()))
                     .unwrap_or((1.0, false));
@@ -621,7 +694,8 @@ impl<'r> RequestCtx<'r> {
 
     /// Columns of the predicates a seek on `consumed` leaves to filter.
     fn resid_pred_cols(&self, consumed: &[ColumnId]) -> BTreeSet<ColumnId> {
-        self.pred_cols
+        self.facts
+            .pred_cols
             .iter()
             .copied()
             .filter(|c| !consumed.contains(c))
@@ -642,7 +716,7 @@ impl<'r> RequestCtx<'r> {
     ) -> Finished<E::Node> {
         // The access path's final estimate is the logical output
         // cardinality regardless of which plan shape produced it.
-        let rows = self.out_rows;
+        let rows = self.facts.out_rows;
         if extra_preds > 0 {
             cost = cost.add(self.model.filter(rows_in, extra_preds));
             node = e.unary(
@@ -655,8 +729,9 @@ impl<'r> RequestCtx<'r> {
                 node,
             );
         }
-        if !self.order_cols.is_empty() && !provides_order {
+        if !self.facts.order_cols.is_empty() && !provides_order {
             let width: f64 = self
+                .facts
                 .needed
                 .iter()
                 .map(|c| self.schema.column_width(*c))
@@ -677,7 +752,7 @@ impl<'r> RequestCtx<'r> {
             cost,
             rows,
             // Sorted one way or the other.
-            provides_order: provides_order || !self.order_cols.is_empty(),
+            provides_order: provides_order || !self.facts.order_cols.is_empty(),
         }
     }
 }

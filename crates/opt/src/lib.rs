@@ -30,10 +30,12 @@ pub mod card;
 pub mod cost;
 pub mod optimizer;
 pub mod plan;
+pub mod prepared;
 pub mod request;
 
 pub use block::QueryBlock;
 pub use cost::CostModel;
 pub use optimizer::{invocation_count, plan_footprint, reprice_plan, Optimizer, OptimizerOptions};
 pub use plan::{IndexUsage, Op, PhysPlan, PlanNode, UsageKind};
+pub use prepared::{PreparedSelect, WhatIf};
 pub use request::{CountingSink, IndexRequest, NullSink, RequestSink, TracingSink, ViewRequest};

@@ -3,33 +3,41 @@
 //! plans aggregation/ordering — invoking the [`RequestSink`] at every
 //! index- and view-request point.
 //!
-//! One invocation does work proportional to what it decides. The join
-//! search records *choices* — which access path, which join method,
-//! which inner table — with their costs and cardinalities; plan
-//! operators and usage records are built once, for the plan that won.
-//! When nobody observes the requests, each distinct access-path
-//! request of the invocation is answered once. DESIGN.md ("Plan
-//! search") has the rules that keep the output bytes fixed.
+//! One invocation does work proportional to what it decides. What no
+//! configuration changes — the block, its cardinalities, every request
+//! of the join enumeration — comes prepared ([`PreparedSelect`]). The
+//! join search records *choices* — which access path, which join
+//! method, which inner table — with their costs and cardinalities; plan
+//! operators and usage records are built once, for the plan that won,
+//! and a what-if call builds only the usage records. Each request is
+//! answered once per invocation while the indexes on its table stay
+//! the same. DESIGN.md ("Plan search") has the rules that keep the
+//! output bytes fixed.
 
-use crate::access::{choose_access_path, AccessChoice, AccessPath};
-use crate::block::QueryBlock;
-use crate::card::{group_count, SubsetCard};
+use crate::access::{AccessChoice, PreparedRequest};
+use crate::card::group_count;
 use crate::cost::CostModel;
-use crate::plan::{CostOnly, Emit, IndexUsage, Materialize, Op, PhysPlan, PlanNode};
+use crate::plan::{Collect, CostOnly, Emit, IndexUsage, Materialize, Op, PhysPlan, UsagesOnly};
+use crate::prepared::{JoinOrder, PreparedSelect, WhatIf};
 use crate::request::{IndexRequest, RequestSink, ViewRequest};
 use pdt_catalog::{ColumnId, Database, TableId};
-use pdt_expr::{BoundSelect, ClassifiedPredicates, Sarg, SargablePred};
-use pdt_physical::{Configuration, MaterializedView, PhysicalSchema, SpjgExpr, ViewMatch};
+use pdt_expr::{BoundSelect, ClassifiedPredicates};
+use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema, SpjgExpr, ViewMatch};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Process-global count of *real* plan searches ([`Optimizer::optimize`]
-/// invocations). The derived-costing layer keeps its logical counters
-/// mode-invariant (so reports stay byte-identical with derivation on or
-/// off); this counter is the ground truth beneath them — benches diff
-/// it across runs to measure how many plan searches derivation actually
-/// skipped. Monotonic; meaningful only as a delta within one process.
+/// Process-global count of *real* plan searches: every
+/// [`Optimizer::optimize`], [`Optimizer::optimize_prepared`] and
+/// [`Optimizer::what_if`] counts one, whether or not its statement was
+/// prepared before. The derived-costing layer keeps its logical
+/// counters mode-invariant (so reports stay byte-identical with
+/// derivation on or off); this counter is the ground truth beneath
+/// them — benches diff it across runs to measure how many plan searches
+/// derivation actually skipped. Monotonic; meaningful only as a delta
+/// within one process.
 static INVOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Current value of the process-global invocation counter.
@@ -39,7 +47,7 @@ pub fn invocation_count() -> u64 {
 
 /// Exhaustive DP keeps one record per subset of the FROM list, so it is
 /// never run above this many tables whatever `max_dp_tables` says.
-const DP_TABLE_LIMIT: usize = 16;
+pub(crate) const DP_TABLE_LIMIT: usize = 16;
 
 /// Optimizer tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -82,11 +90,41 @@ impl<'a> Optimizer<'a> {
         Optimizer { db, opts }
     }
 
-    /// Optimize under a fixed configuration (no instrumentation).
+    /// Optimize under a fixed configuration (no instrumentation): one
+    /// real plan search. The same as preparing `q` and running
+    /// [`optimize_prepared`](Self::optimize_prepared) once.
     pub fn optimize(&self, config: &Configuration, q: &BoundSelect) -> PhysPlan {
+        self.optimize_prepared(config, &self.prepare(q))
+    }
+
+    /// Derive what no configuration changes about optimizing `q`, for
+    /// any number of [`what_if`](Self::what_if) or
+    /// [`optimize_prepared`](Self::optimize_prepared) calls by this
+    /// optimizer (same database, same options). Not a plan search.
+    pub fn prepare(&self, q: &BoundSelect) -> PreparedSelect {
+        PreparedSelect::new(self, q)
+    }
+
+    /// Optimize a prepared statement under a fixed configuration: one
+    /// real plan search, bit-identical to [`optimize`](Self::optimize).
+    pub fn optimize_prepared(&self, config: &Configuration, q: &PreparedSelect) -> PhysPlan {
         INVOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let block = QueryBlock::from_bound(self.db, q);
-        Search::new(self, &block, Watch::Nobody(config)).run()
+        self.plan(q, Watch::Nobody(config))
+    }
+
+    /// The tuner's what-if call: one real plan search of a prepared
+    /// statement that reads the winner's cost, rows and index usages
+    /// and builds no operator tree. Bit-identical to those fields of
+    /// [`optimize`](Self::optimize).
+    pub fn what_if(&self, config: &Configuration, q: &PreparedSelect) -> WhatIf {
+        INVOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let mut e = UsagesOnly::default();
+        let done = Search::new(self, q, Watch::Nobody(config)).run(&mut e);
+        WhatIf {
+            cost: done.cost,
+            rows: done.rows,
+            index_usages: e.usages,
+        }
     }
 
     /// Optimize, invoking `sink` at every index/view request. The sink
@@ -98,13 +136,24 @@ impl<'a> Optimizer<'a> {
         q: &BoundSelect,
         sink: &mut dyn RequestSink,
     ) -> PhysPlan {
-        let block = QueryBlock::from_bound(self.db, q);
         let watch = if sink.observes() {
             Watch::Sink(config, sink)
         } else {
             Watch::Nobody(config)
         };
-        Search::new(self, &block, watch).run()
+        self.plan(&self.prepare(q), watch)
+    }
+
+    /// One plan search with the winner built.
+    fn plan<'s>(&'s self, q: &'s PreparedSelect, watch: Watch<'s>) -> PhysPlan {
+        let mut e = Materialize::default();
+        let done = Search::new(self, q, watch).run(&mut e);
+        PhysPlan {
+            root: done.node,
+            cost: done.cost,
+            rows: done.rows,
+            index_usages: e.usages,
+        }
     }
 
     /// Estimated output cardinality of an SPJG expression (used when
@@ -130,8 +179,7 @@ impl<'a> Optimizer<'a> {
 /// Who receives the requests of one plan search.
 enum Watch<'s> {
     /// Nobody: requests are not issued and the configuration cannot
-    /// change under the search, so an access path chosen once stays
-    /// right for the whole invocation.
+    /// change under the search.
     Nobody(&'s Configuration),
     /// An observing sink: it receives every request, in enumeration
     /// order, and may add structures to the configuration each time.
@@ -151,25 +199,32 @@ impl Watch<'_> {
     }
 }
 
-/// The parameterized join columns of an index nested-loops inner side:
-/// `(inner column, join selectivity)` per connecting join predicate.
-type JoinParams = Vec<(ColumnId, f64)>;
-
 /// An access-path request and the choice made for it; the request is
-/// kept because building the choice reads it again.
-struct Access {
-    req: IndexRequest,
+/// kept because building the choice reads it again. Requests of the
+/// join enumeration are borrowed from the prepared statement; a
+/// request over a matched view is built by the search.
+struct Access<'s> {
+    request: Cow<'s, PreparedRequest>,
     choice: AccessChoice,
 }
 
-impl Access {
+impl Access<'_> {
     fn cost(&self) -> f64 {
         self.choice.cost.total()
     }
 
-    fn build(&self, model: &CostModel, schema: &PhysicalSchema<'_>) -> AccessPath {
-        self.choice.build(model, schema, &self.req)
+    fn emit<E: Emit>(&self, e: &mut E, model: &CostModel, schema: &PhysicalSchema<'_>) -> E::Node {
+        self.request.emit(e, model, schema, &self.choice)
     }
+}
+
+/// The access path chosen for one prepared request in this invocation,
+/// and the indexes on its table it was chosen under. While they stay
+/// the same (compared by handle) the choice is reused: it reads nothing
+/// else a sink can change.
+struct Chosen<'s> {
+    under: Vec<Arc<Index>>,
+    access: Rc<Access<'s>>,
 }
 
 #[derive(Clone, Copy)]
@@ -183,25 +238,25 @@ enum JoinMethod {
 
 /// One decided join of a left-deep plan: the outer side is whatever was
 /// decided for the remaining tables.
-struct Join {
+struct Join<'s> {
     /// Position of the inner table in the FROM list.
     inner: usize,
     method: JoinMethod,
-    access: Rc<Access>,
+    access: Rc<Access<'s>>,
     cost: f64,
     rows: f64,
 }
 
 /// The record the join search keeps per subset of tables: how its best
 /// plan is reached, and that plan's cost and cardinality.
-enum Decision {
+enum Decision<'s> {
     /// One access path: a single table, or a materialized view standing
     /// in for the whole subset.
-    Access(Rc<Access>),
-    Join(Join),
+    Access(Rc<Access<'s>>),
+    Join(Join<'s>),
 }
 
-impl Decision {
+impl Decision<'_> {
     fn cost(&self) -> f64 {
         match self {
             Decision::Access(a) => a.cost(),
@@ -219,15 +274,15 @@ impl Decision {
 
 /// A complete left-deep plan as decisions: a leaf access and the joins
 /// above it, bottom-up.
-struct LeftDeep {
-    leaf: Rc<Access>,
-    joins: Vec<Join>,
+struct LeftDeep<'s> {
+    leaf: Rc<Access<'s>>,
+    joins: Vec<Join<'s>>,
     /// Order provided by the plan output (satisfied request order for
     /// single-table plans; joins destroy order in this engine).
     provides_order: bool,
 }
 
-impl LeftDeep {
+impl LeftDeep<'_> {
     fn cost(&self) -> f64 {
         self.joins.last().map_or(self.leaf.cost(), |j| j.cost)
     }
@@ -247,53 +302,33 @@ struct Stage<N> {
 
 /// `true` when `cost` strictly beats the best decision so far: among
 /// equally cheap candidates the first enumerated wins.
-fn improves(best: &Option<Decision>, cost: f64) -> bool {
+fn improves(best: &Option<Decision<'_>>, cost: f64) -> bool {
     best.as_ref().is_none_or(|b| cost < b.cost())
 }
 
-/// The state of one plan search. It lives on the stack of the
-/// `optimize` call that created it, so the [`Optimizer`] itself stays
-/// shareable between threads.
+/// The state of one plan search. It lives on the stack of the call that
+/// created it, so the [`Optimizer`] itself stays shareable between
+/// threads.
 struct Search<'s> {
     db: &'s Database,
     opts: &'s OptimizerOptions,
-    block: &'s QueryBlock,
+    prep: &'s PreparedSelect,
     watch: Watch<'s>,
-    /// Cardinality factors of the block's tables and predicates; no
-    /// structure a sink can add changes them.
-    card: SubsetCard,
-    /// `(table, position in the FROM list)`, sorted by table. The
-    /// binder rejects a table that appears twice.
-    positions: Vec<(TableId, usize)>,
-    /// Per FROM position, the access paths already chosen in this
-    /// invocation, keyed by their parameterized join columns. Consulted
-    /// only when nobody observes the requests.
-    chosen: Vec<Vec<(JoinParams, Rc<Access>)>>,
+    /// Per prepared request, the access path chosen for it so far in
+    /// this invocation.
+    chosen: Vec<Option<Chosen<'s>>>,
 }
 
 impl<'s> Search<'s> {
-    fn new(opt: &'s Optimizer<'_>, block: &'s QueryBlock, watch: Watch<'s>) -> Search<'s> {
-        let schema = PhysicalSchema::new(opt.db, watch.config());
-        let card = SubsetCard::new(
-            &schema,
-            &block.tables.iter().copied().collect(),
-            &block.classified,
-        );
-        let mut positions: Vec<(TableId, usize)> = block
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .collect();
-        positions.sort_unstable();
+    fn new(opt: &'s Optimizer<'_>, prep: &'s PreparedSelect, watch: Watch<'s>) -> Search<'s> {
+        let mut chosen = Vec::new();
+        chosen.resize_with(prep.requests.len(), || None);
         Search {
             db: opt.db,
             opts: &opt.opts,
-            block,
+            prep,
             watch,
-            card,
-            positions,
-            chosen: vec![Vec::new(); block.tables.len()],
+            chosen,
         }
     }
 
@@ -301,41 +336,30 @@ impl<'s> Search<'s> {
         PhysicalSchema::new(self.db, self.watch.config())
     }
 
-    /// True if `table` is one of the FROM-list positions set in `mask`.
-    fn in_mask(&self, mask: usize, table: TableId) -> bool {
-        self.positions
-            .binary_search_by_key(&table, |p| p.0)
-            .is_ok_and(|at| mask >> self.positions[at].1 & 1 == 1)
-    }
-
-    fn run(mut self) -> PhysPlan {
-        let block = self.block;
-        let n = block.tables.len();
+    /// Search, then send the winner to `e`.
+    fn run<E: Collect>(mut self, e: &mut E) -> Stage<E::Node> {
+        let prep = self.prep;
+        let block = &prep.block;
 
         // ---- join-order search over base tables ---------------------
-        let base = if n == 1 {
-            let order = if block.is_grouped() {
-                Vec::new()
-            } else {
-                block.order_by.clone()
-            };
-            let leaf = self.request_access(self.table_request(block.tables[0], &[], order));
-            LeftDeep {
-                provides_order: leaf.choice.provides_order && !block.order_by.is_empty(),
-                leaf,
-                joins: Vec::new(),
+        let base = match &prep.order {
+            JoinOrder::Single => {
+                let leaf = self.table_access(prep.plain[0]);
+                LeftDeep {
+                    provides_order: leaf.choice.provides_order && !block.order_by.is_empty(),
+                    leaf,
+                    joins: Vec::new(),
+                }
             }
-        } else if n <= self.opts.max_dp_tables.min(DP_TABLE_LIMIT) {
-            self.dp_join()
-        } else {
-            self.greedy_join()
+            JoinOrder::Dp { .. } => self.dp_join(),
+            JoinOrder::Greedy { .. } => self.greedy_join(),
         };
 
         // ---- grouping / ordering / projection on the base plan ------
         let mut best_cost = self.finish_base(&mut CostOnly, &base, ()).cost;
 
         // ---- whole-query view alternatives ---------------------------
-        let mut best_view: Option<(ViewMatch, Rc<Access>)> = None;
+        let mut best_view: Option<(ViewMatch, Rc<Access<'s>>)> = None;
         for (m, view_rows) in self.view_matches(None) {
             let order = self.view_order(&m);
             let additional = m
@@ -353,109 +377,70 @@ impl<'s> Search<'s> {
         }
 
         // ---- build the winner ----------------------------------------
-        let e = &mut Materialize::default();
-        let (done, index_usages) = match best_view {
+        let done = match best_view {
             Some((m, access)) => {
-                let path = access.build(&self.opts.cost, &self.schema());
-                (self.finish_view(e, &m, &access, path.node), path.usages)
+                let node = access.emit(e, &self.opts.cost, &self.schema());
+                self.finish_view(e, &m, &access, node)
             }
             None => {
-                let (node, usages) = self.assemble(&base);
-                (self.finish_base(e, &base, node), usages)
+                let node = self.assemble(e, &base);
+                self.finish_base(e, &base, node)
             }
         };
         debug_assert_eq!(done.cost.to_bits(), best_cost.to_bits());
-        PhysPlan {
-            root: done.node,
-            cost: done.cost,
-            rows: done.rows,
-            index_usages,
-        }
+        done
     }
 
     // -----------------------------------------------------------------
     // Requests
     // -----------------------------------------------------------------
 
-    /// Issue an index request (when somebody observes) and choose the
-    /// access path under the configuration the sink left behind.
-    fn request_access(&mut self, req: IndexRequest) -> Rc<Access> {
+    /// Access path for the prepared request `at`, issuing the request
+    /// first when somebody observes. The choice made for an earlier
+    /// issue of the same request is reused while the indexes on its
+    /// table are the same handles it was chosen under; an observing
+    /// sink still gets every request, and a fresh choice whenever it
+    /// changed that table's indexes in between.
+    fn table_access(&mut self, at: usize) -> Rc<Access<'s>> {
+        let prep = self.prep;
+        let request = &prep.requests[at];
         if let Watch::Sink(config, sink) = &mut self.watch {
-            sink.on_index_request(&req, self.db, config);
+            sink.on_index_request(&request.req, self.db, config);
         }
-        let choice = choose_access_path(&self.opts.cost, &self.schema(), &req);
-        Rc::new(Access { req, choice })
-    }
-
-    /// Build the access-path request for a single table inside the
-    /// block, with optional parameterized join sargs (for the inner
-    /// side of an index nested-loops join).
-    fn table_request(
-        &self,
-        table: TableId,
-        join_params: &[(ColumnId, f64)],
-        order: Vec<(ColumnId, bool)>,
-    ) -> IndexRequest {
-        let block = self.block;
-        let mut sargable: Vec<SargablePred> = block.classified.ranges_on(table).cloned().collect();
-        for (col, sel) in join_params {
-            if !sargable.iter().any(|s| s.column == *col) {
-                sargable.push(SargablePred {
-                    column: *col,
-                    sarg: Sarg::Param { selectivity: *sel },
-                });
+        // Unobserved, the indexes cannot change: nothing to compare.
+        let observed = self.watch.observed();
+        let handles = || self.watch.config().index_handles_on(request.req.table);
+        if let Some(c) = &self.chosen[at] {
+            if !observed || Configuration::same_handles(&c.under, handles()) {
+                return c.access.clone();
             }
         }
-        let non_sargable = block
-            .classified
-            .others_local_to(table)
-            .map(|o| (o.columns(), o.selectivity))
-            .collect();
-        IndexRequest {
-            table,
-            sargable,
-            non_sargable,
-            order,
-            additional: block.required_columns(table),
-            input_rows: self.schema().rows(table),
-        }
-    }
-
-    /// Access path for the table at FROM position `pos` inside a join,
-    /// issuing the index request first. Unobserved, one distinct
-    /// `(table, join parameters)` request is answered once per
-    /// invocation; an observing sink gets every request and a fresh
-    /// choice each time, because it may have changed the configuration
-    /// in between.
-    fn table_access(&mut self, pos: usize, join_params: &[(ColumnId, f64)]) -> Rc<Access> {
-        let same = |a: &[(ColumnId, f64)]| {
-            a.len() == join_params.len()
-                && a.iter()
-                    .zip(join_params)
-                    .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+        let under = if observed {
+            handles().to_vec()
+        } else {
+            Vec::new()
         };
-        let reusable = !self.watch.observed();
-        if reusable {
-            if let Some((_, access)) = self.chosen[pos].iter().find(|(k, _)| same(k)) {
-                return access.clone();
-            }
-        }
-        let req = self.table_request(self.block.tables[pos], join_params, Vec::new());
-        let access = self.request_access(req);
-        if reusable {
-            self.chosen[pos].push((join_params.to_vec(), access.clone()));
-        }
+        let choice = request.choose(&self.opts.cost, &self.schema());
+        let access = Rc::new(Access {
+            request: Cow::Borrowed(request),
+            choice,
+        });
+        self.chosen[at] = Some(Chosen {
+            under,
+            access: access.clone(),
+        });
         access
     }
 
     /// True if `view` is defined over exactly the block's tables, or
     /// exactly those at the FROM positions of `subset`.
     fn spans(&self, view: &MaterializedView, subset: Option<usize>) -> bool {
-        let count = subset.map_or(self.block.tables.len(), |mask| mask.count_ones() as usize);
+        let block = &self.prep.block;
+        let count = subset.map_or(block.tables.len(), |mask| mask.count_ones() as usize);
         view.def.tables.len() == count
             && view.def.tables.iter().all(|t| match subset {
-                Some(mask) => self.in_mask(mask, *t),
-                None => self.block.tables.contains(t),
+                Some(mask) => self.prep.in_mask(mask, *t),
+                None => block.tables.contains(t),
             })
     }
 
@@ -469,7 +454,7 @@ impl<'s> Search<'s> {
         if !self.watch.observed() && !config.usable_views().any(|v| self.spans(v, subset)) {
             return Vec::new();
         }
-        let block = self.block;
+        let block = &self.prep.block;
         let spjg = match subset {
             Some(mask) => {
                 let tables = block.tables.iter().enumerate();
@@ -495,13 +480,15 @@ impl<'s> Search<'s> {
 
     /// Access path over a matched view: the residual predicates of the
     /// match, the view columns at `additional` ordinals, and `order`.
+    /// The request is issued first; its facts read the view's
+    /// statistics under the configuration the sink left behind.
     fn view_access(
         &mut self,
         m: &ViewMatch,
         view_rows: f64,
         additional: impl Iterator<Item = u16>,
         order: Vec<(ColumnId, bool)>,
-    ) -> Option<Rc<Access>> {
+    ) -> Option<Rc<Access<'s>>> {
         let req = IndexRequest {
             table: m.view_id,
             sargable: m.residual_ranges.clone(),
@@ -516,47 +503,41 @@ impl<'s> Search<'s> {
                 .collect(),
             input_rows: view_rows,
         };
-        let access = self.request_access(req);
+        if let Watch::Sink(config, sink) = &mut self.watch {
+            sink.on_index_request(&req, self.db, config);
+        }
+        let (model, schema) = (&self.opts.cost, self.schema());
+        let request = PreparedRequest::new(model, &schema, req);
+        let choice = request.choose(model, &schema);
         // The view may have been deleted meanwhile (defensive).
         self.watch.config().view(m.view_id)?;
-        Some(access)
+        Some(Rc::new(Access {
+            request: Cow::Owned(request),
+            choice,
+        }))
     }
 
     // -----------------------------------------------------------------
     // Join enumeration
     // -----------------------------------------------------------------
 
-    /// The parameterized join columns of `inner` against the tables
-    /// `in_outer` accepts: one `(inner column, join selectivity)` per
-    /// join predicate that connects them, in predicate order. Empty
-    /// means the join would be a cross product.
-    fn join_cols(&self, inner: TableId, in_outer: impl Fn(TableId) -> bool, out: &mut JoinParams) {
-        out.clear();
-        for (j, sel) in &self.card.joins {
-            if j.left.table == inner && in_outer(j.right.table) {
-                out.push((j.left, *sel));
-            } else if j.right.table == inner && in_outer(j.left.table) {
-                out.push((j.right, *sel));
-            }
-        }
-    }
-
     /// Cost the two ways of joining an outer plan of `outer_cost` and
     /// `outer_rows` with the table at FROM position `inner` — a hash
-    /// join, then (when a join predicate connects them) index nested
-    /// loops — and keep in `best` the first strictly cheapest decision.
-    /// The only copy of the join cost formulas; the DP and the greedy
-    /// order both price through it.
+    /// join, then (when a join predicate connects them, `params` names
+    /// the parameterized request) index nested loops — and keep in
+    /// `best` the first strictly cheapest decision. The only copy of
+    /// the join cost formulas; the DP and the greedy order both price
+    /// through it.
     fn join_candidates(
         &mut self,
         (outer_cost, outer_rows): (f64, f64),
         inner: usize,
-        join_cols: &[(ColumnId, f64)],
+        params: Option<usize>,
         out_rows: f64,
-        best: &mut Option<Decision>,
+        best: &mut Option<Decision<'s>>,
     ) {
         let model = self.opts.cost;
-        let mut offer = |method: JoinMethod, access: Rc<Access>, cost: f64| {
+        let mut offer = |method: JoinMethod, access: Rc<Access<'s>>, cost: f64| {
             if improves(best, cost) {
                 *best = Some(Decision::Join(Join {
                     inner,
@@ -569,21 +550,21 @@ impl<'s> Search<'s> {
         };
 
         // Hash join: full access of inner (local predicates only).
-        let access = self.table_access(inner, &[]);
+        let access = self.table_access(self.prep.plain[inner]);
         let inner_rows = access.choice.rows;
         let (build_rows, probe_rows) = if inner_rows < outer_rows {
             (inner_rows, outer_rows)
         } else {
             (outer_rows, inner_rows)
         };
-        let width = self.schema().row_width(self.block.tables[inner]);
+        let width = self.schema().row_width(self.prep.block.tables[inner]);
         let jc = model.hash_join(build_rows, probe_rows, width);
         let cost = outer_cost + access.cost() + jc.total() + out_rows * model.cpu_tuple;
         offer(JoinMethod::Hash, access, cost);
 
         // Index nested-loops: parameterized inner executed per outer row.
-        if !join_cols.is_empty() {
-            let access = self.table_access(inner, join_cols);
+        if let Some(at) = params {
+            let access = self.table_access(at);
             let cost = outer_cost + outer_rows * access.cost() + out_rows * model.cpu_tuple;
             offer(JoinMethod::IndexNlj, access, cost);
         }
@@ -595,23 +576,30 @@ impl<'s> Search<'s> {
     /// join before index nested loops — and the first strictly cheapest
     /// is recorded; the outer side of a candidate is read from the
     /// table, never copied.
-    fn dp_join(&mut self) -> LeftDeep {
-        let block = self.block;
-        let n = block.tables.len();
+    fn dp_join(&mut self) -> LeftDeep<'s> {
+        let prep = self.prep;
+        let JoinOrder::Dp {
+            neighbours,
+            params,
+            rows,
+        } = &prep.order
+        else {
+            unreachable!("dp_join runs on a DP order")
+        };
+        let n = prep.block.tables.len();
         let full_mask: usize = (1 << n) - 1;
-        let mut dp: Vec<Option<Decision>> = Vec::new();
+        let mut dp: Vec<Option<Decision<'s>>> = Vec::new();
         dp.resize_with(full_mask + 1, || None);
 
         for i in 0..n {
-            dp[1 << i] = Some(Decision::Access(self.table_access(i, &[])));
+            dp[1 << i] = Some(Decision::Access(self.table_access(prep.plain[i])));
         }
 
-        let mut join_cols = Vec::new();
         for mask in 3..=full_mask {
             if mask.count_ones() < 2 {
                 continue;
             }
-            let mut best: Option<Decision> = None;
+            let mut best: Option<Decision<'s>> = None;
 
             // View request for this SPJG sub-query (paper §2);
             // materialized views covering exactly this subset can
@@ -620,15 +608,21 @@ impl<'s> Search<'s> {
                 self.subset_view_candidates(mask, &mut best);
             }
 
-            let out_rows = self.card.rows(|t| self.in_mask(mask, t));
             for i in (0..n).filter(|i| mask >> i & 1 == 1) {
                 let rest = mask & !(1 << i);
                 let Some(outer) = &dp[rest] else { continue };
                 let outer = (outer.cost(), outer.rows());
                 // Prefer connected joins; cross products only when the
                 // rest has no join edge to this table.
-                self.join_cols(block.tables[i], |t| self.in_mask(rest, t), &mut join_cols);
-                self.join_candidates(outer, i, &join_cols, out_rows, &mut best);
+                let connected = rest & neighbours[i];
+                let param = (connected != 0).then(|| {
+                    let slots = &params[i];
+                    slots[slots
+                        .binary_search_by_key(&connected, |s| s.0)
+                        .expect("every neighbour subset has a prepared request")]
+                    .1
+                });
+                self.join_candidates(outer, i, param, rows[mask], &mut best);
             }
             dp[mask] = best;
         }
@@ -657,7 +651,7 @@ impl<'s> Search<'s> {
     /// replacement for the join sub-expression (ungrouped matches only —
     /// grouped views never match subset SPJGs because those carry no
     /// grouping).
-    fn subset_view_candidates(&mut self, mask: usize, best: &mut Option<Decision>) {
+    fn subset_view_candidates(&mut self, mask: usize, best: &mut Option<Decision<'s>>) {
         for (m, view_rows) in self.view_matches(Some(mask)) {
             if m.regroup {
                 continue;
@@ -671,49 +665,18 @@ impl<'s> Search<'s> {
         }
     }
 
-    /// Greedy left-deep join order for very large FROM lists.
-    fn greedy_join(&mut self) -> LeftDeep {
-        let block = self.block;
-        let n = block.tables.len();
-        // Start from the table with the smallest filtered cardinality.
-        let filtered_rows: Vec<f64> = block
-            .tables
-            .iter()
-            .map(|&t| self.schema().rows(t) * block.classified.local_selectivity(self.db, t))
-            .collect();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        remaining.sort_by(|a, b| filtered_rows[*a].total_cmp(&filtered_rows[*b]));
-        let first = remaining.remove(0);
-        let mut joined: BTreeSet<TableId> = [block.tables[first]].into();
-        let leaf = self.table_access(first, &[]);
+    /// The prepared greedy left-deep order, for very large FROM lists.
+    fn greedy_join(&mut self) -> LeftDeep<'s> {
+        let prep = self.prep;
+        let JoinOrder::Greedy { first, steps } = &prep.order else {
+            unreachable!("greedy_join runs on a greedy order")
+        };
+        let leaf = self.table_access(prep.plain[*first]);
         let mut current = (leaf.cost(), leaf.choice.rows);
-        let mut joins = Vec::with_capacity(n - 1);
-        let mut join_cols = Vec::new();
-
-        while !remaining.is_empty() {
-            // Next: the connected table minimizing the joined cardinality.
-            let mut best_idx = 0usize;
-            let mut best_rows = f64::INFINITY;
-            for (pos, &i) in remaining.iter().enumerate() {
-                let t = block.tables[i];
-                let connected = block.classified.joins.iter().any(|j| {
-                    (j.left.table == t && joined.contains(&j.right.table))
-                        || (j.right.table == t && joined.contains(&j.left.table))
-                });
-                let rows = self.card.rows(|x| x == t || joined.contains(&x))
-                    * if connected { 1.0 } else { 1e6 };
-                if rows < best_rows {
-                    best_rows = rows;
-                    best_idx = pos;
-                }
-            }
-            let i = remaining.remove(best_idx);
-            let t = block.tables[i];
-            self.join_cols(t, |x| joined.contains(&x), &mut join_cols);
-            joined.insert(t);
-            let out_rows = self.card.rows(|x| joined.contains(&x));
+        let mut joins = Vec::with_capacity(steps.len());
+        for step in steps {
             let mut best = None;
-            self.join_candidates(current, i, &join_cols, out_rows, &mut best);
+            self.join_candidates(current, step.inner, step.params, step.rows, &mut best);
             let Some(Decision::Join(join)) = best else {
                 unreachable!("a hash join is always available")
             };
@@ -731,46 +694,47 @@ impl<'s> Search<'s> {
     // Building the winner
     // -----------------------------------------------------------------
 
-    /// Build the operator tree and the usage records of a decided
-    /// left-deep plan: usages of the outer side first, then the inner
-    /// side's, those of a nested-loops inner scaled to the whole join.
-    fn assemble(&self, plan: &LeftDeep) -> (PlanNode, Vec<IndexUsage>) {
+    /// Send the operators and usage records of a decided left-deep plan
+    /// to `e`: usages of the outer side first, then the inner side's,
+    /// those of a nested-loops inner scaled to the whole join.
+    fn assemble<E: Collect>(&self, e: &mut E, plan: &LeftDeep<'_>) -> E::Node {
         let model = &self.opts.cost;
         let schema = self.schema();
-        let leaf = plan.leaf.build(model, &schema);
-        let (mut node, mut usages) = (leaf.node, leaf.usages);
-        let mut outer_rows = leaf.rows;
+        let mut node = plan.leaf.emit(e, model, &schema);
+        let mut outer_rows = plan.leaf.choice.rows;
         for join in &plan.joins {
-            let inner = join.access.build(model, &schema);
+            let from = e.usages().len();
+            let inner = join.access.emit(e, model, &schema);
             let op = match join.method {
-                JoinMethod::Hash => {
-                    usages.extend(inner.usages);
-                    Op::HashJoin
-                }
+                JoinMethod::Hash => Op::HashJoin,
                 JoinMethod::IndexNlj => {
                     // Scale the per-execution usage to the whole join.
                     let runs = outer_rows.max(1.0);
-                    usages.extend(inner.usages.into_iter().map(|mut u| {
+                    for u in &mut e.usages()[from..] {
                         u.access_io *= runs;
                         u.access_cpu *= runs;
                         u.rows *= runs;
                         u.resid_filter_cpu *= runs;
                         u.executions *= runs;
-                        u
-                    }));
+                    }
                     Op::NestedLoopJoin
                 }
             };
-            node = PlanNode::binary(op, join.cost, join.rows, node, inner.node);
+            node = e.binary(op, join.cost, join.rows, node, inner);
             outer_rows = join.rows;
         }
-        (node, usages)
+        node
     }
 
     /// Finish the pre-aggregation plan of the base tables: grouping,
     /// ordering, projection.
-    fn finish_base<E: Emit>(&self, e: &mut E, base: &LeftDeep, node: E::Node) -> Stage<E::Node> {
-        let block = self.block;
+    fn finish_base<E: Emit>(
+        &self,
+        e: &mut E,
+        base: &LeftDeep<'_>,
+        node: E::Node,
+    ) -> Stage<E::Node> {
+        let block = &self.prep.block;
         let schema = self.schema();
         let sort_width = block
             .output_cols
@@ -795,9 +759,8 @@ impl<'s> Search<'s> {
         if m.regroup {
             return Vec::new();
         }
-        let order: Vec<(ColumnId, bool)> = self
-            .block
-            .order_by
+        let order_by = &self.prep.block.order_by;
+        let order: Vec<(ColumnId, bool)> = order_by
             .iter()
             .filter_map(|(c, d)| {
                 m.base_map
@@ -806,7 +769,7 @@ impl<'s> Search<'s> {
                     .map(|(_, ord)| (ColumnId::new(m.view_id, *ord), *d))
             })
             .collect();
-        if order.len() == self.block.order_by.len() {
+        if order.len() == order_by.len() {
             order
         } else {
             Vec::new()
@@ -819,11 +782,11 @@ impl<'s> Search<'s> {
         &self,
         e: &mut E,
         m: &ViewMatch,
-        access: &Access,
+        access: &Access<'_>,
         node: E::Node,
     ) -> Stage<E::Node> {
         // The request carried the whole ORDER BY or none of it.
-        let order_requested = !access.req.order.is_empty();
+        let order_requested = !access.request.req.order.is_empty();
         let stage = Stage {
             node,
             cost: access.cost(),
@@ -844,7 +807,7 @@ impl<'s> Search<'s> {
         group_by: Option<&BTreeSet<ColumnId>>,
         sort_width: f64,
     ) -> Stage<E::Node> {
-        let block = self.block;
+        let block = &self.prep.block;
         let model = &self.opts.cost;
         let Stage {
             mut node,
@@ -964,10 +927,10 @@ pub fn simulate_view(opt: &Optimizer<'_>, config: &mut Configuration, def: SpjgE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::QueryBlock;
     use crate::request::CountingSink;
     use pdt_catalog::{ColumnStats, ColumnType};
     use pdt_expr::Binder;
-    use pdt_physical::Index;
     use pdt_sql::parse_statement;
 
     fn test_db() -> Database {
@@ -1134,6 +1097,47 @@ mod tests {
         assert_eq!(sink.index_requests, 19, "{:?}", sink);
         // Subsets of size 2 (three of them) plus the full query.
         assert_eq!(sink.view_requests, 4, "{:?}", sink);
+    }
+
+    /// Adds `index` at the second request it sees.
+    struct AddAtSecond {
+        seen: usize,
+        index: Index,
+    }
+
+    impl RequestSink for AddAtSecond {
+        fn on_index_request(&mut self, _: &IndexRequest, _: &Database, config: &mut Configuration) {
+            self.seen += 1;
+            if self.seen == 2 {
+                assert!(config.add_index(self.index.clone()));
+            }
+        }
+    }
+
+    #[test]
+    fn an_observed_choice_is_reused_until_its_tables_indexes_change() {
+        let db = test_db();
+        let stmt = parse_statement(
+            "SELECT fact.v FROM fact, dim1 WHERE fact.fk1 = dim1.pk AND dim1.attr = 3",
+        )
+        .unwrap();
+        let bound = Binder::new(&db).bind(&stmt).unwrap();
+        let opt = Optimizer::new(&db);
+        let prep = opt.prepare(bound.as_select().unwrap());
+        let (fact, dim1) = (prep.block.tables[0], prep.block.tables[1]);
+        let fact_request = prep.plain[0];
+        for (table, reused) in [(dim1, true), (fact, false)] {
+            let mut config = Configuration::base(&db);
+            let mut sink = AddAtSecond {
+                seen: 0,
+                index: Index::new(table, [ColumnId::new(table, 1)], []),
+            };
+            let mut search = Search::new(&opt, &prep, Watch::Sink(&mut config, &mut sink));
+            let first = search.table_access(fact_request);
+            // The sink adds its index before this choice is made.
+            let second = search.table_access(fact_request);
+            assert_eq!(Rc::ptr_eq(&first, &second), reused, "index on {table:?}");
+        }
     }
 
     #[test]

@@ -160,8 +160,9 @@ impl PlanNode {
 
 /// Where costing code sends the operators and usage records of the plan
 /// it prices. Candidates are compared with [`CostOnly`], which drops
-/// them unbuilt; the winner is run once more through [`Materialize`].
-/// Both passes execute the same code, so a rebuilt winner carries
+/// them unbuilt; the winner is run once more through [`Materialize`],
+/// or through [`UsagesOnly`] when only its cost and usages are read.
+/// Every pass executes the same code, so a rebuilt winner carries
 /// exactly the numbers it won with.
 pub(crate) trait Emit {
     type Node;
@@ -227,6 +228,40 @@ impl Emit for Materialize {
     }
     fn usage(&mut self, usage: impl FnOnce() -> IndexUsage) {
         self.usages.push(usage());
+    }
+}
+
+/// An [`Emit`] that keeps the usage records it is sent, in order.
+pub(crate) trait Collect: Emit {
+    fn usages(&mut self) -> &mut Vec<IndexUsage>;
+}
+
+impl Collect for Materialize {
+    fn usages(&mut self) -> &mut Vec<IndexUsage> {
+        &mut self.usages
+    }
+}
+
+/// Collects the usage records of a plan without building its operators:
+/// what a what-if call reads of the plan that won.
+#[derive(Default)]
+pub(crate) struct UsagesOnly {
+    pub usages: Vec<IndexUsage>,
+}
+
+impl Emit for UsagesOnly {
+    type Node = ();
+    fn leaf(&mut self, _: impl FnOnce() -> Op, _: f64, _: f64) {}
+    fn unary(&mut self, _: impl FnOnce() -> Op, _: f64, _: f64, _: ()) {}
+    fn binary(&mut self, _: Op, _: f64, _: f64, _: (), _: ()) {}
+    fn usage(&mut self, usage: impl FnOnce() -> IndexUsage) {
+        self.usages.push(usage());
+    }
+}
+
+impl Collect for UsagesOnly {
+    fn usages(&mut self) -> &mut Vec<IndexUsage> {
+        &mut self.usages
     }
 }
 

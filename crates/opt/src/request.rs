@@ -8,7 +8,7 @@
 //! may add hypothetical structures to the working configuration.
 
 use pdt_catalog::{ColumnId, Database, TableId};
-use pdt_expr::SargablePred;
+use pdt_expr::{Bound, Sarg, SargablePred};
 use pdt_physical::{Configuration, SpjgExpr};
 use std::collections::BTreeSet;
 
@@ -44,6 +44,53 @@ impl IndexRequest {
         out.extend(self.order.iter().map(|(c, _)| *c));
         out.extend(self.additional.iter().copied());
         out
+    }
+
+    /// The request as words: two requests have equal keys iff they are
+    /// equal field by field with every `f64` compared by its bits. A
+    /// map keyed by it finds the earlier issues of a request.
+    pub fn bit_key(&self) -> Vec<u64> {
+        let col = |c: &ColumnId| u64::from(c.table.0) << 16 | u64::from(c.ordinal);
+        let bound = |b: &Bound| match b {
+            Bound::Unbounded => [0, 0],
+            Bound::Inclusive(v) => [1, v.to_bits()],
+            Bound::Exclusive(v) => [2, v.to_bits()],
+        };
+        let mut key = vec![u64::from(self.table.0), self.input_rows.to_bits()];
+        key.push(self.sargable.len() as u64);
+        for s in &self.sargable {
+            key.push(col(&s.column));
+            match &s.sarg {
+                Sarg::Range(i) => {
+                    key.push(0);
+                    key.extend(bound(&i.lo));
+                    key.extend(bound(&i.hi));
+                }
+                Sarg::InList(values) => {
+                    key.extend([1, values.len() as u64]);
+                    key.extend(values.iter().map(|v| v.to_bits()));
+                }
+                Sarg::Prefix(prefix) => {
+                    key.extend([2, prefix.len() as u64]);
+                    key.extend(prefix.bytes().map(u64::from));
+                }
+                Sarg::Param { selectivity } => key.extend([3, selectivity.to_bits()]),
+            }
+        }
+        key.push(self.non_sargable.len() as u64);
+        for (cols, sel) in &self.non_sargable {
+            key.extend([cols.len() as u64, sel.to_bits()]);
+            key.extend(cols.iter().map(col));
+        }
+        key.push(self.order.len() as u64);
+        key.extend(
+            self.order
+                .iter()
+                .map(|(c, desc)| col(c) << 1 | u64::from(*desc)),
+        );
+        key.push(self.additional.len() as u64);
+        key.extend(self.additional.iter().map(col));
+        key
     }
 }
 

@@ -192,6 +192,15 @@ impl Configuration {
         &self.indexes[self.table_range(table)]
     }
 
+    /// True if one table's indexes under two configurations (or at two
+    /// moments of one) are the same handles in the same order: then no
+    /// index was added to or removed from the table in between. A
+    /// caller that keeps a slice to compare later keeps its handles
+    /// alive with it, so an address is never reused meanwhile.
+    pub fn same_handles(a: &[Arc<Index>], b: &[Arc<Index>]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
     fn table_range(&self, table: TableId) -> std::ops::Range<usize> {
         let start = self.indexes.partition_point(|i| i.table < table);
         let len = self.indexes[start..].partition_point(|i| i.table == table);

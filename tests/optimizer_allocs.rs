@@ -1,5 +1,6 @@
 //! A per-layer floor under the what-if call: how often one
-//! `Optimizer::optimize` allocates.
+//! `Optimizer::optimize` allocates, and how often the tuner's prepared
+//! what-if call (`Optimizer::what_if`) does.
 //!
 //! The counters are process-wide (`pdt_trace::allocation_counters`), so
 //! this binary holds exactly one test and nothing else runs beside it.
@@ -82,6 +83,21 @@ fn one_optimize_call_allocates_what_it_decides() {
         "Q8 under the optimal configuration allocated {q8_allocs} times (ceiling {Q8_CEILING})"
     );
 
+    // ---- the tuner's call: Q8 prepared once, then run ---------------
+    let prepared = opt.prepare(q8);
+    let before = allocation_counters().0;
+    let what_if = opt.what_if(&optimal, &prepared);
+    let what_if_allocs = allocation_counters().0 - before;
+    assert_eq!(
+        what_if.cost.to_bits(),
+        opt.optimize(&optimal, q8).cost.to_bits()
+    );
+    assert!(
+        what_if_allocs <= Q8_WHAT_IF_CEILING,
+        "Q8's prepared what-if call allocated {what_if_allocs} times \
+         (ceiling {Q8_WHAT_IF_CEILING})"
+    );
+
     // ---- growth with the FROM list ----------------------------------
     // From 5 to 10 chained tables the DP table grows 32x; what one call
     // allocates may grow with the tables and requests it decides on
@@ -101,3 +117,7 @@ fn one_optimize_call_allocates_what_it_decides() {
 
 /// ~1.5x what the engine measures (357).
 const Q8_CEILING: u64 = 550;
+/// ~1.5x what the prepared what-if call measures (84; preparing the
+/// statement and building the operator tree make up the rest of
+/// `optimize`'s 335).
+const Q8_WHAT_IF_CEILING: u64 = 126;

@@ -16,7 +16,19 @@
 //!
 //! The same loop asserts that an observing sink changes nothing about
 //! the plan: `optimize` and `optimize_with_sink(.., CountingSink)`
-//! agree bitwise on cost, rows, usages and explain text.
+//! agree bitwise on cost, rows, usages and explain text. It also
+//! prepares each statement once per corpus and runs that one
+//! `PreparedSelect` under every configuration: `optimize_prepared`
+//! must give a fresh `optimize`'s bytes, and `what_if` its cost, rows
+//! and usages.
+//!
+//! Within one invocation, a request issued again while the indexes on
+//! its table are the same handles reuses the access path chosen for it
+//! before. Two sinks pin the edges of that rule: one that adds indexes
+//! to a table the query does not read between identical requests (the
+//! reused choices must give a fresh search's bytes), and one that adds
+//! an index to the requested table itself (the choice must be made
+//! afresh; its digest is the parent engine's).
 
 use pdtune::catalog::ColumnId;
 use pdtune::catalog::Database;
@@ -33,6 +45,7 @@ use pdtune::tuner::{transform, Workload};
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::star::{star_database, star_workload, StarParams};
 use pdtune::workloads::tpch;
+use std::collections::HashMap;
 
 /// FNV-1a (64-bit), hand-rolled so the digest depends on the bytes
 /// alone — not on `DefaultHasher`'s unspecified algorithm.
@@ -229,13 +242,29 @@ fn plan_bytes_golden_digest() {
             chain.len()
         );
         let extra = hand_built(db, &opt, &w, &base);
+        let prepared: Vec<_> = selects(&w).map(|q| opt.prepare(q)).collect();
         digest = fnv1a(digest, corpus.name.as_bytes());
         for config in [&base, &optimal].into_iter().chain(&extra).chain(&chain) {
-            for q in selects(&w) {
+            for (q, p) in selects(&w).zip(&prepared) {
                 let plan = opt.optimize(config, q);
                 digest = fold_plan(digest, &plan);
                 seen.note(&plan);
                 plans += 1;
+
+                // One preparation serves every configuration.
+                let again = opt.optimize_prepared(config, p);
+                assert_eq!(
+                    fold_plan(FNV_OFFSET, &again),
+                    fold_plan(FNV_OFFSET, &plan),
+                    "{}: a reused prepared statement moved the plan",
+                    corpus.name
+                );
+                let what_if = opt.what_if(config, p);
+                assert_eq!(
+                    (what_if.cost.to_bits(), what_if.rows.to_bits()),
+                    (plan.cost.to_bits(), plan.rows.to_bits())
+                );
+                assert_eq!(what_if.index_usages, plan.index_usages);
 
                 // An observing sink sees the requests but must not move
                 // the plan.
@@ -386,6 +415,78 @@ impl pdtune::opt::RequestSink for SecondRequestSink {
     }
 }
 
+/// A sink that adds an index to a table the query does not read at
+/// every request, and notes how often a request repeats after the
+/// configuration changed.
+struct UnrelatedTableSink {
+    /// Indexes on the unrelated table, added one per request.
+    pending: Vec<Index>,
+    /// Per request (by bit key), the configuration's index count when
+    /// it was last issued.
+    last_seen: HashMap<Vec<u64>, usize>,
+    repeats_after_a_change: usize,
+}
+
+impl pdtune::opt::RequestSink for UnrelatedTableSink {
+    fn on_index_request(
+        &mut self,
+        req: &pdtune::opt::IndexRequest,
+        _db: &Database,
+        config: &mut Configuration,
+    ) {
+        let count = config.index_count();
+        if let Some(before) = self.last_seen.insert(req.bit_key(), count) {
+            if before != count {
+                self.repeats_after_a_change += 1;
+            }
+        }
+        if let Some(index) = self.pending.pop() {
+            assert!(config.add_index(index));
+        }
+    }
+}
+
+#[test]
+fn choices_are_reused_across_changes_to_other_tables() {
+    let db = tpch::tpch_database(0.02);
+    let w = Workload::bind(&db, &tpch::tpch_workload().statements).unwrap();
+    let opt = Optimizer::new(&db);
+    let base = Configuration::base(&db);
+    let mut repeats = 0;
+    for q in selects(&w).filter(|q| q.tables.len() >= 2) {
+        let Some(other) = db.tables().iter().find(|t| !q.tables.contains(&t.id)) else {
+            continue;
+        };
+        // Every ordered pair of the unrelated table's columns.
+        let cols: Vec<ColumnId> = (0..other.columns.len() as u16)
+            .map(|o| ColumnId::new(other.id, o))
+            .collect();
+        let pending = cols
+            .iter()
+            .flat_map(|a| cols.iter().filter(move |b| *b != a).map(move |b| (*a, *b)))
+            .map(|(a, b)| Index::new(other.id, [a, b], []))
+            .collect();
+        let mut sink = UnrelatedTableSink {
+            pending,
+            last_seen: HashMap::new(),
+            repeats_after_a_change: 0,
+        };
+        let mut working = base.clone();
+        let observed = opt.optimize_with_sink(&mut working, q, &mut sink);
+        repeats += sink.repeats_after_a_change;
+        // The reused choices are those a fresh search makes, under the
+        // configuration the sink left behind and under the one it
+        // started from.
+        let fresh = fold_plan(FNV_OFFSET, &opt.optimize(&working, q));
+        assert_eq!(fold_plan(FNV_OFFSET, &observed), fresh);
+        assert_eq!(fold_plan(FNV_OFFSET, &opt.optimize(&base, q)), fresh);
+    }
+    assert!(repeats > 0, "no request repeated after an unrelated change");
+}
+
+/// The same-table edge of choice reuse: `SecondRequestSink` changes the
+/// requested table's indexes, so every later request for it must get a
+/// fresh choice, and the digest is the parent engine's.
 #[test]
 fn a_sink_mutating_mid_enumeration_changes_the_plan_as_on_the_parent() {
     let db = tpch::tpch_database(0.02);
