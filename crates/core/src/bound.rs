@@ -1096,7 +1096,7 @@ fn replacement_cost<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_full, evaluate_incremental};
+    use crate::eval::{evaluate_full, evaluate_incremental_ctx, EvalCtx};
     use crate::transform::{apply, describe};
     use pdt_catalog::{ColumnStats, ColumnType};
     use pdt_opt::Optimizer;
@@ -1335,7 +1335,7 @@ mod tests {
         let won = price(config, &eval, &winner);
         let carried = price(config, &eval, &removal);
         let step = apply(&winner, config, db, &opt).unwrap();
-        let child_eval = evaluate_incremental(
+        let child_eval = evaluate_incremental_ctx(
             db,
             &opt,
             &step.config,
@@ -1344,6 +1344,7 @@ mod tests {
             &step.removed_indexes,
             &step.removed_views,
             None,
+            EvalCtx::default(),
         )
         .unwrap();
         let arms = carried

@@ -1,10 +1,19 @@
 //! Workload cost evaluation with minimal re-optimization.
 //!
-//! The relaxation search only ever *shrinks* configurations, so a query
-//! whose plan used none of the removed structures keeps its plan ("we
-//! only need to re-optimize queries that used some of the relaxed
-//! structures", §3). Update shells are costed in closed form — no
-//! optimizer calls (§3.6).
+//! Every evaluation runs one loop over the workload entries. An
+//! incremental one starts from the previous configuration's answers and
+//! a [`Change`] naming what differs; an entry the change cannot reach
+//! keeps its previous answer:
+//!
+//! * the relaxation search only ever *shrinks* configurations, so a
+//!   query whose plan used none of the removed structures keeps its
+//!   plan ("we only need to re-optimize queries that used some of the
+//!   relaxed structures", §3);
+//! * the bottom-up baseline only ever *adds* structures, so a SELECT
+//!   that reads none of the tables they sit on keeps its answer (the
+//!   atomic-configuration shortcut).
+//!
+//! Update shells are costed in closed form — no optimizer calls (§3.6).
 //!
 //! Evaluation is cache-aware: entries are optimized in entry order and
 //! what-if answers are memoized in the session's [`CostCache`] as they
@@ -23,7 +32,7 @@ use crate::derived::{sorted_subset, FlatProjector, Projection, RelevanceTable};
 use crate::fault::FaultSite;
 use crate::stop::StopCheck;
 use crate::transform::TransformDelta;
-use crate::workload::{UpdateShell, Workload};
+use crate::workload::{UpdateShell, Workload, WorkloadEntry};
 use pdt_catalog::{Database, TableId};
 use pdt_expr::BoundSelect;
 use pdt_opt::{CostModel, IndexUsage, Optimizer, PreparedSelect, WhatIf};
@@ -72,6 +81,35 @@ pub struct EvalResult {
     /// negative) and recomputed. Empty outside fault scenarios; the
     /// search records each as a contained `CachePoison` fault.
     pub poison_repairs: Vec<usize>,
+}
+
+/// What changed between the configuration an evaluation's previous
+/// answers were computed under and the one being evaluated: it decides
+/// which entries keep their previous answer.
+#[derive(Debug, Clone, Copy)]
+pub enum Change<'a> {
+    /// Structures were removed (a relaxation): a plan that used none of
+    /// them is kept.
+    Removed {
+        indexes: &'a [Index],
+        views: &'a [TableId],
+    },
+    /// Structures were added on these tables (the bottom-up baseline):
+    /// a SELECT that reads none of them is kept.
+    AddedOn(&'a [TableId]),
+}
+
+impl Change<'_> {
+    /// Whether entry `entry`'s previous answer `prev` still holds.
+    fn keeps(&self, prev: &QueryEval, entry: &WorkloadEntry) -> bool {
+        match *self {
+            Change::Removed { indexes, views } => !prev.uses_any(indexes, views),
+            Change::AddedOn(tables) => entry
+                .select
+                .as_ref()
+                .is_none_or(|q| !q.tables.iter().any(|t| tables.contains(t))),
+        }
+    }
 }
 
 /// How an evaluation runs: the what-if cache and the session's
@@ -531,35 +569,29 @@ pub fn evaluate_full_ctx(
         .expect("no shortcut limit and no stop token, cannot abort")
 }
 
-/// Re-evaluate after a relaxation: only queries whose plans used one of
-/// the removed structures are re-optimized; shells are recomputed in
-/// closed form. With `shortcut_limit` set (§3.5 shortcut evaluation),
-/// returns `None` as soon as the accumulated cost exceeds the limit.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_incremental(
+/// Re-evaluate after adding structures on `tables` (the bottom-up
+/// baseline's greedy trials): only SELECTs that read one of those
+/// tables are re-optimized; shells are recomputed in closed form. Runs
+/// to the end, like [`evaluate_full_ctx`].
+pub fn evaluate_added_ctx(
     db: &Database,
     opt: &Optimizer<'_>,
     config: &Configuration,
     workload: &Workload,
     prev: &EvalResult,
-    removed_indexes: &[Index],
-    removed_views: &[TableId],
-    shortcut_limit: Option<f64>,
-) -> Option<EvalResult> {
-    evaluate_incremental_ctx(
-        db,
-        opt,
-        config,
-        workload,
-        prev,
-        removed_indexes,
-        removed_views,
-        shortcut_limit,
-        EvalCtx::default(),
-    )
+    tables: &[TableId],
+    ctx: EvalCtx<'_>,
+) -> EvalResult {
+    let prev = Some((prev, Change::AddedOn(tables)));
+    let ctx = EvalCtx { stop: None, ..ctx };
+    evaluate_entries(db, opt, config, workload, prev, None, ctx, None)
+        .expect("no shortcut limit and no stop token, cannot abort")
 }
 
-/// [`evaluate_incremental`] with an explicit cache context.
+/// Re-evaluate after a relaxation: only queries whose plans used one of
+/// the removed structures are re-optimized; shells are recomputed in
+/// closed form. With `shortcut_limit` set (§3.5 shortcut evaluation),
+/// returns `None` as soon as the accumulated cost exceeds the limit.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_incremental_ctx(
     db: &Database,
@@ -572,16 +604,12 @@ pub fn evaluate_incremental_ctx(
     shortcut_limit: Option<f64>,
     ctx: EvalCtx<'_>,
 ) -> Option<EvalResult> {
-    evaluate_entries(
-        db,
-        opt,
-        config,
-        workload,
-        Some((prev, removed_indexes, removed_views)),
-        shortcut_limit,
-        ctx,
-        None,
-    )
+    let change = Change::Removed {
+        indexes: removed_indexes,
+        views: removed_views,
+    };
+    let prev = Some((prev, change));
+    evaluate_entries(db, opt, config, workload, prev, shortcut_limit, ctx, None)
 }
 
 /// One entry's evaluation plus its tally, committed only if the whole
@@ -618,7 +646,7 @@ struct EvalEnv<'a> {
     opt: &'a Optimizer<'a>,
     config: &'a Configuration,
     workload: &'a Workload,
-    prev: Option<(&'a EvalResult, &'a [Index], &'a [TableId])>,
+    prev: Option<(&'a EvalResult, Change<'a>)>,
     /// Per-structure signature work hoisted out of the per-entry loop;
     /// present iff the context carries a relevance table.
     projector: Option<FlatProjector<'a>>,
@@ -650,15 +678,15 @@ fn what_if(env: &EvalEnv<'_>, probe: &Probe<'_>) -> WhatIf {
     }
 }
 
-/// Evaluate entry `i`: re-optimize its SELECT if the relaxation touched
-/// its plan (always, for a full evaluation), and re-cost its shell.
+/// Evaluate entry `i`: re-optimize its SELECT if the change reaches it
+/// (always, for a full evaluation), and re-cost its shell.
 fn evaluate_entry(env: &EvalEnv<'_>, i: usize) -> EntryEval {
     let entry = &env.workload.entries[i];
-    // Incremental only: a plan that used none of the removed structures
-    // is kept — a pointer copy of the previous usages.
-    let unaffected = env.prev.and_then(|(p, ri, rv)| {
+    // Incremental only: an answer the change cannot reach is kept — a
+    // pointer copy of the previous usages.
+    let unaffected = env.prev.and_then(|(p, change)| {
         let pe = &p.per_query[i];
-        (!pe.uses_any(ri, rv)).then_some(pe)
+        change.keeps(pe, entry).then_some(pe)
     });
     let mut tally = EntryTally::default();
     let (select_cost, usages): (f64, Arc<[IndexUsage]>) = match (unaffected, &entry.select) {
@@ -914,7 +942,7 @@ pub(crate) fn evaluate_entries(
     opt: &Optimizer<'_>,
     config: &Configuration,
     workload: &Workload,
-    prev: Option<(&EvalResult, &[Index], &[TableId])>,
+    prev: Option<(&EvalResult, Change<'_>)>,
     shortcut_limit: Option<f64>,
     ctx: EvalCtx<'_>,
     shells: Option<&ShellTable>,
@@ -1100,7 +1128,8 @@ mod tests {
 
         let mut smaller = config.clone();
         smaller.remove_index(&ix_a);
-        let e1 = evaluate_incremental(&db, &opt, &smaller, &w, &e0, &[ix_a], &[], None)
+        let ctx = EvalCtx::default();
+        let e1 = evaluate_incremental_ctx(&db, &opt, &smaller, &w, &e0, &[ix_a], &[], None, ctx)
             .expect("no shortcut");
         // Only query 1 used ix_a, so exactly one re-optimization.
         assert_eq!(e1.optimizer_calls, 1);
@@ -1127,7 +1156,7 @@ mod tests {
         let mut smaller = config.clone();
         smaller.remove_index(&ix);
         // A limit below the base cost must trigger the shortcut.
-        let r = evaluate_incremental(
+        let r = evaluate_incremental_ctx(
             &db,
             &opt,
             &smaller,
@@ -1136,6 +1165,7 @@ mod tests {
             &[ix],
             &[],
             Some(e0.total_cost),
+            EvalCtx::default(),
         );
         assert!(r.is_none(), "removal makes it worse than the limit");
     }
@@ -1405,7 +1435,13 @@ mod tests {
             &opt,
             &config,
             &w,
-            Some((&e0, &[], &[])),
+            Some((
+                &e0,
+                Change::Removed {
+                    indexes: &[],
+                    views: &[],
+                },
+            )),
             None,
             ctx,
             None,

@@ -13,7 +13,7 @@ use crate::bound::{bound_served_eval, estimates, node_bound, RemovalScore, ViewB
 use crate::cache::CostCache;
 use crate::derived::RelevanceTable;
 use crate::error::TuneError;
-use crate::eval::{evaluate_entries, EvalCtx, EvalResult, PreparedStatements, ShellTable};
+use crate::eval::{evaluate_entries, Change, EvalCtx, EvalResult, PreparedStatements, ShellTable};
 use crate::fault::{FaultKind, FaultSite};
 use crate::node::FactCtx;
 use crate::transform::{describe, AppliedTransform, TransformDelta, Transformation};
@@ -319,7 +319,13 @@ impl<'a> Env<'a> {
                 &self.opt,
                 job.config,
                 self.workload,
-                Some((job.prev, job.removed_indexes, job.removed_views)),
+                Some((
+                    job.prev,
+                    Change::Removed {
+                        indexes: job.removed_indexes,
+                        views: job.removed_views,
+                    },
+                )),
                 job.limit,
                 ctx,
                 Some(job.shells),

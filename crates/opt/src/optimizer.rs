@@ -1314,7 +1314,7 @@ mod tests {
         let tracer = pdt_trace::Tracer::new();
         assert!(!NullSink.observes());
         assert!(CountingSink::default().observes());
-        assert!(TracingSink::new(NullSink, &tracer).observes());
+        assert!(TracingSink::new(NullSink, Some(&tracer)).observes());
         // The default is to observe: a sink has to opt out.
         struct Custom;
         impl RequestSink for Custom {}

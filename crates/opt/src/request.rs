@@ -167,17 +167,17 @@ impl RequestSink for CountingSink {
     }
 }
 
-/// A sink that emits one trace event per request, then delegates to an
-/// inner sink. Optimization under a sink is single-threaded (requests
-/// arrive in plan-enumeration order), so the event stream is
-/// deterministic for a given query and configuration.
+/// A sink that emits one trace event per request when it has a tracer,
+/// then delegates to an inner sink. Optimization under a sink is
+/// single-threaded (requests arrive in plan-enumeration order), so the
+/// event stream is deterministic for a given query and configuration.
 pub struct TracingSink<'a, S: RequestSink> {
     inner: S,
-    tracer: &'a pdt_trace::Tracer,
+    tracer: Option<&'a pdt_trace::Tracer>,
 }
 
 impl<'a, S: RequestSink> TracingSink<'a, S> {
-    pub fn new(inner: S, tracer: &'a pdt_trace::Tracer) -> Self {
+    pub fn new(inner: S, tracer: Option<&'a pdt_trace::Tracer>) -> Self {
         TracingSink { inner, tracer }
     }
 
@@ -188,30 +188,34 @@ impl<'a, S: RequestSink> TracingSink<'a, S> {
 
 impl<S: RequestSink> RequestSink for TracingSink<'_, S> {
     fn on_index_request(&mut self, req: &IndexRequest, db: &Database, config: &mut Configuration) {
-        self.tracer.emit(
-            "request.index",
-            vec![
-                ("table", (req.table.0 as u64).into()),
-                ("sargable", req.sargable.len().into()),
-                ("non_sargable", req.non_sargable.len().into()),
-                ("order", req.order.len().into()),
-                ("additional", req.additional.len().into()),
-            ],
-        );
-        self.tracer.incr("request.index", 1);
+        if let Some(t) = self.tracer {
+            t.emit(
+                "request.index",
+                vec![
+                    ("table", (req.table.0 as u64).into()),
+                    ("sargable", req.sargable.len().into()),
+                    ("non_sargable", req.non_sargable.len().into()),
+                    ("order", req.order.len().into()),
+                    ("additional", req.additional.len().into()),
+                ],
+            );
+            t.incr("request.index", 1);
+        }
         self.inner.on_index_request(req, db, config);
     }
 
     fn on_view_request(&mut self, req: &ViewRequest, db: &Database, config: &mut Configuration) {
-        self.tracer.emit(
-            "request.view",
-            vec![
-                ("tables", req.spjg.tables.len().into()),
-                ("top_level", req.top_level.into()),
-                ("grouped", req.spjg.is_grouped().into()),
-            ],
-        );
-        self.tracer.incr("request.view", 1);
+        if let Some(t) = self.tracer {
+            t.emit(
+                "request.view",
+                vec![
+                    ("tables", req.spjg.tables.len().into()),
+                    ("top_level", req.top_level.into()),
+                    ("grouped", req.spjg.is_grouped().into()),
+                ],
+            );
+            t.incr("request.view", 1);
+        }
         self.inner.on_view_request(req, db, config);
     }
 }
