@@ -27,33 +27,46 @@
 pub mod json;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A counting wrapper over the system allocator: every allocation on
-/// any thread bumps two relaxed atomics. Installed as the process-wide
-/// `#[global_allocator]` here (every workspace crate links `pdt-trace`),
-/// so the hot-phase roll-ups can attribute allocation traffic as well
-/// as wall-clock time. Deallocation is uncounted — the interesting
-/// signal for the hot path is churn created, not freed.
+/// A counting wrapper over the system allocator: every allocation bumps
+/// its own thread's counters, plain cells in a const-initialized thread
+/// local (no lock, no atomic, no registration). Installed as the
+/// process-wide `#[global_allocator]` here (every workspace crate links
+/// `pdt-trace`), so the hot-phase roll-ups can attribute allocation
+/// traffic as well as wall-clock time. Deallocation is uncounted — the
+/// interesting signal for the hot path is churn created, not freed.
 pub struct CountingAllocator;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// (allocation calls, bytes requested) of this thread since it
+    /// started. The type needs no destructor, so the slot stays usable
+    /// while the thread's other locals are torn down.
+    static ALLOC_COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
 
-// SAFETY: defers every operation to `System`; the counters are plain
-// relaxed atomics with no allocation of their own.
+/// Count one allocation of `bytes` on the calling thread.
+#[inline]
+fn count(bytes: usize) {
+    // `try_with` never panics: an allocation inside the allocator must
+    // not unwind.
+    let _ = ALLOC_COUNTS.try_with(|c| {
+        let (calls, total) = c.get();
+        c.set((calls + 1, total + bytes as u64));
+    });
+}
+
+// SAFETY: defers every operation to `System`; the counters are
+// thread-local cells that allocate nothing of their own.
 unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         std::alloc::System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         std::alloc::System.alloc_zeroed(layout)
     }
 
@@ -62,8 +75,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
+        count(new_size);
         std::alloc::System.realloc(ptr, layout, new_size)
     }
 }
@@ -71,10 +83,13 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL_ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Process-wide (allocation count, bytes requested) since start.
-/// Monotonic; subtract two snapshots to attribute a section.
+/// The calling thread's (allocation count, bytes requested) since the
+/// thread started. Monotonic; subtract two snapshots taken on one
+/// thread to attribute a section to it. Other threads' allocations
+/// never show, so concurrent sessions (a daemon's slots) each see
+/// only their own.
 pub fn allocation_counters() -> (u64, u64) {
-    (ALLOC_CALLS.load(Relaxed), ALLOC_BYTES.load(Relaxed))
+    ALLOC_COUNTS.try_with(|c| c.get()).unwrap_or((0, 0))
 }
 
 /// A field value: the closed set of scalar types events may carry.
@@ -213,8 +228,9 @@ pub struct HotPhaseStat {
     pub calls: u64,
     /// Total wall-clock nanoseconds inside the section.
     pub nanos: u64,
-    /// Heap allocations performed while inside (process-wide, so
-    /// worker-thread allocations during a section count toward it).
+    /// Heap allocations the section's own thread performed while
+    /// inside (another thread's, a daemon's other slot say, never
+    /// count toward it).
     pub allocs: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
@@ -743,6 +759,25 @@ mod tests {
         assert!(eval.alloc_bytes >= 64 * 8);
         // Marks exclude measurement data entirely.
         assert_eq!(t.mark().events, 0);
+    }
+
+    #[test]
+    fn allocation_counters_are_the_calling_threads() {
+        const BIG: usize = 1 << 20;
+        let before = allocation_counters();
+        std::thread::spawn(|| {
+            let v: Vec<u8> = Vec::with_capacity(BIG);
+            std::hint::black_box(&v);
+        })
+        .join()
+        .unwrap();
+        let after = allocation_counters();
+        // Spawning allocates a little here; the other thread's megabyte
+        // does not count.
+        assert!(after.1 - before.1 < BIG as u64, "{before:?} -> {after:?}");
+        let v: Vec<u8> = Vec::with_capacity(BIG);
+        std::hint::black_box(&v);
+        assert!(allocation_counters().1 - after.1 >= BIG as u64);
     }
 
     #[test]

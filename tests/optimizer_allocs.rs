@@ -2,8 +2,9 @@
 //! `Optimizer::optimize` allocates, and how often the tuner's prepared
 //! what-if call (`Optimizer::what_if`) does.
 //!
-//! The counters are process-wide (`pdt_trace::allocation_counters`), so
-//! this binary holds exactly one test and nothing else runs beside it.
+//! The counters are the calling thread's
+//! (`pdt_trace::allocation_counters`), so the test harness's other
+//! threads cannot disturb a count.
 //! Release only: a debug build allocates differently (assertions that
 //! cross-check the search format their messages).
 
