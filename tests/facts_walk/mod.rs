@@ -303,7 +303,7 @@ pub fn walk(seeds: Range<u64>, ratios: &[f64]) {
             // kinds a fair share so merges (which create views) happen.
             let views: Vec<&Transformation> = all
                 .iter()
-                .map(|(t, _)| t)
+                .map(|(t, _)| &**t)
                 .filter(|t| matches!(kind(t), "merge-views" | "remove-view"))
                 .collect();
             let t = if !views.is_empty() && rng.gen_bool(0.3) {

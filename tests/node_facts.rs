@@ -26,7 +26,7 @@ use pdtune::physical::{Configuration, Index, MaterializedView, PhysicalSchema, S
 use pdtune::sql::parse_workload;
 use pdtune::trace::Tracer;
 use pdtune::tuner::eval::{shell_index_cost, ShellTable};
-use pdtune::tuner::node::{FactCtx, NodeFacts};
+use pdtune::tuner::node::{CandList, FactCtx, NodeFacts};
 use pdtune::tuner::transform::{
     apply, candidates, AppliedTransform, TransformDelta, Transformation,
 };
@@ -680,7 +680,7 @@ fn clustered_removal_reenables_promotions() {
     assert!(a.config.add_index(ci.clone()));
     a.rescan();
     let cx = cx(&a.db, &a.model, &a.w, &a.base);
-    let promotes = |list: &[(Transformation, u64)]| {
+    let promotes = |list: &CandList| {
         let on_h = |t: &Transformation| matches!(t, Transformation::PromoteToClustered { index } if index.table == h);
         list.iter().filter(|(t, _)| on_h(t)).count()
     };
