@@ -5,6 +5,7 @@ use crate::stats::ColumnStats;
 use crate::types::ColumnType;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// A column definition with its statistics.
@@ -94,7 +95,12 @@ pub struct Database {
     /// under; see [`Database::memo_signature`]. Empty until first use,
     /// so building a catalog never pays for it.
     signature: OnceLock<(String, u128)>,
+    /// See [`Database::uid`].
+    uid: u64,
 }
+
+/// The next [`Database::uid`] to hand out.
+static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
 /// Written by hand so the memoized signature stays out of the rendering
 /// (the output is that of the derived impl before the memo existed).
@@ -117,6 +123,7 @@ impl Database {
                 tables: Vec::new(),
                 by_name: HashMap::new(),
                 signature: OnceLock::new(),
+                uid: 0,
             },
         }
     }
@@ -137,6 +144,15 @@ impl Database {
         } else {
             compute(self)
         }
+    }
+
+    /// An identity for memos of facts derived from the tables: every
+    /// [`DatabaseBuilder::build`] hands out a new one, and a clone keeps
+    /// its original's (its tables are equal, and tables cannot change
+    /// once built). Two catalogs with equal ids therefore answer every
+    /// table question alike.
+    pub fn uid(&self) -> u64 {
+        self.uid
     }
 
     /// All tables.
@@ -251,6 +267,7 @@ impl DatabaseBuilder {
     /// Finalize the database.
     pub fn build(mut self) -> Database {
         self.db.rebuild_name_index();
+        self.db.uid = NEXT_UID.fetch_add(1, Ordering::Relaxed);
         self.db
     }
 }

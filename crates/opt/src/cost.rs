@@ -79,7 +79,11 @@ impl CostModel {
     /// Number of B-tree levels above the leaves (for seek descent
     /// costing).
     pub fn btree_levels(&self, schema: &PhysicalSchema<'_>, index: &Index) -> f64 {
-        let pages = self.index_pages(schema, index);
+        self.levels_of(self.index_pages(schema, index))
+    }
+
+    /// [`CostModel::btree_levels`] of an index of `pages` pages.
+    pub fn levels_of(&self, pages: f64) -> f64 {
         pages.max(1.0).log(100.0).ceil().max(1.0)
     }
 
