@@ -59,7 +59,7 @@ use std::fmt::{Debug, Write};
 use std::sync::Mutex;
 use std::time::Duration;
 
-const VERSION: i64 = 8;
+const VERSION: i64 = 9;
 const KIND: &str = "pdtune-checkpoint";
 const DELTA_KIND: &str = "pdtune-checkpoint-delta";
 
@@ -1628,9 +1628,9 @@ mod tests {
         let truncated = &valid[..valid.len() / 2];
         assert!(Checkpoint::from_json_str(truncated).is_err());
         // What earlier builds wrote — a version-5 bare document, a
-        // version-6 or version-7 record log — is refused by its version,
+        // version-6, -7 or -8 record log — is refused by its version,
         // as a document and where a log is expected.
-        for version in [5, 6, 7] {
+        for version in [5, 6, 7, 8] {
             let old = valid.replacen(
                 &format!("\"version\":{VERSION}"),
                 &format!("\"version\":{version}"),

@@ -225,7 +225,9 @@ impl RelevanceTable {
     /// The projection of `config` onto `query` (relevance `qr`) under the
     /// given coarse signature. Structure signatures are the ones the
     /// configuration holds, so nothing here hashes or formats a
-    /// structure.
+    /// structure. Only the query's tables' index ranges and the
+    /// matchable views (with their indexes) are walked: nothing else
+    /// can be relevant.
     fn project_with(
         &self,
         query: usize,
@@ -235,31 +237,29 @@ impl RelevanceTable {
     ) -> Projection {
         let mut relevant: Vec<u128> = Vec::new();
         let mut pinned: Vec<u128> = Vec::new();
-        let matchable = |v: &MaterializedView, sig: u128| {
-            v.def.tables.is_subset(&qr.tables) && self.view_matchable(query, v, sig)
+        let mut keep = |clustered: bool, s: u128| {
+            relevant.push(s);
+            if clustered {
+                pinned.push(s);
+            }
         };
-        for (i, s) in config.indexes_with_sigs() {
-            let rel = if i.table.is_view() {
-                config
-                    .view_with_sig(i.table)
-                    .is_some_and(|(v, sig)| matchable(v, sig))
-            } else {
-                qr.tables.contains(&i.table)
-                    && (i.clustered
-                        || i.key.first().is_some_and(|k| qr.sarg_cols.contains(k))
-                        || qr.required.get(&i.table).is_some_and(|req| i.covers(req)))
-            };
-            if rel {
-                relevant.push(s);
-                if i.clustered {
-                    pinned.push(s);
+        for &table in qr.tables.iter().filter(|t| !t.is_view()) {
+            let required = qr.required.get(&table);
+            for (i, s) in config.indexes_with_sigs_on(table) {
+                if i.clustered
+                    || i.key.first().is_some_and(|k| qr.sarg_cols.contains(k))
+                    || required.is_some_and(|req| i.covers(req))
+                {
+                    keep(i.clustered, s);
                 }
             }
         }
         for (v, s) in config.views_with_sigs() {
-            if matchable(v, s) {
-                relevant.push(s);
-                pinned.push(s);
+            if v.def.tables.is_subset(&qr.tables) && self.view_matchable(query, v, s) {
+                keep(true, s);
+                for (i, is) in config.indexes_with_sigs_on(v.id) {
+                    keep(i.clustered, is);
+                }
             }
         }
         relevant.sort_unstable();

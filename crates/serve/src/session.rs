@@ -750,8 +750,8 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_is_a_recovery_mismatch() {
-        // Garbage, and intact logs earlier builds wrote (versions 6 and
-        // 7), which are refused by their version.
+        // Garbage, and intact logs earlier builds wrote (versions 6, 7
+        // and 8), which are refused by their version.
         let old = |v: u32| {
             let mut log = Vec::new();
             let record = format!(r#"{{"version":{v},"kind":"pdtune-checkpoint"}}"#);
@@ -762,6 +762,7 @@ mod tests {
             ("badck", b"{not json".to_vec(), ""),
             ("v6ck", old(6), "version 6"),
             ("v7ck", old(7), "version 7"),
+            ("v8ck", old(8), "version 8"),
         ] {
             let dir = scratch_dir(name);
             std::fs::write(dir.join("checkpoint.log"), log).unwrap();

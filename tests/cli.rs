@@ -537,7 +537,8 @@ fn resume_into_another_log_starts_it_with_the_checkpoint() {
 fn resume_from_garbage_exits_with_checkpoint_error() {
     let dir = std::env::temp_dir().join("pdtune_cli_badck_test");
     std::fs::create_dir_all(&dir).unwrap();
-    // Garbage, and intact logs earlier builds wrote (versions 6 and 7).
+    // Garbage, and intact logs earlier builds wrote (versions 6, 7 and
+    // 8).
     let old = |v: u32| {
         let mut log = Vec::new();
         let record = format!(r#"{{"version":{v},"kind":"pdtune-checkpoint"}}"#);
@@ -559,6 +560,11 @@ fn resume_from_garbage_exits_with_checkpoint_error() {
             "v7.log",
             old(7),
             "checkpoint version 7 was written by an earlier build",
+        ),
+        (
+            "v8.log",
+            old(8),
+            "checkpoint version 8 was written by an earlier build",
         ),
     ] {
         let ck = dir.join(name);
