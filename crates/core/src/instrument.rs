@@ -26,7 +26,7 @@
 use crate::workload::Workload;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_expr::Sarg;
-use pdt_opt::access::{best_access_path, sarg_selectivity};
+use pdt_opt::access::{best_access_choice, sarg_selectivity};
 use pdt_opt::{CostModel, IndexRequest, Optimizer, RequestSink, TracingSink, ViewRequest};
 use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema, SpjgExpr};
 use std::collections::{BTreeSet, HashMap};
@@ -248,15 +248,18 @@ pub fn optimal_indexes_for_request(
     }
 
     // Cost both alternatives in isolation (the paper compares the
-    // sort-based and sort-free plans and keeps the cheaper).
+    // sort-based and sort-free plans and keeps the cheaper), choosing
+    // only. A request reads its table's indexes (and, over a view, the
+    // view) and nothing else of a configuration, so each trial holds
+    // just those and the candidate.
     let model = CostModel::default();
+    let table_only = config.restricted_to(req.table);
     let mut best: Option<(f64, Index)> = None;
     for cand in candidates {
-        let mut trial = config.clone();
+        let mut trial = table_only.clone();
         trial.add_index(cand.clone());
         let schema = PhysicalSchema::new(db, &trial);
-        let path = best_access_path(&model, &schema, req);
-        let cost = path.cost.total();
+        let cost = best_access_choice(&model, &schema, req).cost.total();
         if best.as_ref().is_none_or(|(c, _)| cost < *c) {
             best = Some((cost, cand));
         }
@@ -290,7 +293,7 @@ pub fn gather_optimal_configuration_traced(
     let opt = Optimizer::new(db);
     let mut sink = TracingSink::new(OptimalSink::new(with_views), tracer);
     for select in workload.entries.iter().filter_map(|e| e.select.as_ref()) {
-        opt.optimize_with_sink(&mut config, select, &mut sink);
+        opt.observe_with_sink(&mut config, select, &mut sink);
     }
     (config, sink.into_inner())
 }

@@ -136,12 +136,20 @@ impl<'a> Optimizer<'a> {
         q: &BoundSelect,
         sink: &mut dyn RequestSink,
     ) -> PhysPlan {
-        let watch = if sink.observes() {
-            Watch::Sink(config, sink)
-        } else {
-            Watch::Nobody(config)
-        };
-        self.plan(&self.prepare(q), watch)
+        self.plan(&self.prepare(q), Watch::of(config, sink))
+    }
+
+    /// [`optimize_with_sink`](Self::optimize_with_sink) for a caller that
+    /// keeps no plan: the same search, issuing the same requests in the
+    /// same order, with no operator tree built.
+    pub fn observe_with_sink(
+        &self,
+        config: &mut Configuration,
+        q: &BoundSelect,
+        sink: &mut dyn RequestSink,
+    ) {
+        let q = self.prepare(q);
+        Search::new(self, &q, Watch::of(config, sink)).run(&mut UsagesOnly::default());
     }
 
     /// One plan search with the winner built.
@@ -186,7 +194,16 @@ enum Watch<'s> {
     Sink(&'s mut Configuration, &'s mut dyn RequestSink),
 }
 
-impl Watch<'_> {
+impl<'s> Watch<'s> {
+    /// `sink` watches if it observes; nobody does otherwise.
+    fn of(config: &'s mut Configuration, sink: &'s mut dyn RequestSink) -> Watch<'s> {
+        if sink.observes() {
+            Watch::Sink(config, sink)
+        } else {
+            Watch::Nobody(config)
+        }
+    }
+
     fn config(&self) -> &Configuration {
         match self {
             Watch::Nobody(config) => config,
