@@ -123,15 +123,16 @@ impl Session<'_> {
                     _ => break,
                 }
             };
-            pdt_trace::emit(
-                tracer,
-                "prepass.remove",
-                vec![
-                    ("transformation", transformation.to_string().into()),
-                    ("delta_t", delta_t.into()),
-                    ("cost", new_eval.total_cost.into()),
-                ],
-            );
+            if let Some(t) = tracer {
+                t.emit(
+                    "prepass.remove",
+                    vec![
+                        ("transformation", transformation.to_string().into()),
+                        ("delta_t", delta_t.into()),
+                        ("cost", new_eval.total_cost.into()),
+                    ],
+                );
+            }
             pdt_trace::incr(tracer, "prepass.removed", 1);
             if env.options.validate_bounds {
                 // The kept (delta_t, applied) pair was scored against

@@ -167,6 +167,22 @@ impl Index {
         Some(merged)
     }
 
+    /// Whether the two indexes have a column in common (key or suffix):
+    /// `all_columns` of each intersect, without building either set.
+    pub fn shares_a_column(&self, other: &Index) -> bool {
+        let mine = |c: &ColumnId| self.key.contains(c) || self.suffix.contains(c);
+        other.key.iter().chain(&other.suffix).any(mine)
+    }
+
+    /// Whether [`split`](Index::split) of the two is defined, without
+    /// building it: same table, neither clustered, a common key column.
+    pub fn splits_with(&self, other: &Index) -> bool {
+        self.table == other.table
+            && !self.clustered
+            && !other.clustered
+            && self.key.iter().any(|c| other.key.contains(c))
+    }
+
     /// §3.1.1 Splitting: produce a common index `IC = (K1 ∩ K2; S1 ∩ S2)`
     /// plus residual indexes `IR1 = (K1 − KC; cols(I1) − cols(IC))` and
     /// `IR2` (each present only when its key is non-empty and it differs
@@ -299,6 +315,29 @@ mod tests {
     // Column letters from the paper: a=0, b=1, c=2, d=3, e=4, f=5, g=6.
     fn ix(key: &[u16], suffix: &[u16]) -> Index {
         Index::new(T, key.iter().map(|i| c(*i)), suffix.iter().map(|i| c(*i)))
+    }
+
+    #[test]
+    fn pair_predicates_agree_with_what_they_stand_for() {
+        let shapes: [(&[u16], &[u16]); 6] = [
+            (&[0], &[]),
+            (&[1], &[0, 2]),
+            (&[2, 0], &[5]),
+            (&[3], &[4]),
+            (&[4, 5], &[]),
+            (&[6], &[1, 3]),
+        ];
+        let mut all: Vec<Index> = shapes.iter().map(|(k, s)| ix(k, s)).collect();
+        all.push(Index::clustered(T, [c(0)]));
+        let other = TableId(1);
+        all.push(Index::new(other, [ColumnId::new(other, 0)], []));
+        for a in &all {
+            for b in &all {
+                let common = !a.all_columns().is_disjoint(&b.all_columns());
+                assert_eq!(a.shares_a_column(b), common, "{a} / {b}");
+                assert_eq!(a.splits_with(b), a.split(b).is_some(), "{a} / {b}");
+            }
+        }
     }
 
     #[test]

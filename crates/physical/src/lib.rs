@@ -16,6 +16,7 @@
 
 pub mod config;
 pub mod index;
+mod memo;
 pub mod size;
 pub mod view;
 
