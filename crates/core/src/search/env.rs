@@ -57,7 +57,9 @@ pub(super) struct Env<'a> {
     /// workload, so `options_signature` never sees it.
     prepared: PreparedStatements,
     /// Checkpoint identity: see [`options_signature`] and
-    /// [`Checkpoint::check_identity`].
+    /// [`Checkpoint::check_identity`]. Only a resume check and the
+    /// checkpoint records read them, so a session with neither leaves
+    /// them at zero (the options signature formats the whole workload).
     pub(super) opts_sig: u64,
     pub(super) base_sig: u64,
 }
@@ -73,8 +75,11 @@ impl<'a> Env<'a> {
         ctl: &SessionCtl<'a>,
     ) -> Result<Env<'a>, TuneError> {
         let base = Configuration::base(db);
-        let opts_sig = options_signature(options, db, workload);
-        let base_sig = base.signature();
+        let (opts_sig, base_sig) = if ctl.resume.is_some() || ctl.checkpoint_sink.is_some() {
+            (options_signature(options, db, workload), base.signature())
+        } else {
+            (0, 0)
+        };
         let relevance = RelevanceTable::build(db, workload);
         if let Some(ck) = ctl.resume {
             ck.check_identity(opts_sig, base_sig, ctl.tracer.is_some(), relevance.rows())?;
