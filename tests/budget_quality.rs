@@ -27,8 +27,10 @@ use pdtune::prelude::*;
 use pdtune::trace::{json, Tracer};
 use pdtune::workloads::{tpch, updates};
 
-/// Serializes every test that measures `invocation_count()` deltas.
-/// Poison is irrelevant for a `()` guard — a panic in one test must
+/// Serializes the tests of this binary: two measure
+/// `invocation_count()` deltas, which count every thread's optimizer
+/// calls, so no other test may make calls meanwhile. Poison is
+/// irrelevant for a `()` guard — a panic in one test must
 /// not cascade lock failures into the others.
 static CALLS: Mutex<()> = Mutex::new(());
 
@@ -207,6 +209,7 @@ fn real_invocations_never_exceed_the_charged_budget() {
 /// in the trace, zero skip counters, no remaining-budget report.
 #[test]
 fn unlimited_budget_leaves_no_budget_artifacts() {
+    let _serial = serialize_calls();
     let (db, w) = inputs(7);
     let tracer = Tracer::new();
     let report = tune_traced(&db, &w, &options(None), Some(&tracer));
@@ -232,6 +235,7 @@ fn unlimited_budget_leaves_no_budget_artifacts() {
 /// lands within ε of the exact tier.
 #[test]
 fn larger_budgets_never_worsen_the_recommendation() {
+    let _serial = serialize_calls();
     let (db, w) = inputs(7);
     let exact = tune(&db, &w, &options(None))
         .best
