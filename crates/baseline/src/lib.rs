@@ -349,11 +349,9 @@ impl<'a> BaselineAdvisor<'a> {
             }
         }
         let candidate_count = candidates.len();
-        pdt_trace::emit(
-            tracer,
-            "baseline.candidates",
-            vec![("count", candidate_count.into())],
-        );
+        pdt_trace::emit(tracer, "baseline.candidates", || {
+            vec![("count", candidate_count.into())]
+        });
         drop(candidates_span);
         let greedy_span = tracer.map(|t| t.span("greedy"));
 
@@ -406,9 +404,7 @@ impl<'a> BaselineAdvisor<'a> {
                 break;
             };
             let cand = remaining.swap_remove(idx);
-            pdt_trace::emit(
-                tracer,
-                "baseline.add",
+            pdt_trace::emit(tracer, "baseline.add", || {
                 vec![
                     (
                         "kind",
@@ -420,8 +416,8 @@ impl<'a> BaselineAdvisor<'a> {
                     ("cost", new_eval.total_cost.into()),
                     ("size", new_size.into()),
                     ("score", score.into()),
-                ],
-            );
+                ]
+            });
             pdt_trace::incr(tracer, "baseline.additions", 1);
             cand.add_to(&mut config);
             eval = new_eval;
@@ -433,14 +429,12 @@ impl<'a> BaselineAdvisor<'a> {
         }
         drop(greedy_span);
 
-        pdt_trace::emit(
-            tracer,
-            "baseline.end",
+        pdt_trace::emit(tracer, "baseline.end", || {
             vec![
                 ("cost", eval.total_cost.into()),
                 ("optimizer_calls", calls.into()),
-            ],
-        );
+            ]
+        });
         BaselineReport {
             initial_cost,
             best_cost: eval.total_cost,

@@ -46,7 +46,7 @@ fn main() {
         let Some(q) = &entry.select else { continue };
         let mut config = Configuration::base(&db);
         let mut sink = OptimalSink::new(true);
-        opt.optimize_with_sink(&mut config, q, &mut sink);
+        opt.observe_with_sink(&mut config, q, &mut sink);
         let row = Row {
             query: i + 1,
             index_requests: sink.index_requests,

@@ -100,7 +100,7 @@ impl ViewBuildCosts {
     /// usages); the rest are left out and recomputed on first use.
     ///
     /// An entry's value is a function of the view and, per base table
-    /// of its definition, of [`best_access_path`] over that table's
+    /// of its definition, of [`best_access_usages`] over that table's
     /// indexes — a first-strict-minimum argmin over per-index
     /// candidates whose costs do not depend on each other. Removing an
     /// index the winning plan does not use therefore cannot move the
@@ -118,7 +118,7 @@ impl ViewBuildCosts {
     /// * every removed index on a table of `V.def.tables` is outside
     ///   the entry's usages, not clustered, and not seekable for `V`.
     ///
-    /// [`best_access_path`]: pdt_opt::access::best_access_path
+    /// [`best_access_usages`]: pdt_opt::access::best_access_usages
     pub fn carried(&self, child: &Configuration, delta: &TransformDelta) -> ViewBuildCosts {
         let costs = self
             .costs
@@ -215,10 +215,10 @@ fn rebuild_cost(
                 .collect(),
             input_rows: schema.rows(*t),
         };
-        let path = pdt_opt::access::best_access_path(model, &schema, &req);
-        total += path.cost.total();
-        usages.extend(path.usages);
-        let rows = path.rows.max(1.0);
+        let (choice, used) = pdt_opt::access::best_access_usages(model, &schema, &req);
+        total += choice.cost.total();
+        usages.extend(used);
+        let rows = choice.rows.max(1.0);
         if i > 0 {
             total += model
                 .hash_join(rows.min(rows_acc), rows.max(rows_acc), 32.0)
@@ -851,7 +851,7 @@ fn replacement_cost<'a>(
     db: &Database,
     model: &CostModel,
     old_schema: &PhysicalSchema<'_>,
-    new_schema: &PhysicalSchema<'_>,
+    new_schema: &PhysicalSchema<'a>,
     old_config: &'a Configuration,
     delta: &'a TransformDelta,
     usage: &IndexUsage,
@@ -950,13 +950,14 @@ fn replacement_cost<'a>(
     // old plan relied on the index's order. Mirrors the scan branch of
     // `best_access_path`, so the patch never undercuts a plan the
     // optimizer will actually enumerate.
-    let candidates = delta.child_indexes_on(old_config, target_table);
+    let candidates = delta.child_indexes_on(new_schema, target_table);
+    let pages = |index: &Index, slot| model.size.index_pages_at(new_schema, index, slot);
     let mut best_src: Option<&Index> = None;
     let mut best = {
-        let scan = match candidates.iter().copied().find(|i| i.clustered) {
-            Some(ci) => {
+        let scan = match candidates.iter().copied().find(|(i, _)| i.clustered) {
+            Some((ci, slot)) => {
                 best_src = Some(ci);
-                model.full_scan(model.index_pages(new_schema, ci), table_rows)
+                model.full_scan(pages(ci, slot), table_rows)
             }
             None => model.full_scan(table_pages, table_rows),
         };
@@ -969,8 +970,8 @@ fn replacement_cost<'a>(
         cost
     };
 
-    for candidate in candidates {
-        let new_pages = model.index_pages(new_schema, candidate);
+    for (candidate, slot) in candidates {
+        let new_pages = pages(candidate, slot);
         let new_size = (new_pages * model.size.page_size).max(model.size.page_size);
         let s_i = usage.selectivity().max(1e-12);
         // Longest candidate key prefix answerable from the recorded

@@ -170,6 +170,11 @@ type StoreKey = (u32, u128);
 #[derive(Debug, Default)]
 pub struct CostCache {
     table: RefCell<ProbeTable<StoreKey, CacheEntry>>,
+    /// Per query, the signatures it has an entry under: what a plan
+    /// probe scans. Built by [`insert`](Self::insert) — so a checkpoint
+    /// restore, which inserts every entry, rebuilds it — and never
+    /// serialized.
+    keys: RefCell<QueryKeys>,
     /// Inserts not yet handed to a checkpoint record, tagged with the
     /// epoch they were made in.
     journal: RefCell<Vec<(u32, StoreKey, CacheEntry)>>,
@@ -181,6 +186,39 @@ pub struct CostCache {
     plan_hits: Cell<u64>,
     plan_misses: Cell<u64>,
     repriced: Cell<u64>,
+}
+
+/// Every key of a cache, each once, threaded into one list per query
+/// through a single arena, newest first: the lists cost one growing
+/// `Vec` between them, not one per query.
+#[derive(Debug, Default)]
+struct QueryKeys {
+    /// `(signature, the previous link of the same query)`.
+    links: Vec<(u128, u32)>,
+    /// Per query, its newest link (`NONE`: no key yet).
+    heads: Vec<u32>,
+}
+
+impl QueryKeys {
+    const NONE: u32 = u32::MAX;
+
+    fn push(&mut self, query: usize, signature: u128) {
+        if self.heads.len() <= query {
+            self.heads.resize(query + 1, Self::NONE);
+        }
+        self.links.push((signature, self.heads[query]));
+        self.heads[query] = (self.links.len() - 1) as u32;
+    }
+
+    /// `query`'s signatures, newest first.
+    fn of(&self, query: usize) -> impl Iterator<Item = u128> + '_ {
+        let mut at = self.heads.get(query).copied().unwrap_or(Self::NONE);
+        std::iter::from_fn(move || {
+            let (sig, prev) = *self.links.get(at as usize)?;
+            at = prev;
+            Some(sig)
+        })
+    }
 }
 
 /// One evaluation's derived-costing tallies, committed alongside the
@@ -217,7 +255,11 @@ impl CostCache {
         if let Some(epoch) = self.epoch.get() {
             self.journal.borrow_mut().push((epoch, key, entry.clone()));
         }
-        self.table.borrow_mut().insert(key, entry);
+        let mut table = self.table.borrow_mut();
+        if table.get(key).is_none() {
+            self.keys.borrow_mut().push(query, signature);
+        }
+        table.insert(key, entry);
     }
 
     /// Plan reuse (§3.3.2 local re-pricing): after a keyed miss at
@@ -236,19 +278,18 @@ impl CostCache {
     ///
     /// Poisoned entries (non-finite or negative cost) are never served.
     /// Among multiple servable entries the one with the smallest key
-    /// signature wins, making the result independent of slot iteration
+    /// signature wins, making the result independent of slot and insert
     /// order — though all servable entries carry bitwise-equal answers.
+    /// Only `query`'s own entries are read, through its key list.
     pub fn plan_probe(&self, query: usize, proj: &Projection) -> Option<CacheEntry> {
+        let table = self.table.borrow();
+        let keys = self.keys.borrow();
+        let entries = keys.of(query).map(|sig| {
+            let e = table.get((query as u32, sig));
+            (sig, e.expect("a listed key is stored"))
+        });
         let mut best = None;
-        scan_servable(
-            proj,
-            self.table
-                .borrow()
-                .iter()
-                .filter(|((q, _), _)| *q as usize == query)
-                .map(|((_, sig), e)| (*sig, e)),
-            &mut best,
-        );
+        scan_servable(proj, entries, &mut best);
         best.map(|(_, e)| e)
     }
 
@@ -537,6 +578,59 @@ mod tests {
         assert_eq!(cache.plan_probe(7, &proj(&[1])).unwrap().cost, 4.0);
         let served = cache.plan_probe(7, &proj(&[1])).unwrap();
         assert_eq!(served.relevant.as_ref(), &[1, 3]);
+    }
+
+    #[test]
+    fn plan_probe_serves_what_a_scan_of_the_whole_cache_serves() {
+        // The reference: every entry of the cache, filtered by query.
+        fn full_scan(cache: &CostCache, query: usize, proj: &Projection) -> Option<CacheEntry> {
+            let mut best = None;
+            let table = cache.table.borrow();
+            let entries = table.iter().filter(|((q, _), _)| *q as usize == query);
+            scan_servable(proj, entries.map(|((_, sig), e)| (*sig, e)), &mut best);
+            best.map(|(_, e)| e)
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..50 {
+            let cache = CostCache::new();
+            for step in 0..120 {
+                // Few queries and signatures, so keys are overwritten
+                // often — with another value, as a poison repair does.
+                let query = next(4) as usize;
+                let sig = u128::from(next(24)) << (next(2) * 64);
+                let relevant: Vec<u128> = (1..=6).filter(|_| next(3) > 0).collect();
+                let footprint: Vec<u128> =
+                    relevant.iter().copied().filter(|_| next(2) == 0).collect();
+                let pinned: Vec<u128> = relevant.iter().copied().filter(|_| next(4) == 0).collect();
+                let cost = if next(10) == 0 { f64::NAN } else { step as f64 };
+                cache.insert(
+                    query,
+                    sig,
+                    derived_entry(cost, &relevant, &footprint, &pinned),
+                );
+                for probe_query in 0..5 {
+                    let relevant: Vec<u128> = (1..=6).filter(|_| next(2) == 0).collect();
+                    let p = proj(&relevant);
+                    let (listed, scanned) = (
+                        cache.plan_probe(probe_query, &p),
+                        full_scan(&cache, probe_query, &p),
+                    );
+                    assert_eq!(
+                        listed.map(|e| (e.cost.to_bits(), e.relevant)),
+                        scanned.map(|e| (e.cost.to_bits(), e.relevant)),
+                    );
+                }
+            }
+            let keys = cache.keys.borrow();
+            let listed: usize = (0..4).map(|q| keys.of(q).count()).sum();
+            assert_eq!(listed, cache.len(), "one key per entry");
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl PreparedStatements {
     }
 
     /// Entry `i`'s prepared statement, preparing `q` on first use.
-    fn get(&self, opt: &Optimizer<'_>, i: usize, q: &BoundSelect) -> &PreparedSelect {
+    pub(crate) fn get(&self, opt: &Optimizer<'_>, i: usize, q: &BoundSelect) -> &PreparedSelect {
         self.slots[i].get_or_init(|| opt.prepare(q))
     }
 }
@@ -925,7 +925,7 @@ fn run_entries(env: &EvalEnv<'_>, shortcut_limit: Option<f64>) -> Option<Vec<Ent
         let e = evaluate_entry(env, i);
         running += entry.weight * e.q.total();
         if shortcut_limit.is_some_and(|l| running > l) {
-            pdt_trace::emit(ctx.tracer, "eval.abort", vec![]);
+            pdt_trace::emit(ctx.tracer, "eval.abort", Vec::new);
             return None;
         }
         evals.push(e);
@@ -1008,15 +1008,13 @@ pub(crate) fn evaluate_entries(
     }
     // Repairs are reported in entry order at the commit point.
     for &i in &poison_repairs {
-        pdt_trace::emit(ctx.tracer, "cache.repair", vec![("query", i.into())]);
+        pdt_trace::emit(ctx.tracer, "cache.repair", || vec![("query", i.into())]);
     }
     if !poison_repairs.is_empty() {
         pdt_trace::incr(ctx.tracer, "cache.repairs", poison_repairs.len() as u64);
     }
     pdt_trace::incr(ctx.tracer, "optimizer.calls", calls as u64);
-    pdt_trace::emit(
-        ctx.tracer,
-        "eval.commit",
+    pdt_trace::emit(ctx.tracer, "eval.commit", || {
         vec![
             ("entries", per_query.len().into()),
             ("calls", calls.into()),
@@ -1026,8 +1024,8 @@ pub(crate) fn evaluate_entries(
             ("plan_hits", tally.plan_hits.into()),
             ("plan_misses", tally.plan_misses.into()),
             ("cost", total.into()),
-        ],
-    );
+        ]
+    });
     Some(EvalResult {
         per_query,
         total_cost: total,

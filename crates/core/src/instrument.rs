@@ -23,6 +23,7 @@
 //! re-derives it (without running the optimizer) to compute the
 //! relevant-structure sets behind derived what-if costing.
 
+use crate::eval::PreparedStatements;
 use crate::workload::Workload;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_expr::Sarg;
@@ -52,6 +53,9 @@ pub struct OptimalSink {
     /// Answers given to base-table index requests, by the request's
     /// [`IndexRequest::bit_key`].
     answers: HashMap<Vec<u64>, Vec<Answer>>,
+    /// The key of the request being answered: written in place per
+    /// request, copied into `answers` only with a new answer.
+    key: Vec<u64>,
 }
 
 /// The indexes [`optimal_indexes_for_request`] chose for a request
@@ -73,6 +77,7 @@ impl OptimalSink {
             index_requests: 0,
             view_requests: 0,
             answers: HashMap::new(),
+            key: Vec::new(),
         }
     }
 }
@@ -90,8 +95,12 @@ impl RequestSink for OptimalSink {
             fresh = optimal_indexes_for_request(db, config, req);
             &fresh
         } else {
+            req.write_bit_key(&mut self.key);
+            if !self.answers.contains_key(self.key.as_slice()) {
+                self.answers.insert(self.key.clone(), Vec::new());
+            }
+            let seen = self.answers.get_mut(self.key.as_slice()).expect("present");
             let under = config.index_handles_on(req.table);
-            let seen = self.answers.entry(req.bit_key()).or_default();
             let at = match seen
                 .iter()
                 .position(|a| Configuration::same_handles(&a.under, under))
@@ -289,11 +298,28 @@ pub fn gather_optimal_configuration_traced(
     with_views: bool,
     tracer: Option<&pdt_trace::Tracer>,
 ) -> (Configuration, OptimalSink) {
-    let mut config = Configuration::base(db);
     let opt = Optimizer::new(db);
+    let prepared = PreparedStatements::new(workload);
+    gather_prepared(&opt, workload, &prepared, with_views, tracer)
+}
+
+/// [`gather_optimal_configuration_traced`] over the statements
+/// `prepared` holds for `workload` (preparing any not prepared yet), so
+/// a session's §2 pass and its evaluations prepare each statement once.
+pub(crate) fn gather_prepared(
+    opt: &Optimizer<'_>,
+    workload: &Workload,
+    prepared: &PreparedStatements,
+    with_views: bool,
+    tracer: Option<&pdt_trace::Tracer>,
+) -> (Configuration, OptimalSink) {
+    let mut config = Configuration::base(opt.db);
     let mut sink = TracingSink::new(OptimalSink::new(with_views), tracer);
-    for select in workload.entries.iter().filter_map(|e| e.select.as_ref()) {
-        opt.observe_with_sink(&mut config, select, &mut sink);
+    for (i, entry) in workload.entries.iter().enumerate() {
+        if let Some(select) = &entry.select {
+            let q = prepared.get(opt, i, select);
+            opt.observe_prepared_with_sink(&mut config, q, &mut sink);
+        }
     }
     (config, sink.into_inner())
 }

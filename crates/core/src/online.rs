@@ -450,17 +450,15 @@ pub fn run_replay(
         pdt_trace::incr(tracer, "replay.epochs", 1);
 
         if workload.is_empty() {
-            pdt_trace::emit(
-                tracer,
-                "replay.epoch",
+            pdt_trace::emit(tracer, "replay.epoch", || {
                 vec![
                     ("epoch", epoch.into()),
                     ("arrivals", batch.len().into()),
                     ("window", 0usize.into()),
                     ("drift", 0.0.into()),
                     ("retune", false.into()),
-                ],
-            );
+                ]
+            });
             epochs.push(EpochReport {
                 epoch,
                 arrivals: batch.len(),
@@ -496,30 +494,26 @@ pub fn run_replay(
                 let served = sigs.iter().filter(|s| detector.knows(**s)).count() as u64;
                 warm_serves += served;
                 pdt_trace::incr(tracer, "warm.serves", served);
-                pdt_trace::emit(
-                    tracer,
-                    "replay.probe",
+                pdt_trace::emit(tracer, "replay.probe", || {
                     vec![
                         ("epoch", epoch.into()),
                         ("fresh", (sigs.len() as u64 - served).into()),
                         ("served", served.into()),
-                    ],
-                );
+                    ]
+                });
                 detector.extend_known(&sigs, &unit);
                 decision = detector.assess(&weighted, options.drift_threshold);
             }
         }
-        pdt_trace::emit(
-            tracer,
-            "replay.epoch",
+        pdt_trace::emit(tracer, "replay.epoch", || {
             vec![
                 ("epoch", epoch.into()),
                 ("arrivals", batch.len().into()),
                 ("window", workload.entries.len().into()),
                 ("drift", decision.drift.into()),
                 ("retune", decision.retune.into()),
-            ],
-        );
+            ]
+        });
 
         let mut er = EpochReport {
             epoch,
@@ -591,15 +585,13 @@ pub fn run_replay(
         }
 
         er.real_invocations = invocation_count() - epoch_invocations_before;
-        pdt_trace::emit(
-            tracer,
-            "replay.epoch.end",
+        pdt_trace::emit(tracer, "replay.epoch.end", || {
             vec![
                 ("epoch", epoch.into()),
                 ("cost", er.window_cost.into()),
                 ("retuned", er.retuned.into()),
-            ],
-        );
+            ]
+        });
         epochs.push(er);
     }
 

@@ -39,7 +39,7 @@ use crate::checkpoint::{Capture, Checkpoint, Live};
 use crate::error::TuneError;
 use crate::eval::{evaluate_entries, evaluate_full_ctx, unused_structures, EvalResult, ShellTable};
 use crate::fault::{FaultEvent, FaultKind, SITE_CANDIDATE, SITE_SHRINK};
-use crate::instrument::gather_optimal_configuration_traced;
+use crate::instrument::gather_prepared;
 use crate::node::NodeFacts;
 use crate::stop::{StopCheck, StopReason, StopToken};
 use crate::transform::{apply, AppliedTransform, SigMap, SigSet, TransformDelta, Transformation};
@@ -248,15 +248,13 @@ impl<'a> ReplayGate<'a> {
             return;
         }
         pdt_trace::incr(self.tracer, "faults", 1);
-        pdt_trace::emit(
-            self.tracer,
-            "fault",
+        pdt_trace::emit(self.tracer, "fault", || {
             vec![
                 ("iteration", iteration.into()),
                 ("kind", kind.label().into()),
                 ("detail", detail.clone().into()),
-            ],
-        );
+            ]
+        });
         report.faults.push(FaultEvent {
             iteration,
             kind,
@@ -382,8 +380,13 @@ impl<'a> Session<'a> {
         let initial_cost = base_eval.total_cost;
 
         // Lines 1–2: the optimal configuration via instrumentation.
-        let (optimal_config, sink) =
-            gather_optimal_configuration_traced(db, workload, options.with_views, tracer);
+        let (optimal_config, sink) = gather_prepared(
+            &env.opt,
+            workload,
+            &env.prepared,
+            options.with_views,
+            tracer,
+        );
         let select_count = workload
             .entries
             .iter()
@@ -391,16 +394,14 @@ impl<'a> Session<'a> {
             .count();
         optimizer_calls += select_count;
         pdt_trace::incr(tracer, "optimizer.calls", select_count as u64);
-        pdt_trace::emit(
-            tracer,
-            "instrument.done",
+        pdt_trace::emit(tracer, "instrument.done", || {
             vec![
                 ("index_requests", sink.index_requests.into()),
                 ("view_requests", sink.view_requests.into()),
                 ("indexes", sink.created_indexes.into()),
                 ("views", sink.created_views.into()),
-            ],
-        );
+            ]
+        });
         let optimal_facts = NodeFacts::scratch(env.facts(), &optimal_config);
         let opt_eval = full(&optimal_config, Some(&optimal_facts.shells));
         optimizer_calls += opt_eval.optimizer_calls;
@@ -423,11 +424,9 @@ impl<'a> Session<'a> {
             let e = full(d, None);
             optimizer_calls += e.optimizer_calls;
             let size = d.size_bytes(db);
-            pdt_trace::emit(
-                tracer,
-                "warm.deployed",
-                vec![("cost", e.total_cost.into()), ("size", size.into())],
-            );
+            pdt_trace::emit(tracer, "warm.deployed", || {
+                vec![("cost", e.total_cost.into()), ("size", size.into())]
+            });
             Deployed {
                 config: d,
                 eval: e,
@@ -1081,15 +1080,13 @@ impl<'a> Session<'a> {
             fits,
         });
         if env.offer(&mut self.report, &child.config, cost, size) {
-            pdt_trace::emit(
-                tracer,
-                "search.best",
+            pdt_trace::emit(tracer, "search.best", || {
                 vec![
                     ("iteration", iteration.into()),
                     ("cost", cost.into()),
                     ("size", size.into()),
-                ],
-            );
+                ]
+            });
         }
         self.nodes.push(child);
         self.last_created = self.nodes.len() - 1;
@@ -1111,11 +1108,9 @@ impl<'a> Session<'a> {
         // configuration. The exact tier never enters this block.
         if self.ledger.limited() {
             if let Some(best) = &mut self.report.best {
-                pdt_trace::emit(
-                    tracer,
-                    "budget.validate.begin",
-                    vec![("cost", best.cost.into())],
-                );
+                pdt_trace::emit(tracer, "budget.validate.begin", || {
+                    vec![("cost", best.cost.into())]
+                });
                 let veval = evaluate_full_ctx(
                     env.db,
                     &env.opt,
@@ -1124,11 +1119,9 @@ impl<'a> Session<'a> {
                     env.ctx(tracer),
                 );
                 best.cost = veval.total_cost;
-                pdt_trace::emit(
-                    tracer,
-                    "budget.validate.end",
-                    vec![("cost", best.cost.into())],
-                );
+                pdt_trace::emit(tracer, "budget.validate.end", || {
+                    vec![("cost", best.cost.into())]
+                });
                 self.report.optimizer_calls += veval.optimizer_calls;
             }
         }
@@ -1171,15 +1164,13 @@ impl<'a> Session<'a> {
         if let Some(remaining) = report.budget_remaining {
             pdt_trace::incr(tracer, "budget.remaining", remaining);
         }
-        pdt_trace::emit(
-            tracer,
-            "session.end",
+        pdt_trace::emit(tracer, "session.end", || {
             vec![
                 ("iterations", report.iterations.into()),
                 ("optimizer_calls", report.optimizer_calls.into()),
                 ("stop_reason", report.stop_reason.label().into()),
-            ],
-        );
+            ]
+        });
         report.trace = tracer.map(|t| t.summary());
         report.elapsed = start.elapsed();
         report
@@ -1213,29 +1204,25 @@ fn oracle_check(
     report.bound_checks += 1;
     pdt_trace::incr(tracer, "oracle.checks", 1);
     let violated = actual > bound * (1.0 + 1e-3) + 1e-6;
-    pdt_trace::emit(
-        tracer,
-        "oracle.check",
+    pdt_trace::emit(tracer, "oracle.check", || {
         vec![
             ("iteration", iteration.into()),
             ("transformation", transformation.to_string().into()),
             ("bound", bound.into()),
             ("actual", actual.into()),
             ("violated", violated.into()),
-        ],
-    );
+        ]
+    });
     if violated {
         pdt_trace::incr(tracer, "oracle.violations", 1);
-        pdt_trace::emit(
-            tracer,
-            "oracle.violation",
+        pdt_trace::emit(tracer, "oracle.violation", || {
             vec![
                 ("iteration", iteration.into()),
                 ("transformation", transformation.to_string().into()),
                 ("bound", bound.into()),
                 ("actual", actual.into()),
-            ],
-        );
+            ]
+        });
         report.bound_violations.push(BoundViolation {
             iteration,
             transformation: transformation.to_string(),

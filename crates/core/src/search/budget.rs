@@ -113,7 +113,8 @@ impl CallLedger {
         let Some(remaining) = self.remaining() else {
             return Settled::Charged;
         };
-        // Built only for the two outcomes that emit an event.
+        // Built only for the two outcomes that emit an event, and only
+        // when a tracer listens.
         let lead_fields = || {
             let mut fields: Vec<(&'static str, pdt_trace::Value)> = vec![("phase", phase.into())];
             if let Some(i) = iteration {
@@ -126,15 +127,19 @@ impl CallLedger {
         if quote.gap <= GAP_TOL * quote.parent_cost {
             self.skipped += quote.affected;
             pdt_trace::incr(tracer, "optimizer.calls_skipped", quote.affected);
-            let mut fields = lead_fields();
-            fields.push(("gap", quote.gap.into()));
-            fields.push(("upper", quote.upper.into()));
-            pdt_trace::emit(tracer, "budget.skip", fields);
+            pdt_trace::emit(tracer, "budget.skip", || {
+                let mut fields = lead_fields();
+                fields.push(("gap", quote.gap.into()));
+                fields.push(("upper", quote.upper.into()));
+                fields
+            });
             Settled::Served
         } else if quote.affected > remaining {
-            let mut fields = lead_fields();
-            fields.push(("remaining", remaining.into()));
-            pdt_trace::emit(tracer, "budget.exhausted", fields);
+            pdt_trace::emit(tracer, "budget.exhausted", || {
+                let mut fields = lead_fields();
+                fields.push(("remaining", remaining.into()));
+                fields
+            });
             Settled::Exhausted
         } else {
             self.spent += quote.affected;

@@ -53,9 +53,9 @@ pub(super) struct Env<'a> {
     shared: Option<(&'a crate::shared::SharedInvocationStore, u128)>,
     query_sigs: Vec<u128>,
     /// Each statement's configuration-independent plan-search facts,
-    /// prepared on its first real what-if call. Kept here, off the
-    /// workload, so `options_signature` never sees it.
-    prepared: PreparedStatements,
+    /// prepared by the §2 pass or on its first real what-if call. Kept
+    /// here, off the workload, so `options_signature` never sees it.
+    pub(super) prepared: PreparedStatements,
     /// Checkpoint identity: see [`options_signature`] and
     /// [`Checkpoint::check_identity`]. Only a resume check and the
     /// checkpoint records read them, so a session with neither leaves

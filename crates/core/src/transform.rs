@@ -11,7 +11,7 @@ use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_opt::Optimizer;
 use pdt_physical::size::SizeModel;
 use pdt_physical::view::merge_views;
-use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema};
+use pdt_physical::{Configuration, Index, MaterializedView, PageSlot, PhysicalSchema};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -147,16 +147,26 @@ impl std::ops::Deref for AppliedTransform {
 
 impl TransformDelta {
     /// The relaxed configuration's indexes on `table`, in configuration
-    /// order.
+    /// order, each with its page slot under `schema`, the relaxed schema
+    /// over the parent configuration: a kept handle carries its own, an
+    /// added index none.
     pub(crate) fn child_indexes_on<'a>(
         &'a self,
-        parent: &'a Configuration,
+        schema: &PhysicalSchema<'a>,
         table: TableId,
-    ) -> Vec<&'a Index> {
-        self.merge_added(
-            parent.indexes_on(table),
-            self.added_indexes.iter().filter(|a| a.table == table),
-        )
+    ) -> Vec<(&'a Index, PageSlot<'a>)> {
+        let mut out: Vec<(&Index, PageSlot)> = schema
+            .indexes_with_pages_on(table)
+            .map(|(i, slot)| (&**i, slot))
+            .filter(|(i, _)| !self.removed_indexes.contains(i))
+            .collect();
+        let kept = out.len();
+        let added = self.added_indexes.iter().filter(|a| a.table == table);
+        out.extend(added.map(|a| (a, PageSlot::NONE)));
+        if out.len() > kept {
+            out.sort_by(|a, b| a.0.cmp(b.0));
+        }
+        out
     }
 
     /// All of the relaxed configuration's indexes, in configuration

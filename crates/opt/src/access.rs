@@ -22,7 +22,7 @@
 //! [`crate::prepared`]).
 
 use crate::cost::{Cost, CostModel};
-use crate::plan::{CostOnly, Emit, IndexUsage, Materialize, Op, PlanNode, UsageKind};
+use crate::plan::{CostOnly, Emit, IndexUsage, Materialize, Op, PlanNode, UsageKind, UsagesOnly};
 use crate::request::IndexRequest;
 use pdt_catalog::ColumnId;
 use pdt_expr::classify::sarg_selectivity_with;
@@ -87,6 +87,22 @@ pub fn best_access_choice(
 ) -> AccessChoice {
     let facts = RequestFacts::new(model, schema, req);
     RequestCtx::new(model, schema, req, &facts).choose()
+}
+
+/// Pick the cheapest physical strategy for `req` and record only its
+/// index usages: the choice and the usages [`best_access_path`] returns,
+/// with no operator built.
+pub fn best_access_usages(
+    model: &CostModel,
+    schema: &PhysicalSchema<'_>,
+    req: &IndexRequest,
+) -> (AccessChoice, Vec<IndexUsage>) {
+    let facts = RequestFacts::new(model, schema, req);
+    let ctx = RequestCtx::new(model, schema, req, &facts);
+    let choice = ctx.choose();
+    let mut e = UsagesOnly::default();
+    ctx.emit(&mut e, &choice);
+    (choice, e.usages)
 }
 
 /// Pick the cheapest physical strategy for `req` and build it.
@@ -250,10 +266,12 @@ impl<'r> RequestCtx<'r> {
     }
 
     /// Price every candidate in a fixed order; the first strictly
-    /// cheapest wins.
+    /// cheapest wins. Each index's pages are read through its slot, in
+    /// step with the walk over the table's handles.
     fn choose(&self) -> AccessChoice {
-        let indexes = self.schema.config.index_handles_on(self.req.table);
-        let clustered = indexes.iter().find(|i| i.clustered);
+        let indexes = self.schema.indexes_with_pages_on(self.req.table);
+        let pages = |index: &Index, slot| self.model.size.index_pages_at(self.schema, index, slot);
+        let clustered = indexes.clone().find(|(i, _)| i.clustered);
         let e = &mut CostOnly;
 
         let mut best: Option<AccessChoice> = None;
@@ -272,28 +290,30 @@ impl<'r> RequestCtx<'r> {
         };
 
         // ---------------- scans (base relation or covering index) ---
-        consider(self.base_scan(e, clustered.map(Arc::as_ref)), &|| {
-            Candidate::BaseScan(clustered.cloned())
+        let base = clustered.map(|(ci, slot)| (&**ci, pages(ci, slot)));
+        consider(self.base_scan(e, base), &|| {
+            Candidate::BaseScan(clustered.map(|(ci, _)| ci.clone()))
         });
-        for index in indexes {
+        for (index, slot) in indexes.clone() {
             // Covering secondary scan: must provide every referenced
             // column (sargable ones included — they are filtered here).
             if !index.clustered && index.covers(&self.facts.all_ref) {
-                consider(self.index_scan(e, index), &|| {
+                consider(self.index_scan(e, index, pages(index, slot)), &|| {
                     Candidate::CoveringScan(index.clone())
                 });
             }
         }
 
         // ---------------- single-index seeks ------------------------
-        let mut seekables: Vec<(SeekPrefix, &Arc<Index>)> = Vec::new();
-        for index in indexes {
+        let mut seekables: Vec<(SeekPrefix, &Arc<Index>, f64)> = Vec::new();
+        for (index, slot) in indexes {
             let prefix = self.seek_prefix(index);
             if prefix.0 == 0 {
                 continue;
             }
-            seekables.push((prefix, index));
-            consider(self.seek(e, index, prefix), &|| {
+            let pages = pages(index, slot);
+            seekables.push((prefix, index, pages));
+            consider(self.seek(e, index, prefix, pages), &|| {
                 Candidate::Seek(index.clone())
             });
         }
@@ -302,14 +322,15 @@ impl<'r> RequestCtx<'r> {
         seekables.sort_by(|a, b| a.0 .1.total_cmp(&b.0 .1));
         for i in 0..seekables.len().min(4) {
             for j in (i + 1)..seekables.len().min(4) {
-                let (p1, i1) = seekables[i];
-                let (p2, i2) = seekables[j];
+                let (p1, i1, pages1) = seekables[i];
+                let (p2, i2, pages2) = seekables[j];
                 if i1.key[0] == i2.key[0] {
                     continue; // same leading column: intersection is useless
                 }
-                consider(self.intersect(e, (i1, p1), (i2, p2)), &|| {
-                    Candidate::Intersect(i1.clone(), i2.clone())
-                });
+                consider(
+                    self.intersect(e, (i1, p1, pages1), (i2, p2, pages2)),
+                    &|| Candidate::Intersect(i1.clone(), i2.clone()),
+                );
             }
         }
 
@@ -317,15 +338,20 @@ impl<'r> RequestCtx<'r> {
     }
 
     /// Run the chosen candidate's code again, this time sending it to
-    /// `e`.
+    /// `e`. Its indexes' pages are looked up again by handle.
     fn emit<E: Emit>(&self, e: &mut E, choice: &AccessChoice) -> Finished<E::Node> {
+        let pages = |index: &Index| self.model.index_pages(self.schema, index);
         let built = match &choice.candidate {
-            Candidate::BaseScan(clustered) => self.base_scan(e, clustered.as_deref()),
-            Candidate::CoveringScan(index) => self.index_scan(e, index),
-            Candidate::Seek(index) => self.seek(e, index, self.seek_prefix(index)),
-            Candidate::Intersect(i1, i2) => {
-                self.intersect(e, (i1, self.seek_prefix(i1)), (i2, self.seek_prefix(i2)))
+            Candidate::BaseScan(clustered) => {
+                self.base_scan(e, clustered.as_deref().map(|ci| (ci, pages(ci))))
             }
+            Candidate::CoveringScan(index) => self.index_scan(e, index, pages(index)),
+            Candidate::Seek(index) => self.seek(e, index, self.seek_prefix(index), pages(index)),
+            Candidate::Intersect(i1, i2) => self.intersect(
+                e,
+                (i1, self.seek_prefix(i1), pages(i1)),
+                (i2, self.seek_prefix(i2), pages(i2)),
+            ),
         };
         debug_assert_eq!(
             (built.cost.total().to_bits(), built.rows.to_bits()),
@@ -365,10 +391,10 @@ impl<'r> RequestCtx<'r> {
         }
     }
 
-    /// Scan of the clustered index / heap.
-    fn base_scan<E: Emit>(&self, e: &mut E, clustered: Option<&Index>) -> Finished<E::Node> {
+    /// Scan of the clustered index (given with its pages) or the heap.
+    fn base_scan<E: Emit>(&self, e: &mut E, clustered: Option<(&Index, f64)>) -> Finished<E::Node> {
         match clustered {
-            Some(ci) => self.index_scan(e, ci),
+            Some((ci, pages)) => self.index_scan(e, ci, pages),
             None => {
                 let table = self.req.table;
                 let cost = self
@@ -391,10 +417,10 @@ impl<'r> RequestCtx<'r> {
         }
     }
 
-    /// Full scan of an index that can answer the request by itself: the
-    /// clustered index, or a covering secondary one.
-    fn index_scan<E: Emit>(&self, e: &mut E, index: &Index) -> Finished<E::Node> {
-        let pages = self.model.index_pages(self.schema, index);
+    /// Full scan of an index of `pages` pages that can answer the
+    /// request by itself: the clustered index, or a covering secondary
+    /// one.
+    fn index_scan<E: Emit>(&self, e: &mut E, index: &Index, pages: f64) -> Finished<E::Node> {
         let cost = self.model.full_scan(pages, self.facts.table_rows);
         let provides = order_satisfied(&index.key, 0, &self.facts.order_cols);
         let relied = provides && !self.facts.order_cols.is_empty();
@@ -433,18 +459,18 @@ impl<'r> RequestCtx<'r> {
         )
     }
 
-    /// Seek on `index`, then on-index filters, then — unless the index
-    /// covers everything still needed — a rid lookup and the remaining
-    /// filters.
+    /// Seek on `index` of `leaf_pages` pages, then on-index filters,
+    /// then — unless the index covers everything still needed — a rid
+    /// lookup and the remaining filters.
     fn seek<E: Emit>(
         &self,
         e: &mut E,
         index: &Index,
         (prefix_len, seek_sel, eq_prefix): SeekPrefix,
+        leaf_pages: f64,
     ) -> Finished<E::Node> {
         let (model, req) = (self.model, self.req);
         let rows_after_seek = (self.facts.table_rows * seek_sel).max(0.0);
-        let leaf_pages = model.index_pages(self.schema, index);
         let levels = model.levels_of(leaf_pages);
         let seek_cost = model.seek(levels, leaf_pages, seek_sel, rows_after_seek);
 
@@ -573,24 +599,23 @@ impl<'r> RequestCtx<'r> {
         self.finish(e, node, cost, rows_mid, 0, provides)
     }
 
-    /// Seeks on two indexes with different leading columns, their rid
-    /// streams intersected, then one rid lookup.
+    /// Seeks on two indexes with different leading columns (each given
+    /// with its pages), their rid streams intersected, then one rid
+    /// lookup.
     fn intersect<E: Emit>(
         &self,
         e: &mut E,
-        (i1, (p1, s1, _)): (&Index, SeekPrefix),
-        (i2, (p2, s2, _)): (&Index, SeekPrefix),
+        (i1, (p1, s1, _), pages1): (&Index, SeekPrefix, f64),
+        (i2, (p2, s2, _), pages2): (&Index, SeekPrefix, f64),
     ) -> Finished<E::Node> {
         let model = self.model;
         let r1 = self.facts.table_rows * s1;
         let r2 = self.facts.table_rows * s2;
         let combined = (self.facts.table_rows * s1 * s2).max(0.0);
-        let seek_cost = |index: &Index, sel: f64, rows: f64| {
-            let pages = model.index_pages(self.schema, index);
-            model.seek(model.levels_of(pages), pages, sel, rows)
-        };
-        let c1 = seek_cost(i1, s1, r1);
-        let c2 = seek_cost(i2, s2, r2);
+        let seek_cost =
+            |pages: f64, sel: f64, rows: f64| model.seek(model.levels_of(pages), pages, sel, rows);
+        let c1 = seek_cost(pages1, s1, r1);
+        let c2 = seek_cost(pages2, s2, r2);
         let ci = model.rid_intersect(r1, r2);
         let lk = model.rid_lookup(combined, self.facts.table_pages);
         let mut cost = c1.add(c2).add(ci).add(lk);

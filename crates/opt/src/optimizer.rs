@@ -13,6 +13,9 @@
 //! answered once per invocation while the indexes on its table stay
 //! the same. DESIGN.md ("Plan search") has the rules that keep the
 //! output bytes fixed.
+//!
+//! The §2 pass keeps no plan, so it does not search: [`Walk`] issues
+//! the search's requests in the search's order and decides nothing.
 
 use crate::access::{AccessChoice, PreparedRequest};
 use crate::card::group_count;
@@ -140,16 +143,36 @@ impl<'a> Optimizer<'a> {
     }
 
     /// [`optimize_with_sink`](Self::optimize_with_sink) for a caller that
-    /// keeps no plan: the same search, issuing the same requests in the
-    /// same order, with no operator tree built.
+    /// keeps no plan (the §2 pass): the same requests, in the same
+    /// order, each issued under the configuration the sink left behind,
+    /// and nothing decided. Not a plan search.
     pub fn observe_with_sink(
         &self,
         config: &mut Configuration,
         q: &BoundSelect,
         sink: &mut dyn RequestSink,
     ) {
-        let q = self.prepare(q);
-        Search::new(self, &q, Watch::of(config, sink)).run(&mut UsagesOnly::default());
+        self.observe_prepared_with_sink(config, &self.prepare(q), sink);
+    }
+
+    /// [`observe_with_sink`](Self::observe_with_sink) of a statement
+    /// prepared by this optimizer.
+    pub fn observe_prepared_with_sink(
+        &self,
+        config: &mut Configuration,
+        q: &PreparedSelect,
+        sink: &mut dyn RequestSink,
+    ) {
+        if sink.observes() {
+            Walk {
+                db: self.db,
+                opts: &self.opts,
+                prep: q,
+                config,
+                sink,
+            }
+            .run();
+        }
     }
 
     /// One plan search with the winner built.
@@ -378,13 +401,10 @@ impl<'s> Search<'s> {
         // ---- whole-query view alternatives ---------------------------
         let mut best_view: Option<(ViewMatch, Rc<Access<'s>>)> = None;
         for (m, view_rows) in self.view_matches(None) {
-            let order = self.view_order(&m);
-            let additional = m
-                .base_map
-                .iter()
-                .map(|(_, ord)| *ord)
-                .chain(m.agg_map.iter().map(|(_, ord)| *ord));
-            if let Some(access) = self.view_access(&m, view_rows, additional, order) {
+            let Some(req) = prep.view_index_request(&m, view_rows, None) else {
+                continue;
+            };
+            if let Some(access) = self.view_access(req) {
                 let cost = self.finish_view(&mut CostOnly, &m, &access, ()).cost;
                 if cost < best_cost {
                     best_cost = cost;
@@ -449,85 +469,37 @@ impl<'s> Search<'s> {
         access
     }
 
-    /// True if `view` is defined over exactly the block's tables, or
-    /// exactly those at the FROM positions of `subset`.
-    fn spans(&self, view: &MaterializedView, subset: Option<usize>) -> bool {
-        let block = &self.prep.block;
-        let count = subset.map_or(block.tables.len(), |mask| mask.count_ones() as usize);
-        view.def.tables.len() == count
-            && view.def.tables.iter().all(|t| match subset {
-                Some(mask) => self.prep.in_mask(mask, *t),
-                None => block.tables.contains(t),
-            })
-    }
-
     /// The usable views over exactly the tables of `subset` (`None`:
     /// the whole block) that match the block's SPJG expression for
     /// them, with their row counts. Issues the view request first;
     /// unobserved, the expression is built only if some view could
     /// match it.
     fn view_matches(&mut self, subset: Option<usize>) -> Vec<(ViewMatch, f64)> {
+        let prep = self.prep;
         let config = self.watch.config();
-        if !self.watch.observed() && !config.usable_views().any(|v| self.spans(v, subset)) {
+        if !self.watch.observed() && !config.usable_views().any(|v| prep.spans(v, subset)) {
             return Vec::new();
         }
-        let block = &self.prep.block;
-        let spjg = match subset {
-            Some(mask) => {
-                let tables = block.tables.iter().enumerate();
-                let tables = tables.filter(|(i, _)| mask >> i & 1 == 1).map(|(_, t)| *t);
-                block.spjg_for_subset(&tables.collect())
-            }
-            None => block.to_spjg(),
-        };
-        let req = ViewRequest {
-            spjg,
-            top_level: subset.is_none(),
-        };
+        let req = prep.view_request(subset);
         if let Watch::Sink(config, sink) = &mut self.watch {
             sink.on_view_request(&req, self.db, config);
         }
-        self.watch
-            .config()
-            .usable_views()
-            .filter(|v| self.spans(v, subset))
-            .filter_map(|v| v.try_match(&req.spjg).map(|m| (m, v.rows)))
-            .collect()
+        prep.view_matches(self.watch.config(), &req, subset)
     }
 
-    /// Access path over a matched view: the residual predicates of the
-    /// match, the view columns at `additional` ordinals, and `order`.
-    /// The request is issued first; its facts read the view's
-    /// statistics under the configuration the sink left behind.
-    fn view_access(
-        &mut self,
-        m: &ViewMatch,
-        view_rows: f64,
-        additional: impl Iterator<Item = u16>,
-        order: Vec<(ColumnId, bool)>,
-    ) -> Option<Rc<Access<'s>>> {
-        let req = IndexRequest {
-            table: m.view_id,
-            sargable: m.residual_ranges.clone(),
-            non_sargable: m
-                .residual_others
-                .iter()
-                .map(|o| (o.columns(), o.selectivity))
-                .collect(),
-            order,
-            additional: additional
-                .map(|ord| ColumnId::new(m.view_id, ord))
-                .collect(),
-            input_rows: view_rows,
-        };
+    /// Access path for `req`, a request over a matched view. The
+    /// request is issued first; its facts read the view's statistics
+    /// under the configuration the sink left behind.
+    fn view_access(&mut self, req: IndexRequest) -> Option<Rc<Access<'s>>> {
         if let Watch::Sink(config, sink) = &mut self.watch {
             sink.on_index_request(&req, self.db, config);
         }
+        let view = req.table;
         let (model, schema) = (&self.opts.cost, self.schema());
         let request = PreparedRequest::new(model, &schema, req);
         let choice = request.choose(model, &schema);
         // The view may have been deleted meanwhile (defensive).
-        self.watch.config().view(m.view_id)?;
+        self.watch.config().view(view)?;
         Some(Rc::new(Access {
             request: Cow::Owned(request),
             choice,
@@ -595,27 +567,18 @@ impl<'s> Search<'s> {
     /// table, never copied.
     fn dp_join(&mut self) -> LeftDeep<'s> {
         let prep = self.prep;
-        let JoinOrder::Dp {
-            neighbours,
-            params,
-            rows,
-        } = &prep.order
-        else {
+        let JoinOrder::Dp(order) = &prep.order else {
             unreachable!("dp_join runs on a DP order")
         };
-        let n = prep.block.tables.len();
-        let full_mask: usize = (1 << n) - 1;
+        let full_mask = order.full_mask();
         let mut dp: Vec<Option<Decision<'s>>> = Vec::new();
         dp.resize_with(full_mask + 1, || None);
 
-        for i in 0..n {
-            dp[1 << i] = Some(Decision::Access(self.table_access(prep.plain[i])));
+        for (i, &at) in prep.plain.iter().enumerate() {
+            dp[1 << i] = Some(Decision::Access(self.table_access(at)));
         }
 
-        for mask in 3..=full_mask {
-            if mask.count_ones() < 2 {
-                continue;
-            }
+        for mask in order.masks() {
             let mut best: Option<Decision<'s>> = None;
 
             // View request for this SPJG sub-query (paper §2);
@@ -625,27 +588,17 @@ impl<'s> Search<'s> {
                 self.subset_view_candidates(mask, &mut best);
             }
 
-            for i in (0..n).filter(|i| mask >> i & 1 == 1) {
-                let rest = mask & !(1 << i);
-                let Some(outer) = &dp[rest] else { continue };
+            for (i, param) in order.joins(mask) {
+                // Every smaller subset has at least its hash join.
+                let outer = dp[mask & !(1 << i)].as_ref().expect("outer side decided");
                 let outer = (outer.cost(), outer.rows());
-                // Prefer connected joins; cross products only when the
-                // rest has no join edge to this table.
-                let connected = rest & neighbours[i];
-                let param = (connected != 0).then(|| {
-                    let slots = &params[i];
-                    slots[slots
-                        .binary_search_by_key(&connected, |s| s.0)
-                        .expect("every neighbour subset has a prepared request")]
-                    .1
-                });
-                self.join_candidates(outer, i, param, rows[mask], &mut best);
+                self.join_candidates(outer, i, param, order.rows[mask], &mut best);
             }
             dp[mask] = best;
         }
 
         // Walk the decisions down from the full set.
-        let mut joins = Vec::with_capacity(n - 1);
+        let mut joins = Vec::with_capacity(prep.plain.len() - 1);
         let mut mask = full_mask;
         let leaf = loop {
             match dp[mask].take().expect("every subset has a hash-join plan") {
@@ -669,12 +622,12 @@ impl<'s> Search<'s> {
     /// grouped views never match subset SPJGs because those carry no
     /// grouping).
     fn subset_view_candidates(&mut self, mask: usize, best: &mut Option<Decision<'s>>) {
+        let prep = self.prep;
         for (m, view_rows) in self.view_matches(Some(mask)) {
-            if m.regroup {
+            let Some(req) = prep.view_index_request(&m, view_rows, Some(mask)) else {
                 continue;
-            }
-            let additional = m.base_map.iter().map(|(_, ord)| *ord);
-            if let Some(access) = self.view_access(&m, view_rows, additional, Vec::new()) {
+            };
+            if let Some(access) = self.view_access(req) {
                 if improves(best, access.cost()) {
                     *best = Some(Decision::Access(access));
                 }
@@ -769,30 +722,6 @@ impl<'s> Search<'s> {
         self.finish(e, stage, group_by, sort_width)
     }
 
-    /// The order request of the query, mapped onto a matched view's
-    /// columns (empty when the view must be regrouped first, or when
-    /// some order column is not in the view).
-    fn view_order(&self, m: &ViewMatch) -> Vec<(ColumnId, bool)> {
-        if m.regroup {
-            return Vec::new();
-        }
-        let order_by = &self.prep.block.order_by;
-        let order: Vec<(ColumnId, bool)> = order_by
-            .iter()
-            .filter_map(|(c, d)| {
-                m.base_map
-                    .iter()
-                    .find(|(b, _)| b == c)
-                    .map(|(_, ord)| (ColumnId::new(m.view_id, *ord), *d))
-            })
-            .collect();
-        if order.len() == order_by.len() {
-            order
-        } else {
-            Vec::new()
-        }
-    }
-
     /// Finish the plan of a query rewritten over a matched view: the
     /// compensating group-by, ordering, projection.
     fn finish_view<E: Emit>(
@@ -870,6 +799,191 @@ impl<'s> Search<'s> {
             cost,
             rows,
             ordered,
+        }
+    }
+}
+
+/// The view requests of a plan search and the index requests over the
+/// views that match them, built the same way for the search and for
+/// the instrumentation walk.
+impl PreparedSelect {
+    /// True if `view` is defined over exactly the block's tables, or
+    /// exactly those at the FROM positions of `subset`.
+    fn spans(&self, view: &MaterializedView, subset: Option<usize>) -> bool {
+        let block = &self.block;
+        let count = subset.map_or(block.tables.len(), |mask| mask.count_ones() as usize);
+        view.def.tables.len() == count
+            && view.def.tables.iter().all(|t| match subset {
+                Some(mask) => self.in_mask(mask, *t),
+                None => block.tables.contains(t),
+            })
+    }
+
+    /// The view request for the SPJG expression over the tables of
+    /// `subset` (`None`: the whole block).
+    fn view_request(&self, subset: Option<usize>) -> ViewRequest {
+        let block = &self.block;
+        let spjg = match subset {
+            Some(mask) => {
+                let tables = block.tables.iter().enumerate();
+                let tables = tables.filter(|(i, _)| mask >> i & 1 == 1).map(|(_, t)| *t);
+                block.spjg_for_subset(&tables.collect())
+            }
+            None => block.to_spjg(),
+        };
+        ViewRequest {
+            spjg,
+            top_level: subset.is_none(),
+        }
+    }
+
+    /// The usable views of `config` over exactly the tables of `subset`
+    /// that match `req`, its view request, with their row counts.
+    fn view_matches(
+        &self,
+        config: &Configuration,
+        req: &ViewRequest,
+        subset: Option<usize>,
+    ) -> Vec<(ViewMatch, f64)> {
+        config
+            .usable_views()
+            .filter(|v| self.spans(v, subset))
+            .filter_map(|v| v.try_match(&req.spjg).map(|m| (m, v.rows)))
+            .collect()
+    }
+
+    /// The index request over a view matched for `subset`: the
+    /// residual predicates of the match, and the view columns the rest
+    /// of the plan reads. A whole-query match also carries the query's
+    /// aggregates and its order; a join subset's match carries neither,
+    /// and one that must be regrouped is not offered at all (`None`):
+    /// grouped views never match subset SPJGs, which carry no grouping.
+    fn view_index_request(
+        &self,
+        m: &ViewMatch,
+        view_rows: f64,
+        subset: Option<usize>,
+    ) -> Option<IndexRequest> {
+        let whole = subset.is_none();
+        if !whole && m.regroup {
+            return None;
+        }
+        let aggregates = m.agg_map.iter().filter(|_| whole).map(|(_, ord)| *ord);
+        let additional = m.base_map.iter().map(|(_, ord)| *ord).chain(aggregates);
+        Some(IndexRequest {
+            table: m.view_id,
+            sargable: m.residual_ranges.clone(),
+            non_sargable: m
+                .residual_others
+                .iter()
+                .map(|o| (o.columns(), o.selectivity))
+                .collect(),
+            order: if whole {
+                self.view_order(m)
+            } else {
+                Vec::new()
+            },
+            additional: additional
+                .map(|ord| ColumnId::new(m.view_id, ord))
+                .collect(),
+            input_rows: view_rows,
+        })
+    }
+
+    /// The order request of the query, mapped onto a matched view's
+    /// columns (empty when the view must be regrouped first, or when
+    /// some order column is not in the view).
+    fn view_order(&self, m: &ViewMatch) -> Vec<(ColumnId, bool)> {
+        if m.regroup {
+            return Vec::new();
+        }
+        let order_by = &self.block.order_by;
+        let order: Vec<(ColumnId, bool)> = order_by
+            .iter()
+            .filter_map(|(c, d)| {
+                m.base_map
+                    .iter()
+                    .find(|(b, _)| b == c)
+                    .map(|(_, ord)| (ColumnId::new(m.view_id, *ord), *d))
+            })
+            .collect();
+        if order.len() == order_by.len() {
+            order
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// The §2 pass over one prepared statement: every request the plan
+/// search issues, in the search's order, each answered by the sink
+/// before the next one is built — and nothing chosen, costed or kept.
+/// The search's order is read from the same places: the prepared
+/// requests, [`DpOrder`](crate::prepared::DpOrder)'s subsets and join
+/// candidates, the greedy steps, and the view requests above.
+struct Walk<'w> {
+    db: &'w Database,
+    opts: &'w OptimizerOptions,
+    prep: &'w PreparedSelect,
+    config: &'w mut Configuration,
+    sink: &'w mut dyn RequestSink,
+}
+
+impl Walk<'_> {
+    fn run(mut self) {
+        let prep = self.prep;
+        match &prep.order {
+            JoinOrder::Single => self.table(prep.plain[0]),
+            JoinOrder::Dp(order) => {
+                for &at in &prep.plain {
+                    self.table(at);
+                }
+                for mask in order.masks() {
+                    if self.opts.subset_view_requests && mask != order.full_mask() {
+                        self.views(Some(mask));
+                    }
+                    for (inner, param) in order.joins(mask) {
+                        self.join(inner, param);
+                    }
+                }
+            }
+            JoinOrder::Greedy { first, steps } => {
+                self.table(prep.plain[*first]);
+                for step in steps {
+                    self.join(step.inner, step.params);
+                }
+            }
+        }
+        self.views(None);
+    }
+
+    /// Issue the prepared request `at`.
+    fn table(&mut self, at: usize) {
+        let req = &self.prep.requests[at].req;
+        self.sink.on_index_request(req, self.db, self.config);
+    }
+
+    /// The requests of joining the table at FROM position `inner`: its
+    /// plain request (the hash join's inner side), then its
+    /// parameterized one (index nested loops), as
+    /// [`Search::join_candidates`] issues them.
+    fn join(&mut self, inner: usize, param: Option<usize>) {
+        self.table(self.prep.plain[inner]);
+        if let Some(at) = param {
+            self.table(at);
+        }
+    }
+
+    /// The view request for `subset` (`None`: the whole block), then an
+    /// index request over each view that matches it once answered.
+    fn views(&mut self, subset: Option<usize>) {
+        let prep = self.prep;
+        let req = prep.view_request(subset);
+        self.sink.on_view_request(&req, self.db, self.config);
+        for (m, view_rows) in prep.view_matches(self.config, &req, subset) {
+            if let Some(req) = prep.view_index_request(&m, view_rows, subset) {
+                self.sink.on_index_request(&req, self.db, self.config);
+            }
         }
     }
 }

@@ -64,23 +64,65 @@ pub(crate) enum JoinOrder {
     /// One table: no join.
     Single,
     /// Exhaustive left-deep DP over every subset.
-    Dp {
-        /// Per FROM position, the positions a join predicate connects
-        /// it to, as a mask.
-        neighbours: Vec<usize>,
-        /// Per FROM position, `(neighbours in the outer subset,
-        /// request)` for every non-empty such set, sorted by the mask:
-        /// the parameterized requests of its index nested-loops joins.
-        params: Vec<Vec<(usize, usize)>>,
-        /// Output rows of each subset mask (0 for masks of fewer than
-        /// two tables, which the DP never sizes).
-        rows: Vec<f64>,
-    },
+    Dp(DpOrder),
     /// A greedy left-deep order, fixed by cardinalities alone.
     Greedy {
         first: usize,
         steps: Vec<GreedyStep>,
     },
+}
+
+/// The exhaustive left-deep DP's subsets and join candidates. The plan
+/// search and the instrumentation walk both enumerate them through
+/// [`DpOrder::masks`] and [`DpOrder::joins`], so the two issue their
+/// requests in one order.
+#[derive(Debug)]
+pub(crate) struct DpOrder {
+    /// Per FROM position, the positions a join predicate connects it
+    /// to, as a mask.
+    neighbours: Vec<usize>,
+    /// Per FROM position, `(neighbours in the outer subset, request)`
+    /// for every non-empty such set, sorted by the mask: the
+    /// parameterized requests of its index nested-loops joins.
+    params: Vec<Vec<(usize, usize)>>,
+    /// Output rows of each subset mask (0 for masks of fewer than two
+    /// tables, which the DP never sizes).
+    pub(crate) rows: Vec<f64>,
+}
+
+impl DpOrder {
+    /// The mask of the whole FROM list.
+    pub(crate) fn full_mask(&self) -> usize {
+        (1 << self.neighbours.len()) - 1
+    }
+
+    /// Every subset of two or more FROM positions, in the order the DP
+    /// decides them (ascending mask, so each subset's outer sides are
+    /// decided before it).
+    pub(crate) fn masks(&self) -> impl Iterator<Item = usize> {
+        (3..=self.full_mask()).filter(|mask: &usize| mask.count_ones() >= 2)
+    }
+
+    /// The join candidates of subset `mask`, in enumeration order: each
+    /// inner FROM position in FROM order, with the parameterized
+    /// request of its index nested-loops join when a join predicate
+    /// connects it to the rest of the subset (cross products only join
+    /// by hash).
+    pub(crate) fn joins(&self, mask: usize) -> impl Iterator<Item = (usize, Option<usize>)> + '_ {
+        (0..self.neighbours.len())
+            .filter(move |i| mask >> i & 1 == 1)
+            .map(move |i| {
+                let connected = mask & !(1 << i) & self.neighbours[i];
+                let param = (connected != 0).then(|| {
+                    let slots = &self.params[i];
+                    slots[slots
+                        .binary_search_by_key(&connected, |s| s.0)
+                        .expect("every neighbour subset has a prepared request")]
+                    .1
+                });
+                (i, param)
+            })
+    }
 }
 
 /// One join of the greedy order.
@@ -170,11 +212,11 @@ impl PreparedSelect {
                     }
                 })
                 .collect();
-            JoinOrder::Dp {
+            JoinOrder::Dp(DpOrder {
                 neighbours,
                 params,
                 rows,
-            }
+            })
         } else {
             greedy_order(&schema, &block, &card, &mut requests)
         };

@@ -50,13 +50,22 @@ impl IndexRequest {
     /// equal field by field with every `f64` compared by its bits. A
     /// map keyed by it finds the earlier issues of a request.
     pub fn bit_key(&self) -> Vec<u64> {
+        let mut key = Vec::new();
+        self.write_bit_key(&mut key);
+        key
+    }
+
+    /// [`bit_key`](Self::bit_key) written into `key`, which is cleared
+    /// first: a caller that looks up many requests reuses one buffer.
+    pub fn write_bit_key(&self, key: &mut Vec<u64>) {
         let col = |c: &ColumnId| u64::from(c.table.0) << 16 | u64::from(c.ordinal);
         let bound = |b: &Bound| match b {
             Bound::Unbounded => [0, 0],
             Bound::Inclusive(v) => [1, v.to_bits()],
             Bound::Exclusive(v) => [2, v.to_bits()],
         };
-        let mut key = vec![u64::from(self.table.0), self.input_rows.to_bits()];
+        key.clear();
+        key.extend([u64::from(self.table.0), self.input_rows.to_bits()]);
         key.push(self.sargable.len() as u64);
         for s in &self.sargable {
             key.push(col(&s.column));
@@ -90,7 +99,6 @@ impl IndexRequest {
         );
         key.push(self.additional.len() as u64);
         key.extend(self.additional.iter().map(col));
-        key
     }
 }
 
@@ -126,10 +134,13 @@ pub trait RequestSink {
     /// the sink type, not a setting: only a sink that ignores every
     /// request and never touches the configuration may answer `false`.
     /// The optimizer then neither builds requests nobody reads nor
-    /// chooses the same access path twice in one invocation. Any sink
-    /// that counts, traces or extends the configuration must see every
-    /// request, in enumeration order, and each choice must be made
-    /// under the configuration it left behind.
+    /// chooses the same access path twice in one invocation, and
+    /// `Optimizer::observe_with_sink` does nothing. Any sink that
+    /// counts, traces or extends the configuration must see every
+    /// request, in enumeration order, each built under the
+    /// configuration it left behind: a planning search
+    /// (`Optimizer::optimize_with_sink`) also makes each choice under
+    /// it, and the §2 walk (`Optimizer::observe_with_sink`) makes none.
     fn observes(&self) -> bool {
         true
     }

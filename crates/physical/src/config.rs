@@ -220,7 +220,9 @@ impl Configuration {
     }
 
     /// The page memo of `index` if it is one of this configuration's own
-    /// handles (the same allocation, not merely an equal index).
+    /// handles (the same allocation, not merely an equal index). A
+    /// caller walking a table's handles reads each slot's memo in step
+    /// instead ([`PhysicalSchema::indexes_with_pages_on`]).
     fn page_memo(&self, index: &Index) -> Option<&Memo> {
         // The table's range is short: scan it from its start instead of
         // searching for its end too.
@@ -575,6 +577,18 @@ fn remap_index(index: &Index, new_table: TableId) -> Index {
     idx
 }
 
+/// Where one of a configuration's own indexes memoizes its page count
+/// under a schema, handed out beside the handle by
+/// [`PhysicalSchema::indexes_with_pages_on`]; empty when the schema
+/// sizes the index differently from its configuration.
+#[derive(Clone, Copy)]
+pub struct PageSlot<'a>(pub(crate) Option<&'a Memo>);
+
+impl PageSlot<'_> {
+    /// No memo: [`SizeModel::index_pages_at`] computes the count.
+    pub const NONE: PageSlot<'static> = PageSlot(None);
+}
+
 /// Unified schema accessor over base tables and materialized views.
 #[derive(Clone, Copy)]
 pub struct PhysicalSchema<'a> {
@@ -614,16 +628,40 @@ impl<'a> PhysicalSchema<'a> {
         }
     }
 
+    /// Whether this schema sizes `table`'s indexes as `config` does, so
+    /// their page memos apply: always for a base table, for a view only
+    /// when the schema hides no view and adds none.
+    fn sizes_as_config(&self, table: TableId) -> bool {
+        !table.is_view() || (self.hidden_views.is_empty() && self.extra_view.is_none())
+    }
+
     /// The page memo of `index` under this schema: present when `index`
     /// is one of `config`'s own handles and this schema sizes it as
-    /// `config` does — always for a base table's index, for a view's
-    /// only when the schema hides no view and adds none.
+    /// `config` does.
     pub(crate) fn page_memo(&self, index: &Index) -> Option<&'a Memo> {
-        let plain = self.hidden_views.is_empty() && self.extra_view.is_none();
-        if index.table.is_view() && !plain {
+        if !self.sizes_as_config(index.table) {
             return None;
         }
         self.config.page_memo(index)
+    }
+
+    /// One table's (or view's) index handles, in
+    /// [`Configuration::index_handles_on`] order, each with where its
+    /// page count is memoized under this schema (nowhere when the
+    /// schema sizes the table's indexes differently from `config`):
+    /// what [`SizeModel::index_pages_at`] reads without searching for
+    /// the handle.
+    pub fn indexes_with_pages_on(
+        &self,
+        table: TableId,
+    ) -> impl Iterator<Item = (&'a Arc<Index>, PageSlot<'a>)> + Clone {
+        let memos = self.sizes_as_config(table);
+        let config = self.config;
+        let run = config.table_range(table);
+        config.indexes[run.clone()]
+            .iter()
+            .zip(&config.index_slots[run])
+            .map(move |(handle, slot)| (handle, PageSlot(memos.then_some(&slot.pages))))
     }
 
     /// The view registered under `id`, if this schema resolves it.

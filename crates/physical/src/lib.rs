@@ -20,6 +20,6 @@ mod memo;
 pub mod size;
 pub mod view;
 
-pub use config::{index_sig128, view_sig128, Configuration, PhysicalSchema, Tagged128};
+pub use config::{index_sig128, view_sig128, Configuration, PageSlot, PhysicalSchema, Tagged128};
 pub use index::Index;
 pub use view::{MaterializedView, SpjgExpr, ViewColumn, ViewColumnSource, ViewMatch};

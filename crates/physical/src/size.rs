@@ -9,7 +9,7 @@
 //! mentions fill factors, hidden rid columns and page overheads — all
 //! modelled here.
 
-use crate::config::PhysicalSchema;
+use crate::config::{PageSlot, PhysicalSchema};
 use crate::index::Index;
 
 /// Constants of the storage engine model.
@@ -106,7 +106,20 @@ impl SizeModel {
     ///
     /// [`Database::uid`]: pdt_catalog::Database::uid
     pub fn index_pages(&self, schema: &PhysicalSchema<'_>, index: &Index) -> f64 {
-        match schema.page_memo(index) {
+        self.index_pages_at(schema, index, PageSlot(schema.page_memo(index)))
+    }
+
+    /// [`SizeModel::index_pages`] of `index`, whose memo under `schema`
+    /// is `slot` (as [`PhysicalSchema::indexes_with_pages_on`] hands
+    /// them out together): the same count, read without searching the
+    /// configuration for the handle.
+    pub fn index_pages_at(
+        &self,
+        schema: &PhysicalSchema<'_>,
+        index: &Index,
+        slot: PageSlot<'_>,
+    ) -> f64 {
+        match slot.0 {
             Some(memo) if *self == SizeModel::default() => {
                 let uid = schema.db.uid();
                 let [at, pages] =

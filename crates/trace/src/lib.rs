@@ -579,10 +579,15 @@ pub fn hot_span<'a>(tracer: Option<&'a Tracer>, phase: HotPhase) -> Option<HotSp
     tracer.map(|t| t.hot_span(phase))
 }
 
-/// Emit through an optional tracer (no-op when tracing is off).
-pub fn emit(tracer: Option<&Tracer>, kind: &'static str, fields: Vec<(&'static str, Value)>) {
+/// Emit through an optional tracer (no-op when tracing is off). The
+/// fields are built only when a tracer listens.
+pub fn emit(
+    tracer: Option<&Tracer>,
+    kind: &'static str,
+    fields: impl FnOnce() -> Vec<(&'static str, Value)>,
+) {
     if let Some(t) = tracer {
-        t.emit(kind, fields);
+        t.emit(kind, fields());
     }
 }
 
@@ -647,10 +652,10 @@ mod tests {
 
     #[test]
     fn optional_tracer_helpers_noop_when_disabled() {
-        emit(None, "ignored", vec![("x", 1u64.into())]);
+        emit(None, "ignored", || unreachable!("no tracer, no fields"));
         incr(None, "ignored", 5);
         let t = Tracer::new();
-        emit(Some(&t), "kept", vec![]);
+        emit(Some(&t), "kept", || vec![("x", 1u64.into())]);
         incr(Some(&t), "kept", 2);
         assert_eq!(t.len(), 1);
         assert_eq!(t.counter("kept"), 2);

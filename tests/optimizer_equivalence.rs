@@ -34,12 +34,15 @@ use pdtune::catalog::ColumnId;
 use pdtune::catalog::Database;
 use pdtune::expr::BoundSelect;
 use pdtune::opt::optimizer::simulate_view;
-use pdtune::opt::{CountingSink, Op, Optimizer, OptimizerOptions, PhysPlan, QueryBlock};
+use pdtune::opt::{
+    CountingSink, IndexRequest, Op, Optimizer, OptimizerOptions, PhysPlan, QueryBlock, RequestSink,
+    ViewRequest,
+};
 use pdtune::physical::{Configuration, Index};
 use pdtune::sql::Statement;
 use pdtune::trace::Tracer;
 use pdtune::tuner::instrument::{
-    gather_optimal_configuration, gather_optimal_configuration_traced,
+    gather_optimal_configuration, gather_optimal_configuration_traced, OptimalSink,
 };
 use pdtune::tuner::{transform, Workload};
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
@@ -521,6 +524,126 @@ fn a_sink_mutating_mid_enumeration_changes_the_plan_as_on_the_parent() {
         digest, GOLDEN_MUTATION_DIGEST,
         "plans under a mutating sink moved: {digest:#018x} ({moved} plans use the index)"
     );
+}
+
+/// Logs every request it receives — an index request's `bit_key`, a
+/// view request's `Debug` — with the configuration's `signature128`
+/// once the request is answered: by the wrapped `OptimalSink`, or by
+/// nobody when it runs bare.
+struct RecordingSink {
+    inner: Option<OptimalSink>,
+    log: Vec<(char, u64)>,
+    /// Index requests over a view: the requests of the view matches.
+    view_index_requests: usize,
+}
+
+impl RecordingSink {
+    fn new(inner: Option<OptimalSink>) -> RecordingSink {
+        RecordingSink {
+            inner,
+            log: Vec::new(),
+            view_index_requests: 0,
+        }
+    }
+
+    fn record(&mut self, kind: char, request: &[u8], config: &Configuration) {
+        let digest = fnv1a(FNV_OFFSET, request);
+        let digest = fnv1a(digest, &config.signature128().to_le_bytes());
+        self.log.push((kind, digest));
+    }
+}
+
+impl RequestSink for RecordingSink {
+    fn on_index_request(&mut self, req: &IndexRequest, db: &Database, config: &mut Configuration) {
+        if let Some(inner) = &mut self.inner {
+            inner.on_index_request(req, db, config);
+        }
+        if req.table.is_view() {
+            self.view_index_requests += 1;
+        }
+        let key: Vec<u8> = req.bit_key().iter().flat_map(|w| w.to_le_bytes()).collect();
+        self.record('i', &key, config);
+    }
+
+    fn on_view_request(&mut self, req: &ViewRequest, db: &Database, config: &mut Configuration) {
+        if let Some(inner) = &mut self.inner {
+            inner.on_view_request(req, db, config);
+        }
+        self.record('v', format!("{req:?}").as_bytes(), config);
+    }
+}
+
+/// The §2 pass walks the prepared statement's requests instead of
+/// planning: `observe_with_sink` must issue exactly the requests
+/// `optimize_with_sink`'s search issues, in its order, and leave the
+/// configuration after each answer where the search leaves it — over
+/// every corpus, under the base, the optimal and the subset-view
+/// configuration, with an `OptimalSink` answering and bare, through the
+/// DP and the greedy order (one-table blocks included).
+#[test]
+fn the_request_walk_issues_what_the_planning_search_issues() {
+    let (mut requests, mut view_index_requests, mut single_table) = (0, 0, 0);
+    for corpus in corpora() {
+        let db = &corpus.db;
+        let w = Workload::bind(db, &corpus.statements).expect("corpus binds");
+        let opt = Optimizer::new(db);
+        let greedy = Optimizer::with_options(
+            db,
+            OptimizerOptions {
+                max_dp_tables: 2,
+                ..OptimizerOptions::default()
+            },
+        );
+        let base = Configuration::base(db);
+        let (optimal, _) = gather_optimal_configuration(db, &w, corpus.with_views);
+        let [_, subset_views] = hand_built(db, &opt, &w, &base);
+        single_table += selects(&w).filter(|q| q.tables.len() == 1).count();
+        for (o, order) in [(&opt, "dp"), (&greedy, "greedy")] {
+            for (config, name) in [
+                (&base, "base"),
+                (&optimal, "optimal"),
+                (&subset_views, "subset"),
+            ] {
+                for answering in [true, false] {
+                    let pass = |plan: bool| {
+                        let mut working = config.clone();
+                        let inner = answering.then(|| OptimalSink::new(corpus.with_views));
+                        let mut sink = RecordingSink::new(inner);
+                        for q in selects(&w) {
+                            if plan {
+                                o.optimize_with_sink(&mut working, q, &mut sink);
+                            } else {
+                                o.observe_with_sink(&mut working, q, &mut sink);
+                            }
+                        }
+                        (sink, working.signature128())
+                    };
+                    let (planned, planned_config) = pass(true);
+                    let (walked, walked_config) = pass(false);
+                    let at = planned
+                        .log
+                        .iter()
+                        .zip(&walked.log)
+                        .position(|(a, b)| a != b);
+                    assert!(
+                        at.is_none() && planned.log.len() == walked.log.len(),
+                        "{} {order} {name} answering={answering}: the walk diverges at request \
+                         {:?} of {} (walked {})",
+                        corpus.name,
+                        at,
+                        planned.log.len(),
+                        walked.log.len()
+                    );
+                    assert_eq!(planned_config, walked_config);
+                    requests += walked.log.len();
+                    view_index_requests += walked.view_index_requests;
+                }
+            }
+        }
+    }
+    assert!(single_table > 0, "no one-table block in the corpora");
+    assert!(view_index_requests > 0, "no view was ever matched");
+    assert!(requests > 20_000, "corpus shrank: {requests} requests");
 }
 
 // Recorded on the parent engine (commit 49645a7, rustc 1.95.0), debug

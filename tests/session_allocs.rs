@@ -53,6 +53,7 @@ fn tuning_sessions_stay_under_their_allocation_ceilings() {
     };
     for (spec, ceiling) in [(&tpch, TPCH_CEILING), (&ds2, DS2_CEILING)] {
         let allocs = session_allocations(spec);
+        eprintln!("{}: {allocs} allocations (ceiling {ceiling})", spec.db);
         assert!(
             allocs <= ceiling,
             "{} session allocated {allocs} times (ceiling {ceiling})",
@@ -61,9 +62,11 @@ fn tuning_sessions_stay_under_their_allocation_ceilings() {
     }
 }
 
-/// 1.15x the TPC-H session's count with shared candidates and the page
-/// memo (63,618); the engine before them allocated 119,895 times.
-const TPCH_CEILING: u64 = 73_160;
-/// 1.15x the DS2 session's count (58,516; 60,670 before). Few of its
-/// nodes are scored, so sharing saves it little.
-const DS2_CEILING: u64 = 67_293;
+/// 1.15x the TPC-H session's count (55,133) since the §2 pass walks the
+/// requests instead of planning and runs the session's prepared
+/// statements; 63,618 before, and 119,895 before shared candidates and
+/// the page memo.
+const TPCH_CEILING: u64 = 63_402;
+/// 1.15x the DS2 session's count (52,087; 58,516 before the request
+/// walk, 60,670 before shared candidates).
+const DS2_CEILING: u64 = 59_900;
