@@ -185,6 +185,63 @@ fn baseline_charges_each_view_its_own_index() {
     assert_eq!(report.best_size, report.best_config.size_bytes(&db));
 }
 
+/// FNV-1a (64-bit), hand-rolled so the digest depends on the bytes
+/// alone.
+fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        state ^= u64::from(*b);
+        state = state.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    state
+}
+
+/// The bottom-up baseline's bytes: the JSONL trace and the `{:#?}`
+/// report (wall clocks zeroed, hot phases cleared) of 22 runs — TPC-H,
+/// DS1 seed 3, DS2 seed 8 and BENCH seeds 0-7, each with views on and
+/// off. Recorded at commit 1f5e5da, where stage 1 still planned each
+/// query under a sink.
+#[test]
+fn baseline_bytes_golden_digest() {
+    use pdtune::trace::Tracer;
+    use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
+    let mut corpora = vec![tpch_setup()];
+    for (p, seed) in [(StarParams::ds1(), 3u64), (StarParams::ds2(), 8)] {
+        let db = star_database(&p);
+        let w = Workload::bind(&db, &star_workload(&p, seed, 8).statements).unwrap();
+        corpora.push((db, w));
+    }
+    for seed in 0..8u64 {
+        let db = bench_database(&BenchParams::default());
+        let w = Workload::bind(&db, &bench_workload(&db, seed, 10).statements).unwrap();
+        corpora.push((db, w));
+    }
+    let mut digest = 0xCBF2_9CE4_8422_2325;
+    for (db, w) in &corpora {
+        for with_views in [true, false] {
+            let options = BaselineOptions {
+                with_views,
+                ..BaselineOptions::default()
+            };
+            let tracer = Tracer::new();
+            let mut report = BaselineAdvisor::new(db, options).tune_traced(w, Some(&tracer));
+            report.elapsed = std::time::Duration::ZERO;
+            let summary = report.trace.as_mut().expect("traced");
+            for p in &mut summary.phases {
+                p.elapsed = std::time::Duration::ZERO;
+            }
+            summary.hot_phases.clear();
+            digest = fnv1a(digest, tracer.to_jsonl().as_bytes());
+            digest = fnv1a(digest, format!("{report:#?}").as_bytes());
+        }
+    }
+    assert_eq!(
+        digest, GOLDEN_BASELINE_DIGEST,
+        "the baseline's traces or reports moved: {digest:#018x}"
+    );
+}
+
+const GOLDEN_BASELINE_DIGEST: u64 = 0x4805_DBBA_898D_E9F6;
+
 #[test]
 fn mixed_workload_recommendation_beats_both_extremes() {
     let db = tpch::tpch_database(0.02);
