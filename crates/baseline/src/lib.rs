@@ -270,16 +270,17 @@ impl<'a> BaselineAdvisor<'a> {
         }
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut seen: BTreeSet<String> = BTreeSet::new();
-        for entry in &workload.entries {
+        for (i, entry) in workload.entries.iter().enumerate() {
             let Some(q) = &entry.select else { continue };
-            // Index candidates: optimize the query in isolation
-            // (indexes only) and keep what the plan used.
+            // Index candidates: tune the query in isolation (the §2
+            // pass, indexes only) and keep what its plan uses.
+            let stmt = prepared.get(&opt, i, q);
             let mut cfg = base.clone();
             let mut sink = TracingSink::new(OptimalSink::new(false), tracer);
-            let plan = opt.optimize_with_sink(&mut cfg, q, &mut sink);
+            opt.observe_prepared_with_sink(&mut cfg, stmt, &mut sink);
             calls += 1;
             pdt_trace::incr(tracer, "optimizer.calls", 1);
-            let mut used: Vec<&pdt_opt::IndexUsage> = plan.index_usages.iter().collect();
+            let mut used = opt.what_if(&cfg, stmt).index_usages;
             used.sort_by(|a, b| b.access_cost().total_cmp(&a.access_cost()));
             let mut taken = 0usize;
             for u in used {
@@ -290,16 +291,9 @@ impl<'a> BaselineAdvisor<'a> {
                     continue;
                 }
                 // Width cap: keep only the first few suffix columns.
-                let mut idx = u.index.clone();
-                if idx.suffix.len() > self.options.max_suffix_cols {
-                    idx.suffix = idx
-                        .suffix
-                        .iter()
-                        .copied()
-                        .take(self.options.max_suffix_cols)
-                        .collect();
-                }
-                let cand = Candidate::Index(idx);
+                let cap = self.options.max_suffix_cols;
+                let suffix = u.index.suffix.iter().copied().take(cap).collect();
+                let cand = Candidate::Index(Index { suffix, ..u.index });
                 if seen.insert(cand.signature()) {
                     candidates.push(cand);
                 }

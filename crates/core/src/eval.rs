@@ -188,7 +188,7 @@ impl PreparedStatements {
     }
 
     /// Entry `i`'s prepared statement, preparing `q` on first use.
-    pub(crate) fn get(&self, opt: &Optimizer<'_>, i: usize, q: &BoundSelect) -> &PreparedSelect {
+    pub fn get(&self, opt: &Optimizer<'_>, i: usize, q: &BoundSelect) -> &PreparedSelect {
         self.slots[i].get_or_init(|| opt.prepare(q))
     }
 }

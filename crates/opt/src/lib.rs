@@ -8,11 +8,13 @@
 //! * there is **one** component that generates physical strategies for
 //!   single-table logical sub-plans ([`access`]), and **one** view
 //!   matching component ([`Optimizer`] drives [`pdt_physical::view`]);
-//! * every time either is invoked, the optimizer first calls a
-//!   [`RequestSink`] with the full [`IndexRequest`] `(S, N, O, A)` or
-//!   [`ViewRequest`] (an SPJG sub-query). The sink may add hypothetical
-//!   structures to the working configuration *before* the optimizer
-//!   continues — the suspend/analyze/resume loop of the paper's Fig. 2;
+//! * the §2 walk ([`Optimizer::observe_with_sink`]) hands a
+//!   [`RequestSink`] every full [`IndexRequest`] `(S, N, O, A)` and
+//!   [`ViewRequest`] (an SPJG sub-query) a plan search would make, in
+//!   its order. The sink may add hypothetical structures to the working
+//!   configuration *before* the next request is built — the
+//!   suspend/analyze/resume loop of the paper's Fig. 2. A plan search
+//!   is a pure function of the configuration and issues no requests;
 //! * plans carry per-index [`IndexUsage`] annotations: everything the
 //!   paper's §3.3.2 extracts from "explain" output (cost, rows, seek vs
 //!   scan, seek selectivity, provided order, provided columns).
@@ -38,4 +40,4 @@ pub use cost::CostModel;
 pub use optimizer::{invocation_count, plan_footprint, reprice_plan, Optimizer, OptimizerOptions};
 pub use plan::{IndexUsage, Op, PhysPlan, PlanNode, UsageKind};
 pub use prepared::{PreparedSelect, WhatIf};
-pub use request::{CountingSink, IndexRequest, NullSink, RequestSink, TracingSink, ViewRequest};
+pub use request::{CountingSink, IndexRequest, RequestSink, TracingSink, ViewRequest};

@@ -3,7 +3,7 @@
 //!
 //! A plan search reads two kinds of facts. The query block, its
 //! cardinality factors, the FROM-position map, the join order of a
-//! greedy search, and every index request the join enumeration issues
+//! greedy search, and every index request the join enumeration makes
 //! over a base table read the statement and catalog statistics only.
 //! So do each request's selectivities, column sets and output
 //! cardinality. Which access path, join method and view wins reads the
@@ -50,7 +50,7 @@ pub struct PreparedSelect {
     /// binder rejects a table that appears twice.
     pub(crate) positions: Vec<(TableId, usize)>,
     /// One request per distinct `(FROM position, join parameter bits)`
-    /// the join enumeration issues.
+    /// the join enumeration makes.
     pub(crate) requests: Vec<PreparedRequest>,
     /// Per FROM position, its request without join parameters (for a
     /// one-table block, the request that carries the query's order).
@@ -74,8 +74,8 @@ pub(crate) enum JoinOrder {
 
 /// The exhaustive left-deep DP's subsets and join candidates. The plan
 /// search and the instrumentation walk both enumerate them through
-/// [`DpOrder::masks`] and [`DpOrder::joins`], so the two issue their
-/// requests in one order.
+/// [`DpOrder::masks`] and [`DpOrder::joins`], so the walk issues its
+/// requests in the order the search reads them.
 #[derive(Debug)]
 pub(crate) struct DpOrder {
     /// Per FROM position, the positions a join predicate connects it

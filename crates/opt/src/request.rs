@@ -3,9 +3,11 @@
 //! "Each time the optimizer issues an index or view request, we suspend
 //! optimization and analyze the request ... we then simulate these
 //! hypothetical structures in the system catalogs and resume
-//! optimization" (paper §2, Fig. 2). A [`RequestSink`] receives each
-//! request *before* the optimizer enumerates physical alternatives and
-//! may add hypothetical structures to the working configuration.
+//! optimization" (paper §2, Fig. 2). The §2 walk
+//! (`Optimizer::observe_with_sink`) hands a [`RequestSink`] each
+//! request a plan search makes, in the search's order, and the sink may
+//! add hypothetical structures to the working configuration before the
+//! next request is built. A plan search itself issues no requests.
 
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_expr::{Bound, Sarg, SargablePred};
@@ -129,31 +131,6 @@ pub trait RequestSink {
     /// indexes) to `config`.
     fn on_view_request(&mut self, _req: &ViewRequest, _db: &Database, _config: &mut Configuration) {
     }
-
-    /// Whether this sink looks at the requests at all. A property of
-    /// the sink type, not a setting: only a sink that ignores every
-    /// request and never touches the configuration may answer `false`.
-    /// The optimizer then neither builds requests nobody reads nor
-    /// chooses the same access path twice in one invocation, and
-    /// `Optimizer::observe_with_sink` does nothing. Any sink that
-    /// counts, traces or extends the configuration must see every
-    /// request, in enumeration order, each built under the
-    /// configuration it left behind: a planning search
-    /// (`Optimizer::optimize_with_sink`) also makes each choice under
-    /// it, and the §2 walk (`Optimizer::observe_with_sink`) makes none.
-    fn observes(&self) -> bool {
-        true
-    }
-}
-
-/// A sink that does nothing (plain optimization).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl RequestSink for NullSink {
-    fn observes(&self) -> bool {
-        false
-    }
 }
 
 /// A sink that counts requests (reproduces the paper's Table 1).
@@ -179,9 +156,9 @@ impl RequestSink for CountingSink {
 }
 
 /// A sink that emits one trace event per request when it has a tracer,
-/// then delegates to an inner sink. Optimization under a sink is
-/// single-threaded (requests arrive in plan-enumeration order), so the
-/// event stream is deterministic for a given query and configuration.
+/// then delegates to an inner sink. The §2 walk is single-threaded and
+/// issues requests in the plan search's order, so the event stream is
+/// deterministic for a given query and configuration.
 pub struct TracingSink<'a, S: RequestSink> {
     inner: S,
     tracer: Option<&'a pdt_trace::Tracer>,

@@ -58,7 +58,7 @@ fn optimal_configuration_is_a_fixed_point() {
     let mut sink = pdtune::tuner::OptimalSink::new(true);
     for e in &w.entries {
         if let Some(q) = &e.select {
-            opt.optimize_with_sink(&mut config2, q, &mut sink);
+            opt.observe_with_sink(&mut config2, q, &mut sink);
         }
     }
     let after: f64 = w
