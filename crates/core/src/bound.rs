@@ -890,8 +890,10 @@ fn replacement_cost<'a>(
 
     let map_col = |c: &ColumnId| -> ColumnId { delta.col_map.get(c).copied().unwrap_or(*c) };
     // The old index's pages, and each candidate's below, are priced
-    // once: its size and its levels derive from them.
-    let old_pages = model.index_pages(old_schema, &usage.index);
+    // once: its size and its levels derive from them. A usage holds a
+    // copy of its index, never one of the configuration's handles, so
+    // no page memo can serve it.
+    let old_pages = model.size.compute_index_pages(old_schema, &usage.index);
     let old_size = (old_pages * model.size.page_size).max(model.size.page_size);
     let old_levels = model.levels_of(old_pages).max(1.0);
     // The usage's columns in the relaxed configuration's column space,
