@@ -325,6 +325,10 @@ pub enum Reference {
     Costs,
 }
 
+// `options_signature` hashes `usize` options and `derive(Hash)` values,
+// which are fed at the target's width.
+const _: () = assert!(usize::BITS == 64, "signatures pinned for 64-bit");
+
 /// Hash of every decision-relevant option plus the workload and
 /// database identity, used to pair checkpoints with sessions. Excludes
 /// knobs that cannot change the search trajectory: `threads` (ignored),

@@ -52,6 +52,10 @@ impl fmt::Display for Transformation {
     }
 }
 
+// `sig` hashes `derive(Hash)` values (an index, a `usize` length),
+// which are fed at the target's width.
+const _: () = assert!(usize::BITS == 64, "signatures pinned for 64-bit");
+
 impl Transformation {
     /// Content signature: the variant tag, then each component in order
     /// (an index as its own [`DefaultHasher`] hash, a prefix length, a

@@ -502,6 +502,10 @@ impl Configuration {
     }
 }
 
+// The signatures above and `Tagged128` hash `derive(Hash)` values, whose
+// lengths and discriminants are fed at the target's width.
+const _: () = assert!(usize::BITS == 64, "signatures pinned for 64-bit");
+
 /// A 128-bit content hasher: two `DefaultHasher`s seeded with distinct
 /// tag prefixes, combined as `(hi << 64) | lo`. Like the 64-bit
 /// signatures it widens, it is only stable within one build (`std`'s

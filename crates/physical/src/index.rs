@@ -14,6 +14,11 @@ use pdt_catalog::{ColumnId, TableId};
 use std::collections::BTreeSet;
 use std::fmt;
 
+// `derive(Hash)` feeds a length as a native `usize` and a discriminant
+// as a native `isize`, so every pinned signature literal (an index's
+// hash and all that fold it) holds on 64-bit targets only.
+const _: () = assert!(usize::BITS == 64, "signatures pinned for 64-bit");
+
 /// A (possibly hypothetical) B-tree index.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Index {
