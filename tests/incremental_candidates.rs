@@ -295,6 +295,68 @@ fn star_views_golden_digest() {
     );
 }
 
+/// One wide select-only session shaped like the benchmark's
+/// `prepass_wide`: budget 5 % of the way from the base configuration to
+/// the §2 optimal one, so the §3.5 pre-pass relaxes a wide optimal
+/// configuration step by step before the loop starts.
+fn wide_session(
+    db: &pdtune::catalog::Database,
+    statements: &[pdtune::sql::Statement],
+    with_views: bool,
+) -> (TuningReport, String) {
+    let w = Workload::bind(db, statements).unwrap();
+    let (optimal, _) = pdtune::tuner::gather_optimal_configuration(db, &w, with_views);
+    let base = Configuration::base(db);
+    let base_size = base.size_bytes(db);
+    let options = TunerOptions {
+        space_budget: Some(base_size + 0.05 * (optimal.size_bytes(db) - base_size)),
+        max_iterations: 40,
+        with_views,
+        ..TunerOptions::default()
+    };
+    let (report, trace) = traced(db, &w, &options, None);
+    assert!(
+        optimal.structure_count() - base.structure_count() >= 40,
+        "the optimal configuration is too narrow to pin a long pre-pass ({} structures)",
+        optimal.structure_count() - base.structure_count(),
+    );
+    assert!(
+        report.best.is_some() && trace.contains("prepass.remove"),
+        "the pre-pass removed nothing"
+    );
+    (report, trace)
+}
+
+/// The traces and reports of wide select-only pre-passes: DS1 and DS2
+/// at 16 queries and the generated schema at 28, all with views, plus
+/// one TPC-H session without views.
+#[test]
+fn wide_prepass_golden_digest() {
+    let mut digest = FNV_OFFSET;
+    let mut fold = |label: &str, (report, trace): (TuningReport, String)| {
+        digest = fnv1a(digest, label.as_bytes());
+        digest = fnv1a(digest, trace.as_bytes());
+        digest = fnv1a(digest, fingerprint(&report).as_bytes());
+    };
+    for (label, params, seed) in [("ds1", StarParams::ds1(), 3), ("ds2", StarParams::ds2(), 8)] {
+        let spec = star_workload(&params, seed, 16);
+        fold(
+            label,
+            wide_session(&star_database(&params), &spec.statements, true),
+        );
+    }
+    let db = bench_database(&BenchParams::default());
+    let spec = bench_workload(&db, 5, 28);
+    fold("bench", wide_session(&db, &spec.statements, true));
+    let db = tpch::tpch_database(0.05);
+    let spec = tpch::tpch_workload();
+    fold("tpch", wide_session(&db, &spec.statements, false));
+    assert_eq!(
+        digest, GOLDEN_WIDE_DIGEST,
+        "the wide pre-pass sessions' traces or reports moved: {digest:#018x}"
+    );
+}
+
 /// One traced session over the TPC-H update mix the resume and fault
 /// suites use (24 MB budget, 40 iterations unless `opts` says otherwise).
 fn modes_session(opts: TunerOptions) -> (TuningReport, String) {
@@ -588,3 +650,8 @@ const GOLDEN_STAR_DIGEST: u64 = 0x1B53_949A_06ED_3E77;
 // shortcut-aborted evaluations: only `call-budget-tpch-12-false` moved,
 // in its hit/miss/call/avoided counters. Debug and release builds agree.
 const GOLDEN_MODES_DIGEST: u64 = 0x5EBD_5823_1C2F_0369;
+
+// Digest of the wide pre-pass sessions (labels, JSONL traces and report
+// fingerprints), recorded before the pre-pass learned to stop scoring at
+// its floor: that change moves no byte. Debug and release builds agree.
+const GOLDEN_WIDE_DIGEST: u64 = 0x34DC_D0A9_0D17_66B6;
