@@ -128,7 +128,7 @@ impl RequestSink for OptimalSink {
         if !self.with_views || (!req.top_level && !self.subset_views) {
             return;
         }
-        let def = &req.spjg;
+        let def = req.spjg();
         // Single-table, predicate-free, ungrouped views are just the
         // base table; everything else is worth materializing.
         let trivial = def.tables.len() == 1

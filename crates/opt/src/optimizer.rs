@@ -399,7 +399,7 @@ impl<'s> Search<'s> {
         if !self.config.usable_views().any(|v| prep.spans(v, subset)) {
             return Vec::new();
         }
-        prep.view_matches(self.config, &prep.view_request(subset), subset)
+        prep.view_matches(self.config, &ViewRequest::over(prep, subset), subset)
     }
 
     /// Access path for `req`, a request over a matched view.
@@ -725,21 +725,17 @@ impl PreparedSelect {
             })
     }
 
-    /// The view request for the SPJG expression over the tables of
-    /// `subset` (`None`: the whole block).
-    fn view_request(&self, subset: Option<usize>) -> ViewRequest {
+    /// The SPJG expression over the tables of `subset` (`None`: the
+    /// whole block): what its view request asks for.
+    pub(crate) fn view_spjg(&self, subset: Option<usize>) -> SpjgExpr {
         let block = &self.block;
-        let spjg = match subset {
+        match subset {
             Some(mask) => {
                 let tables = block.tables.iter().enumerate();
                 let tables = tables.filter(|(i, _)| mask >> i & 1 == 1).map(|(_, t)| *t);
                 block.spjg_for_subset(&tables.collect())
             }
             None => block.to_spjg(),
-        };
-        ViewRequest {
-            spjg,
-            top_level: subset.is_none(),
         }
     }
 
@@ -754,7 +750,7 @@ impl PreparedSelect {
         config
             .usable_views()
             .filter(|v| self.spans(v, subset))
-            .filter_map(|v| v.try_match(&req.spjg).map(|m| (m, v.rows)))
+            .filter_map(|v| v.try_match(req.spjg()).map(|m| (m, v.rows)))
             .collect()
     }
 
@@ -884,7 +880,7 @@ impl Walk<'_> {
     /// index request over each view that matches it once answered.
     fn views(&mut self, subset: Option<usize>) {
         let prep = self.prep;
-        let req = prep.view_request(subset);
+        let req = ViewRequest::over(prep, subset);
         self.sink.on_view_request(&req, self.db, self.config);
         for (m, view_rows) in prep.view_matches(self.config, &req, subset) {
             if let Some(req) = prep.view_index_request(&m, view_rows, subset) {

@@ -9,9 +9,11 @@
 //! add hypothetical structures to the working configuration before the
 //! next request is built. A plan search itself issues no requests.
 
+use crate::prepared::PreparedSelect;
 use pdt_catalog::{ColumnId, Database, TableId};
 use pdt_expr::{Bound, Sarg, SargablePred};
 use pdt_physical::{Configuration, SpjgExpr};
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 /// An index request `(S, N, O, A)`: "S are columns in sargable
@@ -105,13 +107,59 @@ impl IndexRequest {
 }
 
 /// A view request: an SPJG sub-query the optimizer would like a
-/// materialized view for.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ViewRequest {
-    pub spjg: SpjgExpr,
+/// materialized view for. A request the §2 walk issues builds its
+/// expression on first read ([`spjg`](Self::spjg)), so a sink that
+/// ignores join-subset requests never pays for their expressions.
+#[derive(Clone)]
+pub struct ViewRequest<'p> {
+    spjg: OnceCell<SpjgExpr>,
+    /// The prepared statement and FROM-position mask the expression is
+    /// built from, when it is not built yet.
+    source: Option<(&'p PreparedSelect, Option<usize>)>,
     /// True when the request covers the whole query block (as opposed
     /// to a join sub-expression explored during enumeration).
     pub top_level: bool,
+}
+
+impl<'p> ViewRequest<'p> {
+    /// A request for `spjg`.
+    pub fn new(spjg: SpjgExpr, top_level: bool) -> ViewRequest<'static> {
+        ViewRequest {
+            spjg: OnceCell::from(spjg),
+            source: None,
+            top_level,
+        }
+    }
+
+    /// The request over the tables of `prep`'s block at the FROM
+    /// positions of `subset` (`None`: the whole block), its expression
+    /// not yet built.
+    pub(crate) fn over(prep: &'p PreparedSelect, subset: Option<usize>) -> ViewRequest<'p> {
+        ViewRequest {
+            spjg: OnceCell::new(),
+            source: Some((prep, subset)),
+            top_level: subset.is_none(),
+        }
+    }
+
+    /// The requested SPJG expression.
+    pub fn spjg(&self) -> &SpjgExpr {
+        self.spjg.get_or_init(|| {
+            let (prep, subset) = self
+                .source
+                .expect("a request without an expression has a source");
+            prep.view_spjg(subset)
+        })
+    }
+}
+
+impl std::fmt::Debug for ViewRequest<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ViewRequest")
+            .field("spjg", self.spjg())
+            .field("top_level", &self.top_level)
+            .finish()
+    }
 }
 
 /// Instrumentation hook invoked at the two optimizer entry points.
@@ -197,9 +245,9 @@ impl<S: RequestSink> RequestSink for TracingSink<'_, S> {
             t.emit(
                 "request.view",
                 vec![
-                    ("tables", req.spjg.tables.len().into()),
+                    ("tables", req.spjg().tables.len().into()),
                     ("top_level", req.top_level.into()),
-                    ("grouped", req.spjg.is_grouped().into()),
+                    ("grouped", req.spjg().is_grouped().into()),
                 ],
             );
             t.incr("request.view", 1);
@@ -258,10 +306,7 @@ mod tests {
         sink.on_index_request(&req, &db, &mut config);
         sink.on_index_request(&req, &db, &mut config);
         sink.on_view_request(
-            &ViewRequest {
-                spjg: SpjgExpr::default(),
-                top_level: true,
-            },
+            &ViewRequest::new(SpjgExpr::default(), true),
             &db,
             &mut config,
         );
