@@ -30,11 +30,11 @@
 
 use pdt_catalog::{Database, TableId};
 use pdt_opt::{Optimizer, TracingSink};
-use pdt_physical::{Configuration, Index, MaterializedView, SpjgExpr};
+use pdt_physical::{Configuration, Index, MaterializedView, PhysicalSchema, SpjgExpr};
 use pdt_trace::Tracer;
 use pdt_tuner::cache::CostCache;
 use pdt_tuner::eval::{
-    evaluate_added_ctx, evaluate_full_ctx, EvalCtx, EvalResult, PreparedStatements,
+    evaluate_added_ctx, evaluate_full_ctx, EvalCtx, EvalResult, PreparedStatements, ShellTable,
 };
 use pdt_tuner::instrument::{clustered_view, OptimalSink};
 use pdt_tuner::Workload;
@@ -102,20 +102,20 @@ impl Candidate {
         }
     }
 
-    fn add_to(&self, config: &mut Configuration) -> bool {
+    /// Insert the candidate into `config`; the indexes it inserted, or
+    /// `None` when it does not apply.
+    fn add_to(&self, config: &mut Configuration) -> Option<Vec<Index>> {
         match self {
             Candidate::Index(i) => {
                 if i.table.is_view() {
                     // An index on a view requires the view to exist.
-                    if config.view(i.table).is_none() {
-                        return false;
-                    }
+                    config.view(i.table)?;
                 }
-                config.add_index(i.clone())
+                config.add_index(i.clone()).then(|| vec![i.clone()])
             }
             Candidate::View { view, indexes } => {
                 if config.find_view_by_def(&view.def).is_some() {
-                    return false;
+                    return None;
                 }
                 // Candidates were minted against per-query scratch
                 // configurations, so their ids collide across queries:
@@ -124,6 +124,7 @@ impl Candidate {
                 let mut v = view.clone();
                 v.id = fresh;
                 config.add_view(v);
+                let mut added = Vec::with_capacity(indexes.len());
                 for i in indexes {
                     let mut idx = Index::new(
                         fresh,
@@ -135,9 +136,11 @@ impl Candidate {
                             .map(|c| pdt_catalog::ColumnId::new(fresh, c.ordinal)),
                     );
                     idx.clustered = i.clustered;
-                    config.add_index(idx);
+                    if config.add_index(idx.clone()) {
+                        added.push(idx);
+                    }
                 }
-                true
+                Some(added)
             }
         }
     }
@@ -353,6 +356,10 @@ impl<'a> BaselineAdvisor<'a> {
         let mut config = base.clone();
         let mut eval = base_eval;
         let mut size = config.size_bytes(self.db);
+        // The accepted configuration's shell table: each trial's is
+        // derived from it, pricing only the indexes the trial adds.
+        let model = &opt.opts.cost;
+        let mut shells = ShellTable::build(model, &PhysicalSchema::new(self.db, &config), workload);
         let mut progress = vec![ProgressPoint {
             optimizer_calls: calls,
             best_cost: eval.total_cost,
@@ -363,15 +370,16 @@ impl<'a> BaselineAdvisor<'a> {
             if calls >= self.options.max_evaluations {
                 break;
             }
-            let mut best_pick: Option<(usize, EvalResult, f64, f64)> = None; // (idx, eval, new_size, score)
+            // (idx, eval, shells, new_size, score)
+            let mut best_pick: Option<(usize, EvalResult, ShellTable, f64, f64)> = None;
             for (i, cand) in remaining.iter().enumerate() {
                 if calls >= self.options.max_evaluations {
                     break;
                 }
                 let mut trial = config.clone();
-                if !cand.add_to(&mut trial) {
+                let Some(added) = cand.add_to(&mut trial) else {
                     continue;
-                }
+                };
                 let cand_bytes = cand.size_bytes(self.db, &trial);
                 let new_size = size + cand_bytes;
                 if let Some(budget) = self.options.space_budget {
@@ -382,19 +390,29 @@ impl<'a> BaselineAdvisor<'a> {
                 // Atomic-configuration approximation: re-optimize only
                 // queries touching the candidate's tables.
                 let affected = cand.affected_tables();
-                let trial_eval =
-                    evaluate_added_ctx(self.db, &opt, &trial, workload, &eval, &affected, ctx);
+                let schema = PhysicalSchema::new(self.db, &trial);
+                let trial_shells = shells.with_added(model, &schema, workload, &added);
+                let trial_eval = evaluate_added_ctx(
+                    self.db,
+                    &opt,
+                    &trial,
+                    workload,
+                    &eval,
+                    &affected,
+                    ctx,
+                    &trial_shells,
+                );
                 calls += trial_eval.optimizer_calls;
                 let benefit = eval.total_cost - trial_eval.total_cost;
                 if benefit <= 0.0 {
                     continue;
                 }
                 let score = benefit / cand_bytes.max(1.0);
-                if best_pick.as_ref().is_none_or(|(_, _, _, s)| score > *s) {
-                    best_pick = Some((i, trial_eval, new_size, score));
+                if best_pick.as_ref().is_none_or(|(.., s)| score > *s) {
+                    best_pick = Some((i, trial_eval, trial_shells, new_size, score));
                 }
             }
-            let Some((idx, new_eval, new_size, score)) = best_pick else {
+            let Some((idx, new_eval, new_shells, new_size, score)) = best_pick else {
                 break;
             };
             let cand = remaining.swap_remove(idx);
@@ -415,6 +433,7 @@ impl<'a> BaselineAdvisor<'a> {
             pdt_trace::incr(tracer, "baseline.additions", 1);
             cand.add_to(&mut config);
             eval = new_eval;
+            shells = new_shells;
             size = new_size;
             progress.push(ProgressPoint {
                 optimizer_calls: calls,

@@ -323,6 +323,22 @@ impl BoundNode<'_> {
             .map(|i| self.term(workload, i))
             .collect()
     }
+
+    /// The least ΔT any removal can score on this node, whose own terms
+    /// are `node_terms` (DESIGN.md §13, "The floor"): `Some(0.0)` when no
+    /// entry has an update shell, no weight is negative and the own
+    /// terms fold to the node's cost bit for bit. A touched term then
+    /// only adds patches clamped at zero to its select cost, and rounded
+    /// addition and multiplication are monotone, so every bound is at
+    /// least the node's cost. `None` when a shell, a negative weight or
+    /// a fold that is not the cost leaves no such guarantee.
+    pub fn removal_floor(&self, workload: &Workload, node_terms: &[f64]) -> Option<f64> {
+        let own = fold_touched(node_terms.len(), |i| node_terms[i], &[]);
+        let holds = !self.shells.has_rows()
+            && workload.entries.iter().all(|e| e.weight >= 0.0)
+            && own.to_bits() == self.prev.total_cost.to_bits();
+        holds.then_some(0.0)
+    }
 }
 
 /// Synthesize a full [`EvalResult`] for the relaxed configuration from the
@@ -1280,6 +1296,32 @@ mod tests {
             "dropping a write-only index lowers cost: {bound} vs {}",
             eval.total_cost
         );
+    }
+
+    /// The pre-pass floor (DESIGN.md §13, "The floor"): a select-only
+    /// workload has one, and a single UPDATE takes it away, since its
+    /// shell lets a removal lower the bound (as in the test above).
+    #[test]
+    fn a_single_update_removes_the_removal_floor() {
+        let db = test_db();
+        let floor = |sql: &str| {
+            let (w, config, _, _) = setup(&db, sql);
+            let model = CostModel::default();
+            let eval = evaluate_full(&db, &Optimizer::new(&db), &config, &w);
+            let shells = ShellTable::build(&model, &PhysicalSchema::new(&db, &config), &w);
+            let view_costs = ViewBuildCosts::new();
+            let node = BoundNode {
+                prev: &eval,
+                config: &config,
+                shells: &shells,
+                view_costs: &view_costs,
+            };
+            node.removal_floor(&w, &node.terms(&w))
+        };
+        let selects = "SELECT r.c FROM r WHERE r.a = 5; SELECT r.c FROM r WHERE r.b = 9";
+        assert_eq!(floor(selects), Some(0.0));
+        let update = "UPDATE r SET c = c + 1 WHERE b BETWEEN 1 AND 90";
+        assert_eq!(floor(&format!("{selects}; {update}")), None);
     }
 
     /// One table `h(a, b, c)` of a million rows and no primary key: its

@@ -380,6 +380,33 @@ impl ShellTable {
         workload: &Workload,
         delta: &TransformDelta,
     ) -> ShellTable {
+        let (removed, added) = (&delta.removed_indexes, &delta.added_indexes);
+        self.stepped(model, schema, workload, removed, added)
+    }
+
+    /// The table of `schema.config`, this table's configuration plus
+    /// the indexes `added` (the bottom-up baseline's greedy trials):
+    /// only they are priced.
+    pub fn with_added(
+        &self,
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        workload: &Workload,
+        added: &[Index],
+    ) -> ShellTable {
+        self.stepped(model, schema, workload, &[], added)
+    }
+
+    /// The table of `schema.config`, this table's configuration less
+    /// `removed` plus `added`.
+    fn stepped(
+        &self,
+        model: &CostModel,
+        schema: &PhysicalSchema<'_>,
+        workload: &Workload,
+        removed: &[Index],
+        added: &[Index],
+    ) -> ShellTable {
         let config = schema.config;
         let mut table = ShellTable {
             rows: self.rows.clone(),
@@ -388,13 +415,12 @@ impl ShellTable {
         if table.rows.is_empty() {
             return table;
         }
-        let removed = &delta.removed_indexes;
         if !removed.is_empty() {
             for row in table.rows.iter_mut().flatten() {
                 row.retain(|(i, _)| !removed.contains(i));
             }
         }
-        let handles = delta.added_indexes.iter().map(|a| {
+        let handles = added.iter().map(|a| {
             config
                 .index_handles_on(a.table)
                 .iter()
@@ -446,6 +472,12 @@ impl ShellTable {
             Some(Some(row)) => fold_terms(self.any_index, row.iter().map(|(_, t)| *t)),
             _ => 0.0,
         }
+    }
+
+    /// Whether any workload entry has a shell: without one, every fold
+    /// is `0.0`.
+    pub fn has_rows(&self) -> bool {
+        !self.rows.is_empty()
     }
 
     /// Whether the table's configuration has any index: the flag its
@@ -571,8 +603,10 @@ pub fn evaluate_full_ctx(
 
 /// Re-evaluate after adding structures on `tables` (the bottom-up
 /// baseline's greedy trials): only SELECTs that read one of those
-/// tables are re-optimized; shells are recomputed in closed form. Runs
-/// to the end, like [`evaluate_full_ctx`].
+/// tables are re-optimized; shells are folded from `shells`, `config`'s
+/// table ([`ShellTable::with_added`]). Runs to the end, like
+/// [`evaluate_full_ctx`].
+#[allow(clippy::too_many_arguments)]
 pub fn evaluate_added_ctx(
     db: &Database,
     opt: &Optimizer<'_>,
@@ -581,10 +615,11 @@ pub fn evaluate_added_ctx(
     prev: &EvalResult,
     tables: &[TableId],
     ctx: EvalCtx<'_>,
+    shells: &ShellTable,
 ) -> EvalResult {
     let prev = Some((prev, Change::AddedOn(tables)));
     let ctx = EvalCtx { stop: None, ..ctx };
-    evaluate_entries(db, opt, config, workload, prev, None, ctx, None)
+    evaluate_entries(db, opt, config, workload, prev, None, ctx, Some(shells))
         .expect("no shortcut limit and no stop token, cannot abort")
 }
 
@@ -1191,6 +1226,41 @@ mod tests {
             e_unrel.per_query[0].shell_cost,
             e_base.per_query[0].shell_cost
         );
+    }
+
+    /// A baseline trial's table, derived from the accepted
+    /// configuration's by pricing only what the trial adds, is the
+    /// trial's table built from scratch, and its evaluation is the
+    /// evaluation that builds one.
+    #[test]
+    fn a_table_with_added_indexes_is_built_from_scratch() {
+        let db = test_db();
+        let w = workload(
+            &db,
+            "UPDATE r SET a = 1 WHERE b < 10; SELECT r.c FROM r WHERE r.a = 5; \
+             UPDATE r SET c = 2 WHERE a = 3",
+        );
+        let (opt, model) = (Optimizer::new(&db), CostModel::default());
+        let t = db.table_by_name("r").unwrap();
+        let mut config = Configuration::base(&db);
+        config.add_index(Index::new(t.id, [t.column_id(3)], []));
+        let shells = ShellTable::build(&model, &PhysicalSchema::new(&db, &config), &w);
+        let eval = evaluate_full(&db, &opt, &config, &w);
+        let added = [
+            Index::new(t.id, [t.column_id(1)], [t.column_id(3)]),
+            Index::new(t.id, [t.column_id(2)], []),
+        ];
+        let mut trial = config.clone();
+        for index in &added {
+            assert!(trial.add_index(index.clone()));
+        }
+        let schema = PhysicalSchema::new(&db, &trial);
+        let derived = shells.with_added(&model, &schema, &w, &added);
+        derived.assert_matches_scratch(&model, &schema, &w);
+        let ctx = EvalCtx::default();
+        let kept = evaluate_added_ctx(&db, &opt, &trial, &w, &eval, &[t.id], ctx, &derived);
+        let fresh = evaluate_full(&db, &opt, &trial, &w);
+        assert_eq!(kept.total_cost.to_bits(), fresh.total_cost.to_bits());
     }
 
     #[test]

@@ -210,25 +210,11 @@ impl<'a> Env<'a> {
         if !self.incremental {
             return self.bound(node, t);
         }
-        let price = || {
-            let delta = describe(t, &node.config, self.db, &self.opt)?;
-            let cost = &self.opt.opts.cost;
-            Some(RemovalScore::price(
-                self.db,
-                cost,
-                self.workload,
-                &node.bound_node(),
-                &delta,
-            ))
-        };
         let checks = self.facts().checks();
         match carried {
-            Some(score) if checks => {
-                let fresh = price().expect("a carried removal still applies");
-                score.assert_matches(&fresh, t);
-            }
+            Some(score) if checks => self.assert_carried(node, t, score),
             Some(_) => {}
-            None => *carried = price(),
+            None => *carried = self.price_removal(node, t),
         }
         let score = carried.as_ref()?.score(node_terms, node.eval.total_cost);
         if checks {
@@ -240,6 +226,54 @@ impl<'a> Env<'a> {
             );
         }
         score
+    }
+
+    /// The score ingredients of the removal `t` on `node`, priced from
+    /// scratch; `None` when `t` does not apply.
+    fn price_removal(&self, node: &Node, t: &Transformation) -> Option<RemovalScore> {
+        let delta = describe(t, &node.config, self.db, &self.opt)?;
+        let cost = &self.opt.opts.cost;
+        Some(RemovalScore::price(
+            self.db,
+            cost,
+            self.workload,
+            &node.bound_node(),
+            &delta,
+        ))
+    }
+
+    /// Panic unless `carried`, the ingredients of the removal `t`
+    /// carried to `node`, equal a fresh pricing bit for bit.
+    fn assert_carried(&self, node: &Node, t: &Transformation, carried: &RemovalScore) {
+        let fresh = self
+            .price_removal(node, t)
+            .expect("a carried removal still applies");
+        carried.assert_matches(&fresh, t);
+    }
+
+    /// The check behind a pre-pass step that stopped scoring at its
+    /// floor (DESIGN.md §13, "The floor"): every removal it left
+    /// unscored, priced fresh by [`bound`](Self::bound), scores no less
+    /// than `floor` — where the winner scored, so none beats it — and
+    /// carried ingredients still equal a fresh pricing. Nothing carried
+    /// is changed.
+    pub(super) fn assert_floor(
+        &self,
+        node: &Node,
+        unscored: &[(Transformation, Option<RemovalScore>)],
+        floor: f64,
+    ) {
+        for (t, carried) in unscored {
+            if let Some((delta_t, _)) = self.bound(node, t) {
+                assert!(
+                    delta_t >= floor || delta_t.is_nan(),
+                    "unscored removal {t} scores {delta_t}, below the pre-pass floor {floor}"
+                );
+            }
+            if let Some(score) = carried {
+                self.assert_carried(node, t, score);
+            }
+        }
     }
 
     /// The §3.3.2 upper bound on the workload cost once `delta` is

@@ -48,23 +48,30 @@ impl Session<'_> {
                 // the trip into the final stop reason.
                 break;
             }
-            // Score every removal, then fold the results in candidate
-            // order: the first strict minimum wins.
+            // Score the removals in candidate order: the first strict
+            // minimum wins. No removal scores below the floor, so one
+            // that reaches it wins outright and the rest go unscored,
+            // their carried ingredients untouched.
             let pricing_hot = pdt_trace::hot_span(tracer, pdt_trace::HotPhase::Pricing);
             let node_terms = root.bound_node().terms(env.workload);
-            let scored: Vec<_> = removals
-                .iter_mut()
-                .map(|(t, carried)| env.removal_score(&root, &node_terms, t, carried))
-                .collect();
-            drop(pricing_hot);
+            let floor = root.bound_node().removal_floor(env.workload, &node_terms);
             // (ΔT, position in `removals`) of the running minimum.
             let mut best_removal: Option<(f64, usize)> = None;
-            for (at, score) in scored.into_iter().enumerate() {
-                if let Some((delta_t, _)) = score {
-                    if delta_t <= 1e-9 && best_removal.is_none_or(|(d, _)| delta_t < d) {
-                        best_removal = Some((delta_t, at));
+            for (at, (t, carried)) in removals.iter_mut().enumerate() {
+                let Some((delta_t, _)) = env.removal_score(&root, &node_terms, t, carried) else {
+                    continue;
+                };
+                if delta_t <= 1e-9 && best_removal.is_none_or(|(d, _)| delta_t < d) {
+                    best_removal = Some((delta_t, at));
+                    if floor == Some(delta_t) {
+                        break;
                     }
                 }
+            }
+            drop(pricing_hot);
+            let stopped_at = best_removal.filter(|&(d, _)| floor == Some(d));
+            if let Some((floor, at)) = stopped_at.filter(|_| cx.checks()) {
+                env.assert_floor(&root, &removals[at + 1..], floor);
             }
             let Some((delta_t, at)) = best_removal else {
                 break;
