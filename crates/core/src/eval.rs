@@ -476,7 +476,7 @@ impl ShellTable {
 
     /// Whether any workload entry has a shell: without one, every fold
     /// is `0.0`.
-    pub fn has_rows(&self) -> bool {
+    pub(crate) fn has_rows(&self) -> bool {
         !self.rows.is_empty()
     }
 

@@ -69,8 +69,9 @@ impl Session<'_> {
                 }
             }
             drop(pricing_hot);
-            let stopped_at = best_removal.filter(|&(d, _)| floor == Some(d));
-            if let Some((floor, at)) = stopped_at.filter(|_| cx.checks()) {
+            if let Some((floor, at)) =
+                best_removal.filter(|&(d, _)| cx.checks() && floor == Some(d))
+            {
                 env.assert_floor(&root, &removals[at + 1..], floor);
             }
             let Some((delta_t, at)) = best_removal else {

@@ -121,16 +121,18 @@ pub struct ViewRequest<'p> {
     pub top_level: bool,
 }
 
-impl<'p> ViewRequest<'p> {
+impl ViewRequest<'static> {
     /// A request for `spjg`.
-    pub fn new(spjg: SpjgExpr, top_level: bool) -> ViewRequest<'static> {
+    pub fn new(spjg: SpjgExpr, top_level: bool) -> Self {
         ViewRequest {
             spjg: OnceCell::from(spjg),
             source: None,
             top_level,
         }
     }
+}
 
+impl<'p> ViewRequest<'p> {
     /// The request over the tables of `prep`'s block at the FROM
     /// positions of `subset` (`None`: the whole block), its expression
     /// not yet built.
