@@ -1,9 +1,8 @@
 //! # pdt-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Section 4),
-//! plus the call-budget, shared-store and replay floors. Every binary
-//! prints the rows/series the paper reports and writes machine-readable
-//! JSON to `results/`.
+//! One binary per table/figure of the paper's evaluation (Section 4).
+//! Every binary prints the rows/series the paper reports and writes
+//! machine-readable JSON to `results/`.
 //!
 //! | binary       | reproduces |
 //! |--------------|------------|
@@ -17,8 +16,6 @@
 //! | `exp_fig9`   | Fig. 9 — ΔImprovement, UPDATE workloads |
 //! | `exp_fig10`  | Fig. 10 — quality vs storage constraint |
 //! | `exp_ablation` | design-choice ablations (DESIGN.md §5) |
-//! | `exp_budget` | what-if call-budget frontier → `BENCH_budget.json` |
-//! | `exp_serve_shared` | cross-session shared what-if store → `BENCH_shared.json` |
 
 pub mod json;
 
@@ -42,24 +39,6 @@ pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     let path = results_dir().join(format!("{name}.json"));
     std::fs::write(&path, json::pretty(&value.to_json())).expect("write results");
     eprintln!("[saved {}]", path.display());
-}
-
-/// Timed repeats for every wall-clock row an experiment reports; the
-/// reported value is the median.
-pub const TIMING_REPEATS: usize = 3;
-
-/// Median-of-[`TIMING_REPEATS`] wall-clock milliseconds of `f`. The
-/// closure's result is discarded — run the workload once beforehand if
-/// its output (report, trace) is needed for anything besides timing.
-pub fn median_wall_ms<T>(mut f: impl FnMut() -> T) -> f64 {
-    let mut walls = Vec::with_capacity(TIMING_REPEATS);
-    for _ in 0..TIMING_REPEATS {
-        let start = std::time::Instant::now();
-        let _ = f();
-        walls.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    walls.sort_by(f64::total_cmp);
-    walls[walls.len() / 2]
 }
 
 /// Render a fixed-width ASCII table.

@@ -1,9 +1,11 @@
 //! The docs describe the tree as it is: every backticked `*.rs` path in
 //! DESIGN.md and README.md names a file that exists, every backticked
-//! `Type::item` names a type declared in the workspace that has that
-//! member, and README's flag table lists exactly the flags `pdtune help`
-//! prints. A change that deletes or renames a file, a type, a member or
-//! a flag without updating the docs fails here.
+//! `exp_*` binary and `BENCH_*.json` record names one that exists, every
+//! backticked `Type::item` names a type declared in the workspace that
+//! has that member, and README's flag table lists exactly the flags
+//! `pdtune help` prints. A change that deletes or renames a file, a
+//! binary, a record, a type, a member or a flag without updating the
+//! docs fails here.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -327,6 +329,62 @@ fn every_backticked_rs_path_names_a_file() {
     assert!(
         stale.is_empty(),
         "stale file references:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// Every word of a backticked span of `doc` that starts with `prefix`,
+/// where a word is a run of identifier characters and dots.
+fn prefixed_words(doc: &str, prefix: &str) -> Vec<String> {
+    spans(doc)
+        .into_iter()
+        .flat_map(|span| span.split(|c: char| !(c == '_' || c == '.' || c.is_alphanumeric())))
+        .filter(|word| word.starts_with(prefix))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The names in `dir` (relative to the repository root).
+fn names_in(dir: &str) -> BTreeSet<String> {
+    std::fs::read_dir(Path::new(ROOT).join(dir))
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+#[test]
+fn every_backticked_binary_and_record_exists() {
+    let binaries = names_in("crates/bench/src/bin");
+    let root = names_in(".");
+    assert!(
+        binaries.contains("exp_table1.rs"),
+        "no experiment binaries found"
+    );
+    let mut stale = Vec::new();
+    let mut binary_refs = 0;
+    for doc in ["DESIGN.md", "README.md"] {
+        let text = read_doc(doc);
+        for word in prefixed_words(&text, "exp_") {
+            binary_refs += 1;
+            let name = word.strip_suffix(".rs").unwrap_or(&word);
+            if !binaries.contains(&format!("{name}.rs")) {
+                stale.push(format!(
+                    "{doc}: `{name}` — no crates/bench/src/bin/{name}.rs"
+                ));
+            }
+        }
+        for name in prefixed_words(&text, "BENCH_") {
+            if !name.ends_with(".json") || !root.contains(&name) {
+                stale.push(format!(
+                    "{doc}: `{name}` — no {name} at the repository root"
+                ));
+            }
+        }
+    }
+    assert!(binary_refs > 0, "the docs name no experiment binary");
+    assert!(
+        stale.is_empty(),
+        "stale binary and record references:\n{}",
         stale.join("\n")
     );
 }

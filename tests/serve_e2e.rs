@@ -1,6 +1,8 @@
 //! End-to-end tests for `pdtune serve`: crash recovery with
 //! byte-identical artifacts, overload backpressure, per-session fault
-//! isolation, graceful shutdown, and the serve-mode exit codes.
+//! isolation, graceful shutdown, the serve-mode exit codes, and the
+//! shared store's call floor (a second identical job, and a job after
+//! a warm restart, make ≥3x fewer real optimizer invocations).
 //!
 //! Each test runs the real binary against its own scratch data dir and
 //! drives it over the real socket with `pdtune job` — the same path a
